@@ -7,12 +7,6 @@ from dataclasses import dataclass
 
 from .errors import EmptySampleSet
 
-# Reference medians for this workload class, for context in reports:
-# an eager stack at 34.08 ms dropping to 19.65 ms once exported.
-REFERENCE_EAGER_P50_MS = 34.08
-REFERENCE_EXPORTED_P50_MS = 19.65
-
-
 def percentile(samples, p: float) -> float:
     """Nearest-rank percentile: smallest sample covering fraction p."""
     if not samples:
@@ -75,9 +69,6 @@ def format_reports(reports) -> str:
     for r in reports:
         lines.append("%-10s n=%d  p50 %.3f ms  p90 %.3f ms  p99 %.3f ms"
                      % (r.implementation, r.n_requests, r.p50_ms, r.p90_ms, r.p99_ms))
-    lines.append("reference medians for this workload class: "
-                 "%.2f ms eager -> %.2f ms exported"
-                 % (REFERENCE_EAGER_P50_MS, REFERENCE_EXPORTED_P50_MS))
     if reports:
         lines.append("machine: %s" % reports[0].note)
     return "\n".join(lines)

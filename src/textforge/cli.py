@@ -9,11 +9,11 @@ import json
 import os
 import sys
 
-from . import bench, components
+from . import bench
 from .errors import SchemaViolation, TextForgeError
 from .exporter import export_pipeline, verify_equivalence
 from .graph import Executor, load_graph, run, save_graph
-from .pipeline import instantiate_task, restore_pipeline
+from .pipeline import instantiate_task, prediction_json, restore_pipeline
 from .registry import parse_task_config
 from .trainer import derive_rng, load_checkpoint, train
 
@@ -104,18 +104,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _graph_json(graph, res) -> dict:
-    labels = graph.attrs["labels"]
-    if graph.attrs["task"] == components.WORD_TASK:
-        preds = res["pred"]
-        scores = res["scores"]
-        tags = [labels[int(i)] for i in preds]
-        tag_scores = [float(scores[i, int(preds[i])]) for i in range(len(tags))]
-        return {"label": None, "score": None, "tags": tags, "tag_scores": tag_scores}
-    pred = int(res["pred"])
-    return {"label": labels[pred], "score": float(res["scores"][pred])}
-
-
 def _input_lines(args):
     if args.input:
         with open(args.input, encoding="utf-8") as handle:
@@ -129,7 +117,9 @@ def cmd_predict(args) -> int:
         graph = load_graph(args.graph)
         ex = Executor(graph)
         for line in lines:
-            print(json.dumps(_graph_json(graph, run(ex, line))))
+            res = run(ex, line)
+            print(json.dumps(prediction_json(graph.attrs["task"], graph.attrs["labels"],
+                                             res["pred"], res["scores"])))
         return 0
     pipe = restore_pipeline(load_checkpoint(args.ckpt), use_best=True)
     for line in lines:

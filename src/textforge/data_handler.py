@@ -182,11 +182,6 @@ def word_tag_list(train_split: Dataset):
     return sorted(tags)
 
 
-def numericalize(tokens, vocab: Vocabulary):
-    """Map token strings to ids with UNK fallback."""
-    return [vocab.lookup(tok) for tok in tokens]
-
-
 def _label_id(mapping, label, what):
     try:
         return mapping[label]
@@ -219,7 +214,7 @@ def batch_examples(examples, vocabs: VocabBundle, max_chars: int,
         n = len(feats.tokens)
         if feats.char_ids is None:
             raise DatasetError("char ids missing: featurizer has no alphabet attached")
-        token_ids[i, :n] = numericalize(feats.token_texts(), vocabs.token)
+        token_ids[i, :n] = [vocabs.token.lookup(tok) for tok in feats.token_texts()]
         if n:
             char_rows[i, :n] = np.asarray(feats.char_ids, dtype=np.int64)
         gaz_ids[i, :n] = [vocabs.gaz.lookup(lbl) for lbl in feats.gaz_labels]

@@ -8,6 +8,7 @@ artifact consumes raw tokens with no training code in sight.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,22 @@ from .model_zoo import (BiLSTMAttnRepresentation, BiLSTMTaggerRepresentation,
 from .trainer import derive_rng
 
 F32 = np.float32
+
+
+class IdInput(NamedTuple):
+    """How one integer id input of an unbaked graph is fed and baked."""
+    raw: str      # the string input a baked graph reads in its place
+    vocab: str    # the VocabBundle field (and vocab table) that maps it
+    lookup: str   # the opcode that maps raw strings to ids
+    dim: str      # the TokenEmbedding width that makes a model read it
+
+
+ID_INPUTS = {
+    "token_ids": IdInput("tokens", "token", "LookupTokens", "word_dim"),
+    "char_ids": IdInput("tokens", "char", "LookupChars", "char_dim"),
+    "gaz_ids": IdInput("gaz_labels", "gaz", "LookupTokens", "gaz_dim"),
+    "cap_ids": IdInput("cap_labels", "cap", "LookupTokens", "cap_dim"),
+}
 
 
 class GraphBuilder:
@@ -213,15 +230,8 @@ def export_model(model: SingleTaskModel, featurizer_settings, labels, task) -> S
     b = GraphBuilder(attrs)
     paths = _param_paths(model)
 
-    feeds = {}
-    if emb.word_dim:
-        feeds["token_ids"] = b.add_input("token_ids", "i64")
-    if emb.char_dim:
-        feeds["char_ids"] = b.add_input("char_ids", "i64")
-    if emb.gaz_dim:
-        feeds["gaz_ids"] = b.add_input("gaz_ids", "i64")
-    if emb.cap_dim:
-        feeds["cap_ids"] = b.add_input("cap_ids", "i64")
+    feeds = {slot: b.add_input(slot, "i64")
+             for slot, row in ID_INPUTS.items() if getattr(emb, row.dim)}
 
     emb_slot = _lower_embedding(b, emb, feeds, paths)
     rep_slot = _lowering(_REP_LOWERINGS, model.representation)(b, model.representation,
@@ -247,35 +257,18 @@ def prepend_vocab(graph: StaticGraph, vocabs: VocabBundle) -> StaticGraph:
     lookups = []
     inputs = []
 
-    def add_str_input(name):
-        if name not in inputs:
-            inputs.append(name)
-            slots[name] = "str"
-
     for old in graph.inputs:
-        if old == "token_ids":
-            add_str_input("tokens")
-            tables["token"] = list(vocabs.token.entries)
-            lookups.append(GraphOp("LookupTokens", ("tokens",), ("token_ids",),
-                                   {"vocab": "token"}))
-        elif old == "char_ids":
-            add_str_input("tokens")
-            tables["char"] = list(vocabs.char.entries)
-            lookups.append(GraphOp("LookupChars", ("tokens",), ("char_ids",),
-                                   {"vocab": "char",
-                                    "max_chars": graph.attrs["max_chars"]}))
-        elif old == "gaz_ids":
-            add_str_input("gaz_labels")
-            tables["gaz"] = list(vocabs.gaz.entries)
-            lookups.append(GraphOp("LookupTokens", ("gaz_labels",), ("gaz_ids",),
-                                   {"vocab": "gaz"}))
-        elif old == "cap_ids":
-            add_str_input("cap_labels")
-            tables["cap"] = list(vocabs.cap.entries)
-            lookups.append(GraphOp("LookupTokens", ("cap_labels",), ("cap_ids",),
-                                   {"vocab": "cap"}))
-        else:
+        row = ID_INPUTS.get(old)
+        if row is None:
             raise UnsupportedModule("cannot bake vocabularies over input %r" % old)
+        if row.raw not in inputs:
+            inputs.append(row.raw)
+            slots[row.raw] = "str"
+        tables[row.vocab] = list(getattr(vocabs, row.vocab).entries)
+        attrs = {"vocab": row.vocab}
+        if row.lookup == "LookupChars":
+            attrs["max_chars"] = graph.attrs["max_chars"]
+        lookups.append(GraphOp(row.lookup, (row.raw,), (old,), attrs))
 
     baked = StaticGraph(
         version=graph.version,
@@ -356,20 +349,6 @@ def _split_texts(pipe, n: int, head) -> list:
     return [ex.raw_text for ex in ds.examples[:n]]
 
 
-def _graph_feed(graph: StaticGraph, batch) -> dict:
-    feed = {}
-    for name in graph.inputs:
-        if name == "token_ids":
-            feed[name] = batch.token_ids[0]
-        elif name == "char_ids":
-            feed[name] = batch.char_ids[0]
-        elif name == "gaz_ids":
-            feed[name] = batch.dense_feats["gaz"][0]
-        elif name == "cap_ids":
-            feed[name] = batch.dense_feats["cap"][0]
-    return feed
-
-
 def verify_equivalence(pipe, graph: StaticGraph, n_samples: int = 20,
                        seed: int = 0, head=None) -> EquivalenceReport:
     """Run eager and exported inference side by side on real and random text.
@@ -391,10 +370,9 @@ def verify_equivalence(pipe, graph: StaticGraph, n_samples: int = 20,
         feats = pipe.featurizer.featurize(text)
         batch = single_example_batch(feats, pipe.vocabs, pipe.max_chars)
         out = model.forward(batch, compute_loss=False)
-        if graph.baked:
-            res = run(ex, feats)
-        else:
-            res = run(ex, _graph_feed(graph, batch))
+        ids = {"token_ids": batch.token_ids[0], "char_ids": batch.char_ids[0],
+               "gaz_ids": batch.dense_feats["gaz"][0], "cap_ids": batch.dense_feats["cap"][0]}
+        res = run(ex, feats if graph.baked else ids)
         e_scores = out.scores[0]
         g_scores = res["scores"]
         if e_scores.shape != g_scores.shape:

@@ -4,11 +4,18 @@ A graph is a topologically ordered op list over named value slots with the
 trained weights embedded as constants. The interpreter executes exactly the
 same forward kernels as eager mode, minus tape bookkeeping, lifted to a
 batch of one, so exported outputs match eager outputs bit for bit.
+
+One opcode table, OPS, gives each op's arity, attrs and run function;
+validate_graph and Executor both read it, so a new op is one row here plus
+its lowering in the exporter.
 """
 
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,23 +30,6 @@ F32 = np.float32
 
 GRAPH_MAGIC = b"TXGR"
 GRAPH_VERSION = 1
-
-OPCODES = frozenset((
-    "LookupTokens",
-    "LookupChars",
-    "EmbedGather",
-    "MatMulAdd",
-    "Tanh",
-    "Sigmoid",
-    "Relu",
-    "Conv1DMaxPool",
-    "LSTMSeq",
-    "Concat",
-    "SelfAttention",
-    "Softmax",
-    "ArgMax",
-    "Highway",
-))
 
 SLOT_KINDS = ("f32", "i64", "str")
 
@@ -68,8 +58,131 @@ class StaticGraph:
         return bool(self.vocab_tables)
 
 
+# --- the opcode table: what each op reads, which attrs it needs, how it runs ---
+
+def _lookup_tokens(vocab, tokens):
+    return np.array([vocab.lookup(t) for t in tokens], dtype=np.int64)
+
+
+def _lookup_chars(vocab, max_chars, tokens):
+    rows = [char_ids(t, vocab, max_chars) for t in tokens]
+    return np.array(rows, dtype=np.int64).reshape(len(tokens), max_chars)
+
+
+def _embed_gather(ids, table):
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise IdOutOfRange("id outside [0, %d)" % table.shape[0])
+    return table[ids]
+
+
+def _matmul_add(x, w, b):
+    # lift to a batch of one so the GEMM shapes match training exactly
+    return kernels.linear(x[None], w, b)[0]
+
+
+def _relu(x):
+    return np.maximum(x, F32(0.0))
+
+
+def _one_sequence(kernel, x, empty_shape, *weights, **kwargs):
+    """Run a masked sequence kernel on one unpadded sequence x [t, d].
+
+    x is lifted to a batch of one under an all-ones mask so the shapes match
+    training exactly; an empty sequence gives zeros of empty_shape.
+    """
+    t = x.shape[0]
+    if t == 0:
+        return np.zeros(empty_shape, dtype=F32)
+    return kernel(x[None], *weights, np.ones((1, t), dtype=F32), **kwargs)[0][0]
+
+
+def _conv_maxpool(x, filters):
+    f = filters.shape[2]
+    if x.ndim == 2:
+        return _one_sequence(kernels.conv_maxpool, x, (f,), filters)
+    # char path: one row of characters per token, already a batch
+    if x.shape[0] == 0:
+        return np.zeros((0, f), dtype=F32)
+    return kernels.conv_maxpool(x, filters, np.ones(x.shape[:2], dtype=F32))[0]
+
+
+def _lstm_seq(reverse, x, w_ih, w_hh, bias):
+    return _one_sequence(kernels.lstm_seq, x, (0, w_hh.shape[0]), w_ih, w_hh, bias,
+                         reverse=reverse)
+
+
+def _self_attention(x, w1, w2):
+    return _one_sequence(kernels.self_attention, x, (x.shape[1],), w1, w2)
+
+
+def _highway(x, w_t, b_t, w_g, b_g):
+    return kernels.highway(x, [(w_t, b_t, w_g, b_g)])
+
+
+def _concat(axis, *parts):
+    return np.concatenate(parts, axis=axis)
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """One opcode: its input arity, its attrs, and the function that runs it.
+
+    arity is the exact input count, or None for one or more inputs. attrs maps
+    each op attr to (type, default); a None default makes the attr required.
+    run takes the attr values in table order, then the input values, and
+    returns the op's one output. It looks kernels up on the kernels module
+    at call time.
+    """
+    arity: Optional[int]
+    run: Callable
+    attrs: dict = field(default_factory=dict)
+
+
+OPS = {
+    "LookupTokens": OpSpec(1, _lookup_tokens, {"vocab": (str, None)}),
+    "LookupChars": OpSpec(1, _lookup_chars, {"vocab": (str, None), "max_chars": (int, None)}),
+    "EmbedGather": OpSpec(2, _embed_gather),
+    "MatMulAdd": OpSpec(3, _matmul_add),
+    "Tanh": OpSpec(1, np.tanh),
+    "Sigmoid": OpSpec(1, lambda x: kernels.sigmoid(x)),
+    "Relu": OpSpec(1, _relu),
+    "Conv1DMaxPool": OpSpec(2, _conv_maxpool),
+    "LSTMSeq": OpSpec(4, _lstm_seq, {"reverse": (bool, None)}),
+    "Concat": OpSpec(None, _concat, {"axis": (int, -1)}),
+    "SelfAttention": OpSpec(3, _self_attention),
+    "Highway": OpSpec(5, _highway),
+    "Softmax": OpSpec(1, lambda x: kernels.softmax(x, axis=-1)),
+    "ArgMax": OpSpec(1, lambda x: kernels.argmax_last(x)),
+}
+
+
+def _op_attrs(op: GraphOp, spec: OpSpec) -> dict:
+    """The attrs an op runs with: its own values, defaults for the rest."""
+    return {name: op.attrs.get(name, default) for name, (_, default) in spec.attrs.items()}
+
+
+def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
+    spec = OPS.get(op.opcode)
+    if spec is None:
+        raise CorruptGraph("unknown opcode %r" % op.opcode)
+    n = len(op.inputs)
+    if n == 0 or spec.arity not in (None, n):
+        raise CorruptGraph("op %s cannot take %d inputs" % (op.opcode, n))
+    if len(op.outputs) != 1:
+        raise CorruptGraph("op %s has %d outputs, expected 1" % (op.opcode, len(op.outputs)))
+    if not isinstance(op.attrs, dict):
+        raise CorruptGraph("op %s attrs are not a mapping" % op.opcode)
+    for name, value in _op_attrs(op, spec).items():
+        kind = spec.attrs[name][0]
+        if not isinstance(value, kind):
+            raise CorruptGraph("op %s needs attr %r of type %s"
+                               % (op.opcode, name, kind.__name__))
+    if "vocab" in spec.attrs and op.attrs["vocab"] not in graph.vocab_tables:
+        raise CorruptGraph("op %s needs vocab table %r" % (op.opcode, op.attrs["vocab"]))
+
+
 def validate_graph(graph: StaticGraph) -> None:
-    """Topology and naming checks; raises CorruptGraph on any violation."""
+    """Topology, naming and per-op checks; raises CorruptGraph on any violation."""
     for name, kind in graph.slots.items():
         if kind not in SLOT_KINDS:
             raise CorruptGraph("slot %r has unknown kind %r" % (name, kind))
@@ -82,22 +195,17 @@ def validate_graph(graph: StaticGraph) -> None:
 
     produced = set(graph.consts) | set(graph.inputs)
     for op in graph.ops:
-        if op.opcode not in OPCODES:
-            raise CorruptGraph("unknown opcode %r" % op.opcode)
+        _validate_op(graph, op)
         for slot in op.inputs:
             if slot not in produced:
                 raise CorruptGraph("op %s reads %r before it is produced"
                                    % (op.opcode, slot))
-        for slot in op.outputs:
-            if slot in produced:
-                raise CorruptGraph("slot %r has more than one producer" % slot)
-            if slot not in graph.slots:
-                raise CorruptGraph("op %s writes undeclared slot %r" % (op.opcode, slot))
-            produced.add(slot)
-        if op.opcode in ("LookupTokens", "LookupChars"):
-            vocab = op.attrs.get("vocab", "")
-            if vocab not in graph.vocab_tables:
-                raise CorruptGraph("op %s needs vocab table %r" % (op.opcode, vocab))
+        out = op.outputs[0]
+        if out in produced:
+            raise CorruptGraph("slot %r has more than one producer" % out)
+        if out not in graph.slots:
+            raise CorruptGraph("op %s writes undeclared slot %r" % (op.opcode, out))
+        produced.add(out)
     for name in graph.outputs:
         if name not in produced:
             raise CorruptGraph("graph output %r is never produced" % name)
@@ -164,132 +272,52 @@ def save_graph(graph: StaticGraph, path: str) -> None:
         handle.write(serialize(graph))
 
 
-def _gather(table, ids):
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IdOutOfRange("id outside [0, %d)" % table.shape[0])
-    return table[ids]
-
-
 class Executor:
     """Precompiled interpreter for one graph; safe for repeated run calls.
 
-    Each op becomes a closure with its constant operands already bound, so a
-    run is a plain loop over closures with a dict of live values. No tape, no
+    Each op becomes a step with its run function, attrs and input fetcher
+    bound at compile time. A run seeds a dict of live values with the feed
+    and then the consts (consts win), and loops over the steps. No tape, no
     gradient buffers; scratch values die with the call.
     """
 
     def __init__(self, graph: StaticGraph):
         validate_graph(graph)
         self.graph = graph
+        self._consts = dict(graph.consts)
         self._vocabs = {name: Vocabulary(entries)
                         for name, entries in graph.vocab_tables.items()}
         self._steps = [self._compile(op) for op in graph.ops]
 
-    def _resolve(self, slot):
-        """Return a fetcher for an op input: consts bind now, the rest at run."""
-        consts = self.graph.consts
-        if slot in consts:
-            value = consts[slot]
-            return lambda env: value
-        return lambda env: env[slot]
-
     def _compile(self, op: GraphOp):
-        get = [self._resolve(s) for s in op.inputs]
+        spec = OPS[op.opcode]
+        attrs = _op_attrs(op, spec)
+        if "vocab" in attrs:
+            attrs["vocab"] = self._vocabs[attrs["vocab"]]
+        fn = partial(spec.run, *attrs.values()) if attrs else spec.run
         out = op.outputs[0]
-        code = op.opcode
-
-        if code == "LookupTokens":
-            vocab = self._vocabs[op.attrs["vocab"]]
-            def step(env, get=get, out=out, vocab=vocab):
-                tokens = get[0](env)
-                env[out] = np.array([vocab.lookup(t) for t in tokens], dtype=np.int64)
-        elif code == "LookupChars":
-            vocab = self._vocabs[op.attrs["vocab"]]
-            max_chars = op.attrs["max_chars"]
-            def step(env, get=get, out=out, vocab=vocab, max_chars=max_chars):
-                tokens = get[0](env)
-                rows = [char_ids(t, vocab, max_chars) for t in tokens]
-                env[out] = np.array(rows, dtype=np.int64).reshape(len(tokens), max_chars)
-        elif code == "EmbedGather":
-            def step(env, get=get, out=out):
-                env[out] = _gather(get[1](env), get[0](env))
-        elif code == "MatMulAdd":
-            # lift to a batch of one so the GEMM shapes match training exactly
-            def step(env, get=get, out=out):
-                x = get[0](env)
-                env[out] = kernels.linear(x[None], get[1](env), get[2](env))[0]
-        elif code == "Tanh":
-            def step(env, get=get, out=out):
-                env[out] = np.tanh(get[0](env))
-        elif code == "Sigmoid":
-            def step(env, get=get, out=out):
-                env[out] = kernels.sigmoid(get[0](env))
-        elif code == "Relu":
-            def step(env, get=get, out=out):
-                env[out] = np.maximum(get[0](env), F32(0.0))
-        elif code == "Conv1DMaxPool":
-            def step(env, get=get, out=out):
-                x = get[0](env)
-                filters = get[1](env)
-                f = filters.shape[2]
-                if x.ndim == 2:
-                    t = x.shape[0]
-                    if t == 0:
-                        env[out] = np.zeros((f,), dtype=F32)
-                    else:
-                        mask = np.ones((1, t), dtype=F32)
-                        env[out] = kernels.conv_maxpool(x[None], filters, mask)[0][0]
-                else:
-                    n, c = x.shape[0], x.shape[1]
-                    if n == 0:
-                        env[out] = np.zeros((0, f), dtype=F32)
-                    else:
-                        mask = np.ones((n, c), dtype=F32)
-                        env[out] = kernels.conv_maxpool(x, filters, mask)[0]
-        elif code == "LSTMSeq":
-            reverse = bool(op.attrs["reverse"])
-            def step(env, get=get, out=out, reverse=reverse):
-                x = get[0](env)
-                w_ih, w_hh, bias = get[1](env), get[2](env), get[3](env)
-                h = w_hh.shape[0]
-                t = x.shape[0]
-                if t == 0:
-                    env[out] = np.zeros((0, h), dtype=F32)
-                else:
-                    mask = np.ones((1, t), dtype=F32)
-                    env[out] = kernels.lstm_seq(x[None], w_ih, w_hh, bias, mask,
-                                                reverse=reverse)[0][0]
-        elif code == "Concat":
-            axis = op.attrs.get("axis", -1)
-            def step(env, get=get, out=out, axis=axis):
-                env[out] = np.concatenate([g(env) for g in get], axis=axis)
-        elif code == "SelfAttention":
-            def step(env, get=get, out=out):
-                x = get[0](env)
-                w1, w2 = get[1](env), get[2](env)
-                t = x.shape[0]
-                if t == 0:
-                    env[out] = np.zeros((x.shape[1],), dtype=F32)
-                else:
-                    mask = np.ones((1, t), dtype=F32)
-                    env[out] = kernels.self_attention(x[None], w1, w2, mask)[0][0]
-        elif code == "Highway":
-            def step(env, get=get, out=out):
-                x = get[0](env)
-                layer = (get[1](env), get[2](env), get[3](env), get[4](env))
-                env[out] = kernels.highway(x, [layer])
-        elif code == "Softmax":
-            def step(env, get=get, out=out):
-                env[out] = kernels.softmax(get[0](env), axis=-1)
-        elif code == "ArgMax":
-            def step(env, get=get, out=out):
-                env[out] = kernels.argmax_last(get[0](env))
-        else:  # unreachable after validate_graph
-            raise CorruptGraph("unknown opcode %r" % code)
+        # plain calls for up to three inputs keep dispatch as cheap as a
+        # hand-written closure; wider ops unpack a fetched tuple
+        if len(op.inputs) == 1:
+            (x,) = op.inputs
+            def step(env):
+                env[out] = fn(env[x])
+        elif len(op.inputs) == 2:
+            x, y = op.inputs
+            def step(env):
+                env[out] = fn(env[x], env[y])
+        elif len(op.inputs) == 3:
+            x, y, z = op.inputs
+            def step(env):
+                env[out] = fn(env[x], env[y], env[z])
+        else:
+            fetch = itemgetter(*op.inputs)
+            def step(env):
+                env[out] = fn(*fetch(env))
         return step
 
     def run_feed(self, feed: dict) -> dict:
-        env = dict(feed)
+        env = {**feed, **self._consts}
         for step in self._steps:
             step(env)
         return {name: env[name] for name in self.graph.outputs}
@@ -307,31 +335,20 @@ def prepare_feed(graph: StaticGraph, inp) -> dict:
         if isinstance(inp, str):
             settings = FeaturizerSettings(lowercase=bool(graph.attrs["lowercase"]),
                                           max_chars=int(graph.attrs["max_chars"]))
-            feats = Featurizer(settings).featurize(inp, ())
-        elif isinstance(inp, FeaturizedExample):
-            feats = inp
+            inp = Featurizer(settings).featurize(inp, ())
+        if isinstance(inp, FeaturizedExample):
+            raw = {"tokens": inp.token_texts(), "gaz_labels": list(inp.gaz_labels),
+                   "cap_labels": list(inp.cap_labels)}
         elif isinstance(inp, (list, tuple)) and all(isinstance(t, str) for t in inp):
-            feats = None
+            raw = {"tokens": list(inp), "gaz_labels": [GAZ_NONE] * len(inp),
+                   "cap_labels": [capitalization(t) for t in inp]}
         else:
             raise InputTypeMismatch("unsupported input of type %s" % type(inp).__name__)
-        if feats is None:
-            tokens = list(inp)
-            gaz = [GAZ_NONE] * len(tokens)
-            cap = [capitalization(t) for t in tokens]
-        else:
-            tokens = feats.token_texts()
-            gaz = list(feats.gaz_labels)
-            cap = list(feats.cap_labels)
         feed = {}
         for name in graph.inputs:
-            if name == "tokens":
-                feed[name] = tokens
-            elif name == "gaz_labels":
-                feed[name] = gaz
-            elif name == "cap_labels":
-                feed[name] = cap
-            else:
+            if name not in raw:
                 raise InputTypeMismatch("graph expects unknown input %r" % name)
+            feed[name] = raw[name]
         return feed
 
     if not isinstance(inp, dict):

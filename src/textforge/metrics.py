@@ -120,12 +120,3 @@ def frame_accuracy(doc_gold: List[int], doc_pred: List[int],
         if dg == dp and tg == tp_:
             hits += 1
     return hits / n
-
-
-def selection_score(task: str, report) -> float:
-    """The scalar used to pick the best epoch for a given task type."""
-    if task == "doc_classification":
-        return report.accuracy
-    if task == "word_tagging":
-        return report.macro_f1
-    raise ValueError("no selection score for task %r" % task)

@@ -138,15 +138,6 @@ def concat(tensors, axis=-1) -> Tensor:
     return Tensor(out_data, TapeNode(tuple(tensors), backward))
 
 
-def sum_all(x: Tensor) -> Tensor:
-    out_data = np.asarray(x.data.sum(), dtype=F32)
-
-    def backward(g):
-        return (np.broadcast_to(g, x.data.shape).astype(F32),)
-
-    return Tensor(out_data, TapeNode((x,), backward))
-
-
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of table by integer ids of any shape."""
     ids = np.asarray(ids, dtype=np.int64)

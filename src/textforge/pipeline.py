@@ -168,26 +168,17 @@ class Pipeline:
     def predict(self, feats) -> dict:
         """Eager single-example prediction from a FeaturizedExample."""
         batch = single_example_batch(feats, self.vocabs, self.max_chars)
-        if self.task == components.DOC_TASK:
-            out = self.model.forward(batch, compute_loss=False)
-            return self._doc_json(out)
-        if self.task == components.WORD_TASK:
-            out = self.model.forward(batch, compute_loss=False)
-            return self._word_json(out, len(feats.tokens))
-        doc_out = self.model.tasks["doc"].forward(batch, compute_loss=False)
-        word_out = self.model.tasks["word"].forward(batch, compute_loss=False)
-        result = self._doc_json(doc_out)
-        result["tags"] = self._word_json(word_out, len(feats.tokens))["tags"]
-        return result
-
-    def _doc_json(self, out):
-        pred = int(out.preds[0])
-        return {"label": self.doc_labels[pred], "score": float(out.scores[0, pred])}
-
-    def _word_json(self, out, n):
-        tags = [self.word_tags[int(t)] for t in out.preds[0, :n]]
-        scores = [float(out.scores[0, i, int(out.preds[0, i])]) for i in range(n)]
-        return {"label": None, "score": None, "tags": tags, "tag_scores": scores}
+        if self.task == components.JOINT_TASK:
+            doc = self.model.tasks["doc"].forward(batch, compute_loss=False)
+            word = self.model.tasks["word"].forward(batch, compute_loss=False)
+            result = prediction_json(components.DOC_TASK, self.doc_labels,
+                                     doc.preds[0], doc.scores[0])
+            result["tags"] = prediction_json(components.WORD_TASK, self.word_tags,
+                                             word.preds[0], word.scores[0])["tags"]
+            return result
+        out = self.model.forward(batch, compute_loss=False)
+        labels = self.doc_labels if self.task == components.DOC_TASK else self.word_tags
+        return prediction_json(self.task, labels, out.preds[0], out.scores[0])
 
     # -- persistence ------------------------------------------------------------
 
@@ -203,6 +194,21 @@ class Pipeline:
             },
             "labels": {"doc": list(self.doc_labels), "word": list(self.word_tags)},
         }
+
+
+def prediction_json(task, labels, pred, scores) -> dict:
+    """The prediction JSON for one example from a head's pred and scores.
+
+    Word tagging gives a tag and its score per token (pred [t], scores
+    [t, k]); the other tasks give one label and its score (pred a scalar,
+    scores [k]). Eager prediction and exported graphs both format here.
+    """
+    if task == components.WORD_TASK:
+        tags = [labels[int(i)] for i in pred]
+        tag_scores = [float(scores[i, int(p)]) for i, p in enumerate(pred)]
+        return {"label": None, "score": None, "tags": tags, "tag_scores": tag_scores}
+    pred = int(pred)
+    return {"label": labels[pred], "score": float(scores[pred])}
 
 
 def _build_featurizer(cfg) -> Featurizer:

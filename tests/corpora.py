@@ -118,7 +118,7 @@ def doc_config(dirpath, n_train=100, n_eval=40, seed=0, epochs=3, lr=0.01,
 
 
 def word_config(dirpath, n_train=100, n_eval=40, seed=0, epochs=3, lr=0.01,
-                hidden_dim=24, batch_size=16, with_test=False):
+                hidden_dim=24, embedding=None, batch_size=16, with_test=False):
     train = write_word_tsv(os.path.join(dirpath, "train.tsv"), n_train, seed + 1)
     eval_ = write_word_tsv(os.path.join(dirpath, "eval.tsv"), n_eval, seed + 2)
     data = {"train_path": train, "eval_path": eval_, "batch_size": batch_size}
@@ -128,7 +128,7 @@ def word_config(dirpath, n_train=100, n_eval=40, seed=0, epochs=3, lr=0.01,
     return {"task": {"word_tagging": {
         "data": {"tsv": data},
         "model": {"single": {
-            "embedding": {"token": {"word_dim": 24}},
+            "embedding": embedding or {"token": {"word_dim": 24}},
             "representation": {"bilstm_tagger": {"hidden_dim": hidden_dim}},
             "output": {"word_tagging": {}},
         }},

@@ -179,14 +179,13 @@ class TestExportAndBench:
         assert row["label"] is None and row["score"] is None
         assert len(row["tags"]) == 3 and len(row["tag_scores"]) == 3
 
-    def test_bench_prints_percentiles_and_reference(self, doc_run, doc_graph, tmp_path):
+    def test_bench_prints_percentiles(self, doc_run, doc_graph, tmp_path):
         out = tmp_path / "bench.json"
         proc = run_cli("bench", "--ckpt", doc_run.ckpt, "--graph", doc_graph,
                        "--requests", "30", "--warmup", "3", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert "eager" in proc.stdout and "exported" in proc.stdout
-        assert "reference medians for this workload class" in proc.stdout
-        assert "34.08 ms eager -> 19.65 ms exported" in proc.stdout
+        assert "reference medians" not in proc.stdout
         rows = json.loads(out.read_text())
         assert [r["implementation"] for r in rows] == ["eager", "exported"]
         assert all(r["n_requests"] == 30 for r in rows)

@@ -1,5 +1,6 @@
 """Lowering eager models to static graphs and proving the two agree."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from textforge.errors import (EmptySampleSet, UnsupportedModule,
 from textforge.exporter import (EquivalenceReport, export_model,
                                 export_pipeline, prepend_vocab,
                                 verify_equivalence)
-from textforge.graph import Executor, run
+from textforge.graph import Executor, run, serialize
 from textforge.pipeline import instantiate_task
 from textforge.registry import parse_task_config
 
@@ -90,6 +91,34 @@ class TestLoweringShape:
         with pytest.raises(UnsupportedModule):
             export_model(pipe.model, pipe.featurizer.settings, pipe.doc_labels,
                          DOC_TASK)
+
+
+class TestGoldenBytes:
+    """Serialized baked graphs of seeded, untrained pipelines, pinned by hash.
+
+    A change to lowering, baking or the container format shows up here even
+    when the graph still runs and matches eager inference.
+    """
+
+    GOLDEN = {
+        "doc": "0b202dd3ce56b0cd8f82339df2b29e78ef456187ab282dcb3214da13d5c42560",
+        "word": "c02d3710125f6114608f8e2338979e2ee7d9d48e065646a18b1b1f1291ee5117",
+        "joint.doc": "0d575edc22e23d4e84678473ff81a4a52e5c56e6f3a569df3bc7d75d72f1f859",
+        "joint.word": "072fa422c703d29e82469d72e24ef0a183123127c47c5ef1fc3144d81092770b",
+    }
+
+    def test_graph_bytes_are_pinned(self, tmp_path):
+        def pipe(kind, **overrides):
+            (tmp_path / kind).mkdir()
+            return make_pipe(tmp_path / kind, kind=kind, **overrides)
+
+        graphs = {"doc": export_pipeline(pipe("doc")),
+                  "word": export_pipeline(pipe("word", embedding=RICH_EMBEDDING))}
+        joint = export_pipeline(pipe("joint"))
+        graphs.update({"joint." + head: g for head, g in joint.items()})
+        digests = {name: hashlib.sha256(serialize(g)).hexdigest()
+                   for name, g in graphs.items()}
+        assert digests == self.GOLDEN
 
 
 class TestEquivalence:

@@ -66,6 +66,50 @@ def baked_graph():
     )
 
 
+def malformed_matmul_two_inputs():
+    g = linear_graph()
+    g.ops[0] = GraphOp("MatMulAdd", ("x", "w"), ("logits",))
+    return g
+
+
+def malformed_lstm_without_reverse():
+    rng = np.random.default_rng(0)
+    consts = {"w_ih": rng.normal(size=(3, 8)).astype(F32),
+              "w_hh": rng.normal(size=(2, 8)).astype(F32),
+              "bias": np.zeros(8, dtype=F32)}
+    return StaticGraph(
+        version=GRAPH_VERSION, attrs={},
+        slots={"x": "f32", "w_ih": "f32", "w_hh": "f32", "bias": "f32", "h": "f32"},
+        consts=consts, vocab_tables={},
+        ops=[GraphOp("LSTMSeq", ("x", "w_ih", "w_hh", "bias"), ("h",))],
+        inputs=["x"], outputs=["h"],
+    )
+
+
+def malformed_lookup_chars_without_max_chars():
+    return StaticGraph(
+        version=GRAPH_VERSION, attrs={"lowercase": True, "max_chars": 4},
+        slots={"tokens": "str", "char_ids": "i64"},
+        consts={}, vocab_tables={"char": ["<pad>", "<unk>", "a"]},
+        ops=[GraphOp("LookupChars", ("tokens",), ("char_ids",), {"vocab": "char"})],
+        inputs=["tokens"], outputs=["char_ids"],
+    )
+
+
+def malformed_op_without_outputs():
+    g = linear_graph()
+    g.ops.append(GraphOp("Tanh", ("logits",), ()))
+    return g
+
+
+def malformed_op_with_two_outputs():
+    g = linear_graph()
+    g.slots.update({"t1": "f32", "t2": "f32"})
+    g.ops.append(GraphOp("Tanh", ("logits",), ("t1", "t2")))
+    g.outputs = ["pred", "t2"]
+    return g
+
+
 class TestSerialization:
     def test_round_trip_values(self):
         g = linear_graph()
@@ -170,6 +214,18 @@ class TestValidation:
         with pytest.raises(CorruptGraph):
             validate_graph(g)
 
+    @pytest.mark.parametrize("make", [
+        malformed_matmul_two_inputs,
+        malformed_lstm_without_reverse,
+        malformed_lookup_chars_without_max_chars,
+        malformed_op_without_outputs,
+        malformed_op_with_two_outputs,
+    ])
+    def test_malformed_op_rejected_on_load(self, make):
+        blob = serialize(make())  # serialization is format-only, no validation
+        with pytest.raises(CorruptGraph):
+            deserialize(blob)
+
 
 class TestExecutor:
     def test_linear_softmax_argmax_by_hand(self):
@@ -181,6 +237,12 @@ class TestExecutor:
         e = np.exp(logits - logits.max())
         np.testing.assert_allclose(out["scores"], e / e.sum(), rtol=1e-6)
         assert out["pred"] == int(np.argmax(logits))
+
+    def test_consts_win_over_feed_values(self):
+        x = np.array([1.0, 2.0, 3.0], dtype=F32)
+        want = Executor(linear_graph()).run_feed({"x": x})
+        got = Executor(linear_graph()).run_feed({"x": x, "w": np.zeros((3, 2), dtype=F32)})
+        assert np.array_equal(got["scores"], want["scores"])
 
     def test_embed_gather_bounds(self):
         g = StaticGraph(

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from textforge.errors import EmptyEval, LengthMismatch
 from textforge.metrics import (classification_report, frame_accuracy,
-                               precision_recall_f1, selection_score,
-                               tagging_report)
+                               precision_recall_f1, tagging_report)
 
 
 class TestPRF:
@@ -116,17 +115,3 @@ class TestFrameAccuracy:
             frame_accuracy([0], [0], [[0, 1]], [[0]])
         with pytest.raises(EmptyEval):
             frame_accuracy([], [], [], [])
-
-
-class TestSelectionScore:
-    def test_doc_uses_accuracy(self):
-        rep = classification_report([0, 1], [0, 0], n_classes=2)
-        assert selection_score("doc_classification", rep) == rep.accuracy
-
-    def test_word_uses_macro_f1(self):
-        rep = tagging_report([[0, 1]], [[0, 0]], n_classes=2)
-        assert selection_score("word_tagging", rep) == rep.macro_f1
-
-    def test_unknown_task(self):
-        with pytest.raises(ValueError):
-            selection_score("other", None)
