@@ -1,4 +1,8 @@
-"""Single-example latency comparison between eager and exported inference."""
+"""Single-example latency comparison between eager and exported inference.
+
+Implementations under comparison are timed in one loop that alternates
+which runs first, so host speed drift cannot favour one of them.
+"""
 
 import math
 import platform
@@ -40,28 +44,46 @@ class LatencyReport:
 
 def measure(fn, inputs, warmup: int = 0) -> list:
     """Per-request wall time in ms; warmup calls run first and are dropped."""
+    return measure_alternating([fn], inputs, warmup)[0]
+
+
+def measure_alternating(fns, inputs, warmup: int = 0) -> list:
+    """Per-request wall time in ms of every fn, all timed in one loop.
+
+    Each input runs through every fn, starting one fn later on each request,
+    so a drift in host speed lands on all of them alike. Warmup inputs run
+    through every fn first and are dropped. Returns one sample list per fn.
+    """
     if not inputs:
         raise EmptySampleSet("no requests to measure")
     for x in inputs[:warmup]:
-        fn(x)
-    samples = []
-    for x in inputs:
-        t0 = time.perf_counter_ns()
-        fn(x)
-        samples.append((time.perf_counter_ns() - t0) / 1e6)
+        for fn in fns:
+            fn(x)
+    samples = [[] for _ in fns]
+    for i, x in enumerate(inputs):
+        for j in range(len(fns)):
+            k = (i + j) % len(fns)
+            t0 = time.perf_counter_ns()
+            fns[k](x)
+            samples[k].append((time.perf_counter_ns() - t0) / 1e6)
     return samples
 
 
-def latency_report(implementation: str, fn, inputs, warmup: int = 0) -> LatencyReport:
-    samples = measure(fn, inputs, warmup)
-    return LatencyReport(
-        implementation=implementation,
+def latency_reports(fns: dict, inputs, warmup: int = 0) -> list:
+    """One LatencyReport per named fn, timed together by measure_alternating."""
+    runs = measure_alternating(list(fns.values()), inputs, warmup)
+    return [LatencyReport(
+        implementation=name,
         n_requests=len(samples),
         p50_ms=percentile(samples, 0.50),
         p90_ms=percentile(samples, 0.90),
         p99_ms=percentile(samples, 0.99),
         note=platform.platform(),
-    )
+    ) for name, samples in zip(fns, runs)]
+
+
+def latency_report(implementation: str, fn, inputs, warmup: int = 0) -> LatencyReport:
+    return latency_reports({implementation: fn}, inputs, warmup)[0]
 
 
 def format_reports(reports) -> str:

@@ -6,9 +6,12 @@ preserved, which is what makes save -> load -> save byte-identical.
 
 Wire format: one tag byte per value, multi-byte integers little-endian.
 Arrays are written as dtype code, ndim, dims, then raw C-order bytes
-(float32 or int64, little-endian).
+(float32 or int64, little-endian). Files are replaced atomically, so an
+interrupted write leaves the previous file in place.
 """
 
+import contextlib
+import os
 import struct
 import zlib
 
@@ -29,6 +32,9 @@ _TAG_ARRAY = b"a"
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.int64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<i8")}
+
+# lists and dicts nest at most this deep; real payloads nest about 5 deep
+MAX_DEPTH = 64
 
 
 def encode(value) -> bytes:
@@ -93,6 +99,12 @@ class _Reader:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        self.depth = 0  # lists and dicts open around the value being read
+
+    def enter(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise CorruptFile("values nested more than %d deep" % MAX_DEPTH)
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
@@ -136,9 +148,13 @@ def _decode(r: _Reader):
         return r.take(n)
     if tag == _TAG_LIST:
         n = r.unpack("<I")
-        return [_decode(r) for _ in range(n)]
+        r.enter()
+        items = [_decode(r) for _ in range(n)]
+        r.depth -= 1
+        return items
     if tag == _TAG_DICT:
         n = r.unpack("<I")
+        r.enter()
         out = {}
         for _ in range(n):
             klen = r.unpack("<I")
@@ -147,6 +163,7 @@ def _decode(r: _Reader):
             except UnicodeDecodeError as exc:
                 raise CorruptFile("invalid utf-8 dict key") from exc
             out[key] = _decode(r)
+        r.depth -= 1
         return out
     if tag == _TAG_ARRAY:
         code = r.unpack("<B")
@@ -165,12 +182,31 @@ def _decode(r: _Reader):
     raise CorruptFile("unknown tag byte %r" % tag)
 
 
+def write_file(path: str, data: bytes) -> None:
+    """Replace the file at path with data, all at once or not at all.
+
+    The data goes to a temp file in the same directory, which is flushed,
+    fsynced and renamed over path; if any step fails the temp file is
+    removed and the previous file at path is left as it was.
+    """
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_container(path: str, magic: bytes, version: int, payload) -> None:
     """Write payload under a fixed header: magic, version, body checksum."""
     body = encode(payload)
     header = magic + struct.pack("<I", version) + struct.pack("<I", zlib.crc32(body))
-    with open(path, "wb") as handle:
-        handle.write(header + body)
+    write_file(path, header + body)
 
 
 def read_container(path: str, magic: bytes, version: int):

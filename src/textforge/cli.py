@@ -172,10 +172,8 @@ def cmd_bench(args) -> int:
     def graph_fn(text):
         return run(ex, text)
 
-    reports = [
-        bench.latency_report("eager", eager_fn, texts, warmup=args.warmup),
-        bench.latency_report("exported", graph_fn, texts, warmup=args.warmup),
-    ]
+    reports = bench.latency_reports({"eager": eager_fn, "exported": graph_fn}, texts,
+                                    warmup=args.warmup)
     print(bench.format_reports(reports))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -1,8 +1,9 @@
-"""Builtin component registrations and the factories that build them.
+"""Builtin component registrations and the builders that instantiate them.
 
 The registry is populated here by explicit calls at import time; nothing is
-discovered by scanning. Factories receive resolved ComponentConfigs plus the
-build-time context they need (vocabularies, inferred dims, the init rng).
+discovered by scanning. Builders receive resolved ComponentConfigs plus the
+build-time context they need (vocabularies, inferred dims, the init rng);
+build_model builds every task's model, one head at a time.
 """
 
 from . import model_zoo, trainer
@@ -141,24 +142,12 @@ _OUTPUT_CLASSES = {
 }
 
 
-def build_embedding(cfg: ComponentConfig, vocabs, rng) -> model_zoo.TokenEmbedding:
-    return model_zoo.TokenEmbedding("embedding", cfg.params, vocabs, rng)
-
-
 def build_representation(cfg: ComponentConfig, in_dim: int, rng):
     declared = cfg.params.get("input_dim", -1)
     if declared >= 0 and declared != in_dim:
         raise ShapeMismatch("representation %s declares input dim %d but the embedding "
                             "produces %d" % (cfg.name, declared, in_dim))
     return _REP_CLASSES[cfg.name]("representation", cfg.params, in_dim, rng)
-
-
-def build_decoder(cfg: ComponentConfig, in_dim: int, n_classes: int, rng) -> model_zoo.MLPDecoder:
-    return model_zoo.MLPDecoder("decoder", cfg.params, in_dim, n_classes, rng)
-
-
-def build_output(cfg: ComponentConfig):
-    return _OUTPUT_CLASSES[cfg.name]()
 
 
 def build_optimizer(cfg: ComponentConfig, params):
@@ -168,58 +157,55 @@ def build_optimizer(cfg: ComponentConfig, params):
                         beta2=cfg.params["beta2"], eps=cfg.params["eps"])
 
 
-def build_single_task_model(model_cfg: ComponentConfig, task_kind: str, vocabs,
-                            n_classes: int, rng) -> model_zoo.SingleTaskModel:
-    if model_cfg.name != "single":
-        raise SchemaViolation("task %s needs the single-head model, got %r"
-                              % (task_kind, model_cfg.name))
-    out_cfg = model_cfg.child("output")
-    if out_cfg.name != task_kind:
-        raise SchemaViolation("task %s configured with output layer %r"
-                              % (task_kind, out_cfg.name))
-    embedding = build_embedding(model_cfg.child("embedding"), vocabs, rng)
-    rep = build_representation(model_cfg.child("representation"), embedding.out_dim, rng)
-    decoder = build_decoder(model_cfg.child("decoder"), rep.out_dim, n_classes, rng)
-    output = build_output(out_cfg)
-    model = model_zoo.SingleTaskModel(embedding, rep, decoder, output)
+def build_model(model_cfg: ComponentConfig, task_kind: str, vocabs, doc_labels, word_tags,
+                rng):
+    """The model for a task: one head, or for the joint task two heads whose
+    embedding + BiLSTM trunk is shared by reference.
+
+    Every head is embedding -> representation -> decoder -> output, built by
+    _build_head in head order from one rng. The joint doc head owns the
+    attention pooling; the word head consumes the raw per-token states, so
+    only the trunk below the pooling can be shared.
+    """
+    if task_kind == JOINT_TASK:
+        if model_cfg.name != "joint":
+            raise SchemaViolation("joint task needs the joint model, got %r" % model_cfg.name)
+        heads = {}
+        for head, kind, rep_name in (("doc", DOC_TASK, "bilstm_attn"),
+                                     ("word", WORD_TASK, "bilstm_tagger")):
+            rep_cfg = model_cfg.child(head + "_representation")
+            if rep_cfg.name != rep_name:
+                raise SchemaViolation("joint %s head needs %s, got %r"
+                                      % (head, rep_name, rep_cfg.name))
+            heads[head] = (kind, rep_cfg, model_cfg.child(head + "_decoder"))
+    else:
+        if model_cfg.name != "single":
+            raise SchemaViolation("task %s needs the single-head model, got %r"
+                                  % (task_kind, model_cfg.name))
+        out_name = model_cfg.child("output").name
+        if out_name != task_kind:
+            raise SchemaViolation("task %s configured with output layer %r"
+                                  % (task_kind, out_name))
+        heads = {task_kind: (task_kind, model_cfg.child("representation"),
+                             model_cfg.child("decoder"))}
+
+    n_classes = {DOC_TASK: len(doc_labels or ()), WORD_TASK: len(word_tags or ())}
+    models = {head: _build_head(model_cfg.child("embedding"), rep_cfg, dec_cfg, kind,
+                                vocabs, n_classes[kind], rng)
+              for head, (kind, rep_cfg, dec_cfg) in heads.items()}
+    if task_kind == JOINT_TASK:
+        model = model_zoo.compose_multitask(
+            models, list(JOINT_SHARED_PATHS),
+            {head: model_cfg.params[head + "_loss_weight"] for head in models})
+    else:
+        model = models[task_kind]
     model_zoo.assign_parameter_names(model)
     return model
 
 
-def build_joint_model(model_cfg: ComponentConfig, vocabs, n_doc: int, n_word: int,
-                      rng) -> model_zoo.MultiTaskModel:
-    """Two heads over one embedding + BiLSTM trunk, shared by reference.
-
-    The doc head owns the attention pooling; the word head consumes the raw
-    per-token states, so only the trunk below the pooling can be shared.
-    """
-    if model_cfg.name != "joint":
-        raise SchemaViolation("joint task needs the joint model, got %r" % model_cfg.name)
-    doc_rep_cfg = model_cfg.child("doc_representation")
-    word_rep_cfg = model_cfg.child("word_representation")
-    if doc_rep_cfg.name != "bilstm_attn":
-        raise SchemaViolation("joint doc head needs bilstm_attn, got %r" % doc_rep_cfg.name)
-    if word_rep_cfg.name != "bilstm_tagger":
-        raise SchemaViolation("joint word head needs bilstm_tagger, got %r" % word_rep_cfg.name)
-
-    emb_cfg = model_cfg.child("embedding")
-
-    doc_emb = build_embedding(emb_cfg, vocabs, rng)
-    doc_rep = build_representation(doc_rep_cfg, doc_emb.out_dim, rng)
-    doc_dec = build_decoder(model_cfg.child("doc_decoder"), doc_rep.out_dim, n_doc, rng)
-    doc_model = model_zoo.SingleTaskModel(
-        doc_emb, doc_rep, doc_dec, model_zoo.DocClassificationOutput())
-
-    word_emb = build_embedding(emb_cfg, vocabs, rng)
-    word_rep = build_representation(word_rep_cfg, word_emb.out_dim, rng)
-    word_dec = build_decoder(model_cfg.child("word_decoder"), word_rep.out_dim, n_word, rng)
-    word_model = model_zoo.SingleTaskModel(
-        word_emb, word_rep, word_dec, model_zoo.WordTaggingOutput())
-
-    mtm = model_zoo.compose_multitask(
-        {"doc": doc_model, "word": word_model},
-        list(JOINT_SHARED_PATHS),
-        {"doc": model_cfg.params["doc_loss_weight"],
-         "word": model_cfg.params["word_loss_weight"]})
-    model_zoo.assign_parameter_names(mtm)
-    return mtm
+def _build_head(emb_cfg: ComponentConfig, rep_cfg: ComponentConfig, dec_cfg: ComponentConfig,
+                task_kind: str, vocabs, n_classes: int, rng) -> model_zoo.SingleTaskModel:
+    embedding = model_zoo.TokenEmbedding("embedding", emb_cfg.params, vocabs, rng)
+    rep = build_representation(rep_cfg, embedding.out_dim, rng)
+    decoder = model_zoo.MLPDecoder("decoder", dec_cfg.params, rep.out_dim, n_classes, rng)
+    return model_zoo.SingleTaskModel(embedding, rep, decoder, _OUTPUT_CLASSES[task_kind]())

@@ -339,13 +339,12 @@ def _synthetic_texts(n: int, rng) -> list:
 
 
 def _split_texts(pipe, n: int, head) -> list:
+    """Up to n texts of the test split, else the eval split; the joint word
+    head reads the second source."""
     if not pipe.datasets or n <= 0:
         return []
-    ds = pipe.datasets.get("test") or pipe.datasets.get("eval")
-    if ds is None:
-        return []
-    if isinstance(ds, list):
-        ds = ds[1] if head == "word" else ds[0]
+    sources = pipe.datasets["test"] or pipe.datasets["eval"]
+    ds = sources[1] if head == "word" else sources[0]
     return [ex.raw_text for ex in ds.examples[:n]]
 
 

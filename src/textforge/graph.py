@@ -161,15 +161,27 @@ def _op_attrs(op: GraphOp, spec: OpSpec) -> dict:
     return {name: op.attrs.get(name, default) for name, (_, default) in spec.attrs.items()}
 
 
+def _all_str(values) -> bool:
+    # str.join type-checks every item in C, several times faster than a loop
+    try:
+        "".join(values)
+    except TypeError:
+        return False
+    return True
+
+
 def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
-    spec = OPS.get(op.opcode)
+    spec = OPS.get(op.opcode) if isinstance(op.opcode, str) else None
     if spec is None:
-        raise CorruptGraph("unknown opcode %r" % op.opcode)
+        raise CorruptGraph("unknown opcode %r" % (op.opcode,))
     n = len(op.inputs)
     if n == 0 or spec.arity not in (None, n):
         raise CorruptGraph("op %s cannot take %d inputs" % (op.opcode, n))
     if len(op.outputs) != 1:
         raise CorruptGraph("op %s has %d outputs, expected 1" % (op.opcode, len(op.outputs)))
+    if not (_all_str(op.inputs) and _all_str(op.outputs)):
+        raise CorruptGraph("op %s reads or writes a slot name that is not a string"
+                           % op.opcode)
     if not isinstance(op.attrs, dict):
         raise CorruptGraph("op %s attrs are not a mapping" % op.opcode)
     for name, value in _op_attrs(op, spec).items():
@@ -183,8 +195,21 @@ def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
 
 def validate_graph(graph: StaticGraph) -> None:
     """Topology, naming and per-op checks; raises CorruptGraph on any violation."""
+    for what in ("attrs", "slots", "consts", "vocab_tables"):
+        if not isinstance(getattr(graph, what), dict):
+            raise CorruptGraph("graph %s are not a mapping" % what)
+    for what in ("inputs", "outputs"):
+        names = getattr(graph, what)
+        if not (isinstance(names, list) and _all_str(names)):
+            raise CorruptGraph("graph %s are not a list of slot names" % what)
+    for name, entries in graph.vocab_tables.items():
+        # the table a Vocabulary stores: unique strings, specials first
+        if not (isinstance(entries, list) and entries[:2] == [Vocabulary.PAD, Vocabulary.UNK]
+                and _all_str(entries) and len(set(entries)) == len(entries)):
+            raise CorruptGraph("vocab table %r is not a list of unique strings starting "
+                               "with %s, %s" % (name, Vocabulary.PAD, Vocabulary.UNK))
     for name, kind in graph.slots.items():
-        if kind not in SLOT_KINDS:
+        if not isinstance(kind, str) or kind not in SLOT_KINDS:
             raise CorruptGraph("slot %r has unknown kind %r" % (name, kind))
     for name in graph.consts:
         if name not in graph.slots:
@@ -268,8 +293,7 @@ def load_graph(path: str) -> StaticGraph:
 
 
 def save_graph(graph: StaticGraph, path: str) -> None:
-    with open(path, "wb") as handle:
-        handle.write(serialize(graph))
+    binio.write_file(path, serialize(graph))
 
 
 class Executor:

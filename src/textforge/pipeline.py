@@ -2,8 +2,14 @@
 
 A Pipeline owns the featurizer, vocabularies, datasets, model and optimizer,
 and knows how to produce training batches, evaluate, and predict eagerly.
-It can be built two ways: from a config plus data files (training), or from
-a checkpoint alone (prediction/export, no data files needed).
+It is built from a config plus data files (instantiate_task, for training)
+or from a checkpoint alone (restore_pipeline, for prediction and export).
+Both differ only in where the vocabularies, labels and seed come from, and
+then go through one assembler that builds the model, settings and optimizer.
+
+Every task reads its data as per-split lists of sources: one TSV per split
+for doc classification and word tagging, two for the joint task, whose
+heads train on one source each.
 """
 
 from dataclasses import dataclass
@@ -48,24 +54,22 @@ class Pipeline:
         self.optimizer = optimizer
         self.settings = settings
         self.export = export
-        self.datasets = datasets  # single: {"train": ds, ...}; joint: {"train": [ds, ds], ...}
+        # split -> list of Datasets, one per source ("test" may be empty);
+        # None when restored from a checkpoint
+        self.datasets = datasets
 
     @property
     def max_chars(self):
         return self.featurizer.settings.max_chars
 
-    def _doc_index(self):
-        return {label: i for i, label in enumerate(self.doc_labels)}
-
-    def _tag_index(self):
-        return {tag: i for i, tag in enumerate(self.word_tags)}
-
     def _label_kwargs(self):
-        if self.task == components.DOC_TASK:
-            return {"doc_label_index": self._doc_index()}
-        if self.task == components.WORD_TASK:
-            return {"tag_index": self._tag_index()}
-        return {"doc_label_index": self._doc_index(), "tag_index": self._tag_index()}
+        """make_batches label indexes for the label kinds this task uses."""
+        kwargs = {}
+        if self.task != components.WORD_TASK:
+            kwargs["doc_label_index"] = {label: i for i, label in enumerate(self.doc_labels)}
+        if self.task != components.DOC_TASK:
+            kwargs["tag_index"] = {tag: i for i, tag in enumerate(self.word_tags)}
+        return kwargs
 
     def _require_data(self):
         if self.datasets is None:
@@ -75,18 +79,16 @@ class Pipeline:
 
     def train_batches(self, epoch: int):
         self._require_data()
-        seed = self.settings.seed
+        sources = self.datasets["train"]
         kwargs = self._label_kwargs()
-        if self.task == components.JOINT_TASK:
-            lists = []
-            for k, ds in enumerate(self.datasets["train"]):
-                lists.append(make_batches(
-                    ds, self.settings.batch_size, self.vocabs, self.max_chars,
-                    shuffle_seed=seed_sequence(seed, 1, epoch, k), task_id=k, **kwargs))
-            return interleave_multitask(lists)
-        ds = self.datasets["train"]
-        return make_batches(ds, self.settings.batch_size, self.vocabs, self.max_chars,
-                            shuffle_seed=seed_sequence(seed, 1, epoch), **kwargs)
+        lists = []
+        for k, ds in enumerate(sources):
+            # one source shuffles under (1, epoch), several under (1, epoch, k)
+            key = (1, epoch, k) if len(sources) > 1 else (1, epoch)
+            lists.append(make_batches(
+                ds, self.settings.batch_size, self.vocabs, self.max_chars,
+                shuffle_seed=seed_sequence(self.settings.seed, *key), task_id=k, **kwargs))
+        return interleave_multitask(lists) if len(lists) > 1 else lists[0]
 
     def train_loss(self, batch):
         if self.task == components.JOINT_TASK:
@@ -127,35 +129,25 @@ class Pipeline:
         word tasks on macro F1 of token labels, the joint task on their mean.
         """
         self._require_data()
+        kwargs = self._label_kwargs()
+        batches = [self._eval_batches(ds, kwargs) for ds in self.datasets["eval"]]
         if self.task == components.DOC_TASK:
-            batches = self._eval_batches(self.datasets["eval"], self._label_kwargs())
-            golds, preds = self._collect_doc(self.model, batches)
+            golds, preds = self._collect_doc(self.model, batches[0])
             rep = metrics.classification_report(golds, preds, len(self.doc_labels))
             return rep.accuracy, {"accuracy": rep.accuracy, "macro_f1": rep.macro_f1}
         if self.task == components.WORD_TASK:
-            batches = self._eval_batches(self.datasets["eval"], self._label_kwargs())
-            golds, preds = self._collect_word(self.model, batches)
+            golds, preds = self._collect_word(self.model, batches[0])
             rep = metrics.tagging_report(golds, preds, len(self.word_tags))
             return rep.macro_f1, {"token_accuracy": rep.token_accuracy,
                                   "macro_f1": rep.macro_f1}
-        return self._evaluate_joint()
 
-    def _evaluate_joint(self):
-        kwargs = self._label_kwargs()
-        doc_eval, word_eval = self.datasets["eval"]
-        doc_model = self.model.tasks["doc"]
-        word_model = self.model.tasks["word"]
-
-        doc_batches = self._eval_batches(doc_eval, kwargs)
-        golds, preds = self._collect_doc(doc_model, doc_batches)
+        doc_model, word_model = self.model.tasks["doc"], self.model.tasks["word"]
+        golds, preds = self._collect_doc(doc_model, batches[0])
         doc_rep = metrics.classification_report(golds, preds, len(self.doc_labels))
-
-        word_batches = self._eval_batches(word_eval, kwargs)
-        wgolds, wpreds = self._collect_word(word_model, word_batches)
+        wgolds, wpreds = self._collect_word(word_model, batches[1])
         word_rep = metrics.tagging_report(wgolds, wpreds, len(self.word_tags))
-
         # frame accuracy over the first source, which carries both label kinds
-        tg, tp = self._collect_word(word_model, doc_batches)
+        tg, tp = self._collect_word(word_model, batches[0])
         frame = metrics.frame_accuracy(golds, preds, tg, tp)
 
         score = (doc_rep.accuracy + word_rep.macro_f1) / 2.0
@@ -217,99 +209,82 @@ def _build_featurizer(cfg) -> Featurizer:
     return Featurizer(settings)
 
 
-def _refeaturize(datasets, fz: Featurizer):
-    for ds in datasets:
-        for ex in ds.examples:
-            ex.feats = fz.featurize(ex.raw_text, ex.entries)
+def _load_data(config: TaskConfig):
+    """Load every split as a list of sources: two for joint, one otherwise.
 
-
-def _load_single(data_cfg, fmt, fz):
-    p = data_cfg.params
-    train = data_handler.load_tsv(p["train_path"], fmt, fz, "train")
-    eval_ds = data_handler.load_tsv(p["eval_path"], fmt, fz, "eval")
-    test = data_handler.load_tsv(p["test_path"], fmt, fz, "test") if p["test_path"] else None
-    return train, eval_ds, test
-
-
-def instantiate_task(config: TaskConfig, seed_override: Optional[int] = None) -> Pipeline:
-    """Construct the full pipeline for a config, loading and vectorizing data."""
-    root = config.root
+    Vocabularies and labels come from the union of the train sources (for a
+    single task, the train set itself). Every example is then featurized
+    again with the char alphabet attached. Returns (vocabs, doc_labels,
+    word_tags, datasets); a task has no labels of the kind it does not use.
+    """
     task = config.task_kind
-
-    if seed_override is not None:
-        root.child("trainer").params["seed"] = int(seed_override)
-
-    fz = _build_featurizer(root.child("featurizer"))
-    data_cfg = root.child("data")
-    model_cfg = root.child("model")
-
-    tparams = root.child("trainer").params
-    settings = Settings(epochs=tparams["epochs"], patience=tparams["patience"],
-                        seed=tparams["seed"], batch_size=data_cfg.params["batch_size"])
-    eparams = root.child("export").params
-    export = ExportSettings(out_path=eparams["out_path"], bake_vocab=eparams["bake_vocab"])
-    min_freq = data_cfg.params["min_freq"]
-    seed = settings.seed
-
+    data_cfg = config.root.child("data")
+    p = data_cfg.params
     if task == components.JOINT_TASK:
         if data_cfg.name != "tsv_pair":
             raise SchemaViolation("joint task needs the tsv_pair data handler")
-        p = data_cfg.params
         if len(p["train_paths"]) != 2 or len(p["eval_paths"]) != 2:
             raise SchemaViolation("joint task declares exactly two data sources")
         if p["test_paths"] and len(p["test_paths"]) != 2:
             raise SchemaViolation("joint test_paths must list two files when present")
-        trains = [data_handler.load_tsv(path, FORMAT_JOINT, fz, "train")
-                  for path in p["train_paths"]]
-        evals = [data_handler.load_tsv(path, FORMAT_JOINT, fz, "eval")
-                 for path in p["eval_paths"]]
-        tests = [data_handler.load_tsv(path, FORMAT_JOINT, fz, "test")
-                 for path in p["test_paths"]] if p["test_paths"] else None
-
-        union = Dataset(trains[0].examples + trains[1].examples, "train")
-        vocabs = VocabBundle(
-            token=data_handler.build_vocab(union, min_freq),
-            char=data_handler.build_char_vocab(union),
-            gaz=data_handler.build_gaz_vocab(union),
-            cap=data_handler.cap_vocabulary(),
-        )
-        fz = fz.with_alphabet(vocabs.char)
-        _refeaturize(trains + evals + (tests or []), fz)
-        doc_labels = data_handler.doc_label_list(union)
-        word_tags = data_handler.word_tag_list(union)
-
-        rng = derive_rng(seed, 0)
-        model = components.build_joint_model(model_cfg, vocabs, len(doc_labels),
-                                             len(word_tags), rng)
-        datasets = {"train": trains, "eval": evals, "test": tests}
+        fmt = FORMAT_JOINT
+        paths = {"train": p["train_paths"], "eval": p["eval_paths"], "test": p["test_paths"]}
     else:
         if data_cfg.name != "tsv":
             raise SchemaViolation("task %s needs the tsv data handler" % task)
         fmt = FORMAT_DOC if task == components.DOC_TASK else FORMAT_WORD
-        train_ds, eval_ds, test_ds = _load_single(data_cfg, fmt, fz)
-        vocabs = VocabBundle(
-            token=data_handler.build_vocab(train_ds, min_freq),
-            char=data_handler.build_char_vocab(train_ds),
-            gaz=data_handler.build_gaz_vocab(train_ds),
-            cap=data_handler.cap_vocabulary(),
-        )
-        fz = fz.with_alphabet(vocabs.char)
-        _refeaturize([ds for ds in (train_ds, eval_ds, test_ds) if ds is not None], fz)
-        doc_labels = word_tags = None
-        rng = derive_rng(seed, 0)
-        if task == components.DOC_TASK:
-            doc_labels = data_handler.doc_label_list(train_ds)
-            model = components.build_single_task_model(model_cfg, task, vocabs,
-                                                       len(doc_labels), rng)
-        else:
-            word_tags = data_handler.word_tag_list(train_ds)
-            model = components.build_single_task_model(model_cfg, task, vocabs,
-                                                       len(word_tags), rng)
-        datasets = {"train": train_ds, "eval": eval_ds, "test": test_ds}
+        paths = {"train": [p["train_path"]], "eval": [p["eval_path"]],
+                 "test": [p["test_path"]] if p["test_path"] else []}
 
+    fz = _build_featurizer(config.root.child("featurizer"))
+    datasets = {split: [data_handler.load_tsv(path, fmt, fz, split) for path in sources]
+                for split, sources in paths.items()}
+    union = Dataset([ex for ds in datasets["train"] for ex in ds.examples], "train")
+    vocabs = VocabBundle(
+        token=data_handler.build_vocab(union, p["min_freq"]),
+        char=data_handler.build_char_vocab(union),
+        gaz=data_handler.build_gaz_vocab(union),
+        cap=data_handler.cap_vocabulary(),
+    )
+    fz = fz.with_alphabet(vocabs.char)
+    for sources in datasets.values():
+        for ds in sources:
+            for ex in ds.examples:
+                ex.feats = fz.featurize(ex.raw_text, ex.entries)
+    doc_labels = data_handler.doc_label_list(union) if task != components.WORD_TASK else None
+    word_tags = data_handler.word_tag_list(union) if task != components.DOC_TASK else None
+    return vocabs, doc_labels, word_tags, datasets
+
+
+def _assemble(config: TaskConfig, vocabs: VocabBundle, doc_labels, word_tags, seed: int,
+              datasets=None) -> Pipeline:
+    """The pipeline for a config and its vocabularies and labels.
+
+    Builds the featurizer, the model (initialized from the seed), the
+    settings and the optimizer; both instantiate_task and restore_pipeline
+    end here.
+    """
+    root = config.root
+    fz = _build_featurizer(root.child("featurizer")).with_alphabet(vocabs.char)
+    model = components.build_model(root.child("model"), config.task_kind, vocabs,
+                                   doc_labels, word_tags, derive_rng(seed, 0))
+    tparams = root.child("trainer").params
+    settings = Settings(epochs=tparams["epochs"], patience=tparams["patience"],
+                        seed=seed, batch_size=root.child("data").params["batch_size"])
+    eparams = root.child("export").params
+    export = ExportSettings(out_path=eparams["out_path"], bake_vocab=eparams["bake_vocab"])
     optimizer = components.build_optimizer(root.child("optimizer"), model.parameters())
     return Pipeline(config, fz, vocabs, doc_labels, word_tags, model, optimizer,
                     settings, export, datasets)
+
+
+def instantiate_task(config: TaskConfig, seed_override: Optional[int] = None) -> Pipeline:
+    """Construct the full pipeline for a config, loading and vectorizing data."""
+    tparams = config.root.child("trainer").params
+    if seed_override is not None:
+        tparams["seed"] = int(seed_override)
+    vocabs, doc_labels, word_tags, datasets = _load_data(config)
+    return _assemble(config, vocabs, doc_labels, word_tags, tparams["seed"], datasets)
 
 
 def restore_pipeline(payload: dict, use_best: bool = True) -> Pipeline:
@@ -319,44 +294,12 @@ def restore_pipeline(payload: dict, use_best: bool = True) -> Pipeline:
     pass False to get the last-epoch state instead.
     """
     config = parse_task_config(payload["config"])
-    root = config.root
-    task = config.task_kind
-
-    fz = _build_featurizer(root.child("featurizer"))
-    vocabs = VocabBundle(
-        token=Vocabulary(payload["vocabs"]["token"]),
-        char=Vocabulary(payload["vocabs"]["char"]),
-        gaz=Vocabulary(payload["vocabs"]["gaz"]),
-        cap=Vocabulary(payload["vocabs"]["cap"]),
-    )
-    fz = fz.with_alphabet(vocabs.char)
-    doc_labels = payload["labels"]["doc"]
-    word_tags = payload["labels"]["word"]
-
-    rng = derive_rng(int(payload["seed"]), 0)
-    model_cfg = root.child("model")
-    if task == components.JOINT_TASK:
-        model = components.build_joint_model(model_cfg, vocabs, len(doc_labels),
-                                             len(word_tags), rng)
-    elif task == components.DOC_TASK:
-        model = components.build_single_task_model(model_cfg, task, vocabs,
-                                                   len(doc_labels), rng)
-    else:
-        model = components.build_single_task_model(model_cfg, task, vocabs,
-                                                   len(word_tags), rng)
-
+    vocabs = VocabBundle(**{name: Vocabulary(payload["vocabs"][name])
+                            for name in ("token", "char", "gaz", "cap")})
+    pipe = _assemble(config, vocabs, payload["labels"]["doc"], payload["labels"]["word"],
+                     int(payload["seed"]))
     saved = payload["best_params"] if use_best and payload["best_epoch"] >= 0 \
         else payload["params"]
-    for name, param in model.named_parameters().items():
+    for name, param in pipe.model.named_parameters().items():
         param.data = saved[name]
-
-    tparams = root.child("trainer").params
-    data_params = root.child("data").params
-    settings = Settings(epochs=tparams["epochs"], patience=tparams["patience"],
-                        seed=int(payload["seed"]), batch_size=data_params["batch_size"])
-    eparams = root.child("export").params
-    export = ExportSettings(out_path=eparams["out_path"], bake_vocab=eparams["bake_vocab"])
-
-    optimizer = components.build_optimizer(root.child("optimizer"), model.parameters())
-    return Pipeline(config, fz, vocabs, doc_labels, word_tags, model, optimizer,
-                    settings, export, datasets=None)
+    return pipe

@@ -7,8 +7,7 @@ every default introspectable and keeps parsing code free of magic values.
 """
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 from .errors import (DuplicateRegistration, MalformedDocument, SchemaViolation,
                      UnknownComponent)
@@ -64,7 +63,6 @@ class Registration:
     kind: str
     name: str
     schema: tuple
-    factory: Optional[Callable] = None
 
     def field_map(self):
         return {f.name: f for f in self.schema}
@@ -76,13 +74,13 @@ class Registry:
     def __init__(self):
         self._table = {}
 
-    def register(self, kind: str, name: str, schema, factory=None) -> Registration:
+    def register(self, kind: str, name: str, schema) -> Registration:
         if kind not in KINDS:
             raise ValueError("unknown component kind %r" % kind)
         key = (kind, name)
         if key in self._table:
             raise DuplicateRegistration("component (%s, %s) already registered" % key)
-        reg = Registration(kind, name, tuple(schema), factory)
+        reg = Registration(kind, name, tuple(schema))
         self._table[key] = reg
         return reg
 
@@ -99,8 +97,8 @@ class Registry:
 GLOBAL = Registry()
 
 
-def register_component(kind, name, schema, factory=None):
-    return GLOBAL.register(kind, name, schema, factory)
+def register_component(kind, name, schema):
+    return GLOBAL.register(kind, name, schema)
 
 
 @dataclass

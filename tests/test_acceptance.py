@@ -429,13 +429,11 @@ def test_08_latency_direction(tmp_path):
                      for _ in range(int(rng.integers(3, 10)))]
             texts.append(" ".join(words))
 
-        reports = [
-            bench.latency_report(
-                "eager", lambda s: pipe.predict(pipe.featurizer.featurize(s)),
-                texts, warmup=50),
-            bench.latency_report("exported", lambda s: run(ex, s),
-                                 texts, warmup=50),
-        ]
+        # one loop times both, alternating which runs first on each request
+        reports = bench.latency_reports(
+            {"eager": lambda s: pipe.predict(pipe.featurizer.featurize(s)),
+             "exported": lambda s: run(ex, s)},
+            texts, warmup=50)
         print()
         print(bench.format_reports(reports))
         eager, exported = reports

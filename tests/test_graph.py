@@ -1,10 +1,13 @@
 """Graph container format, validation rules, and interpreter semantics."""
 
+import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from textforge import binio
 from textforge.errors import (CorruptGraph, IdOutOfRange, InputTypeMismatch,
                               VersionMismatch)
 from textforge.featurizer import CAP_CLASSES, GAZ_NONE
@@ -110,6 +113,92 @@ def malformed_op_with_two_outputs():
     return g
 
 
+def malformed_op_input_is_a_list():
+    g = linear_graph()
+    g.ops[1] = GraphOp("Softmax", (["logits"],), ("scores",))
+    return g
+
+
+def malformed_op_output_is_an_int():
+    g = linear_graph()
+    g.ops[1] = GraphOp("Softmax", ("logits",), (7,))
+    return g
+
+
+def malformed_opcode_is_a_list():
+    g = linear_graph()
+    g.ops[1] = GraphOp(["Softmax"], ("logits",), ("scores",))
+    return g
+
+
+def malformed_slots_a_list():
+    g = linear_graph()
+    g.slots = list(g.slots)
+    return g
+
+
+def malformed_attrs_a_list():
+    g = baked_graph()
+    g.attrs = ["lowercase"]
+    return g
+
+
+def malformed_consts_a_list():
+    g = linear_graph()
+    g.consts = list(g.consts.values())
+    return g
+
+
+def malformed_vocabs_a_list():
+    g = baked_graph()
+    g.vocab_tables = [g.vocab_tables["token"]]
+    return g
+
+
+def malformed_slot_kind_an_array():
+    g = linear_graph()
+    g.slots["x"] = np.zeros(2, dtype=F32)
+    return g
+
+
+def malformed_vocab_duplicate_entry():
+    g = baked_graph()
+    g.vocab_tables["token"] = ["<pad>", "<unk>", "go", "home", "go"]
+    return g
+
+
+def malformed_vocab_not_a_list():
+    g = baked_graph()
+    g.vocab_tables["token"] = "<pad> <unk> go home"
+    return g
+
+
+def malformed_vocab_non_string_entry():
+    g = baked_graph()
+    g.vocab_tables["token"] = ["<pad>", "<unk>", "go", 3]
+    return g
+
+
+def malformed_vocab_without_specials_first():
+    # a Vocabulary would put <pad>, <unk> in front and then see <pad> twice
+    g = baked_graph()
+    g.vocab_tables["token"] = ["go", "home", "<pad>"]
+    return g
+
+
+def graph_blob(body: bytes) -> bytes:
+    """A graph blob with a valid header and checksum around any body."""
+    head = GRAPH_MAGIC + struct.pack("<I", GRAPH_VERSION)
+    return head + body + struct.pack("<I", zlib.crc32(head + body))
+
+
+def payload_with(field, value):
+    """The payload of linear_graph() with one field replaced, re-encoded."""
+    payload = binio.decode(serialize(linear_graph())[8:-4])
+    payload[field] = value
+    return graph_blob(binio.encode(payload))
+
+
 class TestSerialization:
     def test_round_trip_values(self):
         g = linear_graph()
@@ -152,6 +241,20 @@ class TestSerialization:
         blob[4:8] = struct.pack("<I", GRAPH_VERSION + 1)
         with pytest.raises(VersionMismatch):
             deserialize(bytes(blob))
+
+    def test_failed_save_keeps_previous_graph(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.graph"
+        save_graph(linear_graph(), str(path))
+        before = path.read_bytes()
+
+        def fail(fd):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_graph(baked_graph(), str(path))
+        assert path.read_bytes() == before
+        assert load_graph(str(path)).ops[0].opcode == "MatMulAdd"
+        assert os.listdir(str(tmp_path)) == ["model.graph"]
 
     def test_unknown_opcode_in_payload(self):
         g = linear_graph()
@@ -220,11 +323,37 @@ class TestValidation:
         malformed_lookup_chars_without_max_chars,
         malformed_op_without_outputs,
         malformed_op_with_two_outputs,
+        malformed_op_input_is_a_list,
+        malformed_op_output_is_an_int,
+        malformed_opcode_is_a_list,
+        malformed_slots_a_list,
+        malformed_attrs_a_list,
+        malformed_consts_a_list,
+        malformed_vocabs_a_list,
+        malformed_slot_kind_an_array,
+        malformed_vocab_duplicate_entry,
+        malformed_vocab_not_a_list,
+        malformed_vocab_non_string_entry,
+        malformed_vocab_without_specials_first,
     ])
     def test_malformed_op_rejected_on_load(self, make):
         blob = serialize(make())  # serialization is format-only, no validation
         with pytest.raises(CorruptGraph):
             deserialize(blob)
+
+    @pytest.mark.parametrize("field,value", [
+        ("inputs", {"x": "f32"}),
+        ("outputs", {"pred": 0, "scores": 1}),
+        ("inputs", "x"),
+    ])
+    def test_inputs_and_outputs_must_be_lists(self, field, value):
+        with pytest.raises(CorruptGraph, match="not a list of slot names"):
+            deserialize(payload_with(field, value))
+
+    def test_deep_nesting_rejected_on_load(self):
+        deep = (b"l" + struct.pack("<I", 1)) * 5000 + b"N"
+        with pytest.raises(CorruptGraph, match="nested"):
+            deserialize(graph_blob(deep))
 
 
 class TestExecutor:

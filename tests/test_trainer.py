@@ -1,7 +1,9 @@
 """Optimizer arithmetic, the training loop's selection logic, checkpoints."""
 
 import json
+import os
 import struct
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -261,6 +263,41 @@ class TestCheckpointFiles:
         path = str(tmp_path / "not_ckpt.bin")
         binio.write_container(path, CKPT_MAGIC, CKPT_VERSION, {"container": "module"})
         with pytest.raises(CorruptFile):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()])
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch, failure):
+        ckpt = self._checkpoint(tmp_path)
+        with open(ckpt, "rb") as handle:
+            before = handle.read()
+        payload = load_checkpoint(ckpt)
+        payload["epoch"] = 99
+
+        def fail(fd):
+            raise failure
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(type(failure)):
+            save_checkpoint(ckpt, payload)
+        monkeypatch.undo()
+        with open(ckpt, "rb") as handle:
+            assert handle.read() == before
+        assert load_checkpoint(ckpt)["epoch"] == 0
+        assert not [name for name in os.listdir(os.path.dirname(ckpt))
+                    if name.endswith(".tmp")]
+
+    def test_deep_nesting_rejected(self, tmp_path):
+        def nested(depth):
+            return (b"l" + struct.pack("<I", 1)) * depth + b"N"
+        assert binio.decode(nested(binio.MAX_DEPTH)) is not None
+        with pytest.raises(CorruptFile, match="nested"):
+            binio.decode(nested(binio.MAX_DEPTH + 1))
+        with pytest.raises(CorruptFile, match="nested"):
+            binio.decode(nested(5000))
+        body = nested(5000)
+        path = str(tmp_path / "deep.ckpt")
+        with open(path, "wb") as handle:
+            handle.write(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, zlib.crc32(body)) + body)
+        with pytest.raises(CorruptFile, match="nested"):
             load_checkpoint(path)
 
     def test_payload_contents(self, tmp_path):
