@@ -12,7 +12,7 @@ per-token tags after it in the same column. The optional gazetteer column is
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -40,9 +40,6 @@ class Dataset:
     examples: list
     split: str = "train"
 
-    def __len__(self):
-        return len(self.examples)
-
     def __iter__(self):
         return iter(self.examples)
 
@@ -53,6 +50,9 @@ class VocabBundle:
     char: Vocabulary
     gaz: Vocabulary
     cap: Vocabulary
+
+
+VOCAB_NAMES = tuple(f.name for f in fields(VocabBundle))
 
 
 @dataclass

@@ -24,7 +24,7 @@ from .errors import (CorruptGraph, CorruptFile, IdOutOfRange, InputTypeMismatch,
                      VersionMismatch)
 from .featurizer import (GAZ_NONE, FeaturizedExample, Featurizer,
                          FeaturizerSettings, capitalization, char_ids)
-from .vocab import Vocabulary
+from .vocab import Vocabulary, all_str, is_table
 
 F32 = np.float32
 
@@ -143,8 +143,6 @@ OPS = {
     "LookupChars": OpSpec(1, _lookup_chars, {"vocab": (str, None), "max_chars": (int, None)}),
     "EmbedGather": OpSpec(2, _embed_gather),
     "MatMulAdd": OpSpec(3, _matmul_add),
-    "Tanh": OpSpec(1, np.tanh),
-    "Sigmoid": OpSpec(1, lambda x: kernels.sigmoid(x)),
     "Relu": OpSpec(1, _relu),
     "Conv1DMaxPool": OpSpec(2, _conv_maxpool),
     "LSTMSeq": OpSpec(4, _lstm_seq, {"reverse": (bool, None)}),
@@ -161,15 +159,6 @@ def _op_attrs(op: GraphOp, spec: OpSpec) -> dict:
     return {name: op.attrs.get(name, default) for name, (_, default) in spec.attrs.items()}
 
 
-def _all_str(values) -> bool:
-    # str.join type-checks every item in C, several times faster than a loop
-    try:
-        "".join(values)
-    except TypeError:
-        return False
-    return True
-
-
 def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
     spec = OPS.get(op.opcode) if isinstance(op.opcode, str) else None
     if spec is None:
@@ -179,7 +168,7 @@ def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
         raise CorruptGraph("op %s cannot take %d inputs" % (op.opcode, n))
     if len(op.outputs) != 1:
         raise CorruptGraph("op %s has %d outputs, expected 1" % (op.opcode, len(op.outputs)))
-    if not (_all_str(op.inputs) and _all_str(op.outputs)):
+    if not (all_str(op.inputs) and all_str(op.outputs)):
         raise CorruptGraph("op %s reads or writes a slot name that is not a string"
                            % op.opcode)
     if not isinstance(op.attrs, dict):
@@ -200,20 +189,22 @@ def validate_graph(graph: StaticGraph) -> None:
             raise CorruptGraph("graph %s are not a mapping" % what)
     for what in ("inputs", "outputs"):
         names = getattr(graph, what)
-        if not (isinstance(names, list) and _all_str(names)):
+        if not (isinstance(names, list) and all_str(names)):
             raise CorruptGraph("graph %s are not a list of slot names" % what)
     for name, entries in graph.vocab_tables.items():
-        # the table a Vocabulary stores: unique strings, specials first
-        if not (isinstance(entries, list) and entries[:2] == [Vocabulary.PAD, Vocabulary.UNK]
-                and _all_str(entries) and len(set(entries)) == len(entries)):
+        if not is_table(entries):
             raise CorruptGraph("vocab table %r is not a list of unique strings starting "
                                "with %s, %s" % (name, Vocabulary.PAD, Vocabulary.UNK))
     for name, kind in graph.slots.items():
         if not isinstance(kind, str) or kind not in SLOT_KINDS:
             raise CorruptGraph("slot %r has unknown kind %r" % (name, kind))
-    for name in graph.consts:
+    for name, value in graph.consts.items():
         if name not in graph.slots:
             raise CorruptGraph("const %r is not a declared slot" % name)
+        # the exporter writes every weight as a float32 array in an f32 slot
+        if graph.slots[name] != "f32" or not (isinstance(value, np.ndarray)
+                                              and value.dtype == F32):
+            raise CorruptGraph("const %r is not a float32 array in an f32 slot" % name)
     for name in graph.inputs:
         if name not in graph.slots:
             raise CorruptGraph("input %r is not a declared slot" % name)
@@ -303,10 +294,13 @@ class Executor:
     bound at compile time. A run seeds a dict of live values with the feed
     and then the consts (consts win), and loops over the steps. No tape, no
     gradient buffers; scratch values die with the call.
+
+    The graph must already be valid. Executor does not validate it again:
+    deserialize, GraphBuilder.finish and prepend_vocab validate every graph
+    the program reads or makes.
     """
 
     def __init__(self, graph: StaticGraph):
-        validate_graph(graph)
         self.graph = graph
         self._consts = dict(graph.consts)
         self._vocabs = {name: Vocabulary(entries)

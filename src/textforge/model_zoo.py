@@ -3,7 +3,10 @@
 Every model decomposes into the same four stages. Each stage is a LayerModule
 that owns its parameters, can be saved and loaded on its own, and states its
 output shape up front so wiring mistakes fail at construction or on the first
-forward rather than deep inside a training run.
+forward rather than deep inside a training run. The models are LayerModules
+too, so one walk (own parameters, then children) names every parameter for
+checkpoints, optimizer state, graph consts and module files, and one checked
+loader, load_params, sets them back.
 """
 
 from dataclasses import dataclass
@@ -36,7 +39,7 @@ def _affine_pair(rng, fan_in, fan_out):
 
 
 class LayerModule:
-    """Base for the four model stages and their shareable children."""
+    """Base for the models, their four stages and the stages' shareable children."""
 
     kind = "module"
 
@@ -55,22 +58,14 @@ class LayerModule:
 
     def named_parameters(self, prefix=""):
         """Depth-first (own params, then children), deterministic order."""
-        out = {}
-        for local, param in self._params.items():
-            out[prefix + local if prefix else local] = param
+        out = {prefix + local: param for local, param in self._params.items()}
         for child_name, child in self.children().items():
-            child_prefix = (prefix + child_name + ".") if prefix else (child_name + ".")
-            out.update(child.named_parameters(child_prefix))
+            out.update(child.named_parameters(prefix + child_name + "."))
         return out
 
     def parameters(self):
-        seen = set()
-        params = []
-        for param in self.named_parameters().values():
-            if id(param) not in seen:
-                seen.add(id(param))
-                params.append(param)
-        return params
+        """Each parameter once, in walk order, even when shared."""
+        return list({id(p): p for p in self.named_parameters().values()}.values())
 
 
 def save_module(module: LayerModule, path: str):
@@ -80,7 +75,8 @@ def save_module(module: LayerModule, path: str):
         "class": type(module).__name__,
         "kind": module.kind,
         "name": module.name,
-        "config": _config_payload(module.config),
+        "config": {key: list(value) if isinstance(value, (list, tuple)) else value
+                   for key, value in module.config.items()},
         "params": {name: p.data for name, p in module.named_parameters().items()},
     }
     binio.write_container(path, MODULE_MAGIC, MODULE_VERSION, payload)
@@ -89,28 +85,42 @@ def save_module(module: LayerModule, path: str):
 def load_module_into(module: LayerModule, path: str):
     """Load a saved module's parameters into a structurally equal instance."""
     payload = binio.read_container(path, MODULE_MAGIC, MODULE_VERSION)
-    if payload.get("container") != "module":
+    if not isinstance(payload, dict) or payload.get("container") != "module":
         raise CorruptFile("%s: not a module file" % path)
     if payload.get("class") != type(module).__name__:
         raise IncompatibleShare("saved module is %s, not %s"
                                 % (payload.get("class"), type(module).__name__))
-    params = module.named_parameters()
-    saved = payload["params"]
-    if set(saved) != set(params):
+    return load_params(module, payload.get("params"))
+
+
+def load_params(model, saved):
+    """Set a model's parameters from a saved name -> array mapping.
+
+    The mapping must hold exactly the model's parameter names, each a float32
+    array of its parameter's shape; otherwise nothing is assigned. Module
+    files, checkpoints and resumed runs all load parameters here.
+    """
+    params = model.named_parameters()
+    if not isinstance(saved, dict) or set(saved) != set(params):
         raise IncompatibleShare("parameter names differ between file and module")
     for name, param in params.items():
-        if saved[name].shape != param.data.shape:
+        value = saved[name]
+        if not (isinstance(value, np.ndarray) and value.dtype == F32):
+            raise ShapeMismatch("param %s: file holds %s, not a float32 array"
+                                % (name, getattr(value, "dtype", type(value).__name__)))
+        if value.shape != param.data.shape:
             raise ShapeMismatch("param %s: file shape %s vs module %s"
-                                % (name, saved[name].shape, param.data.shape))
+                                % (name, value.shape, param.data.shape))
+    for name, param in params.items():
         param.data = saved[name]
-    return module
+    return model
 
 
-def _config_payload(config):
-    out = {}
-    for key, value in config.items():
-        out[key] = list(value) if isinstance(value, (list, tuple)) else value
-    return out
+def _embedding_table(rng, vocab: Vocabulary, dim: int) -> np.ndarray:
+    """A uniform init table with one row per vocab entry, padding row zeroed."""
+    table = _uniform(rng, (len(vocab), dim), 0.1)
+    table[Vocabulary.PAD_ID] = 0.0
+    return table
 
 
 def load_pretrained_embeddings(path: str, vocab: Vocabulary, dim: int, rng) -> np.ndarray:
@@ -119,7 +129,7 @@ def load_pretrained_embeddings(path: str, vocab: Vocabulary, dim: int, rng) -> n
     File lines are "token v1 ... v_dim" space separated. Tokens outside the
     vocabulary are skipped; the padding row is zeroed either way.
     """
-    table = _uniform(rng, (len(vocab), dim), 0.1)
+    table = _embedding_table(rng, vocab, dim)
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
@@ -157,17 +167,10 @@ class TokenEmbedding(LayerModule):
 
     def __init__(self, name, config, vocabs: VocabBundle, rng):
         super().__init__(name, config)
-        word_dim = config["word_dim"]
-        char_dim = config["char_dim"]
-        gaz_dim = config["gaz_dim"]
-        cap_dim = config["cap_dim"]
-        if word_dim <= 0 and char_dim <= 0 and gaz_dim <= 0 and cap_dim <= 0:
+        self.word_dim, self.char_dim, self.gaz_dim, self.cap_dim = (
+            max(config[style + "_dim"], 0) for style in ("word", "char", "gaz", "cap"))
+        if not (self.word_dim or self.char_dim or self.gaz_dim or self.cap_dim):
             raise NoStyleSelected("embedding config enables no feature style")
-
-        self.word_dim = max(word_dim, 0)
-        self.char_dim = max(char_dim, 0)
-        self.gaz_dim = max(gaz_dim, 0)
-        self.cap_dim = max(cap_dim, 0)
         self.char_widths = list(config["char_filter_widths"])
         self.char_filters = config["char_num_filters"]
         self.highway_layers = config["char_highway_layers"]
@@ -177,16 +180,14 @@ class TokenEmbedding(LayerModule):
             if pretrained:
                 table = load_pretrained_embeddings(pretrained, vocabs.token, self.word_dim, rng)
             else:
-                table = _uniform(rng, (len(vocabs.token), self.word_dim), 0.1)
-                table[Vocabulary.PAD_ID] = 0.0
+                table = _embedding_table(rng, vocabs.token, self.word_dim)
             self.word_table = self.add_param("word.table", table)
         self.char_out = 0
         if self.char_dim:
             if not self.char_widths or min(self.char_widths) < 1:
                 raise ShapeMismatch("char filter widths must be >= 1")
-            table = _uniform(rng, (len(vocabs.char), self.char_dim), 0.1)
-            table[Vocabulary.PAD_ID] = 0.0
-            self.char_table = self.add_param("char.table", table)
+            self.char_table = self.add_param(
+                "char.table", _embedding_table(rng, vocabs.char, self.char_dim))
             self.char_conv = []
             for w in self.char_widths:
                 scale = float(np.sqrt(1.0 / (w * self.char_dim)))
@@ -205,13 +206,11 @@ class TokenEmbedding(LayerModule):
                     self.add_param("char.hw%d.bg" % layer, bg),
                 ))
         if self.gaz_dim:
-            table = _uniform(rng, (len(vocabs.gaz), self.gaz_dim), 0.1)
-            table[Vocabulary.PAD_ID] = 0.0
-            self.gaz_table = self.add_param("gaz.table", table)
+            self.gaz_table = self.add_param(
+                "gaz.table", _embedding_table(rng, vocabs.gaz, self.gaz_dim))
         if self.cap_dim:
-            table = _uniform(rng, (len(vocabs.cap), self.cap_dim), 0.1)
-            table[Vocabulary.PAD_ID] = 0.0
-            self.cap_table = self.add_param("cap.table", table)
+            self.cap_table = self.add_param(
+                "cap.table", _embedding_table(rng, vocabs.cap, self.cap_dim))
 
         self.out_dim = self.word_dim + self.char_out + self.gaz_dim + self.cap_dim
 
@@ -276,20 +275,40 @@ class BiLSTMModule(LayerModule):
         return ops.concat([fwd, bwd], axis=-1)
 
 
-def _check_rep_input(emb, in_dim, who):
-    if emb.shape[-1] != in_dim:
-        raise ShapeMismatch("%s expected input dim %d, got %d" % (who, in_dim, emb.shape[-1]))
+class Representation(LayerModule):
+    """Base for the representations: one input guard in front of encode.
 
-
-class DocNNRepresentation(LayerModule):
-    """Parallel word-level convolutions, max pooled over time, concatenated."""
+    forward checks the input width (errors name the subclass by its label);
+    a zero-length sequence gets the fixed zero representation, [b, out] when
+    pooled and [b, 0, out] per token (sequence_output). Anything else goes to
+    the subclass's encode.
+    """
 
     kind = "representation"
     sequence_output = False
 
-    def __init__(self, name, config, in_dim, rng):
+    def __init__(self, name, config, in_dim):
         super().__init__(name, config)
         self.in_dim = in_dim
+
+    def forward(self, emb: Tensor, mask) -> Tensor:
+        if emb.shape[-1] != self.in_dim:
+            raise ShapeMismatch("%s expected input dim %d, got %d"
+                                % (self.label, self.in_dim, emb.shape[-1]))
+        b, t = emb.shape[0], emb.shape[1]
+        if t == 0:
+            shape = (b, 0, self.out_dim) if self.sequence_output else (b, self.out_dim)
+            return Tensor(np.zeros(shape, dtype=F32))
+        return self.encode(emb, mask)
+
+
+class DocNNRepresentation(Representation):
+    """Parallel word-level convolutions, max pooled over time, concatenated."""
+
+    label = "docnn"
+
+    def __init__(self, name, config, in_dim, rng):
+        super().__init__(name, config, in_dim)
         self.widths = list(config["filter_widths"])
         self.num_filters = config["num_filters"]
         if not self.widths or min(self.widths) < 1:
@@ -301,66 +320,46 @@ class DocNNRepresentation(LayerModule):
                 "conv%d" % w, _uniform(rng, (w, in_dim, self.num_filters), scale)))
         self.out_dim = self.num_filters * len(self.widths)
 
-    def forward(self, emb: Tensor, mask) -> Tensor:
-        _check_rep_input(emb, self.in_dim, "docnn")
-        b, t = emb.shape[0], emb.shape[1]
-        if t == 0:
-            # a zero-length sequence has the fixed zero representation
-            return Tensor(np.zeros((b, self.out_dim), dtype=F32))
+    def encode(self, emb: Tensor, mask) -> Tensor:
         pooled = [ops.conv1d_maxpool(emb, filt.tensor, mask) for filt in self.filters]
         return ops.concat(pooled, axis=-1) if len(pooled) > 1 else pooled[0]
 
 
-class BiLSTMAttnRepresentation(LayerModule):
-    """BiLSTM trunk pooled by additive self attention over valid positions."""
-
-    kind = "representation"
-    sequence_output = False
-
-    def __init__(self, name, config, in_dim, rng):
-        super().__init__(name, config)
-        self.in_dim = in_dim
-        self.bilstm = BiLSTMModule("bilstm", {"hidden_dim": config["hidden_dim"]}, in_dim, rng)
-        attn = config["attention_dim"]
-        scale = float(np.sqrt(1.0 / self.bilstm.out_dim))
-        self.add_param("attn.w1", _uniform(rng, (self.bilstm.out_dim, attn), scale))
-        self.add_param("attn.w2", _uniform(rng, (attn,), float(np.sqrt(1.0 / attn))))
-        self.out_dim = self.bilstm.out_dim
-
-    def children(self):
-        return {"bilstm": self.bilstm}
-
-    def forward(self, emb: Tensor, mask) -> Tensor:
-        _check_rep_input(emb, self.in_dim, "bilstm_attn")
-        b, t = emb.shape[0], emb.shape[1]
-        if t == 0:
-            return Tensor(np.zeros((b, self.out_dim), dtype=F32))
-        hidden = self.bilstm.forward(emb, mask)
-        return ops.self_attention(hidden, self._params["attn.w1"].tensor,
-                                  self._params["attn.w2"].tensor, mask)
-
-
-class BiLSTMTaggerRepresentation(LayerModule):
+class BiLSTMTaggerRepresentation(Representation):
     """BiLSTM trunk kept per-token for word tagging."""
 
-    kind = "representation"
+    label = "bilstm_tagger"
     sequence_output = True
 
     def __init__(self, name, config, in_dim, rng):
-        super().__init__(name, config)
-        self.in_dim = in_dim
+        super().__init__(name, config, in_dim)
         self.bilstm = BiLSTMModule("bilstm", {"hidden_dim": config["hidden_dim"]}, in_dim, rng)
         self.out_dim = self.bilstm.out_dim
 
     def children(self):
         return {"bilstm": self.bilstm}
 
-    def forward(self, emb: Tensor, mask) -> Tensor:
-        _check_rep_input(emb, self.in_dim, "bilstm_tagger")
-        b, t = emb.shape[0], emb.shape[1]
-        if t == 0:
-            return Tensor(np.zeros((b, 0, self.out_dim), dtype=F32))
+    def encode(self, emb: Tensor, mask) -> Tensor:
         return self.bilstm.forward(emb, mask)
+
+
+class BiLSTMAttnRepresentation(BiLSTMTaggerRepresentation):
+    """The tagger's BiLSTM trunk pooled by additive self attention over valid
+    positions."""
+
+    label = "bilstm_attn"
+    sequence_output = False
+
+    def __init__(self, name, config, in_dim, rng):
+        super().__init__(name, config, in_dim, rng)
+        attn = config["attention_dim"]
+        scale = float(np.sqrt(1.0 / self.out_dim))
+        self.add_param("attn.w1", _uniform(rng, (self.out_dim, attn), scale))
+        self.add_param("attn.w2", _uniform(rng, (attn,), float(np.sqrt(1.0 / attn))))
+
+    def encode(self, emb: Tensor, mask) -> Tensor:
+        return ops.self_attention(super().encode(emb, mask), self._params["attn.w1"].tensor,
+                                  self._params["attn.w2"].tensor, mask)
 
 
 class MLPDecoder(LayerModule):
@@ -436,10 +435,13 @@ class WordTaggingOutput(LayerModule):
         return ModelOutput(preds, scores, loss)
 
 
-class SingleTaskModel:
+class SingleTaskModel(LayerModule):
     """Embedding -> representation -> decoder -> output."""
 
+    kind = "model"
+
     def __init__(self, embedding, representation, decoder, output):
+        super().__init__("model", {})
         self.embedding = embedding
         self.representation = representation
         self.decoder = decoder
@@ -450,22 +452,6 @@ class SingleTaskModel:
     def children(self):
         return {"embedding": self.embedding, "representation": self.representation,
                 "decoder": self.decoder, "output": self.output}
-
-    def named_parameters(self, prefix=""):
-        out = {}
-        for name, module in self.children().items():
-            sub = (prefix + name + ".") if prefix else (name + ".")
-            out.update(module.named_parameters(sub))
-        return out
-
-    def parameters(self):
-        seen = set()
-        params = []
-        for param in self.named_parameters().values():
-            if id(param) not in seen:
-                seen.add(id(param))
-                params.append(param)
-        return params
 
     def forward(self, batch: Batch, compute_loss=True) -> ModelOutput:
         emb = self.embedding.forward(batch)
@@ -478,12 +464,19 @@ class SingleTaskModel:
         return self.output.forward(logits, labels, batch.mask)
 
 
-class MultiTaskModel:
-    """Named single-task models with some modules shared by reference."""
+class MultiTaskModel(LayerModule):
+    """Named single-task models with some modules shared by reference.
+
+    The heads are its children, in task order; a shared module's parameters
+    appear under every head's name and once in parameters().
+    """
+
+    kind = "model"
 
     def __init__(self, tasks, shared_paths, loss_weights):
         if len(tasks) < 2:
             raise MultiTaskArity("multi-task model needs at least 2 tasks")
+        super().__init__("model", {})
         self.task_names = list(tasks)
         self.tasks = dict(tasks)
         self.shared_paths = list(shared_paths)
@@ -492,24 +485,12 @@ class MultiTaskModel:
     def task_for(self, task_id: int) -> str:
         return self.task_names[task_id]
 
+    def children(self):
+        return self.tasks
+
     def forward(self, batch: Batch, compute_loss=True):
         name = self.task_for(batch.task_id)
         return name, self.tasks[name].forward(batch, compute_loss)
-
-    def named_parameters(self):
-        out = {}
-        for name in self.task_names:
-            out.update(self.tasks[name].named_parameters(name + "."))
-        return out
-
-    def parameters(self):
-        seen = set()
-        params = []
-        for param in self.named_parameters().values():
-            if id(param) not in seen:
-                seen.add(id(param))
-                params.append(param)
-        return params
 
 
 def get_module(model, path: str):
@@ -567,9 +548,6 @@ def compose_multitask(task_models, shared_paths, loss_weights=None) -> MultiTask
 def assign_parameter_names(model):
     """Give every parameter its path-like name; names must be unique."""
     named = model.named_parameters()
-    by_id = {}
-    for name, param in named.items():
-        if id(param) not in by_id:
-            by_id[id(param)] = name
-            param.name = name
+    for name, param in reversed(named.items()):
+        param.name = name  # walking backwards, a shared param ends on its first name
     return named

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import components, data_handler, metrics, ops
-from .data_handler import (FORMAT_DOC, FORMAT_JOINT, FORMAT_WORD, Dataset, VocabBundle,
-                           interleave_multitask, make_batches, single_example_batch)
+from .data_handler import (FORMAT_DOC, FORMAT_JOINT, FORMAT_WORD, VOCAB_NAMES, Dataset,
+                           VocabBundle, interleave_multitask, make_batches, single_example_batch)
 from .errors import EmptySplit, SchemaViolation
 from .featurizer import Featurizer, FeaturizerSettings
+from .model_zoo import load_params
 from .registry import TaskConfig, parse_task_config, serialize_task_config
 from .trainer import derive_rng, seed_sequence
 from .vocab import Vocabulary
@@ -178,12 +179,8 @@ class Pipeline:
         return {
             "task": self.task,
             "config": self.config_text,
-            "vocabs": {
-                "token": list(self.vocabs.token.entries),
-                "char": list(self.vocabs.char.entries),
-                "gaz": list(self.vocabs.gaz.entries),
-                "cap": list(self.vocabs.cap.entries),
-            },
+            "vocabs": {name: list(getattr(self.vocabs, name).entries)
+                       for name in VOCAB_NAMES},
             "labels": {"doc": list(self.doc_labels), "word": list(self.word_tags)},
         }
 
@@ -294,12 +291,9 @@ def restore_pipeline(payload: dict, use_best: bool = True) -> Pipeline:
     pass False to get the last-epoch state instead.
     """
     config = parse_task_config(payload["config"])
-    vocabs = VocabBundle(**{name: Vocabulary(payload["vocabs"][name])
-                            for name in ("token", "char", "gaz", "cap")})
+    vocabs = VocabBundle(**{name: Vocabulary(payload["vocabs"][name]) for name in VOCAB_NAMES})
     pipe = _assemble(config, vocabs, payload["labels"]["doc"], payload["labels"]["word"],
-                     int(payload["seed"]))
-    saved = payload["best_params"] if use_best and payload["best_epoch"] >= 0 \
-        else payload["params"]
-    for name, param in pipe.model.named_parameters().items():
-        param.data = saved[name]
+                     payload["seed"])
+    use_best = use_best and payload["best_epoch"] >= 0
+    load_params(pipe.model, payload["best_params" if use_best else "params"])
     return pipe

@@ -111,12 +111,6 @@ class ComponentConfig:
     def child(self, field_name: str) -> "ComponentConfig":
         return self.params[field_name]
 
-    def __eq__(self, other):
-        return (isinstance(other, ComponentConfig)
-                and self.kind == other.kind
-                and self.name == other.name
-                and self.params == other.params)
-
 
 @dataclass
 class TaskConfig:
@@ -125,9 +119,6 @@ class TaskConfig:
     @property
     def task_kind(self):
         return self.root.name
-
-    def __eq__(self, other):
-        return isinstance(other, TaskConfig) and self.root == other.root
 
 
 def _type_error(path, expected, value):

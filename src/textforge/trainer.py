@@ -6,13 +6,16 @@ per epoch rather than advanced across epochs, so a resumed run replays the
 exact schedule of an uninterrupted one.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from . import binio
+from .data_handler import VOCAB_NAMES
 from .errors import CorruptFile, EmptySplit, NoGradient
+from .model_zoo import load_params
+from .vocab import all_str, is_table
 
 F32 = np.float32
 
@@ -135,11 +138,6 @@ def _snapshot_params(model):
     return {name: p.data.copy() for name, p in model.named_parameters().items()}
 
 
-def _load_params(model, saved):
-    for name, p in model.named_parameters().items():
-        p.data = saved[name]
-
-
 def train(pipe, ckpt_path: str = "", resume: Optional[dict] = None, echo=None) -> TrainResult:
     """Run the training loop; the pipeline supplies batches and evaluation.
 
@@ -163,7 +161,9 @@ def train(pipe, ckpt_path: str = "", resume: Optional[dict] = None, echo=None) -
         best_epoch = resume["best_epoch"]
         best_score = resume["best_score"]
         history = [EpochRecord(**rec) for rec in resume["history"]]
-        _load_params(model, resume["params"])
+        # best_params too is checked now, not after the last epoch
+        load_params(model, resume["best_params"])
+        load_params(model, resume["params"])
         best_params = dict(resume["best_params"])
         opt.load_state(resume["optimizer"])
 
@@ -195,7 +195,7 @@ def train(pipe, ckpt_path: str = "", resume: Optional[dict] = None, echo=None) -
             break
 
     if best_epoch >= 0:
-        _load_params(model, best_params)
+        load_params(model, best_params)
     return TrainResult(history, best_epoch, best_score, stopped_early)
 
 
@@ -222,8 +222,31 @@ def save_checkpoint(path: str, payload: dict) -> None:
     binio.write_container(path, CKPT_MAGIC, CKPT_VERSION, payload)
 
 
+def _typed(kind):
+    return lambda value: isinstance(value, kind) and not isinstance(value, bool)
+
+
+# checkpoint field -> whether a loaded value is well formed; parameter names
+# and shapes are checked when they are loaded into a model (load_params)
+_CKPT_FIELDS = {
+    "config": _typed(str), "seed": _typed(int), "epoch": _typed(int), "best_epoch": _typed(int),
+    "best_score": _typed((int, float)),
+    "history": lambda v: isinstance(v, list) and all(
+        isinstance(rec, dict) and set(rec) == {f.name for f in fields(EpochRecord)}
+        for rec in v),
+    "vocabs": lambda v: isinstance(v, dict) and all(is_table(v.get(n)) for n in VOCAB_NAMES),
+    "labels": lambda v: isinstance(v, dict) and all(
+        isinstance(v.get(k), list) and all_str(v[k]) for k in ("doc", "word")),
+    "params": _typed(dict), "best_params": _typed(dict), "optimizer": _typed(dict),
+}
+
+
 def load_checkpoint(path: str) -> dict:
+    """Read a checkpoint; CorruptFile unless every field is well formed."""
     payload = binio.read_container(path, CKPT_MAGIC, CKPT_VERSION)
     if not isinstance(payload, dict) or payload.get("container") != "checkpoint":
         raise CorruptFile("%s: not a checkpoint file" % path)
+    for name, well_formed in _CKPT_FIELDS.items():
+        if name not in payload or not well_formed(payload[name]):
+            raise CorruptFile("%s: checkpoint field %r is missing or malformed" % (path, name))
     return payload

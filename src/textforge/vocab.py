@@ -45,3 +45,20 @@ class Vocabulary:
 
     def __repr__(self):
         return "Vocabulary(%d entries)" % len(self.entries)
+
+
+def all_str(values) -> bool:
+    # str.join type-checks every item in C, several times faster than a loop
+    try:
+        "".join(values)
+    except TypeError:
+        return False
+    return True
+
+
+def is_table(entries) -> bool:
+    """Whether entries is the table a Vocabulary stores: a list of unique
+    strings starting with PAD, UNK. Graph and checkpoint readers check every
+    vocabulary they load here."""
+    return (isinstance(entries, list) and entries[:2] == [Vocabulary.PAD, Vocabulary.UNK]
+            and all_str(entries) and len(set(entries)) == len(entries))

@@ -121,6 +121,44 @@ class TestGoldenBytes:
         assert digests == self.GOLDEN
 
 
+class TestParameterLayout:
+    """The parameter walk of seeded, untrained models, pinned by hash.
+
+    Checkpoints, optimizer state, graph const names and module files all read
+    named_parameters() and parameters(); a change to their names, order,
+    shapes or init draws shows up here.
+    """
+
+    ALL_STYLES = {"token": {"word_dim": 8, "char_dim": 4, "char_filter_widths": [2],
+                            "char_num_filters": 6, "gaz_dim": 5, "cap_dim": 3}}
+
+    GOLDEN = {
+        "doc": ("ea1041e91714e099a9c85814722138587c57ed72d9a178d068a986330a02491b",
+                "1786827058c8febd87283fe6507e006bc8f01b4639fe967f106fe64d59995ef9"),
+        "word": ("871f4a8413b374de814036f51d64a3302153fe720c62dd777f3bd56bfdf4401e",
+                 "1d12d2b52ed5c38a087cdbf10a1dfbf59dab8a139b30232542781df5b469cd05"),
+        "joint": ("b921e5ef73c5e9af03c0b30ec8f8869bf524922475e0a720eed9a8eb900b9b93",
+                  "7415fc40b6bcb06cbb06440a6665aab32c2863716f43156dbc2b36c422109804"),
+    }
+
+    @staticmethod
+    def digests(model):
+        walk = hashlib.sha256()
+        for name, param in model.named_parameters().items():
+            walk.update(("%s %s\n" % (name, param.data.shape)).encode())
+            walk.update(param.data.tobytes())
+        unique = hashlib.sha256("\n".join(p.name for p in model.parameters()).encode())
+        return walk.hexdigest(), unique.hexdigest()
+
+    def test_parameter_walk_is_pinned(self, tmp_path):
+        overrides = {"doc": {}, "word": {"embedding": self.ALL_STYLES}, "joint": {}}
+        digests = {}
+        for kind, extra in overrides.items():
+            (tmp_path / kind).mkdir()
+            digests[kind] = self.digests(make_pipe(tmp_path / kind, kind=kind, **extra).model)
+        assert digests == self.GOLDEN
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("kind,rep_trace", [
         ("doc", None),

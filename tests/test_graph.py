@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from textforge import binio
+from textforge import graph as graph_module
 from textforge.errors import (CorruptGraph, IdOutOfRange, InputTypeMismatch,
                               VersionMismatch)
 from textforge.featurizer import CAP_CLASSES, GAZ_NONE
@@ -101,14 +102,14 @@ def malformed_lookup_chars_without_max_chars():
 
 def malformed_op_without_outputs():
     g = linear_graph()
-    g.ops.append(GraphOp("Tanh", ("logits",), ()))
+    g.ops.append(GraphOp("Relu", ("logits",), ()))
     return g
 
 
 def malformed_op_with_two_outputs():
     g = linear_graph()
     g.slots.update({"t1": "f32", "t2": "f32"})
-    g.ops.append(GraphOp("Tanh", ("logits",), ("t1", "t2")))
+    g.ops.append(GraphOp("Relu", ("logits",), ("t1", "t2")))
     g.outputs = ["pred", "t2"]
     return g
 
@@ -183,6 +184,30 @@ def malformed_vocab_without_specials_first():
     # a Vocabulary would put <pad>, <unk> in front and then see <pad> twice
     g = baked_graph()
     g.vocab_tables["token"] = ["go", "home", "<pad>"]
+    return g
+
+
+def malformed_const_an_int():
+    g = linear_graph()
+    g.consts["w"] = 5
+    return g
+
+
+def malformed_const_a_string():
+    g = linear_graph()
+    g.consts["w"] = "w"
+    return g
+
+
+def malformed_const_int64_array():
+    g = linear_graph()
+    g.consts["w"] = g.consts["w"].astype(np.int64)
+    return g
+
+
+def malformed_const_slot_declared_str():
+    g = linear_graph()
+    g.slots["w"] = "str"
     return g
 
 
@@ -277,7 +302,7 @@ class TestValidation:
 
     def test_two_producers(self):
         g = linear_graph()
-        g.ops.append(GraphOp("Tanh", ("logits",), ("scores",)))
+        g.ops.append(GraphOp("Relu", ("logits",), ("scores",)))
         with pytest.raises(CorruptGraph):
             validate_graph(g)
 
@@ -301,7 +326,7 @@ class TestValidation:
 
     def test_undeclared_op_output(self):
         g = linear_graph()
-        g.ops.append(GraphOp("Tanh", ("logits",), ("mystery",)))
+        g.ops.append(GraphOp("Relu", ("logits",), ("mystery",)))
         with pytest.raises(CorruptGraph):
             validate_graph(g)
 
@@ -335,6 +360,10 @@ class TestValidation:
         malformed_vocab_not_a_list,
         malformed_vocab_non_string_entry,
         malformed_vocab_without_specials_first,
+        malformed_const_an_int,
+        malformed_const_a_string,
+        malformed_const_int64_array,
+        malformed_const_slot_declared_str,
     ])
     def test_malformed_op_rejected_on_load(self, make):
         blob = serialize(make())  # serialization is format-only, no validation
@@ -349,6 +378,19 @@ class TestValidation:
     def test_inputs_and_outputs_must_be_lists(self, field, value):
         with pytest.raises(CorruptGraph, match="not a list of slot names"):
             deserialize(payload_with(field, value))
+
+    def test_load_and_executor_validate_once(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "model.graph")
+        save_graph(baked_graph(), path)
+        calls = []
+        validate = graph_module.validate_graph
+
+        def counted(graph):
+            calls.append(graph)
+            validate(graph)
+        monkeypatch.setattr(graph_module, "validate_graph", counted)
+        Executor(load_graph(path))
+        assert len(calls) == 1
 
     def test_deep_nesting_rejected_on_load(self):
         deep = (b"l" + struct.pack("<I", 1)) * 5000 + b"N"

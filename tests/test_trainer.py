@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import corpora
-from textforge import binio, ops
-from textforge.errors import (CorruptFile, EmptySplit, NoGradient,
+from textforge import binio, cli, ops
+from textforge.errors import (CorruptFile, EmptySplit, IncompatibleShare, NoGradient,
                               VersionMismatch)
 from textforge.pipeline import instantiate_task
 from textforge.registry import parse_task_config
@@ -320,3 +320,82 @@ class TestSeedStreams:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+
+def _both_param_maps(mutate):
+    def apply(payload):
+        for key in ("params", "best_params"):
+            mutate(payload[key])
+    return apply
+
+
+def _replace_first(make):
+    def mutate(params):
+        name = next(iter(params))
+        params[name] = make(params[name])
+    return mutate
+
+
+# CRC-valid checkpoints with one malformed field, and the error text each gives
+MALFORMED_CHECKPOINTS = {
+    "no_vocabs": (lambda p: p.pop("vocabs"), "'vocabs'"),
+    "no_best_epoch": (lambda p: p.pop("best_epoch"), "'best_epoch'"),
+    "seed_a_string": (lambda p: p.update(seed="7"), "'seed'"),
+    "epoch_a_bool": (lambda p: p.update(epoch=True), "'epoch'"),
+    "history_entry_not_a_record": (lambda p: p["history"].append(1), "'history'"),
+    "duplicate_vocab_entry": (lambda p: p["vocabs"]["token"].append(p["vocabs"]["token"][2]),
+                              "'vocabs'"),
+    "doc_labels_a_string": (lambda p: p["labels"].update(doc="abc"), "'labels'"),
+    "optimizer_a_list": (lambda p: p.update(optimizer=[]), "'optimizer'"),
+    "missing_param": (_both_param_maps(lambda d: d.pop(next(iter(d)))), "parameter names"),
+    "extra_param": (_both_param_maps(lambda d: d.update(ghost=np.zeros(2, dtype=F32))),
+                    "parameter names"),
+    "param_not_an_array": (_both_param_maps(_replace_first(lambda a: 3)), "float32 array"),
+    "param_int64": (_both_param_maps(_replace_first(lambda a: a.astype(np.int64))),
+                    "float32 array"),
+    "param_wrong_shape": (_both_param_maps(_replace_first(lambda a: a[1:])), "file shape"),
+}
+
+
+@pytest.fixture(scope="module")
+def trained_doc(tmp_path_factory):
+    base = tmp_path_factory.mktemp("trained")
+    cfg_path = base / "config.json"
+    cfg_path.write_text(json.dumps(corpora.doc_config(
+        str(base), n_train=24, n_eval=8, epochs=2, batch_size=8)), encoding="utf-8")
+    ckpt = str(base / "model.ckpt")
+    train(instantiate_task(parse_task_config(cfg_path.read_text(encoding="utf-8"))),
+          ckpt_path=ckpt)
+    texts = base / "texts.txt"
+    texts.write_text("wake me now\nplay it again\n", encoding="utf-8")
+    return SimpleNamespace(cfg_path=str(cfg_path), ckpt=ckpt, texts=str(texts))
+
+
+class TestMalformedCheckpoints:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_predict_and_resume_exit_1(self, trained_doc, tmp_path, capsys, case):
+        mutate, message = MALFORMED_CHECKPOINTS[case]
+        payload = binio.read_container(trained_doc.ckpt, CKPT_MAGIC, CKPT_VERSION)
+        mutate(payload)
+        path = str(tmp_path / "bad.ckpt")
+        save_checkpoint(path, payload)  # a fresh, valid checksum
+        capsys.readouterr()
+        assert cli.main(["predict", "--ckpt", path, "--input", trained_doc.texts]) == 1
+        assert message in capsys.readouterr().err
+        assert cli.main(["train", "--config", trained_doc.cfg_path, "--resume", path,
+                         "--out-dir", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "out" / "model.ckpt"))
+
+    def test_resume_checks_best_params_before_training(self, trained_doc):
+        payload = load_checkpoint(trained_doc.ckpt)
+        payload["best_params"].pop(next(iter(payload["best_params"])))
+        pipe = instantiate_task(parse_task_config(
+            open(trained_doc.cfg_path, encoding="utf-8").read()))
+        pipe.settings.epochs = payload["epoch"] + 3
+
+        def no_training(epoch):
+            raise AssertionError("epoch %d started before best_params were checked" % epoch)
+        pipe.train_batches = no_training
+        with pytest.raises(IncompatibleShare):
+            train(pipe, resume=payload)
