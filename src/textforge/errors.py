@@ -105,6 +105,10 @@ class EmptySplit(TextForgeError):
     pass
 
 
+class NonFiniteLoss(TextForgeError):
+    pass
+
+
 class VersionMismatch(TextForgeError):
     pass
 

@@ -1,10 +1,11 @@
 """Lowering trained models to static inference graphs.
 
-Each module class has a lowering that emits graph ops mirroring its forward
-pass exactly; the interpreter then reuses the same kernels, which is what
-makes exported predictions match eager ones bit for bit. Exports start
-unbaked (integer id inputs); prepend_vocab folds the vocabularies in so the
-artifact consumes raw tokens with no training code in sight.
+Each model stage lowers itself: its lower method, beside its forward, emits
+graph ops mirroring the forward pass exactly through a GraphBuilder. The
+interpreter then reuses the same kernels, which is what makes exported
+predictions match eager ones bit for bit. Exports start unbaked (integer id
+inputs); prepend_vocab folds the vocabularies in so the artifact consumes raw
+tokens with no training code in sight.
 """
 
 from dataclasses import dataclass
@@ -16,12 +17,9 @@ from . import components
 from .data_handler import VocabBundle, single_example_batch
 from .errors import EmptySampleSet, UnsupportedModule, VocabAlreadyBaked
 from .graph import GRAPH_VERSION, Executor, GraphOp, StaticGraph, run, validate_graph
-from .model_zoo import (BiLSTMAttnRepresentation, BiLSTMTaggerRepresentation,
-                        DocNNRepresentation, MLPDecoder, MultiTaskModel,
-                        SingleTaskModel, TokenEmbedding)
+from .model_zoo import MultiTaskModel, SingleTaskModel
+from .tensor import Parameter
 from .trainer import derive_rng
-
-F32 = np.float32
 
 
 class IdInput(NamedTuple):
@@ -41,12 +39,20 @@ ID_INPUTS = {
 
 
 class GraphBuilder:
-    def __init__(self, attrs):
+    """The graph under construction while a model's stages lower themselves.
+
+    Each stage's lower(b, x) emits the ops mirroring its forward pass and
+    returns its output slot. Parameters become consts named by their path in
+    the model, so const names match named_parameters().
+    """
+
+    def __init__(self, model, attrs):
         self.attrs = attrs
         self.slots = {}
         self.consts = {}
         self.ops = []
         self.inputs = []
+        self._paths = {id(p): path for path, p in model.named_parameters().items()}
 
     def slot(self, base: str, kind: str) -> str:
         name = base
@@ -62,16 +68,25 @@ class GraphBuilder:
         self.inputs.append(name)
         return name
 
-    def const(self, name: str, array) -> str:
+    def const(self, param: Parameter) -> str:
         # parameter paths are unique per model, so no renaming here
-        if name in self.consts:
-            return name
-        self.slots[name] = "f32"
-        self.consts[name] = array
+        name = self._paths[id(param)]
+        if name not in self.consts:
+            self.slots[name] = "f32"
+            self.consts[name] = param.data
         return name
 
-    def emit(self, opcode, inputs, outputs, **attrs):
-        self.ops.append(GraphOp(opcode, tuple(inputs), tuple(outputs), dict(attrs)))
+    def emit(self, opcode: str, out_base: str, *inputs, kind="f32", **attrs) -> str:
+        """Append one op; inputs are slot names or Parameters. The output slot
+        is declared before the parameters become consts."""
+        out = self.slot(out_base, kind)
+        names = tuple(self.const(x) if isinstance(x, Parameter) else x for x in inputs)
+        self.ops.append(GraphOp(opcode, names, (out,), attrs))
+        return out
+
+    def concat(self, out_base: str, parts: list) -> str:
+        """Concat over the last axis, or the one part itself."""
+        return self.emit("Concat", out_base, *parts, axis=-1) if len(parts) > 1 else parts[0]
 
     def finish(self, outputs) -> StaticGraph:
         graph = StaticGraph(
@@ -88,162 +103,26 @@ class GraphBuilder:
         return graph
 
 
-def _param_paths(model) -> dict:
-    """id(param) -> dotted path, so const names match parameter names."""
-    return {id(p): path for path, p in model.named_parameters().items()}
-
-
-def _pconst(b: GraphBuilder, paths: dict, param) -> str:
-    return b.const(paths[id(param)], param.data)
-
-
-def _lower_embedding(b, emb: TokenEmbedding, feeds: dict, paths: dict) -> str:
-    parts = []
-    if emb.word_dim:
-        table = _pconst(b, paths, emb.word_table)
-        out = b.slot("word_emb", "f32")
-        b.emit("EmbedGather", (feeds["token_ids"], table), (out,))
-        parts.append(out)
-    if emb.char_dim:
-        table = _pconst(b, paths, emb.char_table)
-        chars = b.slot("char_emb", "f32")
-        b.emit("EmbedGather", (feeds["char_ids"], table), (chars,))
-        pooled = []
-        for width, filt in zip(emb.char_widths, emb.char_conv):
-            out = b.slot("char_pool%d" % width, "f32")
-            b.emit("Conv1DMaxPool", (chars, _pconst(b, paths, filt)), (out,))
-            pooled.append(out)
-        cur = pooled[0]
-        if len(pooled) > 1:
-            cur = b.slot("char_cat", "f32")
-            b.emit("Concat", tuple(pooled), (cur,), axis=-1)
-        for i, (wt, bt, wg, bg) in enumerate(emb.highway):
-            nxt = b.slot("char_hw%d" % i, "f32")
-            b.emit("Highway", (cur, _pconst(b, paths, wt), _pconst(b, paths, bt),
-                               _pconst(b, paths, wg), _pconst(b, paths, bg)), (nxt,))
-            cur = nxt
-        parts.append(cur)
-    if emb.gaz_dim:
-        out = b.slot("gaz_emb", "f32")
-        b.emit("EmbedGather", (feeds["gaz_ids"], _pconst(b, paths, emb.gaz_table)), (out,))
-        parts.append(out)
-    if emb.cap_dim:
-        out = b.slot("cap_emb", "f32")
-        b.emit("EmbedGather", (feeds["cap_ids"], _pconst(b, paths, emb.cap_table)), (out,))
-        parts.append(out)
-    if len(parts) > 1:
-        out = b.slot("embedding", "f32")
-        b.emit("Concat", tuple(parts), (out,), axis=-1)
-        return out
-    return parts[0]
-
-
-def _lower_bilstm(b, mod, x_slot: str, paths: dict, tag: str) -> str:
-    halves = []
-    for direction, reverse in (("fwd", False), ("bwd", True)):
-        p = mod._params
-        out = b.slot("%s_%s" % (tag, direction), "f32")
-        b.emit("LSTMSeq",
-               (x_slot, _pconst(b, paths, p["%s.w_ih" % direction]),
-                _pconst(b, paths, p["%s.w_hh" % direction]),
-                _pconst(b, paths, p["%s.bias" % direction])),
-               (out,), reverse=reverse)
-        halves.append(out)
-    cat = b.slot(tag, "f32")
-    b.emit("Concat", tuple(halves), (cat,), axis=-1)
-    return cat
-
-
-def _lower_docnn(b, rep: DocNNRepresentation, emb_slot: str, paths: dict) -> str:
-    pooled = []
-    for width, filt in zip(rep.widths, rep.filters):
-        out = b.slot("doc_pool%d" % width, "f32")
-        b.emit("Conv1DMaxPool", (emb_slot, _pconst(b, paths, filt)), (out,))
-        pooled.append(out)
-    if len(pooled) > 1:
-        out = b.slot("representation", "f32")
-        b.emit("Concat", tuple(pooled), (out,), axis=-1)
-        return out
-    return pooled[0]
-
-
-def _lower_bilstm_attn(b, rep: BiLSTMAttnRepresentation, emb_slot: str, paths: dict) -> str:
-    hidden = _lower_bilstm(b, rep.bilstm, emb_slot, paths, "bilstm")
-    out = b.slot("representation", "f32")
-    b.emit("SelfAttention",
-           (hidden, _pconst(b, paths, rep._params["attn.w1"]),
-            _pconst(b, paths, rep._params["attn.w2"])), (out,))
-    return out
-
-
-def _lower_bilstm_tagger(b, rep: BiLSTMTaggerRepresentation, emb_slot: str, paths: dict) -> str:
-    return _lower_bilstm(b, rep.bilstm, emb_slot, paths, "bilstm")
-
-
-def _lower_mlp(b, dec: MLPDecoder, rep_slot: str, paths: dict) -> str:
-    cur = rep_slot
-    for i in range(dec.n_layers):
-        out = b.slot("dec%d" % i, "f32")
-        b.emit("MatMulAdd",
-               (cur, _pconst(b, paths, dec._params["w%d" % i]),
-                _pconst(b, paths, dec._params["b%d" % i])), (out,))
-        cur = out
-        if i < dec.n_layers - 1:
-            act = b.slot("dec%d_relu" % i, "f32")
-            b.emit("Relu", (cur,), (act,))
-            cur = act
-    return cur
-
-
-_REP_LOWERINGS = {
-    DocNNRepresentation: _lower_docnn,
-    BiLSTMAttnRepresentation: _lower_bilstm_attn,
-    BiLSTMTaggerRepresentation: _lower_bilstm_tagger,
-}
-
-_DEC_LOWERINGS = {
-    MLPDecoder: _lower_mlp,
-}
-
-
-def _lowering(table, module):
-    fn = table.get(type(module))
-    if fn is None:
-        raise UnsupportedModule("no graph lowering for %s" % type(module).__name__)
-    return fn
-
-
 def export_model(model: SingleTaskModel, featurizer_settings, labels, task) -> StaticGraph:
     """Lower one trained model to an unbaked graph (integer id inputs)."""
     if not isinstance(model, SingleTaskModel):
         raise UnsupportedModule("can only export single-task models; "
                                 "multi-task models export one graph per head")
-    emb = model.embedding
-    if not isinstance(emb, TokenEmbedding):
-        raise UnsupportedModule("no graph lowering for %s" % type(emb).__name__)
     attrs = {
         "task": task,
         "labels": list(labels),
         "lowercase": bool(featurizer_settings.lowercase),
         "max_chars": int(featurizer_settings.max_chars),
     }
-    b = GraphBuilder(attrs)
-    paths = _param_paths(model)
-
+    b = GraphBuilder(model, attrs)
+    emb = model.embedding
     feeds = {slot: b.add_input(slot, "i64")
              for slot, row in ID_INPUTS.items() if getattr(emb, row.dim)}
-
-    emb_slot = _lower_embedding(b, emb, feeds, paths)
-    rep_slot = _lowering(_REP_LOWERINGS, model.representation)(b, model.representation,
-                                                               emb_slot, paths)
-    logits = _lowering(_DEC_LOWERINGS, model.decoder)(b, model.decoder, rep_slot, paths)
-
-    scores = b.slot("scores", "f32")
-    b.emit("Softmax", (logits,), (scores,))
+    logits = model.decoder.lower(b, model.representation.lower(b, emb.lower(b, feeds)))
+    b.emit("Softmax", "scores", logits)
     # argmax reads the logits: equal logits stay equal after softmax, but
     # distinct ones can round to a tie in f32 probability space
-    pred = b.slot("pred", "i64")
-    b.emit("ArgMax", (logits,), (pred,))
+    b.emit("ArgMax", "pred", logits, kind="i64")
     return b.finish(("pred", "scores"))
 
 

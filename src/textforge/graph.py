@@ -7,7 +7,7 @@ batch of one, so exported outputs match eager outputs bit for bit.
 
 One opcode table, OPS, gives each op's arity, attrs and run function;
 validate_graph and Executor both read it, so a new op is one row here plus
-its lowering in the exporter.
+the lower method of the model stage that emits it.
 """
 
 import struct
@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import binio, kernels
+from .components import DOC_TASK, WORD_TASK
 from .errors import (CorruptGraph, CorruptFile, IdOutOfRange, InputTypeMismatch,
                      VersionMismatch)
 from .featurizer import (GAZ_NONE, FeaturizedExample, Featurizer,
@@ -154,6 +155,16 @@ OPS = {
 }
 
 
+# graph attr -> whether a loaded value is well formed; the exporter writes all
+# four, and a joint model exports one single-task graph per head
+GRAPH_ATTRS = {
+    "task": lambda v: isinstance(v, str) and v in (DOC_TASK, WORD_TASK),
+    "labels": lambda v: isinstance(v, list) and len(v) > 0 and all_str(v),
+    "lowercase": lambda v: isinstance(v, bool),
+    "max_chars": lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0,
+}
+
+
 def _op_attrs(op: GraphOp, spec: OpSpec) -> dict:
     """The attrs an op runs with: its own values, defaults for the rest."""
     return {name: op.attrs.get(name, default) for name, (_, default) in spec.attrs.items()}
@@ -187,6 +198,9 @@ def validate_graph(graph: StaticGraph) -> None:
     for what in ("attrs", "slots", "consts", "vocab_tables"):
         if not isinstance(getattr(graph, what), dict):
             raise CorruptGraph("graph %s are not a mapping" % what)
+    for name, well_formed in GRAPH_ATTRS.items():
+        if name not in graph.attrs or not well_formed(graph.attrs[name]):
+            raise CorruptGraph("graph attr %r is missing or malformed" % name)
     for what in ("inputs", "outputs"):
         names = getattr(graph, what)
         if not (isinstance(names, list) and all_str(names)):
@@ -351,8 +365,8 @@ def prepare_feed(graph: StaticGraph, inp) -> dict:
         if isinstance(inp, dict):
             raise InputTypeMismatch("this graph consumes raw tokens, not id tensors")
         if isinstance(inp, str):
-            settings = FeaturizerSettings(lowercase=bool(graph.attrs["lowercase"]),
-                                          max_chars=int(graph.attrs["max_chars"]))
+            settings = FeaturizerSettings(lowercase=graph.attrs["lowercase"],
+                                          max_chars=graph.attrs["max_chars"])
             inp = Featurizer(settings).featurize(inp, ())
         if isinstance(inp, FeaturizedExample):
             raw = {"tokens": inp.token_texts(), "gaz_labels": list(inp.gaz_labels),

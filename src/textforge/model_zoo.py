@@ -3,10 +3,12 @@
 Every model decomposes into the same four stages. Each stage is a LayerModule
 that owns its parameters, can be saved and loaded on its own, and states its
 output shape up front so wiring mistakes fail at construction or on the first
-forward rather than deep inside a training run. The models are LayerModules
-too, so one walk (own parameters, then children) names every parameter for
-checkpoints, optimizer state, graph consts and module files, and one checked
-loader, load_params, sets them back.
+forward rather than deep inside a training run. Beside its forward, each
+embedding, representation and decoder class has a lower method that emits
+the same computation as graph ops through the exporter's GraphBuilder. The
+models are LayerModules too, so one walk (own parameters, then children)
+names every parameter for checkpoints, optimizer state, graph consts and
+module files, and one checked loader, load_params, sets them back.
 """
 
 from dataclasses import dataclass
@@ -228,6 +230,26 @@ class TokenEmbedding(LayerModule):
             out = ops.add(ops.mul(gate, hidden), ops.mul(ops.sub(one, gate), out))
         return ops.reshape(out, (b, t, self.char_out))
 
+    def lower(self, b, feeds: dict) -> str:
+        # the word and char tables become consts before their gathers' outputs
+        # are declared (b.const runs first); the gaz and cap tables after
+        parts = []
+        if self.word_dim:
+            parts.append(b.emit("EmbedGather", "word_emb", feeds["token_ids"],
+                                b.const(self.word_table)))
+        if self.char_dim:
+            chars = b.emit("EmbedGather", "char_emb", feeds["char_ids"], b.const(self.char_table))
+            out = b.concat("char_cat", [b.emit("Conv1DMaxPool", "char_pool%d" % w, chars, filt)
+                                        for w, filt in zip(self.char_widths, self.char_conv)])
+            for i, layer in enumerate(self.highway):
+                out = b.emit("Highway", "char_hw%d" % i, out, *layer)
+            parts.append(out)
+        if self.gaz_dim:
+            parts.append(b.emit("EmbedGather", "gaz_emb", feeds["gaz_ids"], self.gaz_table))
+        if self.cap_dim:
+            parts.append(b.emit("EmbedGather", "cap_emb", feeds["cap_ids"], self.cap_table))
+        return b.concat("embedding", parts)
+
     def forward(self, batch: Batch) -> Tensor:
         b, t = batch.token_ids.shape
         parts = []
@@ -273,6 +295,13 @@ class BiLSTMModule(LayerModule):
         bwd = ops.lstm_seq(emb, p["bwd.w_ih"].tensor, p["bwd.w_hh"].tensor,
                            p["bwd.bias"].tensor, mask, reverse=True)
         return ops.concat([fwd, bwd], axis=-1)
+
+    def lower(self, b, x: str) -> str:
+        p = self._params
+        halves = [b.emit("LSTMSeq", "%s_%s" % (self.name, d), x, p[d + ".w_ih"], p[d + ".w_hh"],
+                         p[d + ".bias"], reverse=reverse)
+                  for d, reverse in (("fwd", False), ("bwd", True))]
+        return b.concat(self.name, halves)
 
 
 class Representation(LayerModule):
@@ -324,6 +353,10 @@ class DocNNRepresentation(Representation):
         pooled = [ops.conv1d_maxpool(emb, filt.tensor, mask) for filt in self.filters]
         return ops.concat(pooled, axis=-1) if len(pooled) > 1 else pooled[0]
 
+    def lower(self, b, x: str) -> str:
+        return b.concat("representation", [b.emit("Conv1DMaxPool", "doc_pool%d" % w, x, filt)
+                                           for w, filt in zip(self.widths, self.filters)])
+
 
 class BiLSTMTaggerRepresentation(Representation):
     """BiLSTM trunk kept per-token for word tagging."""
@@ -341,6 +374,9 @@ class BiLSTMTaggerRepresentation(Representation):
 
     def encode(self, emb: Tensor, mask) -> Tensor:
         return self.bilstm.forward(emb, mask)
+
+    def lower(self, b, x: str) -> str:
+        return self.bilstm.lower(b, x)
 
 
 class BiLSTMAttnRepresentation(BiLSTMTaggerRepresentation):
@@ -360,6 +396,10 @@ class BiLSTMAttnRepresentation(BiLSTMTaggerRepresentation):
     def encode(self, emb: Tensor, mask) -> Tensor:
         return ops.self_attention(super().encode(emb, mask), self._params["attn.w1"].tensor,
                                   self._params["attn.w2"].tensor, mask)
+
+    def lower(self, b, x: str) -> str:
+        return b.emit("SelfAttention", "representation", super().lower(b, x),
+                      self._params["attn.w1"], self._params["attn.w2"])
 
 
 class MLPDecoder(LayerModule):
@@ -388,6 +428,13 @@ class MLPDecoder(LayerModule):
             if i < self.n_layers - 1:
                 out = ops.relu(out)
         return out
+
+    def lower(self, b, x: str) -> str:
+        for i in range(self.n_layers):
+            x = b.emit("MatMulAdd", "dec%d" % i, x, self._params["w%d" % i], self._params["b%d" % i])
+            if i < self.n_layers - 1:
+                x = b.emit("Relu", "dec%d_relu" % i, x)
+        return x
 
 
 @dataclass

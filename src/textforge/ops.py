@@ -14,23 +14,6 @@ from .tensor import TapeNode, Tensor
 F32 = np.float32
 
 
-def _tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeMismatch("matmul expects two rank-2 tensors")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch("matmul: inner dims %d vs %d" % (a.shape[1], b.shape[0]))
-    out_data = a.data @ b.data
-
-    def backward(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return Tensor(out_data, TapeNode((a, b), backward))
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the last axis; x may carry leading batch dims."""
     out_data = kernels.linear(x.data, w.data, b.data)
@@ -93,16 +76,6 @@ def relu(x: Tensor) -> Tensor:
         return (g * (x.data > 0),)
 
     return Tensor(out_data, TapeNode((x,), backward))
-
-
-_ELEMENTWISE = {"add": add, "mul": mul, "tanh": tanh, "sigmoid": sigmoid, "relu": relu}
-
-
-def elementwise(op: str, *args) -> Tensor:
-    """Dispatch by name over the supported pointwise ops."""
-    if op not in _ELEMENTWISE:
-        raise ValueError("unknown elementwise op %r (have %s)" % (op, sorted(_ELEMENTWISE)))
-    return _ELEMENTWISE[op](*args)
 
 
 def mul_scalar(x: Tensor, s: float) -> Tensor:

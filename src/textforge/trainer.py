@@ -13,7 +13,7 @@ import numpy as np
 
 from . import binio
 from .data_handler import VOCAB_NAMES
-from .errors import CorruptFile, EmptySplit, NoGradient
+from .errors import CorruptFile, EmptySplit, NoGradient, NonFiniteLoss
 from .model_zoo import load_params
 from .vocab import all_str, is_table
 
@@ -56,7 +56,7 @@ class SGD:
         return {"kind": self.kind, "lr": self.lr, "state": {}}
 
     def load_state(self, payload):
-        self.lr = float(payload["lr"])
+        (self.lr,) = _saved_numbers(payload, ("lr",))
 
 
 class Adam:
@@ -101,12 +101,33 @@ class Adam:
                 "beta2": self.beta2, "eps": self.eps, "state": state}
 
     def load_state(self, payload):
-        self.lr = float(payload["lr"])
-        self.beta1 = float(payload["beta1"])
-        self.beta2 = float(payload["beta2"])
-        self.eps = float(payload["eps"])
-        self._moments = {name: [st["m"], st["v"], int(st["t"])]
-                         for name, st in payload["state"].items()}
+        numbers = _saved_numbers(payload, ("lr", "beta1", "beta2", "eps"))
+        state = payload.get("state")
+        if not isinstance(state, dict):
+            raise CorruptFile("checkpoint optimizer 'state' is not a mapping")
+        params = {p.name: p for p in self.params}
+        moments = {}
+        for name, st in state.items():
+            if name not in params:
+                raise CorruptFile("checkpoint optimizer state names unknown parameter %r" % (name,))
+            shape = params[name].data.shape
+            if not (isinstance(st, dict) and all(
+                    isinstance(st.get(k), np.ndarray) and st[k].dtype == F32
+                    and st[k].shape == shape for k in ("m", "v"))
+                    and _typed(int)(st.get("t")) and st["t"] > 0):
+                raise CorruptFile("checkpoint optimizer state for %r needs float32 m and v of "
+                                  "shape %s and a positive int t" % (name, shape))
+            moments[name] = [st["m"], st["v"], st["t"]]
+        self.lr, self.beta1, self.beta2, self.eps = numbers
+        self._moments = moments
+
+
+def _saved_numbers(payload, names):
+    """The named hyperparameters of a saved optimizer state, as floats."""
+    for name in names:
+        if not _typed((int, float))(payload.get(name)):
+            raise CorruptFile("checkpoint optimizer %r is missing or not a number" % name)
+    return [float(payload[name]) for name in names]
 
 
 @dataclass
@@ -172,11 +193,16 @@ def train(pipe, ckpt_path: str = "", resume: Optional[dict] = None, echo=None) -
         if not batches:
             raise EmptySplit("no training batches")
         total = 0.0
-        for batch in batches:
+        for index, batch in enumerate(batches):
             loss = pipe.train_loss(batch)
+            value = float(loss.data)
+            # checked before backward, so a bad batch never updates parameters
+            if not np.isfinite(value):
+                raise NonFiniteLoss("epoch %d batch %d: training loss is %r"
+                                    % (epoch, index, value))
             loss.backward()
             opt.step()
-            total += float(loss.data)
+            total += value
         score, metrics = pipe.evaluate()
         record = EpochRecord(epoch, total / len(batches), score, metrics)
         history.append(record)

@@ -96,7 +96,7 @@ def write_joint_tsv(path, n, seed):
 
 
 def doc_config(dirpath, n_train=100, n_eval=40, seed=0, epochs=3, lr=0.01,
-               representation=None, embedding=None, batch_size=16,
+               representation=None, embedding=None, decoder=None, batch_size=16,
                with_test=False):
     train = write_doc_tsv(os.path.join(dirpath, "train.tsv"), n_train, seed + 1)
     eval_ = write_doc_tsv(os.path.join(dirpath, "eval.tsv"), n_eval, seed + 2)
@@ -104,14 +104,17 @@ def doc_config(dirpath, n_train=100, n_eval=40, seed=0, epochs=3, lr=0.01,
     if with_test:
         data["test_path"] = write_doc_tsv(os.path.join(dirpath, "test.tsv"),
                                           n_eval, seed + 3)
+    model = {
+        "embedding": embedding or {"token": {"word_dim": 24}},
+        "representation": representation or
+            {"docnn": {"filter_widths": [1, 2], "num_filters": 16}},
+        "output": {"doc_classification": {}},
+    }
+    if decoder:
+        model["decoder"] = decoder
     return {"task": {"doc_classification": {
         "data": {"tsv": data},
-        "model": {"single": {
-            "embedding": embedding or {"token": {"word_dim": 24}},
-            "representation": representation or
-                {"docnn": {"filter_widths": [1, 2], "num_filters": 16}},
-            "output": {"doc_classification": {}},
-        }},
+        "model": {"single": model},
         "optimizer": {"adam": {"lr": lr}},
         "trainer": {"standard": {"epochs": epochs, "seed": seed}},
     }}}

@@ -100,20 +100,33 @@ class TestGoldenBytes:
     when the graph still runs and matches eager inference.
     """
 
+    # every embedding style, two char widths (char_cat) and two highway
+    # layers, a single-width docnn (no Concat) and a hidden decoder layer (Relu)
+    ALL_STAGES = {
+        "embedding": {"token": {"word_dim": 8, "char_dim": 4, "char_filter_widths": [2, 3],
+                                "char_num_filters": 5, "char_highway_layers": 2,
+                                "gaz_dim": 3, "cap_dim": 2}},
+        "representation": {"docnn": {"filter_widths": [2], "num_filters": 7}},
+        "decoder": {"mlp": {"hidden_dims": [6]}},
+    }
+
     GOLDEN = {
         "doc": "0b202dd3ce56b0cd8f82339df2b29e78ef456187ab282dcb3214da13d5c42560",
         "word": "c02d3710125f6114608f8e2338979e2ee7d9d48e065646a18b1b1f1291ee5117",
         "joint.doc": "0d575edc22e23d4e84678473ff81a4a52e5c56e6f3a569df3bc7d75d72f1f859",
         "joint.word": "072fa422c703d29e82469d72e24ef0a183123127c47c5ef1fc3144d81092770b",
+        "doc.all_stages": "ad187342019038e9a15654885295bde179725441dd922dae45b254ded167daee",
     }
 
     def test_graph_bytes_are_pinned(self, tmp_path):
-        def pipe(kind, **overrides):
-            (tmp_path / kind).mkdir()
-            return make_pipe(tmp_path / kind, kind=kind, **overrides)
+        def pipe(name, kind=None, **overrides):
+            (tmp_path / name).mkdir()
+            return make_pipe(tmp_path / name, kind=kind or name, **overrides)
 
         graphs = {"doc": export_pipeline(pipe("doc")),
-                  "word": export_pipeline(pipe("word", embedding=RICH_EMBEDDING))}
+                  "word": export_pipeline(pipe("word", embedding=RICH_EMBEDDING)),
+                  "doc.all_stages": export_pipeline(pipe("doc.all_stages", kind="doc",
+                                                         **self.ALL_STAGES))}
         joint = export_pipeline(pipe("joint"))
         graphs.update({"joint." + head: g for head, g in joint.items()})
         digests = {name: hashlib.sha256(serialize(g)).hexdigest()

@@ -19,6 +19,10 @@ from textforge.graph import (GRAPH_MAGIC, GRAPH_VERSION, Executor, GraphOp,
 
 F32 = np.float32
 
+# the graph-level attrs every loaded graph must carry
+ATTRS = {"task": "doc_classification", "labels": ["neg", "pos"], "lowercase": True,
+         "max_chars": 4}
+
 
 def linear_graph():
     """x -> logits -> softmax/argmax, weights as consts."""
@@ -26,7 +30,7 @@ def linear_graph():
     b = np.array([0.1, -0.1], dtype=F32)
     return StaticGraph(
         version=GRAPH_VERSION,
-        attrs={},
+        attrs=dict(ATTRS),
         slots={"x": "f32", "w": "f32", "b": "f32", "logits": "f32",
                "scores": "f32", "pred": "i64"},
         consts={"w": w, "b": b},
@@ -51,7 +55,7 @@ def baked_graph():
     b = np.zeros(2, dtype=F32)
     return StaticGraph(
         version=GRAPH_VERSION,
-        attrs={"lowercase": True, "max_chars": 4},
+        attrs=dict(ATTRS),
         slots={"tokens": "str", "token_ids": "i64", "table": "f32",
                "emb": "f32", "filt": "f32", "rep": "f32", "w": "f32",
                "b": "f32", "logits": "f32", "scores": "f32", "pred": "i64"},
@@ -82,7 +86,7 @@ def malformed_lstm_without_reverse():
               "w_hh": rng.normal(size=(2, 8)).astype(F32),
               "bias": np.zeros(8, dtype=F32)}
     return StaticGraph(
-        version=GRAPH_VERSION, attrs={},
+        version=GRAPH_VERSION, attrs=dict(ATTRS),
         slots={"x": "f32", "w_ih": "f32", "w_hh": "f32", "bias": "f32", "h": "f32"},
         consts=consts, vocab_tables={},
         ops=[GraphOp("LSTMSeq", ("x", "w_ih", "w_hh", "bias"), ("h",))],
@@ -92,7 +96,7 @@ def malformed_lstm_without_reverse():
 
 def malformed_lookup_chars_without_max_chars():
     return StaticGraph(
-        version=GRAPH_VERSION, attrs={"lowercase": True, "max_chars": 4},
+        version=GRAPH_VERSION, attrs=dict(ATTRS),
         slots={"tokens": "str", "char_ids": "i64"},
         consts={}, vocab_tables={"char": ["<pad>", "<unk>", "a"]},
         ops=[GraphOp("LookupChars", ("tokens",), ("char_ids",), {"vocab": "char"})],
@@ -141,6 +145,61 @@ def malformed_slots_a_list():
 def malformed_attrs_a_list():
     g = baked_graph()
     g.attrs = ["lowercase"]
+    return g
+
+
+def malformed_attrs_without_labels():
+    g = linear_graph()
+    del g.attrs["labels"]
+    return g
+
+
+def malformed_labels_empty():
+    g = linear_graph()
+    g.attrs["labels"] = []
+    return g
+
+
+def malformed_labels_not_strings():
+    g = linear_graph()
+    g.attrs["labels"] = [0, 1]
+    return g
+
+
+def malformed_task_an_int():
+    g = linear_graph()
+    g.attrs["task"] = 5
+    return g
+
+
+def malformed_task_joint():
+    # a joint model exports one single-task graph per head
+    g = linear_graph()
+    g.attrs["task"] = "joint_doc_word"
+    return g
+
+
+def malformed_lowercase_an_int():
+    g = linear_graph()
+    g.attrs["lowercase"] = 1
+    return g
+
+
+def malformed_max_chars_a_string():
+    g = linear_graph()
+    g.attrs["max_chars"] = "x"
+    return g
+
+
+def malformed_max_chars_a_bool():
+    g = linear_graph()
+    g.attrs["max_chars"] = True
+    return g
+
+
+def malformed_max_chars_zero():
+    g = linear_graph()
+    g.attrs["max_chars"] = 0
     return g
 
 
@@ -353,6 +412,15 @@ class TestValidation:
         malformed_opcode_is_a_list,
         malformed_slots_a_list,
         malformed_attrs_a_list,
+        malformed_attrs_without_labels,
+        malformed_labels_empty,
+        malformed_labels_not_strings,
+        malformed_task_an_int,
+        malformed_task_joint,
+        malformed_lowercase_an_int,
+        malformed_max_chars_a_string,
+        malformed_max_chars_a_bool,
+        malformed_max_chars_zero,
         malformed_consts_a_list,
         malformed_vocabs_a_list,
         malformed_slot_kind_an_array,

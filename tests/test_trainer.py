@@ -12,7 +12,7 @@ import pytest
 import corpora
 from textforge import binio, cli, ops
 from textforge.errors import (CorruptFile, EmptySplit, IncompatibleShare, NoGradient,
-                              VersionMismatch)
+                              NonFiniteLoss, VersionMismatch)
 from textforge.pipeline import instantiate_task
 from textforge.registry import parse_task_config
 from textforge.tensor import Parameter
@@ -192,6 +192,37 @@ def build_pipe(tmp_path, epochs, subdir, seed=0):
     return instantiate_task(cfg)
 
 
+class TestNonFiniteLoss:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_stops_before_the_bad_batch_updates(self, tmp_path, bad):
+        pipe = build_pipe(tmp_path, epochs=3, subdir="run")
+        ckpt = str(tmp_path / "run" / "model.ckpt")
+        seen = {}
+        train_loss = pipe.train_loss
+
+        def poisoned(batch):
+            seen["calls"] = seen.get("calls", 0) + 1
+            loss = train_loss(batch)
+            if seen["calls"] == 5:  # epoch 1, batch 1 (three batches an epoch)
+                with open(ckpt, "rb") as fh:
+                    seen["ckpt"] = fh.read()
+                seen["params"] = {n: p.data.copy()
+                                  for n, p in pipe.model.named_parameters().items()}
+                seen["moments"] = {n: st[0].copy() for n, st in pipe.optimizer._moments.items()}
+                return ops.mul_scalar(loss, bad)
+            return loss
+        pipe.train_loss = poisoned
+
+        with pytest.raises(NonFiniteLoss, match="epoch 1 batch 1"):
+            train(pipe, ckpt_path=ckpt)
+        with open(ckpt, "rb") as fh:
+            assert fh.read() == seen["ckpt"]
+        for name, p in pipe.model.named_parameters().items():
+            assert np.array_equal(p.data, seen["params"][name]), name
+        for name, st in pipe.optimizer._moments.items():
+            assert np.array_equal(st[0], seen["moments"][name]), name
+
+
 class TestResume:
     def test_resume_matches_uninterrupted(self, tmp_path):
         straight = build_pipe(tmp_path, epochs=4, subdir="a")
@@ -357,6 +388,37 @@ MALFORMED_CHECKPOINTS = {
 }
 
 
+def _optimizer(mutate):
+    return lambda payload: mutate(payload["optimizer"])
+
+
+def _first_moment(mutate):
+    return _optimizer(lambda opt: mutate(next(iter(opt["state"].values()))))
+
+
+# CRC-valid checkpoints whose optimizer state alone is malformed; only a resume
+# reads it
+MALFORMED_OPTIMIZER_STATES = {
+    "no_lr": (_optimizer(lambda o: o.pop("lr")), "'lr'"),
+    "beta1_a_string": (_optimizer(lambda o: o.update(beta1="0.9")), "'beta1'"),
+    "eps_a_bool": (_optimizer(lambda o: o.update(eps=True)), "'eps'"),
+    "no_beta2": (_optimizer(lambda o: o.pop("beta2")), "'beta2'"),
+    "state_a_list": (_optimizer(lambda o: o.update(state=[])), "'state'"),
+    "unknown_param": (_optimizer(lambda o: o["state"].update(
+        ghost=next(iter(o["state"].values())))), "'ghost'"),
+    "moments_not_a_mapping": (_optimizer(lambda o: o["state"].update(
+        {next(iter(o["state"])): [1, 2, 3]})), "positive int t"),
+    "m_an_int": (_first_moment(lambda st: st.update(m=3)), "positive int t"),
+    "v_int64": (_first_moment(lambda st: st.update(v=st["v"].astype(np.int64))),
+                  "positive int t"),
+    "m_wrong_shape": (_first_moment(lambda st: st.update(m=st["m"][1:])), "positive int t"),
+    "no_v": (_first_moment(lambda st: st.pop("v")), "positive int t"),
+    "t_zero": (_first_moment(lambda st: st.update(t=0)), "positive int t"),
+    "t_a_float": (_first_moment(lambda st: st.update(t=2.0)), "positive int t"),
+    "t_a_bool": (_first_moment(lambda st: st.update(t=True)), "positive int t"),
+}
+
+
 @pytest.fixture(scope="module")
 def trained_doc(tmp_path_factory):
     base = tmp_path_factory.mktemp("trained")
@@ -382,6 +444,20 @@ class TestMalformedCheckpoints:
         capsys.readouterr()
         assert cli.main(["predict", "--ckpt", path, "--input", trained_doc.texts]) == 1
         assert message in capsys.readouterr().err
+        assert cli.main(["train", "--config", trained_doc.cfg_path, "--resume", path,
+                         "--out-dir", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "out" / "model.ckpt"))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_OPTIMIZER_STATES))
+    def test_resume_with_bad_optimizer_state_exits_1(self, trained_doc, tmp_path, capsys,
+                                                     case):
+        mutate, message = MALFORMED_OPTIMIZER_STATES[case]
+        payload = binio.read_container(trained_doc.ckpt, CKPT_MAGIC, CKPT_VERSION)
+        mutate(payload)
+        path = str(tmp_path / "bad.ckpt")
+        save_checkpoint(path, payload)
+        capsys.readouterr()
         assert cli.main(["train", "--config", trained_doc.cfg_path, "--resume", path,
                          "--out-dir", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
