@@ -42,11 +42,6 @@ class LatencyReport:
         }
 
 
-def measure(fn, inputs, warmup: int = 0) -> list:
-    """Per-request wall time in ms; warmup calls run first and are dropped."""
-    return measure_alternating([fn], inputs, warmup)[0]
-
-
 def measure_alternating(fns, inputs, warmup: int = 0) -> list:
     """Per-request wall time in ms of every fn, all timed in one loop.
 
@@ -80,10 +75,6 @@ def latency_reports(fns: dict, inputs, warmup: int = 0) -> list:
         p99_ms=percentile(samples, 0.99),
         note=platform.platform(),
     ) for name, samples in zip(fns, runs)]
-
-
-def latency_report(implementation: str, fn, inputs, warmup: int = 0) -> LatencyReport:
-    return latency_reports({implementation: fn}, inputs, warmup)[0]
 
 
 def format_reports(reports) -> str:

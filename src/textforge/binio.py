@@ -25,7 +25,6 @@ _TAG_FALSE = b"F"
 _TAG_INT = b"i"
 _TAG_FLOAT = b"f"
 _TAG_STR = b"s"
-_TAG_BYTES = b"y"
 _TAG_LIST = b"l"
 _TAG_DICT = b"d"
 _TAG_ARRAY = b"a"
@@ -61,10 +60,6 @@ def _encode(value, out: bytearray):
         out += _TAG_STR
         out += struct.pack("<I", len(raw))
         out += raw
-    elif isinstance(value, bytes):
-        out += _TAG_BYTES
-        out += struct.pack("<I", len(value))
-        out += value
     elif isinstance(value, (list, tuple)):
         out += _TAG_LIST
         out += struct.pack("<I", len(value))
@@ -143,9 +138,6 @@ def _decode(r: _Reader):
             return r.take(n).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptFile("invalid utf-8 string") from exc
-    if tag == _TAG_BYTES:
-        n = r.unpack("<I")
-        return r.take(n)
     if tag == _TAG_LIST:
         n = r.unpack("<I")
         r.enter()

@@ -3,11 +3,12 @@
 The registry is populated here by explicit calls at import time; nothing is
 discovered by scanning. Builders receive resolved ComponentConfigs plus the
 build-time context they need (vocabularies, inferred dims, the init rng);
-build_model builds every task's model, one head at a time.
+build_model builds every task's model, one head at a time, and for the joint
+task hands the word head the doc head's embedding and BiLSTM.
 """
 
 from . import model_zoo, trainer
-from .errors import SchemaViolation, ShapeMismatch
+from .errors import IncompatibleShare, SchemaViolation, ShapeMismatch
 from .registry import (BOOL, COMPONENT, FLOAT, INT, LIST_INT, LIST_STRING, STRING,
                        ComponentConfig, Field, register_component)
 
@@ -15,28 +16,25 @@ DOC_TASK = "doc_classification"
 WORD_TASK = "word_tagging"
 JOINT_TASK = "joint_doc_word"
 
-# paths shared by reference between the two heads of the joint model
-JOINT_SHARED_PATHS = ("embedding", "representation.bilstm")
-
 
 def _register_builtins():
     register_component("featurizer", "basic", (
         Field("lowercase", BOOL, default=True),
-        Field("max_chars", INT, default=20),
+        Field("max_chars", INT, default=20, minimum=0),
     ))
 
     register_component("data_handler", "tsv", (
         Field("train_path", STRING),
         Field("eval_path", STRING),
         Field("test_path", STRING, default=""),
-        Field("batch_size", INT, default=16),
+        Field("batch_size", INT, default=16, minimum=1),
         Field("min_freq", INT, default=1),
     ))
     register_component("data_handler", "tsv_pair", (
         Field("train_paths", LIST_STRING),
         Field("eval_paths", LIST_STRING),
         Field("test_paths", LIST_STRING, default=[]),
-        Field("batch_size", INT, default=16),
+        Field("batch_size", INT, default=16, minimum=1),
         Field("min_freq", INT, default=1),
     ))
 
@@ -45,7 +43,7 @@ def _register_builtins():
         Field("pretrained_path", STRING, default=""),
         Field("char_dim", INT, default=0),
         Field("char_filter_widths", LIST_INT, default=[3]),
-        Field("char_num_filters", INT, default=16),
+        Field("char_num_filters", INT, default=16, minimum=1),
         Field("char_highway_layers", INT, default=1),
         Field("gaz_dim", INT, default=0),
         Field("cap_dim", INT, default=0),
@@ -53,21 +51,21 @@ def _register_builtins():
 
     register_component("representation", "docnn", (
         Field("filter_widths", LIST_INT, default=[3, 4, 5]),
-        Field("num_filters", INT, default=100),
+        Field("num_filters", INT, default=100, minimum=1),
         Field("input_dim", INT, default=-1),
     ))
     register_component("representation", "bilstm_attn", (
-        Field("hidden_dim", INT, default=64),
-        Field("attention_dim", INT, default=64),
+        Field("hidden_dim", INT, default=64, minimum=1),
+        Field("attention_dim", INT, default=64, minimum=1),
         Field("input_dim", INT, default=-1),
     ))
     register_component("representation", "bilstm_tagger", (
-        Field("hidden_dim", INT, default=64),
+        Field("hidden_dim", INT, default=64, minimum=1),
         Field("input_dim", INT, default=-1),
     ))
 
     register_component("decoder", "mlp", (
-        Field("hidden_dims", LIST_INT, default=[]),
+        Field("hidden_dims", LIST_INT, default=[], minimum=1),
     ))
 
     register_component("output", "doc_classification", ())
@@ -178,6 +176,9 @@ def build_model(model_cfg: ComponentConfig, task_kind: str, vocabs, doc_labels, 
                 raise SchemaViolation("joint %s head needs %s, got %r"
                                       % (head, rep_name, rep_cfg.name))
             heads[head] = (kind, rep_cfg, model_cfg.child(head + "_decoder"))
+        if len({rep_cfg.params["hidden_dim"] for _, rep_cfg, _ in heads.values()}) > 1:
+            raise IncompatibleShare("the joint heads share one BiLSTM, so their hidden_dim "
+                                    "must be equal")
     else:
         if model_cfg.name != "single":
             raise SchemaViolation("task %s needs the single-head model, got %r"
@@ -194,9 +195,13 @@ def build_model(model_cfg: ComponentConfig, task_kind: str, vocabs, doc_labels, 
                                 vocabs, n_classes[kind], rng)
               for head, (kind, rep_cfg, dec_cfg) in heads.items()}
     if task_kind == JOINT_TASK:
-        model = model_zoo.compose_multitask(
-            models, list(JOINT_SHARED_PATHS),
-            {head: model_cfg.params[head + "_loss_weight"] for head in models})
+        # the word head draws its own trunk first, then drops it, so the
+        # init draws of every later parameter stay as they were
+        word = models["word"]
+        word.embedding = models["doc"].embedding
+        word.representation.bilstm = models["doc"].representation.bilstm
+        model = model_zoo.MultiTaskModel(
+            models, {head: model_cfg.params[head + "_loss_weight"] for head in models})
     else:
         model = models[task_kind]
     model_zoo.assign_parameter_names(model)

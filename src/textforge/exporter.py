@@ -191,10 +191,6 @@ class EquivalenceReport:
     argmax_agree: bool
     n_samples: int
 
-    @property
-    def ok(self):
-        return self.argmax_agree
-
     def within(self, tol: float) -> bool:
         return self.argmax_agree and self.max_abs_dev <= tol
 

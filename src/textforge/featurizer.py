@@ -113,6 +113,11 @@ def char_ids(token_text: str, alphabet: Vocabulary, max_chars: int):
     return ids
 
 
+def char_rows(tokens, settings: FeaturizerSettings):
+    """The char id row of every TokenSpan under the settings' alphabet."""
+    return [char_ids(t.text, settings.alphabet, settings.max_chars) for t in tokens]
+
+
 def align_gazetteer(tokens, entries):
     """Assign each token the kind of the entry it overlaps by >= 1 byte.
 
@@ -155,9 +160,7 @@ def featurize(text: str, entries=(), settings: FeaturizerSettings = None) -> Fea
     else:
         tokens = raw_spans
     gaz_labels = align_gazetteer(tokens, tuple(entries))
-    rows = None
-    if settings.alphabet is not None:
-        rows = [char_ids(t.text, settings.alphabet, settings.max_chars) for t in tokens]
+    rows = char_rows(tokens, settings) if settings.alphabet is not None else None
     return FeaturizedExample(text, tokens, rows, gaz_labels, cap_labels)
 
 

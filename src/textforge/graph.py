@@ -194,7 +194,7 @@ def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
 
 
 def validate_graph(graph: StaticGraph) -> None:
-    """Topology, naming and per-op checks; raises CorruptGraph on any violation."""
+    """Topology, naming, per-op and output checks; raises CorruptGraph on any violation."""
     for what in ("attrs", "slots", "consts", "vocab_tables"):
         if not isinstance(getattr(graph, what), dict):
             raise CorruptGraph("graph %s are not a mapping" % what)
@@ -239,6 +239,17 @@ def validate_graph(graph: StaticGraph) -> None:
     for name in graph.outputs:
         if name not in produced:
             raise CorruptGraph("graph output %r is never produced" % name)
+    if sorted(graph.outputs) != ["pred", "scores"]:
+        raise CorruptGraph("graph outputs are %s, not pred and scores" % (graph.outputs,))
+    # one label per class: per entry of the bias of the MatMulAdd under the scores
+    producer = {op.outputs[0]: op for op in graph.ops}
+    softmax = producer.get("scores")
+    head = producer.get(softmax.inputs[0]) if softmax and softmax.opcode == "Softmax" else None
+    bias = graph.consts.get(head.inputs[2]) if head and head.opcode == "MatMulAdd" else None
+    n_labels = len(graph.attrs["labels"])
+    if bias is None or bias.shape != (n_labels,):
+        raise CorruptGraph("graph has %d labels, but scores is not a Softmax over a "
+                           "MatMulAdd with %d outputs" % (n_labels, n_labels))
 
 
 def serialize(graph: StaticGraph) -> bytes:

@@ -512,7 +512,7 @@ class SingleTaskModel(LayerModule):
 
 
 class MultiTaskModel(LayerModule):
-    """Named single-task models with some modules shared by reference.
+    """Named single-task heads whose modules may be shared by reference.
 
     The heads are its children, in task order; a shared module's parameters
     appear under every head's name and once in parameters().
@@ -520,13 +520,12 @@ class MultiTaskModel(LayerModule):
 
     kind = "model"
 
-    def __init__(self, tasks, shared_paths, loss_weights):
+    def __init__(self, tasks, loss_weights):
         if len(tasks) < 2:
             raise MultiTaskArity("multi-task model needs at least 2 tasks")
         super().__init__("model", {})
         self.task_names = list(tasks)
         self.tasks = dict(tasks)
-        self.shared_paths = list(shared_paths)
         self.loss_weights = dict(loss_weights)
 
     def task_for(self, task_id: int) -> str:
@@ -538,58 +537,6 @@ class MultiTaskModel(LayerModule):
     def forward(self, batch: Batch, compute_loss=True):
         name = self.task_for(batch.task_id)
         return name, self.tasks[name].forward(batch, compute_loss)
-
-
-def get_module(model, path: str):
-    node = model
-    for piece in path.split("."):
-        kids = node.children()
-        if piece not in kids:
-            raise IncompatibleShare("no module %r under %s" % (piece, type(node).__name__))
-        node = kids[piece]
-    return node
-
-
-def set_module(model, path: str, module):
-    pieces = path.split(".")
-    parent = model
-    for piece in pieces[:-1]:
-        parent = get_module(parent, piece)
-    if pieces[-1] not in parent.children():
-        raise IncompatibleShare("no module %r under %s" % (pieces[-1], type(parent).__name__))
-    setattr(parent, pieces[-1], module)
-
-
-def _shapes(module):
-    return {name: p.data.shape for name, p in module.named_parameters().items()}
-
-
-def compose_multitask(task_models, shared_paths, loss_weights=None) -> MultiTaskModel:
-    """Join single-task models, replacing modules at shared paths by reference.
-
-    The first task's module wins; the others must be structurally identical
-    (same class, config and parameter shapes).
-    """
-    names = list(task_models)
-    if len(names) < 2:
-        raise MultiTaskArity("compose_multitask needs at least 2 tasks, got %d" % len(names))
-    first = task_models[names[0]]
-    for path in shared_paths:
-        ref = get_module(first, path)
-        for other in names[1:]:
-            mod = get_module(task_models[other], path)
-            if type(mod) is not type(ref):
-                raise IncompatibleShare("%s: %s vs %s at shared path"
-                                        % (path, type(ref).__name__, type(mod).__name__))
-            if mod.config != ref.config:
-                raise IncompatibleShare("%s: configs differ between tasks" % path)
-            if _shapes(mod) != _shapes(ref):
-                raise IncompatibleShare("%s: parameter shapes differ between tasks" % path)
-            set_module(task_models[other], path, ref)
-    weights = {name: 1.0 for name in names}
-    if loss_weights:
-        weights.update(loss_weights)
-    return MultiTaskModel({name: task_models[name] for name in names}, shared_paths, weights)
 
 
 def assign_parameter_names(model):

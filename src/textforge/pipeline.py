@@ -19,7 +19,7 @@ from . import components, data_handler, metrics, ops
 from .data_handler import (FORMAT_DOC, FORMAT_JOINT, FORMAT_WORD, VOCAB_NAMES, Dataset,
                            VocabBundle, interleave_multitask, make_batches, single_example_batch)
 from .errors import EmptySplit, SchemaViolation
-from .featurizer import Featurizer, FeaturizerSettings
+from .featurizer import Featurizer, FeaturizerSettings, char_rows
 from .model_zoo import load_params
 from .registry import TaskConfig, parse_task_config, serialize_task_config
 from .trainer import derive_rng, seed_sequence
@@ -210,9 +210,9 @@ def _load_data(config: TaskConfig):
     """Load every split as a list of sources: two for joint, one otherwise.
 
     Vocabularies and labels come from the union of the train sources (for a
-    single task, the train set itself). Every example is then featurized
-    again with the char alphabet attached. Returns (vocabs, doc_labels,
-    word_tags, datasets); a task has no labels of the kind it does not use.
+    single task, the train set itself). Every example then gets char ids from
+    its tokens. Returns (vocabs, doc_labels, word_tags, datasets); a task has
+    no labels of the kind it does not use.
     """
     task = config.task_kind
     data_cfg = config.root.child("data")
@@ -243,11 +243,11 @@ def _load_data(config: TaskConfig):
         gaz=data_handler.build_gaz_vocab(union),
         cap=data_handler.cap_vocabulary(),
     )
-    fz = fz.with_alphabet(vocabs.char)
+    settings = fz.with_alphabet(vocabs.char).settings
     for sources in datasets.values():
         for ds in sources:
             for ex in ds.examples:
-                ex.feats = fz.featurize(ex.raw_text, ex.entries)
+                ex.feats.char_ids = char_rows(ex.feats.tokens, settings)
     doc_labels = data_handler.doc_label_list(union) if task != components.WORD_TASK else None
     word_tags = data_handler.word_tag_list(union) if task != components.DOC_TASK else None
     return vocabs, doc_labels, word_tags, datasets

@@ -8,6 +8,7 @@ every default introspectable and keeps parsing code free of magic values.
 
 import json
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import (DuplicateRegistration, MalformedDocument, SchemaViolation,
                      UnknownComponent)
@@ -30,12 +31,11 @@ INT = "int"
 FLOAT = "float"
 BOOL = "bool"
 STRING = "string"
-ENUM = "enum"
 LIST_INT = "list_int"
 LIST_STRING = "list_string"
 COMPONENT = "component"
 
-_FIELD_TYPES = (INT, FLOAT, BOOL, STRING, ENUM, LIST_INT, LIST_STRING, COMPONENT)
+_FIELD_TYPES = (INT, FLOAT, BOOL, STRING, LIST_INT, LIST_STRING, COMPONENT)
 
 # sentinel: the field has no default and must appear in the config
 REQUIRED = object()
@@ -46,14 +46,12 @@ class Field:
     name: str
     ftype: str
     default: object = REQUIRED
-    choices: tuple = ()      # ENUM only
     child_kind: str = ""     # COMPONENT only: the registry kind to pick from
+    minimum: Optional[int] = None  # INT and LIST_INT (each item): smallest allowed value
 
     def __post_init__(self):
         if self.ftype not in _FIELD_TYPES:
             raise ValueError("unknown field type %r" % self.ftype)
-        if self.ftype == ENUM and not self.choices:
-            raise ValueError("enum field %r needs choices" % self.name)
         if self.ftype == COMPONENT and not self.child_kind:
             raise ValueError("component field %r needs child_kind" % self.name)
 
@@ -90,9 +88,6 @@ class Registry:
         except KeyError:
             raise UnknownComponent("no %s component named %r" % (kind, name))
 
-    def names(self, kind: str):
-        return sorted(n for k, n in self._table if k == kind)
-
 
 GLOBAL = Registry()
 
@@ -125,10 +120,16 @@ def _type_error(path, expected, value):
     return SchemaViolation("%s: expected %s, got %r" % (path, expected, value))
 
 
+def _check_minimum(f: Field, values, path):
+    if f.minimum is not None and any(v < f.minimum for v in values):
+        raise SchemaViolation("%s: must be >= %d, got %r" % (path, f.minimum, min(values)))
+
+
 def _check_scalar(f: Field, value, path):
     if f.ftype == INT:
         if isinstance(value, bool) or not isinstance(value, int):
             raise _type_error(path, "int", value)
+        _check_minimum(f, (value,), path)
         return value
     if f.ftype == FLOAT:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -142,16 +143,11 @@ def _check_scalar(f: Field, value, path):
         if not isinstance(value, str):
             raise _type_error(path, "string", value)
         return value
-    if f.ftype == ENUM:
-        if not isinstance(value, str):
-            raise _type_error(path, "enum string", value)
-        if value not in f.choices:
-            raise SchemaViolation("%s: %r is not one of %s" % (path, value, list(f.choices)))
-        return value
     if f.ftype == LIST_INT:
         if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, int)
                                               for v in value):
             raise _type_error(path, "list of int", value)
+        _check_minimum(f, value, path)
         return list(value)
     if f.ftype == LIST_STRING:
         if not isinstance(value, list) or any(not isinstance(v, str) for v in value):

@@ -81,10 +81,9 @@ class Tensor:
 class Parameter:
     """A named trainable tensor."""
 
-    def __init__(self, data, name="", trainable=True):
+    def __init__(self, data, name=""):
         self.tensor = Tensor(np.array(data, dtype=np.float32))
         self.name = name
-        self.trainable = trainable
 
     @property
     def data(self):
@@ -108,8 +107,3 @@ class Parameter:
 
     def __repr__(self):
         return "Parameter(%r, shape=%s)" % (self.name, self.shape)
-
-
-def zero_grads(params):
-    for p in params:
-        p.grad = None

@@ -39,7 +39,7 @@ class SGD:
         self.lr = float(lr)
 
     def _live(self):
-        live = [p for p in self.params if p.trainable and p.grad is not None]
+        live = [p for p in self.params if p.grad is not None]
         if not live:
             raise NoGradient("no parameter carries a gradient")
         return live

@@ -40,7 +40,7 @@ class TestPercentile:
 class TestMeasure:
     def test_counts_and_warmup(self):
         calls = []
-        samples = bench.measure(calls.append, [1, 2, 3, 4], warmup=2)
+        (samples,) = bench.measure_alternating([calls.append], [1, 2, 3, 4], warmup=2)
         assert len(samples) == 4
         # warmup re-runs the first inputs, then every input is timed
         assert calls == [1, 2, 1, 2, 3, 4]
@@ -48,10 +48,10 @@ class TestMeasure:
 
     def test_no_requests(self):
         with pytest.raises(EmptySampleSet):
-            bench.measure(lambda x: x, [])
+            bench.measure_alternating([lambda x: x], [])
 
     def test_report_fields(self):
-        report = bench.latency_report("eager", lambda x: x, list(range(10)))
+        (report,) = bench.latency_reports({"eager": lambda x: x}, list(range(10)))
         assert report.implementation == "eager"
         assert report.n_requests == 10
         assert report.p50_ms <= report.p90_ms <= report.p99_ms

@@ -21,6 +21,22 @@ def run_cli(*args, stdin="", env_extra=None):
                           input=stdin, capture_output=True, text=True, env=env)
 
 
+_ATTN = {"representation": {"bilstm_attn": {}}}
+_CHARS = {"embedding": {"token": {"word_dim": 8, "char_dim": 3}}}
+
+# out-of-range sizes: doc_config overrides, the field's path under the task, its value
+SIZE_PROBES = [
+    ({}, ("data", "tsv", "batch_size"), 0),
+    ({}, ("data", "tsv", "batch_size"), -3),
+    ({}, ("featurizer", "basic", "max_chars"), -1),
+    ({}, ("model", "single", "representation", "docnn", "num_filters"), 0),
+    ({}, ("model", "single", "decoder", "mlp", "hidden_dims"), [0]),
+    (_ATTN, ("model", "single", "representation", "bilstm_attn", "attention_dim"), 0),
+    (_ATTN, ("model", "single", "representation", "bilstm_attn", "hidden_dim"), 0),
+    (_CHARS, ("model", "single", "embedding", "token", "char_num_filters"), 0),
+]
+
+
 @pytest.fixture(scope="module")
 def doc_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("docrun")
@@ -102,6 +118,20 @@ class TestTrain:
                        "--resume", doc_run.ckpt)
         assert proc.returncode == 1
         assert "different configuration" in proc.stderr
+
+    @pytest.mark.parametrize("overrides,path,value", SIZE_PROBES,
+                             ids=["%s=%s" % (path[-1], value) for _, path, value in SIZE_PROBES])
+    def test_out_of_range_size_is_a_config_error(self, tmp_path, overrides, path, value):
+        cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1, **overrides)
+        node = cfg["task"]["doc_classification"]
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        proc = run_cli("train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 1, proc.stderr
+        assert "task.doc_classification.%s:" % ".".join(path) in proc.stderr
 
 
 class TestPredict:

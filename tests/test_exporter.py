@@ -186,7 +186,7 @@ class TestEquivalence:
             assert body == rep_trace
         report = verify_equivalence(pipe, graph, n_samples=10, seed=1)
         assert report.n_samples >= 10
-        assert report.ok
+        assert report.argmax_agree
         assert report.max_abs_dev == 0.0
 
     def test_attention_head_matches_bitwise(self, tmp_path):
@@ -196,7 +196,7 @@ class TestEquivalence:
         opcodes = [op.opcode for op in graph.ops]
         assert "SelfAttention" in opcodes
         report = verify_equivalence(pipe, graph, n_samples=10, seed=2)
-        assert report.ok and report.max_abs_dev == 0.0
+        assert report.argmax_agree and report.max_abs_dev == 0.0
 
     def test_char_and_cap_styles_match_bitwise(self, tmp_path):
         pipe = make_pipe(tmp_path, embedding=RICH_EMBEDDING)
@@ -204,14 +204,14 @@ class TestEquivalence:
         opcodes = [op.opcode for op in graph.ops]
         assert "Highway" in opcodes and "LookupChars" in opcodes
         report = verify_equivalence(pipe, graph, n_samples=10, seed=3)
-        assert report.ok and report.max_abs_dev == 0.0
+        assert report.argmax_agree and report.max_abs_dev == 0.0
 
     def test_unbaked_graph_on_id_feeds_matches(self, tmp_path):
         pipe = make_pipe(tmp_path)
         graph = export_pipeline(pipe, bake=False)
         assert not graph.baked
         report = verify_equivalence(pipe, graph, n_samples=10, seed=4)
-        assert report.ok and report.max_abs_dev == 0.0
+        assert report.argmax_agree and report.max_abs_dev == 0.0
 
     def test_joint_heads_verify_and_share_trunk_consts(self, tmp_path):
         pipe = make_pipe(tmp_path, kind="joint")
@@ -221,7 +221,7 @@ class TestEquivalence:
             assert graphs[head].attrs["task"] == task
             report = verify_equivalence(pipe, graphs[head], n_samples=8,
                                         seed=5, head=head)
-            assert report.ok and report.max_abs_dev == 0.0, head
+            assert report.argmax_agree and report.max_abs_dev == 0.0, head
         shared_prefixes = ("embedding.", "representation.bilstm.")
         shared_doc = {n: v for n, v in graphs["doc"].consts.items()
                       if n.startswith(shared_prefixes)}
@@ -260,7 +260,7 @@ class TestEquivalence:
 
     def test_report_semantics(self):
         good = EquivalenceReport(max_abs_dev=5e-6, argmax_agree=True, n_samples=3)
-        assert good.ok and good.within(1e-5)
+        assert good.argmax_agree and good.within(1e-5)
         assert not good.within(1e-6)
         bad = EquivalenceReport(max_abs_dev=0.0, argmax_agree=False, n_samples=3)
-        assert not bad.ok and not bad.within(1.0)
+        assert not bad.argmax_agree and not bad.within(1.0)

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpora
 from textforge.errors import OverlappingEntries
 from textforge.featurizer import (CAP_ALL_CAPS, CAP_ALL_LOWER, CAP_INIT_CAP,
                                   CAP_OTHER, GAZ_NONE, Featurizer,
                                   FeaturizerSettings, GazetteerEntry,
                                   capitalization, char_ids, featurize,
                                   tokenize)
+from textforge.pipeline import instantiate_task
+from textforge.registry import parse_task_config
 from textforge.vocab import Vocabulary
 
 
@@ -140,3 +143,30 @@ def test_spans_slice_back_to_token_text(text):
         piece = raw[tok.start:tok.end].decode("utf-8")
         assert piece.lower() == tok.text
         assert tok.text.strip() == tok.text and tok.text
+
+
+def test_pipeline_features_match_featurize(tmp_path):
+    # datasets are featurized before the char vocab exists and get their
+    # char ids afterwards; the result must equal featurizing with it
+    cfg = corpora.word_config(str(tmp_path), n_train=30, n_eval=10, with_test=True,
+                              embedding={"token": {"word_dim": 8, "char_dim": 4,
+                                                   "gaz_dim": 3}})
+    data = cfg["task"]["word_tagging"]["data"]["tsv"]
+    for split in ("train_path", "eval_path", "test_path"):
+        rows = []
+        with open(data[split], encoding="utf-8") as handle:
+            for line in handle:
+                tags, text = line.rstrip("\n").split("\t")
+                first = text.split(" ")[0]
+                # a capitalized first token, marked as a gazetteer entry
+                rows.append("%s\t%s\t0:%d:city\n" % (tags, text.capitalize(), len(first)))
+        with open(data[split], "w", encoding="utf-8") as handle:
+            handle.writelines(rows)
+    pipe = instantiate_task(parse_task_config(corpora.as_text(cfg)))
+    examples = [ex for sources in pipe.datasets.values() for ds in sources
+                for ex in ds.examples]
+    assert len(examples) == 30 + 10 + 10
+    assert any(ex.feats.gaz_labels[0] == "city" for ex in examples)
+    for ex in examples:
+        assert ex.feats.char_ids is not None
+        assert ex.feats == pipe.featurizer.featurize(ex.raw_text, ex.entries)

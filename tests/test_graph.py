@@ -166,6 +166,25 @@ def malformed_labels_not_strings():
     return g
 
 
+def malformed_labels_too_few():
+    # the bias of the MatMulAdd feeding scores is 2 wide
+    g = linear_graph()
+    g.attrs["labels"] = ["a"]
+    return g
+
+
+def malformed_labels_too_many():
+    g = linear_graph()
+    g.attrs["labels"] = ["a", "b", "c"]
+    return g
+
+
+def malformed_outputs_without_pred():
+    g = linear_graph()
+    g.outputs = ["scores"]
+    return g
+
+
 def malformed_task_an_int():
     g = linear_graph()
     g.attrs["task"] = 5
@@ -415,6 +434,9 @@ class TestValidation:
         malformed_attrs_without_labels,
         malformed_labels_empty,
         malformed_labels_not_strings,
+        malformed_labels_too_few,
+        malformed_labels_too_many,
+        malformed_outputs_without_pred,
         malformed_task_an_int,
         malformed_task_joint,
         malformed_lowercase_an_int,

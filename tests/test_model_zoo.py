@@ -1,9 +1,11 @@
 """Model stage contracts: shapes, init conventions, sharing, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
-from textforge import ops
+from textforge import components, ops
 from textforge.data_handler import Batch, VocabBundle
 from textforge.errors import (CorruptFile, DimMismatch, IncompatibleShare,
                               MalformedLine, MultiTaskArity, NoStyleSelected,
@@ -14,10 +16,9 @@ from textforge.model_zoo import (BiLSTMAttnRepresentation, BiLSTMModule,
                                  DocClassificationOutput, DocNNRepresentation,
                                  MLPDecoder, MultiTaskModel, SingleTaskModel,
                                  TokenEmbedding, WordTaggingOutput,
-                                 assign_parameter_names, compose_multitask,
-                                 get_module, load_module_into,
-                                 load_pretrained_embeddings, save_module,
-                                 set_module)
+                                 assign_parameter_names, load_module_into,
+                                 load_pretrained_embeddings, save_module)
+from textforge.registry import parse_task_config
 from textforge.tensor import Tensor
 from textforge.vocab import Vocabulary
 
@@ -271,25 +272,12 @@ class TestOutputLayers:
             WordTaggingOutput().forward(Tensor(np.zeros((1, 2), dtype=F32)), None, None)
 
 
-def build_doc_model(vocabs, rng, n_classes=3, attn=False):
+def build_doc_model(vocabs, rng, n_classes=3):
     emb = TokenEmbedding("embedding", emb_config(word=4), vocabs, rng)
-    if attn:
-        rep = BiLSTMAttnRepresentation("representation",
-                                       {"hidden_dim": 3, "attention_dim": 2},
-                                       emb.out_dim, rng)
-    else:
-        rep = DocNNRepresentation("representation",
-                                  {"filter_widths": [2], "num_filters": 4}, emb.out_dim, rng)
+    rep = DocNNRepresentation("representation",
+                              {"filter_widths": [2], "num_filters": 4}, emb.out_dim, rng)
     dec = MLPDecoder("decoder", {"hidden_dims": []}, rep.out_dim, n_classes, rng)
     return SingleTaskModel(emb, rep, dec, DocClassificationOutput())
-
-
-def build_word_model(vocabs, rng, n_tags=2, hidden=3):
-    emb = TokenEmbedding("embedding", emb_config(word=4), vocabs, rng)
-    rep = BiLSTMTaggerRepresentation("representation", {"hidden_dim": hidden},
-                                     emb.out_dim, rng)
-    dec = MLPDecoder("decoder", {"hidden_dims": []}, rep.out_dim, n_tags, rng)
-    return SingleTaskModel(emb, rep, dec, WordTaggingOutput())
 
 
 class TestSingleTaskModel:
@@ -374,12 +362,19 @@ class TestModulePersistence:
             load_module_into(dec, path)
 
 
-def build_joint(vocabs, seed=0):
-    rng = np.random.default_rng(seed)
-    doc = build_doc_model(vocabs, rng, n_classes=3, attn=True)
-    word = build_word_model(vocabs, rng, n_tags=2)
-    return compose_multitask({"doc": doc, "word": word},
-                             ("embedding", "representation.bilstm"))
+def build_joint(vocabs, seed=0, word_hidden=3):
+    """The joint model as the product builds it, from a parsed config."""
+    text = json.dumps({"task": {"joint_doc_word": {
+        "data": {"tsv_pair": {"train_paths": ["t0", "t1"], "eval_paths": ["e0", "e1"]}},
+        "model": {"joint": {
+            "embedding": {"token": {"word_dim": 4, "char_dim": 0}},
+            "doc_representation": {"bilstm_attn": {"hidden_dim": 3, "attention_dim": 2}},
+            "word_representation": {"bilstm_tagger": {"hidden_dim": word_hidden}},
+        }},
+    }}})
+    model_cfg = parse_task_config(text).root.child("model")
+    return components.build_model(model_cfg, components.JOINT_TASK, vocabs,
+                                  ["a", "b", "c"], ["O", "S"], np.random.default_rng(seed))
 
 
 class TestMultiTask:
@@ -387,9 +382,10 @@ class TestMultiTask:
         vocabs = make_vocabs()
         model = build_joint(vocabs)
         doc, word = model.tasks["doc"], model.tasks["word"]
-        assert get_module(doc, "embedding") is get_module(word, "embedding")
-        assert get_module(doc, "representation.bilstm") is get_module(word, "representation.bilstm")
-        assert get_module(doc, "decoder") is not get_module(word, "decoder")
+        assert doc.embedding is word.embedding
+        assert doc.representation.bilstm is word.representation.bilstm
+        assert doc.representation is not word.representation
+        assert doc.decoder is not word.decoder
 
     def test_parameters_count_shared_once(self):
         vocabs = make_vocabs()
@@ -416,21 +412,14 @@ class TestMultiTask:
         assert named["word.representation.bilstm.fwd.w_ih"].grad is not None  # shared trunk
 
     def test_incompatible_share_on_config_diff(self):
-        vocabs = make_vocabs()
-        rng = np.random.default_rng(0)
-        doc = build_doc_model(vocabs, rng, attn=True)
-        word = build_word_model(vocabs, rng, hidden=5)  # different trunk width
         with pytest.raises(IncompatibleShare):
-            compose_multitask({"doc": doc, "word": word},
-                              ("embedding", "representation.bilstm"))
+            build_joint(make_vocabs(), word_hidden=5)  # different trunk width
 
     def test_arity_checked(self):
         vocabs = make_vocabs()
         doc = build_doc_model(vocabs, np.random.default_rng(0))
         with pytest.raises(MultiTaskArity):
-            compose_multitask({"doc": doc}, ())
-        with pytest.raises(MultiTaskArity):
-            MultiTaskModel({"doc": doc}, (), {})
+            MultiTaskModel({"doc": doc}, {})
 
     def test_task_dispatch_and_weights(self):
         vocabs = make_vocabs()
@@ -453,11 +442,3 @@ class TestMultiTask:
         assert shared is named["word.embedding.word.table"]
         assert shared.name == "doc.embedding.word.table"
         assert named["word.decoder.w0"].name == "word.decoder.w0"
-
-    def test_get_set_module_errors(self):
-        vocabs = make_vocabs()
-        doc = build_doc_model(vocabs, np.random.default_rng(0))
-        with pytest.raises(IncompatibleShare):
-            get_module(doc, "nonsense")
-        with pytest.raises(IncompatibleShare):
-            set_module(doc, "representation.nonsense", doc.decoder)

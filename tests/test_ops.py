@@ -11,7 +11,7 @@ import pytest
 from textforge import kernels, ops
 from textforge.errors import (EmptySequence, IdOutOfRange, NotScalar,
                               ShapeMismatch, TargetOutOfRange)
-from textforge.tensor import Parameter, Tensor, zero_grads
+from textforge.tensor import Parameter, Tensor
 
 F32 = np.float32
 TOL = 1e-3
@@ -263,9 +263,3 @@ class TestParameter:
         p = Parameter(np.zeros(2))
         p.data = np.array([1.0, 2.0], dtype=np.float64)
         assert p.data.dtype == np.float32
-
-    def test_zero_grads(self):
-        p = Parameter(np.ones(2))
-        p.grad = np.ones(2, dtype=F32)
-        zero_grads([p])
-        assert p.grad is None

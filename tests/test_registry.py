@@ -9,16 +9,12 @@ import corpora
 from textforge.errors import (DuplicateRegistration, MalformedDocument,
                               SchemaViolation, UnknownComponent)
 from textforge.pipeline import instantiate_task
-from textforge.registry import (BOOL, COMPONENT, ENUM, FLOAT, INT, LIST_INT,
+from textforge.registry import (BOOL, COMPONENT, FLOAT, INT, LIST_INT,
                                 STRING, Field, Registry, TaskConfig,
                                 parse_task_config, serialize_task_config)
 
 
 class TestField:
-    def test_enum_needs_choices(self):
-        with pytest.raises(ValueError):
-            Field("mode", ENUM)
-
     def test_component_needs_child_kind(self):
         with pytest.raises(ValueError):
             Field("sub", COMPONENT)
@@ -34,7 +30,7 @@ class TestRegistry:
         reg.register("optimizer", "sgd", (Field("lr", FLOAT, default=0.1),))
         reg.register("optimizer", "adam", ())
         assert reg.get("optimizer", "sgd").name == "sgd"
-        assert reg.names("optimizer") == ["adam", "sgd"]
+        assert reg.get("optimizer", "adam").name == "adam"
 
     def test_duplicate_rejected(self):
         reg = Registry()
@@ -55,9 +51,8 @@ def demo_registry():
     reg = Registry()
     reg.register("optimizer", "toy", (
         Field("lr", FLOAT, default=0.5),
-        Field("steps", INT),
-        Field("mode", ENUM, choices=("fast", "slow"), default="fast"),
-        Field("layers", LIST_INT, default=[1, 2]),
+        Field("steps", INT, minimum=0),
+        Field("layers", LIST_INT, default=[1, 2], minimum=1),
         Field("tag", STRING, default=""),
         Field("verbose", BOOL, default=False),
     ))
@@ -78,8 +73,8 @@ class TestValidation:
         cfg = demo_parse({})
         opt = cfg.root.child("optimizer")
         assert opt.name == "toy"
-        assert opt.params == {"lr": 0.5, "steps": 3, "mode": "fast",
-                              "layers": [1, 2], "tag": "", "verbose": False}
+        assert opt.params == {"lr": 0.5, "steps": 3, "layers": [1, 2], "tag": "",
+                              "verbose": False}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(SchemaViolation) as err:
@@ -103,9 +98,12 @@ class TestValidation:
         cfg = demo_parse({"optimizer": {"toy": {"steps": 1, "lr": 1}}})
         assert cfg.root.child("optimizer").params["lr"] == 1.0
 
-    def test_enum_choice_checked(self):
-        with pytest.raises(SchemaViolation):
-            demo_parse({"optimizer": {"toy": {"steps": 1, "mode": "medium"}}})
+    def test_minimum_checked_per_item(self):
+        assert demo_parse({"optimizer": {"toy": {"steps": 0}}}) is not None
+        with pytest.raises(SchemaViolation, match=r"toy\.steps: must be >= 0, got -1"):
+            demo_parse({"optimizer": {"toy": {"steps": -1}}})
+        with pytest.raises(SchemaViolation, match=r"toy\.layers: must be >= 1, got 0"):
+            demo_parse({"optimizer": {"toy": {"steps": 1, "layers": [2, 0]}}})
 
     def test_list_int_rejects_bools_and_strings(self):
         with pytest.raises(SchemaViolation):

@@ -55,13 +55,6 @@ class TestSGD:
         with pytest.raises(NoGradient):
             SGD([p], lr=0.1).step()
 
-    def test_skips_non_trainable(self):
-        p = make_param([1.0])
-        p.trainable = False
-        p.grad = np.ones(1, dtype=F32)
-        with pytest.raises(NoGradient):
-            SGD([p], lr=0.1).step()
-
 
 class TestAdam:
     def test_first_step_moves_by_about_lr(self):
