@@ -20,7 +20,7 @@ JOINT_TASK = "joint_doc_word"
 def _register_builtins():
     register_component("featurizer", "basic", (
         Field("lowercase", BOOL, default=True),
-        Field("max_chars", INT, default=20, minimum=0),
+        Field("max_chars", INT, default=20, minimum=1),
     ))
 
     register_component("data_handler", "tsv", (

@@ -18,13 +18,10 @@ NEG_INF = np.float32(-np.inf)
 
 
 def sigmoid(x):
-    # two-sided form avoids exp overflow warnings for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # two-sided form: exp only sees -|x|, so it never overflows
+    e = np.exp(-np.abs(x))
+    d = 1 + e
+    return np.where(x >= 0, 1 / d, e / d)
 
 
 def softmax(x, axis=-1):
@@ -117,6 +114,10 @@ def lstm_seq(x, w_ih, w_hh, bias, mask, reverse=False, want_cache=False):
     x [b, t, d], w_ih [d, 4h], w_hh [h, 4h], bias [4h], mask [b, t] ->
     hs [b, t, h]. Gate order is input, forget, cell, output. Initial states
     are zero; masked steps copy the previous hidden and cell state.
+
+    The input projection x @ w_ih + bias is hoisted out of the recurrence
+    into one GEMM over all timesteps, so each step adds only h_prev @ w_hh.
+    The masked blend runs only when some row is padded.
     """
     b, t, d = x.shape
     if w_ih.shape[0] != d:
@@ -132,23 +133,25 @@ def lstm_seq(x, w_ih, w_hh, bias, mask, reverse=False, want_cache=False):
     if mask.shape != (b, t):
         raise ShapeMismatch("lstm: mask shape %s vs (%d, %d)" % (mask.shape, b, t))
 
+    zx = (x.reshape(b * t, d) @ w_ih + bias).reshape(b, t, four_h)
+    full = bool(mask.all())
     hs = np.zeros((b, t, h), dtype=F32)
     h_prev = np.zeros((b, h), dtype=F32)
     c_prev = np.zeros((b, h), dtype=F32)
     order = range(t - 1, -1, -1) if reverse else range(t)
     steps = [] if want_cache else None
     for ti in order:
-        m = mask[:, ti][:, None]
-        z = x[:, ti] @ w_ih + h_prev @ w_hh + bias
-        gi = sigmoid(z[:, :h])
-        gf = sigmoid(z[:, h:2 * h])
+        z = zx[:, ti] + h_prev @ w_hh
+        s = sigmoid(z)  # the cell block's sigmoid goes unused
+        gi, gf, go = s[:, :h], s[:, h:2 * h], s[:, 3 * h:]
         gg = np.tanh(z[:, 2 * h:3 * h])
-        go = sigmoid(z[:, 3 * h:])
-        c_new = gf * c_prev + gi * gg
-        tanh_c = np.tanh(c_new)
-        h_new = go * tanh_c
-        h_cur = m * h_new + (1 - m) * h_prev
-        c_cur = m * c_new + (1 - m) * c_prev
+        c_cur = gf * c_prev + gi * gg
+        tanh_c = np.tanh(c_cur)
+        h_cur = go * tanh_c
+        m = None if full else mask[:, ti][:, None]
+        if m is not None:
+            h_cur = m * h_cur + (1 - m) * h_prev
+            c_cur = m * c_cur + (1 - m) * c_prev
         hs[:, ti] = h_cur
         if want_cache:
             steps.append((ti, m, gi, gf, gg, go, tanh_c, h_prev, c_prev))
@@ -160,37 +163,33 @@ def lstm_seq(x, w_ih, w_hh, bias, mask, reverse=False, want_cache=False):
 def lstm_seq_backward(cache, dhs):
     x, w_ih, w_hh, steps, h = cache
     b, t, d = x.shape
-    dx = np.zeros_like(x)
-    dw_ih = np.zeros_like(w_ih)
+    four_h = w_ih.shape[1]
+    dzs = np.zeros((b, t, four_h), dtype=F32)
     dw_hh = np.zeros_like(w_hh)
-    db = np.zeros(w_ih.shape[1], dtype=F32)
     dh_rec = np.zeros((b, h), dtype=F32)
     dc_rec = np.zeros((b, h), dtype=F32)
     for ti, m, gi, gf, gg, go, tanh_c, h_prev, c_prev in reversed(steps):
-        dh_total = dhs[:, ti] + dh_rec
-        dh_new = m * dh_total
-        dh_skip = (1 - m) * dh_total
-        dc_new = m * dc_rec
-        dc_skip = (1 - m) * dc_rec
-        do = dh_new * tanh_c
-        dc_new = dc_new + dh_new * go * (1 - tanh_c * tanh_c)
-        df = dc_new * c_prev
-        di = dc_new * gg
-        dg = dc_new * gi
-        dc_prev = dc_new * gf + dc_skip
-        dz = np.concatenate([
-            di * gi * (1 - gi),
-            df * gf * (1 - gf),
-            dg * (1 - gg * gg),
-            do * go * (1 - go),
+        dh = dhs[:, ti] + dh_rec
+        dc = dc_rec
+        if m is not None:  # a masked step passes both gradients to the step before
+            dh_skip, dc_skip = (1 - m) * dh, (1 - m) * dc
+            dh, dc = m * dh, m * dc
+        dc = dc + dh * go * (1 - tanh_c * tanh_c)
+        dzs[:, ti] = dz = np.concatenate([
+            dc * gg * gi * (1 - gi),
+            dc * c_prev * gf * (1 - gf),
+            dc * gi * (1 - gg * gg),
+            dh * tanh_c * go * (1 - go),
         ], axis=1)
-        dx[:, ti] = dz @ w_ih.T
-        dw_ih += x[:, ti].T @ dz
         dw_hh += h_prev.T @ dz
-        db += dz.sum(axis=0)
-        dh_rec = dz @ w_hh.T + dh_skip
-        dc_rec = dc_prev
-    return dx, dw_ih, dw_hh, db
+        dh_rec = dz @ w_hh.T
+        dc_rec = dc * gf
+        if m is not None:
+            dh_rec += dh_skip
+            dc_rec += dc_skip
+    flat = dzs.reshape(b * t, four_h)
+    dx = (flat @ w_ih.T).reshape(b, t, d)
+    return dx, x.reshape(b * t, d).T @ flat, dw_hh, flat.sum(axis=0)
 
 
 # --- additive self-attention pooling ---

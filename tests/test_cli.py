@@ -29,6 +29,7 @@ SIZE_PROBES = [
     ({}, ("data", "tsv", "batch_size"), 0),
     ({}, ("data", "tsv", "batch_size"), -3),
     ({}, ("featurizer", "basic", "max_chars"), -1),
+    ({}, ("featurizer", "basic", "max_chars"), 0),
     ({}, ("model", "single", "representation", "docnn", "num_filters"), 0),
     ({}, ("model", "single", "decoder", "mlp", "hidden_dims"), [0]),
     (_ATTN, ("model", "single", "representation", "bilstm_attn", "attention_dim"), 0),

@@ -5,6 +5,8 @@ so instances stay deliberately tiny. Tolerances follow the harness contract:
 max relative error below 1e-3 at eps 1e-3.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -203,7 +205,8 @@ class TestFiniteDifferences:
             w_hh = t((h, 4 * h), rng, scale=0.5)
             bias = t((4 * h,), rng, scale=0.2)
             mask = np.ones((2, tlen), dtype=F32)
-            if tlen > 1:
+            # padded or all ones: the kernel skips the blend when nothing is padded
+            if tlen > 1 and rng.integers(0, 2):
                 mask[0, tlen - 1] = 0.0
             reverse = bool(rng.integers(0, 2))
             target = [x, w_ih, w_hh, bias][int(rng.integers(0, 4))]
@@ -256,6 +259,122 @@ class TestFiniteDifferences:
                 return scalarize(out, np.random.default_rng(12))
             return f, target
         run_checks(build)
+
+
+# --- the per-step LSTM kernel as first written: the oracle for the kernel ---
+
+def ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_lstm_seq(x, w_ih, w_hh, bias, mask, reverse):
+    b, t, _ = x.shape
+    h = w_hh.shape[0]
+    hs = np.zeros((b, t, h), dtype=F32)
+    h_prev = np.zeros((b, h), dtype=F32)
+    c_prev = np.zeros((b, h), dtype=F32)
+    steps = []
+    for ti in (range(t - 1, -1, -1) if reverse else range(t)):
+        m = mask[:, ti][:, None]
+        z = x[:, ti] @ w_ih + h_prev @ w_hh + bias
+        gi = ref_sigmoid(z[:, :h])
+        gf = ref_sigmoid(z[:, h:2 * h])
+        gg = np.tanh(z[:, 2 * h:3 * h])
+        go = ref_sigmoid(z[:, 3 * h:])
+        c_new = gf * c_prev + gi * gg
+        tanh_c = np.tanh(c_new)
+        h_new = go * tanh_c
+        h_cur = m * h_new + (1 - m) * h_prev
+        c_cur = m * c_new + (1 - m) * c_prev
+        hs[:, ti] = h_cur
+        steps.append((ti, m, gi, gf, gg, go, tanh_c, h_prev, c_prev))
+        h_prev, c_prev = h_cur, c_cur
+    return hs, steps
+
+
+def ref_lstm_seq_backward(x, w_ih, w_hh, steps, dhs):
+    b = x.shape[0]
+    h = w_hh.shape[0]
+    dx = np.zeros_like(x)
+    dw_ih = np.zeros_like(w_ih)
+    dw_hh = np.zeros_like(w_hh)
+    db = np.zeros(w_ih.shape[1], dtype=F32)
+    dh_rec = np.zeros((b, h), dtype=F32)
+    dc_rec = np.zeros((b, h), dtype=F32)
+    for ti, m, gi, gf, gg, go, tanh_c, h_prev, c_prev in reversed(steps):
+        dh_total = dhs[:, ti] + dh_rec
+        dh_new = m * dh_total
+        dh_skip = (1 - m) * dh_total
+        dc_new = m * dc_rec
+        dc_skip = (1 - m) * dc_rec
+        do = dh_new * tanh_c
+        dc_new = dc_new + dh_new * go * (1 - tanh_c * tanh_c)
+        df = dc_new * c_prev
+        di = dc_new * gg
+        dg = dc_new * gi
+        dc_prev = dc_new * gf + dc_skip
+        dz = np.concatenate([
+            di * gi * (1 - gi),
+            df * gf * (1 - gf),
+            dg * (1 - gg * gg),
+            do * go * (1 - go),
+        ], axis=1)
+        dx[:, ti] = dz @ w_ih.T
+        dw_ih += x[:, ti].T @ dz
+        dw_hh += h_prev.T @ dz
+        db += dz.sum(axis=0)
+        dh_rec = dz @ w_hh.T + dh_skip
+        dc_rec = dc_prev
+    return dx, dw_ih, dw_hh, db
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("padded", [False, True], ids=["all_ones", "padded"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("tlen", [1, 7])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_lstm_seq_matches_per_step_reference(self, b, tlen, reverse, padded):
+        rng = np.random.default_rng(b * 100 + tlen)
+        d, h = 5, 4
+        x = rng.standard_normal((b, tlen, d)).astype(F32)
+        w_ih = (rng.standard_normal((d, 4 * h)) * 0.5).astype(F32)
+        w_hh = (rng.standard_normal((h, 4 * h)) * 0.5).astype(F32)
+        bias = (rng.standard_normal(4 * h) * 0.2).astype(F32)
+        mask = np.ones((b, tlen), dtype=F32)
+        if padded:
+            # right padding; the last row always is, and at t == 1 is empty
+            lengths = rng.integers(1, tlen + 1, size=b)
+            lengths[-1] = tlen - 1
+            mask = (np.arange(tlen)[None, :] < lengths[:, None]).astype(F32)
+        dhs = rng.standard_normal((b, tlen, h)).astype(F32)
+
+        hs, cache = kernels.lstm_seq(x, w_ih, w_hh, bias, mask, reverse, want_cache=True)
+        ref_hs, steps = ref_lstm_seq(x, w_ih, w_hh, bias, mask, reverse)
+        np.testing.assert_allclose(hs, ref_hs, rtol=0, atol=1e-6)
+        assert hs.dtype == F32
+        uncached, _ = kernels.lstm_seq(x, w_ih, w_hh, bias, mask, reverse)
+        assert uncached.tobytes() == hs.tobytes()
+
+        grads = kernels.lstm_seq_backward(cache, dhs)
+        ref_grads = ref_lstm_seq_backward(x, w_ih, w_hh, steps, dhs)
+        for name, got, want in zip(("dx", "dw_ih", "dw_hh", "db"), grads, ref_grads):
+            assert got.shape == want.shape and got.dtype == F32, name
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6, err_msg=name)
+
+    def test_sigmoid_pinned_to_two_sided_formula(self):
+        edges = [0.0, 1e-8, 20.0, 88.7, 104.0, np.inf]
+        x = np.array(edges + [-v for v in edges], dtype=F32)
+        assert np.signbit(x[len(edges)])  # -0.0 is in the probe
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernels.sigmoid(x)
+        assert got.dtype == F32
+        assert got.tobytes() == ref_sigmoid(x).tobytes()
 
 
 class TestParameter:
