@@ -2,7 +2,7 @@
 
 from . import errors
 from .components import DOC_TASK, JOINT_TASK, WORD_TASK
-from .exporter import export_model, export_pipeline, prepend_vocab, verify_equivalence
+from .exporter import export_model, export_pipeline, verify_equivalence
 from .graph import Executor, StaticGraph, load_graph, run, save_graph
 from .pipeline import Pipeline, instantiate_task, restore_pipeline
 from .registry import parse_task_config, serialize_task_config
@@ -16,7 +16,7 @@ __all__ = [
     "parse_task_config", "serialize_task_config",
     "Pipeline", "instantiate_task", "restore_pipeline",
     "train", "load_checkpoint", "save_checkpoint",
-    "export_model", "export_pipeline", "prepend_vocab", "verify_equivalence",
+    "export_model", "export_pipeline", "verify_equivalence",
     "StaticGraph", "Executor", "load_graph", "save_graph", "run",
     "__version__",
 ]

@@ -10,6 +10,7 @@ import os
 import sys
 
 from . import bench
+from .data_handler import read_lines
 from .errors import SchemaViolation, TextForgeError
 from .exporter import export_pipeline, verify_equivalence
 from .graph import Executor, load_graph, run, save_graph
@@ -64,14 +65,16 @@ def _env_seed():
     if raw is None:
         return None
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise SchemaViolation("TEXTFORGE_SEED must be an integer, got %r" % raw)
+        seed = -1
+    if seed < 0:
+        raise SchemaViolation("TEXTFORGE_SEED must be a non-negative integer, got %r" % raw)
+    return seed
 
 
 def cmd_train(args) -> int:
-    with open(args.config, encoding="utf-8") as handle:
-        config = parse_task_config(handle.read())
+    config = parse_task_config("\n".join(read_lines(args.config)))
     pipe = instantiate_task(config, seed_override=_env_seed())
 
     resume = None
@@ -106,8 +109,7 @@ def cmd_train(args) -> int:
 
 def _input_lines(args):
     if args.input:
-        with open(args.input, encoding="utf-8") as handle:
-            return [line.rstrip("\n") for line in handle]
+        return read_lines(args.input)
     return [line.rstrip("\n") for line in sys.stdin]
 
 

@@ -8,7 +8,7 @@ task hands the word head the doc head's embedding and BiLSTM.
 """
 
 from . import model_zoo, trainer
-from .errors import IncompatibleShare, SchemaViolation, ShapeMismatch
+from .errors import IncompatibleShare, SchemaViolation
 from .registry import (BOOL, COMPONENT, FLOAT, INT, LIST_INT, LIST_STRING, STRING,
                        ComponentConfig, Field, register_component)
 
@@ -52,16 +52,13 @@ def _register_builtins():
     register_component("representation", "docnn", (
         Field("filter_widths", LIST_INT, default=[3, 4, 5]),
         Field("num_filters", INT, default=100, minimum=1),
-        Field("input_dim", INT, default=-1),
     ))
     register_component("representation", "bilstm_attn", (
         Field("hidden_dim", INT, default=64, minimum=1),
         Field("attention_dim", INT, default=64, minimum=1),
-        Field("input_dim", INT, default=-1),
     ))
     register_component("representation", "bilstm_tagger", (
         Field("hidden_dim", INT, default=64, minimum=1),
-        Field("input_dim", INT, default=-1),
     ))
 
     register_component("decoder", "mlp", (
@@ -82,14 +79,9 @@ def _register_builtins():
     ))
 
     register_component("trainer", "standard", (
-        Field("epochs", INT, default=10),
+        Field("epochs", INT, default=10, minimum=1),
         Field("patience", INT, default=0),
-        Field("seed", INT, default=0),
-    ))
-
-    register_component("exporter", "graph", (
-        Field("out_path", STRING, default="model.graph"),
-        Field("bake_vocab", BOOL, default=True),
+        Field("seed", INT, default=0, minimum=0),
     ))
 
     register_component("model", "single", (
@@ -117,7 +109,6 @@ def _register_builtins():
             Field("model", COMPONENT, child_kind="model"),
             Field("optimizer", COMPONENT, default={"adam": {}}, child_kind="optimizer"),
             Field("trainer", COMPONENT, default={"standard": {}}, child_kind="trainer"),
-            Field("export", COMPONENT, default={"graph": {}}, child_kind="exporter"),
         )
 
     register_component("task", DOC_TASK, task_fields())
@@ -138,14 +129,6 @@ _OUTPUT_CLASSES = {
     "doc_classification": model_zoo.DocClassificationOutput,
     "word_tagging": model_zoo.WordTaggingOutput,
 }
-
-
-def build_representation(cfg: ComponentConfig, in_dim: int, rng):
-    declared = cfg.params.get("input_dim", -1)
-    if declared >= 0 and declared != in_dim:
-        raise ShapeMismatch("representation %s declares input dim %d but the embedding "
-                            "produces %d" % (cfg.name, declared, in_dim))
-    return _REP_CLASSES[cfg.name]("representation", cfg.params, in_dim, rng)
 
 
 def build_optimizer(cfg: ComponentConfig, params):
@@ -211,6 +194,6 @@ def build_model(model_cfg: ComponentConfig, task_kind: str, vocabs, doc_labels, 
 def _build_head(emb_cfg: ComponentConfig, rep_cfg: ComponentConfig, dec_cfg: ComponentConfig,
                 task_kind: str, vocabs, n_classes: int, rng) -> model_zoo.SingleTaskModel:
     embedding = model_zoo.TokenEmbedding("embedding", emb_cfg.params, vocabs, rng)
-    rep = build_representation(rep_cfg, embedding.out_dim, rng)
+    rep = _REP_CLASSES[rep_cfg.name]("representation", rep_cfg.params, embedding.out_dim, rng)
     decoder = model_zoo.MLPDecoder("decoder", dec_cfg.params, rep.out_dim, n_classes, rng)
     return model_zoo.SingleTaskModel(embedding, rep, decoder, _OUTPUT_CLASSES[task_kind]())

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DatasetError, EmptyCorpus, EmptySplit, MultiTaskArity
+from .errors import DatasetError, EmptyCorpus, EmptySplit, MultiTaskArity, NotUtf8
 from .featurizer import Featurizer, FeaturizedExample, GazetteerEntry, CAP_CLASSES, GAZ_NONE
 from .vocab import Vocabulary
 
@@ -71,6 +71,16 @@ class Batch:
         return self.token_ids.shape[0]
 
 
+def read_lines(path: str) -> list:
+    """The lines of a UTF-8 text file (a config, TSV, vectors or input file),
+    newlines stripped; a file that is not UTF-8 raises NotUtf8 naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return [line.rstrip("\n") for line in handle]
+    except UnicodeDecodeError as exc:
+        raise NotUtf8("%s is not UTF-8 text: %s" % (path, exc.reason))
+
+
 def _parse_gazetteer(column: str, line_no: int, path: str):
     entries = []
     for part in column.split(","):
@@ -97,39 +107,37 @@ def load_tsv(path: str, fmt: str, featurizer: Featurizer, split: str = "train") 
     if fmt not in (FORMAT_DOC, FORMAT_WORD, FORMAT_JOINT):
         raise ValueError("unknown dataset format %r" % fmt)
     examples = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            columns = line.split("\t")
-            if len(columns) < 2 or len(columns) > 3:
-                raise DatasetError("%s line %d: expected 2 or 3 tab-separated columns, got %d"
-                                   % (path, line_no, len(columns)))
-            label_col, text = columns[0], columns[1]
-            entries = _parse_gazetteer(columns[2], line_no, path) if len(columns) == 3 else ()
+    for line_no, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        columns = line.split("\t")
+        if len(columns) < 2 or len(columns) > 3:
+            raise DatasetError("%s line %d: expected 2 or 3 tab-separated columns, got %d"
+                               % (path, line_no, len(columns)))
+        label_col, text = columns[0], columns[1]
+        entries = _parse_gazetteer(columns[2], line_no, path) if len(columns) == 3 else ()
 
-            doc_label = None
-            word_tags = None
-            if fmt == FORMAT_DOC:
-                doc_label = label_col.strip()
-                if not doc_label:
-                    raise DatasetError("%s line %d: empty label" % (path, line_no))
-            elif fmt == FORMAT_WORD:
-                word_tags = label_col.split()
-            else:
-                pieces = label_col.split()
-                if not pieces:
-                    raise DatasetError("%s line %d: empty label column" % (path, line_no))
-                doc_label, word_tags = pieces[0], pieces[1:]
+        doc_label = None
+        word_tags = None
+        if fmt == FORMAT_DOC:
+            doc_label = label_col.strip()
+            if not doc_label:
+                raise DatasetError("%s line %d: empty label" % (path, line_no))
+        elif fmt == FORMAT_WORD:
+            word_tags = label_col.split()
+        else:
+            pieces = label_col.split()
+            if not pieces:
+                raise DatasetError("%s line %d: empty label column" % (path, line_no))
+            doc_label, word_tags = pieces[0], pieces[1:]
 
-            feats = featurizer.featurize(text, entries)
-            if not feats.tokens:
-                raise DatasetError("%s line %d: text produced no tokens" % (path, line_no))
-            if word_tags is not None and len(word_tags) != len(feats.tokens):
-                raise DatasetError("%s line %d: %d tags for %d tokens"
-                                   % (path, line_no, len(word_tags), len(feats.tokens)))
-            examples.append(Example(text, entries, doc_label, word_tags, feats))
+        feats = featurizer.featurize(text, entries)
+        if not feats.tokens:
+            raise DatasetError("%s line %d: text produced no tokens" % (path, line_no))
+        if word_tags is not None and len(word_tags) != len(feats.tokens):
+            raise DatasetError("%s line %d: %d tags for %d tokens"
+                               % (path, line_no, len(word_tags), len(feats.tokens)))
+        examples.append(Example(text, entries, doc_label, word_tags, feats))
     return Dataset(examples, split=split)
 
 

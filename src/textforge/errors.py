@@ -47,6 +47,10 @@ class DatasetError(TextForgeError):
     pass
 
 
+class NotUtf8(TextForgeError):
+    pass
+
+
 # --- tensor engine ---
 
 class ShapeMismatch(TextForgeError):
@@ -130,10 +134,6 @@ class EmptyEval(TextForgeError):
 # --- export / runtime ---
 
 class CorruptGraph(TextForgeError):
-    pass
-
-
-class VocabAlreadyBaked(TextForgeError):
     pass
 
 

@@ -3,9 +3,10 @@
 Each model stage lowers itself: its lower method, beside its forward, emits
 graph ops mirroring the forward pass exactly through a GraphBuilder. The
 interpreter then reuses the same kernels, which is what makes exported
-predictions match eager ones bit for bit. Exports start unbaked (integer id
-inputs); prepend_vocab folds the vocabularies in so the artifact consumes raw
-tokens with no training code in sight.
+predictions match eager ones bit for bit. Given the vocabularies, export_model
+bakes them in the same pass: each id input becomes a lookup op over a raw
+string input, so the artifact consumes raw tokens with no training code in
+sight. Without them the graph keeps integer id inputs.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import components
 from .data_handler import VocabBundle, single_example_batch
-from .errors import EmptySampleSet, UnsupportedModule, VocabAlreadyBaked
+from .errors import EmptySampleSet, UnsupportedModule
 from .graph import GRAPH_VERSION, Executor, GraphOp, StaticGraph, run, validate_graph
 from .model_zoo import MultiTaskModel, SingleTaskModel
 from .tensor import Parameter
@@ -23,7 +24,7 @@ from .trainer import derive_rng
 
 
 class IdInput(NamedTuple):
-    """How one integer id input of an unbaked graph is fed and baked."""
+    """How one integer id slot is fed (unbaked) or looked up (baked)."""
     raw: str      # the string input a baked graph reads in its place
     vocab: str    # the VocabBundle field (and vocab table) that maps it
     lookup: str   # the opcode that maps raw strings to ids
@@ -52,6 +53,7 @@ class GraphBuilder:
         self.consts = {}
         self.ops = []
         self.inputs = []
+        self.vocab_tables = {}
         self._paths = {id(p): path for path, p in model.named_parameters().items()}
 
     def slot(self, base: str, kind: str) -> str:
@@ -63,10 +65,17 @@ class GraphBuilder:
         self.slots[name] = kind
         return name
 
-    def add_input(self, name: str, kind: str) -> str:
-        name = self.slot(name, kind)
-        self.inputs.append(name)
-        return name
+    def id_input(self, name: str, row: IdInput, vocabs) -> str:
+        """An id slot: a graph input, or with vocabs the output of a lookup op
+        over the raw string input, whose vocab table is attached."""
+        if vocabs is None:
+            self.inputs.append(self.slot(name, "i64"))
+            return self.inputs[-1]
+        extra = {"max_chars": self.attrs["max_chars"]} if row.lookup == "LookupChars" else {}
+        self.vocab_tables[row.vocab] = list(getattr(vocabs, row.vocab).entries)
+        if row.raw not in self.inputs:
+            self.inputs.append(row.raw)
+        return self.emit(row.lookup, name, row.raw, kind="i64", vocab=row.vocab, **extra)
 
     def const(self, param: Parameter) -> str:
         # parameter paths are unique per model, so no renaming here
@@ -89,12 +98,16 @@ class GraphBuilder:
         return self.emit("Concat", out_base, *parts, axis=-1) if len(parts) > 1 else parts[0]
 
     def finish(self, outputs) -> StaticGraph:
+        # raw string inputs are declared last, after every slot of the body:
+        # that slot order is part of the serialized bytes of a baked graph
+        for name in self.inputs:
+            self.slots.setdefault(name, "str")
         graph = StaticGraph(
             version=GRAPH_VERSION,
             attrs=self.attrs,
             slots=self.slots,
             consts=self.consts,
-            vocab_tables={},
+            vocab_tables=self.vocab_tables,
             ops=self.ops,
             inputs=self.inputs,
             outputs=list(outputs),
@@ -103,8 +116,10 @@ class GraphBuilder:
         return graph
 
 
-def export_model(model: SingleTaskModel, featurizer_settings, labels, task) -> StaticGraph:
-    """Lower one trained model to an unbaked graph (integer id inputs)."""
+def export_model(model: SingleTaskModel, featurizer_settings, labels, task,
+                 vocabs: VocabBundle = None) -> StaticGraph:
+    """Lower one trained model to a graph: baked when given the vocabularies
+    (raw string inputs), else with integer id inputs."""
     if not isinstance(model, SingleTaskModel):
         raise UnsupportedModule("can only export single-task models; "
                                 "multi-task models export one graph per head")
@@ -116,7 +131,7 @@ def export_model(model: SingleTaskModel, featurizer_settings, labels, task) -> S
     }
     b = GraphBuilder(model, attrs)
     emb = model.embedding
-    feeds = {slot: b.add_input(slot, "i64")
+    feeds = {slot: b.id_input(slot, row, vocabs)
              for slot, row in ID_INPUTS.items() if getattr(emb, row.dim)}
     logits = model.decoder.lower(b, model.representation.lower(b, emb.lower(b, feeds)))
     b.emit("Softmax", "scores", logits)
@@ -126,61 +141,23 @@ def export_model(model: SingleTaskModel, featurizer_settings, labels, task) -> S
     return b.finish(("pred", "scores"))
 
 
-def prepend_vocab(graph: StaticGraph, vocabs: VocabBundle) -> StaticGraph:
-    """Bake vocabularies: raw token inputs, lookup ops ahead of the old body."""
-    if graph.vocab_tables:
-        raise VocabAlreadyBaked("graph already has vocabularies baked in")
-
-    slots = dict(graph.slots)
-    tables = {}
-    lookups = []
-    inputs = []
-
-    for old in graph.inputs:
-        row = ID_INPUTS.get(old)
-        if row is None:
-            raise UnsupportedModule("cannot bake vocabularies over input %r" % old)
-        if row.raw not in inputs:
-            inputs.append(row.raw)
-            slots[row.raw] = "str"
-        tables[row.vocab] = list(getattr(vocabs, row.vocab).entries)
-        attrs = {"vocab": row.vocab}
-        if row.lookup == "LookupChars":
-            attrs["max_chars"] = graph.attrs["max_chars"]
-        lookups.append(GraphOp(row.lookup, (row.raw,), (old,), attrs))
-
-    baked = StaticGraph(
-        version=graph.version,
-        attrs=dict(graph.attrs),
-        slots=slots,
-        consts=dict(graph.consts),
-        vocab_tables=tables,
-        ops=lookups + list(graph.ops),
-        inputs=inputs,
-        outputs=list(graph.outputs),
-    )
-    validate_graph(baked)
-    return baked
-
-
-def export_pipeline(pipe, bake=None):
-    """Graph(s) for a trained pipeline: one, or a per-head dict for joint."""
-    if bake is None:
-        bake = pipe.export.bake_vocab
+def export_pipeline(pipe, bake=True):
+    """Graph(s) for a trained pipeline: one, or a per-head dict for joint.
+    bake=False keeps integer id inputs (textforge export --no-bake-vocab)."""
     settings = pipe.featurizer.settings
+    vocabs = pipe.vocabs if bake else None
 
-    def finish(model, labels, task):
-        g = export_model(model, settings, labels, task)
-        return prepend_vocab(g, pipe.vocabs) if bake else g
+    def lower(model, labels, task):
+        return export_model(model, settings, labels, task, vocabs)
 
     if pipe.task == components.JOINT_TASK:
         model: MultiTaskModel = pipe.model
         return {
-            "doc": finish(model.tasks["doc"], pipe.doc_labels, components.DOC_TASK),
-            "word": finish(model.tasks["word"], pipe.word_tags, components.WORD_TASK),
+            "doc": lower(model.tasks["doc"], pipe.doc_labels, components.DOC_TASK),
+            "word": lower(model.tasks["word"], pipe.word_tags, components.WORD_TASK),
         }
     labels = pipe.doc_labels if pipe.task == components.DOC_TASK else pipe.word_tags
-    return finish(pipe.model, labels, pipe.task)
+    return lower(pipe.model, labels, pipe.task)
 
 
 # --- equivalence checking between eager and exported inference ---

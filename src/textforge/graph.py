@@ -321,8 +321,8 @@ class Executor:
     gradient buffers; scratch values die with the call.
 
     The graph must already be valid. Executor does not validate it again:
-    deserialize, GraphBuilder.finish and prepend_vocab validate every graph
-    the program reads or makes.
+    deserialize and GraphBuilder.finish validate every graph the program
+    reads or makes.
     """
 
     def __init__(self, graph: StaticGraph):

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import binio, kernels, ops
-from .data_handler import Batch, VocabBundle
+from .data_handler import Batch, VocabBundle, read_lines
 from .errors import (CorruptFile, DimMismatch, IncompatibleShare, MalformedLine, MultiTaskArity,
                      NoStyleSelected, ShapeMismatch)
 from .tensor import Parameter, Tensor
@@ -132,25 +132,23 @@ def load_pretrained_embeddings(path: str, vocab: Vocabulary, dim: int, rng) -> n
     vocabulary are skipped; the padding row is zeroed either way.
     """
     table = _embedding_table(rng, vocab, dim)
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) < 2:
-                raise MalformedLine("%s line %d: expected token and values" % (path, line_no))
-            token, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise DimMismatch("%s line %d: %d values for dim %d"
-                                  % (path, line_no, len(values), dim))
-            idx = vocab.index.get(token)
-            if idx is None:
-                continue
-            try:
-                table[idx] = np.array([float(v) for v in values], dtype=F32)
-            except ValueError:
-                raise MalformedLine("%s line %d: non-numeric value" % (path, line_no))
+    for line_no, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        parts = line.split(" ")
+        if len(parts) < 2:
+            raise MalformedLine("%s line %d: expected token and values" % (path, line_no))
+        token, values = parts[0], parts[1:]
+        if len(values) != dim:
+            raise DimMismatch("%s line %d: %d values for dim %d"
+                              % (path, line_no, len(values), dim))
+        idx = vocab.index.get(token)
+        if idx is None:
+            continue
+        try:
+            table[idx] = np.array([float(v) for v in values], dtype=F32)
+        except ValueError:
+            raise MalformedLine("%s line %d: non-numeric value" % (path, line_no))
     table[Vocabulary.PAD_ID] = 0.0
     return table
 

@@ -34,16 +34,9 @@ class Settings:
     batch_size: int
 
 
-@dataclass
-class ExportSettings:
-    out_path: str
-    bake_vocab: bool
-
-
 class Pipeline:
     def __init__(self, config: TaskConfig, featurizer: Featurizer, vocabs: VocabBundle,
-                 doc_labels, word_tags, model, optimizer, settings: Settings,
-                 export: ExportSettings, datasets=None):
+                 doc_labels, word_tags, model, optimizer, settings: Settings, datasets=None):
         self.config = config
         self.config_text = serialize_task_config(config)
         self.task = config.task_kind
@@ -54,7 +47,6 @@ class Pipeline:
         self.model = model
         self.optimizer = optimizer
         self.settings = settings
-        self.export = export
         # split -> list of Datasets, one per source ("test" may be empty);
         # None when restored from a checkpoint
         self.datasets = datasets
@@ -268,11 +260,9 @@ def _assemble(config: TaskConfig, vocabs: VocabBundle, doc_labels, word_tags, se
     tparams = root.child("trainer").params
     settings = Settings(epochs=tparams["epochs"], patience=tparams["patience"],
                         seed=seed, batch_size=root.child("data").params["batch_size"])
-    eparams = root.child("export").params
-    export = ExportSettings(out_path=eparams["out_path"], bake_vocab=eparams["bake_vocab"])
     optimizer = components.build_optimizer(root.child("optimizer"), model.parameters())
     return Pipeline(config, fz, vocabs, doc_labels, word_tags, model, optimizer,
-                    settings, export, datasets)
+                    settings, datasets)
 
 
 def instantiate_task(config: TaskConfig, seed_override: Optional[int] = None) -> Pipeline:

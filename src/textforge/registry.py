@@ -24,7 +24,6 @@ KINDS = (
     "output",
     "optimizer",
     "trainer",
-    "exporter",
 )
 
 INT = "int"

@@ -20,7 +20,7 @@ from .vocab import all_str, is_table
 F32 = np.float32
 
 CKPT_MAGIC = b"TXFG"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 def seed_sequence(seed: int, *key):

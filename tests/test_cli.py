@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -9,16 +11,22 @@ from types import SimpleNamespace
 import pytest
 
 import corpora
+import textforge
 from textforge.trainer import load_checkpoint
 
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(textforge.__file__)))
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
-def run_cli(*args, stdin="", env_extra=None):
+
+def run_cli(*args, stdin="", env_extra=None, cwd=None):
     env = dict(os.environ)
     env.pop("TEXTFORGE_SEED", None)
+    # absolute, so the package still imports when cwd moves
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "textforge.cli", *args],
-                          input=stdin, capture_output=True, text=True, env=env)
+                          input=stdin, capture_output=True, text=True, env=env, cwd=cwd)
 
 
 _ATTN = {"representation": {"bilstm_attn": {}}}
@@ -35,6 +43,8 @@ SIZE_PROBES = [
     (_ATTN, ("model", "single", "representation", "bilstm_attn", "attention_dim"), 0),
     (_ATTN, ("model", "single", "representation", "bilstm_attn", "hidden_dim"), 0),
     (_CHARS, ("model", "single", "embedding", "token", "char_num_filters"), 0),
+    ({}, ("trainer", "standard", "seed"), -1),
+    ({}, ("trainer", "standard", "epochs"), 0),
 ]
 
 
@@ -103,11 +113,30 @@ class TestTrain:
         cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-        proc = run_cli("train", "--config", str(cfg_path),
-                       "--out-dir", str(tmp_path / "out"),
-                       env_extra={"TEXTFORGE_SEED": "soon"})
-        assert proc.returncode == 1
-        assert "TEXTFORGE_SEED" in proc.stderr
+        for raw in ("soon", "-3"):
+            proc = run_cli("train", "--config", str(cfg_path),
+                           "--out-dir", str(tmp_path / "out"),
+                           env_extra={"TEXTFORGE_SEED": raw})
+            assert proc.returncode == 1, (raw, proc.stderr)
+            assert "TEXTFORGE_SEED" in proc.stderr, raw
+
+    def test_non_utf8_config(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(b'{"task": "caf\xe9"}')
+        proc = run_cli("train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 1, proc.stderr
+        assert "config.json is not UTF-8" in proc.stderr
+
+    def test_non_utf8_tsv(self, tmp_path):
+        cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1)
+        train_path = cfg["task"]["doc_classification"]["data"]["tsv"]["train_path"]
+        with open(train_path, "ab") as handle:
+            handle.write(b"alarm\twake me at caf\xe9\n")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        proc = run_cli("train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 1, proc.stderr
+        assert "%s is not UTF-8" % train_path in proc.stderr
 
     def test_resume_rejects_other_config(self, doc_run, tmp_path):
         cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1,
@@ -210,6 +239,18 @@ class TestExportAndBench:
         assert row["label"] is None and row["score"] is None
         assert len(row["tags"]) == 3 and len(row["tag_scores"]) == 3
 
+    def test_older_checkpoint_format_is_refused(self, doc_run, tmp_path):
+        # format 1 snapshots a config schema that had an export section
+        blob = bytearray(open(doc_run.ckpt, "rb").read())
+        blob[4:8] = struct.pack("<I", 1)
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(bytes(blob))
+        for args in (("export", "--model", str(old), "--out", str(tmp_path / "m.graph")),
+                     ("predict", "--ckpt", str(old))):
+            proc = run_cli(*args, stdin="hello\n")
+            assert proc.returncode == 1, (args, proc.stderr)
+            assert "format version 1, expected 2" in proc.stderr, args
+
     def test_bench_prints_percentiles(self, doc_run, doc_graph, tmp_path):
         out = tmp_path / "bench.json"
         proc = run_cli("bench", "--ckpt", doc_run.ckpt, "--graph", doc_graph,
@@ -235,3 +276,32 @@ class TestUsage:
     def test_unknown_subcommand(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 1
+
+
+class TestQuickStart:
+    """The README quick start, run as written: its TSVs and config go to a
+    fresh directory, then train -> export -> predict --graph."""
+
+    def test_readme_quick_start(self, tmp_path):
+        with open(README, encoding="utf-8") as handle:
+            text = handle.read()
+        section = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+        files = re.findall(r"cat > (\S+) <<'EOF'\n(.*?\n)EOF\n", section, re.S)
+        (config,) = re.findall(r"```json\n(.*?)```", section, re.S)
+        assert [name for name, _ in files] == ["train.tsv", "eval.tsv"]
+        for name, body in files:
+            (tmp_path / name).write_text(body, encoding="utf-8")
+        (tmp_path / "config.json").write_text(config, encoding="utf-8")
+
+        steps = [("train", "--config", "config.json", "--out-dir", "run"),
+                 ("export", "--model", "run/model.ckpt", "--out", "model.graph")]
+        for step in steps:
+            proc = run_cli(*step, cwd=str(tmp_path))
+            assert proc.returncode == 0, (step, proc.stderr)
+        texts = ["wake me at eight", "play some jazz", ""]
+        proc = run_cli("predict", "--graph", "model.graph", stdin="\n".join(texts) + "\n",
+                       cwd=str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        rows = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert len(rows) == len(texts)
+        assert all(row["label"] in ("alarm", "music") for row in rows)

@@ -9,11 +9,9 @@ import pytest
 import corpora
 from textforge.components import DOC_TASK, WORD_TASK
 from textforge.data_handler import single_example_batch
-from textforge.errors import (EmptySampleSet, UnsupportedModule,
-                              VocabAlreadyBaked)
+from textforge.errors import EmptySampleSet, UnsupportedModule
 from textforge.exporter import (EquivalenceReport, export_model,
-                                export_pipeline, prepend_vocab,
-                                verify_equivalence)
+                                export_pipeline, verify_equivalence)
 from textforge.graph import Executor, run, serialize
 from textforge.pipeline import instantiate_task
 from textforge.registry import parse_task_config
@@ -67,7 +65,8 @@ class TestLoweringShape:
         unbaked = export_model(pipe.model, pipe.featurizer.settings,
                                pipe.doc_labels, DOC_TASK)
         assert unbaked.inputs == ["token_ids", "char_ids", "cap_ids"]
-        baked = prepend_vocab(unbaked, pipe.vocabs)
+        baked = export_model(pipe.model, pipe.featurizer.settings,
+                             pipe.doc_labels, DOC_TASK, pipe.vocabs)
         assert baked.inputs == ["tokens", "cap_labels"]
         lookup_ops = [op.opcode for op in baked.ops[:3]]
         assert lookup_ops == ["LookupTokens", "LookupChars", "LookupTokens"]
@@ -79,12 +78,6 @@ class TestLoweringShape:
         assert set(graph.consts) <= set(named)
         for name, value in graph.consts.items():
             assert np.array_equal(value, named[name].data), name
-
-    def test_double_bake_rejected(self, tmp_path):
-        pipe = make_pipe(tmp_path)
-        graph = export_pipeline(pipe)  # baked by default
-        with pytest.raises(VocabAlreadyBaked):
-            prepend_vocab(graph, pipe.vocabs)
 
     def test_non_single_task_model_rejected(self, tmp_path):
         pipe = make_pipe(tmp_path, kind="joint")
@@ -132,6 +125,26 @@ class TestGoldenBytes:
         digests = {name: hashlib.sha256(serialize(g)).hexdigest()
                    for name, g in graphs.items()}
         assert digests == self.GOLDEN
+
+    def test_baked_and_unbaked_share_one_body(self, tmp_path):
+        """Baking only puts lookups in front: after them each baked graph is
+        its unbaked graph, op for op, with the same consts and attrs."""
+        cases = {"doc": ("doc", {}), "word": ("word", {"embedding": RICH_EMBEDDING}),
+                 "doc.all_stages": ("doc", self.ALL_STAGES), "joint": ("joint", {})}
+        for name, (kind, overrides) in cases.items():
+            (tmp_path / name).mkdir()
+            pipe = make_pipe(tmp_path / name, kind=kind, **overrides)
+            baked, unbaked = export_pipeline(pipe), export_pipeline(pipe, bake=False)
+            pairs = ([(baked[h], unbaked[h]) for h in ("doc", "word")] if kind == "joint"
+                     else [(baked, unbaked)])
+            for b, u in pairs:
+                n = len(u.inputs)
+                assert all(op.opcode.startswith("Lookup") for op in b.ops[:n]), name
+                assert [op.outputs[0] for op in b.ops[:n]] == u.inputs, name
+                assert b.ops[n:] == u.ops, name
+                assert list(b.consts) == list(u.consts), name
+                assert all(np.array_equal(b.consts[k], u.consts[k]) for k in u.consts), name
+                assert b.attrs == u.attrs, name
 
 
 class TestParameterLayout:

@@ -9,7 +9,7 @@ from textforge import components, ops
 from textforge.data_handler import Batch, VocabBundle
 from textforge.errors import (CorruptFile, DimMismatch, IncompatibleShare,
                               MalformedLine, MultiTaskArity, NoStyleSelected,
-                              ShapeMismatch)
+                              NotUtf8, ShapeMismatch)
 from textforge.featurizer import CAP_CLASSES, GAZ_NONE
 from textforge.model_zoo import (BiLSTMAttnRepresentation, BiLSTMModule,
                                  BiLSTMTaggerRepresentation,
@@ -144,6 +144,13 @@ class TestPretrainedEmbeddings:
         vocab = Vocabulary(["alarm"])
         with pytest.raises(DimMismatch):
             load_pretrained_embeddings(self._write(tmp_path, ["alarm 1.0 2.0"]), vocab, 3,
+                                       np.random.default_rng(0))
+
+    def test_non_utf8_file_names_its_path(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(b"caf\xe9 1.0 2.0 3.0\n")
+        with pytest.raises(NotUtf8, match="vectors.txt is not UTF-8"):
+            load_pretrained_embeddings(str(path), Vocabulary(["alarm"]), 3,
                                        np.random.default_rng(0))
 
 
