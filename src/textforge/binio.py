@@ -1,16 +1,25 @@
-"""Small deterministic binary codec shared by checkpoint and graph files.
+"""Small deterministic codec shared by checkpoint, graph and module files.
+
+A body is a 4-byte little-endian header length, a compact UTF-8 JSON header,
+then the raw bytes of every array, in the order the header names them (the
+layout of safetensors). In the header each ndarray is replaced, where it
+stands, by a marker object {"__ndarray__": [dtype code, *shape]}; its bytes
+are C-order float32 (code 0) or int64 (code 1), little-endian.
 
 The encoding is a pure function of the value, so decode(encode(x)) == x and
-encode(decode(b)) == b for any bytes this module produced. Dict key order is
-preserved, which is what makes save -> load -> save byte-identical.
+encode(decode(b)) == b for any bytes this module produced; a NaN float comes
+back as the canonical NaN. Dict key order is preserved, which is what makes
+save -> load -> save byte-identical. encode raises TypeError on what it
+cannot round-trip; decode raises CorruptFile on every malformed body.
 
-Wire format: one tag byte per value, multi-byte integers little-endian.
-Arrays are written as dtype code, ndim, dims, then raw C-order bytes
-(float32 or int64, little-endian). Files are replaced atomically, so an
-interrupted write leaves the previous file in place.
+Files wrap a body in a container: magic, format version, CRC-32 of the body.
+They are replaced atomically, so an interrupted write leaves the previous
+file in place.
 """
 
 import contextlib
+import json
+import math
 import os
 import struct
 import zlib
@@ -18,160 +27,90 @@ import zlib
 import numpy as np
 
 from .errors import CorruptFile, VersionMismatch
+from .vocab import all_str
 
-_TAG_NONE = b"N"
-_TAG_TRUE = b"T"
-_TAG_FALSE = b"F"
-_TAG_INT = b"i"
-_TAG_FLOAT = b"f"
-_TAG_STR = b"s"
-_TAG_LIST = b"l"
-_TAG_DICT = b"d"
-_TAG_ARRAY = b"a"
-
+_MARKER = "__ndarray__"
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.int64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<i8")}
 
 # lists and dicts nest at most this deep; real payloads nest about 5 deep
 MAX_DEPTH = 64
+_NESTED = "values nested more than %d deep" % MAX_DEPTH
+
+
+def _check_tree(value, depth=0):
+    """Raise TypeError on a dict key that is not a str or is the marker key,
+    RecursionError on lists and dicts nested more than MAX_DEPTH deep."""
+    if isinstance(value, dict):
+        if not all_str(value) or _MARKER in value:
+            raise TypeError("dict keys must be str other than %r" % _MARKER)
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:
+        return
+    if depth == MAX_DEPTH:
+        raise RecursionError(_NESTED)
+    if not all_str(items):
+        for item in items:
+            _check_tree(item, depth + 1)
 
 
 def encode(value) -> bytes:
-    out = bytearray()
-    _encode(value, out)
-    return bytes(out)
+    chunks = []
 
+    def marker(arr):
+        if not isinstance(arr, np.ndarray):
+            raise TypeError("cannot encode value of type %s" % type(arr).__name__)
+        if arr.dtype not in _DTYPE_CODES:
+            raise TypeError("unsupported array dtype %s" % arr.dtype)
+        code = _DTYPE_CODES[arr.dtype]
+        chunks.append(np.ascontiguousarray(arr, _CODE_DTYPES[code]).data)
+        return {_MARKER: [code, *arr.shape]}
 
-def _encode(value, out: bytearray):
-    if value is None:
-        out += _TAG_NONE
-    elif value is True:
-        out += _TAG_TRUE
-    elif value is False:
-        out += _TAG_FALSE
-    elif isinstance(value, int):
-        out += _TAG_INT
-        out += struct.pack("<q", value)
-    elif isinstance(value, float):
-        out += _TAG_FLOAT
-        out += struct.pack("<d", value)
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out += _TAG_STR
-        out += struct.pack("<I", len(raw))
-        out += raw
-    elif isinstance(value, (list, tuple)):
-        out += _TAG_LIST
-        out += struct.pack("<I", len(value))
-        for item in value:
-            _encode(item, out)
-    elif isinstance(value, dict):
-        out += _TAG_DICT
-        out += struct.pack("<I", len(value))
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError("dict keys must be str, got %r" % (key,))
-            raw = key.encode("utf-8")
-            out += struct.pack("<I", len(raw))
-            out += raw
-            _encode(item, out)
-    elif isinstance(value, np.ndarray):
-        dtype = np.dtype(value.dtype)
-        if dtype not in _DTYPE_CODES:
-            raise TypeError("unsupported array dtype %s" % dtype)
-        arr = np.ascontiguousarray(value)
-        out += _TAG_ARRAY
-        out += struct.pack("<B", _DTYPE_CODES[dtype])
-        out += struct.pack("<B", arr.ndim)
-        for dim in arr.shape:
-            out += struct.pack("<I", dim)
-        out += arr.astype(_CODE_DTYPES[_DTYPE_CODES[dtype]], copy=False).tobytes(order="C")
-    else:
-        raise TypeError("cannot encode value of type %s" % type(value).__name__)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        self.depth = 0  # lists and dicts open around the value being read
-
-    def enter(self):
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise CorruptFile("values nested more than %d deep" % MAX_DEPTH)
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CorruptFile("unexpected end of data")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
+    try:
+        _check_tree(value)
+        header = json.dumps(value, ensure_ascii=False, separators=(",", ":"),
+                            default=marker).encode("utf-8")
+    except (ValueError, RecursionError) as exc:
+        # lone surrogates, ints too long to print, cycles, nesting
+        raise TypeError("cannot encode value: %s" % exc) from exc
+    return b"".join([struct.pack("<I", len(header)), header, *chunks])
 
 
 def decode(data: bytes):
-    reader = _Reader(data)
-    value = _decode(reader)
-    if reader.pos != len(data):
+    pos = end = 4 + int.from_bytes(data[:4], "little")
+    if end > len(data):  # also a length prefix cut short
+        raise CorruptFile("unexpected end of data")
+
+    def array(obj):
+        nonlocal pos
+        if _MARKER not in obj:
+            return obj
+        spec = obj[_MARKER]
+        if not (len(obj) == 1 and isinstance(spec, list) and spec
+                and all(type(n) is int and n >= 0 for n in spec)
+                and spec[0] in _CODE_DTYPES):
+            raise CorruptFile("malformed array marker")
+        dtype, shape = _CODE_DTYPES[spec[0]], spec[1:]
+        count = math.prod(shape)
+        if pos + count * dtype.itemsize > len(data):
+            raise CorruptFile("unexpected end of data")
+        arr = np.frombuffer(data, dtype, count, pos).reshape(shape)
+        pos += count * dtype.itemsize
+        # native dtype, writable copy
+        return arr.astype(dtype.newbyteorder("="))
+
+    try:
+        value = json.loads(str(data[4:end], "utf-8"), object_hook=array)
+        _check_tree(value)
+    except RecursionError as exc:
+        raise CorruptFile(_NESTED) from exc
+    except ValueError as exc:
+        raise CorruptFile("invalid header: %s" % exc) from exc
+    if pos != len(data):
         raise CorruptFile("trailing bytes after payload")
     return value
-
-
-def _decode(r: _Reader):
-    tag = r.take(1)
-    if tag == _TAG_NONE:
-        return None
-    if tag == _TAG_TRUE:
-        return True
-    if tag == _TAG_FALSE:
-        return False
-    if tag == _TAG_INT:
-        return r.unpack("<q")
-    if tag == _TAG_FLOAT:
-        return r.unpack("<d")
-    if tag == _TAG_STR:
-        n = r.unpack("<I")
-        try:
-            return r.take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorruptFile("invalid utf-8 string") from exc
-    if tag == _TAG_LIST:
-        n = r.unpack("<I")
-        r.enter()
-        items = [_decode(r) for _ in range(n)]
-        r.depth -= 1
-        return items
-    if tag == _TAG_DICT:
-        n = r.unpack("<I")
-        r.enter()
-        out = {}
-        for _ in range(n):
-            klen = r.unpack("<I")
-            try:
-                key = r.take(klen).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorruptFile("invalid utf-8 dict key") from exc
-            out[key] = _decode(r)
-        r.depth -= 1
-        return out
-    if tag == _TAG_ARRAY:
-        code = r.unpack("<B")
-        if code not in _CODE_DTYPES:
-            raise CorruptFile("unknown array dtype code %d" % code)
-        ndim = r.unpack("<B")
-        shape = tuple(r.unpack("<I") for _ in range(ndim))
-        dtype = _CODE_DTYPES[code]
-        count = 1
-        for dim in shape:
-            count *= dim
-        raw = r.take(count * dtype.itemsize)
-        arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
-        # native dtype view, writable copy
-        return arr.astype(dtype.newbyteorder("="), copy=True)
-    raise CorruptFile("unknown tag byte %r" % tag)
 
 
 def write_file(path: str, data: bytes) -> None:
@@ -194,25 +133,27 @@ def write_file(path: str, data: bytes) -> None:
         raise
 
 
-def write_container(path: str, magic: bytes, version: int, payload) -> None:
-    """Write payload under a fixed header: magic, version, body checksum."""
+def pack_container(magic: bytes, version: int, payload) -> bytes:
+    """payload under a fixed header: magic, version, body checksum."""
     body = encode(payload)
-    header = magic + struct.pack("<I", version) + struct.pack("<I", zlib.crc32(body))
-    write_file(path, header + body)
+    return magic + struct.pack("<II", version, zlib.crc32(body)) + body
+
+
+def unpack_container(data: bytes, magic: bytes, version: int, source: str):
+    """The payload of a pack_container blob, validating everything; header
+    errors name source."""
+    if len(data) < 12 or data[:4] != magic:
+        raise CorruptFile("%s: bad or missing file header" % source)
+    got_version, crc = struct.unpack_from("<II", data, 4)
+    if got_version != version:
+        raise VersionMismatch("%s: format version %d, expected %d"
+                              % (source, got_version, version))
+    body = memoryview(data)[12:]
+    if zlib.crc32(body) != crc:
+        raise CorruptFile("%s: checksum mismatch" % source)
+    return decode(body)
 
 
 def read_container(path: str, magic: bytes, version: int):
-    """Read a container written by write_container, validating everything."""
     with open(path, "rb") as handle:
-        data = handle.read()
-    if len(data) < 12 or data[:4] != magic:
-        raise CorruptFile("%s: bad or missing file header" % path)
-    got_version = struct.unpack("<I", data[4:8])[0]
-    if got_version != version:
-        raise VersionMismatch("%s: format version %d, expected %d"
-                              % (path, got_version, version))
-    crc = struct.unpack("<I", data[8:12])[0]
-    body = data[12:]
-    if zlib.crc32(body) != crc:
-        raise CorruptFile("%s: checksum mismatch" % path)
-    return decode(body)
+        return unpack_container(handle.read(), magic, version, path)

@@ -11,6 +11,7 @@ per-token tags after it in the same column. The optional gazetteer column is
 ``start:end:kind`` triples joined by commas, with byte offsets.
 """
 
+import io
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -72,13 +73,20 @@ class Batch:
 
 
 def read_lines(path: str) -> list:
-    """The lines of a UTF-8 text file (a config, TSV, vectors or input file),
-    newlines stripped; a file that is not UTF-8 raises NotUtf8 naming it."""
+    """The lines of a UTF-8 text file (a config, TSV, vectors or input file)."""
+    with open(path, "rb") as handle:
+        return text_lines(handle.read(), path)
+
+
+def text_lines(data: bytes, source: str) -> list:
+    """The lines of UTF-8 text read from source, split on universal newlines
+    as a text-mode file is, newlines stripped; bytes that are not UTF-8 raise
+    NotUtf8 naming source."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return [line.rstrip("\n") for line in handle]
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise NotUtf8("%s is not UTF-8 text: %s" % (path, exc.reason))
+        raise NotUtf8("%s is not UTF-8 text: %s" % (source, exc.reason))
+    return [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
 
 
 def _parse_gazetteer(column: str, line_no: int, path: str):

@@ -137,6 +137,10 @@ class CorruptGraph(TextForgeError):
     pass
 
 
+class ExportMismatch(TextForgeError):
+    pass
+
+
 class InputTypeMismatch(TextForgeError):
     pass
 

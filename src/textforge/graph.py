@@ -10,8 +10,6 @@ validate_graph and Executor both read it, so a new op is one row here plus
 the lower method of the model stage that emits it.
 """
 
-import struct
-import zlib
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
@@ -30,7 +28,7 @@ from .vocab import Vocabulary, all_str, is_table
 F32 = np.float32
 
 GRAPH_MAGIC = b"TXGR"
-GRAPH_VERSION = 1
+GRAPH_VERSION = 2
 
 SLOT_KINDS = ("f32", "i64", "str")
 
@@ -264,31 +262,19 @@ def serialize(graph: StaticGraph) -> bytes:
         "inputs": list(graph.inputs),
         "outputs": list(graph.outputs),
     }
-    head = GRAPH_MAGIC + struct.pack("<I", graph.version)
-    body = binio.encode(payload)
-    crc = zlib.crc32(head + body)
-    return head + body + struct.pack("<I", crc)
+    return binio.pack_container(GRAPH_MAGIC, graph.version, payload)
 
 
 def deserialize(data: bytes) -> StaticGraph:
-    if len(data) < 12 or data[:4] != GRAPH_MAGIC:
-        raise CorruptGraph("not a graph payload")
-    version = struct.unpack("<I", data[4:8])[0]
-    if version != GRAPH_VERSION:
-        raise VersionMismatch("graph format version %d, expected %d"
-                              % (version, GRAPH_VERSION))
-    crc = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(data[:-4]) != crc:
-        raise CorruptGraph("checksum mismatch")
     try:
-        payload = binio.decode(data[8:-4])
+        payload = binio.unpack_container(data, GRAPH_MAGIC, GRAPH_VERSION, "graph")
     except CorruptFile as exc:
-        raise CorruptGraph("undecodable body: %s" % exc)
+        raise CorruptGraph(str(exc))
     try:
         ops = [GraphOp(o["opcode"], tuple(o["inputs"]), tuple(o["outputs"]), o["attrs"])
                for o in payload["ops"]]
         graph = StaticGraph(
-            version=version,
+            version=GRAPH_VERSION,
             attrs=payload["attrs"],
             slots=payload["slots"],
             consts=payload["consts"],
@@ -297,7 +283,7 @@ def deserialize(data: bytes) -> StaticGraph:
             inputs=payload["inputs"],
             outputs=payload["outputs"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, IndexError) as exc:
         raise CorruptGraph("malformed graph payload: %s" % exc)
     validate_graph(graph)
     return graph

@@ -26,7 +26,7 @@ from .vocab import Vocabulary
 F32 = np.float32
 
 MODULE_MAGIC = b"TXFG"
-MODULE_VERSION = 1
+MODULE_VERSION = 2
 
 
 def _uniform(rng, shape, scale):
@@ -77,11 +77,10 @@ def save_module(module: LayerModule, path: str):
         "class": type(module).__name__,
         "kind": module.kind,
         "name": module.name,
-        "config": {key: list(value) if isinstance(value, (list, tuple)) else value
-                   for key, value in module.config.items()},
+        "config": module.config,
         "params": {name: p.data for name, p in module.named_parameters().items()},
     }
-    binio.write_container(path, MODULE_MAGIC, MODULE_VERSION, payload)
+    binio.write_file(path, binio.pack_container(MODULE_MAGIC, MODULE_VERSION, payload))
 
 
 def load_module_into(module: LayerModule, path: str):

@@ -20,7 +20,7 @@ from .vocab import all_str, is_table
 F32 = np.float32
 
 CKPT_MAGIC = b"TXFG"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 
 def seed_sequence(seed: int, *key):
@@ -245,7 +245,7 @@ def checkpoint_payload(pipe, opt, epoch, best_epoch, best_score, history, best_p
 
 
 def save_checkpoint(path: str, payload: dict) -> None:
-    binio.write_container(path, CKPT_MAGIC, CKPT_VERSION, payload)
+    binio.write_file(path, binio.pack_container(CKPT_MAGIC, CKPT_VERSION, payload))
 
 
 def _typed(kind):

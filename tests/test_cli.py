@@ -12,6 +12,8 @@ import pytest
 
 import corpora
 import textforge
+from textforge import cli
+from textforge.exporter import EquivalenceReport
 from textforge.trainer import load_checkpoint
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(textforge.__file__)))
@@ -25,8 +27,10 @@ def run_cli(*args, stdin="", env_extra=None, cwd=None):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
+    # surrogateescape lets a test pipe in bytes that are not UTF-8
     return subprocess.run([sys.executable, "-m", "textforge.cli", *args],
-                          input=stdin, capture_output=True, text=True, env=env, cwd=cwd)
+                          input=stdin, capture_output=True, encoding="utf-8",
+                          errors="surrogateescape", env=env, cwd=cwd)
 
 
 _ATTN = {"representation": {"bilstm_attn": {}}}
@@ -192,6 +196,13 @@ class TestPredict:
         assert proc.returncode == 0
         assert proc.stdout == ""
 
+    def test_non_utf8_stdin(self, doc_graph):
+        proc = run_cli("predict", "--graph", doc_graph,
+                       stdin=b"caf\xe9 wake\n".decode("utf-8", "surrogateescape"))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("textforge: error: stdin is not UTF-8 text")
+        assert proc.stdout == ""
+
     def test_corrupt_graph(self, doc_graph, tmp_path):
         blob = bytearray(open(doc_graph, "rb").read())
         blob[len(blob) // 2] ^= 0xFF
@@ -240,16 +251,50 @@ class TestExportAndBench:
         assert len(row["tags"]) == 3 and len(row["tag_scores"]) == 3
 
     def test_older_checkpoint_format_is_refused(self, doc_run, tmp_path):
-        # format 1 snapshots a config schema that had an export section
+        # format 2 bodies are the tagged codec that format 3 replaced
         blob = bytearray(open(doc_run.ckpt, "rb").read())
-        blob[4:8] = struct.pack("<I", 1)
-        old = tmp_path / "v1.ckpt"
+        blob[4:8] = struct.pack("<I", 2)
+        old = tmp_path / "v2.ckpt"
         old.write_bytes(bytes(blob))
         for args in (("export", "--model", str(old), "--out", str(tmp_path / "m.graph")),
                      ("predict", "--ckpt", str(old))):
             proc = run_cli(*args, stdin="hello\n")
             assert proc.returncode == 1, (args, proc.stderr)
-            assert "format version 1, expected 2" in proc.stderr, args
+            assert "format version 2, expected 3" in proc.stderr, args
+
+    def test_older_graph_format_is_refused(self, doc_graph, tmp_path):
+        # format 1 graphs hold a tagged-codec body with the checksum at the end
+        blob = bytearray(open(doc_graph, "rb").read())
+        blob[4:8] = struct.pack("<I", 1)
+        old = tmp_path / "v1.graph"
+        old.write_bytes(bytes(blob))
+        proc = run_cli("predict", "--graph", str(old), stdin="hello\n")
+        assert proc.returncode == 1, proc.stderr
+        assert "format version 1, expected 2" in proc.stderr
+
+    @pytest.mark.parametrize("kind,bad_head,report", [
+        ("doc", None, EquivalenceReport(1e-7, True, 40)),
+        ("joint", "word", EquivalenceReport(0.0, False, 40)),
+    ])
+    def test_export_that_differs_from_eager_writes_nothing(self, tmp_path, monkeypatch,
+                                                           capsys, kind, bad_head, report):
+        build = {"doc": corpora.doc_config, "joint": corpora.joint_config}[kind]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(build(str(tmp_path), n_train=12, n_eval=6, epochs=1)),
+                            encoding="utf-8")
+        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        checked = []
+
+        def verify(pipe, graph, n_samples, seed, head):
+            checked.append(head)
+            return report if head == bad_head else EquivalenceReport(0.0, True, 40)
+        monkeypatch.setattr(cli, "verify_equivalence", verify)
+        capsys.readouterr()
+        assert cli.main(["export", "--model", str(tmp_path / "model.ckpt"),
+                         "--out", str(tmp_path / "model.graph")]) == 1
+        assert "no graph written" in capsys.readouterr().err
+        assert checked == (["doc", "word"] if kind == "joint" else [None])
+        assert not [name for name in os.listdir(str(tmp_path)) if name.endswith(".graph")]
 
     def test_bench_prints_percentiles(self, doc_run, doc_graph, tmp_path):
         out = tmp_path / "bench.json"

@@ -104,11 +104,11 @@ class TestGoldenBytes:
     }
 
     GOLDEN = {
-        "doc": "0b202dd3ce56b0cd8f82339df2b29e78ef456187ab282dcb3214da13d5c42560",
-        "word": "c02d3710125f6114608f8e2338979e2ee7d9d48e065646a18b1b1f1291ee5117",
-        "joint.doc": "0d575edc22e23d4e84678473ff81a4a52e5c56e6f3a569df3bc7d75d72f1f859",
-        "joint.word": "072fa422c703d29e82469d72e24ef0a183123127c47c5ef1fc3144d81092770b",
-        "doc.all_stages": "ad187342019038e9a15654885295bde179725441dd922dae45b254ded167daee",
+        "doc": "869b81c31776e035c048c68df49e81d93e02f566bf976ef6914920a99393ae89",
+        "word": "2350687c9060d93902464d947a66219a8da98797652c4c6cc73779630b88969f",
+        "joint.doc": "c2ca4d281517499b27dfab021adbd0d03865d41b21bbf07544e4087f9c9443dc",
+        "joint.word": "42d94d86411f2a6babb9eac59208972a280dc7689877ec813e789f977fbeaa5e",
+        "doc.all_stages": "7ec279ecb0dc11ab8e5de5eb8344414cf32d7211d0c4a1ad266a2ef02b353c0b",
     }
 
     def test_graph_bytes_are_pinned(self, tmp_path):

@@ -291,13 +291,12 @@ def malformed_const_slot_declared_str():
 
 def graph_blob(body: bytes) -> bytes:
     """A graph blob with a valid header and checksum around any body."""
-    head = GRAPH_MAGIC + struct.pack("<I", GRAPH_VERSION)
-    return head + body + struct.pack("<I", zlib.crc32(head + body))
+    return GRAPH_MAGIC + struct.pack("<II", GRAPH_VERSION, zlib.crc32(body)) + body
 
 
 def payload_with(field, value):
     """The payload of linear_graph() with one field replaced, re-encoded."""
-    payload = binio.decode(serialize(linear_graph())[8:-4])
+    payload = binio.decode(serialize(linear_graph())[12:])
     payload[field] = value
     return graph_blob(binio.encode(payload))
 
@@ -482,8 +481,18 @@ class TestValidation:
         Executor(load_graph(path))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("payload", [
+        np.zeros(3, dtype=F32),
+        {"ops": [np.zeros(3, dtype=F32)]},
+        ["ops"],
+    ], ids=["array", "op an array", "list"])
+    def test_payload_of_the_wrong_shape_rejected_on_load(self, payload):
+        with pytest.raises(CorruptGraph, match="malformed graph payload"):
+            deserialize(graph_blob(binio.encode(payload)))
+
     def test_deep_nesting_rejected_on_load(self):
-        deep = (b"l" + struct.pack("<I", 1)) * 5000 + b"N"
+        header = b"[" * 5000 + b"null" + b"]" * 5000
+        deep = struct.pack("<I", len(header)) + header
         with pytest.raises(CorruptGraph, match="nested"):
             deserialize(graph_blob(deep))
 

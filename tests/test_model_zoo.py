@@ -1,6 +1,7 @@
 """Model stage contracts: shapes, init conventions, sharing, persistence."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from textforge import components, ops
 from textforge.data_handler import Batch, VocabBundle
 from textforge.errors import (CorruptFile, DimMismatch, IncompatibleShare,
                               MalformedLine, MultiTaskArity, NoStyleSelected,
-                              NotUtf8, ShapeMismatch)
+                              NotUtf8, ShapeMismatch, VersionMismatch)
 from textforge.featurizer import CAP_CLASSES, GAZ_NONE
 from textforge.model_zoo import (BiLSTMAttnRepresentation, BiLSTMModule,
                                  BiLSTMTaggerRepresentation,
@@ -358,11 +359,24 @@ class TestModulePersistence:
         with pytest.raises(ShapeMismatch):
             load_module_into(wider, path)
 
+    def test_older_format_is_refused(self, tmp_path):
+        # format 1 bodies are the tagged codec that format 2 replaced
+        rng = np.random.default_rng(0)
+        dec = MLPDecoder("decoder", {"hidden_dims": []}, 4, 3, rng)
+        path = tmp_path / "dec.mod"
+        save_module(dec, str(path))
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(VersionMismatch, match="format version 1, expected 2"):
+            load_module_into(dec, str(path))
+
     def test_wrong_container_kind(self, tmp_path):
         from textforge import binio
         from textforge.model_zoo import MODULE_MAGIC, MODULE_VERSION
         path = str(tmp_path / "other.mod")
-        binio.write_container(path, MODULE_MAGIC, MODULE_VERSION, {"container": "other"})
+        binio.write_file(path, binio.pack_container(MODULE_MAGIC, MODULE_VERSION,
+                                                    {"container": "other"}))
         rng = np.random.default_rng(0)
         dec = MLPDecoder("decoder", {"hidden_dims": []}, 4, 3, rng)
         with pytest.raises(CorruptFile):

@@ -285,7 +285,8 @@ class TestCheckpointFiles:
 
     def test_wrong_container_rejected(self, tmp_path):
         path = str(tmp_path / "not_ckpt.bin")
-        binio.write_container(path, CKPT_MAGIC, CKPT_VERSION, {"container": "module"})
+        binio.write_file(path, binio.pack_container(CKPT_MAGIC, CKPT_VERSION,
+                                                    {"container": "module"}))
         with pytest.raises(CorruptFile):
             load_checkpoint(path)
 
@@ -311,7 +312,8 @@ class TestCheckpointFiles:
 
     def test_deep_nesting_rejected(self, tmp_path):
         def nested(depth):
-            return (b"l" + struct.pack("<I", 1)) * depth + b"N"
+            header = b"[" * depth + b"null" + b"]" * depth
+            return struct.pack("<I", len(header)) + header
         assert binio.decode(nested(binio.MAX_DEPTH)) is not None
         with pytest.raises(CorruptFile, match="nested"):
             binio.decode(nested(binio.MAX_DEPTH + 1))
