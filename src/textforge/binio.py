@@ -1,4 +1,4 @@
-"""Small deterministic codec shared by checkpoint, graph and module files.
+"""Small deterministic codec shared by checkpoint and graph files.
 
 A body is a 4-byte little-endian header length, a compact UTF-8 JSON header,
 then the raw bytes of every array, in the order the header names them (the
@@ -56,7 +56,8 @@ def _check_tree(value, depth=0):
             _check_tree(item, depth + 1)
 
 
-def encode(value) -> bytes:
+def _encode_parts(value) -> list:
+    """The parts of a body: length prefix, header, then each array's buffer."""
     chunks = []
 
     def marker(arr):
@@ -75,7 +76,11 @@ def encode(value) -> bytes:
     except (ValueError, RecursionError) as exc:
         # lone surrogates, ints too long to print, cycles, nesting
         raise TypeError("cannot encode value: %s" % exc) from exc
-    return b"".join([struct.pack("<I", len(header)), header, *chunks])
+    return [struct.pack("<I", len(header)), header, *chunks]
+
+
+def encode(value) -> bytes:
+    return b"".join(_encode_parts(value))
 
 
 def decode(data: bytes):
@@ -134,9 +139,14 @@ def write_file(path: str, data: bytes) -> None:
 
 
 def pack_container(magic: bytes, version: int, payload) -> bytes:
-    """payload under a fixed header: magic, version, body checksum."""
-    body = encode(payload)
-    return magic + struct.pack("<II", version, zlib.crc32(body)) + body
+    """payload under a fixed header: magic, version, body checksum. The body
+    parts are checksummed one by one and joined once with the header, so a
+    save holds one copy of the file, not two."""
+    parts = _encode_parts(payload)
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([magic, struct.pack("<II", version, crc), *parts])
 
 
 def unpack_container(data: bytes, magic: bytes, version: int, source: str):

@@ -49,63 +49,43 @@ class GraphBuilder:
 
     def __init__(self, model, attrs):
         self.attrs = attrs
-        self.slots = {}
         self.consts = {}
         self.ops = []
         self.inputs = []
         self.vocab_tables = {}
         self._paths = {id(p): path for path, p in model.named_parameters().items()}
 
-    def slot(self, base: str, kind: str) -> str:
-        name = base
-        i = 2
-        while name in self.slots:
-            name = "%s_%d" % (base, i)
-            i += 1
-        self.slots[name] = kind
-        return name
-
     def id_input(self, name: str, row: IdInput, vocabs) -> str:
         """An id slot: a graph input, or with vocabs the output of a lookup op
         over the raw string input, whose vocab table is attached."""
         if vocabs is None:
-            self.inputs.append(self.slot(name, "i64"))
-            return self.inputs[-1]
+            self.inputs.append(name)
+            return name
         extra = {"max_chars": self.attrs["max_chars"]} if row.lookup == "LookupChars" else {}
         self.vocab_tables[row.vocab] = list(getattr(vocabs, row.vocab).entries)
         if row.raw not in self.inputs:
             self.inputs.append(row.raw)
-        return self.emit(row.lookup, name, row.raw, kind="i64", vocab=row.vocab, **extra)
+        return self.emit(row.lookup, name, row.raw, vocab=row.vocab, **extra)
 
     def const(self, param: Parameter) -> str:
-        # parameter paths are unique per model, so no renaming here
         name = self._paths[id(param)]
-        if name not in self.consts:
-            self.slots[name] = "f32"
-            self.consts[name] = param.data
+        self.consts.setdefault(name, param.data)
         return name
 
-    def emit(self, opcode: str, out_base: str, *inputs, kind="f32", **attrs) -> str:
-        """Append one op; inputs are slot names or Parameters. The output slot
-        is declared before the parameters become consts."""
-        out = self.slot(out_base, kind)
+    def emit(self, opcode: str, out: str, *inputs, **attrs) -> str:
+        """Append one op writing slot out; inputs are slot names or Parameters."""
         names = tuple(self.const(x) if isinstance(x, Parameter) else x for x in inputs)
         self.ops.append(GraphOp(opcode, names, (out,), attrs))
         return out
 
-    def concat(self, out_base: str, parts: list) -> str:
+    def concat(self, out: str, parts: list) -> str:
         """Concat over the last axis, or the one part itself."""
-        return self.emit("Concat", out_base, *parts, axis=-1) if len(parts) > 1 else parts[0]
+        return self.emit("Concat", out, *parts, axis=-1) if len(parts) > 1 else parts[0]
 
     def finish(self, outputs) -> StaticGraph:
-        # raw string inputs are declared last, after every slot of the body:
-        # that slot order is part of the serialized bytes of a baked graph
-        for name in self.inputs:
-            self.slots.setdefault(name, "str")
         graph = StaticGraph(
             version=GRAPH_VERSION,
             attrs=self.attrs,
-            slots=self.slots,
             consts=self.consts,
             vocab_tables=self.vocab_tables,
             ops=self.ops,
@@ -137,7 +117,7 @@ def export_model(model: SingleTaskModel, featurizer_settings, labels, task,
     b.emit("Softmax", "scores", logits)
     # argmax reads the logits: equal logits stay equal after softmax, but
     # distinct ones can round to a tie in f32 probability space
-    b.emit("ArgMax", "pred", logits, kind="i64")
+    b.emit("ArgMax", "pred", logits)
     return b.finish(("pred", "scores"))
 
 
@@ -231,7 +211,8 @@ def verify_equivalence(pipe, graph: StaticGraph, n_samples: int = 20,
             max_dev = float("inf")
             continue
         if g_scores.size:
-            max_dev = max(max_dev, float(np.abs(e_scores - g_scores).max()))
+            # np.maximum keeps a NaN deviation where max() would drop it
+            max_dev = float(np.maximum(max_dev, np.abs(e_scores - g_scores).max()))
         if not np.array_equal(out.preds[0], res["pred"]):
             agree = False
     return EquivalenceReport(max_dev, agree, len(texts))

@@ -28,9 +28,7 @@ from .vocab import Vocabulary, all_str, is_table
 F32 = np.float32
 
 GRAPH_MAGIC = b"TXGR"
-GRAPH_VERSION = 2
-
-SLOT_KINDS = ("f32", "i64", "str")
+GRAPH_VERSION = 3
 
 
 @dataclass
@@ -45,7 +43,6 @@ class GraphOp:
 class StaticGraph:
     version: int
     attrs: dict            # graph-level: featurizer settings, task, label names
-    slots: dict            # slot name -> kind
     consts: dict           # slot name -> ndarray payload
     vocab_tables: dict     # vocab name -> entry list (token/char/gaz/cap)
     ops: list
@@ -193,7 +190,7 @@ def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
 
 def validate_graph(graph: StaticGraph) -> None:
     """Topology, naming, per-op and output checks; raises CorruptGraph on any violation."""
-    for what in ("attrs", "slots", "consts", "vocab_tables"):
+    for what in ("attrs", "consts", "vocab_tables"):
         if not isinstance(getattr(graph, what), dict):
             raise CorruptGraph("graph %s are not a mapping" % what)
     for name, well_formed in GRAPH_ATTRS.items():
@@ -207,19 +204,10 @@ def validate_graph(graph: StaticGraph) -> None:
         if not is_table(entries):
             raise CorruptGraph("vocab table %r is not a list of unique strings starting "
                                "with %s, %s" % (name, Vocabulary.PAD, Vocabulary.UNK))
-    for name, kind in graph.slots.items():
-        if not isinstance(kind, str) or kind not in SLOT_KINDS:
-            raise CorruptGraph("slot %r has unknown kind %r" % (name, kind))
     for name, value in graph.consts.items():
-        if name not in graph.slots:
-            raise CorruptGraph("const %r is not a declared slot" % name)
-        # the exporter writes every weight as a float32 array in an f32 slot
-        if graph.slots[name] != "f32" or not (isinstance(value, np.ndarray)
-                                              and value.dtype == F32):
-            raise CorruptGraph("const %r is not a float32 array in an f32 slot" % name)
-    for name in graph.inputs:
-        if name not in graph.slots:
-            raise CorruptGraph("input %r is not a declared slot" % name)
+        # the exporter writes every weight as a float32 array
+        if not (isinstance(value, np.ndarray) and value.dtype == F32):
+            raise CorruptGraph("const %r is not a float32 array" % name)
 
     produced = set(graph.consts) | set(graph.inputs)
     for op in graph.ops:
@@ -231,8 +219,6 @@ def validate_graph(graph: StaticGraph) -> None:
         out = op.outputs[0]
         if out in produced:
             raise CorruptGraph("slot %r has more than one producer" % out)
-        if out not in graph.slots:
-            raise CorruptGraph("op %s writes undeclared slot %r" % (op.opcode, out))
         produced.add(out)
     for name in graph.outputs:
         if name not in produced:
@@ -253,7 +239,6 @@ def validate_graph(graph: StaticGraph) -> None:
 def serialize(graph: StaticGraph) -> bytes:
     payload = {
         "attrs": graph.attrs,
-        "slots": graph.slots,
         "consts": graph.consts,
         "vocabs": graph.vocab_tables,
         "ops": [{"opcode": op.opcode, "inputs": list(op.inputs),
@@ -276,7 +261,6 @@ def deserialize(data: bytes) -> StaticGraph:
         graph = StaticGraph(
             version=GRAPH_VERSION,
             attrs=payload["attrs"],
-            slots=payload["slots"],
             consts=payload["consts"],
             vocab_tables=payload["vocabs"],
             ops=ops,

@@ -1,14 +1,13 @@
 """Model zoo: token embeddings, representations, decoders and output layers.
 
 Every model decomposes into the same four stages. Each stage is a LayerModule
-that owns its parameters, can be saved and loaded on its own, and states its
-output shape up front so wiring mistakes fail at construction or on the first
-forward rather than deep inside a training run. Beside its forward, each
-embedding, representation and decoder class has a lower method that emits
-the same computation as graph ops through the exporter's GraphBuilder. The
-models are LayerModules too, so one walk (own parameters, then children)
-names every parameter for checkpoints, optimizer state, graph consts and
-module files, and one checked loader, load_params, sets them back.
+that owns its parameters and states its output shape up front, so wiring
+mistakes fail at construction or on the first forward rather than deep inside
+a training run. Beside its forward, each embedding, representation and decoder
+class has a lower method that emits the same computation as graph ops through
+the exporter's GraphBuilder. The models are LayerModules too, so one walk (own
+parameters, then children) names every parameter for checkpoints, optimizer
+state and graph consts, and one checked loader, load_params, sets them back.
 """
 
 from dataclasses import dataclass
@@ -16,17 +15,14 @@ from typing import Optional
 
 import numpy as np
 
-from . import binio, kernels, ops
+from . import kernels, ops
 from .data_handler import Batch, VocabBundle, read_lines
-from .errors import (CorruptFile, DimMismatch, IncompatibleShare, MalformedLine, MultiTaskArity,
+from .errors import (DimMismatch, IncompatibleShare, MalformedLine, MultiTaskArity,
                      NoStyleSelected, ShapeMismatch)
 from .tensor import Parameter, Tensor
 from .vocab import Vocabulary
 
 F32 = np.float32
-
-MODULE_MAGIC = b"TXFG"
-MODULE_VERSION = 2
 
 
 def _uniform(rng, shape, scale):
@@ -43,11 +39,8 @@ def _affine_pair(rng, fan_in, fan_out):
 class LayerModule:
     """Base for the models, their four stages and the stages' shareable children."""
 
-    kind = "module"
-
-    def __init__(self, name, config):
+    def __init__(self, name):
         self.name = name
-        self.config = dict(config)
         self._params = {}
 
     def add_param(self, local_name, array):
@@ -70,36 +63,12 @@ class LayerModule:
         return list({id(p): p for p in self.named_parameters().values()}.values())
 
 
-def save_module(module: LayerModule, path: str):
-    """Write one module (kind, name, config, parameters) to its own file."""
-    payload = {
-        "container": "module",
-        "class": type(module).__name__,
-        "kind": module.kind,
-        "name": module.name,
-        "config": module.config,
-        "params": {name: p.data for name, p in module.named_parameters().items()},
-    }
-    binio.write_file(path, binio.pack_container(MODULE_MAGIC, MODULE_VERSION, payload))
-
-
-def load_module_into(module: LayerModule, path: str):
-    """Load a saved module's parameters into a structurally equal instance."""
-    payload = binio.read_container(path, MODULE_MAGIC, MODULE_VERSION)
-    if not isinstance(payload, dict) or payload.get("container") != "module":
-        raise CorruptFile("%s: not a module file" % path)
-    if payload.get("class") != type(module).__name__:
-        raise IncompatibleShare("saved module is %s, not %s"
-                                % (payload.get("class"), type(module).__name__))
-    return load_params(module, payload.get("params"))
-
-
 def load_params(model, saved):
     """Set a model's parameters from a saved name -> array mapping.
 
     The mapping must hold exactly the model's parameter names, each a float32
-    array of its parameter's shape; otherwise nothing is assigned. Module
-    files, checkpoints and resumed runs all load parameters here.
+    array of its parameter's shape; otherwise nothing is assigned.
+    Checkpoints and resumed runs load parameters here.
     """
     params = model.named_parameters()
     if not isinstance(saved, dict) or set(saved) != set(params):
@@ -162,10 +131,8 @@ class TokenEmbedding(LayerModule):
     layers, gazetteer, capitalization.
     """
 
-    kind = "embedding"
-
     def __init__(self, name, config, vocabs: VocabBundle, rng):
-        super().__init__(name, config)
+        super().__init__(name)
         self.word_dim, self.char_dim, self.gaz_dim, self.cap_dim = (
             max(config[style + "_dim"], 0) for style in ("word", "char", "gaz", "cap"))
         if not (self.word_dim or self.char_dim or self.gaz_dim or self.cap_dim):
@@ -228,14 +195,11 @@ class TokenEmbedding(LayerModule):
         return ops.reshape(out, (b, t, self.char_out))
 
     def lower(self, b, feeds: dict) -> str:
-        # the word and char tables become consts before their gathers' outputs
-        # are declared (b.const runs first); the gaz and cap tables after
         parts = []
         if self.word_dim:
-            parts.append(b.emit("EmbedGather", "word_emb", feeds["token_ids"],
-                                b.const(self.word_table)))
+            parts.append(b.emit("EmbedGather", "word_emb", feeds["token_ids"], self.word_table))
         if self.char_dim:
-            chars = b.emit("EmbedGather", "char_emb", feeds["char_ids"], b.const(self.char_table))
+            chars = b.emit("EmbedGather", "char_emb", feeds["char_ids"], self.char_table)
             out = b.concat("char_cat", [b.emit("Conv1DMaxPool", "char_pool%d" % w, chars, filt)
                                         for w, filt in zip(self.char_widths, self.char_conv)])
             for i, layer in enumerate(self.highway):
@@ -268,10 +232,8 @@ class TokenEmbedding(LayerModule):
 class BiLSTMModule(LayerModule):
     """Shared bidirectional LSTM trunk. Forget gate biases start at 1."""
 
-    kind = "representation"
-
     def __init__(self, name, config, in_dim, rng):
-        super().__init__(name, config)
+        super().__init__(name)
         hidden = config["hidden_dim"]
         self.in_dim = in_dim
         self.hidden_dim = hidden
@@ -310,11 +272,10 @@ class Representation(LayerModule):
     the subclass's encode.
     """
 
-    kind = "representation"
     sequence_output = False
 
-    def __init__(self, name, config, in_dim):
-        super().__init__(name, config)
+    def __init__(self, name, in_dim):
+        super().__init__(name)
         self.in_dim = in_dim
 
     def forward(self, emb: Tensor, mask) -> Tensor:
@@ -334,7 +295,7 @@ class DocNNRepresentation(Representation):
     label = "docnn"
 
     def __init__(self, name, config, in_dim, rng):
-        super().__init__(name, config, in_dim)
+        super().__init__(name, in_dim)
         self.widths = list(config["filter_widths"])
         self.num_filters = config["num_filters"]
         if not self.widths or min(self.widths) < 1:
@@ -362,7 +323,7 @@ class BiLSTMTaggerRepresentation(Representation):
     sequence_output = True
 
     def __init__(self, name, config, in_dim, rng):
-        super().__init__(name, config, in_dim)
+        super().__init__(name, in_dim)
         self.bilstm = BiLSTMModule("bilstm", {"hidden_dim": config["hidden_dim"]}, in_dim, rng)
         self.out_dim = self.bilstm.out_dim
 
@@ -402,10 +363,8 @@ class BiLSTMAttnRepresentation(BiLSTMTaggerRepresentation):
 class MLPDecoder(LayerModule):
     """Affine stack with relu between hidden layers, projecting to classes."""
 
-    kind = "decoder"
-
     def __init__(self, name, config, in_dim, n_classes, rng):
-        super().__init__(name, config)
+        super().__init__(name)
         self.in_dim = in_dim
         self.n_classes = n_classes
         dims = [in_dim] + list(config["hidden_dims"]) + [n_classes]
@@ -442,11 +401,10 @@ class ModelOutput:
 
 
 class DocClassificationOutput(LayerModule):
-    kind = "output"
     sequence_output = False
 
-    def __init__(self, name="doc_classification", config=None):
-        super().__init__(name, config or {})
+    def __init__(self, name="doc_classification"):
+        super().__init__(name)
 
     def forward(self, logits: Tensor, labels, mask) -> ModelOutput:
         if logits.data.ndim != 2:
@@ -460,11 +418,10 @@ class DocClassificationOutput(LayerModule):
 
 
 class WordTaggingOutput(LayerModule):
-    kind = "output"
     sequence_output = True
 
-    def __init__(self, name="word_tagging", config=None):
-        super().__init__(name, config or {})
+    def __init__(self, name="word_tagging"):
+        super().__init__(name)
 
     def forward(self, logits: Tensor, labels, mask) -> ModelOutput:
         if logits.data.ndim != 3:
@@ -482,10 +439,8 @@ class WordTaggingOutput(LayerModule):
 class SingleTaskModel(LayerModule):
     """Embedding -> representation -> decoder -> output."""
 
-    kind = "model"
-
     def __init__(self, embedding, representation, decoder, output):
-        super().__init__("model", {})
+        super().__init__("model")
         self.embedding = embedding
         self.representation = representation
         self.decoder = decoder
@@ -515,12 +470,10 @@ class MultiTaskModel(LayerModule):
     appear under every head's name and once in parameters().
     """
 
-    kind = "model"
-
     def __init__(self, tasks, loss_weights):
         if len(tasks) < 2:
             raise MultiTaskArity("multi-task model needs at least 2 tasks")
-        super().__init__("model", {})
+        super().__init__("model")
         self.task_names = list(tasks)
         self.tasks = dict(tasks)
         self.loss_weights = dict(loss_weights)

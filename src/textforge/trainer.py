@@ -6,7 +6,7 @@ per epoch rather than advanced across epochs, so a resumed run replays the
 exact schedule of an uninterrupted one.
 """
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -252,14 +252,22 @@ def _typed(kind):
     return lambda value: isinstance(value, kind) and not isinstance(value, bool)
 
 
+_number = _typed((int, float))
+
+# EpochRecord field -> whether a loaded value is well formed
+_RECORD_FIELDS = {
+    "epoch": _typed(int), "train_loss": _number, "score": _number,
+    "metrics": lambda v: isinstance(v, dict) and all(map(_number, v.values())),
+}
+
 # checkpoint field -> whether a loaded value is well formed; parameter names
 # and shapes are checked when they are loaded into a model (load_params)
 _CKPT_FIELDS = {
     "config": _typed(str), "seed": _typed(int), "epoch": _typed(int), "best_epoch": _typed(int),
-    "best_score": _typed((int, float)),
+    "best_score": _number,
     "history": lambda v: isinstance(v, list) and all(
-        isinstance(rec, dict) and set(rec) == {f.name for f in fields(EpochRecord)}
-        for rec in v),
+        isinstance(rec, dict) and set(rec) == set(_RECORD_FIELDS)
+        and all(ok(rec[name]) for name, ok in _RECORD_FIELDS.items()) for rec in v),
     "vocabs": lambda v: isinstance(v, dict) and all(is_table(v.get(n)) for n in VOCAB_NAMES),
     "labels": lambda v: isinstance(v, dict) and all(
         isinstance(v.get(k), list) and all_str(v[k]) for k in ("doc", "word")),

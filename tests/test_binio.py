@@ -3,6 +3,8 @@
 import json
 import math
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -79,6 +81,27 @@ class TestRoundTrip:
         header = ('{"w":{"%s":[0,2,3]},"n":[1,"é"],"ids":{"%s":[1,1]}}'
                   % (MARKER, MARKER)).encode("utf-8")
         assert data == body(header) + w.astype("<f4").tobytes() + ids.astype("<i8").tobytes()
+
+
+class TestContainer:
+    @settings(max_examples=100, deadline=None)
+    @given(trees)
+    def test_layout(self, value):
+        data = binio.encode(value)
+        blob = binio.pack_container(b"TEST", 7, value)
+        assert blob == b"TEST" + struct.pack("<II", 7, zlib.crc32(data)) + data
+        assert_same(value, binio.unpack_container(blob, b"TEST", 7, "test"))
+
+    def test_save_holds_one_copy_of_the_file(self):
+        payload = {"w": np.ones((1000, 1000), dtype=np.float32), "n": list(range(100))}
+        tracemalloc.start()
+        try:
+            blob = binio.pack_container(b"TEST", 1, payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(blob) > 4_000_000
+        assert peak < 1.25 * len(blob)
 
 
 class TestEncodeRefuses:

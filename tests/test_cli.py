@@ -263,14 +263,14 @@ class TestExportAndBench:
             assert "format version 2, expected 3" in proc.stderr, args
 
     def test_older_graph_format_is_refused(self, doc_graph, tmp_path):
-        # format 1 graphs hold a tagged-codec body with the checksum at the end
+        # format 2 graphs carry a table of slot kinds that format 3 dropped
         blob = bytearray(open(doc_graph, "rb").read())
-        blob[4:8] = struct.pack("<I", 1)
-        old = tmp_path / "v1.graph"
+        blob[4:8] = struct.pack("<I", 2)
+        old = tmp_path / "v2.graph"
         old.write_bytes(bytes(blob))
         proc = run_cli("predict", "--graph", str(old), stdin="hello\n")
         assert proc.returncode == 1, proc.stderr
-        assert "format version 1, expected 2" in proc.stderr
+        assert "format version 2, expected 3" in proc.stderr
 
     @pytest.mark.parametrize("kind,bad_head,report", [
         ("doc", None, EquivalenceReport(1e-7, True, 40)),

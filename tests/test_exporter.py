@@ -104,11 +104,11 @@ class TestGoldenBytes:
     }
 
     GOLDEN = {
-        "doc": "869b81c31776e035c048c68df49e81d93e02f566bf976ef6914920a99393ae89",
-        "word": "2350687c9060d93902464d947a66219a8da98797652c4c6cc73779630b88969f",
-        "joint.doc": "c2ca4d281517499b27dfab021adbd0d03865d41b21bbf07544e4087f9c9443dc",
-        "joint.word": "42d94d86411f2a6babb9eac59208972a280dc7689877ec813e789f977fbeaa5e",
-        "doc.all_stages": "7ec279ecb0dc11ab8e5de5eb8344414cf32d7211d0c4a1ad266a2ef02b353c0b",
+        "doc": "a2367d7efe256dd9845c2f97f1e2e3549d2ae1856f5daf64f9e197fe58624fae",
+        "word": "bd5e1eaa16400e4b03b231d21c90bcaa8214b2728aa95f0aa0b1460d5c49de1d",
+        "joint.doc": "8f1de7a8f2f18b9b8edd6f32f0bc8695a7d00e8b2e46c75b99a7c568534aa7d7",
+        "joint.word": "18a9257c29fe93b692d6b0061fbbcf8e6c2ec6d3939a767d27ac20c4ac1726b1",
+        "doc.all_stages": "fcf00beddf9ec47d7897390c531ce3ce239695f6cb0a68f3ebf4f713eb099609",
     }
 
     def test_graph_bytes_are_pinned(self, tmp_path):
@@ -253,6 +253,25 @@ class TestEquivalence:
         report = verify_equivalence(pipe, graph, n_samples=10, seed=6)
         assert report.max_abs_dev > 0.0
         assert not report.within(1e-5)
+
+    @pytest.mark.parametrize("tamper", ["head_bias", "first_text_word_row"])
+    def test_nan_scores_fail_the_check(self, tmp_path, tamper):
+        pipe = make_pipe(tmp_path)
+        graph = export_pipeline(pipe)
+        if tamper == "head_bias":
+            name, row = "decoder.b0", slice(None)
+        else:
+            # only the first held-out text reads this row; the empty synthetic
+            # text checked after it still scores finite
+            sources = pipe.datasets["test"] or pipe.datasets["eval"]
+            feats = pipe.featurizer.featurize(sources[0].examples[0].raw_text)
+            name, row = "embedding.word.table", pipe.vocabs.token.lookup(feats.token_texts()[0])
+        tampered = graph.consts[name].copy()  # the const is the model's own array
+        tampered[row] = np.nan
+        graph.consts[name] = tampered
+        report = verify_equivalence(pipe, graph, n_samples=1, seed=7)
+        assert np.isnan(report.max_abs_dev)
+        assert not report.within(0.0)
 
     def test_empty_text_agrees(self, tmp_path):
         pipe = make_pipe(tmp_path)

@@ -31,8 +31,6 @@ def linear_graph():
     return StaticGraph(
         version=GRAPH_VERSION,
         attrs=dict(ATTRS),
-        slots={"x": "f32", "w": "f32", "b": "f32", "logits": "f32",
-               "scores": "f32", "pred": "i64"},
         consts={"w": w, "b": b},
         vocab_tables={},
         ops=[
@@ -56,9 +54,6 @@ def baked_graph():
     return StaticGraph(
         version=GRAPH_VERSION,
         attrs=dict(ATTRS),
-        slots={"tokens": "str", "token_ids": "i64", "table": "f32",
-               "emb": "f32", "filt": "f32", "rep": "f32", "w": "f32",
-               "b": "f32", "logits": "f32", "scores": "f32", "pred": "i64"},
         consts={"table": table, "filt": filt, "w": w, "b": b},
         vocab_tables={"token": ["<pad>", "<unk>", "go", "home"]},
         ops=[
@@ -87,7 +82,6 @@ def malformed_lstm_without_reverse():
               "bias": np.zeros(8, dtype=F32)}
     return StaticGraph(
         version=GRAPH_VERSION, attrs=dict(ATTRS),
-        slots={"x": "f32", "w_ih": "f32", "w_hh": "f32", "bias": "f32", "h": "f32"},
         consts=consts, vocab_tables={},
         ops=[GraphOp("LSTMSeq", ("x", "w_ih", "w_hh", "bias"), ("h",))],
         inputs=["x"], outputs=["h"],
@@ -97,7 +91,6 @@ def malformed_lstm_without_reverse():
 def malformed_lookup_chars_without_max_chars():
     return StaticGraph(
         version=GRAPH_VERSION, attrs=dict(ATTRS),
-        slots={"tokens": "str", "char_ids": "i64"},
         consts={}, vocab_tables={"char": ["<pad>", "<unk>", "a"]},
         ops=[GraphOp("LookupChars", ("tokens",), ("char_ids",), {"vocab": "char"})],
         inputs=["tokens"], outputs=["char_ids"],
@@ -112,7 +105,6 @@ def malformed_op_without_outputs():
 
 def malformed_op_with_two_outputs():
     g = linear_graph()
-    g.slots.update({"t1": "f32", "t2": "f32"})
     g.ops.append(GraphOp("Relu", ("logits",), ("t1", "t2")))
     g.outputs = ["pred", "t2"]
     return g
@@ -133,12 +125,6 @@ def malformed_op_output_is_an_int():
 def malformed_opcode_is_a_list():
     g = linear_graph()
     g.ops[1] = GraphOp(["Softmax"], ("logits",), ("scores",))
-    return g
-
-
-def malformed_slots_a_list():
-    g = linear_graph()
-    g.slots = list(g.slots)
     return g
 
 
@@ -234,12 +220,6 @@ def malformed_vocabs_a_list():
     return g
 
 
-def malformed_slot_kind_an_array():
-    g = linear_graph()
-    g.slots["x"] = np.zeros(2, dtype=F32)
-    return g
-
-
 def malformed_vocab_duplicate_entry():
     g = baked_graph()
     g.vocab_tables["token"] = ["<pad>", "<unk>", "go", "home", "go"]
@@ -283,12 +263,6 @@ def malformed_const_int64_array():
     return g
 
 
-def malformed_const_slot_declared_str():
-    g = linear_graph()
-    g.slots["w"] = "str"
-    return g
-
-
 def graph_blob(body: bytes) -> bytes:
     """A graph blob with a valid header and checksum around any body."""
     return GRAPH_MAGIC + struct.pack("<II", GRAPH_VERSION, zlib.crc32(body)) + body
@@ -305,7 +279,6 @@ class TestSerialization:
     def test_round_trip_values(self):
         g = linear_graph()
         g2 = deserialize(serialize(g))
-        assert g2.slots == g.slots
         assert g2.inputs == g.inputs and g2.outputs == g.outputs
         assert [o.opcode for o in g2.ops] == [o.opcode for o in g.ops]
         assert np.array_equal(g2.consts["w"], g.consts["w"])
@@ -383,33 +356,9 @@ class TestValidation:
         with pytest.raises(CorruptGraph):
             validate_graph(g)
 
-    def test_const_must_be_declared_slot(self):
-        g = linear_graph()
-        g.consts["ghost"] = np.zeros(1, dtype=F32)
-        with pytest.raises(CorruptGraph):
-            validate_graph(g)
-
-    def test_input_must_be_declared_slot(self):
-        g = linear_graph()
-        g.inputs = ["x", "ghost"]
-        with pytest.raises(CorruptGraph):
-            validate_graph(g)
-
     def test_output_must_be_produced(self):
         g = linear_graph()
         g.outputs = ["pred", "nothing"]
-        with pytest.raises(CorruptGraph):
-            validate_graph(g)
-
-    def test_undeclared_op_output(self):
-        g = linear_graph()
-        g.ops.append(GraphOp("Relu", ("logits",), ("mystery",)))
-        with pytest.raises(CorruptGraph):
-            validate_graph(g)
-
-    def test_bad_slot_kind(self):
-        g = linear_graph()
-        g.slots["x"] = "f64"
         with pytest.raises(CorruptGraph):
             validate_graph(g)
 
@@ -428,7 +377,6 @@ class TestValidation:
         malformed_op_input_is_a_list,
         malformed_op_output_is_an_int,
         malformed_opcode_is_a_list,
-        malformed_slots_a_list,
         malformed_attrs_a_list,
         malformed_attrs_without_labels,
         malformed_labels_empty,
@@ -444,7 +392,6 @@ class TestValidation:
         malformed_max_chars_zero,
         malformed_consts_a_list,
         malformed_vocabs_a_list,
-        malformed_slot_kind_an_array,
         malformed_vocab_duplicate_entry,
         malformed_vocab_not_a_list,
         malformed_vocab_non_string_entry,
@@ -452,7 +399,6 @@ class TestValidation:
         malformed_const_an_int,
         malformed_const_a_string,
         malformed_const_int64_array,
-        malformed_const_slot_declared_str,
     ])
     def test_malformed_op_rejected_on_load(self, make):
         blob = serialize(make())  # serialization is format-only, no validation
@@ -517,7 +463,6 @@ class TestExecutor:
     def test_embed_gather_bounds(self):
         g = StaticGraph(
             version=GRAPH_VERSION, attrs={},
-            slots={"ids": "i64", "table": "f32", "emb": "f32"},
             consts={"table": np.eye(3, dtype=F32)},
             vocab_tables={},
             ops=[GraphOp("EmbedGather", ("ids", "table"), ("emb",))],
@@ -555,8 +500,6 @@ def cap_probe_graph():
     return StaticGraph(
         version=GRAPH_VERSION,
         attrs={"lowercase": True, "max_chars": 4},
-        slots={"tokens": "str", "cap_labels": "str", "gaz_labels": "str",
-               "tok_ids": "i64", "cap_ids": "i64", "gaz_ids": "i64"},
         consts={},
         vocab_tables={"token": ["<pad>", "<unk>", "go"],
                       "cap": entries,

@@ -1,24 +1,23 @@
-"""Model stage contracts: shapes, init conventions, sharing, persistence."""
+"""Model stage contracts: shapes, init conventions, sharing."""
 
 import json
-import struct
 
 import numpy as np
 import pytest
 
 from textforge import components, ops
 from textforge.data_handler import Batch, VocabBundle
-from textforge.errors import (CorruptFile, DimMismatch, IncompatibleShare,
-                              MalformedLine, MultiTaskArity, NoStyleSelected,
-                              NotUtf8, ShapeMismatch, VersionMismatch)
+from textforge.errors import (DimMismatch, IncompatibleShare, MalformedLine,
+                              MultiTaskArity, NoStyleSelected, NotUtf8,
+                              ShapeMismatch)
 from textforge.featurizer import CAP_CLASSES, GAZ_NONE
 from textforge.model_zoo import (BiLSTMAttnRepresentation, BiLSTMModule,
                                  BiLSTMTaggerRepresentation,
                                  DocClassificationOutput, DocNNRepresentation,
                                  MLPDecoder, MultiTaskModel, SingleTaskModel,
                                  TokenEmbedding, WordTaggingOutput,
-                                 assign_parameter_names, load_module_into,
-                                 load_pretrained_embeddings, save_module)
+                                 assign_parameter_names,
+                                 load_pretrained_embeddings)
 from textforge.registry import parse_task_config
 from textforge.tensor import Tensor
 from textforge.vocab import Vocabulary
@@ -317,70 +316,6 @@ class TestSingleTaskModel:
         model = build_doc_model(vocabs, np.random.default_rng(0))
         batch = make_batch(vocabs, doc_labels=np.array([0, 1], dtype=np.int64))
         assert model.forward(batch, compute_loss=False).loss is None
-
-
-class TestModulePersistence:
-    def test_round_trip(self, tmp_path):
-        vocabs = make_vocabs()
-        emb = TokenEmbedding("embedding", emb_config(word=4, char=2), vocabs,
-                             np.random.default_rng(1))
-        path = str(tmp_path / "emb.mod")
-        save_module(emb, path)
-        twin = TokenEmbedding("embedding", emb_config(word=4, char=2), vocabs,
-                              np.random.default_rng(99))
-        load_module_into(twin, path)
-        for name, param in emb.named_parameters().items():
-            assert np.array_equal(param.data, twin.named_parameters()[name].data), name
-
-    def test_class_mismatch(self, tmp_path):
-        rng = np.random.default_rng(0)
-        dec = MLPDecoder("decoder", {"hidden_dims": []}, 4, 3, rng)
-        path = str(tmp_path / "dec.mod")
-        save_module(dec, path)
-        rep = DocNNRepresentation("rep", {"filter_widths": [2], "num_filters": 4}, 5, rng)
-        with pytest.raises(IncompatibleShare):
-            load_module_into(rep, path)
-
-    def test_param_name_set_mismatch(self, tmp_path):
-        rng = np.random.default_rng(0)
-        dec = MLPDecoder("decoder", {"hidden_dims": []}, 4, 3, rng)
-        path = str(tmp_path / "dec.mod")
-        save_module(dec, path)
-        deeper = MLPDecoder("decoder", {"hidden_dims": [5]}, 4, 3, rng)
-        with pytest.raises(IncompatibleShare):
-            load_module_into(deeper, path)
-
-    def test_shape_mismatch(self, tmp_path):
-        rng = np.random.default_rng(0)
-        dec = MLPDecoder("decoder", {"hidden_dims": []}, 4, 3, rng)
-        path = str(tmp_path / "dec.mod")
-        save_module(dec, path)
-        wider = MLPDecoder("decoder", {"hidden_dims": []}, 6, 3, rng)
-        with pytest.raises(ShapeMismatch):
-            load_module_into(wider, path)
-
-    def test_older_format_is_refused(self, tmp_path):
-        # format 1 bodies are the tagged codec that format 2 replaced
-        rng = np.random.default_rng(0)
-        dec = MLPDecoder("decoder", {"hidden_dims": []}, 4, 3, rng)
-        path = tmp_path / "dec.mod"
-        save_module(dec, str(path))
-        blob = bytearray(path.read_bytes())
-        blob[4:8] = struct.pack("<I", 1)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(VersionMismatch, match="format version 1, expected 2"):
-            load_module_into(dec, str(path))
-
-    def test_wrong_container_kind(self, tmp_path):
-        from textforge import binio
-        from textforge.model_zoo import MODULE_MAGIC, MODULE_VERSION
-        path = str(tmp_path / "other.mod")
-        binio.write_file(path, binio.pack_container(MODULE_MAGIC, MODULE_VERSION,
-                                                    {"container": "other"}))
-        rng = np.random.default_rng(0)
-        dec = MLPDecoder("decoder", {"hidden_dims": []}, 4, 3, rng)
-        with pytest.raises(CorruptFile):
-            load_module_into(dec, path)
 
 
 def build_joint(vocabs, seed=0, word_hidden=3):

@@ -362,6 +362,10 @@ def _replace_first(make):
     return mutate
 
 
+def _first_record(mutate):
+    return lambda payload: mutate(payload["history"][0])
+
+
 # CRC-valid checkpoints with one malformed field, and the error text each gives
 MALFORMED_CHECKPOINTS = {
     "no_vocabs": (lambda p: p.pop("vocabs"), "'vocabs'"),
@@ -369,6 +373,13 @@ MALFORMED_CHECKPOINTS = {
     "seed_a_string": (lambda p: p.update(seed="7"), "'seed'"),
     "epoch_a_bool": (lambda p: p.update(epoch=True), "'epoch'"),
     "history_entry_not_a_record": (lambda p: p["history"].append(1), "'history'"),
+    "history_epoch_a_float": (_first_record(lambda r: r.update(epoch=0.0)), "'history'"),
+    "history_train_loss_a_string": (_first_record(lambda r: r.update(train_loss="oops")),
+                                    "'history'"),
+    "history_score_a_bool": (_first_record(lambda r: r.update(score=True)), "'history'"),
+    "history_metrics_a_list": (_first_record(lambda r: r.update(metrics=[])), "'history'"),
+    "history_metric_a_string": (_first_record(lambda r: r["metrics"].update(
+        {next(iter(r["metrics"])): "0.5"})), "'history'"),
     "duplicate_vocab_entry": (lambda p: p["vocabs"]["token"].append(p["vocabs"]["token"][2]),
                               "'vocabs'"),
     "doc_labels_a_string": (lambda p: p["labels"].update(doc="abc"), "'labels'"),
