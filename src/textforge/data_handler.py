@@ -13,13 +13,14 @@ per-token tags after it in the same column. The optional gazetteer column is
 
 import io
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .errors import DatasetError, EmptyCorpus, EmptySplit, MultiTaskArity, NotUtf8
-from .featurizer import Featurizer, FeaturizedExample, GazetteerEntry, CAP_CLASSES, GAZ_NONE
+from .featurizer import (CAP_CLASSES, GAZ_NONE, Featurizer, FeaturizedExample,
+                         GazetteerEntry, char_ids)
 from .vocab import Vocabulary
 
 FORMAT_DOC = "doc"
@@ -70,6 +71,16 @@ class Batch:
     @property
     def size(self):
         return self.token_ids.shape[0]
+
+    def take(self, rows) -> "Batch":
+        """The Batch of the given rows, cut to their longest length."""
+        t = int(self.lengths[rows].max())
+
+        def cut(ids):
+            return None if ids is None else ids[rows, :t] if ids.ndim > 1 else ids[rows]
+        return Batch(cut(self.token_ids), cut(self.char_ids),
+                     {name: cut(ids) for name, ids in self.dense_feats.items()}, cut(self.lengths),
+                     cut(self.mask), cut(self.doc_labels), cut(self.word_labels))
 
 
 def read_lines(path: str) -> list:
@@ -206,8 +217,9 @@ def _label_id(mapping, label, what):
 
 
 def batch_examples(examples, vocabs: VocabBundle, max_chars: int,
-                   doc_label_index=None, tag_index=None, task_id: int = 0) -> Batch:
-    """Pad a group of featurized examples into one Batch."""
+                   doc_label_index=None, tag_index=None) -> Batch:
+    """The one eager vectorizer: the token, char, gaz and cap ids of featurized
+    examples, and their label ids for each label index given, in one padded Batch."""
     b = len(examples)
     lengths = np.array([len(ex.feats.tokens) for ex in examples], dtype=np.int64)
     t = int(lengths.max()) if b else 0
@@ -216,26 +228,19 @@ def batch_examples(examples, vocabs: VocabBundle, max_chars: int,
     char_rows = np.zeros((b, t, max_chars), dtype=np.int64)
     gaz_ids = np.zeros((b, t), dtype=np.int64)
     cap_ids = np.zeros((b, t), dtype=np.int64)
-    mask = np.zeros((b, t), dtype=np.float32)
-
-    doc_labels = None
-    word_labels = None
-    if doc_label_index is not None:
-        doc_labels = np.zeros((b,), dtype=np.int64)
-    if tag_index is not None:
-        word_labels = np.zeros((b, t), dtype=np.int64)
+    mask = (np.arange(t) < lengths[:, None]).astype(np.float32)
+    doc_labels = np.zeros((b,), dtype=np.int64) if doc_label_index is not None else None
+    word_labels = np.zeros((b, t), dtype=np.int64) if tag_index is not None else None
 
     for i, ex in enumerate(examples):
         feats = ex.feats
-        n = len(feats.tokens)
-        if feats.char_ids is None:
-            raise DatasetError("char ids missing: featurizer has no alphabet attached")
-        token_ids[i, :n] = [vocabs.token.lookup(tok) for tok in feats.token_texts()]
+        texts = feats.token_texts()
+        n = len(texts)
+        token_ids[i, :n] = [vocabs.token.lookup(tok) for tok in texts]
         if n:
-            char_rows[i, :n] = np.asarray(feats.char_ids, dtype=np.int64)
+            char_rows[i, :n] = [char_ids(tok, vocabs.char, max_chars) for tok in texts]
         gaz_ids[i, :n] = [vocabs.gaz.lookup(lbl) for lbl in feats.gaz_labels]
         cap_ids[i, :n] = [vocabs.cap.lookup(lbl) for lbl in feats.cap_labels]
-        mask[i, :n] = 1.0
         if doc_labels is not None:
             if ex.doc_label is None:
                 raise DatasetError("example lacks a document label")
@@ -246,26 +251,21 @@ def batch_examples(examples, vocabs: VocabBundle, max_chars: int,
             word_labels[i, :n] = [_label_id(tag_index, tag, "word") for tag in ex.word_tags]
 
     return Batch(token_ids, char_rows, {"gaz": gaz_ids, "cap": cap_ids},
-                 lengths, mask, doc_labels, word_labels, task_id)
+                 lengths, mask, doc_labels, word_labels)
 
 
-def make_batches(dataset: Dataset, batch_size: int, vocabs: VocabBundle, max_chars: int,
-                 doc_label_index=None, tag_index=None, shuffle_seed=None, task_id: int = 0):
-    """Batch a dataset in order, or in a seeded permutation when asked.
+def make_batches(full: Batch, batch_size: int, shuffle_seed=None):
+    """Cut a vectorized source into batches of its rows, in order or in a
+    seeded permutation; each batch is padded to its own longest row.
 
-    Every example appears in exactly one batch; the tail batch may be short.
+    Every row appears in exactly one batch; the tail batch may be short.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    order = np.arange(len(dataset.examples))
+    order = np.arange(full.size)
     if shuffle_seed is not None:
         order = np.random.Generator(np.random.PCG64(shuffle_seed)).permutation(len(order))
-    batches = []
-    for at in range(0, len(order), batch_size):
-        chunk = [dataset.examples[i] for i in order[at:at + batch_size]]
-        batches.append(batch_examples(chunk, vocabs, max_chars,
-                                      doc_label_index, tag_index, task_id))
-    return batches
+    return [full.take(order[at:at + batch_size]) for at in range(0, len(order), batch_size)]
 
 
 def single_example_batch(feats: FeaturizedExample, vocabs: VocabBundle, max_chars: int) -> Batch:

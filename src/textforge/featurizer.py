@@ -8,8 +8,7 @@ taken before any lowercasing.
 """
 
 import string
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .errors import OverlappingEntries
 from .vocab import Vocabulary
@@ -46,14 +45,12 @@ class GazetteerEntry:
 class FeaturizerSettings:
     lowercase: bool = True
     max_chars: int = 20
-    alphabet: Optional[Vocabulary] = None  # set once the char vocab exists
 
 
 @dataclass
 class FeaturizedExample:
     raw_text: str
     tokens: list  # list[TokenSpan]
-    char_ids: Optional[list]  # per-token fixed-length id rows, None w/o alphabet
     gaz_labels: list  # per-token gazetteer kind or GAZ_NONE
     cap_labels: list  # per-token capitalization class name
 
@@ -106,16 +103,11 @@ def capitalization(token_text: str) -> str:
     return CAP_OTHER
 
 
-def char_ids(token_text: str, alphabet: Vocabulary, max_chars: int):
-    """Map a token's characters to ids, truncated or padded to max_chars."""
-    ids = [alphabet.lookup(ch) for ch in token_text[:max_chars]]
+def char_ids(token_text: str, vocab: Vocabulary, max_chars: int):
+    """Map a token's characters to char vocab ids, truncated or padded to max_chars."""
+    ids = [vocab.lookup(ch) for ch in token_text[:max_chars]]
     ids.extend([Vocabulary.PAD_ID] * (max_chars - len(ids)))
     return ids
-
-
-def char_rows(tokens, settings: FeaturizerSettings):
-    """The char id row of every TokenSpan under the settings' alphabet."""
-    return [char_ids(t.text, settings.alphabet, settings.max_chars) for t in tokens]
 
 
 def align_gazetteer(tokens, entries):
@@ -149,8 +141,7 @@ def featurize(text: str, entries=(), settings: FeaturizerSettings = None) -> Fea
     """Run the full per-example feature pipeline.
 
     Capitalization is computed on the original token text, then the stored
-    token text reflects the lowercase flag. Char ids are only filled in once
-    the settings carry an alphabet.
+    token text reflects the lowercase flag.
     """
     settings = settings or FeaturizerSettings()
     raw_spans = tokenize(text, lowercase=False)
@@ -160,8 +151,7 @@ def featurize(text: str, entries=(), settings: FeaturizerSettings = None) -> Fea
     else:
         tokens = raw_spans
     gaz_labels = align_gazetteer(tokens, tuple(entries))
-    rows = char_rows(tokens, settings) if settings.alphabet is not None else None
-    return FeaturizedExample(text, tokens, rows, gaz_labels, cap_labels)
+    return FeaturizedExample(text, tokens, gaz_labels, cap_labels)
 
 
 class Featurizer:
@@ -169,13 +159,6 @@ class Featurizer:
 
     def __init__(self, settings: FeaturizerSettings = None):
         self.settings = settings or FeaturizerSettings()
-
-    def with_alphabet(self, alphabet: Vocabulary) -> "Featurizer":
-        return Featurizer(FeaturizerSettings(
-            lowercase=self.settings.lowercase,
-            max_chars=self.settings.max_chars,
-            alphabet=alphabet,
-        ))
 
     def featurize(self, text: str, entries=()) -> FeaturizedExample:
         return featurize(text, entries, self.settings)

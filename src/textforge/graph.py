@@ -209,6 +209,9 @@ def validate_graph(graph: StaticGraph) -> None:
         if not (isinstance(value, np.ndarray) and value.dtype == F32):
             raise CorruptGraph("const %r is not a float32 array" % name)
 
+    fed_consts = set(graph.consts) & set(graph.inputs)
+    if fed_consts:
+        raise CorruptGraph("graph input %r is also a const" % sorted(fed_consts)[0])
     produced = set(graph.consts) | set(graph.inputs)
     for op in graph.ops:
         _validate_op(graph, op)

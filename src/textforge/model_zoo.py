@@ -114,9 +114,14 @@ def load_pretrained_embeddings(path: str, vocab: Vocabulary, dim: int, rng) -> n
         if idx is None:
             continue
         try:
-            table[idx] = np.array([float(v) for v in values], dtype=F32)
+            # a value past the float32 range becomes inf, rejected below
+            with np.errstate(over="ignore"):
+                row = np.array([float(v) for v in values], dtype=F32)
         except ValueError:
             raise MalformedLine("%s line %d: non-numeric value" % (path, line_no))
+        if not np.isfinite(row).all():
+            raise MalformedLine("%s line %d: non-finite value as float32" % (path, line_no))
+        table[idx] = row
     table[Vocabulary.PAD_ID] = 0.0
     return table
 

@@ -17,9 +17,10 @@ from typing import Optional
 
 from . import components, data_handler, metrics, ops
 from .data_handler import (FORMAT_DOC, FORMAT_JOINT, FORMAT_WORD, VOCAB_NAMES, Dataset,
-                           VocabBundle, interleave_multitask, make_batches, single_example_batch)
+                           VocabBundle, batch_examples, interleave_multitask, make_batches,
+                           single_example_batch)
 from .errors import EmptySplit, SchemaViolation
-from .featurizer import Featurizer, FeaturizerSettings, char_rows
+from .featurizer import Featurizer, FeaturizerSettings
 from .model_zoo import load_params
 from .registry import TaskConfig, parse_task_config, serialize_task_config
 from .trainer import derive_rng, seed_sequence
@@ -50,37 +51,44 @@ class Pipeline:
         # split -> list of Datasets, one per source ("test" may be empty);
         # None when restored from a checkpoint
         self.datasets = datasets
+        self._vectors = None  # "train"/"eval" -> one padded Batch per source
 
     @property
     def max_chars(self):
         return self.featurizer.settings.max_chars
 
-    def _label_kwargs(self):
-        """make_batches label indexes for the label kinds this task uses."""
-        kwargs = {}
-        if self.task != components.WORD_TASK:
-            kwargs["doc_label_index"] = {label: i for i, label in enumerate(self.doc_labels)}
-        if self.task != components.DOC_TASK:
-            kwargs["tag_index"] = {tag: i for i, tag in enumerate(self.word_tags)}
-        return kwargs
+    def _vectorized(self, split):
+        """One padded Batch per source of the train or eval split.
 
-    def _require_data(self):
+        Both splits are vectorized together, once, the first time either is
+        asked for; so an eval label that train lacks fails before training.
+        """
         if self.datasets is None:
             raise EmptySplit("pipeline was restored without data files")
+        if self._vectors is None:
+            for ds in self.datasets["eval"]:
+                if not ds.examples:
+                    raise EmptySplit("%s split is empty" % ds.split)
+            doc_index = (None if self.task == components.WORD_TASK
+                         else {label: i for i, label in enumerate(self.doc_labels)})
+            tag_index = (None if self.task == components.DOC_TASK
+                         else {tag: i for i, tag in enumerate(self.word_tags)})
+            self._vectors = {
+                name: [batch_examples(ds.examples, self.vocabs, self.max_chars,
+                                      doc_index, tag_index) for ds in self.datasets[name]]
+                for name in ("train", "eval")}
+        return self._vectors[split]
 
     # -- training interface ------------------------------------------------
 
     def train_batches(self, epoch: int):
-        self._require_data()
-        sources = self.datasets["train"]
-        kwargs = self._label_kwargs()
+        sources = self._vectorized("train")
         lists = []
-        for k, ds in enumerate(sources):
+        for k, full in enumerate(sources):
             # one source shuffles under (1, epoch), several under (1, epoch, k)
             key = (1, epoch, k) if len(sources) > 1 else (1, epoch)
-            lists.append(make_batches(
-                ds, self.settings.batch_size, self.vocabs, self.max_chars,
-                shuffle_seed=seed_sequence(self.settings.seed, *key), task_id=k, **kwargs))
+            lists.append(make_batches(full, self.settings.batch_size,
+                                      seed_sequence(self.settings.seed, *key)))
         return interleave_multitask(lists) if len(lists) > 1 else lists[0]
 
     def train_loss(self, batch):
@@ -90,12 +98,6 @@ class Pipeline:
         return self.model.forward(batch, compute_loss=True).loss
 
     # -- evaluation ----------------------------------------------------------
-
-    def _eval_batches(self, ds, kwargs):
-        if not ds.examples:
-            raise EmptySplit("%s split is empty" % ds.split)
-        return make_batches(ds, self.settings.batch_size, self.vocabs, self.max_chars,
-                            shuffle_seed=None, **kwargs)
 
     def _collect_doc(self, model, batches):
         golds, preds = [], []
@@ -121,9 +123,8 @@ class Pipeline:
         Returns (selection score, metric dict). Doc tasks select on accuracy,
         word tasks on macro F1 of token labels, the joint task on their mean.
         """
-        self._require_data()
-        kwargs = self._label_kwargs()
-        batches = [self._eval_batches(ds, kwargs) for ds in self.datasets["eval"]]
+        batches = [make_batches(full, self.settings.batch_size)
+                   for full in self._vectorized("eval")]
         if self.task == components.DOC_TASK:
             golds, preds = self._collect_doc(self.model, batches[0])
             rep = metrics.classification_report(golds, preds, len(self.doc_labels))
@@ -202,9 +203,8 @@ def _load_data(config: TaskConfig):
     """Load every split as a list of sources: two for joint, one otherwise.
 
     Vocabularies and labels come from the union of the train sources (for a
-    single task, the train set itself). Every example then gets char ids from
-    its tokens. Returns (vocabs, doc_labels, word_tags, datasets); a task has
-    no labels of the kind it does not use.
+    single task, the train set itself). Returns (vocabs, doc_labels,
+    word_tags, datasets); a task has no labels of the kind it does not use.
     """
     task = config.task_kind
     data_cfg = config.root.child("data")
@@ -235,11 +235,6 @@ def _load_data(config: TaskConfig):
         gaz=data_handler.build_gaz_vocab(union),
         cap=data_handler.cap_vocabulary(),
     )
-    settings = fz.with_alphabet(vocabs.char).settings
-    for sources in datasets.values():
-        for ds in sources:
-            for ex in ds.examples:
-                ex.feats.char_ids = char_rows(ex.feats.tokens, settings)
     doc_labels = data_handler.doc_label_list(union) if task != components.WORD_TASK else None
     word_tags = data_handler.word_tag_list(union) if task != components.DOC_TASK else None
     return vocabs, doc_labels, word_tags, datasets
@@ -254,7 +249,7 @@ def _assemble(config: TaskConfig, vocabs: VocabBundle, doc_labels, word_tags, se
     end here.
     """
     root = config.root
-    fz = _build_featurizer(root.child("featurizer")).with_alphabet(vocabs.char)
+    fz = _build_featurizer(root.child("featurizer"))
     model = components.build_model(root.child("model"), config.task_kind, vocabs,
                                    doc_labels, word_tags, derive_rng(seed, 0))
     tparams = root.child("trainer").params
@@ -266,7 +261,8 @@ def _assemble(config: TaskConfig, vocabs: VocabBundle, doc_labels, word_tags, se
 
 
 def instantiate_task(config: TaskConfig, seed_override: Optional[int] = None) -> Pipeline:
-    """Construct the full pipeline for a config, loading and vectorizing data."""
+    """Construct the full pipeline for a config, loading and featurizing data;
+    ids are looked up when training first asks for batches."""
     tparams = config.root.child("trainer").params
     if seed_override is not None:
         tparams["seed"] = int(seed_override)

@@ -310,9 +310,7 @@ def test_03_vocabulary_baking(tmp_path):
 # ---------------------------------------------------------------------------
 
 def canonical(feats):
-    chars = (np.asarray(feats.char_ids, dtype=np.int64).tobytes()
-             if feats.char_ids is not None else None)
-    return (feats.raw_text, repr(feats.tokens), chars,
+    return (feats.raw_text, repr(feats.tokens),
             tuple(feats.gaz_labels), tuple(feats.cap_labels))
 
 

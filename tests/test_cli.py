@@ -8,12 +8,14 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import corpora
 import textforge
-from textforge import cli
+from textforge import cli, trainer
 from textforge.exporter import EquivalenceReport
+from textforge.graph import load_graph, save_graph
 from textforge.trainer import load_checkpoint
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(textforge.__file__)))
@@ -153,6 +155,22 @@ class TestTrain:
         assert proc.returncode == 1
         assert "different configuration" in proc.stderr
 
+    def test_eval_label_missing_from_train(self, tmp_path, monkeypatch, capsys):
+        cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1)
+        eval_path = cfg["task"]["doc_classification"]["data"]["tsv"]["eval_path"]
+        with open(eval_path, "a", encoding="utf-8") as handle:
+            handle.write("zzunseen\tset an alarm\n")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        steps = []
+        step = trainer.Adam.step
+        monkeypatch.setattr(trainer.Adam, "step", lambda opt: steps.append(opt) or step(opt))
+        out_dir = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+        assert "'zzunseen'" in capsys.readouterr().err
+        assert steps == []
+        assert not (out_dir / "model.ckpt").exists()
+
     @pytest.mark.parametrize("overrides,path,value", SIZE_PROBES,
                              ids=["%s=%s" % (path[-1], value) for _, path, value in SIZE_PROBES])
     def test_out_of_range_size_is_a_config_error(self, tmp_path, overrides, path, value):
@@ -211,6 +229,15 @@ class TestPredict:
         proc = run_cli("predict", "--graph", str(bad), stdin="hello\n")
         assert proc.returncode == 1
         assert "checksum mismatch" in proc.stderr
+
+    def test_graph_input_that_is_a_const(self, doc_graph, tmp_path):
+        g = load_graph(doc_graph)
+        g.consts[g.inputs[0]] = np.zeros(2, dtype=np.float32)
+        bad = str(tmp_path / "shadowed.graph")
+        save_graph(g, bad)
+        proc = run_cli("predict", "--graph", bad, stdin="hello\n")
+        assert proc.returncode == 1, proc.stderr
+        assert "is also a const" in proc.stderr
 
     def test_unbaked_graph_rejects_text(self, doc_run, tmp_path):
         path = str(tmp_path / "ids.graph")

@@ -5,10 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpora
+from textforge import graph as graph_module
+from textforge import pipeline
+from textforge.data_handler import single_example_batch
 from textforge.errors import OverlappingEntries
+from textforge.exporter import export_pipeline
 from textforge.featurizer import (CAP_ALL_CAPS, CAP_ALL_LOWER, CAP_INIT_CAP,
-                                  CAP_OTHER, GAZ_NONE, Featurizer,
-                                  FeaturizerSettings, GazetteerEntry,
+                                  CAP_OTHER, GAZ_NONE, FeaturizerSettings,
+                                  GazetteerEntry,
                                   capitalization, char_ids, featurize,
                                   tokenize)
 from textforge.pipeline import instantiate_task
@@ -107,25 +111,6 @@ class TestGazetteer:
             featurize("ab cd", (GazetteerEntry(3, 5, "y"), GazetteerEntry(0, 2, "x")))
 
 
-class TestFeaturizerObject:
-    def test_char_ids_need_an_alphabet(self):
-        ex = Featurizer(FeaturizerSettings()).featurize("hi")
-        assert ex.char_ids is None
-
-    def test_with_alphabet_fills_char_ids(self):
-        fz = Featurizer(FeaturizerSettings(max_chars=3))
-        fz2 = fz.with_alphabet(Vocabulary(["h", "i"]))
-        ex = fz2.featurize("hi")
-        assert ex.char_ids == [[2, 3, 0]]
-        # the original featurizer is untouched
-        assert fz.settings.alphabet is None
-
-    def test_max_chars_respected(self):
-        fz = Featurizer(FeaturizerSettings(max_chars=2)).with_alphabet(Vocabulary(["a"]))
-        ex = fz.featurize("aaaa aa a")
-        assert all(len(row) == 2 for row in ex.char_ids)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=60))
 def test_featurize_is_deterministic(text):
@@ -146,8 +131,8 @@ def test_spans_slice_back_to_token_text(text):
 
 
 def test_pipeline_features_match_featurize(tmp_path):
-    # datasets are featurized before the char vocab exists and get their
-    # char ids afterwards; the result must equal featurizing with it
+    # datasets are featurized while they load; the result must equal
+    # featurizing each text again with the pipeline's featurizer
     cfg = corpora.word_config(str(tmp_path), n_train=30, n_eval=10, with_test=True,
                               embedding={"token": {"word_dim": 8, "char_dim": 4,
                                                    "gaz_dim": 3}})
@@ -168,5 +153,51 @@ def test_pipeline_features_match_featurize(tmp_path):
     assert len(examples) == 30 + 10 + 10
     assert any(ex.feats.gaz_labels[0] == "city" for ex in examples)
     for ex in examples:
-        assert ex.feats.char_ids is not None
         assert ex.feats == pipe.featurizer.featurize(ex.raw_text, ex.entries)
+
+
+def test_char_ids_agree_in_training_eager_and_graph(tmp_path, monkeypatch):
+    # training batches, eager predict and the graph's LookupChars look char
+    # ids up in one function; their rows must be equal, bit for bit
+    cfg = corpora.doc_config(str(tmp_path), n_train=12, n_eval=4, batch_size=4,
+                             embedding={"token": {"word_dim": 8, "char_dim": 4}})
+    task = cfg["task"]["doc_classification"]
+    task["featurizer"] = {"basic": {"max_chars": 5}}
+    # tokens longer than max_chars, and chars the training split never shows
+    probes = ["Extraordinarily lengthy words", "na\u00efve Z\u00fcrich \u2603 \u1e9e", "x"]
+    with open(task["data"]["tsv"]["eval_path"], "a", encoding="utf-8") as handle:
+        handle.writelines("%s\t%s\n" % (corpora.DOC_LABELS[0], text) for text in probes)
+    pipe = instantiate_task(parse_task_config(corpora.as_text(cfg)))
+    # every training batch is a row slice of one vectorized Batch per source
+    sources = []
+    make_batches = pipeline.make_batches
+
+    def recording(full, batch_size, shuffle_seed=None):
+        sources.append(full)
+        return make_batches(full, batch_size, shuffle_seed)
+    monkeypatch.setattr(pipeline, "make_batches", recording)
+    pipe.train_batches(0)
+    pipe.evaluate()
+    graph = export_pipeline(pipe, bake=True)
+    (op,) = [op for op in graph.ops if op.opcode == "LookupChars"]
+    vocab = Vocabulary(graph.vocab_tables[op.attrs["vocab"]])
+
+    def graph_rows(text):
+        tokens = graph_module.prepare_feed(graph, text)["tokens"]
+        return graph_module._lookup_chars(vocab, op.attrs["max_chars"], tokens)
+
+    def eager_rows(text):
+        feats = pipe.featurizer.featurize(text)
+        return single_example_batch(feats, pipe.vocabs, pipe.max_chars).char_ids[0]
+
+    checked = 0
+    for split, full in zip(("train", "eval"), sources):
+        for i, ex in enumerate(pipe.datasets[split][0].examples):
+            row = full.char_ids[i, :full.lengths[i]]
+            for other in (eager_rows(ex.raw_text), graph_rows(ex.raw_text)):
+                assert (row.dtype, row.shape) == (other.dtype, other.shape), ex.raw_text
+                assert row.tobytes() == other.tobytes(), ex.raw_text
+            checked += 1
+    assert checked == 12 + 4 + len(probes)
+    assert (sources[1].char_ids == Vocabulary.UNK_ID).any()
+    assert eager_rows("").shape == graph_rows("").shape == (0, 5)

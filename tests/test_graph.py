@@ -263,6 +263,13 @@ def malformed_const_int64_array():
     return g
 
 
+def malformed_input_is_a_const():
+    # a fed x would be shadowed by the const of the same name
+    g = linear_graph()
+    g.consts["x"] = np.ones(3, dtype=F32)
+    return g
+
+
 def graph_blob(body: bytes) -> bytes:
     """A graph blob with a valid header and checksum around any body."""
     return GRAPH_MAGIC + struct.pack("<II", GRAPH_VERSION, zlib.crc32(body)) + body
@@ -399,6 +406,7 @@ class TestValidation:
         malformed_const_an_int,
         malformed_const_a_string,
         malformed_const_int64_array,
+        malformed_input_is_a_const,
     ])
     def test_malformed_op_rejected_on_load(self, make):
         blob = serialize(make())  # serialization is format-only, no validation

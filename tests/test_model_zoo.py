@@ -140,6 +140,20 @@ class TestPretrainedEmbeddings:
             load_pretrained_embeddings(self._write(tmp_path, ["alarm 1.0 oops 3.0"]),
                                        vocab, 3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39", "-1e39"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, value):
+        path = self._write(tmp_path, ["alarm 1.0 2.0 3.0", "alarm 1.0 %s 3.0" % value])
+        with pytest.raises(MalformedLine, match=r"vectors\.txt line 2: non-finite"):
+            load_pretrained_embeddings(path, Vocabulary(["alarm"]), 3,
+                                       np.random.default_rng(0))
+
+    def test_largest_float32_is_kept(self, tmp_path):
+        big = float(np.finfo(np.float32).max)
+        path = self._write(tmp_path, ["alarm %r 0.0 %r" % (big, -big)])
+        table = load_pretrained_embeddings(path, Vocabulary(["alarm"]), 3,
+                                           np.random.default_rng(0))
+        assert table[2].tolist() == [big, 0.0, -big]
+
     def test_dim_mismatch(self, tmp_path):
         vocab = Vocabulary(["alarm"])
         with pytest.raises(DimMismatch):

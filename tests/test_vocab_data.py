@@ -122,9 +122,6 @@ def _mini_setup(tmp_path):
     ds = load_tsv(path, FORMAT_DOC, fz, "train")
     vocabs = VocabBundle(build_vocab(ds), build_char_vocab(ds),
                          build_gaz_vocab(ds), cap_vocabulary())
-    fz = fz.with_alphabet(vocabs.char)
-    for ex in ds.examples:
-        ex.feats = fz.featurize(ex.raw_text, ex.entries)
     return fz, ds, vocabs
 
 
@@ -145,14 +142,6 @@ class TestBatching:
         fz, ds, vocabs = _mini_setup(tmp_path)
         with pytest.raises(DatasetError):
             batch_examples(ds.examples, vocabs, 6, doc_label_index={"pos": 0})
-
-    def test_char_ids_required(self, tmp_path):
-        fz, ds, vocabs = _mini_setup(tmp_path)
-        plain = Featurizer(FeaturizerSettings())
-        for ex in ds.examples:
-            ex.feats = plain.featurize(ex.raw_text)
-        with pytest.raises(DatasetError):
-            batch_examples(ds.examples, vocabs, 6)
 
     def test_oov_maps_to_unk(self, tmp_path):
         fz, ds, vocabs = _mini_setup(tmp_path)
@@ -176,14 +165,32 @@ class TestBatching:
 
     def test_make_batches_partitions_everything(self, tmp_path):
         fz, ds, vocabs = _mini_setup(tmp_path)
-        batches = make_batches(ds, 2, vocabs, 6, doc_label_index={"neg": 0, "pos": 1})
+        full = batch_examples(ds.examples, vocabs, 6, doc_label_index={"neg": 0, "pos": 1})
+        batches = make_batches(full, 2)
         assert [b.size for b in batches] == [2, 1]
+
+    def test_batches_are_row_slices_cut_to_their_longest_row(self, tmp_path):
+        fz, ds, vocabs = _mini_setup(tmp_path)
+        index = {"neg": 0, "pos": 1}
+        full = batch_examples(ds.examples, vocabs, 6, doc_label_index=index)
+        first, second = make_batches(full, 2, shuffle_seed=3)
+        for batch in (first, second):
+            # each batch equals vectorizing its examples afresh; the three
+            # examples have 3, 2 and 1 tokens, so a length names its row
+            rows = [full.lengths.tolist().index(n) for n in batch.lengths]
+            direct = batch_examples([ds.examples[i] for i in rows], vocabs, 6,
+                                    doc_label_index=index)
+            for name in ("token_ids", "char_ids", "lengths", "mask", "doc_labels"):
+                assert getattr(batch, name).tobytes() == getattr(direct, name).tobytes(), name
+            for name in ("gaz", "cap"):
+                assert batch.dense_feats[name].tobytes() == direct.dense_feats[name].tobytes()
 
     def test_shuffle_is_seed_deterministic(self, tmp_path):
         fz, ds, vocabs = _mini_setup(tmp_path)
-        a = make_batches(ds, 1, vocabs, 6, shuffle_seed=7)
-        b = make_batches(ds, 1, vocabs, 6, shuffle_seed=7)
-        c = make_batches(ds, 1, vocabs, 6, shuffle_seed=8)
+        full = batch_examples(ds.examples, vocabs, 6)
+        a = make_batches(full, 1, shuffle_seed=7)
+        b = make_batches(full, 1, shuffle_seed=7)
+        c = make_batches(full, 1, shuffle_seed=8)
         ids = lambda bs: [bb.token_ids.tolist() for bb in bs]
         assert ids(a) == ids(b)
         assert ids(a) != ids(c)
@@ -237,7 +244,6 @@ def test_batch_ids_match_per_token_lookup(tokens):
     vocab = Vocabulary(["aa", "bb", "cc"])
     vocabs = VocabBundle(vocab, Vocabulary(["a", "b", "c", "d"]),
                          Vocabulary(["<none>"]), cap_vocabulary())
-    fz = fz.with_alphabet(vocabs.char)
     feats = fz.featurize(" ".join(tokens))
     batch = single_example_batch(feats, vocabs, 4)
     expected = [vocab.lookup(t) for t in tokens]
