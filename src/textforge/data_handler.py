@@ -35,6 +35,8 @@ class Example:
     doc_label: Optional[str]
     word_tags: Optional[list]
     feats: Optional[FeaturizedExample] = None
+    path: str = ""                 # the TSV file and line the example came from
+    line_no: int = 0
 
 
 @dataclass
@@ -156,7 +158,7 @@ def load_tsv(path: str, fmt: str, featurizer: Featurizer, split: str = "train") 
         if word_tags is not None and len(word_tags) != len(feats.tokens):
             raise DatasetError("%s line %d: %d tags for %d tokens"
                                % (path, line_no, len(word_tags), len(feats.tokens)))
-        examples.append(Example(text, entries, doc_label, word_tags, feats))
+        examples.append(Example(text, entries, doc_label, word_tags, feats, path, line_no))
     return Dataset(examples, split=split)
 
 
@@ -209,17 +211,20 @@ def word_tag_list(train_split: Dataset):
     return sorted(tags)
 
 
-def _label_id(mapping, label, what):
+def _label_id(mapping, label, what, ex):
     try:
         return mapping[label]
     except KeyError:
-        raise DatasetError("unknown %s label %r (not in training split)" % (what, label))
+        raise DatasetError("%s line %d: unknown %s label %r (not in training split)"
+                           % (ex.path, ex.line_no, what, label))
 
 
 def batch_examples(examples, vocabs: VocabBundle, max_chars: int,
                    doc_label_index=None, tag_index=None) -> Batch:
     """The one eager vectorizer: the token, char, gaz and cap ids of featurized
-    examples, and their label ids for each label index given, in one padded Batch."""
+    examples, and their label ids for each label index given, in one padded Batch.
+
+    max_chars 0 leaves the char-id block empty, for models that embed no chars."""
     b = len(examples)
     lengths = np.array([len(ex.feats.tokens) for ex in examples], dtype=np.int64)
     t = int(lengths.max()) if b else 0
@@ -237,18 +242,18 @@ def batch_examples(examples, vocabs: VocabBundle, max_chars: int,
         texts = feats.token_texts()
         n = len(texts)
         token_ids[i, :n] = [vocabs.token.lookup(tok) for tok in texts]
-        if n:
+        if n and max_chars:
             char_rows[i, :n] = [char_ids(tok, vocabs.char, max_chars) for tok in texts]
         gaz_ids[i, :n] = [vocabs.gaz.lookup(lbl) for lbl in feats.gaz_labels]
         cap_ids[i, :n] = [vocabs.cap.lookup(lbl) for lbl in feats.cap_labels]
         if doc_labels is not None:
             if ex.doc_label is None:
                 raise DatasetError("example lacks a document label")
-            doc_labels[i] = _label_id(doc_label_index, ex.doc_label, "document")
+            doc_labels[i] = _label_id(doc_label_index, ex.doc_label, "document", ex)
         if word_labels is not None:
             if ex.word_tags is None:
                 raise DatasetError("example lacks word tags")
-            word_labels[i, :n] = [_label_id(tag_index, tag, "word") for tag in ex.word_tags]
+            word_labels[i, :n] = [_label_id(tag_index, tag, "word", ex) for tag in ex.word_tags]
 
     return Batch(token_ids, char_rows, {"gaz": gaz_ids, "cap": cap_ids},
                  lengths, mask, doc_labels, word_labels)

@@ -199,7 +199,7 @@ def verify_equivalence(pipe, graph: StaticGraph, n_samples: int = 20,
     agree = True
     for text in texts:
         feats = pipe.featurizer.featurize(text)
-        batch = single_example_batch(feats, pipe.vocabs, pipe.max_chars)
+        batch = single_example_batch(feats, pipe.vocabs, pipe.char_width)
         out = model.forward(batch, compute_loss=False)
         ids = {"token_ids": batch.token_ids[0], "char_ids": batch.char_ids[0],
                "gaz_ids": batch.dense_feats["gaz"][0], "cap_ids": batch.dense_feats["cap"][0]}

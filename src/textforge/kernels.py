@@ -74,18 +74,27 @@ def conv_maxpool(x, filters, mask, want_cache=False):
     # for a row of length L are min(w-1, L-1) .. L-1, which yields the usual
     # L-w+1 windows when L >= w and exactly one zero-padded window otherwise.
     xp = np.concatenate([np.zeros((b, w - 1, d), dtype=F32), x], axis=1) if w > 1 else x
-    windows = np.lib.stride_tricks.sliding_window_view(xp, w, axis=1)  # [b, t, d, w]
-    flat = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(b, t, w * d)
+    s0, s1, s2 = xp.strides
+    # window (i, s) row j is xp[i, s + j]; the copy keeps the GEMM on a dense operand
+    windows = np.lib.stride_tricks.as_strided(xp, (b, t, w, d), (s0, s1, s1, s2),
+                                              writeable=False)
+    flat = np.ascontiguousarray(windows).reshape(b, t, w * d)
     scores = flat @ filters.reshape(w * d, f)  # [b, t, f]
 
-    starts = np.arange(t, dtype=np.int64)
-    lo = np.minimum(w - 1, lengths - 1)
-    valid = (starts[None, :] >= lo[:, None]) & (starts[None, :] <= (lengths - 1)[:, None])
-    masked = np.where(valid[:, :, None], scores, NEG_INF)
-    out = masked.max(axis=1)
+    if (lengths == t).all():
+        # no row is padded, so every row's valid starts are first .. t-1
+        first = min(w - 1, t - 1)
+        kept = scores[:, first:]
+    else:
+        first = 0
+        starts = np.arange(t, dtype=np.int64)
+        lo = np.minimum(w - 1, lengths - 1)
+        valid = (starts[None, :] >= lo[:, None]) & (starts[None, :] <= (lengths - 1)[:, None])
+        kept = np.where(valid[:, :, None], scores, NEG_INF)
+    out = kept.max(axis=1)
     if not want_cache:
         return out, None
-    winners = masked.argmax(axis=1)  # [b, f], lowest index on ties
+    winners = kept.argmax(axis=1) + first  # [b, f], lowest index on ties
     return out, (flat, winners, filters, w, t)
 
 
@@ -96,9 +105,10 @@ def conv_maxpool_backward(cache, dout):
     d = wd // w
     dscores = np.zeros((b, t, f), dtype=F32)
     np.put_along_axis(dscores, winners[:, None, :], dout[:, None, :], axis=1)
-    dflat = dscores @ filters.reshape(wd, f).T                    # [b, t, w*d]
-    dfilters = np.einsum("btk,btf->kf", flat, dscores).reshape(w, d, f).astype(F32)
-    dwin = dflat.reshape(b, t, w, d)
+    # each gradient is one GEMM over all b*t window positions
+    dscores = dscores.reshape(b * t, f)
+    dwin = (dscores @ filters.reshape(wd, f).T).reshape(b, t, w, d)
+    dfilters = (flat.reshape(b * t, wd).T @ dscores).reshape(w, d, f)
     dxp = np.zeros((b, t + w - 1, d), dtype=F32)
     for j in range(w):
         dxp[:, j:j + t, :] += dwin[:, :, j, :]
@@ -219,6 +229,7 @@ def self_attention(h, w1, w2, mask, want_cache=False):
 
 def self_attention_backward(cache, dout):
     h, w1, w2, u, alpha = cache
+    b, t, hd = h.shape
     dalpha = np.einsum("bh,bth->bt", dout, h)
     dh = alpha[:, :, None] * dout[:, None, :]
     ds = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
@@ -226,7 +237,7 @@ def self_attention_backward(cache, dout):
     dw2 = (u * ds[:, :, None]).sum(axis=(0, 1))
     dpre = du * (1 - u * u)
     dh = dh + dpre @ w1.T
-    dw1 = np.einsum("bti,btj->ij", h, dpre).astype(F32)
+    dw1 = (h.reshape(b * t, hd).T @ dpre.reshape(b * t, w1.shape[1])).astype(F32)
     return dh.astype(F32), dw1, dw2.astype(F32)
 
 

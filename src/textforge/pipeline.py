@@ -52,6 +52,9 @@ class Pipeline:
         # None when restored from a checkpoint
         self.datasets = datasets
         self._vectors = None  # "train"/"eval" -> one padded Batch per source
+        # width of the char-id block in its batches; 0 when the model embeds no chars
+        embeds_chars = config.root.child("model").child("embedding").params["char_dim"]
+        self.char_width = self.max_chars if embeds_chars else 0
 
     @property
     def max_chars(self):
@@ -74,7 +77,7 @@ class Pipeline:
             tag_index = (None if self.task == components.DOC_TASK
                          else {tag: i for i, tag in enumerate(self.word_tags)})
             self._vectors = {
-                name: [batch_examples(ds.examples, self.vocabs, self.max_chars,
+                name: [batch_examples(ds.examples, self.vocabs, self.char_width,
                                       doc_index, tag_index) for ds in self.datasets[name]]
                 for name in ("train", "eval")}
         return self._vectors[split]
@@ -153,7 +156,7 @@ class Pipeline:
 
     def predict(self, feats) -> dict:
         """Eager single-example prediction from a FeaturizedExample."""
-        batch = single_example_batch(feats, self.vocabs, self.max_chars)
+        batch = single_example_batch(feats, self.vocabs, self.char_width)
         if self.task == components.JOINT_TASK:
             doc = self.model.tasks["doc"].forward(batch, compute_loss=False)
             word = self.model.tasks["word"].forward(batch, compute_loss=False)

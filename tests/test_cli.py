@@ -158,6 +158,8 @@ class TestTrain:
     def test_eval_label_missing_from_train(self, tmp_path, monkeypatch, capsys):
         cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1)
         eval_path = cfg["task"]["doc_classification"]["data"]["tsv"]["eval_path"]
+        with open(eval_path, encoding="utf-8") as handle:
+            line_no = len(handle.readlines()) + 1
         with open(eval_path, "a", encoding="utf-8") as handle:
             handle.write("zzunseen\tset an alarm\n")
         cfg_path = tmp_path / "config.json"
@@ -167,7 +169,8 @@ class TestTrain:
         monkeypatch.setattr(trainer.Adam, "step", lambda opt: steps.append(opt) or step(opt))
         out_dir = tmp_path / "out"
         assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 1
-        assert "'zzunseen'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "%s line %d: unknown document label 'zzunseen'" % (eval_path, line_no) in err
         assert steps == []
         assert not (out_dir / "model.ckpt").exists()
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpora
+from textforge import data_handler, pipeline
 from textforge import graph as graph_module
-from textforge import pipeline
 from textforge.data_handler import single_example_batch
 from textforge.errors import OverlappingEntries
 from textforge.exporter import export_pipeline
@@ -201,3 +201,22 @@ def test_char_ids_agree_in_training_eager_and_graph(tmp_path, monkeypatch):
     assert checked == 12 + 4 + len(probes)
     assert (sources[1].char_ids == Vocabulary.UNK_ID).any()
     assert eager_rows("").shape == graph_rows("").shape == (0, 5)
+
+
+@pytest.mark.parametrize("char_dim", [0, 4], ids=["word_only", "with_chars"])
+def test_char_ids_are_looked_up_only_for_a_char_embedding(tmp_path, monkeypatch, char_dim):
+    # a model without a char table gets an empty char-id block, in training
+    # batches and in eager predict, and no char lookup runs
+    cfg = corpora.doc_config(str(tmp_path), n_train=12, n_eval=4, batch_size=4, epochs=1,
+                             embedding={"token": {"word_dim": 8, "char_dim": char_dim}})
+    pipe = instantiate_task(parse_task_config(corpora.as_text(cfg)))
+    calls = []
+    lookup = data_handler.char_ids
+    monkeypatch.setattr(data_handler, "char_ids",
+                        lambda tok, vocab, n: calls.append(tok) or lookup(tok, vocab, n))
+    batches = pipe.train_batches(0)
+    pipe.evaluate()
+    pipe.predict(pipe.featurizer.featurize("set an alarm"))
+    width = pipe.max_chars if char_dim else 0
+    assert {batch.char_ids.shape[2] for batch in batches} == {width}
+    assert (len(calls) > 0) == bool(char_dim)

@@ -188,7 +188,8 @@ class TestFiniteDifferences:
             x = t((2, tlen, 3), rng)
             filt = t((width, 3, 2), rng, scale=0.7)
             mask = np.ones((2, tlen), dtype=F32)
-            if tlen > 1:
+            # padded or all ones: the kernel skips the mask when nothing is padded
+            if tlen > 1 and rng.integers(0, 2):
                 mask[1, tlen - 1] = 0.0
             def f(_):
                 return scalarize(ops.conv1d_maxpool(x, filt, mask),
@@ -333,7 +334,106 @@ def ref_lstm_seq_backward(x, w_ih, w_hh, steps, dhs):
     return dx, dw_ih, dw_hh, db
 
 
+# --- the conv kernel before its strided gather, unmasked fast path and
+# GEMM gradients, and the attention weight gradient as an einsum ---
+
+def ref_conv_maxpool(x, filters, mask):
+    b, t, d = x.shape
+    w, _, f = filters.shape
+    lengths = mask.sum(axis=1).astype(np.int64)
+    xp = np.concatenate([np.zeros((b, w - 1, d), dtype=F32), x], axis=1) if w > 1 else x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, w, axis=1)  # [b, t, d, w]
+    flat = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(b, t, w * d)
+    scores = flat @ filters.reshape(w * d, f)
+    starts = np.arange(t, dtype=np.int64)
+    lo = np.minimum(w - 1, lengths - 1)
+    valid = (starts[None, :] >= lo[:, None]) & (starts[None, :] <= (lengths - 1)[:, None])
+    masked = np.where(valid[:, :, None], scores, kernels.NEG_INF)
+    return masked.max(axis=1), masked.argmax(axis=1), flat
+
+
+def ref_conv_maxpool_backward(flat, winners, filters, t, dout):
+    b, _, wd = flat.shape
+    w, d, f = filters.shape
+    dscores = np.zeros((b, t, f), dtype=F32)
+    np.put_along_axis(dscores, winners[:, None, :], dout[:, None, :], axis=1)
+    dflat = dscores @ filters.reshape(wd, f).T
+    dfilters = np.einsum("btk,btf->kf", flat, dscores).reshape(w, d, f).astype(F32)
+    dwin = dflat.reshape(b, t, w, d)
+    dxp = np.zeros((b, t + w - 1, d), dtype=F32)
+    for j in range(w):
+        dxp[:, j:j + t, :] += dwin[:, :, j, :]
+    return dxp[:, w - 1:, :] if w > 1 else dxp, dfilters
+
+
+def assert_close_relative(got, want, rtol, name):
+    assert got.shape == want.shape and got.dtype == F32, name
+    err = np.abs(got - want).max() / max(np.abs(want).max(), np.finfo(F32).tiny)
+    assert err < rtol, "%s: relative deviation %.3g" % (name, err)
+
+
 class TestKernelOracle:
+    @pytest.mark.parametrize("padded", [False, True], ids=["all_ones", "padded"])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tlen", [1, 2, 7, 12])
+    def test_conv_maxpool_matches_window_view_reference(self, tlen, width, padded):
+        rng = np.random.default_rng(tlen * 10 + width)
+        b, d, f = 5, 6, 4
+        x = rng.standard_normal((b, tlen, d)).astype(F32)
+        filters = (rng.standard_normal((width, d, f)) * 0.5).astype(F32)
+        mask = np.ones((b, tlen), dtype=F32)
+        if padded:
+            # right padding; at t == 1 no row can be padded and stay nonempty
+            lengths = rng.integers(1, tlen + 1, size=b)
+            lengths[-1] = max(tlen - 1, 1)
+            mask = (np.arange(tlen)[None, :] < lengths[:, None]).astype(F32)
+        self._check_conv(x, filters, mask, rng)
+
+    def test_conv_maxpool_on_a_char_batch_shorter_than_the_width(self):
+        # the char CNN's shape: one row per token, all-ones mask, max_chars < w
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((448, 2, 16)).astype(F32)
+        filters = (rng.standard_normal((3, 16, 32)) * 0.3).astype(F32)
+        self._check_conv(x, filters, np.ones((448, 2), dtype=F32), rng)
+
+    @staticmethod
+    def _check_conv(x, filters, mask, rng):
+        out, cache = kernels.conv_maxpool(x, filters, mask, want_cache=True)
+        ref_out, ref_winners, ref_flat = ref_conv_maxpool(x, filters, mask)
+        flat, winners = cache[0], cache[1]
+        for name, got, want in (("out", out, ref_out), ("winners", winners, ref_winners),
+                                ("flat", flat, ref_flat)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+        assert kernels.conv_maxpool(x, filters, mask)[0].tobytes() == out.tobytes()
+
+        dout = rng.standard_normal(out.shape).astype(F32)
+        dx, dfilters = kernels.conv_maxpool_backward(cache, dout)
+        ref_dx, ref_dfilters = ref_conv_maxpool_backward(ref_flat, ref_winners, filters,
+                                                         x.shape[1], dout)
+        assert_close_relative(dx, ref_dx, 1e-5, "dx")
+        assert_close_relative(dfilters, ref_dfilters, 1e-5, "dfilters")
+
+    @pytest.mark.parametrize("shape", [(1, 1, 4, 3), (3, 7, 8, 5), (32, 14, 24, 16)])
+    def test_self_attention_dw1_matches_einsum(self, shape):
+        b, tlen, hd, a = shape
+        rng = np.random.default_rng(b + tlen)
+        h = rng.standard_normal((b, tlen, hd)).astype(F32)
+        w1 = (rng.standard_normal((hd, a)) * 0.5).astype(F32)
+        w2 = (rng.standard_normal(a) * 0.5).astype(F32)
+        mask = np.ones((b, tlen), dtype=F32)
+        if tlen > 1:
+            mask[0, tlen - 1] = 0.0
+        out, cache = kernels.self_attention(h, w1, w2, mask, want_cache=True)
+        dout = rng.standard_normal(out.shape).astype(F32)
+        _, dw1, _ = kernels.self_attention_backward(cache, dout)
+        # dw1 as first written: the einsum over the un-reshaped operands
+        _, _, _, u, alpha = cache
+        dalpha = np.einsum("bh,bth->bt", dout, h)
+        ds = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+        dpre = ds[:, :, None] * w2[None, None, :] * (1 - u * u)
+        assert_close_relative(dw1, np.einsum("bti,btj->ij", h, dpre).astype(F32), 1e-5, "dw1")
+
     @pytest.mark.parametrize("padded", [False, True], ids=["all_ones", "padded"])
     @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
     @pytest.mark.parametrize("tlen", [1, 7])
