@@ -48,8 +48,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("export", help="lower a trained checkpoint to a static graph")
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("--out", required=True, help="graph file to write")
-    p.add_argument("--no-bake-vocab", action="store_true",
-                   help="keep integer id inputs instead of baking vocabularies")
 
     p = sub.add_parser("bench", help="compare eager and exported single-example latency")
     p.add_argument("--ckpt", required=True, help="checkpoint file for the eager side")
@@ -107,16 +105,25 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _graph_predictor(graph):
+    """Text -> prediction JSON through an exported graph, as pipe.predict
+    gives it eagerly."""
+    ex = Executor(graph)
+    task, labels = graph.attrs["task"], graph.attrs["labels"]
+
+    def predict(text):
+        res = run(ex, text)
+        return prediction_json(task, labels, res["pred"], res["scores"])
+    return predict
+
+
 def cmd_predict(args) -> int:
     lines = (read_lines(args.input) if args.input
              else text_lines(sys.stdin.buffer.read(), "stdin"))
     if args.graph:
-        graph = load_graph(args.graph)
-        ex = Executor(graph)
+        predict = _graph_predictor(load_graph(args.graph))
         for line in lines:
-            res = run(ex, line)
-            print(json.dumps(prediction_json(graph.attrs["task"], graph.attrs["labels"],
-                                             res["pred"], res["scores"])))
+            print(json.dumps(predict(line)))
         return 0
     pipe = restore_pipeline(load_checkpoint(args.ckpt), use_best=True)
     for line in lines:
@@ -132,7 +139,7 @@ def _head_path(out_path: str, head: str) -> str:
 def cmd_export(args) -> int:
     """Write the graphs only once each matches eager inference bit for bit."""
     pipe = restore_pipeline(load_checkpoint(args.model), use_best=True)
-    graphs = export_pipeline(pipe, bake=not args.no_bake_vocab)
+    graphs = export_pipeline(pipe)
     if not isinstance(graphs, dict):
         graphs = {"": graphs}
     checked = {}
@@ -165,15 +172,11 @@ def _bench_texts(n: int) -> list:
 
 def cmd_bench(args) -> int:
     pipe = restore_pipeline(load_checkpoint(args.ckpt), use_best=True)
-    graph = load_graph(args.graph)
-    ex = Executor(graph)
+    graph_fn = _graph_predictor(load_graph(args.graph))
     texts = _bench_texts(max(args.requests, 1))
 
     def eager_fn(text):
         return pipe.predict(pipe.featurizer.featurize(text))
-
-    def graph_fn(text):
-        return run(ex, text)
 
     reports = bench.latency_reports({"eager": eager_fn, "exported": graph_fn}, texts,
                                     warmup=args.warmup)

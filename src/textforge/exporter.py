@@ -3,10 +3,10 @@
 Each model stage lowers itself: its lower method, beside its forward, emits
 graph ops mirroring the forward pass exactly through a GraphBuilder. The
 interpreter then reuses the same kernels, which is what makes exported
-predictions match eager ones bit for bit. Given the vocabularies, export_model
-bakes them in the same pass: each id input becomes a lookup op over a raw
-string input, so the artifact consumes raw tokens with no training code in
-sight. Without them the graph keeps integer id inputs.
+predictions match eager ones bit for bit. export_model bakes the
+vocabularies in the same pass: each id slot is the output of a lookup op over
+a raw string input, so the artifact consumes raw text with no training code
+in sight.
 """
 
 from dataclasses import dataclass
@@ -24,8 +24,8 @@ from .trainer import derive_rng
 
 
 class IdInput(NamedTuple):
-    """How one integer id slot is fed (unbaked) or looked up (baked)."""
-    raw: str      # the string input a baked graph reads in its place
+    """How the graph looks one integer id slot up from a raw string input."""
+    raw: str      # the string input the lookup reads
     vocab: str    # the VocabBundle field (and vocab table) that maps it
     lookup: str   # the opcode that maps raw strings to ids
     dim: str      # the TokenEmbedding width that makes a model read it
@@ -55,12 +55,9 @@ class GraphBuilder:
         self.vocab_tables = {}
         self._paths = {id(p): path for path, p in model.named_parameters().items()}
 
-    def id_input(self, name: str, row: IdInput, vocabs) -> str:
-        """An id slot: a graph input, or with vocabs the output of a lookup op
-        over the raw string input, whose vocab table is attached."""
-        if vocabs is None:
-            self.inputs.append(name)
-            return name
+    def id_input(self, name: str, row: IdInput, vocabs: VocabBundle) -> str:
+        """An id slot: the output of a lookup op over the raw string input,
+        whose vocab table is attached."""
         extra = {"max_chars": self.attrs["max_chars"]} if row.lookup == "LookupChars" else {}
         self.vocab_tables[row.vocab] = list(getattr(vocabs, row.vocab).entries)
         if row.raw not in self.inputs:
@@ -97,9 +94,9 @@ class GraphBuilder:
 
 
 def export_model(model: SingleTaskModel, featurizer_settings, labels, task,
-                 vocabs: VocabBundle = None) -> StaticGraph:
-    """Lower one trained model to a graph: baked when given the vocabularies
-    (raw string inputs), else with integer id inputs."""
+                 vocabs: VocabBundle) -> StaticGraph:
+    """Lower one trained model to a graph over raw string inputs, with the
+    vocabularies baked in."""
     if not isinstance(model, SingleTaskModel):
         raise UnsupportedModule("can only export single-task models; "
                                 "multi-task models export one graph per head")
@@ -121,11 +118,9 @@ def export_model(model: SingleTaskModel, featurizer_settings, labels, task,
     return b.finish(("pred", "scores"))
 
 
-def export_pipeline(pipe, bake=True):
-    """Graph(s) for a trained pipeline: one, or a per-head dict for joint.
-    bake=False keeps integer id inputs (textforge export --no-bake-vocab)."""
-    settings = pipe.featurizer.settings
-    vocabs = pipe.vocabs if bake else None
+def export_pipeline(pipe):
+    """Graph(s) for a trained pipeline: one, or a per-head dict for joint."""
+    settings, vocabs = pipe.featurizer.settings, pipe.vocabs
 
     def lower(model, labels, task):
         return export_model(model, settings, labels, task, vocabs)
@@ -201,9 +196,7 @@ def verify_equivalence(pipe, graph: StaticGraph, n_samples: int = 20,
         feats = pipe.featurizer.featurize(text)
         batch = single_example_batch(feats, pipe.vocabs, pipe.char_width)
         out = model.forward(batch, compute_loss=False)
-        ids = {"token_ids": batch.token_ids[0], "char_ids": batch.char_ids[0],
-               "gaz_ids": batch.dense_feats["gaz"][0], "cap_ids": batch.dense_feats["cap"][0]}
-        res = run(ex, feats if graph.baked else ids)
+        res = run(ex, feats)
         e_scores = out.scores[0]
         g_scores = res["scores"]
         if e_scores.shape != g_scores.shape:

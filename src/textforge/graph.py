@@ -21,8 +21,7 @@ from . import binio, kernels
 from .components import DOC_TASK, WORD_TASK
 from .errors import (CorruptGraph, CorruptFile, IdOutOfRange, InputTypeMismatch,
                      VersionMismatch)
-from .featurizer import (GAZ_NONE, FeaturizedExample, Featurizer,
-                         FeaturizerSettings, capitalization, char_ids)
+from .featurizer import FeaturizedExample, Featurizer, FeaturizerSettings, char_ids
 from .vocab import Vocabulary, all_str, is_table
 
 F32 = np.float32
@@ -48,10 +47,6 @@ class StaticGraph:
     ops: list
     inputs: list
     outputs: list
-
-    @property
-    def baked(self):
-        return bool(self.vocab_tables)
 
 
 # --- the opcode table: what each op reads, which attrs it needs, how it runs ---
@@ -179,13 +174,21 @@ def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
                            % op.opcode)
     if not isinstance(op.attrs, dict):
         raise CorruptGraph("op %s attrs are not a mapping" % op.opcode)
-    for name, value in _op_attrs(op, spec).items():
+    attrs = _op_attrs(op, spec)
+    for name, value in attrs.items():
         kind = spec.attrs[name][0]
         if not isinstance(value, kind):
             raise CorruptGraph("op %s needs attr %r of type %s"
                                % (op.opcode, name, kind.__name__))
-    if "vocab" in spec.attrs and op.attrs["vocab"] not in graph.vocab_tables:
-        raise CorruptGraph("op %s needs vocab table %r" % (op.opcode, op.attrs["vocab"]))
+    if "vocab" in attrs and attrs["vocab"] not in graph.vocab_tables:
+        raise CorruptGraph("op %s needs vocab table %r" % (op.opcode, attrs["vocab"]))
+    # the kernels concatenate features on the last axis and cut char rows at
+    # the featurizer's max_chars; the exporter writes no other values
+    if attrs.get("axis", -1) != -1:
+        raise CorruptGraph("op %s needs axis -1, not %r" % (op.opcode, attrs["axis"]))
+    if attrs.get("max_chars", graph.attrs["max_chars"]) != graph.attrs["max_chars"]:
+        raise CorruptGraph("op %s has max_chars %r, but the graph has %r"
+                           % (op.opcode, attrs["max_chars"], graph.attrs["max_chars"]))
 
 
 def validate_graph(graph: StaticGraph) -> None:
@@ -290,8 +293,8 @@ class Executor:
 
     Each op becomes a step with its run function, attrs and input fetcher
     bound at compile time. A run seeds a dict of live values with the feed
-    and then the consts (consts win), and loops over the steps. No tape, no
-    gradient buffers; scratch values die with the call.
+    and the consts, which validate_graph keeps apart, and loops over the
+    steps. No tape, no gradient buffers; scratch values die with the call.
 
     The graph must already be valid. Executor does not validate it again:
     deserialize and GraphBuilder.finish validate every graph the program
@@ -340,41 +343,25 @@ class Executor:
 
 
 def prepare_feed(graph: StaticGraph, inp) -> dict:
-    """Turn a caller-level input into the slot feed the graph expects.
+    """Turn raw text or a FeaturizedExample into the graph's string inputs.
 
-    Baked graphs consume raw strings (text, a token list, or a featurized
-    example); unbaked graphs consume a dict of integer id arrays.
+    Text is featurized with the graph's own settings and no gazetteer. Any
+    other input raises InputTypeMismatch.
     """
-    if graph.baked:
-        if isinstance(inp, dict):
-            raise InputTypeMismatch("this graph consumes raw tokens, not id tensors")
-        if isinstance(inp, str):
-            settings = FeaturizerSettings(lowercase=graph.attrs["lowercase"],
-                                          max_chars=graph.attrs["max_chars"])
-            inp = Featurizer(settings).featurize(inp, ())
-        if isinstance(inp, FeaturizedExample):
-            raw = {"tokens": inp.token_texts(), "gaz_labels": list(inp.gaz_labels),
-                   "cap_labels": list(inp.cap_labels)}
-        elif isinstance(inp, (list, tuple)) and all(isinstance(t, str) for t in inp):
-            raw = {"tokens": list(inp), "gaz_labels": [GAZ_NONE] * len(inp),
-                   "cap_labels": [capitalization(t) for t in inp]}
-        else:
-            raise InputTypeMismatch("unsupported input of type %s" % type(inp).__name__)
-        feed = {}
-        for name in graph.inputs:
-            if name not in raw:
-                raise InputTypeMismatch("graph expects unknown input %r" % name)
-            feed[name] = raw[name]
-        return feed
-
-    if not isinstance(inp, dict):
-        raise InputTypeMismatch(
-            "this graph consumes token ids; bake vocabularies to feed raw tokens")
+    if isinstance(inp, str):
+        settings = FeaturizerSettings(lowercase=graph.attrs["lowercase"],
+                                      max_chars=graph.attrs["max_chars"])
+        inp = Featurizer(settings).featurize(inp, ())
+    if not isinstance(inp, FeaturizedExample):
+        raise InputTypeMismatch("a graph consumes text or a featurized example, not %s"
+                                % type(inp).__name__)
+    raw = {"tokens": inp.token_texts(), "gaz_labels": list(inp.gaz_labels),
+           "cap_labels": list(inp.cap_labels)}
     feed = {}
     for name in graph.inputs:
-        if name not in inp:
-            raise InputTypeMismatch("missing graph input %r" % name)
-        feed[name] = np.asarray(inp[name], dtype=np.int64)
+        if name not in raw:
+            raise InputTypeMismatch("graph expects unknown input %r" % name)
+        feed[name] = raw[name]
     return feed
 
 

@@ -277,9 +277,7 @@ def test_03_vocabulary_baking(tmp_path):
         pipe = make_pipe(tmp_path, "doc", n_train=24, n_eval=8, embedding={
             "token": {"word_dim": 8, "char_dim": 4, "char_filter_widths": [2],
                       "char_num_filters": 6, "cap_dim": 3}})
-        baked = export_pipeline(pipe, bake=True)
-        by_ids = export_pipeline(pipe, bake=False)
-        ex_baked, ex_ids = Executor(baked), Executor(by_ids)
+        ex = Executor(export_pipeline(pipe))
 
         rng = np.random.default_rng(7)
         pool = corpora.FILLERS + sorted(corpora.DOC_KEYWORDS.values())
@@ -293,16 +291,13 @@ def test_03_vocabulary_baking(tmp_path):
                     toks.append("".join(chr(ord("a") + int(c))
                                         for c in rng.integers(0, 26, size=5)))
             toks[int(rng.integers(0, n))] = "zzq%d" % i  # guaranteed OOV
-            feats = pipe.featurizer.featurize(" ".join(toks))
+            text = " ".join(toks)
+            feats = pipe.featurizer.featurize(text)
             batch = single_example_batch(feats, pipe.vocabs, pipe.max_chars)
-            rows = {"token_ids": batch.token_ids, "char_ids": batch.char_ids,
-                    "gaz_ids": batch.dense_feats["gaz"],
-                    "cap_ids": batch.dense_feats["cap"]}
-            feed = {name: rows[name][0] for name in by_ids.inputs}
-            res_b = run(ex_baked, toks)
-            res_i = run(ex_ids, feed)
-            assert res_b["scores"].tobytes() == res_i["scores"].tobytes(), toks
-            assert int(res_b["pred"]) == int(res_i["pred"])
+            eager = pipe.model.forward(batch, compute_loss=False)
+            res = run(ex, text)
+            assert eager.scores[0].tobytes() == res["scores"].tobytes(), text
+            assert int(eager.preds[0]) == int(res["pred"]), text
 
 
 # ---------------------------------------------------------------------------

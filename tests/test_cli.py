@@ -1,5 +1,6 @@
 """End to end command line checks, run through subprocesses like a user would."""
 
+import argparse
 import json
 import os
 import re
@@ -15,7 +16,7 @@ import corpora
 import textforge
 from textforge import cli, trainer
 from textforge.exporter import EquivalenceReport
-from textforge.graph import load_graph, save_graph
+from textforge.graph import GraphOp, load_graph, save_graph
 from textforge.trainer import load_checkpoint
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(textforge.__file__)))
@@ -242,14 +243,39 @@ class TestPredict:
         assert proc.returncode == 1, proc.stderr
         assert "is also a const" in proc.stderr
 
-    def test_unbaked_graph_rejects_text(self, doc_run, tmp_path):
+    def test_unbaked_graph_rejects_text(self, doc_run, doc_graph, tmp_path):
+        # an integer-id-input graph, as older exports could write: no lookups
+        g = load_graph(doc_graph)
+        lookups = [op for op in g.ops if op.opcode.startswith("Lookup")]
+        g.ops = [op for op in g.ops if op not in lookups]
+        g.inputs = [op.outputs[0] for op in lookups]
+        g.vocab_tables = {}
         path = str(tmp_path / "ids.graph")
-        proc = run_cli("export", "--model", doc_run.ckpt, "--out", path,
-                       "--no-bake-vocab")
-        assert proc.returncode == 0, proc.stderr
-        proc = run_cli("predict", "--graph", path, stdin="hello\n")
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("textforge: error:")
+        save_graph(g, path)
+        for cmd in (("predict", "--graph", path),
+                    ("bench", "--ckpt", doc_run.ckpt, "--graph", path, "--requests", "2")):
+            proc = run_cli(*cmd, stdin="hello\n")
+            assert proc.returncode == 1, (cmd, proc.stderr)
+            assert "textforge: error: graph expects unknown input 'token_ids'" in proc.stderr
+
+    @pytest.mark.parametrize("opcode,attrs", [
+        ("Concat", {"axis": 0}),
+        ("LookupChars", {"vocab": "char", "max_chars": -2}),
+    ])
+    def test_malformed_op_attr_is_an_input_error(self, doc_graph, tmp_path, opcode, attrs):
+        g = load_graph(doc_graph)
+        if opcode == "LookupChars":
+            # the doc model reads no chars; this lookup runs but nothing reads it
+            g.vocab_tables["char"] = ["<pad>", "<unk>", "a"]
+            g.ops.insert(0, GraphOp("LookupChars", ("tokens",), ("char_ids",), attrs))
+        else:
+            (op,) = [op for op in g.ops if op.opcode == opcode]
+            op.attrs.update(attrs)
+        bad = str(tmp_path / "bad.graph")
+        save_graph(g, bad)
+        proc = run_cli("predict", "--graph", bad, stdin="hello\n")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("textforge: error: op %s" % opcode), proc.stderr
 
     def test_graph_and_ckpt_are_exclusive(self, doc_run, doc_graph):
         proc = run_cli("predict", "--graph", doc_graph, "--ckpt", doc_run.ckpt,
@@ -351,6 +377,21 @@ class TestUsage:
     def test_unknown_subcommand(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 1
+
+    def test_readme_cli_flags_match_the_parser(self):
+        """Each README `## CLI` bullet names exactly its subcommand's flags."""
+        with open(README, encoding="utf-8") as handle:
+            section = handle.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for bullet in section.split("\n- `textforge ")[1:]:
+            command = bullet.split()[0]
+            documented[command] = set(re.findall(r"--[a-z][a-z-]*", bullet))
+        (subparsers,) = [a for a in cli._build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        parsed = {name: {s for a in p._actions for s in a.option_strings
+                         if s.startswith("--") and s != "--help"}
+                  for name, p in subparsers.choices.items()}
+        assert documented == parsed
 
 
 class TestQuickStart:

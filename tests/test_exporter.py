@@ -33,21 +33,19 @@ class TestLoweringShape:
     def test_docnn_opcode_trace(self, tmp_path):
         pipe = make_pipe(tmp_path)
         graph = export_model(pipe.model, pipe.featurizer.settings,
-                             pipe.doc_labels, DOC_TASK)
+                             pipe.doc_labels, DOC_TASK, pipe.vocabs)
         assert [op.opcode for op in graph.ops] == [
-            "EmbedGather",
+            "LookupTokens", "EmbedGather",
             "Conv1DMaxPool", "Conv1DMaxPool", "Concat",
             "MatMulAdd",
             "Softmax", "ArgMax",
         ]
-        assert not graph.baked
-        assert graph.inputs == ["token_ids"]
+        assert graph.inputs == ["tokens"]
         assert graph.outputs == ["pred", "scores"]
 
     def test_baked_trace_prepends_lookups(self, tmp_path):
         pipe = make_pipe(tmp_path)
         graph = export_pipeline(pipe)
-        assert graph.baked
         assert graph.inputs == ["tokens"]
         assert graph.ops[0].opcode == "LookupTokens"
         assert graph.vocab_tables["token"][:2] == ["<pad>", "<unk>"]
@@ -62,14 +60,12 @@ class TestLoweringShape:
 
     def test_multi_style_inputs(self, tmp_path):
         pipe = make_pipe(tmp_path, embedding=RICH_EMBEDDING)
-        unbaked = export_model(pipe.model, pipe.featurizer.settings,
-                               pipe.doc_labels, DOC_TASK)
-        assert unbaked.inputs == ["token_ids", "char_ids", "cap_ids"]
-        baked = export_model(pipe.model, pipe.featurizer.settings,
+        graph = export_model(pipe.model, pipe.featurizer.settings,
                              pipe.doc_labels, DOC_TASK, pipe.vocabs)
-        assert baked.inputs == ["tokens", "cap_labels"]
-        lookup_ops = [op.opcode for op in baked.ops[:3]]
-        assert lookup_ops == ["LookupTokens", "LookupChars", "LookupTokens"]
+        assert graph.inputs == ["tokens", "cap_labels"]
+        lookups = [(op.opcode, op.outputs[0]) for op in graph.ops[:3]]
+        assert lookups == [("LookupTokens", "token_ids"), ("LookupChars", "char_ids"),
+                           ("LookupTokens", "cap_ids")]
 
     def test_const_names_are_parameter_paths(self, tmp_path):
         pipe = make_pipe(tmp_path)
@@ -83,7 +79,7 @@ class TestLoweringShape:
         pipe = make_pipe(tmp_path, kind="joint")
         with pytest.raises(UnsupportedModule):
             export_model(pipe.model, pipe.featurizer.settings, pipe.doc_labels,
-                         DOC_TASK)
+                         DOC_TASK, pipe.vocabs)
 
 
 class TestGoldenBytes:
@@ -125,26 +121,6 @@ class TestGoldenBytes:
         digests = {name: hashlib.sha256(serialize(g)).hexdigest()
                    for name, g in graphs.items()}
         assert digests == self.GOLDEN
-
-    def test_baked_and_unbaked_share_one_body(self, tmp_path):
-        """Baking only puts lookups in front: after them each baked graph is
-        its unbaked graph, op for op, with the same consts and attrs."""
-        cases = {"doc": ("doc", {}), "word": ("word", {"embedding": RICH_EMBEDDING}),
-                 "doc.all_stages": ("doc", self.ALL_STAGES), "joint": ("joint", {})}
-        for name, (kind, overrides) in cases.items():
-            (tmp_path / name).mkdir()
-            pipe = make_pipe(tmp_path / name, kind=kind, **overrides)
-            baked, unbaked = export_pipeline(pipe), export_pipeline(pipe, bake=False)
-            pairs = ([(baked[h], unbaked[h]) for h in ("doc", "word")] if kind == "joint"
-                     else [(baked, unbaked)])
-            for b, u in pairs:
-                n = len(u.inputs)
-                assert all(op.opcode.startswith("Lookup") for op in b.ops[:n]), name
-                assert [op.outputs[0] for op in b.ops[:n]] == u.inputs, name
-                assert b.ops[n:] == u.ops, name
-                assert list(b.consts) == list(u.consts), name
-                assert all(np.array_equal(b.consts[k], u.consts[k]) for k in u.consts), name
-                assert b.attrs == u.attrs, name
 
 
 class TestParameterLayout:
@@ -217,13 +193,6 @@ class TestEquivalence:
         opcodes = [op.opcode for op in graph.ops]
         assert "Highway" in opcodes and "LookupChars" in opcodes
         report = verify_equivalence(pipe, graph, n_samples=10, seed=3)
-        assert report.argmax_agree and report.max_abs_dev == 0.0
-
-    def test_unbaked_graph_on_id_feeds_matches(self, tmp_path):
-        pipe = make_pipe(tmp_path)
-        graph = export_pipeline(pipe, bake=False)
-        assert not graph.baked
-        report = verify_equivalence(pipe, graph, n_samples=10, seed=4)
         assert report.argmax_agree and report.max_abs_dev == 0.0
 
     def test_joint_heads_verify_and_share_trunk_consts(self, tmp_path):

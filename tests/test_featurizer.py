@@ -178,7 +178,7 @@ def test_char_ids_agree_in_training_eager_and_graph(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "make_batches", recording)
     pipe.train_batches(0)
     pipe.evaluate()
-    graph = export_pipeline(pipe, bake=True)
+    graph = export_pipeline(pipe)
     (op,) = [op for op in graph.ops if op.opcode == "LookupChars"]
     vocab = Vocabulary(graph.vocab_tables[op.attrs["vocab"]])
 
