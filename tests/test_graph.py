@@ -572,6 +572,17 @@ class TestPrepareFeed:
             with pytest.raises(InputTypeMismatch):
                 prepare_feed(baked_graph(), inp)
 
+    def test_token_list_input_keeps_given_casing(self):
+        ex = Executor(cap_probe_graph())
+        # a token list would be looked up verbatim ("Go" -> <unk>), so it is
+        # refused; the text keeps its given casing for the caps feature only
+        with pytest.raises(InputTypeMismatch):
+            prepare_feed(cap_probe_graph(), ["Go", "x"])
+        out = run(ex, "Go x")
+        cap_entries = ["<pad>", "<unk>"] + list(CAP_CLASSES)
+        assert [cap_entries[i] for i in out["cap_ids"]] == ["init_cap", "all_lower"]
+        assert out["tok_ids"].tolist() == [2, 1]
+
     def test_text_input_computes_caps_before_lowercasing(self):
         ex = Executor(cap_probe_graph())
         out = run(ex, "Go HOME x")
