@@ -117,6 +117,16 @@ def _graph_predictor(graph):
     return predict
 
 
+def _eager_predictor(pipe, graph):
+    """Text -> the eager prediction JSON that graph's predictor gives: a
+    joint checkpoint predicts only the head the graph was exported from."""
+    task = graph.attrs["task"]
+
+    def predict(text):
+        return pipe.predict(pipe.featurizer.featurize(text), task)
+    return predict
+
+
 def cmd_predict(args) -> int:
     lines = (read_lines(args.input) if args.input
              else text_lines(sys.stdin.buffer.read(), "stdin"))
@@ -172,14 +182,11 @@ def _bench_texts(n: int) -> list:
 
 def cmd_bench(args) -> int:
     pipe = restore_pipeline(load_checkpoint(args.ckpt), use_best=True)
-    graph_fn = _graph_predictor(load_graph(args.graph))
+    graph = load_graph(args.graph)
     texts = _bench_texts(max(args.requests, 1))
-
-    def eager_fn(text):
-        return pipe.predict(pipe.featurizer.featurize(text))
-
-    reports = bench.latency_reports({"eager": eager_fn, "exported": graph_fn}, texts,
-                                    warmup=args.warmup)
+    reports = bench.latency_reports({"eager": _eager_predictor(pipe, graph),
+                                     "exported": _graph_predictor(graph)},
+                                    texts, warmup=args.warmup)
     print(bench.format_reports(reports))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -15,6 +15,8 @@ from .registry import (BOOL, COMPONENT, FLOAT, INT, LIST_INT, LIST_STRING, STRIN
 DOC_TASK = "doc_classification"
 WORD_TASK = "word_tagging"
 JOINT_TASK = "joint_doc_word"
+# the joint model's head for each task it predicts
+JOINT_HEADS = {DOC_TASK: "doc", WORD_TASK: "word"}
 
 
 def _register_builtins():

@@ -18,7 +18,7 @@ from . import components
 from .data_handler import VocabBundle, single_example_batch
 from .errors import EmptySampleSet, UnsupportedModule
 from .graph import GRAPH_VERSION, Executor, GraphOp, StaticGraph, run, validate_graph
-from .model_zoo import MultiTaskModel, SingleTaskModel
+from .model_zoo import SingleTaskModel
 from .tensor import Parameter
 from .trainer import derive_rng
 
@@ -121,18 +121,11 @@ def export_model(model: SingleTaskModel, featurizer_settings, labels, task,
 def export_pipeline(pipe):
     """Graph(s) for a trained pipeline: one, or a per-head dict for joint."""
     settings, vocabs = pipe.featurizer.settings, pipe.vocabs
-
-    def lower(model, labels, task):
-        return export_model(model, settings, labels, task, vocabs)
-
     if pipe.task == components.JOINT_TASK:
-        model: MultiTaskModel = pipe.model
-        return {
-            "doc": lower(model.tasks["doc"], pipe.doc_labels, components.DOC_TASK),
-            "word": lower(model.tasks["word"], pipe.word_tags, components.WORD_TASK),
-        }
-    labels = pipe.doc_labels if pipe.task == components.DOC_TASK else pipe.word_tags
-    return lower(pipe.model, labels, pipe.task)
+        return {head: export_model(pipe.model.tasks[head], settings, pipe.labels(task), task,
+                                   vocabs)
+                for task, head in components.JOINT_HEADS.items()}
+    return export_model(pipe.model, settings, pipe.labels(pipe.task), pipe.task, vocabs)
 
 
 # --- equivalence checking between eager and exported inference ---

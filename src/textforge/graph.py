@@ -22,7 +22,7 @@ from .components import DOC_TASK, WORD_TASK
 from .errors import (CorruptGraph, CorruptFile, IdOutOfRange, InputTypeMismatch,
                      VersionMismatch)
 from .featurizer import FeaturizedExample, Featurizer, FeaturizerSettings, char_ids
-from .vocab import Vocabulary, all_str, is_table
+from .vocab import Vocabulary, all_str
 
 F32 = np.float32
 
@@ -47,6 +47,8 @@ class StaticGraph:
     ops: list
     inputs: list
     outputs: list
+    # vocab name -> the Vocabulary over its table, kept by validate_graph
+    vocabs: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 # --- the opcode table: what each op reads, which attrs it needs, how it runs ---
@@ -192,7 +194,9 @@ def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
 
 
 def validate_graph(graph: StaticGraph) -> None:
-    """Topology, naming, per-op and output checks; raises CorruptGraph on any violation."""
+    """Topology, naming, per-op and output checks; raises CorruptGraph on any
+    violation. The Vocabularies that check the tables are kept in graph.vocabs
+    for the Executor."""
     for what in ("attrs", "consts", "vocab_tables"):
         if not isinstance(getattr(graph, what), dict):
             raise CorruptGraph("graph %s are not a mapping" % what)
@@ -203,10 +207,13 @@ def validate_graph(graph: StaticGraph) -> None:
         names = getattr(graph, what)
         if not (isinstance(names, list) and all_str(names)):
             raise CorruptGraph("graph %s are not a list of slot names" % what)
-    for name, entries in graph.vocab_tables.items():
-        if not is_table(entries):
+    vocabs = {name: Vocabulary.from_table(entries)
+              for name, entries in graph.vocab_tables.items()}
+    for name, vocab in vocabs.items():
+        if vocab is None:
             raise CorruptGraph("vocab table %r is not a list of unique strings starting "
                                "with %s, %s" % (name, Vocabulary.PAD, Vocabulary.UNK))
+    graph.vocabs = vocabs
     for name, value in graph.consts.items():
         # the exporter writes every weight as a float32 array
         if not (isinstance(value, np.ndarray) and value.dtype == F32):
@@ -304,7 +311,10 @@ class Executor:
     def __init__(self, graph: StaticGraph):
         self.graph = graph
         self._consts = dict(graph.consts)
-        self._vocabs = {name: Vocabulary(entries)
+        # the Vocabularies validation built, unless a table was replaced since
+        kept = graph.vocabs
+        self._vocabs = {name: kept[name] if name in kept and kept[name].entries is entries
+                        else Vocabulary(entries)
                         for name, entries in graph.vocab_tables.items()}
         self._steps = [self._compile(op) for op in graph.ops]
 

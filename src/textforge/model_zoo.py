@@ -269,12 +269,13 @@ class BiLSTMModule(LayerModule):
 
 
 class Representation(LayerModule):
-    """Base for the representations: one input guard in front of encode.
+    """Base for the representations: a trunk, then a pooling, each behind a guard.
 
-    forward checks the input width (errors name the subclass by its label);
-    a zero-length sequence gets the fixed zero representation, [b, out] when
-    pooled and [b, 0, out] per token (sequence_output). Anything else goes to
-    the subclass's encode.
+    trunk checks the input width (errors name the subclass by its label) and
+    runs the subclass's encode; a zero-length sequence skips it and has no
+    states (None). pool runs the subclass's reduce over the states; no states
+    give the fixed zero representation, [b, out] when pooled and [b, 0, out]
+    per token (sequence_output). The joint heads pool one trunk's states.
     """
 
     sequence_output = False
@@ -284,14 +285,23 @@ class Representation(LayerModule):
         self.in_dim = in_dim
 
     def forward(self, emb: Tensor, mask) -> Tensor:
+        return self.pool(self.trunk(emb, mask), mask)
+
+    def trunk(self, emb: Tensor, mask) -> Optional[Tensor]:
         if emb.shape[-1] != self.in_dim:
             raise ShapeMismatch("%s expected input dim %d, got %d"
                                 % (self.label, self.in_dim, emb.shape[-1]))
-        b, t = emb.shape[0], emb.shape[1]
-        if t == 0:
+        return self.encode(emb, mask) if emb.shape[1] else None
+
+    def pool(self, states: Optional[Tensor], mask) -> Tensor:
+        if states is None:
+            b = mask.shape[0]
             shape = (b, 0, self.out_dim) if self.sequence_output else (b, self.out_dim)
             return Tensor(np.zeros(shape, dtype=F32))
-        return self.encode(emb, mask)
+        return self.reduce(states, mask)
+
+    def reduce(self, states: Tensor, mask) -> Tensor:
+        return states
 
 
 class DocNNRepresentation(Representation):
@@ -356,8 +366,8 @@ class BiLSTMAttnRepresentation(BiLSTMTaggerRepresentation):
         self.add_param("attn.w1", _uniform(rng, (self.out_dim, attn), scale))
         self.add_param("attn.w2", _uniform(rng, (attn,), float(np.sqrt(1.0 / attn))))
 
-    def encode(self, emb: Tensor, mask) -> Tensor:
-        return ops.self_attention(super().encode(emb, mask), self._params["attn.w1"].tensor,
+    def reduce(self, states: Tensor, mask) -> Tensor:
+        return ops.self_attention(states, self._params["attn.w1"].tensor,
                                   self._params["attn.w2"].tensor, mask)
 
     def lower(self, b, x: str) -> str:
@@ -458,9 +468,17 @@ class SingleTaskModel(LayerModule):
                 "decoder": self.decoder, "output": self.output}
 
     def forward(self, batch: Batch, compute_loss=True) -> ModelOutput:
-        emb = self.embedding.forward(batch)
-        rep = self.representation.forward(emb, batch.mask)
-        logits = self.decoder.forward(rep)
+        return self.head(batch, self.trunk(batch), compute_loss)
+
+    def trunk(self, batch: Batch) -> Optional[Tensor]:
+        """The embedding and the representation's trunk: the states that
+        the joint heads share."""
+        return self.representation.trunk(self.embedding.forward(batch), batch.mask)
+
+    def head(self, batch: Batch, states: Optional[Tensor], compute_loss=True) -> ModelOutput:
+        """The representation's pooling, the decoder and the output over a
+        trunk's states."""
+        logits = self.decoder.forward(self.representation.pool(states, batch.mask))
         if self.output.sequence_output:
             labels = batch.word_labels if compute_loss else None
         else:
@@ -492,6 +510,17 @@ class MultiTaskModel(LayerModule):
     def forward(self, batch: Batch, compute_loss=True):
         name = self.task_for(batch.task_id)
         return name, self.tasks[name].forward(batch, compute_loss)
+
+    def forward_all(self, batch: Batch) -> dict:
+        """Every head's output for a batch, without losses, from one trunk pass.
+
+        Only for heads that share their whole trunk, as build_model's joint
+        heads share the embedding and the BiLSTM: the first head's states
+        then serve every head.
+        """
+        states = self.tasks[self.task_names[0]].trunk(batch)
+        return {name: head.head(batch, states, compute_loss=False)
+                for name, head in self.tasks.items()}
 
 
 def assign_parameter_names(model):

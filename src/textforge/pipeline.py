@@ -23,8 +23,7 @@ from .errors import EmptySplit, SchemaViolation
 from .featurizer import Featurizer, FeaturizerSettings
 from .model_zoo import load_params
 from .registry import TaskConfig, parse_task_config, serialize_task_config
-from .trainer import derive_rng, seed_sequence
-from .vocab import Vocabulary
+from .trainer import Checkpoint, derive_rng, seed_sequence
 
 
 @dataclass
@@ -102,24 +101,6 @@ class Pipeline:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _collect_doc(self, model, batches):
-        golds, preds = [], []
-        for batch in batches:
-            out = model.forward(batch, compute_loss=False)
-            golds.extend(int(g) for g in batch.doc_labels)
-            preds.extend(int(p) for p in out.preds)
-        return golds, preds
-
-    def _collect_word(self, model, batches):
-        golds, preds = [], []
-        for batch in batches:
-            out = model.forward(batch, compute_loss=False)
-            for i in range(batch.size):
-                n = int(batch.lengths[i])
-                golds.append([int(x) for x in batch.word_labels[i, :n]])
-                preds.append([int(x) for x in out.preds[i, :n]])
-        return golds, preds
-
     def evaluate(self):
         """Score the current model on the eval split(s).
 
@@ -129,23 +110,25 @@ class Pipeline:
         batches = [make_batches(full, self.settings.batch_size)
                    for full in self._vectorized("eval")]
         if self.task == components.DOC_TASK:
-            golds, preds = self._collect_doc(self.model, batches[0])
-            rep = metrics.classification_report(golds, preds, len(self.doc_labels))
+            rep = metrics.classification_report(
+                *_doc_golds_preds(_outputs(self.model, batches[0])), len(self.doc_labels))
             return rep.accuracy, {"accuracy": rep.accuracy, "macro_f1": rep.macro_f1}
         if self.task == components.WORD_TASK:
-            golds, preds = self._collect_word(self.model, batches[0])
-            rep = metrics.tagging_report(golds, preds, len(self.word_tags))
+            rep = metrics.tagging_report(
+                *_word_golds_preds(_outputs(self.model, batches[0])), len(self.word_tags))
             return rep.macro_f1, {"token_accuracy": rep.token_accuracy,
                                   "macro_f1": rep.macro_f1}
 
-        doc_model, word_model = self.model.tasks["doc"], self.model.tasks["word"]
-        golds, preds = self._collect_doc(doc_model, batches[0])
+        # the first source carries both label kinds: one trunk pass per batch
+        # gives the doc predictions and the tags for frame accuracy
+        both = [(batch, self.model.forward_all(batch)) for batch in batches[0]]
+        golds, preds = _doc_golds_preds((batch, outs["doc"]) for batch, outs in both)
         doc_rep = metrics.classification_report(golds, preds, len(self.doc_labels))
-        wgolds, wpreds = self._collect_word(word_model, batches[1])
-        word_rep = metrics.tagging_report(wgolds, wpreds, len(self.word_tags))
-        # frame accuracy over the first source, which carries both label kinds
-        tg, tp = self._collect_word(word_model, batches[0])
+        tg, tp = _word_golds_preds((batch, outs["word"]) for batch, outs in both)
         frame = metrics.frame_accuracy(golds, preds, tg, tp)
+        word_rep = metrics.tagging_report(
+            *_word_golds_preds(_outputs(self.model.tasks["word"], batches[1])),
+            len(self.word_tags))
 
         score = (doc_rep.accuracy + word_rep.macro_f1) / 2.0
         return score, {"doc_accuracy": doc_rep.accuracy,
@@ -154,20 +137,31 @@ class Pipeline:
 
     # -- prediction -----------------------------------------------------------
 
-    def predict(self, feats) -> dict:
-        """Eager single-example prediction from a FeaturizedExample."""
+    def labels(self, task) -> list:
+        """The label names of a doc or word head."""
+        return self.doc_labels if task == components.DOC_TASK else self.word_tags
+
+    def predict(self, feats, task=None) -> dict:
+        """Eager single-example prediction from a FeaturizedExample.
+
+        The joint model runs its shared trunk once and gives the doc head's
+        label and score with the word head's tags; given a task, it predicts
+        that task's head alone, as the head's exported graph does. A single
+        task model ignores task.
+        """
         batch = single_example_batch(feats, self.vocabs, self.char_width)
-        if self.task == components.JOINT_TASK:
-            doc = self.model.tasks["doc"].forward(batch, compute_loss=False)
-            word = self.model.tasks["word"].forward(batch, compute_loss=False)
-            result = prediction_json(components.DOC_TASK, self.doc_labels,
-                                     doc.preds[0], doc.scores[0])
-            result["tags"] = prediction_json(components.WORD_TASK, self.word_tags,
-                                             word.preds[0], word.scores[0])["tags"]
-            return result
-        out = self.model.forward(batch, compute_loss=False)
-        labels = self.doc_labels if self.task == components.DOC_TASK else self.word_tags
-        return prediction_json(self.task, labels, out.preds[0], out.scores[0])
+        if self.task != components.JOINT_TASK:
+            return self._json(self.task, self.model.forward(batch, compute_loss=False))
+        if task is not None:
+            head = self.model.tasks[components.JOINT_HEADS[task]]
+            return self._json(task, head.forward(batch, compute_loss=False))
+        outs = self.model.forward_all(batch)
+        result = self._json(components.DOC_TASK, outs["doc"])
+        result["tags"] = self._json(components.WORD_TASK, outs["word"])["tags"]
+        return result
+
+    def _json(self, task, out) -> dict:
+        return prediction_json(task, self.labels(task), out.preds[0], out.scores[0])
 
     # -- persistence ------------------------------------------------------------
 
@@ -194,6 +188,32 @@ def prediction_json(task, labels, pred, scores) -> dict:
         return {"label": None, "score": None, "tags": tags, "tag_scores": tag_scores}
     pred = int(pred)
     return {"label": labels[pred], "score": float(scores[pred])}
+
+
+def _outputs(model, batches):
+    """(batch, output) pairs of a single-task model over batches."""
+    return ((batch, model.forward(batch, compute_loss=False)) for batch in batches)
+
+
+def _doc_golds_preds(outputs):
+    """Gold and predicted label ids over (batch, head output) pairs."""
+    golds, preds = [], []
+    for batch, out in outputs:
+        golds.extend(int(g) for g in batch.doc_labels)
+        preds.extend(int(p) for p in out.preds)
+    return golds, preds
+
+
+def _word_golds_preds(outputs):
+    """Gold and predicted tag ids per example, cut to its length, over
+    (batch, head output) pairs."""
+    golds, preds = [], []
+    for batch, out in outputs:
+        for i in range(batch.size):
+            n = int(batch.lengths[i])
+            golds.append([int(x) for x in batch.word_labels[i, :n]])
+            preds.append([int(x) for x in out.preds[i, :n]])
+    return golds, preds
 
 
 def _build_featurizer(cfg) -> Featurizer:
@@ -273,16 +293,15 @@ def instantiate_task(config: TaskConfig, seed_override: Optional[int] = None) ->
     return _assemble(config, vocabs, doc_labels, word_tags, tparams["seed"], datasets)
 
 
-def restore_pipeline(payload: dict, use_best: bool = True) -> Pipeline:
-    """Rebuild a pipeline from a checkpoint alone; no data files are read.
+def restore_pipeline(payload: Checkpoint, use_best: bool = True) -> Pipeline:
+    """Rebuild a pipeline from a loaded checkpoint alone; no data files are read.
 
     use_best selects the best-epoch parameters (for prediction and export);
     pass False to get the last-epoch state instead.
     """
     config = parse_task_config(payload["config"])
-    vocabs = VocabBundle(**{name: Vocabulary(payload["vocabs"][name]) for name in VOCAB_NAMES})
-    pipe = _assemble(config, vocabs, payload["labels"]["doc"], payload["labels"]["word"],
-                     payload["seed"])
+    pipe = _assemble(config, payload.vocabs, payload["labels"]["doc"],
+                     payload["labels"]["word"], payload["seed"])
     use_best = use_best and payload["best_epoch"] >= 0
     load_params(pipe.model, payload["best_params" if use_best else "params"])
     return pipe

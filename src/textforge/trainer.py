@@ -12,10 +12,10 @@ from typing import Optional
 import numpy as np
 
 from . import binio
-from .data_handler import VOCAB_NAMES
+from .data_handler import VOCAB_NAMES, VocabBundle
 from .errors import CorruptFile, EmptySplit, NoGradient, NonFiniteLoss
 from .model_zoo import load_params
-from .vocab import all_str, is_table
+from .vocab import Vocabulary, all_str
 
 F32 = np.float32
 
@@ -268,14 +268,22 @@ _CKPT_FIELDS = {
     "history": lambda v: isinstance(v, list) and all(
         isinstance(rec, dict) and set(rec) == set(_RECORD_FIELDS)
         and all(ok(rec[name]) for name, ok in _RECORD_FIELDS.items()) for rec in v),
-    "vocabs": lambda v: isinstance(v, dict) and all(is_table(v.get(n)) for n in VOCAB_NAMES),
+    "vocabs": _typed(dict),
     "labels": lambda v: isinstance(v, dict) and all(
         isinstance(v.get(k), list) and all_str(v[k]) for k in ("doc", "word")),
     "params": _typed(dict), "best_params": _typed(dict), "optimizer": _typed(dict),
 }
 
 
-def load_checkpoint(path: str) -> dict:
+class Checkpoint(dict):
+    """A checked checkpoint payload. vocabs is the VocabBundle whose
+    Vocabularies checked its vocab tables, so restoring a pipeline from it
+    hashes no table again."""
+
+    vocabs: VocabBundle
+
+
+def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; CorruptFile unless every field is well formed."""
     payload = binio.read_container(path, CKPT_MAGIC, CKPT_VERSION)
     if not isinstance(payload, dict) or payload.get("container") != "checkpoint":
@@ -283,4 +291,9 @@ def load_checkpoint(path: str) -> dict:
     for name, well_formed in _CKPT_FIELDS.items():
         if name not in payload or not well_formed(payload[name]):
             raise CorruptFile("%s: checkpoint field %r is missing or malformed" % (path, name))
-    return payload
+    vocabs = {name: Vocabulary.from_table(payload["vocabs"].get(name)) for name in VOCAB_NAMES}
+    if None in vocabs.values():
+        raise CorruptFile("%s: checkpoint field 'vocabs' is missing or malformed" % path)
+    ckpt = Checkpoint(payload)
+    ckpt.vocabs = VocabBundle(**vocabs)
+    return ckpt

@@ -1,5 +1,7 @@
 """Vocabulary with fixed special entries and deterministic ordering."""
 
+from typing import Optional
+
 from .errors import EmptyCorpus
 
 
@@ -21,9 +23,24 @@ class Vocabulary:
         if entries[:2] != [self.PAD, self.UNK]:
             entries = [self.PAD, self.UNK] + entries
         self.entries = entries
-        self.index = {tok: i for i, tok in enumerate(entries)}
+        self.index = dict(zip(entries, range(len(entries))))
         if len(self.index) != len(self.entries):
             raise ValueError("duplicate vocabulary entries")
+
+    @classmethod
+    def from_table(cls, entries) -> Optional["Vocabulary"]:
+        """The Vocabulary over a stored table, or None unless entries is the
+        table a Vocabulary stores: a list of unique strings starting with
+        PAD, UNK. Graph and checkpoint readers check every table they load
+        here; the index that the uniqueness check builds is the one the
+        Vocabulary keeps, so a load hashes each table once."""
+        if not (isinstance(entries, list) and entries[:2] == [cls.PAD, cls.UNK]
+                and all_str(entries)):
+            return None
+        vocab = cls.__new__(cls)
+        vocab.entries = entries
+        vocab.index = dict(zip(entries, range(len(entries))))
+        return vocab if len(vocab.index) == len(entries) else None
 
     @classmethod
     def build(cls, counts: dict, min_freq: int = 1) -> "Vocabulary":
@@ -54,11 +71,3 @@ def all_str(values) -> bool:
     except TypeError:
         return False
     return True
-
-
-def is_table(entries) -> bool:
-    """Whether entries is the table a Vocabulary stores: a list of unique
-    strings starting with PAD, UNK. Graph and checkpoint readers check every
-    vocabulary they load here."""
-    return (isinstance(entries, list) and entries[:2] == [Vocabulary.PAD, Vocabulary.UNK]
-            and all_str(entries) and len(set(entries)) == len(entries))

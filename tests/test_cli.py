@@ -17,6 +17,7 @@ import textforge
 from textforge import cli, trainer
 from textforge.exporter import EquivalenceReport
 from textforge.graph import GraphOp, load_graph, save_graph
+from textforge.pipeline import restore_pipeline
 from textforge.trainer import load_checkpoint
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(textforge.__file__)))
@@ -305,6 +306,23 @@ class TestExportAndBench:
         row = json.loads(tagged.stdout)
         assert row["label"] is None and row["score"] is None
         assert len(row["tags"]) == 3 and len(row["tag_scores"]) == 3
+
+    def test_bench_times_like_against_like_on_a_joint_checkpoint(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(corpora.joint_config(str(tmp_path), n_train=12,
+                                                            n_eval=6, epochs=1)),
+                            encoding="utf-8")
+        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        assert cli.main(["export", "--model", str(tmp_path / "model.ckpt"),
+                         "--out", str(tmp_path / "model.graph")]) == 0
+        capsys.readouterr()
+        pipe = restore_pipeline(load_checkpoint(str(tmp_path / "model.ckpt")))
+        texts = ["set an alarm", "Play THE song now", "zzqx", ""]
+        for head in ("doc", "word"):
+            graph = load_graph(str(tmp_path / ("model.%s.graph" % head)))
+            eager, exported = cli._eager_predictor(pipe, graph), cli._graph_predictor(graph)
+            for text in texts:
+                assert json.dumps(eager(text)) == json.dumps(exported(text)), (head, text)
 
     def test_older_checkpoint_format_is_refused(self, doc_run, tmp_path):
         # format 2 bodies are the tagged codec that format 3 replaced

@@ -12,6 +12,7 @@ from textforge import graph as graph_module
 from textforge.errors import (CorruptGraph, IdOutOfRange, InputTypeMismatch,
                               VersionMismatch)
 from textforge.featurizer import CAP_CLASSES, GAZ_NONE
+from textforge.vocab import Vocabulary
 from textforge.graph import (GRAPH_MAGIC, GRAPH_VERSION, Executor, GraphOp,
                              StaticGraph, deserialize, load_graph,
                              prepare_feed, run, save_graph, serialize,
@@ -463,6 +464,27 @@ class TestValidation:
         monkeypatch.setattr(graph_module, "validate_graph", counted)
         Executor(load_graph(path))
         assert len(calls) == 1
+
+    def test_load_and_executor_index_each_vocab_table_once(self, tmp_path, monkeypatch):
+        g = with_spare_char_lookup(ATTRS["max_chars"])
+        path = str(tmp_path / "model.graph")
+        save_graph(g, path)
+        indexed = []
+        from_table, init = Vocabulary.from_table.__func__, Vocabulary.__init__
+        monkeypatch.setattr(Vocabulary, "from_table", classmethod(
+            lambda cls, entries: indexed.append(entries) or from_table(cls, entries)))
+        monkeypatch.setattr(Vocabulary, "__init__",
+                            lambda self, entries: indexed.append(entries) or init(self, entries))
+        Executor(load_graph(path))
+        assert sorted(map(tuple, indexed)) == sorted(map(tuple, g.vocab_tables.values()))
+
+    def test_executor_indexes_a_table_replaced_after_validation(self):
+        g = baked_graph()
+        validate_graph(g)
+        g.vocab_tables["token"] = ["<pad>", "<unk>", "home", "go"]
+        swapped = run(Executor(g), "go home")
+        assert swapped["scores"].tobytes() == run(Executor(baked_graph()),
+                                                  "home go")["scores"].tobytes()
 
     @pytest.mark.parametrize("payload", [
         np.zeros(3, dtype=F32),

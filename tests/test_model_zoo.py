@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from textforge import components, ops
-from textforge.data_handler import Batch, VocabBundle
+import corpora
+from textforge import components, kernels, metrics, ops
+from textforge.data_handler import Batch, VocabBundle, make_batches, single_example_batch
 from textforge.errors import (DimMismatch, IncompatibleShare, MalformedLine,
                               MultiTaskArity, NoStyleSelected, NotUtf8,
                               ShapeMismatch)
@@ -18,8 +19,10 @@ from textforge.model_zoo import (BiLSTMAttnRepresentation, BiLSTMModule,
                                  TokenEmbedding, WordTaggingOutput,
                                  assign_parameter_names,
                                  load_pretrained_embeddings)
+from textforge.pipeline import Pipeline, instantiate_task, prediction_json
 from textforge.registry import parse_task_config
 from textforge.tensor import Tensor
+from textforge.trainer import train
 from textforge.vocab import Vocabulary
 
 F32 = np.float32
@@ -412,3 +415,102 @@ class TestMultiTask:
         assert shared is named["word.embedding.word.table"]
         assert shared.name == "doc.embedding.word.table"
         assert named["word.decoder.w0"].name == "word.decoder.w0"
+
+
+def joint_pipe(dirpath, epochs=1):
+    """A seeded joint pipeline on a small corpus, untrained."""
+    cfg = corpora.joint_config(str(dirpath), n_train=24, n_eval=12, epochs=epochs)
+    return instantiate_task(parse_task_config(json.dumps(cfg)))
+
+
+def per_head_predict(pipe, text):
+    """The joint prediction JSON composed from each head's own full forward."""
+    batch = single_example_batch(pipe.featurizer.featurize(text), pipe.vocabs, pipe.char_width)
+    doc = pipe.model.tasks["doc"].forward(batch, compute_loss=False)
+    word = pipe.model.tasks["word"].forward(batch, compute_loss=False)
+    result = prediction_json(components.DOC_TASK, pipe.doc_labels, doc.preds[0], doc.scores[0])
+    result["tags"] = prediction_json(components.WORD_TASK, pipe.word_tags,
+                                     word.preds[0], word.scores[0])["tags"]
+    return result
+
+
+def per_head_evaluate(pipe):
+    """The joint evaluation with one full forward per head and batch: eval
+    source 0 runs through both heads, source 1 through the word head."""
+    batches = [make_batches(full, pipe.settings.batch_size) for full in pipe._vectorized("eval")]
+    doc, word = pipe.model.tasks["doc"], pipe.model.tasks["word"]
+    golds, preds = [], []
+    for batch in batches[0]:
+        golds += batch.doc_labels.tolist()
+        preds += doc.forward(batch, compute_loss=False).preds.tolist()
+
+    def tags(source):
+        gold, pred = [], []
+        for batch in batches[source]:
+            out = word.forward(batch, compute_loss=False)
+            for i, n in enumerate(batch.lengths.tolist()):
+                gold.append(batch.word_labels[i, :n].tolist())
+                pred.append(out.preds[i, :n].tolist())
+        return gold, pred
+
+    tg, tp = tags(0)
+    doc_rep = metrics.classification_report(golds, preds, len(pipe.doc_labels))
+    word_rep = metrics.tagging_report(*tags(1), len(pipe.word_tags))
+    return ((doc_rep.accuracy + word_rep.macro_f1) / 2.0,
+            {"doc_accuracy": doc_rep.accuracy, "word_macro_f1": word_rep.macro_f1,
+             "frame_accuracy": metrics.frame_accuracy(golds, preds, tg, tp)})
+
+
+class TestJointOneTrunk:
+    """Eager joint predict and evaluate run the shared embedding + BiLSTM once
+    per example, with the arithmetic of one full forward per head."""
+
+    TEXTS = {"unpadded": "set an alarm for seven", "oov": "zqxv blorft wubble", "empty": ""}
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        pipe = joint_pipe(tmp_path_factory.mktemp("joint"), epochs=2)
+        train(pipe)
+        return pipe
+
+    @pytest.mark.parametrize("kind", sorted(TEXTS))
+    def test_predict_is_the_per_head_json_from_one_trunk_pass(self, trained, monkeypatch,
+                                                              kind):
+        text = self.TEXTS[kind]
+        calls = []
+        lstm_seq = kernels.lstm_seq
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lstm_seq(*args, **kwargs)
+        monkeypatch.setattr(kernels, "lstm_seq", counted)
+        got = json.dumps(trained.predict(trained.featurizer.featurize(text)))
+        n_tokens = len(trained.featurizer.featurize(text).tokens)
+        # one BiLSTM pass is two directions; a text with no tokens gets the
+        # fixed zero representation and runs no BiLSTM at all
+        assert len(calls) == (2 if n_tokens else 0)
+        calls.clear()
+        assert got == json.dumps(per_head_predict(trained, text))
+        assert len(calls) == (4 if n_tokens else 0)
+
+    def test_forward_all_is_each_heads_forward(self, trained):
+        batch = make_batches(trained._vectorized("eval")[0], 5)[0]
+        outs = trained.model.forward_all(batch)
+        assert list(outs) == ["doc", "word"]
+        for name, out in outs.items():
+            want = trained.model.tasks[name].forward(batch, compute_loss=False)
+            assert out.loss is None
+            assert np.array_equal(out.preds, want.preds)
+            assert np.array_equal(out.scores, want.scores)
+
+    def test_evaluate_equals_the_per_head_collection(self, trained):
+        assert trained.evaluate() == per_head_evaluate(trained)
+
+    def test_seeded_checkpoint_bytes_do_not_depend_on_the_trunk_sharing(self, tmp_path,
+                                                                         monkeypatch):
+        one = tmp_path / "one.ckpt"
+        train(joint_pipe(tmp_path, epochs=2), ckpt_path=str(one))
+        monkeypatch.setattr(Pipeline, "evaluate", per_head_evaluate)
+        per_head = tmp_path / "per_head.ckpt"
+        train(joint_pipe(tmp_path, epochs=2), ckpt_path=str(per_head))
+        assert one.read_bytes() == per_head.read_bytes()

@@ -11,6 +11,7 @@ import pytest
 
 import corpora
 from textforge import binio, cli, ops
+from textforge.data_handler import VOCAB_NAMES
 from textforge.errors import (CorruptFile, EmptySplit, IncompatibleShare, NoGradient,
                               NonFiniteLoss, VersionMismatch)
 from textforge.pipeline import instantiate_task
@@ -18,6 +19,7 @@ from textforge.registry import parse_task_config
 from textforge.tensor import Parameter
 from textforge.trainer import (CKPT_MAGIC, CKPT_VERSION, SGD, Adam, derive_rng,
                                load_checkpoint, save_checkpoint, train)
+from textforge.vocab import Vocabulary
 
 F32 = np.float32
 
@@ -437,6 +439,14 @@ def trained_doc(tmp_path_factory):
     texts = base / "texts.txt"
     texts.write_text("wake me now\nplay it again\n", encoding="utf-8")
     return SimpleNamespace(cfg_path=str(cfg_path), ckpt=ckpt, texts=str(texts))
+
+
+def test_a_loaded_checkpoint_keeps_the_vocabularies_that_checked_it(trained_doc):
+    payload = load_checkpoint(trained_doc.ckpt)
+    for name in VOCAB_NAMES:
+        vocab = getattr(payload.vocabs, name)
+        assert vocab.entries is payload["vocabs"][name]
+        assert vocab == Vocabulary(payload["vocabs"][name])
 
 
 class TestMalformedCheckpoints:

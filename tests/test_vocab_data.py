@@ -38,6 +38,19 @@ class TestVocabulary:
         with pytest.raises(EmptyCorpus):
             Vocabulary.build({})
 
+    def test_from_table_keeps_the_table_it_indexes(self):
+        table = ["<pad>", "<unk>", "go", "home"]
+        vocab = Vocabulary.from_table(table)
+        assert vocab.entries is table
+        assert vocab == Vocabulary(["go", "home"])
+        assert vocab.lookup("home") == 3 and vocab.lookup("away") == Vocabulary.UNK_ID
+
+    @pytest.mark.parametrize("table", [
+        ["<pad>", "<unk>", "go", "go"], ["go", "<pad>", "<unk>"], ["<pad>", "<unk>", 3],
+        "<pad> <unk> go", ("<pad>", "<unk>"), ["<pad>"], None])
+    def test_from_table_refuses_what_a_vocabulary_does_not_store(self, table):
+        assert Vocabulary.from_table(table) is None
+
     def test_equality_is_by_entries(self):
         assert Vocabulary(["a"]) == Vocabulary(["a"])
         assert Vocabulary(["a"]) != Vocabulary(["b"])
