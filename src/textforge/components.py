@@ -41,14 +41,14 @@ def _register_builtins():
     ))
 
     register_component("embedding", "token", (
-        Field("word_dim", INT, default=64),
+        Field("word_dim", INT, default=64, minimum=0),
         Field("pretrained_path", STRING, default=""),
-        Field("char_dim", INT, default=0),
+        Field("char_dim", INT, default=0, minimum=0),
         Field("char_filter_widths", LIST_INT, default=[3]),
         Field("char_num_filters", INT, default=16, minimum=1),
-        Field("char_highway_layers", INT, default=1),
-        Field("gaz_dim", INT, default=0),
-        Field("cap_dim", INT, default=0),
+        Field("char_highway_layers", INT, default=1, minimum=0),
+        Field("gaz_dim", INT, default=0, minimum=0),
+        Field("cap_dim", INT, default=0, minimum=0),
     ))
 
     register_component("representation", "docnn", (

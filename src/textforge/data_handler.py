@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DatasetError, EmptyCorpus, EmptySplit, MultiTaskArity, NotUtf8
+from .errors import (DatasetError, EmptyCorpus, EmptySplit, MultiTaskArity, NotUtf8,
+                     OverlappingEntries)
 from .featurizer import (CAP_CLASSES, GAZ_NONE, Featurizer, FeaturizedExample,
                          GazetteerEntry, char_ids)
 from .vocab import Vocabulary
@@ -102,7 +103,8 @@ def text_lines(data: bytes, source: str) -> list:
     return [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
 
 
-def _parse_gazetteer(column: str, line_no: int, path: str):
+def _parse_gazetteer(column: str, text: str, where: str):
+    n_bytes = len(text.encode("utf-8"))
     entries = []
     for part in column.split(","):
         part = part.strip()
@@ -110,11 +112,16 @@ def _parse_gazetteer(column: str, line_no: int, path: str):
             continue
         pieces = part.split(":")
         if len(pieces) != 3:
-            raise DatasetError("%s line %d: bad gazetteer item %r" % (path, line_no, part))
+            raise DatasetError("%s: bad gazetteer item %r" % (where, part))
         try:
             start, end = int(pieces[0]), int(pieces[1])
         except ValueError:
-            raise DatasetError("%s line %d: gazetteer offsets must be ints in %r" % (path, line_no, part))
+            raise DatasetError("%s: gazetteer offsets must be ints in %r" % (where, part))
+        if pieces[2] in (Vocabulary.PAD, Vocabulary.UNK):
+            raise DatasetError("%s: gazetteer kind %r is reserved in %r" % (where, pieces[2], part))
+        if start < 0 or end > n_bytes:
+            raise DatasetError("%s: gazetteer item %r lies outside the text's %d bytes"
+                               % (where, part, n_bytes))
         entries.append(GazetteerEntry(start, end, pieces[2]))
     return tuple(entries)
 
@@ -131,33 +138,37 @@ def load_tsv(path: str, fmt: str, featurizer: Featurizer, split: str = "train") 
     for line_no, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
+        where = "%s line %d" % (path, line_no)
         columns = line.split("\t")
         if len(columns) < 2 or len(columns) > 3:
-            raise DatasetError("%s line %d: expected 2 or 3 tab-separated columns, got %d"
-                               % (path, line_no, len(columns)))
+            raise DatasetError("%s: expected 2 or 3 tab-separated columns, got %d"
+                               % (where, len(columns)))
         label_col, text = columns[0], columns[1]
-        entries = _parse_gazetteer(columns[2], line_no, path) if len(columns) == 3 else ()
+        entries = _parse_gazetteer(columns[2], text, where) if len(columns) == 3 else ()
 
         doc_label = None
         word_tags = None
         if fmt == FORMAT_DOC:
             doc_label = label_col.strip()
             if not doc_label:
-                raise DatasetError("%s line %d: empty label" % (path, line_no))
+                raise DatasetError("%s: empty label" % where)
         elif fmt == FORMAT_WORD:
             word_tags = label_col.split()
         else:
             pieces = label_col.split()
             if not pieces:
-                raise DatasetError("%s line %d: empty label column" % (path, line_no))
+                raise DatasetError("%s: empty label column" % where)
             doc_label, word_tags = pieces[0], pieces[1:]
 
-        feats = featurizer.featurize(text, entries)
+        try:
+            feats = featurizer.featurize(text, entries)
+        except OverlappingEntries as exc:
+            raise DatasetError("%s: %s" % (where, exc))
         if not feats.tokens:
-            raise DatasetError("%s line %d: text produced no tokens" % (path, line_no))
+            raise DatasetError("%s: text produced no tokens" % where)
         if word_tags is not None and len(word_tags) != len(feats.tokens):
-            raise DatasetError("%s line %d: %d tags for %d tokens"
-                               % (path, line_no, len(word_tags), len(feats.tokens)))
+            raise DatasetError("%s: %d tags for %d tokens"
+                               % (where, len(word_tags), len(feats.tokens)))
         examples.append(Example(text, entries, doc_label, word_tags, feats, path, line_no))
     return Dataset(examples, split=split)
 

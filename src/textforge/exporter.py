@@ -1,16 +1,15 @@
 """Lowering trained models to static inference graphs.
 
-Each model stage lowers itself: its lower method, beside its forward, emits
-graph ops mirroring the forward pass exactly through a GraphBuilder. The
-interpreter then reuses the same kernels, which is what makes exported
-predictions match eager ones bit for bit. export_model bakes the
-vocabularies in the same pass: each id slot is the output of a lookup op over
-a raw string input, so the artifact consumes raw text with no training code
-in sight.
+export_model hands a GraphBuilder to the model, whose stages lower themselves
+(see model_zoo), and validates the graph they build. The builder knows graphs,
+not models: it names each parameter's const by its path in the model and
+attaches the vocab table and the raw string input that each lookup op reads,
+so the artifact consumes raw text with no training code in sight. The
+interpreter reuses the eager kernels, which is what makes exported
+predictions match eager ones bit for bit; verify_equivalence checks that.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,28 +22,12 @@ from .tensor import Parameter
 from .trainer import derive_rng
 
 
-class IdInput(NamedTuple):
-    """How the graph looks one integer id slot up from a raw string input."""
-    raw: str      # the string input the lookup reads
-    vocab: str    # the VocabBundle field (and vocab table) that maps it
-    lookup: str   # the opcode that maps raw strings to ids
-    dim: str      # the TokenEmbedding width that makes a model read it
-
-
-ID_INPUTS = {
-    "token_ids": IdInput("tokens", "token", "LookupTokens", "word_dim"),
-    "char_ids": IdInput("tokens", "char", "LookupChars", "char_dim"),
-    "gaz_ids": IdInput("gaz_labels", "gaz", "LookupTokens", "gaz_dim"),
-    "cap_ids": IdInput("cap_labels", "cap", "LookupTokens", "cap_dim"),
-}
-
-
 class GraphBuilder:
     """The graph under construction while a model's stages lower themselves.
 
-    Each stage's lower(b, x) emits the ops mirroring its forward pass and
-    returns its output slot. Parameters become consts named by their path in
-    the model, so const names match named_parameters().
+    Each stage's lower(b, ...) emits the ops mirroring its forward pass and
+    returns its output slot(s). Parameters become consts named by their path
+    in the model, so const names match named_parameters().
     """
 
     def __init__(self, model, attrs):
@@ -55,14 +38,13 @@ class GraphBuilder:
         self.vocab_tables = {}
         self._paths = {id(p): path for path, p in model.named_parameters().items()}
 
-    def id_input(self, name: str, row: IdInput, vocabs: VocabBundle) -> str:
-        """An id slot: the output of a lookup op over the raw string input,
-        whose vocab table is attached."""
-        extra = {"max_chars": self.attrs["max_chars"]} if row.lookup == "LookupChars" else {}
-        self.vocab_tables[row.vocab] = list(getattr(vocabs, row.vocab).entries)
-        if row.raw not in self.inputs:
-            self.inputs.append(row.raw)
-        return self.emit(row.lookup, name, row.raw, vocab=row.vocab, **extra)
+    def lookup(self, opcode: str, out: str, raw: str, table: str, vocab, **attrs) -> str:
+        """An id slot: the output of a lookup op over the raw string input
+        raw, reading the vocab table named table, which holds vocab's entries."""
+        self.vocab_tables[table] = list(vocab.entries)
+        if raw not in self.inputs:
+            self.inputs.append(raw)
+        return self.emit(opcode, out, raw, vocab=table, **attrs)
 
     def const(self, param: Parameter) -> str:
         name = self._paths[id(param)]
@@ -107,15 +89,7 @@ def export_model(model: SingleTaskModel, featurizer_settings, labels, task,
         "max_chars": int(featurizer_settings.max_chars),
     }
     b = GraphBuilder(model, attrs)
-    emb = model.embedding
-    feeds = {slot: b.id_input(slot, row, vocabs)
-             for slot, row in ID_INPUTS.items() if getattr(emb, row.dim)}
-    logits = model.decoder.lower(b, model.representation.lower(b, emb.lower(b, feeds)))
-    b.emit("Softmax", "scores", logits)
-    # argmax reads the logits: equal logits stay equal after softmax, but
-    # distinct ones can round to a tie in f32 probability space
-    b.emit("ArgMax", "pred", logits)
-    return b.finish(("pred", "scores"))
+    return b.finish(model.lower(b, vocabs))
 
 
 def export_pipeline(pipe):

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import binio, kernels
 from .components import DOC_TASK, WORD_TASK
-from .errors import (CorruptGraph, CorruptFile, IdOutOfRange, InputTypeMismatch,
-                     VersionMismatch)
+from .errors import CorruptGraph, CorruptFile, InputTypeMismatch
 from .featurizer import FeaturizedExample, Featurizer, FeaturizerSettings, char_ids
 from .vocab import Vocabulary, all_str
 
@@ -62,19 +61,9 @@ def _lookup_chars(vocab, max_chars, tokens):
     return np.array(rows, dtype=np.int64).reshape(len(tokens), max_chars)
 
 
-def _embed_gather(ids, table):
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IdOutOfRange("id outside [0, %d)" % table.shape[0])
-    return table[ids]
-
-
 def _matmul_add(x, w, b):
     # lift to a batch of one so the GEMM shapes match training exactly
     return kernels.linear(x[None], w, b)[0]
-
-
-def _relu(x):
-    return np.maximum(x, F32(0.0))
 
 
 def _one_sequence(kernel, x, empty_shape, *weights, **kwargs):
@@ -108,10 +97,6 @@ def _self_attention(x, w1, w2):
     return _one_sequence(kernels.self_attention, x, (x.shape[1],), w1, w2)
 
 
-def _highway(x, w_t, b_t, w_g, b_g):
-    return kernels.highway(x, [(w_t, b_t, w_g, b_g)])
-
-
 def _concat(axis, *parts):
     return np.concatenate(parts, axis=axis)
 
@@ -134,14 +119,14 @@ class OpSpec:
 OPS = {
     "LookupTokens": OpSpec(1, _lookup_tokens, {"vocab": (str, None)}),
     "LookupChars": OpSpec(1, _lookup_chars, {"vocab": (str, None), "max_chars": (int, None)}),
-    "EmbedGather": OpSpec(2, _embed_gather),
+    "EmbedGather": OpSpec(2, lambda ids, table: kernels.embed_gather(ids, table)),
     "MatMulAdd": OpSpec(3, _matmul_add),
-    "Relu": OpSpec(1, _relu),
+    "Relu": OpSpec(1, lambda x: kernels.relu(x)),
     "Conv1DMaxPool": OpSpec(2, _conv_maxpool),
     "LSTMSeq": OpSpec(4, _lstm_seq, {"reverse": (bool, None)}),
     "Concat": OpSpec(None, _concat, {"axis": (int, -1)}),
     "SelfAttention": OpSpec(3, _self_attention),
-    "Highway": OpSpec(5, _highway),
+    "Highway": OpSpec(5, lambda x, *layer: kernels.highway(x, [layer])),
     "Softmax": OpSpec(1, lambda x: kernels.softmax(x, axis=-1)),
     "ArgMax": OpSpec(1, lambda x: kernels.argmax_last(x)),
 }

@@ -11,7 +11,7 @@ j of row i is 1 iff j < length_i (right padding).
 
 import numpy as np
 
-from .errors import EmptyLoss, EmptySequence, ShapeMismatch, TargetOutOfRange
+from .errors import EmptyLoss, EmptySequence, IdOutOfRange, ShapeMismatch, TargetOutOfRange
 
 F32 = np.float32
 NEG_INF = np.float32(-np.inf)
@@ -37,6 +37,17 @@ def argmax_last(x):
     if x.size == 0:
         return np.zeros(x.shape[:-1], dtype=np.int64)
     return np.argmax(x, axis=-1).astype(np.int64)
+
+
+def relu(x):
+    return np.maximum(x, F32(0.0))
+
+
+def embed_gather(ids, table):
+    """Rows of table by integer ids of any shape; an id outside the table raises."""
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise IdOutOfRange("id outside [0, %d)" % table.shape[0])
+    return table[ids]
 
 
 def linear(x, w, b):
@@ -295,7 +306,7 @@ def highway(x, layers):
     """
     out = x
     for w_t, b_t, w_g, b_g in layers:
-        hidden = np.maximum(linear(out, w_t, b_t), np.float32(0.0))
+        hidden = relu(linear(out, w_t, b_t))
         gate = sigmoid(linear(out, w_g, b_g))
         out = gate * hidden + (np.float32(1.0) - gate) * out
     return out

@@ -3,11 +3,14 @@
 Every model decomposes into the same four stages. Each stage is a LayerModule
 that owns its parameters and states its output shape up front, so wiring
 mistakes fail at construction or on the first forward rather than deep inside
-a training run. Beside its forward, each embedding, representation and decoder
-class has a lower method that emits the same computation as graph ops through
-the exporter's GraphBuilder. The models are LayerModules too, so one walk (own
-parameters, then children) names every parameter for checkpoints, optimizer
-state and graph consts, and one checked loader, load_params, sets them back.
+a training run. Beside its forward, each embedding, representation, decoder
+and output class has a lower method that emits the same computation as graph
+ops through the exporter's GraphBuilder: the embedding starts from lookups
+over the raw string inputs, the output layer ends in the scores and pred
+slots, and SingleTaskModel.lower chains the four as forward does. The models
+are LayerModules too, so one walk (own parameters, then children) names every
+parameter for checkpoints, optimizer state and graph consts, and one checked
+loader, load_params, sets them back.
 """
 
 from dataclasses import dataclass
@@ -139,7 +142,7 @@ class TokenEmbedding(LayerModule):
     def __init__(self, name, config, vocabs: VocabBundle, rng):
         super().__init__(name)
         self.word_dim, self.char_dim, self.gaz_dim, self.cap_dim = (
-            max(config[style + "_dim"], 0) for style in ("word", "char", "gaz", "cap"))
+            config[style + "_dim"] for style in ("word", "char", "gaz", "cap"))
         if not (self.word_dim or self.char_dim or self.gaz_dim or self.cap_dim):
             raise NoStyleSelected("embedding config enables no feature style")
         self.char_widths = list(config["char_filter_widths"])
@@ -199,21 +202,31 @@ class TokenEmbedding(LayerModule):
             out = ops.add(ops.mul(gate, hidden), ops.mul(ops.sub(one, gate), out))
         return ops.reshape(out, (b, t, self.char_out))
 
-    def lower(self, b, feeds: dict) -> str:
+    def lower(self, b, vocabs: VocabBundle) -> str:
+        # every id lookup over the raw string inputs first, then the gathers
+        if self.word_dim:
+            token_ids = b.lookup("LookupTokens", "token_ids", "tokens", "token", vocabs.token)
+        if self.char_dim:
+            char_ids = b.lookup("LookupChars", "char_ids", "tokens", "char", vocabs.char,
+                                max_chars=b.attrs["max_chars"])
+        if self.gaz_dim:
+            gaz_ids = b.lookup("LookupTokens", "gaz_ids", "gaz_labels", "gaz", vocabs.gaz)
+        if self.cap_dim:
+            cap_ids = b.lookup("LookupTokens", "cap_ids", "cap_labels", "cap", vocabs.cap)
         parts = []
         if self.word_dim:
-            parts.append(b.emit("EmbedGather", "word_emb", feeds["token_ids"], self.word_table))
+            parts.append(b.emit("EmbedGather", "word_emb", token_ids, self.word_table))
         if self.char_dim:
-            chars = b.emit("EmbedGather", "char_emb", feeds["char_ids"], self.char_table)
+            chars = b.emit("EmbedGather", "char_emb", char_ids, self.char_table)
             out = b.concat("char_cat", [b.emit("Conv1DMaxPool", "char_pool%d" % w, chars, filt)
                                         for w, filt in zip(self.char_widths, self.char_conv)])
             for i, layer in enumerate(self.highway):
                 out = b.emit("Highway", "char_hw%d" % i, out, *layer)
             parts.append(out)
         if self.gaz_dim:
-            parts.append(b.emit("EmbedGather", "gaz_emb", feeds["gaz_ids"], self.gaz_table))
+            parts.append(b.emit("EmbedGather", "gaz_emb", gaz_ids, self.gaz_table))
         if self.cap_dim:
-            parts.append(b.emit("EmbedGather", "cap_emb", feeds["cap_ids"], self.cap_table))
+            parts.append(b.emit("EmbedGather", "cap_emb", cap_ids, self.cap_table))
         return b.concat("embedding", parts)
 
     def forward(self, batch: Batch) -> Tensor:
@@ -415,40 +428,44 @@ class ModelOutput:
     loss: Optional[Tensor]
 
 
-class DocClassificationOutput(LayerModule):
+class ClassifierOutput(LayerModule):
+    """Scores and predictions from logits per text [b, c] or per token [b, t, c]
+    (sequence_output), and the cross-entropy loss over valid positions given labels."""
+
+    def forward(self, logits: Tensor, labels, mask) -> ModelOutput:
+        ndim, shape = (3, "[b, t, c]") if self.sequence_output else (2, "[b, c]")
+        if logits.data.ndim != ndim:
+            raise ShapeMismatch("%s expects %s logits, got %s" % (self.name, shape, logits.shape))
+        preds = kernels.argmax_last(logits.data)
+        scores = kernels.softmax(logits.data, axis=-1)
+        loss = None
+        if labels is not None and self.sequence_output:
+            b, t, c = logits.data.shape
+            flat = ops.reshape(logits, (b * t, c))
+            loss = ops.softmax_cross_entropy(flat, labels.reshape(-1), mask.reshape(-1))
+        elif labels is not None:
+            loss = ops.softmax_cross_entropy(logits, labels)
+        return ModelOutput(preds, scores, loss)
+
+    def lower(self, b, logits: str) -> tuple:
+        scores = b.emit("Softmax", "scores", logits)
+        # argmax reads the logits: equal logits stay equal after softmax, but
+        # distinct ones can round to a tie in f32 probability space
+        return b.emit("ArgMax", "pred", logits), scores
+
+
+class DocClassificationOutput(ClassifierOutput):
     sequence_output = False
 
     def __init__(self, name="doc_classification"):
         super().__init__(name)
 
-    def forward(self, logits: Tensor, labels, mask) -> ModelOutput:
-        if logits.data.ndim != 2:
-            raise ShapeMismatch("doc output expects [b, c] logits, got %s" % (logits.shape,))
-        preds = kernels.argmax_last(logits.data)
-        scores = kernels.softmax(logits.data, axis=-1)
-        loss = None
-        if labels is not None:
-            loss = ops.softmax_cross_entropy(logits, labels)
-        return ModelOutput(preds, scores, loss)
 
-
-class WordTaggingOutput(LayerModule):
+class WordTaggingOutput(ClassifierOutput):
     sequence_output = True
 
     def __init__(self, name="word_tagging"):
         super().__init__(name)
-
-    def forward(self, logits: Tensor, labels, mask) -> ModelOutput:
-        if logits.data.ndim != 3:
-            raise ShapeMismatch("word output expects [b, t, c] logits, got %s" % (logits.shape,))
-        b, t, c = logits.data.shape
-        preds = kernels.argmax_last(logits.data)
-        scores = kernels.softmax(logits.data, axis=-1)
-        loss = None
-        if labels is not None:
-            flat = ops.reshape(logits, (b * t, c))
-            loss = ops.softmax_cross_entropy(flat, labels.reshape(-1), mask.reshape(-1))
-        return ModelOutput(preds, scores, loss)
 
 
 class SingleTaskModel(LayerModule):
@@ -470,6 +487,11 @@ class SingleTaskModel(LayerModule):
     def forward(self, batch: Batch, compute_loss=True) -> ModelOutput:
         return self.head(batch, self.trunk(batch), compute_loss)
 
+    def lower(self, b, vocabs: VocabBundle) -> tuple:
+        """The stages' lowerings chained as forward chains them: (pred, scores)."""
+        emb = self.embedding.lower(b, vocabs)
+        return self.output.lower(b, self.decoder.lower(b, self.representation.lower(b, emb)))
+
     def trunk(self, batch: Batch) -> Optional[Tensor]:
         """The embedding and the representation's trunk: the states that
         the joint heads share."""
@@ -479,10 +501,9 @@ class SingleTaskModel(LayerModule):
         """The representation's pooling, the decoder and the output over a
         trunk's states."""
         logits = self.decoder.forward(self.representation.pool(states, batch.mask))
-        if self.output.sequence_output:
-            labels = batch.word_labels if compute_loss else None
-        else:
-            labels = batch.doc_labels if compute_loss else None
+        labels = None
+        if compute_loss:
+            labels = batch.word_labels if self.output.sequence_output else batch.doc_labels
         return self.output.forward(logits, labels, batch.mask)
 
 

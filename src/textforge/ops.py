@@ -8,7 +8,7 @@ computes identical values. Backward closures return one gradient per parent
 import numpy as np
 
 from . import kernels
-from .errors import IdOutOfRange, ShapeMismatch
+from .errors import ShapeMismatch
 from .tensor import TapeNode, Tensor
 
 F32 = np.float32
@@ -70,7 +70,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    out_data = np.maximum(x.data, F32(0.0))
+    out_data = kernels.relu(x.data)
 
     def backward(g):
         return (g * (x.data > 0),)
@@ -114,10 +114,7 @@ def concat(tensors, axis=-1) -> Tensor:
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of table by integer ids of any shape."""
     ids = np.asarray(ids, dtype=np.int64)
-    n_rows = table.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
-        raise IdOutOfRange("id outside [0, %d)" % n_rows)
-    out_data = table.data[ids]
+    out_data = kernels.embed_gather(ids, table.data)
 
     def backward(g):
         dtable = np.zeros_like(table.data)

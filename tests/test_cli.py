@@ -1,6 +1,7 @@
 """End to end command line checks, run through subprocesses like a user would."""
 
 import argparse
+import copy
 import json
 import os
 import re
@@ -51,6 +52,11 @@ SIZE_PROBES = [
     (_ATTN, ("model", "single", "representation", "bilstm_attn", "attention_dim"), 0),
     (_ATTN, ("model", "single", "representation", "bilstm_attn", "hidden_dim"), 0),
     (_CHARS, ("model", "single", "embedding", "token", "char_num_filters"), 0),
+    ({}, ("model", "single", "embedding", "token", "word_dim"), -1),
+    (_CHARS, ("model", "single", "embedding", "token", "char_dim"), -1),
+    (_CHARS, ("model", "single", "embedding", "token", "char_highway_layers"), -1),
+    ({}, ("model", "single", "embedding", "token", "gaz_dim"), -2),
+    ({}, ("model", "single", "embedding", "token", "cap_dim"), -3),
     ({}, ("trainer", "standard", "seed"), -1),
     ({}, ("trainer", "standard", "epochs"), 0),
 ]
@@ -146,6 +152,26 @@ class TestTrain:
         assert proc.returncode == 1, proc.stderr
         assert "%s is not UTF-8" % train_path in proc.stderr
 
+    # "wake me at nine" is 15 bytes; each column is one gazetteer fault
+    @pytest.mark.parametrize("column,why", [
+        ("5:7:<pad>", "kind '<pad>' is reserved"),
+        ("5:7:<unk>", "kind '<unk>' is reserved"),
+        ("-5:2:city", "outside the text's 15 bytes"),
+        ("11:20:city", "outside the text's 15 bytes"),
+        ("11:15:city,5:7:city", "sorted and disjoint"),
+        ("5:5:city", "empty span"),
+    ], ids=["pad-kind", "unk-kind", "negative-start", "end-past-text", "unsorted", "empty"])
+    def test_bad_gazetteer_item_names_file_and_line(self, tmp_path, column, why):
+        cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1)
+        train_path = cfg["task"]["doc_classification"]["data"]["tsv"]["train_path"]
+        with open(train_path, "a", encoding="utf-8") as handle:
+            handle.write("alarm\twake me at nine\t%s\n" % column)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        proc = run_cli("train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 1, proc.stderr
+        assert "%s line 9: " % train_path in proc.stderr and why in proc.stderr
+
     def test_resume_rejects_other_config(self, doc_run, tmp_path):
         cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1,
                                  lr=0.2)
@@ -179,7 +205,9 @@ class TestTrain:
     @pytest.mark.parametrize("overrides,path,value", SIZE_PROBES,
                              ids=["%s=%s" % (path[-1], value) for _, path, value in SIZE_PROBES])
     def test_out_of_range_size_is_a_config_error(self, tmp_path, overrides, path, value):
-        cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1, **overrides)
+        # a copy, since the probes share their override dicts
+        cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1,
+                                 **copy.deepcopy(overrides))
         node = cfg["task"]["doc_classification"]
         for key in path[:-1]:
             node = node.setdefault(key, {})

@@ -157,6 +157,43 @@ class TestPretrainedEmbeddings:
                                            np.random.default_rng(0))
         assert table[2].tolist() == [big, 0.0, -big]
 
+    def _vectors(self, tmp_path, words, dim):
+        """A vectors file giving word i the values i + 1, i + 1.25, ... ."""
+        vectors = {w: (i + 1 + 0.25 * np.arange(dim)).astype(F32) for i, w in enumerate(words)}
+        lines = ["%s %s" % (w, " ".join(repr(float(v)) for v in vec))
+                 for w, vec in vectors.items()]
+        return self._write(tmp_path, lines), vectors
+
+    def test_config_pretrained_path_warm_starts_the_word_table(self, tmp_path):
+        path, vectors = self._vectors(tmp_path, ["wake", "play", "zebra", "<pad>"], 4)
+
+        def word_table(pretrained_path):
+            cfg = corpora.doc_config(str(tmp_path), n_train=20, n_eval=5, embedding={
+                "token": {"word_dim": 4, "pretrained_path": pretrained_path}})
+            pipe = instantiate_task(parse_task_config(corpora.as_text(cfg)))
+            return pipe.vocabs.token, pipe.model.embedding.word_table.data
+
+        vocab, table = word_table(path)
+        _, init = word_table("")
+        from_file = [vocab.index[w] for w in ("wake", "play")]
+        assert "zebra" not in vocab.index
+        for w in ("wake", "play"):
+            assert table[vocab.index[w]].tolist() == vectors[w].tolist()
+        rest = [i for i in range(1, len(vocab)) if i not in from_file]
+        np.testing.assert_array_equal(table[rest], init[rest])
+        assert not table[Vocabulary.PAD_ID].any()
+
+    def test_joint_heads_share_one_pretrained_table(self, tmp_path):
+        path, vectors = self._vectors(tmp_path, ["wake", "paris"], 24)
+        cfg = corpora.joint_config(str(tmp_path), n_train=20, n_eval=5)
+        cfg["task"]["joint_doc_word"]["model"]["joint"]["embedding"]["token"][
+            "pretrained_path"] = path
+        pipe = instantiate_task(parse_task_config(corpora.as_text(cfg)))
+        doc, word = (pipe.model.tasks[h].embedding.word_table for h in ("doc", "word"))
+        assert doc is word
+        for w, vec in vectors.items():
+            assert doc.data[pipe.vocabs.token.index[w]].tolist() == vec.tolist()
+
     def test_dim_mismatch(self, tmp_path):
         vocab = Vocabulary(["alarm"])
         with pytest.raises(DimMismatch):
