@@ -29,6 +29,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError("%s\n%s" % (message, self.format_usage().rstrip()))
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="textforge",
                      description="Config driven text model training and export.")
@@ -52,8 +65,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="compare eager and exported single-example latency")
     p.add_argument("--ckpt", required=True, help="checkpoint file for the eager side")
     p.add_argument("--graph", required=True, help="exported graph file")
-    p.add_argument("--requests", type=int, default=1000)
-    p.add_argument("--warmup", type=int, default=50)
+    p.add_argument("--requests", type=_int_at_least(1), default=1000)
+    p.add_argument("--warmup", type=_int_at_least(0), default=50)
     p.add_argument("--out", default="", help="also write the numbers as json")
     return parser
 
@@ -183,7 +196,7 @@ def _bench_texts(n: int) -> list:
 def cmd_bench(args) -> int:
     pipe = restore_pipeline(load_checkpoint(args.ckpt), use_best=True)
     graph = load_graph(args.graph)
-    texts = _bench_texts(max(args.requests, 1))
+    texts = _bench_texts(args.requests)
     reports = bench.latency_reports({"eager": _eager_predictor(pipe, graph),
                                      "exported": _graph_predictor(graph)},
                                     texts, warmup=args.warmup)

@@ -16,7 +16,7 @@ import numpy as np
 from . import components
 from .data_handler import VocabBundle, single_example_batch
 from .errors import EmptySampleSet, UnsupportedModule
-from .graph import GRAPH_VERSION, Executor, GraphOp, StaticGraph, run, validate_graph
+from .graph import Executor, GraphOp, StaticGraph, run, validate_graph
 from .model_zoo import SingleTaskModel
 from .tensor import Parameter
 from .trainer import derive_rng
@@ -31,48 +31,37 @@ class GraphBuilder:
     """
 
     def __init__(self, model, attrs):
-        self.attrs = attrs
-        self.consts = {}
-        self.ops = []
-        self.inputs = []
-        self.vocab_tables = {}
+        self.graph = StaticGraph(attrs=attrs, consts={}, vocab_tables={}, ops=[],
+                                 inputs=[], outputs=[])
         self._paths = {id(p): path for path, p in model.named_parameters().items()}
 
-    def lookup(self, opcode: str, out: str, raw: str, table: str, vocab, **attrs) -> str:
+    def lookup(self, opcode: str, out: str, raw: str, table: str, vocab) -> str:
         """An id slot: the output of a lookup op over the raw string input
         raw, reading the vocab table named table, which holds vocab's entries."""
-        self.vocab_tables[table] = list(vocab.entries)
-        if raw not in self.inputs:
-            self.inputs.append(raw)
-        return self.emit(opcode, out, raw, vocab=table, **attrs)
+        self.graph.vocab_tables[table] = list(vocab.entries)
+        if raw not in self.graph.inputs:
+            self.graph.inputs.append(raw)
+        return self.emit(opcode, out, raw, vocab=table)
 
     def const(self, param: Parameter) -> str:
         name = self._paths[id(param)]
-        self.consts.setdefault(name, param.data)
+        self.graph.consts.setdefault(name, param.data)
         return name
 
     def emit(self, opcode: str, out: str, *inputs, **attrs) -> str:
         """Append one op writing slot out; inputs are slot names or Parameters."""
         names = tuple(self.const(x) if isinstance(x, Parameter) else x for x in inputs)
-        self.ops.append(GraphOp(opcode, names, (out,), attrs))
+        self.graph.ops.append(GraphOp(opcode, names, out, attrs))
         return out
 
     def concat(self, out: str, parts: list) -> str:
         """Concat over the last axis, or the one part itself."""
-        return self.emit("Concat", out, *parts, axis=-1) if len(parts) > 1 else parts[0]
+        return self.emit("Concat", out, *parts) if len(parts) > 1 else parts[0]
 
     def finish(self, outputs) -> StaticGraph:
-        graph = StaticGraph(
-            version=GRAPH_VERSION,
-            attrs=self.attrs,
-            consts=self.consts,
-            vocab_tables=self.vocab_tables,
-            ops=self.ops,
-            inputs=self.inputs,
-            outputs=list(outputs),
-        )
-        validate_graph(graph)
-        return graph
+        self.graph.outputs = list(outputs)
+        validate_graph(self.graph)
+        return self.graph
 
 
 def export_model(model: SingleTaskModel, featurizer_settings, labels, task,

@@ -5,7 +5,8 @@ trained weights embedded as constants. The interpreter executes exactly the
 same forward kernels as eager mode, minus tape bookkeeping, lifted to a
 batch of one, so exported outputs match eager outputs bit for bit.
 
-One opcode table, OPS, gives each op's arity, attrs and run function;
+Each op reads named slots and writes the one slot named by its output. One
+opcode table, OPS, gives each op's arity, attrs and run function;
 validate_graph and Executor both read it, so a new op is one row here plus
 the lower method of the model stage that emits it.
 """
@@ -26,20 +27,19 @@ from .vocab import Vocabulary, all_str
 F32 = np.float32
 
 GRAPH_MAGIC = b"TXGR"
-GRAPH_VERSION = 3
+GRAPH_VERSION = 4
 
 
 @dataclass
 class GraphOp:
     opcode: str
     inputs: tuple
-    outputs: tuple
+    output: str
     attrs: dict = field(default_factory=dict)
 
 
 @dataclass
 class StaticGraph:
-    version: int
     attrs: dict            # graph-level: featurizer settings, task, label names
     consts: dict           # slot name -> ndarray payload
     vocab_tables: dict     # vocab name -> entry list (token/char/gaz/cap)
@@ -97,36 +97,34 @@ def _self_attention(x, w1, w2):
     return _one_sequence(kernels.self_attention, x, (x.shape[1],), w1, w2)
 
 
-def _concat(axis, *parts):
-    return np.concatenate(parts, axis=axis)
-
-
 @dataclass(frozen=True)
 class OpSpec:
     """One opcode: its input arity, its attrs, and the function that runs it.
 
     arity is the exact input count, or None for one or more inputs. attrs maps
-    each op attr to (type, default); a None default makes the attr required.
-    run takes the attr values in table order, then the input values, and
-    returns the op's one output. It looks kernels up on the kernels module
-    at call time.
+    each op attr to its type; an op carries exactly these attrs. graph_attrs
+    names the graph attrs the op also runs with. run takes the op attr
+    values, then the graph attr values, in table order, then the input
+    values, and returns the op's one output. It looks kernels up on the
+    kernels module at call time.
     """
     arity: Optional[int]
     run: Callable
     attrs: dict = field(default_factory=dict)
+    graph_attrs: tuple = ()
 
 
 OPS = {
-    "LookupTokens": OpSpec(1, _lookup_tokens, {"vocab": (str, None)}),
-    "LookupChars": OpSpec(1, _lookup_chars, {"vocab": (str, None), "max_chars": (int, None)}),
+    "LookupTokens": OpSpec(1, _lookup_tokens, {"vocab": str}),
+    "LookupChars": OpSpec(1, _lookup_chars, {"vocab": str}, ("max_chars",)),
     "EmbedGather": OpSpec(2, lambda ids, table: kernels.embed_gather(ids, table)),
     "MatMulAdd": OpSpec(3, _matmul_add),
     "Relu": OpSpec(1, lambda x: kernels.relu(x)),
     "Conv1DMaxPool": OpSpec(2, _conv_maxpool),
-    "LSTMSeq": OpSpec(4, _lstm_seq, {"reverse": (bool, None)}),
-    "Concat": OpSpec(None, _concat, {"axis": (int, -1)}),
+    "LSTMSeq": OpSpec(4, _lstm_seq, {"reverse": bool}),
+    "Concat": OpSpec(None, lambda *parts: np.concatenate(parts, axis=-1)),
     "SelfAttention": OpSpec(3, _self_attention),
-    "Highway": OpSpec(5, lambda x, *layer: kernels.highway(x, [layer])),
+    "Highway": OpSpec(5, lambda *args: kernels.highway(*args)),
     "Softmax": OpSpec(1, lambda x: kernels.softmax(x, axis=-1)),
     "ArgMax": OpSpec(1, lambda x: kernels.argmax_last(x)),
 }
@@ -142,11 +140,6 @@ GRAPH_ATTRS = {
 }
 
 
-def _op_attrs(op: GraphOp, spec: OpSpec) -> dict:
-    """The attrs an op runs with: its own values, defaults for the rest."""
-    return {name: op.attrs.get(name, default) for name, (_, default) in spec.attrs.items()}
-
-
 def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
     spec = OPS.get(op.opcode) if isinstance(op.opcode, str) else None
     if spec is None:
@@ -154,28 +147,20 @@ def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
     n = len(op.inputs)
     if n == 0 or spec.arity not in (None, n):
         raise CorruptGraph("op %s cannot take %d inputs" % (op.opcode, n))
-    if len(op.outputs) != 1:
-        raise CorruptGraph("op %s has %d outputs, expected 1" % (op.opcode, len(op.outputs)))
-    if not (all_str(op.inputs) and all_str(op.outputs)):
+    if not (all_str(op.inputs) and isinstance(op.output, str)):
         raise CorruptGraph("op %s reads or writes a slot name that is not a string"
                            % op.opcode)
     if not isinstance(op.attrs, dict):
         raise CorruptGraph("op %s attrs are not a mapping" % op.opcode)
-    attrs = _op_attrs(op, spec)
-    for name, value in attrs.items():
-        kind = spec.attrs[name][0]
-        if not isinstance(value, kind):
+    if set(op.attrs) != set(spec.attrs):
+        raise CorruptGraph("op %s has attrs %s, expected %s"
+                           % (op.opcode, sorted(op.attrs), sorted(spec.attrs)))
+    for name, kind in spec.attrs.items():
+        if not isinstance(op.attrs[name], kind):
             raise CorruptGraph("op %s needs attr %r of type %s"
                                % (op.opcode, name, kind.__name__))
-    if "vocab" in attrs and attrs["vocab"] not in graph.vocab_tables:
-        raise CorruptGraph("op %s needs vocab table %r" % (op.opcode, attrs["vocab"]))
-    # the kernels concatenate features on the last axis and cut char rows at
-    # the featurizer's max_chars; the exporter writes no other values
-    if attrs.get("axis", -1) != -1:
-        raise CorruptGraph("op %s needs axis -1, not %r" % (op.opcode, attrs["axis"]))
-    if attrs.get("max_chars", graph.attrs["max_chars"]) != graph.attrs["max_chars"]:
-        raise CorruptGraph("op %s has max_chars %r, but the graph has %r"
-                           % (op.opcode, attrs["max_chars"], graph.attrs["max_chars"]))
+    if "vocab" in op.attrs and op.attrs["vocab"] not in graph.vocab_tables:
+        raise CorruptGraph("op %s needs vocab table %r" % (op.opcode, op.attrs["vocab"]))
 
 
 def validate_graph(graph: StaticGraph) -> None:
@@ -214,17 +199,16 @@ def validate_graph(graph: StaticGraph) -> None:
             if slot not in produced:
                 raise CorruptGraph("op %s reads %r before it is produced"
                                    % (op.opcode, slot))
-        out = op.outputs[0]
-        if out in produced:
-            raise CorruptGraph("slot %r has more than one producer" % out)
-        produced.add(out)
+        if op.output in produced:
+            raise CorruptGraph("slot %r has more than one producer" % op.output)
+        produced.add(op.output)
     for name in graph.outputs:
         if name not in produced:
             raise CorruptGraph("graph output %r is never produced" % name)
     if sorted(graph.outputs) != ["pred", "scores"]:
         raise CorruptGraph("graph outputs are %s, not pred and scores" % (graph.outputs,))
     # one label per class: per entry of the bias of the MatMulAdd under the scores
-    producer = {op.outputs[0]: op for op in graph.ops}
+    producer = {op.output: op for op in graph.ops}
     softmax = producer.get("scores")
     head = producer.get(softmax.inputs[0]) if softmax and softmax.opcode == "Softmax" else None
     bias = graph.consts.get(head.inputs[2]) if head and head.opcode == "MatMulAdd" else None
@@ -240,12 +224,12 @@ def serialize(graph: StaticGraph) -> bytes:
         "consts": graph.consts,
         "vocabs": graph.vocab_tables,
         "ops": [{"opcode": op.opcode, "inputs": list(op.inputs),
-                 "outputs": list(op.outputs), "attrs": op.attrs}
+                 "output": op.output, "attrs": op.attrs}
                 for op in graph.ops],
         "inputs": list(graph.inputs),
         "outputs": list(graph.outputs),
     }
-    return binio.pack_container(GRAPH_MAGIC, graph.version, payload)
+    return binio.pack_container(GRAPH_MAGIC, GRAPH_VERSION, payload)
 
 
 def deserialize(data: bytes) -> StaticGraph:
@@ -254,10 +238,9 @@ def deserialize(data: bytes) -> StaticGraph:
     except CorruptFile as exc:
         raise CorruptGraph(str(exc))
     try:
-        ops = [GraphOp(o["opcode"], tuple(o["inputs"]), tuple(o["outputs"]), o["attrs"])
+        ops = [GraphOp(o["opcode"], tuple(o["inputs"]), o["output"], o["attrs"])
                for o in payload["ops"]]
         graph = StaticGraph(
-            version=GRAPH_VERSION,
             attrs=payload["attrs"],
             consts=payload["consts"],
             vocab_tables=payload["vocabs"],
@@ -305,11 +288,11 @@ class Executor:
 
     def _compile(self, op: GraphOp):
         spec = OPS[op.opcode]
-        attrs = _op_attrs(op, spec)
-        if "vocab" in attrs:
-            attrs["vocab"] = self._vocabs[attrs["vocab"]]
-        fn = partial(spec.run, *attrs.values()) if attrs else spec.run
-        out = op.outputs[0]
+        args = [self._vocabs[op.attrs[name]] if name == "vocab" else op.attrs[name]
+                for name in spec.attrs]
+        args += [self.graph.attrs[name] for name in spec.graph_attrs]
+        fn = partial(spec.run, *args) if args else spec.run
+        out = op.output
         # plain calls for up to three inputs keep dispatch as cheap as a
         # hand-written closure; wider ops unpack a fetched tuple
         if len(op.inputs) == 1:

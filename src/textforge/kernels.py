@@ -299,14 +299,9 @@ def softmax_cross_entropy_backward(cache, dloss):
 
 # --- highway combination used by the char-CNN embedding ---
 
-def highway(x, layers):
-    """Per layer: relu transform gated against the carried input.
-
-    layers is a sequence of (w_t, b_t, w_g, b_g); each keeps the feature dim.
-    """
-    out = x
-    for w_t, b_t, w_g, b_g in layers:
-        hidden = relu(linear(out, w_t, b_t))
-        gate = sigmoid(linear(out, w_g, b_g))
-        out = gate * hidden + (np.float32(1.0) - gate) * out
-    return out
+def highway(x, w_t, b_t, w_g, b_g):
+    """One layer: relu transform gated against the carried input; keeps the
+    feature dim."""
+    hidden = relu(linear(x, w_t, b_t))
+    gate = sigmoid(linear(x, w_g, b_g))
+    return gate * hidden + (np.float32(1.0) - gate) * x

@@ -194,7 +194,7 @@ class TokenEmbedding(LayerModule):
         emb = ops.embedding_lookup(self.char_table.tensor, flat_ids)  # [b*t, c, cd]
         full = np.ones((b * t, c), dtype=F32)
         pooled = [ops.conv1d_maxpool(emb, filt.tensor, full) for filt in self.char_conv]
-        out = ops.concat(pooled, axis=-1) if len(pooled) > 1 else pooled[0]
+        out = ops.concat(pooled)
         one = Tensor(np.ones_like(out.data))
         for wt, bt, wg, bg in self.highway:
             hidden = ops.relu(ops.linear(out, wt.tensor, bt.tensor))
@@ -207,8 +207,7 @@ class TokenEmbedding(LayerModule):
         if self.word_dim:
             token_ids = b.lookup("LookupTokens", "token_ids", "tokens", "token", vocabs.token)
         if self.char_dim:
-            char_ids = b.lookup("LookupChars", "char_ids", "tokens", "char", vocabs.char,
-                                max_chars=b.attrs["max_chars"])
+            char_ids = b.lookup("LookupChars", "char_ids", "tokens", "char", vocabs.char)
         if self.gaz_dim:
             gaz_ids = b.lookup("LookupTokens", "gaz_ids", "gaz_labels", "gaz", vocabs.gaz)
         if self.cap_dim:
@@ -240,7 +239,7 @@ class TokenEmbedding(LayerModule):
             parts.append(ops.embedding_lookup(self.gaz_table.tensor, batch.dense_feats["gaz"]))
         if self.cap_dim:
             parts.append(ops.embedding_lookup(self.cap_table.tensor, batch.dense_feats["cap"]))
-        out = ops.concat(parts, axis=-1) if len(parts) > 1 else parts[0]
+        out = ops.concat(parts)
         if out.shape != (b, t, self.out_dim):
             raise ShapeMismatch("embedding produced %s, contract (%d, %d, %d)"
                                 % (out.shape, b, t, self.out_dim))
@@ -271,7 +270,7 @@ class BiLSTMModule(LayerModule):
                            p["fwd.bias"].tensor, mask, reverse=False)
         bwd = ops.lstm_seq(emb, p["bwd.w_ih"].tensor, p["bwd.w_hh"].tensor,
                            p["bwd.bias"].tensor, mask, reverse=True)
-        return ops.concat([fwd, bwd], axis=-1)
+        return ops.concat([fwd, bwd])
 
     def lower(self, b, x: str) -> str:
         p = self._params
@@ -337,7 +336,7 @@ class DocNNRepresentation(Representation):
 
     def encode(self, emb: Tensor, mask) -> Tensor:
         pooled = [ops.conv1d_maxpool(emb, filt.tensor, mask) for filt in self.filters]
-        return ops.concat(pooled, axis=-1) if len(pooled) > 1 else pooled[0]
+        return ops.concat(pooled)
 
     def lower(self, b, x: str) -> str:
         return b.concat("representation", [b.emit("Conv1DMaxPool", "doc_pool%d" % w, x, filt)

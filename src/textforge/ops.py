@@ -97,16 +97,19 @@ def reshape(x: Tensor, shape) -> Tensor:
     return Tensor(out_data, TapeNode((x,), backward))
 
 
-def concat(tensors, axis=-1) -> Tensor:
+def concat(tensors) -> Tensor:
+    """Join tensors on the last axis; a lone tensor is returned as is."""
     tensors = list(tensors)
     if not tensors:
         raise ShapeMismatch("concat of zero tensors")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
+    if len(tensors) == 1:
+        return tensors[0]
+    out_data = np.concatenate([t.data for t in tensors], axis=-1)
+    sizes = [t.data.shape[-1] for t in tensors]
 
     def backward(g):
         splits = np.cumsum(sizes)[:-1]
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, splits, axis=-1))
 
     return Tensor(out_data, TapeNode(tuple(tensors), backward))
 

@@ -177,6 +177,9 @@ def train(pipe, ckpt_path: str = "", resume: Optional[dict] = None, echo=None) -
     start_epoch = 0
     stopped_early = False
 
+    def out_of_patience(epoch):
+        return cfg.patience > 0 and (epoch - best_epoch) >= cfg.patience
+
     if resume is not None:
         start_epoch = resume["epoch"] + 1
         best_epoch = resume["best_epoch"]
@@ -187,8 +190,16 @@ def train(pipe, ckpt_path: str = "", resume: Optional[dict] = None, echo=None) -
         load_params(model, resume["params"])
         best_params = dict(resume["best_params"])
         opt.load_state(resume["optimizer"])
+        # a run that had stopped early stays stopped, as it did uninterrupted
+        stopped_early = out_of_patience(resume["epoch"])
 
-    for epoch in range(start_epoch, cfg.epochs):
+    epochs = range(start_epoch, start_epoch if stopped_early else cfg.epochs)
+    if resume is not None and not epochs and ckpt_path:
+        # nothing is left to train: the resumed state is the checkpoint
+        save_checkpoint(ckpt_path, checkpoint_payload(
+            pipe, opt, resume["epoch"], best_epoch, best_score, history, best_params))
+
+    for epoch in epochs:
         batches = pipe.train_batches(epoch)
         if not batches:
             raise EmptySplit("no training batches")
@@ -216,7 +227,7 @@ def train(pipe, ckpt_path: str = "", resume: Optional[dict] = None, echo=None) -
         if ckpt_path:
             save_checkpoint(ckpt_path, checkpoint_payload(
                 pipe, opt, epoch, best_epoch, best_score, history, best_params))
-        if cfg.patience > 0 and (epoch - best_epoch) >= cfg.patience:
+        if out_of_patience(epoch):
             stopped_early = True
             break
 

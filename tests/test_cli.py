@@ -183,6 +183,43 @@ class TestTrain:
         assert proc.returncode == 1
         assert "different configuration" in proc.stderr
 
+    def test_resume_of_a_finished_run_writes_its_checkpoint(self, doc_run, tmp_path,
+                                                            monkeypatch, capsys):
+        steps = []
+        step = trainer.Adam.step
+        monkeypatch.setattr(trainer.Adam, "step", lambda opt: steps.append(opt) or step(opt))
+        out_dir = tmp_path / "run2"
+        assert cli.main(["train", "--config", str(doc_run.cfg_path), "--out-dir", str(out_dir),
+                         "--resume", doc_run.ckpt]) == 0
+        ckpt = out_dir / "model.ckpt"
+        assert "checkpoint: %s" % ckpt in capsys.readouterr().out
+        assert steps == []
+        assert ckpt.read_bytes() == open(doc_run.ckpt, "rb").read()
+        report = json.loads((out_dir / "train_report.json").read_text())
+        assert report["checkpoint"] == str(ckpt) and report["epochs_run"] == 2
+
+    def test_resume_of_an_early_stopped_run_trains_no_more(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # lr 0 keeps every epoch's score, so patience 1 stops after epoch 1
+        cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=4, lr=0.0)
+        cfg["task"]["doc_classification"]["trainer"]["standard"]["patience"] = 1
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        first, resumed = tmp_path / "run1", tmp_path / "run2"
+        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(first)]) == 0
+        assert "(stopped early)" in capsys.readouterr().out
+        steps = []
+        step = trainer.Adam.step
+        monkeypatch.setattr(trainer.Adam, "step", lambda opt: steps.append(opt) or step(opt))
+        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(resumed),
+                         "--resume", str(first / "model.ckpt")]) == 0
+        out = capsys.readouterr().out
+        assert "epoch 2:" not in out and "(stopped early)" in out
+        assert steps == []
+        assert (resumed / "model.ckpt").read_bytes() == (first / "model.ckpt").read_bytes()
+        report = json.loads((resumed / "train_report.json").read_text())
+        assert report["epochs_run"] == 2 and report["stopped_early"] is True
+
     def test_eval_label_missing_from_train(self, tmp_path, monkeypatch, capsys):
         cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1)
         eval_path = cfg["task"]["doc_classification"]["data"]["tsv"]["eval_path"]
@@ -277,7 +314,7 @@ class TestPredict:
         g = load_graph(doc_graph)
         lookups = [op for op in g.ops if op.opcode.startswith("Lookup")]
         g.ops = [op for op in g.ops if op not in lookups]
-        g.inputs = [op.outputs[0] for op in lookups]
+        g.inputs = [op.output for op in lookups]
         g.vocab_tables = {}
         path = str(tmp_path / "ids.graph")
         save_graph(g, path)
@@ -296,7 +333,7 @@ class TestPredict:
         if opcode == "LookupChars":
             # the doc model reads no chars; this lookup runs but nothing reads it
             g.vocab_tables["char"] = ["<pad>", "<unk>", "a"]
-            g.ops.insert(0, GraphOp("LookupChars", ("tokens",), ("char_ids",), attrs))
+            g.ops.insert(0, GraphOp("LookupChars", ("tokens",), "char_ids", attrs))
         else:
             (op,) = [op for op in g.ops if op.opcode == opcode]
             op.attrs.update(attrs)
@@ -365,14 +402,15 @@ class TestExportAndBench:
             assert "format version 2, expected 3" in proc.stderr, args
 
     def test_older_graph_format_is_refused(self, doc_graph, tmp_path):
-        # format 2 graphs carry a table of slot kinds that format 3 dropped
+        # format 3 ops list their outputs and carry a Concat axis and a
+        # LookupChars max_chars, which format 4 dropped
         blob = bytearray(open(doc_graph, "rb").read())
-        blob[4:8] = struct.pack("<I", 2)
-        old = tmp_path / "v2.graph"
+        blob[4:8] = struct.pack("<I", 3)
+        old = tmp_path / "v3.graph"
         old.write_bytes(bytes(blob))
         proc = run_cli("predict", "--graph", str(old), stdin="hello\n")
         assert proc.returncode == 1, proc.stderr
-        assert "format version 2, expected 3" in proc.stderr
+        assert "format version 3, expected 4" in proc.stderr
 
     @pytest.mark.parametrize("kind,bad_head,report", [
         ("doc", None, EquivalenceReport(1e-7, True, 40)),
@@ -408,6 +446,19 @@ class TestExportAndBench:
         rows = json.loads(out.read_text())
         assert [r["implementation"] for r in rows] == ["eager", "exported"]
         assert all(r["n_requests"] == 30 for r in rows)
+
+    @pytest.mark.parametrize("flag,value,why", [
+        ("--warmup", "-5", "must be at least 0, got -5"),
+        ("--requests", "-5", "must be at least 1, got -5"),
+        ("--requests", "0", "must be at least 1, got 0"),
+    ])
+    def test_bench_rejects_a_count_out_of_range(self, doc_run, doc_graph, tmp_path,
+                                                capsys, flag, value, why):
+        out = tmp_path / "bench.json"
+        assert cli.main(["bench", "--ckpt", doc_run.ckpt, "--graph", doc_graph,
+                         "--requests", "2", flag, value, "--out", str(out)]) == 1
+        assert "argument %s: %s" % (flag, why) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsage:

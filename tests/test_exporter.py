@@ -63,7 +63,7 @@ class TestLoweringShape:
         graph = export_model(pipe.model, pipe.featurizer.settings,
                              pipe.doc_labels, DOC_TASK, pipe.vocabs)
         assert graph.inputs == ["tokens", "cap_labels"]
-        lookups = [(op.opcode, op.outputs[0]) for op in graph.ops[:3]]
+        lookups = [(op.opcode, op.output) for op in graph.ops[:3]]
         assert lookups == [("LookupTokens", "token_ids"), ("LookupChars", "char_ids"),
                            ("LookupTokens", "cap_ids")]
 
@@ -100,11 +100,11 @@ class TestGoldenBytes:
     }
 
     GOLDEN = {
-        "doc": "a2367d7efe256dd9845c2f97f1e2e3549d2ae1856f5daf64f9e197fe58624fae",
-        "word": "bd5e1eaa16400e4b03b231d21c90bcaa8214b2728aa95f0aa0b1460d5c49de1d",
-        "joint.doc": "8f1de7a8f2f18b9b8edd6f32f0bc8695a7d00e8b2e46c75b99a7c568534aa7d7",
-        "joint.word": "18a9257c29fe93b692d6b0061fbbcf8e6c2ec6d3939a767d27ac20c4ac1726b1",
-        "doc.all_stages": "fcf00beddf9ec47d7897390c531ce3ce239695f6cb0a68f3ebf4f713eb099609",
+        "doc": "6dced16ee6d049bc6208b03760233432238e08658a7c33b0a6c98d968f18d742",
+        "word": "a9b279d5f52f33130cdfa4f7103f609ce5fc34b2db8e6d6daf92386aff491d8c",
+        "joint.doc": "6430f933cbfd311cd4856b2f557a05ebf5153cb1c94db98e40a6d7ffeb0ef52a",
+        "joint.word": "23cbdbf6372646d4bcd88bc299e03609ca55a6c813b699972ccf7e72a4edef34",
+        "doc.all_stages": "0ad41457d6b9b6da2d50cc0bc0aeb6ac69c1f3dedb8a5b7486bd98712af63052",
     }
 
     def test_graph_bytes_are_pinned(self, tmp_path):

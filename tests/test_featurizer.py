@@ -184,7 +184,7 @@ def test_char_ids_agree_in_training_eager_and_graph(tmp_path, monkeypatch):
 
     def graph_rows(text):
         tokens = graph_module.prepare_feed(graph, text)["tokens"]
-        return graph_module._lookup_chars(vocab, op.attrs["max_chars"], tokens)
+        return graph_module._lookup_chars(vocab, graph.attrs["max_chars"], tokens)
 
     def eager_rows(text):
         feats = pipe.featurizer.featurize(text)

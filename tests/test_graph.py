@@ -30,14 +30,13 @@ def linear_graph():
     w = np.array([[1.0, -1.0], [0.5, 0.5], [0.0, 2.0]], dtype=F32)
     b = np.array([0.1, -0.1], dtype=F32)
     return StaticGraph(
-        version=GRAPH_VERSION,
         attrs=dict(ATTRS),
         consts={"w": w, "b": b},
         vocab_tables={},
         ops=[
-            GraphOp("MatMulAdd", ("x", "w", "b"), ("logits",)),
-            GraphOp("Softmax", ("logits",), ("scores",)),
-            GraphOp("ArgMax", ("logits",), ("pred",)),
+            GraphOp("MatMulAdd", ("x", "w", "b"), "logits"),
+            GraphOp("Softmax", ("logits",), "scores"),
+            GraphOp("ArgMax", ("logits",), "pred"),
         ],
         inputs=["x"],
         outputs=["pred", "scores"],
@@ -53,17 +52,16 @@ def baked_graph():
     w = rng.uniform(-0.5, 0.5, size=(4, 2)).astype(F32)
     b = np.zeros(2, dtype=F32)
     return StaticGraph(
-        version=GRAPH_VERSION,
         attrs=dict(ATTRS),
         consts={"table": table, "filt": filt, "w": w, "b": b},
         vocab_tables={"token": ["<pad>", "<unk>", "go", "home"]},
         ops=[
-            GraphOp("LookupTokens", ("tokens",), ("token_ids",), {"vocab": "token"}),
-            GraphOp("EmbedGather", ("token_ids", "table"), ("emb",)),
-            GraphOp("Conv1DMaxPool", ("emb", "filt"), ("rep",)),
-            GraphOp("MatMulAdd", ("rep", "w", "b"), ("logits",)),
-            GraphOp("Softmax", ("logits",), ("scores",)),
-            GraphOp("ArgMax", ("logits",), ("pred",)),
+            GraphOp("LookupTokens", ("tokens",), "token_ids", {"vocab": "token"}),
+            GraphOp("EmbedGather", ("token_ids", "table"), "emb"),
+            GraphOp("Conv1DMaxPool", ("emb", "filt"), "rep"),
+            GraphOp("MatMulAdd", ("rep", "w", "b"), "logits"),
+            GraphOp("Softmax", ("logits",), "scores"),
+            GraphOp("ArgMax", ("logits",), "pred"),
         ],
         inputs=["tokens"],
         outputs=["pred", "scores"],
@@ -72,7 +70,7 @@ def baked_graph():
 
 def malformed_matmul_two_inputs():
     g = linear_graph()
-    g.ops[0] = GraphOp("MatMulAdd", ("x", "w"), ("logits",))
+    g.ops[0] = GraphOp("MatMulAdd", ("x", "w"), "logits")
     return g
 
 
@@ -82,75 +80,54 @@ def malformed_lstm_without_reverse():
               "w_hh": rng.normal(size=(2, 8)).astype(F32),
               "bias": np.zeros(8, dtype=F32)}
     return StaticGraph(
-        version=GRAPH_VERSION, attrs=dict(ATTRS),
+        attrs=dict(ATTRS),
         consts=consts, vocab_tables={},
-        ops=[GraphOp("LSTMSeq", ("x", "w_ih", "w_hh", "bias"), ("h",))],
+        ops=[GraphOp("LSTMSeq", ("x", "w_ih", "w_hh", "bias"), "h")],
         inputs=["x"], outputs=["h"],
     )
 
 
-def malformed_lookup_chars_without_max_chars():
-    return StaticGraph(
-        version=GRAPH_VERSION, attrs=dict(ATTRS),
-        consts={}, vocab_tables={"char": ["<pad>", "<unk>", "a"]},
-        ops=[GraphOp("LookupChars", ("tokens",), ("char_ids",), {"vocab": "char"})],
-        inputs=["tokens"], outputs=["char_ids"],
-    )
-
-
-def with_spare_char_lookup(max_chars):
+def with_spare_char_lookup(**stray_attrs):
     """baked_graph() plus a char lookup whose output nothing reads."""
     g = baked_graph()
     g.vocab_tables["char"] = ["<pad>", "<unk>", "g", "o"]
-    g.ops.insert(1, GraphOp("LookupChars", ("tokens",), ("char_ids",),
-                            {"vocab": "char", "max_chars": max_chars}))
+    g.ops.insert(1, GraphOp("LookupChars", ("tokens",), "char_ids",
+                            {"vocab": "char", **stray_attrs}))
     return g
 
 
-def with_logits_concat(axis):
+def with_logits_concat(**stray_attrs):
     """linear_graph() plus a Concat of the logits with themselves."""
     g = linear_graph()
-    g.ops.append(GraphOp("Concat", ("logits", "logits"), ("twice",), {"axis": axis}))
+    g.ops.append(GraphOp("Concat", ("logits", "logits"), "twice", stray_attrs))
     return g
 
 
 def malformed_lookup_chars_max_chars_not_the_graphs():
-    # runs, but cuts char rows at another width than the featurizer does
-    return with_spare_char_lookup(ATTRS["max_chars"] - 1)
+    # char rows are cut at the graph's max_chars; an op carries no width
+    return with_spare_char_lookup(max_chars=ATTRS["max_chars"] - 1)
 
 
 def malformed_concat_axis_zero():
-    return with_logits_concat(0)
-
-
-def malformed_op_without_outputs():
-    g = linear_graph()
-    g.ops.append(GraphOp("Relu", ("logits",), ()))
-    return g
-
-
-def malformed_op_with_two_outputs():
-    g = linear_graph()
-    g.ops.append(GraphOp("Relu", ("logits",), ("t1", "t2")))
-    g.outputs = ["pred", "t2"]
-    return g
+    # Concat always joins on the last axis; an op carries no axis
+    return with_logits_concat(axis=0)
 
 
 def malformed_op_input_is_a_list():
     g = linear_graph()
-    g.ops[1] = GraphOp("Softmax", (["logits"],), ("scores",))
+    g.ops[1] = GraphOp("Softmax", (["logits"],), "scores")
     return g
 
 
 def malformed_op_output_is_an_int():
     g = linear_graph()
-    g.ops[1] = GraphOp("Softmax", ("logits",), (7,))
+    g.ops[1] = GraphOp("Softmax", ("logits",), 7)
     return g
 
 
 def malformed_opcode_is_a_list():
     g = linear_graph()
-    g.ops[1] = GraphOp(["Softmax"], ("logits",), ("scores",))
+    g.ops[1] = GraphOp(["Softmax"], ("logits",), "scores")
     return g
 
 
@@ -308,6 +285,27 @@ def payload_with(field, value):
     return graph_blob(binio.encode(payload))
 
 
+def with_relu_payload(**fields):
+    """The payload of linear_graph() plus a Relu op over the logits with the
+    given fields, re-encoded: ops the in-memory GraphOp cannot express."""
+    payload = binio.decode(serialize(linear_graph())[12:])
+    payload["ops"].append({"opcode": "Relu", "inputs": ["logits"], "attrs": {}, **fields})
+    return graph_blob(binio.encode(payload))
+
+
+def malformed_op_without_outputs():
+    return with_relu_payload()
+
+
+def malformed_op_with_two_outputs():
+    return with_relu_payload(output=["t1", "t2"])
+
+
+def malformed_op_in_the_format_3_shape():
+    # format 3 listed each op's outputs; format 4 names its one output
+    return with_relu_payload(outputs=["t1"])
+
+
 class TestSerialization:
     def test_round_trip_values(self):
         g = linear_graph()
@@ -366,7 +364,7 @@ class TestSerialization:
 
     def test_unknown_opcode_in_payload(self):
         g = linear_graph()
-        g.ops[0] = GraphOp("FusedMegaOp", ("x", "w", "b"), ("logits",))
+        g.ops[0] = GraphOp("FusedMegaOp", ("x", "w", "b"), "logits")
         blob = serialize(g)  # serialization is format-only, no validation
         with pytest.raises(CorruptGraph):
             deserialize(blob)
@@ -376,8 +374,8 @@ class TestValidation:
     def test_valid_graphs_pass(self):
         validate_graph(linear_graph())
         validate_graph(baked_graph())
-        validate_graph(with_spare_char_lookup(ATTRS["max_chars"]))
-        validate_graph(with_logits_concat(-1))
+        validate_graph(with_spare_char_lookup())
+        validate_graph(with_logits_concat())
 
     def test_read_before_produce(self):
         g = linear_graph()
@@ -387,7 +385,7 @@ class TestValidation:
 
     def test_two_producers(self):
         g = linear_graph()
-        g.ops.append(GraphOp("Relu", ("logits",), ("scores",)))
+        g.ops.append(GraphOp("Relu", ("logits",), "scores"))
         with pytest.raises(CorruptGraph):
             validate_graph(g)
 
@@ -406,11 +404,11 @@ class TestValidation:
     @pytest.mark.parametrize("make", [
         malformed_matmul_two_inputs,
         malformed_lstm_without_reverse,
-        malformed_lookup_chars_without_max_chars,
         malformed_lookup_chars_max_chars_not_the_graphs,
         malformed_concat_axis_zero,
         malformed_op_without_outputs,
         malformed_op_with_two_outputs,
+        malformed_op_in_the_format_3_shape,
         malformed_op_input_is_a_list,
         malformed_op_output_is_an_int,
         malformed_opcode_is_a_list,
@@ -439,7 +437,8 @@ class TestValidation:
         malformed_input_is_a_const,
     ])
     def test_malformed_op_rejected_on_load(self, make):
-        blob = serialize(make())  # serialization is format-only, no validation
+        made = make()  # a graph, or the blob of a payload no graph can express
+        blob = made if isinstance(made, bytes) else serialize(made)  # no validation
         with pytest.raises(CorruptGraph):
             deserialize(blob)
 
@@ -466,7 +465,7 @@ class TestValidation:
         assert len(calls) == 1
 
     def test_load_and_executor_index_each_vocab_table_once(self, tmp_path, monkeypatch):
-        g = with_spare_char_lookup(ATTRS["max_chars"])
+        g = with_spare_char_lookup()
         path = str(tmp_path / "model.graph")
         save_graph(g, path)
         indexed = []
@@ -521,10 +520,10 @@ class TestExecutor:
 
     def test_embed_gather_bounds(self):
         g = StaticGraph(
-            version=GRAPH_VERSION, attrs={},
+            attrs={},
             consts={"table": np.eye(3, dtype=F32)},
             vocab_tables={},
-            ops=[GraphOp("EmbedGather", ("ids", "table"), ("emb",))],
+            ops=[GraphOp("EmbedGather", ("ids", "table"), "emb")],
             inputs=["ids"], outputs=["emb"],
         )
         ex = Executor(g)
@@ -549,6 +548,13 @@ class TestExecutor:
         assert float(out["scores"].sum()) == pytest.approx(1.0, abs=1e-6)
         assert out["pred"] in (0, 1)
 
+    def test_char_rows_are_cut_at_the_graphs_max_chars(self):
+        g = with_spare_char_lookup()
+        g.attrs["max_chars"] = 3
+        g.outputs = ["char_ids"]
+        out = run(Executor(g), "go ogg goooo")
+        assert out["char_ids"].tolist() == [[2, 3, 0], [3, 2, 2], [2, 3, 3]]
+
     def test_rerun_does_not_mutate_state(self):
         ex = Executor(baked_graph())
         a = run(ex, "go home")
@@ -559,16 +565,15 @@ class TestExecutor:
 def cap_probe_graph():
     entries = ["<pad>", "<unk>"] + list(CAP_CLASSES)
     return StaticGraph(
-        version=GRAPH_VERSION,
         attrs={"lowercase": True, "max_chars": 4},
         consts={},
         vocab_tables={"token": ["<pad>", "<unk>", "go"],
                       "cap": entries,
                       "gaz": ["<pad>", "<unk>", GAZ_NONE]},
         ops=[
-            GraphOp("LookupTokens", ("tokens",), ("tok_ids",), {"vocab": "token"}),
-            GraphOp("LookupTokens", ("cap_labels",), ("cap_ids",), {"vocab": "cap"}),
-            GraphOp("LookupTokens", ("gaz_labels",), ("gaz_ids",), {"vocab": "gaz"}),
+            GraphOp("LookupTokens", ("tokens",), "tok_ids", {"vocab": "token"}),
+            GraphOp("LookupTokens", ("cap_labels",), "cap_ids", {"vocab": "cap"}),
+            GraphOp("LookupTokens", ("gaz_labels",), "gaz_ids", {"vocab": "gaz"}),
         ],
         inputs=["tokens", "cap_labels", "gaz_labels"],
         outputs=["tok_ids", "cap_ids", "gaz_ids"],

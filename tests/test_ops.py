@@ -166,7 +166,7 @@ class TestFiniteDifferences:
             a = t((2, 3), rng)
             b = t((2, 2), rng)
             def f(_):
-                return scalarize(ops.reshape(ops.concat([a, b], axis=-1), (1, 10)),
+                return scalarize(ops.reshape(ops.concat([a, b]), (1, 10)),
                                  np.random.default_rng(7))
             return f, a if rng.integers(0, 2) else b
         run_checks(build)
