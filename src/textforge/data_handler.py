@@ -14,6 +14,7 @@ per-token tags after it in the same column. The optional gazetteer column is
 import io
 from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -173,21 +174,20 @@ def load_tsv(path: str, fmt: str, featurizer: Featurizer, split: str = "train") 
     return Dataset(examples, split=split)
 
 
+def _token_texts(split: Dataset):
+    return chain.from_iterable(ex.feats.token_texts() for ex in split)
+
+
 def build_vocab(train_split: Dataset, min_freq: int = 1) -> Vocabulary:
     """Token vocabulary from the training split only, frequency ordered."""
     if not train_split.examples:
         raise EmptyCorpus("training split is empty")
-    counts = Counter()
-    for ex in train_split:
-        counts.update(ex.feats.token_texts())
-    return Vocabulary.build(counts, min_freq)
+    return Vocabulary.build(Counter(_token_texts(train_split)), min_freq)
 
 
 def build_char_vocab(train_split: Dataset) -> Vocabulary:
-    counts = Counter()
-    for ex in train_split:
-        for tok in ex.feats.token_texts():
-            counts.update(tok)
+    # one Counter over all the split's characters, counted in C
+    counts = Counter("".join(_token_texts(train_split)))
     if not counts:
         raise EmptyCorpus("no characters in training split")
     return Vocabulary.build(counts, min_freq=1)

@@ -5,15 +5,25 @@ the logic lives here and is driven by a single settings object. Tokenization
 splits on Unicode whitespace and additionally splits each ASCII punctuation
 character into its own token. Spans are byte offsets into the original text,
 taken before any lowercasing.
+
+A text is tokenized in one pass of one precompiled regex, ``[punct]|[^\\s
+punct]+`` over ``string.punctuation``: on str patterns ``\\s`` matches exactly
+the characters ``str.isspace`` accepts. An ASCII text's byte offsets are its
+match offsets; other text adds the UTF-8 length of each gap and each token.
+Capitalization is read from the raw match, and each TokenSpan is built once,
+already lowercased when the settings ask for it.
 """
 
+import re
 import string
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OverlappingEntries
 from .vocab import Vocabulary
 
-_ASCII_PUNCT = frozenset(string.punctuation)
+# one ASCII punctuation char, or a run of chars that are neither that nor space
+_TOKEN = re.compile("[{0}]|[^\\s{0}]+".format(re.escape(string.punctuation)))
 
 CAP_ALL_LOWER = "all_lower"
 CAP_INIT_CAP = "init_cap"
@@ -27,8 +37,9 @@ CAP_CLASSES = (CAP_ALL_LOWER, CAP_INIT_CAP, CAP_ALL_CAPS, CAP_OTHER)
 GAZ_NONE = "<none>"
 
 
-@dataclass(frozen=True)
-class TokenSpan:
+class TokenSpan(NamedTuple):
+    """A token and its utf-8 byte span. Being a tuple, it also equals the
+    plain tuple (text, start, end)."""
     text: str
     start: int  # byte offset into the original utf-8 text
     end: int
@@ -65,31 +76,7 @@ def tokenize(text: str, lowercase: bool = True):
     becomes its own token; runs of separators collapse. Span offsets index
     the original text in utf-8 bytes and always cover the pre-lowercase form.
     """
-    spans = []
-    byte_pos = 0
-    tok_chars = []
-    tok_start = 0
-
-    def flush(end_byte):
-        if tok_chars:
-            raw = "".join(tok_chars)
-            spans.append(TokenSpan(raw.lower() if lowercase else raw, tok_start, end_byte))
-            tok_chars.clear()
-
-    for ch in text:
-        ch_len = len(ch.encode("utf-8"))
-        if ch.isspace():
-            flush(byte_pos)
-        elif ch in _ASCII_PUNCT:
-            flush(byte_pos)
-            spans.append(TokenSpan(ch, byte_pos, byte_pos + ch_len))
-        else:
-            if not tok_chars:
-                tok_start = byte_pos
-            tok_chars.append(ch)
-        byte_pos += ch_len
-    flush(byte_pos)
-    return spans
+    return featurize(text, (), FeaturizerSettings(lowercase=lowercase)).tokens
 
 
 def capitalization(token_text: str) -> str:
@@ -105,7 +92,8 @@ def capitalization(token_text: str) -> str:
 
 def char_ids(token_text: str, vocab: Vocabulary, max_chars: int):
     """Map a token's characters to char vocab ids, truncated or padded to max_chars."""
-    ids = [vocab.lookup(ch) for ch in token_text[:max_chars]]
+    get = vocab.index.get
+    ids = [get(ch, Vocabulary.UNK_ID) for ch in token_text[:max_chars]]
     ids.extend([Vocabulary.PAD_ID] * (max_chars - len(ids)))
     return ids
 
@@ -116,6 +104,8 @@ def align_gazetteer(tokens, entries):
     Entries must be sorted by start and non-overlapping. A token straddling
     two entries takes the earlier one.
     """
+    if not entries:
+        return [GAZ_NONE] * len(tokens)
     prev_end = None
     for i, entry in enumerate(entries):
         if entry.start >= entry.end:
@@ -143,13 +133,19 @@ def featurize(text: str, entries=(), settings: FeaturizerSettings = None) -> Fea
     Capitalization is computed on the original token text, then the stored
     token text reflects the lowercase flag.
     """
-    settings = settings or FeaturizerSettings()
-    raw_spans = tokenize(text, lowercase=False)
-    cap_labels = [capitalization(t.text) for t in raw_spans]
-    if settings.lowercase:
-        tokens = [TokenSpan(t.text.lower(), t.start, t.end) for t in raw_spans]
-    else:
-        tokens = raw_spans
+    lowercase = (settings or FeaturizerSettings()).lowercase
+    tokens, cap_labels = [], []
+    utf8 = not text.isascii()
+    char_pos = byte_pos = 0
+    for match in _TOKEN.finditer(text):
+        raw = match.group()
+        start, end = match.span()
+        if utf8:
+            start = byte_pos + len(text[char_pos:start].encode("utf-8"))
+            char_pos, byte_pos = end, start + len(raw.encode("utf-8"))
+            end = byte_pos
+        cap_labels.append(capitalization(raw))
+        tokens.append(TokenSpan(raw.lower() if lowercase else raw, start, end))
     gaz_labels = align_gazetteer(tokens, tuple(entries))
     return FeaturizedExample(text, tokens, gaz_labels, cap_labels)
 

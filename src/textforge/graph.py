@@ -320,6 +320,14 @@ class Executor:
         return {name: env[name] for name in self.graph.outputs}
 
 
+# graph input name -> how a FeaturizedExample gives it; only read inputs are built
+_FEEDS = {
+    "tokens": FeaturizedExample.token_texts,
+    "gaz_labels": lambda ex: list(ex.gaz_labels),
+    "cap_labels": lambda ex: list(ex.cap_labels),
+}
+
+
 def prepare_feed(graph: StaticGraph, inp) -> dict:
     """Turn raw text or a FeaturizedExample into the graph's string inputs.
 
@@ -333,13 +341,11 @@ def prepare_feed(graph: StaticGraph, inp) -> dict:
     if not isinstance(inp, FeaturizedExample):
         raise InputTypeMismatch("a graph consumes text or a featurized example, not %s"
                                 % type(inp).__name__)
-    raw = {"tokens": inp.token_texts(), "gaz_labels": list(inp.gaz_labels),
-           "cap_labels": list(inp.cap_labels)}
     feed = {}
     for name in graph.inputs:
-        if name not in raw:
+        if name not in _FEEDS:
             raise InputTypeMismatch("graph expects unknown input %r" % name)
-        feed[name] = raw[name]
+        feed[name] = _FEEDS[name](inp)
     return feed
 
 

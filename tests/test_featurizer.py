@@ -1,5 +1,9 @@
 """Tokenization, spans, capitalization, char ids and gazetteer alignment."""
 
+import string
+import sys
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +15,10 @@ from textforge.data_handler import single_example_batch
 from textforge.errors import OverlappingEntries
 from textforge.exporter import export_pipeline
 from textforge.featurizer import (CAP_ALL_CAPS, CAP_ALL_LOWER, CAP_INIT_CAP,
-                                  CAP_OTHER, GAZ_NONE, FeaturizerSettings,
-                                  GazetteerEntry,
-                                  capitalization, char_ids, featurize,
-                                  tokenize)
+                                  CAP_OTHER, GAZ_NONE, FeaturizedExample,
+                                  FeaturizerSettings, GazetteerEntry, TokenSpan,
+                                  capitalization, char_ids,
+                                  featurize, tokenize)
 from textforge.pipeline import instantiate_task
 from textforge.registry import parse_task_config
 from textforge.vocab import Vocabulary
@@ -22,6 +26,79 @@ from textforge.vocab import Vocabulary
 
 def spans(text, lowercase=True):
     return [(t.text, t.start, t.end) for t in tokenize(text, lowercase)]
+
+
+# --- the per-character tokenizer, featurize and gazetteer alignment before
+# the one-pass regex: the oracle for featurize ---
+
+_ASCII_PUNCT = frozenset(string.punctuation)
+
+
+def ref_tokenize(text: str, lowercase: bool = True):
+    spans = []
+    byte_pos = 0
+    tok_chars = []
+    tok_start = 0
+
+    def flush(end_byte):
+        if tok_chars:
+            raw = "".join(tok_chars)
+            spans.append(TokenSpan(raw.lower() if lowercase else raw, tok_start, end_byte))
+            tok_chars.clear()
+
+    for ch in text:
+        ch_len = len(ch.encode("utf-8"))
+        if ch.isspace():
+            flush(byte_pos)
+        elif ch in _ASCII_PUNCT:
+            flush(byte_pos)
+            spans.append(TokenSpan(ch, byte_pos, byte_pos + ch_len))
+        else:
+            if not tok_chars:
+                tok_start = byte_pos
+            tok_chars.append(ch)
+        byte_pos += ch_len
+    flush(byte_pos)
+    return spans
+
+
+def ref_featurize(text: str, entries=(), settings: FeaturizerSettings = None) -> FeaturizedExample:
+    settings = settings or FeaturizerSettings()
+    raw_spans = ref_tokenize(text, lowercase=False)
+    cap_labels = [capitalization(t.text) for t in raw_spans]
+    if settings.lowercase:
+        tokens = [TokenSpan(t.text.lower(), t.start, t.end) for t in raw_spans]
+    else:
+        tokens = raw_spans
+    gaz_labels = ref_align_gazetteer(tokens, tuple(entries))
+    return FeaturizedExample(text, tokens, gaz_labels, cap_labels)
+
+
+def ref_align_gazetteer(tokens, entries):
+    prev_end = None
+    for i, entry in enumerate(entries):
+        if entry.start >= entry.end:
+            raise OverlappingEntries("entry %d has empty span (%d, %d)" % (i, entry.start, entry.end))
+        if prev_end is not None and entry.start < prev_end:
+            raise OverlappingEntries(
+                "entries must be sorted and disjoint; entry %d starts at %d before previous end %d"
+                % (i, entry.start, prev_end))
+        prev_end = entry.end
+
+    labels = []
+    for tok in tokens:
+        label = GAZ_NONE
+        for entry in entries:
+            if tok.start < entry.end and entry.start < tok.end:
+                label = entry.kind
+                break
+        labels.append(label)
+    return labels
+
+
+# every code point but the surrogates, which utf-8 cannot encode
+ALL_CHARS = "".join(map(chr, chain(range(0xD800), range(0xE000, sys.maxunicode + 1))))
+WHITESPACE = "".join(ch for ch in ALL_CHARS if ch.isspace())
 
 
 class TestTokenize:
@@ -53,6 +130,38 @@ class TestTokenize:
     def test_empty_and_blank(self):
         assert tokenize("") == []
         assert tokenize(" \t\n ") == []
+
+    def test_non_ascii_separators_count_their_utf8_bytes(self):
+        # U+3000 is three bytes, U+00A0 and U+0085 two each; all are separators
+        assert spans("a\u3000\u00e9\u00a0\u0085b .") == [
+            ("a", 0, 1), ("\u00e9", 4, 6), ("b", 10, 11), (".", 12, 13)]
+
+    def test_lowercasing_may_change_length_but_not_the_span(self):
+        # 'İ' lowers to two chars; the span still covers its two utf-8 bytes
+        assert spans("\u0130x") == [("i\u0307x", 0, 3)]
+
+    def test_separators_are_exactly_the_isspace_chars(self):
+        # every non-space char lands in a token, in order, and no space char does
+        tokens = tokenize(ALL_CHARS, lowercase=False)
+        assert "".join(t.text for t in tokens) == "".join(
+            ch for ch in ALL_CHARS if not ch.isspace())
+
+
+class TestTokenSpan:
+    def test_compares_and_hashes_by_value(self):
+        a, b = TokenSpan("go", 0, 2), TokenSpan("go", 0, 2)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != TokenSpan("go", 0, 3) and a != TokenSpan("Go", 0, 2)
+        assert (a.text, a.start, a.end) == ("go", 0, 2)
+
+    def test_equals_the_plain_tuple(self):
+        assert TokenSpan("go", 0, 2) == ("go", 0, 2)
+        assert hash(TokenSpan("go", 0, 2)) == hash(("go", 0, 2))
+
+    def test_is_immutable(self):
+        span = TokenSpan("go", 0, 2)
+        with pytest.raises(AttributeError):
+            span.text = "x"
 
 
 class TestCapitalization:
@@ -128,6 +237,45 @@ def test_spans_slice_back_to_token_text(text):
         piece = raw[tok.start:tok.end].decode("utf-8")
         assert piece.lower() == tok.text
         assert tok.text.strip() == tok.text and tok.text
+
+
+# text weighted toward what the tokenizer must tell apart: every separator,
+# ASCII punctuation, non-ASCII cased letters (some lower to another length),
+# astral chars and the rest of Unicode
+_CHARS = st.one_of(
+    st.sampled_from(WHITESPACE),
+    st.sampled_from(string.punctuation),
+    st.sampled_from("\u00c0\u00e9\u00df\ufb01\u0130\u0131\u01c5\u03a3\u03c2\u0416\u1e9e"),
+    st.characters(min_codepoint=0x80, categories=("Lu", "Ll", "Lt")),
+    st.characters(min_codepoint=0x10000),
+    st.characters(),
+    st.sampled_from(string.ascii_letters + string.digits),
+)
+
+
+@st.composite
+def text_and_entries(draw):
+    text = "".join(draw(st.lists(_CHARS, max_size=40)))
+    n_bytes = len(text.encode("utf-8"))
+    # sorted, strictly increasing bounds paired up give valid disjoint entries
+    bounds = sorted(draw(st.sets(st.integers(0, n_bytes + 2), max_size=8)))
+    kinds = st.sampled_from(["city", "name", GAZ_NONE])
+    entries = [GazetteerEntry(start, end, draw(kinds))
+               for start, end in zip(bounds[::2], bounds[1::2])]
+    return text, entries
+
+
+@settings(max_examples=400, deadline=None)
+@given(text_and_entries(), st.booleans())
+def test_featurize_matches_the_per_character_oracle(case, lowercase):
+    text, entries = case
+    opts = FeaturizerSettings(lowercase=lowercase)
+    got, want = featurize(text, entries, opts), ref_featurize(text, entries, opts)
+    assert got.tokens == want.tokens
+    assert got.cap_labels == want.cap_labels
+    assert got.gaz_labels == want.gaz_labels
+    assert got == want
+    assert tokenize(text, lowercase) == ref_tokenize(text, lowercase)
 
 
 def test_pipeline_features_match_featurize(tmp_path):

@@ -11,7 +11,7 @@ from textforge import binio
 from textforge import graph as graph_module
 from textforge.errors import (CorruptGraph, IdOutOfRange, InputTypeMismatch,
                               VersionMismatch)
-from textforge.featurizer import CAP_CLASSES, GAZ_NONE
+from textforge.featurizer import CAP_CLASSES, GAZ_NONE, featurize
 from textforge.vocab import Vocabulary
 from textforge.graph import (GRAPH_MAGIC, GRAPH_VERSION, Executor, GraphOp,
                              StaticGraph, deserialize, load_graph,
@@ -609,6 +609,17 @@ class TestPrepareFeed:
         cap_entries = ["<pad>", "<unk>"] + list(CAP_CLASSES)
         assert [cap_entries[i] for i in out["cap_ids"]] == ["init_cap", "all_lower"]
         assert out["tok_ids"].tolist() == [2, 1]
+
+    def test_feed_holds_exactly_the_inputs_the_graph_reads(self):
+        feats = featurize("Go HOME x")
+        assert prepare_feed(baked_graph(), feats) == {"tokens": ["go", "home", "x"]}
+        feed = prepare_feed(cap_probe_graph(), feats)
+        assert list(feed) == cap_probe_graph().inputs
+        assert feed == {"tokens": feats.token_texts(), "gaz_labels": feats.gaz_labels,
+                        "cap_labels": feats.cap_labels}
+        # the feed's lists are its own: a graph run cannot reach the example
+        assert feed["gaz_labels"] is not feats.gaz_labels
+        assert feed["cap_labels"] is not feats.cap_labels
 
     def test_text_input_computes_caps_before_lowercasing(self):
         ex = Executor(cap_probe_graph())

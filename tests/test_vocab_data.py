@@ -1,10 +1,13 @@
 """Vocabulary ordering, TSV loading, batching and multi-task interleaving."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpora
 from textforge import data_handler as dh
 from textforge.data_handler import (FORMAT_DOC, FORMAT_JOINT, FORMAT_WORD,
                                     VocabBundle, batch_examples,
@@ -247,6 +250,24 @@ class TestLabelLists:
     def test_gaz_vocab_always_has_none(self, tmp_path):
         fz, ds, vocabs = _mini_setup(tmp_path)
         assert "<none>" in vocabs.gaz.index
+
+
+@pytest.mark.parametrize("fmt,write", [(FORMAT_DOC, corpora.write_doc_tsv),
+                                       (FORMAT_WORD, corpora.write_word_tsv),
+                                       (FORMAT_JOINT, corpora.write_joint_tsv)])
+def test_vocabularies_equal_a_per_token_count(tmp_path, fmt, write):
+    # the token and char tables count the whole split at once; a count
+    # updated token by token gives the same tables, ties and order included
+    ds = load_tsv(write(str(tmp_path / "train.tsv"), 200, seed=3), fmt, _fz())
+    tokens, chars = Counter(), Counter()
+    for ex in ds:
+        for tok in ex.feats.token_texts():
+            tokens.update([tok])
+            chars.update(tok)
+    for min_freq in (1, 5):
+        assert build_vocab(ds, min_freq) == Vocabulary.build(tokens, min_freq)
+    assert build_char_vocab(ds) == Vocabulary.build(chars)
+    assert len(build_char_vocab(ds)) > 2 + 10
 
 
 @settings(max_examples=60, deadline=None)
