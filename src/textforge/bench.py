@@ -7,7 +7,7 @@ which runs first, so host speed drift cannot favour one of them.
 import math
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import EmptySampleSet
 
@@ -32,14 +32,7 @@ class LatencyReport:
     note: str = ""
 
     def payload(self) -> dict:
-        return {
-            "implementation": self.implementation,
-            "n_requests": self.n_requests,
-            "p50_ms": self.p50_ms,
-            "p90_ms": self.p90_ms,
-            "p99_ms": self.p99_ms,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def measure_alternating(fns, inputs, warmup: int = 0) -> list:

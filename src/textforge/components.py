@@ -185,12 +185,9 @@ def build_model(model_cfg: ComponentConfig, task_kind: str, vocabs, doc_labels, 
         word = models["word"]
         word.embedding = models["doc"].embedding
         word.representation.bilstm = models["doc"].representation.bilstm
-        model = model_zoo.MultiTaskModel(
+        return model_zoo.MultiTaskModel(
             models, {head: model_cfg.params[head + "_loss_weight"] for head in models})
-    else:
-        model = models[task_kind]
-    model_zoo.assign_parameter_names(model)
-    return model
+    return models[task_kind]
 
 
 def _build_head(emb_cfg: ComponentConfig, rep_cfg: ComponentConfig, dec_cfg: ComponentConfig,

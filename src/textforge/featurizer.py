@@ -69,16 +69,6 @@ class FeaturizedExample:
         return [t.text for t in self.tokens]
 
 
-def tokenize(text: str, lowercase: bool = True):
-    """Split text into TokenSpans.
-
-    Whitespace separates tokens and is dropped; each ASCII punctuation char
-    becomes its own token; runs of separators collapse. Span offsets index
-    the original text in utf-8 bytes and always cover the pre-lowercase form.
-    """
-    return featurize(text, (), FeaturizerSettings(lowercase=lowercase)).tokens
-
-
 def capitalization(token_text: str) -> str:
     """Classify the shape of a token before lowercasing."""
     if token_text.isupper():

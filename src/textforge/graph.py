@@ -79,12 +79,9 @@ def _one_sequence(kernel, x, empty_shape, *weights, **kwargs):
 
 
 def _conv_maxpool(x, filters):
-    f = filters.shape[2]
     if x.ndim == 2:
-        return _one_sequence(kernels.conv_maxpool, x, (f,), filters)
+        return _one_sequence(kernels.conv_maxpool, x, (filters.shape[2],), filters)
     # char path: one row of characters per token, already a batch
-    if x.shape[0] == 0:
-        return np.zeros((0, f), dtype=F32)
     return kernels.conv_maxpool(x, filters, np.ones(x.shape[:2], dtype=F32))[0]
 
 

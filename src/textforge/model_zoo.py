@@ -9,8 +9,9 @@ ops through the exporter's GraphBuilder: the embedding starts from lookups
 over the raw string inputs, the output layer ends in the scores and pred
 slots, and SingleTaskModel.lower chains the four as forward does. The models
 are LayerModules too, so one walk (own parameters, then children) names every
-parameter for checkpoints, optimizer state and graph consts, and one checked
-loader, load_params, sets them back.
+parameter for checkpoints, optimizer state and graph consts: named_parameters
+lists each parameter once, under the first path that reaches it, even when
+heads share a module. One checked loader, load_params, sets them back.
 """
 
 from dataclasses import dataclass
@@ -47,23 +48,31 @@ class LayerModule:
         self._params = {}
 
     def add_param(self, local_name, array):
-        param = Parameter(array, name=local_name)
+        param = Parameter(array)
         self._params[local_name] = param
         return param
 
     def children(self):
         return {}
 
-    def named_parameters(self, prefix=""):
-        """Depth-first (own params, then children), deterministic order."""
-        out = {prefix + local: param for local, param in self._params.items()}
+    def _walk(self, prefix):
+        """(path, parameter) depth-first: own params, then children; a
+        module shared by two parents is walked under both."""
+        for local, param in self._params.items():
+            yield prefix + local, param
         for child_name, child in self.children().items():
-            out.update(child.named_parameters(prefix + child_name + "."))
-        return out
+            yield from child._walk(prefix + child_name + ".")
+
+    def named_parameters(self):
+        """Path -> parameter in walk order, each parameter once, under the
+        first path that reaches it."""
+        first = {}
+        for path, param in self._walk(""):
+            first.setdefault(id(param), (path, param))
+        return dict(first.values())
 
     def parameters(self):
-        """Each parameter once, in walk order, even when shared."""
-        return list({id(p): p for p in self.named_parameters().values()}.values())
+        return list(self.named_parameters().values())
 
 
 def load_params(model, saved):
@@ -509,8 +518,10 @@ class SingleTaskModel(LayerModule):
 class MultiTaskModel(LayerModule):
     """Named single-task heads whose modules may be shared by reference.
 
-    The heads are its children, in task order; a shared module's parameters
-    appear under every head's name and once in parameters().
+    The heads are its children, in task order, so a module that two heads
+    share by reference is named once, under the first head that holds it:
+    the joint trunk is doc.embedding.* and doc.representation.bilstm.*, and
+    word.* holds only the word head's own parameters.
     """
 
     def __init__(self, tasks, loss_weights):
@@ -541,11 +552,3 @@ class MultiTaskModel(LayerModule):
         states = self.tasks[self.task_names[0]].trunk(batch)
         return {name: head.head(batch, states, compute_loss=False)
                 for name, head in self.tasks.items()}
-
-
-def assign_parameter_names(model):
-    """Give every parameter its path-like name; names must be unique."""
-    named = model.named_parameters()
-    for name, param in reversed(named.items()):
-        param.name = name  # walking backwards, a shared param ends on its first name
-    return named

@@ -278,7 +278,7 @@ def _assemble(config: TaskConfig, vocabs: VocabBundle, doc_labels, word_tags, se
     tparams = root.child("trainer").params
     settings = Settings(epochs=tparams["epochs"], patience=tparams["patience"],
                         seed=seed, batch_size=root.child("data").params["batch_size"])
-    optimizer = components.build_optimizer(root.child("optimizer"), model.parameters())
+    optimizer = components.build_optimizer(root.child("optimizer"), model.named_parameters())
     return Pipeline(config, fz, vocabs, doc_labels, word_tags, model, optimizer,
                     settings, datasets)
 

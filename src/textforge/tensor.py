@@ -79,11 +79,11 @@ class Tensor:
 
 
 class Parameter:
-    """A named trainable tensor."""
+    """A trainable tensor. It carries no name: a model's named_parameters()
+    names it by its path in the model."""
 
-    def __init__(self, data, name=""):
+    def __init__(self, data):
         self.tensor = Tensor(np.array(data, dtype=np.float32))
-        self.name = name
 
     @property
     def data(self):
@@ -106,4 +106,4 @@ class Parameter:
         return self.tensor.data.shape
 
     def __repr__(self):
-        return "Parameter(%r, shape=%s)" % (self.name, self.shape)
+        return "Parameter(shape=%s)" % (self.shape,)

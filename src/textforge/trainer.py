@@ -20,7 +20,7 @@ from .vocab import Vocabulary, all_str
 F32 = np.float32
 
 CKPT_MAGIC = b"TXFG"
-CKPT_VERSION = 3
+CKPT_VERSION = 4
 
 
 def seed_sequence(seed: int, *key):
@@ -32,14 +32,17 @@ def derive_rng(seed: int, *key) -> np.random.Generator:
 
 
 class SGD:
+    """Plain gradient descent over a name -> Parameter mapping, as a model's
+    named_parameters() gives it."""
+
     kind = "sgd"
 
     def __init__(self, params, lr=0.1):
-        self.params = list(params)
+        self.params = dict(params)
         self.lr = float(lr)
 
     def _live(self):
-        live = [p for p in self.params if p.grad is not None]
+        live = [(name, p) for name, p in self.params.items() if p.grad is not None]
         if not live:
             raise NoGradient("no parameter carries a gradient")
         return live
@@ -47,9 +50,9 @@ class SGD:
     def step(self):
         live = self._live()
         lr = F32(self.lr)
-        for p in live:
+        for _, p in live:
             p.tensor.data = p.data - lr * p.grad
-        for p in live:
+        for _, p in live:
             p.grad = None
 
     def state_payload(self):
@@ -60,10 +63,13 @@ class SGD:
 
 
 class Adam:
+    """Adam over a name -> Parameter mapping; its moments are kept and saved
+    under the same names."""
+
     kind = "adam"
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(params)
+        self.params = dict(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
@@ -79,11 +85,11 @@ class Adam:
         b2 = F32(self.beta2)
         one = F32(1.0)
         eps = F32(self.eps)
-        for p in live:
-            st = self._moments.get(p.name)
+        for name, p in live:
+            st = self._moments.get(name)
             if st is None:
                 st = [np.zeros_like(p.data), np.zeros_like(p.data), 0]
-                self._moments[p.name] = st
+                self._moments[name] = st
             g = p.grad
             st[2] += 1
             st[0] = b1 * st[0] + (one - b1) * g
@@ -91,7 +97,7 @@ class Adam:
             m_hat = st[0] / F32(1.0 - self.beta1 ** st[2])
             v_hat = st[1] / F32(1.0 - self.beta2 ** st[2])
             p.tensor.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
-        for p in live:
+        for _, p in live:
             p.grad = None
 
     def state_payload(self):
@@ -105,12 +111,11 @@ class Adam:
         state = payload.get("state")
         if not isinstance(state, dict):
             raise CorruptFile("checkpoint optimizer 'state' is not a mapping")
-        params = {p.name: p for p in self.params}
         moments = {}
         for name, st in state.items():
-            if name not in params:
+            if name not in self.params:
                 raise CorruptFile("checkpoint optimizer state names unknown parameter %r" % (name,))
-            shape = params[name].data.shape
+            shape = self.params[name].data.shape
             if not (isinstance(st, dict) and all(
                     isinstance(st.get(k), np.ndarray) and st[k].dtype == F32
                     and st[k].shape == shape for k in ("m", "v"))

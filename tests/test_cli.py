@@ -390,16 +390,19 @@ class TestExportAndBench:
                 assert json.dumps(eager(text)) == json.dumps(exported(text)), (head, text)
 
     def test_older_checkpoint_format_is_refused(self, doc_run, tmp_path):
-        # format 2 bodies are the tagged codec that format 3 replaced
+        # format 3 joint checkpoints name the shared trunk under both heads,
+        # which format 4 dropped
         blob = bytearray(open(doc_run.ckpt, "rb").read())
-        blob[4:8] = struct.pack("<I", 2)
-        old = tmp_path / "v2.ckpt"
+        blob[4:8] = struct.pack("<I", 3)
+        old = tmp_path / "v3.ckpt"
         old.write_bytes(bytes(blob))
         for args in (("export", "--model", str(old), "--out", str(tmp_path / "m.graph")),
-                     ("predict", "--ckpt", str(old))):
+                     ("predict", "--ckpt", str(old)),
+                     ("train", "--config", str(doc_run.cfg_path),
+                      "--out-dir", str(tmp_path / "out"), "--resume", str(old))):
             proc = run_cli(*args, stdin="hello\n")
             assert proc.returncode == 1, (args, proc.stderr)
-            assert "format version 2, expected 3" in proc.stderr, args
+            assert "format version 3, expected 4" in proc.stderr, args
 
     def test_older_graph_format_is_refused(self, doc_graph, tmp_path):
         # format 3 ops list their outputs and carry a Concat axis and a

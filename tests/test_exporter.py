@@ -126,9 +126,9 @@ class TestGoldenBytes:
 class TestParameterLayout:
     """The parameter walk of seeded, untrained models, pinned by hash.
 
-    Checkpoints, optimizer state, graph const names and module files all read
-    named_parameters() and parameters(); a change to their names, order,
-    shapes or init draws shows up here.
+    Checkpoints, optimizer state and graph const names all read
+    named_parameters(); a change to its names, order, shapes or init draws
+    shows up here. The second digest is of the names alone.
     """
 
     ALL_STYLES = {"token": {"word_dim": 8, "char_dim": 4, "char_filter_widths": [2],
@@ -139,17 +139,19 @@ class TestParameterLayout:
                 "1786827058c8febd87283fe6507e006bc8f01b4639fe967f106fe64d59995ef9"),
         "word": ("871f4a8413b374de814036f51d64a3302153fe720c62dd777f3bd56bfdf4401e",
                  "1d12d2b52ed5c38a087cdbf10a1dfbf59dab8a139b30232542781df5b469cd05"),
-        "joint": ("b921e5ef73c5e9af03c0b30ec8f8869bf524922475e0a720eed9a8eb900b9b93",
+        "joint": ("99f0197e29f0421bb69d849844b057949ee6c53cbe6bad3c88e4b61765280b59",
                   "7415fc40b6bcb06cbb06440a6665aab32c2863716f43156dbc2b36c422109804"),
     }
 
     @staticmethod
     def digests(model):
+        named = model.named_parameters()
+        assert len({id(p) for p in named.values()}) == len(named)  # each parameter once
         walk = hashlib.sha256()
-        for name, param in model.named_parameters().items():
+        for name, param in named.items():
             walk.update(("%s %s\n" % (name, param.data.shape)).encode())
             walk.update(param.data.tobytes())
-        unique = hashlib.sha256("\n".join(p.name for p in model.parameters()).encode())
+        unique = hashlib.sha256("\n".join(named).encode())
         return walk.hexdigest(), unique.hexdigest()
 
     def test_parameter_walk_is_pinned(self, tmp_path):
@@ -242,14 +244,21 @@ class TestEquivalence:
         assert np.isnan(report.max_abs_dev)
         assert not report.within(0.0)
 
-    def test_empty_text_agrees(self, tmp_path):
-        pipe = make_pipe(tmp_path)
-        graph = export_pipeline(pipe)
-        ex = Executor(graph)
-        res = run(ex, "")
+    @pytest.mark.parametrize("kind,head,overrides", [
+        ("doc", None, {}),
+        ("word", None, {"embedding": RICH_EMBEDDING}),  # zero tokens through the char CNN
+        ("joint", "doc", {}),
+        ("joint", "word", {}),
+    ], ids=["doc", "word_char_highway", "joint_doc", "joint_word"])
+    def test_empty_text_agrees(self, tmp_path, kind, head, overrides):
+        pipe = make_pipe(tmp_path, kind=kind, **overrides)
+        graph, model = export_pipeline(pipe), pipe.model
+        if head is not None:
+            graph, model = graph[head], model.tasks[head]
+        res = run(Executor(graph), "")
         feats = pipe.featurizer.featurize("")
         batch = single_example_batch(feats, pipe.vocabs, pipe.max_chars)
-        out = pipe.model.forward(batch, compute_loss=False)
+        out = model.forward(batch, compute_loss=False)
         assert np.array_equal(out.scores[0], res["scores"])
         assert np.array_equal(out.preds[0], res["pred"])
 

@@ -17,15 +17,18 @@ from textforge.exporter import export_pipeline
 from textforge.featurizer import (CAP_ALL_CAPS, CAP_ALL_LOWER, CAP_INIT_CAP,
                                   CAP_OTHER, GAZ_NONE, FeaturizedExample,
                                   FeaturizerSettings, GazetteerEntry, TokenSpan,
-                                  capitalization, char_ids,
-                                  featurize, tokenize)
+                                  capitalization, char_ids, featurize)
 from textforge.pipeline import instantiate_task
 from textforge.registry import parse_task_config
 from textforge.vocab import Vocabulary
 
 
+def tokens(text, lowercase=True):
+    return featurize(text, (), FeaturizerSettings(lowercase=lowercase)).tokens
+
+
 def spans(text, lowercase=True):
-    return [(t.text, t.start, t.end) for t in tokenize(text, lowercase)]
+    return [(t.text, t.start, t.end) for t in tokens(text, lowercase)]
 
 
 # --- the per-character tokenizer, featurize and gazetteer alignment before
@@ -119,17 +122,17 @@ class TestTokenize:
 
     def test_spans_cover_the_original_casing(self):
         text = "Call Mom"
-        got = tokenize(text)
+        got = tokens(text)
         assert [t.text for t in got] == ["call", "mom"]
         raw = text.encode("utf-8")
         assert [raw[t.start:t.end].decode() for t in got] == ["Call", "Mom"]
 
     def test_lowercase_off_keeps_case(self):
-        assert [t.text for t in tokenize("Call Mom", lowercase=False)] == ["Call", "Mom"]
+        assert [t.text for t in tokens("Call Mom", lowercase=False)] == ["Call", "Mom"]
 
     def test_empty_and_blank(self):
-        assert tokenize("") == []
-        assert tokenize(" \t\n ") == []
+        assert tokens("") == []
+        assert tokens(" \t\n ") == []
 
     def test_non_ascii_separators_count_their_utf8_bytes(self):
         # U+3000 is three bytes, U+00A0 and U+0085 two each; all are separators
@@ -142,8 +145,8 @@ class TestTokenize:
 
     def test_separators_are_exactly_the_isspace_chars(self):
         # every non-space char lands in a token, in order, and no space char does
-        tokens = tokenize(ALL_CHARS, lowercase=False)
-        assert "".join(t.text for t in tokens) == "".join(
+        got = tokens(ALL_CHARS, lowercase=False)
+        assert "".join(t.text for t in got) == "".join(
             ch for ch in ALL_CHARS if not ch.isspace())
 
 
@@ -232,7 +235,7 @@ def test_featurize_is_deterministic(text):
 @given(st.text(max_size=60))
 def test_spans_slice_back_to_token_text(text):
     raw = text.encode("utf-8")
-    for tok in tokenize(text):
+    for tok in tokens(text):
         assert 0 <= tok.start < tok.end <= len(raw)
         piece = raw[tok.start:tok.end].decode("utf-8")
         assert piece.lower() == tok.text
@@ -275,7 +278,7 @@ def test_featurize_matches_the_per_character_oracle(case, lowercase):
     assert got.cap_labels == want.cap_labels
     assert got.gaz_labels == want.gaz_labels
     assert got == want
-    assert tokenize(text, lowercase) == ref_tokenize(text, lowercase)
+    assert tokens(text, lowercase) == ref_tokenize(text, lowercase)
 
 
 def test_pipeline_features_match_featurize(tmp_path):

@@ -17,7 +17,6 @@ from textforge.model_zoo import (BiLSTMAttnRepresentation, BiLSTMModule,
                                  DocClassificationOutput, DocNNRepresentation,
                                  MLPDecoder, MultiTaskModel, SingleTaskModel,
                                  TokenEmbedding, WordTaggingOutput,
-                                 assign_parameter_names,
                                  load_pretrained_embeddings)
 from textforge.pipeline import Pipeline, instantiate_task, prediction_json
 from textforge.registry import parse_task_config
@@ -401,12 +400,16 @@ class TestMultiTask:
         vocabs = make_vocabs()
         model = build_joint(vocabs)
         named = model.named_parameters()
-        unique = model.parameters()
-        shared = [n for n, p in named.items()
-                  if sum(1 for q in named.values() if q is p) == 2]
-        assert len(unique) == len(named) - len(shared) // 2
-        assert any(n.startswith("doc.embedding.") for n in shared)
-        assert any(n.startswith("word.representation.bilstm.") for n in shared)
+        assert len({id(p) for p in named.values()}) == len(named)
+        assert model.parameters() == list(named.values())
+        # the shared trunk is named under the first head only, in walk order
+        doc, word = model.tasks["doc"], model.tasks["word"]
+        assert list(named) == (["doc." + n for n in doc.named_parameters()]
+                               + ["word." + n for n in word.named_parameters()
+                                  if not n.startswith(("embedding.", "representation.bilstm."))])
+        assert named["doc.embedding.word.table"] is word.embedding.word_table
+        assert named["doc.representation.bilstm.fwd.w_ih"] is word.named_parameters()[
+            "representation.bilstm.fwd.w_ih"]
 
     def test_doc_loss_reaches_trunk_not_word_head(self):
         vocabs = make_vocabs()
@@ -419,7 +422,7 @@ class TestMultiTask:
         named = model.named_parameters()
         assert named["doc.embedding.word.table"].grad is not None
         assert named["word.decoder.w0"].grad is None
-        assert named["word.representation.bilstm.fwd.w_ih"].grad is not None  # shared trunk
+        assert named["doc.representation.bilstm.fwd.w_ih"].grad is not None  # shared trunk
 
     def test_incompatible_share_on_config_diff(self):
         with pytest.raises(IncompatibleShare):
@@ -442,16 +445,6 @@ class TestMultiTask:
         name, out = model.forward(batch)
         assert name == "word"
         assert out.preds.shape == (2, 3)
-
-    def test_assign_parameter_names_first_wins(self):
-        vocabs = make_vocabs()
-        model = build_joint(vocabs)
-        assign_parameter_names(model)
-        named = model.named_parameters()
-        shared = named["doc.embedding.word.table"]
-        assert shared is named["word.embedding.word.table"]
-        assert shared.name == "doc.embedding.word.table"
-        assert named["word.decoder.w0"].name == "word.decoder.w0"
 
 
 def joint_pipe(dirpath, epochs=1):

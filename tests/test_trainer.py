@@ -24,15 +24,15 @@ from textforge.vocab import Vocabulary
 F32 = np.float32
 
 
-def make_param(value, name="p"):
-    return Parameter(np.array(value, dtype=F32), name=name)
+def make_param(value):
+    return Parameter(np.array(value, dtype=F32))
 
 
 class TestSGD:
     def test_update_rule_exact(self):
         p = make_param([1.0])
         p.grad = np.array([2.0], dtype=F32)
-        SGD([p], lr=0.1).step()
+        SGD({"p": p}, lr=0.1).step()
         # 1 - 0.1 * 2 in float32 rounds to the float32 nearest of 0.8
         assert p.data[0] == np.float32(0.8)
         assert p.grad is None
@@ -41,28 +41,28 @@ class TestSGD:
         p = make_param([3.0, -1.0])
         before = p.data.copy()
         p.grad = np.ones(2, dtype=F32)
-        SGD([p], lr=0.0).step()
+        SGD({"p": p}, lr=0.0).step()
         assert np.array_equal(p.data, before)
 
     def test_skips_params_without_grad(self):
-        live = make_param([1.0], "live")
-        idle = make_param([5.0], "idle")
+        live = make_param([1.0])
+        idle = make_param([5.0])
         live.grad = np.array([1.0], dtype=F32)
-        SGD([live, idle], lr=0.1).step()
+        SGD({"live": live, "idle": idle}, lr=0.1).step()
         assert idle.data[0] == np.float32(5.0)
         assert live.data[0] != np.float32(1.0)
 
     def test_no_gradient_anywhere(self):
         p = make_param([1.0])
         with pytest.raises(NoGradient):
-            SGD([p], lr=0.1).step()
+            SGD({"p": p}, lr=0.1).step()
 
 
 class TestAdam:
     def test_first_step_moves_by_about_lr(self):
         p = make_param([1.0])
         p.grad = np.array([2.0], dtype=F32)
-        Adam([p], lr=0.001).step()
+        Adam({"p": p}, lr=0.001).step()
         # bias correction makes the first step -lr * g / (|g| + eps)
         assert p.data[0] == pytest.approx(1.0 - 0.001, abs=1e-6)
         assert p.grad is None
@@ -70,7 +70,7 @@ class TestAdam:
     def test_direction_follows_sign_of_grad(self):
         p = make_param([1.0, 1.0])
         p.grad = np.array([0.5, -0.5], dtype=F32)
-        Adam([p], lr=0.01).step()
+        Adam({"p": p}, lr=0.01).step()
         assert p.data[0] < 1.0 < p.data[1]
 
     def test_state_round_trip_preserves_trajectory(self):
@@ -80,12 +80,12 @@ class TestAdam:
                 opt.step()
 
         pa = make_param([1.0])
-        oa = Adam([pa], lr=0.01)
+        oa = Adam({"p": pa}, lr=0.01)
         run_steps(oa, pa, [1.0, -0.5])
         state = binio.decode(binio.encode(oa.state_payload()))
 
         pb = make_param([float(pa.data[0])])
-        ob = Adam([pb], lr=0.5)  # wrong hyperparams, must be overwritten
+        ob = Adam({"p": pb}, lr=0.5)  # wrong hyperparams, must be overwritten
         ob.load_state(state)
         run_steps(oa, pa, [0.25])
         run_steps(ob, pb, [0.25])
@@ -93,7 +93,7 @@ class TestAdam:
 
     def test_no_gradient_anywhere(self):
         with pytest.raises(NoGradient):
-            Adam([make_param([1.0])]).step()
+            Adam({"p": make_param([1.0])}).step()
 
 
 class StubPipe:
@@ -103,7 +103,7 @@ class StubPipe:
         self.param = make_param([4.0])
         self.model = SimpleNamespace(
             named_parameters=lambda: {"p": self.param})
-        self.optimizer = SGD([self.param], lr=0.1)
+        self.optimizer = SGD({"p": self.param}, lr=0.1)
         self.settings = SimpleNamespace(epochs=epochs, patience=patience, seed=0)
         self.scores = list(scores)
         self.calls = 0
@@ -237,6 +237,37 @@ class TestResume:
         named_b = resumed.model.named_parameters()
         for name, pa in named_a.items():
             assert np.array_equal(pa.data, named_b[name].data), name
+
+    def test_joint_resume_writes_the_uninterrupted_checkpoint(self, tmp_path):
+        # both runs read the same data files, so the configs match byte for byte
+        def joint_pipe():
+            cfg = corpora.joint_config(str(tmp_path), n_train=24, n_eval=8, epochs=3)
+            return instantiate_task(parse_task_config(json.dumps(cfg)))
+
+        straight = str(tmp_path / "straight.ckpt")
+        train(joint_pipe(), ckpt_path=straight)
+
+        cut = str(tmp_path / "cut.ckpt")
+        interrupted = joint_pipe()
+        evaluate, calls = interrupted.evaluate, []
+
+        def evaluate_once():
+            calls.append(1)
+            if len(calls) > 1:
+                raise KeyboardInterrupt  # the run is cut after its first epoch
+            return evaluate()
+        interrupted.evaluate = evaluate_once
+        with pytest.raises(KeyboardInterrupt):
+            train(interrupted, ckpt_path=cut)
+        payload = load_checkpoint(cut)
+        assert payload["epoch"] == 0
+        # the shared trunk is stored once, under the doc head
+        for field in ("params", "best_params"):
+            assert not [n for n in payload[field]
+                        if n.startswith(("word.embedding.", "word.representation.bilstm."))]
+            assert "doc.representation.bilstm.fwd.w_ih" in payload[field]
+        train(joint_pipe(), ckpt_path=cut, resume=payload)
+        assert open(cut, "rb").read() == open(straight, "rb").read()
 
 
 class TestCheckpointFiles:
