@@ -117,13 +117,12 @@ def align_gazetteer(tokens, entries):
     return labels
 
 
-def featurize(text: str, entries=(), settings: FeaturizerSettings = None) -> FeaturizedExample:
+def featurize(text: str, entries=(), *, lowercase=True) -> FeaturizedExample:
     """Run the full per-example feature pipeline.
 
     Capitalization is computed on the original token text, then the stored
     token text reflects the lowercase flag.
     """
-    lowercase = (settings or FeaturizerSettings()).lowercase
     tokens, cap_labels = [], []
     utf8 = not text.isascii()
     char_pos = byte_pos = 0
@@ -147,4 +146,4 @@ class Featurizer:
         self.settings = settings or FeaturizerSettings()
 
     def featurize(self, text: str, entries=()) -> FeaturizedExample:
-        return featurize(text, entries, self.settings)
+        return featurize(text, entries, lowercase=self.settings.lowercase)

@@ -21,7 +21,7 @@ import numpy as np
 from . import binio, kernels
 from .components import DOC_TASK, WORD_TASK
 from .errors import CorruptGraph, CorruptFile, InputTypeMismatch
-from .featurizer import FeaturizedExample, Featurizer, FeaturizerSettings, char_ids
+from .featurizer import FeaturizedExample, char_ids, featurize
 from .vocab import Vocabulary, all_str
 
 F32 = np.float32
@@ -66,32 +66,28 @@ def _matmul_add(x, w, b):
     return kernels.linear(x[None], w, b)[0]
 
 
-def _one_sequence(kernel, x, empty_shape, *weights, **kwargs):
+def _one_sequence(kernel, x, *weights, **kwargs):
     """Run a masked sequence kernel on one unpadded sequence x [t, d].
 
     x is lifted to a batch of one under an all-ones mask so the shapes match
-    training exactly; an empty sequence gives zeros of empty_shape.
+    training exactly; the kernels give an empty sequence (t == 0) zeros.
     """
-    t = x.shape[0]
-    if t == 0:
-        return np.zeros(empty_shape, dtype=F32)
-    return kernel(x[None], *weights, np.ones((1, t), dtype=F32), **kwargs)[0][0]
+    return kernel(x[None], *weights, np.ones((1, x.shape[0]), dtype=F32), **kwargs)[0][0]
 
 
 def _conv_maxpool(x, filters):
     if x.ndim == 2:
-        return _one_sequence(kernels.conv_maxpool, x, (filters.shape[2],), filters)
+        return _one_sequence(kernels.conv_maxpool, x, filters)
     # char path: one row of characters per token, already a batch
     return kernels.conv_maxpool(x, filters, np.ones(x.shape[:2], dtype=F32))[0]
 
 
 def _lstm_seq(reverse, x, w_ih, w_hh, bias):
-    return _one_sequence(kernels.lstm_seq, x, (0, w_hh.shape[0]), w_ih, w_hh, bias,
-                         reverse=reverse)
+    return _one_sequence(kernels.lstm_seq, x, w_ih, w_hh, bias, reverse=reverse)
 
 
 def _self_attention(x, w1, w2):
-    return _one_sequence(kernels.self_attention, x, (x.shape[1],), w1, w2)
+    return _one_sequence(kernels.self_attention, x, w1, w2)
 
 
 @dataclass(frozen=True)
@@ -332,9 +328,7 @@ def prepare_feed(graph: StaticGraph, inp) -> dict:
     other input raises InputTypeMismatch.
     """
     if isinstance(inp, str):
-        settings = FeaturizerSettings(lowercase=graph.attrs["lowercase"],
-                                      max_chars=graph.attrs["max_chars"])
-        inp = Featurizer(settings).featurize(inp, ())
+        inp = featurize(inp, (), lowercase=graph.attrs["lowercase"])
     if not isinstance(inp, FeaturizedExample):
         raise InputTypeMismatch("a graph consumes text or a featurized example, not %s"
                                 % type(inp).__name__)

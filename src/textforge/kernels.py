@@ -67,8 +67,9 @@ def conv_maxpool(x, filters, mask, want_cache=False):
     x [b, t, d], filters [w, d, f], mask [b, t] -> out [b, f].
 
     Valid windows lie entirely within a row's unmasked prefix. Rows shorter
-    than the width get one window, left padded with zeros. Fully masked rows
-    are an error.
+    than the width get one window, left padded with zeros. An empty sequence
+    (t == 0) gives zeros and no cache; a fully masked row of t > 0 is an
+    error.
     """
     b, t, d = x.shape
     w, d2, f = filters.shape
@@ -76,6 +77,8 @@ def conv_maxpool(x, filters, mask, want_cache=False):
         raise ShapeMismatch("conv: input dim %d vs filter dim %d" % (d, d2))
     if mask.shape != (b, t):
         raise ShapeMismatch("conv: mask shape %s vs (%d, %d)" % (mask.shape, b, t))
+    if t == 0:
+        return np.zeros((b, f), dtype=F32), None
     lengths = mask.sum(axis=1).astype(np.int64)
     if b and (lengths == 0).any():
         raise EmptySequence("conv input has a fully masked row")
@@ -218,7 +221,8 @@ def lstm_seq_backward(cache, dhs):
 def self_attention(h, w1, w2, mask, want_cache=False):
     """Scores tanh(h @ w1) @ w2, softmax over unmasked positions, weighted sum.
 
-    h [b, t, H], w1 [H, a], w2 [a] -> out [b, H].
+    h [b, t, H], w1 [H, a], w2 [a] -> out [b, H]. An empty sequence (t == 0)
+    gives zeros; a fully masked row of t > 0 is an error.
     """
     b, t, hd = h.shape
     if w1.shape[0] != hd:
@@ -227,7 +231,7 @@ def self_attention(h, w1, w2, mask, want_cache=False):
         raise ShapeMismatch("attention: w2 shape %s vs (%d,)" % (w2.shape, w1.shape[1]))
     if mask.shape != (b, t):
         raise ShapeMismatch("attention: mask shape %s vs (%d, %d)" % (mask.shape, b, t))
-    if b and (mask.sum(axis=1) == 0).any():
+    if t and (mask.sum(axis=1) == 0).any():
         raise EmptySequence("attention input has a fully masked row")
     u = np.tanh(h @ w1)                     # [b, t, a]
     scores = u @ w2                         # [b, t]

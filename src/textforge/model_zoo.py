@@ -200,14 +200,14 @@ class TokenEmbedding(LayerModule):
     def _char_forward(self, char_ids):
         b, t, c = char_ids.shape
         flat_ids = char_ids.reshape(b * t, c)
-        emb = ops.embedding_lookup(self.char_table.tensor, flat_ids)  # [b*t, c, cd]
+        emb = ops.embedding_lookup(self.char_table, flat_ids)  # [b*t, c, cd]
         full = np.ones((b * t, c), dtype=F32)
-        pooled = [ops.conv1d_maxpool(emb, filt.tensor, full) for filt in self.char_conv]
+        pooled = [ops.conv1d_maxpool(emb, filt, full) for filt in self.char_conv]
         out = ops.concat(pooled)
         one = Tensor(np.ones_like(out.data))
         for wt, bt, wg, bg in self.highway:
-            hidden = ops.relu(ops.linear(out, wt.tensor, bt.tensor))
-            gate = ops.sigmoid(ops.linear(out, wg.tensor, bg.tensor))
+            hidden = ops.relu(ops.linear(out, wt, bt))
+            gate = ops.sigmoid(ops.linear(out, wg, bg))
             out = ops.add(ops.mul(gate, hidden), ops.mul(ops.sub(one, gate), out))
         return ops.reshape(out, (b, t, self.char_out))
 
@@ -241,13 +241,13 @@ class TokenEmbedding(LayerModule):
         b, t = batch.token_ids.shape
         parts = []
         if self.word_dim:
-            parts.append(ops.embedding_lookup(self.word_table.tensor, batch.token_ids))
+            parts.append(ops.embedding_lookup(self.word_table, batch.token_ids))
         if self.char_dim:
             parts.append(self._char_forward(batch.char_ids))
         if self.gaz_dim:
-            parts.append(ops.embedding_lookup(self.gaz_table.tensor, batch.dense_feats["gaz"]))
+            parts.append(ops.embedding_lookup(self.gaz_table, batch.dense_feats["gaz"]))
         if self.cap_dim:
-            parts.append(ops.embedding_lookup(self.cap_table.tensor, batch.dense_feats["cap"]))
+            parts.append(ops.embedding_lookup(self.cap_table, batch.dense_feats["cap"]))
         out = ops.concat(parts)
         if out.shape != (b, t, self.out_dim):
             raise ShapeMismatch("embedding produced %s, contract (%d, %d, %d)"
@@ -275,10 +275,8 @@ class BiLSTMModule(LayerModule):
 
     def forward(self, emb: Tensor, mask) -> Tensor:
         p = self._params
-        fwd = ops.lstm_seq(emb, p["fwd.w_ih"].tensor, p["fwd.w_hh"].tensor,
-                           p["fwd.bias"].tensor, mask, reverse=False)
-        bwd = ops.lstm_seq(emb, p["bwd.w_ih"].tensor, p["bwd.w_hh"].tensor,
-                           p["bwd.bias"].tensor, mask, reverse=True)
+        fwd = ops.lstm_seq(emb, p["fwd.w_ih"], p["fwd.w_hh"], p["fwd.bias"], mask)
+        bwd = ops.lstm_seq(emb, p["bwd.w_ih"], p["bwd.w_hh"], p["bwd.bias"], mask, reverse=True)
         return ops.concat([fwd, bwd])
 
     def lower(self, b, x: str) -> str:
@@ -290,13 +288,13 @@ class BiLSTMModule(LayerModule):
 
 
 class Representation(LayerModule):
-    """Base for the representations: a trunk, then a pooling, each behind a guard.
+    """Base for the representations: a trunk, then a pooling.
 
     trunk checks the input width (errors name the subclass by its label) and
-    runs the subclass's encode; a zero-length sequence skips it and has no
-    states (None). pool runs the subclass's reduce over the states; no states
-    give the fixed zero representation, [b, out] when pooled and [b, 0, out]
-    per token (sequence_output). The joint heads pool one trunk's states.
+    runs the subclass's encode; pool is the identity unless a subclass pools
+    the states. The joint heads pool one trunk's states. A zero-length
+    sequence runs the same path: the kernels give zeros, [b, out] when pooled
+    and [b, 0, out] per token (sequence_output).
     """
 
     sequence_output = False
@@ -308,20 +306,13 @@ class Representation(LayerModule):
     def forward(self, emb: Tensor, mask) -> Tensor:
         return self.pool(self.trunk(emb, mask), mask)
 
-    def trunk(self, emb: Tensor, mask) -> Optional[Tensor]:
+    def trunk(self, emb: Tensor, mask) -> Tensor:
         if emb.shape[-1] != self.in_dim:
             raise ShapeMismatch("%s expected input dim %d, got %d"
                                 % (self.label, self.in_dim, emb.shape[-1]))
-        return self.encode(emb, mask) if emb.shape[1] else None
+        return self.encode(emb, mask)
 
-    def pool(self, states: Optional[Tensor], mask) -> Tensor:
-        if states is None:
-            b = mask.shape[0]
-            shape = (b, 0, self.out_dim) if self.sequence_output else (b, self.out_dim)
-            return Tensor(np.zeros(shape, dtype=F32))
-        return self.reduce(states, mask)
-
-    def reduce(self, states: Tensor, mask) -> Tensor:
+    def pool(self, states: Tensor, mask) -> Tensor:
         return states
 
 
@@ -344,7 +335,7 @@ class DocNNRepresentation(Representation):
         self.out_dim = self.num_filters * len(self.widths)
 
     def encode(self, emb: Tensor, mask) -> Tensor:
-        pooled = [ops.conv1d_maxpool(emb, filt.tensor, mask) for filt in self.filters]
+        pooled = [ops.conv1d_maxpool(emb, filt, mask) for filt in self.filters]
         return ops.concat(pooled)
 
     def lower(self, b, x: str) -> str:
@@ -387,9 +378,8 @@ class BiLSTMAttnRepresentation(BiLSTMTaggerRepresentation):
         self.add_param("attn.w1", _uniform(rng, (self.out_dim, attn), scale))
         self.add_param("attn.w2", _uniform(rng, (attn,), float(np.sqrt(1.0 / attn))))
 
-    def reduce(self, states: Tensor, mask) -> Tensor:
-        return ops.self_attention(states, self._params["attn.w1"].tensor,
-                                  self._params["attn.w2"].tensor, mask)
+    def pool(self, states: Tensor, mask) -> Tensor:
+        return ops.self_attention(states, self._params["attn.w1"], self._params["attn.w2"], mask)
 
     def lower(self, b, x: str) -> str:
         return b.emit("SelfAttention", "representation", super().lower(b, x),
@@ -416,7 +406,7 @@ class MLPDecoder(LayerModule):
                                 % (self.in_dim, rep.shape[-1]))
         out = rep
         for i in range(self.n_layers):
-            out = ops.linear(out, self._params["w%d" % i].tensor, self._params["b%d" % i].tensor)
+            out = ops.linear(out, self._params["w%d" % i], self._params["b%d" % i])
             if i < self.n_layers - 1:
                 out = ops.relu(out)
         return out
@@ -500,12 +490,12 @@ class SingleTaskModel(LayerModule):
         emb = self.embedding.lower(b, vocabs)
         return self.output.lower(b, self.decoder.lower(b, self.representation.lower(b, emb)))
 
-    def trunk(self, batch: Batch) -> Optional[Tensor]:
+    def trunk(self, batch: Batch) -> Tensor:
         """The embedding and the representation's trunk: the states that
         the joint heads share."""
         return self.representation.trunk(self.embedding.forward(batch), batch.mask)
 
-    def head(self, batch: Batch, states: Optional[Tensor], compute_loss=True) -> ModelOutput:
+    def head(self, batch: Batch, states: Tensor, compute_loss=True) -> ModelOutput:
         """The representation's pooling, the decoder and the output over a
         trunk's states."""
         logits = self.decoder.forward(self.representation.pool(states, batch.mask))

@@ -78,32 +78,14 @@ class Tensor:
         return "Tensor(shape=%s)" % (self.shape,)
 
 
-class Parameter:
-    """A trainable tensor. It carries no name: a model's named_parameters()
-    names it by its path in the model."""
+class Parameter(Tensor):
+    """A trainable leaf tensor holding a float32 copy of its input. It carries
+    no name: a model's named_parameters() names it by its path in the model."""
+
+    __slots__ = ()
 
     def __init__(self, data):
-        self.tensor = Tensor(np.array(data, dtype=np.float32))
-
-    @property
-    def data(self):
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value):
-        self.tensor.data = np.asarray(value, dtype=np.float32)
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
-    @grad.setter
-    def grad(self, value):
-        self.tensor.grad = value
-
-    @property
-    def shape(self):
-        return self.tensor.data.shape
+        super().__init__(np.array(data, dtype=np.float32))
 
     def __repr__(self):
         return "Parameter(shape=%s)" % (self.shape,)

@@ -51,7 +51,7 @@ class SGD:
         live = self._live()
         lr = F32(self.lr)
         for _, p in live:
-            p.tensor.data = p.data - lr * p.grad
+            p.data = p.data - lr * p.grad
         for _, p in live:
             p.grad = None
 
@@ -96,7 +96,7 @@ class Adam:
             st[1] = b2 * st[1] + (one - b2) * (g * g)
             m_hat = st[0] / F32(1.0 - self.beta1 ** st[2])
             v_hat = st[1] / F32(1.0 - self.beta2 ** st[2])
-            p.tensor.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
         for _, p in live:
             p.grad = None
 

@@ -178,7 +178,7 @@ def build_char_cnn(rng):
     bt = emb.named_parameters()["char.hw0.bt"]
     bt.data = bt.data + F32(1.5)
     batch = tiny_batch(vocabs, rng)
-    tensors = [p.tensor for _, p in sorted(emb.named_parameters().items())]
+    tensors = [p for _, p in sorted(emb.named_parameters().items())]
     target = tensors[int(rng.integers(0, len(tensors)))]
     return (lambda _: scalarize(emb.forward(batch), np.random.default_rng(12))), target
 
@@ -204,7 +204,7 @@ def model_family(attn):
         model = SingleTaskModel(emb, rep, dec, DocClassificationOutput())
         labels = rng.integers(0, 3, size=2).astype(np.int64)
         batch = tiny_batch(vocabs, rng, doc_labels=labels)
-        tensors = [p.tensor for _, p in sorted(model.named_parameters().items())]
+        tensors = [p for _, p in sorted(model.named_parameters().items())]
         target = tensors[int(rng.integers(0, len(tensors)))]
         return (lambda _: model.forward(batch, compute_loss=True).loss), target
     return build

@@ -24,7 +24,7 @@ from textforge.vocab import Vocabulary
 
 
 def tokens(text, lowercase=True):
-    return featurize(text, (), FeaturizerSettings(lowercase=lowercase)).tokens
+    return featurize(text, (), lowercase=lowercase).tokens
 
 
 def spans(text, lowercase=True):
@@ -179,7 +179,7 @@ class TestCapitalization:
         assert capitalization(token) == expected
 
     def test_labels_computed_before_lowercasing(self):
-        ex = featurize("Paris NOW", settings=FeaturizerSettings(lowercase=True))
+        ex = featurize("Paris NOW", lowercase=True)
         assert ex.token_texts() == ["paris", "now"]
         assert ex.cap_labels == [CAP_INIT_CAP, CAP_ALL_CAPS]
 
@@ -273,7 +273,8 @@ def text_and_entries(draw):
 def test_featurize_matches_the_per_character_oracle(case, lowercase):
     text, entries = case
     opts = FeaturizerSettings(lowercase=lowercase)
-    got, want = featurize(text, entries, opts), ref_featurize(text, entries, opts)
+    got = featurize(text, entries, lowercase=lowercase)
+    want = ref_featurize(text, entries, opts)
     assert got.tokens == want.tokens
     assert got.cap_labels == want.cap_labels
     assert got.gaz_labels == want.gaz_labels

@@ -516,12 +516,12 @@ class TestJointOneTrunk:
         monkeypatch.setattr(kernels, "lstm_seq", counted)
         got = json.dumps(trained.predict(trained.featurizer.featurize(text)))
         n_tokens = len(trained.featurizer.featurize(text).tokens)
-        # one BiLSTM pass is two directions; a text with no tokens gets the
-        # fixed zero representation and runs no BiLSTM at all
-        assert len(calls) == (2 if n_tokens else 0)
+        # one BiLSTM pass is two directions; a text with no tokens runs one
+        # pass over zero steps, whose states the kernels give as [1, 0, h]
+        assert [shape[:2] for shape in calls] == [(1, n_tokens)] * 2
         calls.clear()
         assert got == json.dumps(per_head_predict(trained, text))
-        assert len(calls) == (4 if n_tokens else 0)
+        assert len(calls) == 4
 
     def test_forward_all_is_each_heads_forward(self, trained):
         batch = make_batches(trained._vectorized("eval")[0], 5)[0]

@@ -107,11 +107,13 @@ class TestErrors:
             kernels.linear(np.zeros((1, 3), dtype=F32), np.zeros((2, 2), dtype=F32),
                            np.zeros(2, dtype=F32))
 
-    def test_conv_rejects_fully_masked_row(self):
+    @pytest.mark.parametrize("kernel", ["conv_maxpool", "self_attention"])
+    def test_conv_rejects_fully_masked_row(self, kernel):
         x = np.zeros((1, 2, 3), dtype=F32)
-        filt = np.zeros((2, 3, 4), dtype=F32)
+        weights = {"conv_maxpool": (np.zeros((2, 3, 4), dtype=F32),),
+                   "self_attention": (np.zeros((3, 4), dtype=F32), np.zeros(4, dtype=F32))}
         with pytest.raises(EmptySequence):
-            kernels.conv_maxpool(x, filt, np.zeros((1, 2), dtype=F32))
+            getattr(kernels, kernel)(x, *weights[kernel], np.zeros((1, 2), dtype=F32))
 
     def test_cross_entropy_target_out_of_range(self):
         logits = Tensor(np.zeros((1, 2), dtype=F32))
@@ -477,8 +479,49 @@ class TestKernelOracle:
         assert got.tobytes() == ref_sigmoid(x).tobytes()
 
 
+class TestEmptySequence:
+    """A sequence of length 0 is the kernels' own case: the pooling kernels
+    give float32 zeros and the LSTM gives no states."""
+
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
+    def test_conv_maxpool_gives_zeros(self, w, b):
+        x = np.zeros((b, 0, 3), dtype=F32)
+        filt = np.ones((w, 3, 4), dtype=F32)
+        out, cache = kernels.conv_maxpool(x, filt, np.zeros((b, 0), dtype=F32), want_cache=True)
+        assert out.dtype == F32
+        assert out.tobytes() == np.zeros((b, 4), dtype=F32).tobytes()
+        assert cache is None
+
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_self_attention_gives_zeros(self, b):
+        h = np.zeros((b, 0, 5), dtype=F32)
+        w1, w2 = np.ones((5, 2), dtype=F32), np.ones(2, dtype=F32)
+        out, _ = kernels.self_attention(h, w1, w2, np.zeros((b, 0), dtype=F32))
+        assert out.dtype == F32
+        assert out.tobytes() == np.zeros((b, 5), dtype=F32).tobytes()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_lstm_seq_gives_no_states(self, b, reverse):
+        x = np.zeros((b, 0, 3), dtype=F32)
+        w_ih, w_hh = np.ones((3, 8), dtype=F32), np.ones((2, 8), dtype=F32)
+        hs, _ = kernels.lstm_seq(x, w_ih, w_hh, np.ones(8, dtype=F32),
+                                 np.zeros((b, 0), dtype=F32), reverse=reverse)
+        assert hs.dtype == F32
+        assert hs.shape == (b, 0, 2)
+
+
 class TestParameter:
-    def test_data_setter_casts_to_f32(self):
-        p = Parameter(np.zeros(2))
-        p.data = np.array([1.0, 2.0], dtype=np.float64)
-        assert p.data.dtype == np.float32
+    def test_is_a_tensor_leaf_holding_an_f32_copy(self):
+        src = np.array([3.0], dtype=F32)
+        p = Parameter(src)
+        src[0] = 5.0
+        assert isinstance(p, Tensor)
+        assert p.tape_node is None and p.grad is None
+        assert p.data.dtype == F32 and p.data.tolist() == [3.0]
+        assert Parameter(np.array([1.5, 2.0])).data.dtype == F32
+        assert not any(isinstance(v, property) for v in vars(Parameter).values())
+        # ops take it as a tensor, and backward leaves the gradient on it
+        ops.reshape(ops.mul(p, p), ()).backward()
+        assert p.grad.tolist() == [6.0]
