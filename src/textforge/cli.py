@@ -58,7 +58,7 @@ def _build_parser() -> _Parser:
     src.add_argument("--ckpt", default="", help="checkpoint file (eager inference)")
     p.add_argument("--input", default="", help="text file, one example per line; default stdin")
 
-    p = sub.add_parser("export", help="lower a trained checkpoint to a static graph")
+    p = sub.add_parser("export", help="trace a trained checkpoint into a static graph")
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("--out", required=True, help="graph file to write")
 

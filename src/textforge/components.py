@@ -44,7 +44,7 @@ def _register_builtins():
         Field("word_dim", INT, default=64, minimum=0),
         Field("pretrained_path", STRING, default=""),
         Field("char_dim", INT, default=0, minimum=0),
-        Field("char_filter_widths", LIST_INT, default=[3]),
+        Field("char_filter_widths", LIST_INT, default=[3], minimum=1, distinct=True),
         Field("char_num_filters", INT, default=16, minimum=1),
         Field("char_highway_layers", INT, default=1, minimum=0),
         Field("gaz_dim", INT, default=0, minimum=0),
@@ -52,7 +52,7 @@ def _register_builtins():
     ))
 
     register_component("representation", "docnn", (
-        Field("filter_widths", LIST_INT, default=[3, 4, 5]),
+        Field("filter_widths", LIST_INT, default=[3, 4, 5], minimum=1, distinct=True),
         Field("num_filters", INT, default=100, minimum=1),
     ))
     register_component("representation", "bilstm_attn", (
@@ -71,13 +71,13 @@ def _register_builtins():
     register_component("output", "word_tagging", ())
 
     register_component("optimizer", "sgd", (
-        Field("lr", FLOAT, default=0.1),
+        Field("lr", FLOAT, default=0.1, above=0),
     ))
     register_component("optimizer", "adam", (
-        Field("lr", FLOAT, default=0.001),
-        Field("beta1", FLOAT, default=0.9),
-        Field("beta2", FLOAT, default=0.999),
-        Field("eps", FLOAT, default=1e-8),
+        Field("lr", FLOAT, default=0.001, above=0),
+        Field("beta1", FLOAT, default=0.9, minimum=0, below=1),
+        Field("beta2", FLOAT, default=0.999, minimum=0, below=1),
+        Field("eps", FLOAT, default=1e-8, above=0),
     ))
 
     register_component("trainer", "standard", (
@@ -100,8 +100,8 @@ def _register_builtins():
               child_kind="representation"),
         Field("doc_decoder", COMPONENT, default={"mlp": {}}, child_kind="decoder"),
         Field("word_decoder", COMPONENT, default={"mlp": {}}, child_kind="decoder"),
-        Field("doc_loss_weight", FLOAT, default=1.0),
-        Field("word_loss_weight", FLOAT, default=1.0),
+        Field("doc_loss_weight", FLOAT, default=1.0, minimum=0),
+        Field("word_loss_weight", FLOAT, default=1.0, minimum=0),
     ))
 
     def task_fields():

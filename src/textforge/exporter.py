@@ -1,72 +1,85 @@
-"""Lowering trained models to static inference graphs.
+"""Exporting trained models as static inference graphs by tracing them.
 
-export_model hands a GraphBuilder to the model, whose stages lower themselves
-(see model_zoo), and validates the graph they build. The builder knows graphs,
-not models: it names each parameter's const by its path in the model and
-attaches the vocab table and the raw string input that each lookup op reads,
-so the artifact consumes raw text with no training code in sight. The
-interpreter reuses the eager kernels, which is what makes exported
-predictions match eager ones bit for bit; verify_equivalence checks that.
+export_model runs a model's eager forward once, on an unpadded batch of one
+example, while every op that has a graph opcode reports itself through
+ops.trace_hook; a model stage is described once, by its forward. The tracer
+turns the reports into graph ops: each parameter becomes the const named by
+its path in the model, and the batch's id arrays become lookup ops over the
+raw string inputs with their vocab tables attached, so the artifact consumes
+raw text with no training code in sight. The interpreter reuses the eager
+kernels, which is what makes exported predictions match eager ones bit for
+bit; verify_equivalence checks that.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import components
+from . import components, ops
 from .data_handler import VocabBundle, single_example_batch
 from .errors import EmptySampleSet, UnsupportedModule
+from .featurizer import featurize
 from .graph import Executor, GraphOp, StaticGraph, run, validate_graph
 from .model_zoo import SingleTaskModel
-from .tensor import Parameter
 from .trainer import derive_rng
 
+TRACE_TEXT = "trace one example"  # whose forward export_model traces; any text does
 
-class GraphBuilder:
-    """The graph under construction while a model's stages lower themselves.
 
-    Each stage's lower(b, ...) emits the ops mirroring its forward pass and
-    returns its output slot(s). Parameters become consts named by their path
-    in the model, so const names match named_parameters().
-    """
+class _Tracer:
+    """The graph ops of one forward pass over a batch of one, from the reports
+    of ops.trace_hook. A value that is no model parameter, id array of the
+    batch or reported op's output raises UnsupportedModule: nothing unseen is
+    baked into the graph. ArgMax and Softmax write the graph outputs."""
 
-    def __init__(self, model, attrs):
-        self.graph = StaticGraph(attrs=attrs, consts={}, vocab_tables={}, ops=[],
-                                 inputs=[], outputs=[])
-        self._paths = {id(p): path for path, p in model.named_parameters().items()}
+    def __init__(self, graph: StaticGraph, model, batch, vocabs: VocabBundle):
+        self.graph, self.vocabs = graph, vocabs
+        self.paths = {id(p): path for path, p in model.named_parameters().items()}
+        self.lookups = {id(ids): spec for ids, spec in (
+            (batch.token_ids, ("LookupTokens", "tokens", "token")),
+            (batch.char_ids, ("LookupChars", "tokens", "char")),
+            (batch.dense_feats["gaz"], ("LookupTokens", "gaz_labels", "gaz")),
+            (batch.dense_feats["cap"], ("LookupTokens", "cap_labels", "cap")))}
+        self.slots = {}  # id(value) -> (value, slot); holding the value keeps its id unique
 
-    def lookup(self, opcode: str, out: str, raw: str, table: str, vocab) -> str:
-        """An id slot: the output of a lookup op over the raw string input
-        raw, reading the vocab table named table, which holds vocab's entries."""
-        self.graph.vocab_tables[table] = list(vocab.entries)
-        if raw not in self.graph.inputs:
-            self.graph.inputs.append(raw)
-        return self.emit(opcode, out, raw, vocab=table)
+    def slot(self, value) -> str:
+        key = id(value)
+        if key in self.paths:
+            self.graph.consts[self.paths[key]] = value.data
+            return self.paths[key]
+        if key in self.slots:
+            return self.slots[key][1]
+        if key in self.lookups:
+            opcode, raw, table = self.lookups[key]
+            self.graph.vocab_tables[table] = list(getattr(self.vocabs, table).entries)
+            if raw not in self.graph.inputs:
+                self.graph.inputs.append(raw)
+            return self.emit(opcode, value, (raw,), {"vocab": table})
+        raise UnsupportedModule("the traced forward reads a %s that no traced op made"
+                                % type(value).__name__)
 
-    def const(self, param: Parameter) -> str:
-        name = self._paths[id(param)]
-        self.graph.consts.setdefault(name, param.data)
+    def emit(self, opcode: str, out, names, attrs) -> str:
+        name = {"ArgMax": "pred", "Softmax": "scores"}.get(opcode) or str(len(self.graph.ops))
+        self.graph.ops.append(GraphOp(opcode, tuple(names), name, attrs))
+        self.slots[id(out)] = (out, name)
         return name
 
-    def emit(self, opcode: str, out: str, *inputs, **attrs) -> str:
-        """Append one op writing slot out; inputs are slot names or Parameters."""
-        names = tuple(self.const(x) if isinstance(x, Parameter) else x for x in inputs)
-        self.graph.ops.append(GraphOp(opcode, names, out, attrs))
-        return out
-
-    def concat(self, out: str, parts: list) -> str:
-        """Concat over the last axis, or the one part itself."""
-        return self.emit("Concat", out, *parts) if len(parts) > 1 else parts[0]
-
-    def finish(self, outputs) -> StaticGraph:
-        self.graph.outputs = list(outputs)
-        validate_graph(self.graph)
-        return self.graph
+    def __call__(self, opcode: str, out, inputs, mask, attrs):
+        if mask is not None and not np.all(mask == 1):
+            raise UnsupportedModule("%s ran under a padded mask" % opcode)
+        names = [self.slot(x) for x in inputs]
+        if opcode != "Reshape":
+            self.emit(opcode, out, names, attrs)
+        elif (1,) + out.shape == inputs[0].shape or out.shape == (1,) + inputs[0].shape:
+            self.slots[id(out)] = (out, names[0])  # the graph has no batch axis
+        else:
+            raise UnsupportedModule("reshape %s -> %s changes more than the batch axis"
+                                    % (inputs[0].shape, out.shape))
 
 
 def export_model(model: SingleTaskModel, featurizer_settings, labels, task,
                  vocabs: VocabBundle) -> StaticGraph:
-    """Lower one trained model to a graph over raw string inputs, with the
+    """Trace one trained model into a graph over raw string inputs, with the
     vocabularies baked in."""
     if not isinstance(model, SingleTaskModel):
         raise UnsupportedModule("can only export single-task models; "
@@ -77,8 +90,17 @@ def export_model(model: SingleTaskModel, featurizer_settings, labels, task,
         "lowercase": bool(featurizer_settings.lowercase),
         "max_chars": int(featurizer_settings.max_chars),
     }
-    b = GraphBuilder(model, attrs)
-    return b.finish(model.lower(b, vocabs))
+    graph = StaticGraph(attrs, consts={}, vocab_tables={}, ops=[], inputs=[],
+                        outputs=["pred", "scores"])
+    feats = featurize(TRACE_TEXT, lowercase=attrs["lowercase"])
+    batch = single_example_batch(feats, vocabs, attrs["max_chars"])
+    ops.trace_hook = _Tracer(graph, model, batch, vocabs)
+    try:
+        model.forward(batch, compute_loss=False)
+    finally:
+        ops.trace_hook = None
+    validate_graph(graph)
+    return graph
 
 
 def export_pipeline(pipe):

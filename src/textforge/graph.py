@@ -8,7 +8,7 @@ batch of one, so exported outputs match eager outputs bit for bit.
 Each op reads named slots and writes the one slot named by its output. One
 opcode table, OPS, gives each op's arity, attrs and run function;
 validate_graph and Executor both read it, so a new op is one row here plus
-the lower method of the model stage that emits it.
+the ops function that reports it to the exporter's tracer.
 """
 
 from dataclasses import dataclass, field
@@ -117,7 +117,7 @@ OPS = {
     "LSTMSeq": OpSpec(4, _lstm_seq, {"reverse": bool}),
     "Concat": OpSpec(None, lambda *parts: np.concatenate(parts, axis=-1)),
     "SelfAttention": OpSpec(3, _self_attention),
-    "Highway": OpSpec(5, lambda *args: kernels.highway(*args)),
+    "Highway": OpSpec(5, lambda *args: kernels.highway(*args)[0]),
     "Softmax": OpSpec(1, lambda x: kernels.softmax(x, axis=-1)),
     "ArgMax": OpSpec(1, lambda x: kernels.argmax_last(x)),
 }
@@ -265,8 +265,8 @@ class Executor:
     steps. No tape, no gradient buffers; scratch values die with the call.
 
     The graph must already be valid. Executor does not validate it again:
-    deserialize and GraphBuilder.finish validate every graph the program
-    reads or makes.
+    deserialize and export_model validate every graph the program reads or
+    makes.
     """
 
     def __init__(self, graph: StaticGraph):

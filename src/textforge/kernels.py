@@ -303,9 +303,21 @@ def softmax_cross_entropy_backward(cache, dloss):
 
 # --- highway combination used by the char-CNN embedding ---
 
-def highway(x, w_t, b_t, w_g, b_g):
-    """One layer: relu transform gated against the carried input; keeps the
-    feature dim."""
-    hidden = relu(linear(x, w_t, b_t))
+def highway(x, w_t, b_t, w_g, b_g, want_cache=False):
+    """One layer over x [n, d]: relu transform gated against the carried
+    input; keeps the feature dim."""
+    pre_t = linear(x, w_t, b_t)
+    hidden = relu(pre_t)
     gate = sigmoid(linear(x, w_g, b_g))
-    return gate * hidden + (np.float32(1.0) - gate) * x
+    carry = np.float32(1.0) - gate
+    cache = (x, w_t, w_g, pre_t, hidden, gate, carry) if want_cache else None
+    return gate * hidden + carry * x, cache
+
+
+def highway_backward(cache, dout):
+    """Gradients for x, w_t, b_t, w_g, b_g, summed as the elementwise ops' tape sums them."""
+    x, w_t, w_g, pre_t, hidden, gate, carry = cache
+    dpre_t = (dout * gate) * (pre_t > 0)
+    dpre_g = (dout * hidden - dout * x) * gate * (1 - gate)
+    dx = (dout * carry + dpre_t @ w_t.T) + dpre_g @ w_g.T
+    return dx, x.T @ dpre_t, dpre_t.sum(axis=0), x.T @ dpre_g, dpre_g.sum(axis=0)

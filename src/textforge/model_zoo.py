@@ -3,15 +3,13 @@
 Every model decomposes into the same four stages. Each stage is a LayerModule
 that owns its parameters and states its output shape up front, so wiring
 mistakes fail at construction or on the first forward rather than deep inside
-a training run. Beside its forward, each embedding, representation, decoder
-and output class has a lower method that emits the same computation as graph
-ops through the exporter's GraphBuilder: the embedding starts from lookups
-over the raw string inputs, the output layer ends in the scores and pred
-slots, and SingleTaskModel.lower chains the four as forward does. The models
-are LayerModules too, so one walk (own parameters, then children) names every
-parameter for checkpoints, optimizer state and graph consts: named_parameters
-lists each parameter once, under the first path that reaches it, even when
-heads share a module. One checked loader, load_params, sets them back.
+a training run. A stage is described once, by its forward over ops: the
+exporter traces one forward pass into a graph, so a new stage needs no export
+code of its own. The models are LayerModules too, so one walk (own
+parameters, then children) names every parameter for checkpoints, optimizer
+state and graph consts: named_parameters lists each parameter once, under the
+first path that reaches it, even when heads share a module. One checked
+loader, load_params, sets them back.
 """
 
 from dataclasses import dataclass
@@ -19,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels, ops
+from . import ops
 from .data_handler import Batch, VocabBundle, read_lines
 from .errors import (DimMismatch, IncompatibleShare, MalformedLine, MultiTaskArity,
                      NoStyleSelected, ShapeMismatch)
@@ -48,6 +46,8 @@ class LayerModule:
         self._params = {}
 
     def add_param(self, local_name, array):
+        if local_name in self._params:
+            raise ValueError("%s already holds a parameter named %r" % (self.name, local_name))
         param = Parameter(array)
         self._params[local_name] = param
         return param
@@ -167,8 +167,8 @@ class TokenEmbedding(LayerModule):
             self.word_table = self.add_param("word.table", table)
         self.char_out = 0
         if self.char_dim:
-            if not self.char_widths or min(self.char_widths) < 1:
-                raise ShapeMismatch("char filter widths must be >= 1")
+            if not self.char_widths:
+                raise ShapeMismatch("char path needs at least one filter width")
             self.char_table = self.add_param(
                 "char.table", _embedding_table(rng, vocabs.char, self.char_dim))
             self.char_conv = []
@@ -198,44 +198,15 @@ class TokenEmbedding(LayerModule):
         self.out_dim = self.word_dim + self.char_out + self.gaz_dim + self.cap_dim
 
     def _char_forward(self, char_ids):
+        # one row of characters per token: [b, t, c] ids -> [b*t, c, cd]
         b, t, c = char_ids.shape
-        flat_ids = char_ids.reshape(b * t, c)
-        emb = ops.embedding_lookup(self.char_table, flat_ids)  # [b*t, c, cd]
+        emb = ops.reshape(ops.embedding_lookup(self.char_table, char_ids),
+                          (b * t, c, self.char_dim))
         full = np.ones((b * t, c), dtype=F32)
-        pooled = [ops.conv1d_maxpool(emb, filt, full) for filt in self.char_conv]
-        out = ops.concat(pooled)
-        one = Tensor(np.ones_like(out.data))
-        for wt, bt, wg, bg in self.highway:
-            hidden = ops.relu(ops.linear(out, wt, bt))
-            gate = ops.sigmoid(ops.linear(out, wg, bg))
-            out = ops.add(ops.mul(gate, hidden), ops.mul(ops.sub(one, gate), out))
+        out = ops.concat([ops.conv1d_maxpool(emb, filt, full) for filt in self.char_conv])
+        for layer in self.highway:
+            out = ops.highway(out, *layer)
         return ops.reshape(out, (b, t, self.char_out))
-
-    def lower(self, b, vocabs: VocabBundle) -> str:
-        # every id lookup over the raw string inputs first, then the gathers
-        if self.word_dim:
-            token_ids = b.lookup("LookupTokens", "token_ids", "tokens", "token", vocabs.token)
-        if self.char_dim:
-            char_ids = b.lookup("LookupChars", "char_ids", "tokens", "char", vocabs.char)
-        if self.gaz_dim:
-            gaz_ids = b.lookup("LookupTokens", "gaz_ids", "gaz_labels", "gaz", vocabs.gaz)
-        if self.cap_dim:
-            cap_ids = b.lookup("LookupTokens", "cap_ids", "cap_labels", "cap", vocabs.cap)
-        parts = []
-        if self.word_dim:
-            parts.append(b.emit("EmbedGather", "word_emb", token_ids, self.word_table))
-        if self.char_dim:
-            chars = b.emit("EmbedGather", "char_emb", char_ids, self.char_table)
-            out = b.concat("char_cat", [b.emit("Conv1DMaxPool", "char_pool%d" % w, chars, filt)
-                                        for w, filt in zip(self.char_widths, self.char_conv)])
-            for i, layer in enumerate(self.highway):
-                out = b.emit("Highway", "char_hw%d" % i, out, *layer)
-            parts.append(out)
-        if self.gaz_dim:
-            parts.append(b.emit("EmbedGather", "gaz_emb", gaz_ids, self.gaz_table))
-        if self.cap_dim:
-            parts.append(b.emit("EmbedGather", "cap_emb", cap_ids, self.cap_table))
-        return b.concat("embedding", parts)
 
     def forward(self, batch: Batch) -> Tensor:
         b, t = batch.token_ids.shape
@@ -279,13 +250,6 @@ class BiLSTMModule(LayerModule):
         bwd = ops.lstm_seq(emb, p["bwd.w_ih"], p["bwd.w_hh"], p["bwd.bias"], mask, reverse=True)
         return ops.concat([fwd, bwd])
 
-    def lower(self, b, x: str) -> str:
-        p = self._params
-        halves = [b.emit("LSTMSeq", "%s_%s" % (self.name, d), x, p[d + ".w_ih"], p[d + ".w_hh"],
-                         p[d + ".bias"], reverse=reverse)
-                  for d, reverse in (("fwd", False), ("bwd", True))]
-        return b.concat(self.name, halves)
-
 
 class Representation(LayerModule):
     """Base for the representations: a trunk, then a pooling.
@@ -325,8 +289,8 @@ class DocNNRepresentation(Representation):
         super().__init__(name, in_dim)
         self.widths = list(config["filter_widths"])
         self.num_filters = config["num_filters"]
-        if not self.widths or min(self.widths) < 1:
-            raise ShapeMismatch("filter widths must be >= 1")
+        if not self.widths:
+            raise ShapeMismatch("docnn needs at least one filter width")
         self.filters = []
         for w in self.widths:
             scale = float(np.sqrt(1.0 / (w * in_dim)))
@@ -337,10 +301,6 @@ class DocNNRepresentation(Representation):
     def encode(self, emb: Tensor, mask) -> Tensor:
         pooled = [ops.conv1d_maxpool(emb, filt, mask) for filt in self.filters]
         return ops.concat(pooled)
-
-    def lower(self, b, x: str) -> str:
-        return b.concat("representation", [b.emit("Conv1DMaxPool", "doc_pool%d" % w, x, filt)
-                                           for w, filt in zip(self.widths, self.filters)])
 
 
 class BiLSTMTaggerRepresentation(Representation):
@@ -360,9 +320,6 @@ class BiLSTMTaggerRepresentation(Representation):
     def encode(self, emb: Tensor, mask) -> Tensor:
         return self.bilstm.forward(emb, mask)
 
-    def lower(self, b, x: str) -> str:
-        return self.bilstm.lower(b, x)
-
 
 class BiLSTMAttnRepresentation(BiLSTMTaggerRepresentation):
     """The tagger's BiLSTM trunk pooled by additive self attention over valid
@@ -380,10 +337,6 @@ class BiLSTMAttnRepresentation(BiLSTMTaggerRepresentation):
 
     def pool(self, states: Tensor, mask) -> Tensor:
         return ops.self_attention(states, self._params["attn.w1"], self._params["attn.w2"], mask)
-
-    def lower(self, b, x: str) -> str:
-        return b.emit("SelfAttention", "representation", super().lower(b, x),
-                      self._params["attn.w1"], self._params["attn.w2"])
 
 
 class MLPDecoder(LayerModule):
@@ -411,13 +364,6 @@ class MLPDecoder(LayerModule):
                 out = ops.relu(out)
         return out
 
-    def lower(self, b, x: str) -> str:
-        for i in range(self.n_layers):
-            x = b.emit("MatMulAdd", "dec%d" % i, x, self._params["w%d" % i], self._params["b%d" % i])
-            if i < self.n_layers - 1:
-                x = b.emit("Relu", "dec%d_relu" % i, x)
-        return x
-
 
 @dataclass
 class ModelOutput:
@@ -434,8 +380,10 @@ class ClassifierOutput(LayerModule):
         ndim, shape = (3, "[b, t, c]") if self.sequence_output else (2, "[b, c]")
         if logits.data.ndim != ndim:
             raise ShapeMismatch("%s expects %s logits, got %s" % (self.name, shape, logits.shape))
-        preds = kernels.argmax_last(logits.data)
-        scores = kernels.softmax(logits.data, axis=-1)
+        scores = ops.softmax(logits)
+        # argmax reads the logits: equal logits stay equal after softmax, but
+        # distinct ones can round to a tie in f32 probability space
+        preds = ops.argmax(logits)
         loss = None
         if labels is not None and self.sequence_output:
             b, t, c = logits.data.shape
@@ -444,12 +392,6 @@ class ClassifierOutput(LayerModule):
         elif labels is not None:
             loss = ops.softmax_cross_entropy(logits, labels)
         return ModelOutput(preds, scores, loss)
-
-    def lower(self, b, logits: str) -> tuple:
-        scores = b.emit("Softmax", "scores", logits)
-        # argmax reads the logits: equal logits stay equal after softmax, but
-        # distinct ones can round to a tie in f32 probability space
-        return b.emit("ArgMax", "pred", logits), scores
 
 
 class DocClassificationOutput(ClassifierOutput):
@@ -484,11 +426,6 @@ class SingleTaskModel(LayerModule):
 
     def forward(self, batch: Batch, compute_loss=True) -> ModelOutput:
         return self.head(batch, self.trunk(batch), compute_loss)
-
-    def lower(self, b, vocabs: VocabBundle) -> tuple:
-        """The stages' lowerings chained as forward chains them: (pred, scores)."""
-        emb = self.embedding.lower(b, vocabs)
-        return self.output.lower(b, self.decoder.lower(b, self.representation.lower(b, emb)))
 
     def trunk(self, batch: Batch) -> Tensor:
         """The embedding and the representation's trunk: the states that

@@ -2,7 +2,9 @@
 
 Forward arithmetic is delegated to kernels so the exported-graph interpreter
 computes identical values. Backward closures return one gradient per parent
-(None for inputs that do not need one).
+(None for inputs that do not need one). While exporter.export_model traces
+a forward pass, each op that has a graph opcode, and reshape, also reports
+its opcode, output and inputs to trace_hook.
 """
 
 import numpy as np
@@ -12,6 +14,14 @@ from .errors import ShapeMismatch
 from .tensor import TapeNode, Tensor
 
 F32 = np.float32
+
+trace_hook = None  # called as trace_hook(opcode, out, inputs, mask, attrs)
+
+
+def _report(opcode, out, inputs, mask=None, **attrs):
+    if trace_hook is not None:
+        trace_hook(opcode, out, inputs, mask, attrs)
+    return out
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -25,7 +35,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         x2 = x.data.reshape(-1, k)
         return (g2 @ w.data.T).reshape(x.data.shape), x2.T @ g2, g2.sum(axis=0)
 
-    return Tensor(out_data, TapeNode((x, w, b), backward))
+    return _report("MatMulAdd", Tensor(out_data, TapeNode((x, w, b), backward)), (x, w, b))
 
 
 def _binary(a, b, fwd, da, db):
@@ -75,7 +85,7 @@ def relu(x: Tensor) -> Tensor:
     def backward(g):
         return (g * (x.data > 0),)
 
-    return Tensor(out_data, TapeNode((x,), backward))
+    return _report("Relu", Tensor(out_data, TapeNode((x,), backward)), (x,))
 
 
 def mul_scalar(x: Tensor, s: float) -> Tensor:
@@ -94,7 +104,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     def backward(g):
         return (g.reshape(x.data.shape),)
 
-    return Tensor(out_data, TapeNode((x,), backward))
+    return _report("Reshape", Tensor(out_data, TapeNode((x,), backward)), (x,))
 
 
 def concat(tensors) -> Tensor:
@@ -111,7 +121,7 @@ def concat(tensors) -> Tensor:
         splits = np.cumsum(sizes)[:-1]
         return tuple(np.split(g, splits, axis=-1))
 
-    return Tensor(out_data, TapeNode(tuple(tensors), backward))
+    return _report("Concat", Tensor(out_data, TapeNode(tuple(tensors), backward)), tensors)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -124,7 +134,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         np.add.at(dtable, ids.reshape(-1), g.reshape(-1, table.shape[1]))
         return (dtable,)
 
-    return Tensor(out_data, TapeNode((table,), backward))
+    return _report("EmbedGather", Tensor(out_data, TapeNode((table,), backward)), (ids, table))
 
 
 def conv1d_maxpool(x: Tensor, filters: Tensor, mask) -> Tensor:
@@ -134,7 +144,8 @@ def conv1d_maxpool(x: Tensor, filters: Tensor, mask) -> Tensor:
     def backward(g):
         return kernels.conv_maxpool_backward(cache, g)
 
-    return Tensor(out_data, TapeNode((x, filters), backward))
+    return _report("Conv1DMaxPool", Tensor(out_data, TapeNode((x, filters), backward)),
+                   (x, filters), mask)
 
 
 def lstm_seq(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor, mask, reverse=False) -> Tensor:
@@ -145,7 +156,8 @@ def lstm_seq(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor, mask, reverse=
     def backward(g):
         return kernels.lstm_seq_backward(cache, g)
 
-    return Tensor(out_data, TapeNode((x, w_ih, w_hh, bias), backward))
+    return _report("LSTMSeq", Tensor(out_data, TapeNode((x, w_ih, w_hh, bias), backward)),
+                   (x, w_ih, w_hh, bias), mask, reverse=reverse)
 
 
 def self_attention(h: Tensor, w1: Tensor, w2: Tensor, mask) -> Tensor:
@@ -155,7 +167,29 @@ def self_attention(h: Tensor, w1: Tensor, w2: Tensor, mask) -> Tensor:
     def backward(g):
         return kernels.self_attention_backward(cache, g)
 
-    return Tensor(out_data, TapeNode((h, w1, w2), backward))
+    return _report("SelfAttention", Tensor(out_data, TapeNode((h, w1, w2), backward)),
+                   (h, w1, w2), mask)
+
+
+def highway(x: Tensor, w_t: Tensor, b_t: Tensor, w_g: Tensor, b_g: Tensor) -> Tensor:
+    """One highway layer over x [n, d] (kernels.highway)."""
+    parents = (x, w_t, b_t, w_g, b_g)
+    out_data, cache = kernels.highway(*(p.data for p in parents), want_cache=True)
+
+    def backward(g):
+        return kernels.highway_backward(cache, g)
+
+    return _report("Highway", Tensor(out_data, TapeNode(parents, backward)), parents)
+
+
+def softmax(x: Tensor) -> np.ndarray:
+    """Probabilities over the last axis, off the tape."""
+    return _report("Softmax", kernels.softmax(x.data, axis=-1), (x,))
+
+
+def argmax(x: Tensor) -> np.ndarray:
+    """Index of the largest entry over the last axis, off the tape."""
+    return _report("ArgMax", kernels.argmax_last(x.data), (x,))
 
 
 def softmax_cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:

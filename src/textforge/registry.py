@@ -7,6 +7,7 @@ every default introspectable and keeps parsing code free of magic values.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,7 +47,10 @@ class Field:
     ftype: str
     default: object = REQUIRED
     child_kind: str = ""     # COMPONENT only: the registry kind to pick from
-    minimum: Optional[int] = None  # INT and LIST_INT (each item): smallest allowed value
+    minimum: Optional[int] = None  # INT, FLOAT and LIST_INT (each item): smallest allowed value
+    above: Optional[float] = None  # FLOAT only: the value must be greater
+    below: Optional[float] = None  # FLOAT only: the value must be smaller
+    distinct: bool = False   # LIST_INT only: no item may repeat
 
     def __post_init__(self):
         if self.ftype not in _FIELD_TYPES:
@@ -124,6 +128,21 @@ def _check_minimum(f: Field, values, path):
         raise SchemaViolation("%s: must be >= %d, got %r" % (path, f.minimum, min(values)))
 
 
+def _check_float(f: Field, value, path):
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise SchemaViolation("%s: must be finite, got %r" % (path, value))
+    _check_minimum(f, (value,), path)
+    if f.above is not None and not value > f.above:
+        raise SchemaViolation("%s: must be > %g, got %r" % (path, f.above, value))
+    if f.below is not None and not value < f.below:
+        raise SchemaViolation("%s: must be < %g, got %r" % (path, f.below, value))
+    return value
+
+
 def _check_scalar(f: Field, value, path):
     if f.ftype == INT:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -133,7 +152,7 @@ def _check_scalar(f: Field, value, path):
     if f.ftype == FLOAT:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise _type_error(path, "float", value)
-        return float(value)
+        return _check_float(f, value, path)
     if f.ftype == BOOL:
         if not isinstance(value, bool):
             raise _type_error(path, "bool", value)
@@ -147,6 +166,8 @@ def _check_scalar(f: Field, value, path):
                                               for v in value):
             raise _type_error(path, "list of int", value)
         _check_minimum(f, value, path)
+        if f.distinct and len(set(value)) < len(value):
+            raise SchemaViolation("%s: items must differ, got %r" % (path, value))
         return list(value)
     if f.ftype == LIST_STRING:
         if not isinstance(value, list) or any(not isinstance(v, str) for v in value):

@@ -15,10 +15,11 @@ import pytest
 
 import corpora
 import textforge
-from textforge import cli, trainer
+from textforge import cli, model_zoo, trainer
 from textforge.exporter import EquivalenceReport
 from textforge.graph import GraphOp, load_graph, save_graph
 from textforge.pipeline import restore_pipeline
+from textforge.tensor import Tensor
 from textforge.trainer import load_checkpoint
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(textforge.__file__)))
@@ -59,6 +60,35 @@ SIZE_PROBES = [
     ({}, ("model", "single", "embedding", "token", "cap_dim"), -3),
     ({}, ("trainer", "standard", "seed"), -1),
     ({}, ("trainer", "standard", "epochs"), 0),
+    ({}, ("model", "single", "representation", "docnn", "filter_widths"), [0]),
+    (_CHARS, ("model", "single", "embedding", "token", "char_filter_widths"), [2, 0]),
+]
+
+# float fields out of range, non-finite included: the config builder, the
+# field's path under the task (its component selected there), its value
+FLOAT_PROBES = [
+    pytest.param(corpora.doc_config, ("optimizer", "adam", "lr"), float("nan"), id="lr=NaN"),
+    pytest.param(corpora.doc_config, ("optimizer", "adam", "lr"), float("inf"), id="lr=inf"),
+    pytest.param(corpora.doc_config, ("optimizer", "adam", "lr"), 10 ** 400, id="lr=10**400"),
+    pytest.param(corpora.doc_config, ("optimizer", "adam", "lr"), 0, id="lr=0"),
+    pytest.param(corpora.doc_config, ("optimizer", "sgd", "lr"), -0.5, id="sgd.lr=-0.5"),
+    pytest.param(corpora.doc_config, ("optimizer", "adam", "beta1"), -0.1, id="beta1=-0.1"),
+    pytest.param(corpora.doc_config, ("optimizer", "adam", "beta1"), 1.0, id="beta1=1"),
+    pytest.param(corpora.doc_config, ("optimizer", "adam", "beta2"), 1.5, id="beta2=1.5"),
+    pytest.param(corpora.doc_config, ("optimizer", "adam", "eps"), 0.0, id="eps=0"),
+    pytest.param(corpora.doc_config, ("optimizer", "adam", "eps"), float("-inf"), id="eps=-inf"),
+    pytest.param(corpora.joint_config, ("model", "joint", "doc_loss_weight"), -1.0,
+                 id="doc_loss_weight=-1"),
+    pytest.param(corpora.joint_config, ("model", "joint", "word_loss_weight"), float("nan"),
+                 id="word_loss_weight=NaN"),
+]
+
+# a filter width given twice: the overrides, the field's path under the task, its value
+REPEATED_WIDTHS = [
+    pytest.param({}, ("model", "single", "representation", "docnn", "filter_widths"), [2, 2],
+                 id="docnn"),
+    pytest.param(_CHARS, ("model", "single", "embedding", "token", "char_filter_widths"),
+                 [1, 3, 1], id="chars"),
 ]
 
 
@@ -200,8 +230,9 @@ class TestTrain:
 
     def test_resume_of_an_early_stopped_run_trains_no_more(self, tmp_path, monkeypatch,
                                                             capsys):
-        # lr 0 keeps every epoch's score, so patience 1 stops after epoch 1
-        cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=4, lr=0.0)
+        # an lr far below every weight's float32 spacing keeps every epoch's
+        # score, so patience 1 stops after epoch 1
+        cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=4, lr=1e-30)
         cfg["task"]["doc_classification"]["trainer"]["standard"]["patience"] = 1
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -254,6 +285,43 @@ class TestTrain:
         proc = run_cli("train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"))
         assert proc.returncode == 1, proc.stderr
         assert "task.doc_classification.%s:" % ".".join(path) in proc.stderr
+
+    @pytest.mark.parametrize("build,path,value", FLOAT_PROBES)
+    def test_out_of_range_float_is_a_config_error(self, tmp_path, capsys, build, path, value):
+        cfg = build(str(tmp_path), n_train=8, n_eval=4, epochs=1)
+        (task,) = cfg["task"]
+        node = cfg["task"][task]
+        for key in path[:-2]:
+            node = node[key]
+        component, field = path[-2:]
+        if component not in node:  # select that component in place of the default
+            node.clear()
+            node[component] = {}
+        node[component][field] = value
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+        assert "task.%s.%s:" % (task, ".".join(path)) in capsys.readouterr().err
+        assert not (out_dir / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("overrides,path,value", REPEATED_WIDTHS)
+    def test_repeated_filter_width_is_a_config_error(self, tmp_path, capsys, overrides, path,
+                                                     value):
+        # a repeated width would name two filters alike, and one would go untrained
+        cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1,
+                                 **copy.deepcopy(overrides))
+        node = cfg["task"]["doc_classification"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "task.doc_classification.%s: items must differ" % ".".join(path) in err
+        assert not (out_dir / "model.ckpt").exists()
 
 
 class TestPredict:
@@ -322,7 +390,8 @@ class TestPredict:
                     ("bench", "--ckpt", doc_run.ckpt, "--graph", path, "--requests", "2")):
             proc = run_cli(*cmd, stdin="hello\n")
             assert proc.returncode == 1, (cmd, proc.stderr)
-            assert "textforge: error: graph expects unknown input 'token_ids'" in proc.stderr
+            # the token lookup is the first traced op, so its slot is named 0
+            assert "textforge: error: graph expects unknown input '0'" in proc.stderr
 
     @pytest.mark.parametrize("opcode,attrs", [
         ("Concat", {"axis": 0}),
@@ -438,6 +507,18 @@ class TestExportAndBench:
         assert "no graph written" in capsys.readouterr().err
         assert checked == (["doc", "word"] if kind == "joint" else [None])
         assert not [name for name in os.listdir(str(tmp_path)) if name.endswith(".graph")]
+
+    def test_export_of_a_value_made_outside_ops_fails(self, doc_run, tmp_path, monkeypatch,
+                                                      capsys):
+        # the decoder reads a Tensor that no op made: tracing cannot see how
+        # it was computed, so the export fails instead of baking it in
+        forward = model_zoo.MLPDecoder.forward
+        monkeypatch.setattr(model_zoo.MLPDecoder, "forward",
+                            lambda self, rep: forward(self, Tensor(rep.data)))
+        out = tmp_path / "model.graph"
+        assert cli.main(["export", "--model", doc_run.ckpt, "--out", str(out)]) == 1
+        assert "no traced op made" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bench_prints_percentiles(self, doc_run, doc_graph, tmp_path):
         out = tmp_path / "bench.json"

@@ -1,20 +1,28 @@
-"""Lowering eager models to static graphs and proving the two agree."""
+"""Tracing eager models into static graphs and proving the two agree."""
 
 import hashlib
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpora
+from textforge import exporter, ops
 from textforge.components import DOC_TASK, WORD_TASK
 from textforge.data_handler import single_example_batch
 from textforge.errors import EmptySampleSet, UnsupportedModule
 from textforge.exporter import (EquivalenceReport, export_model,
                                 export_pipeline, verify_equivalence)
+from textforge.featurizer import featurize
 from textforge.graph import Executor, run, serialize
+from textforge.model_zoo import MLPDecoder
 from textforge.pipeline import instantiate_task
 from textforge.registry import parse_task_config
+from textforge.tensor import Tensor
+from textforge.trainer import train
 
 
 def make_pipe(tmp_path, kind="doc", **overrides):
@@ -40,6 +48,8 @@ class TestLoweringShape:
             "MatMulAdd",
             "Softmax", "ArgMax",
         ]
+        assert [op.output for op in graph.ops] == ["0", "1", "2", "3", "4", "5",
+                                                   "scores", "pred"]
         assert graph.inputs == ["tokens"]
         assert graph.outputs == ["pred", "scores"]
 
@@ -63,9 +73,12 @@ class TestLoweringShape:
         graph = export_model(pipe.model, pipe.featurizer.settings,
                              pipe.doc_labels, DOC_TASK, pipe.vocabs)
         assert graph.inputs == ["tokens", "cap_labels"]
-        lookups = [(op.opcode, op.output) for op in graph.ops[:3]]
-        assert lookups == [("LookupTokens", "token_ids"), ("LookupChars", "char_ids"),
-                           ("LookupTokens", "cap_ids")]
+        # each lookup is traced where its style's forward first reads the ids;
+        # a traced op's slot is its index in the op list
+        lookups = [(i, op.opcode, op.output) for i, op in enumerate(graph.ops)
+                   if op.opcode.startswith("Lookup")]
+        assert lookups == [(0, "LookupTokens", "0"), (2, "LookupChars", "2"),
+                           (6, "LookupTokens", "6")]
 
     def test_const_names_are_parameter_paths(self, tmp_path):
         pipe = make_pipe(tmp_path)
@@ -85,7 +98,7 @@ class TestLoweringShape:
 class TestGoldenBytes:
     """Serialized baked graphs of seeded, untrained pipelines, pinned by hash.
 
-    A change to lowering, baking or the container format shows up here even
+    A change to tracing, baking or the container format shows up here even
     when the graph still runs and matches eager inference.
     """
 
@@ -100,27 +113,86 @@ class TestGoldenBytes:
     }
 
     GOLDEN = {
-        "doc": "6dced16ee6d049bc6208b03760233432238e08658a7c33b0a6c98d968f18d742",
-        "word": "a9b279d5f52f33130cdfa4f7103f609ce5fc34b2db8e6d6daf92386aff491d8c",
-        "joint.doc": "6430f933cbfd311cd4856b2f557a05ebf5153cb1c94db98e40a6d7ffeb0ef52a",
-        "joint.word": "23cbdbf6372646d4bcd88bc299e03609ca55a6c813b699972ccf7e72a4edef34",
-        "doc.all_stages": "0ad41457d6b9b6da2d50cc0bc0aeb6ac69c1f3dedb8a5b7486bd98712af63052",
+        "doc": "9017afd36968945117ea9386debd8272abc5e73718741ae22a246ab00369715e",
+        "word": "f9f03afc7c49a8b5cae525be477c04957dac7c30d6cedb096fdf1f8107578ce5",
+        "joint.doc": "72f0eef6872817440a4135ddbcc1936cf3611fe60d62bdfa8af5b62bbad9de8b",
+        "joint.word": "064dd14d4ec69ee30f864533e269728605103f49d9607816d4268bcde446827a",
+        "doc.all_stages": "ef70039fb36658dd53771a92164a5ce7e687b2e60009dd45f33ab8df2a5c8a98",
     }
 
-    def test_graph_bytes_are_pinned(self, tmp_path):
+    @classmethod
+    def graphs(cls, root):
+        """The pinned graphs by name, each from a fresh pipeline under root."""
         def pipe(name, kind=None, **overrides):
-            (tmp_path / name).mkdir()
-            return make_pipe(tmp_path / name, kind=kind or name, **overrides)
+            (root / name).mkdir()
+            return make_pipe(root / name, kind=kind or name, **overrides)
 
         graphs = {"doc": export_pipeline(pipe("doc")),
                   "word": export_pipeline(pipe("word", embedding=RICH_EMBEDDING)),
                   "doc.all_stages": export_pipeline(pipe("doc.all_stages", kind="doc",
-                                                         **self.ALL_STAGES))}
+                                                         **cls.ALL_STAGES))}
         joint = export_pipeline(pipe("joint"))
         graphs.update({"joint." + head: g for head, g in joint.items()})
+        return graphs
+
+    def test_graph_bytes_are_pinned(self, tmp_path):
         digests = {name: hashlib.sha256(serialize(g)).hexdigest()
-                   for name, g in graphs.items()}
+                   for name, g in self.graphs(tmp_path).items()}
         assert digests == self.GOLDEN
+
+
+class TestTrace:
+    """What the tracer accepts: the forward of an unpadded batch of one, whose
+    every value is a parameter, an id array of the batch or a traced op's."""
+
+    def test_graph_does_not_depend_on_the_traced_text(self, tmp_path, monkeypatch):
+        blobs = []
+        for text, n_tokens in (("", 0), ("one", 1), ("a b c d e f g", 7)):
+            assert len(featurize(text).tokens) == n_tokens
+            monkeypatch.setattr(exporter, "TRACE_TEXT", text)
+            (tmp_path / str(n_tokens)).mkdir()
+            graphs = TestGoldenBytes.graphs(tmp_path / str(n_tokens))
+            blobs.append({name: serialize(g) for name, g in graphs.items()})
+        assert len(blobs[0]) == 5
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize("kind,overrides", [
+        ("doc", {}),
+        ("word", {}),
+        ("doc", {"representation": {"bilstm_attn": {"hidden_dim": 4, "attention_dim": 3}}}),
+    ], ids=["conv", "lstm", "attention"])
+    def test_padded_mask_is_refused(self, tmp_path, monkeypatch, kind, overrides):
+        pipe = make_pipe(tmp_path, kind=kind, **overrides)
+
+        def padded(*args):
+            batch = single_example_batch(*args)
+            batch.mask[0, -1] = 0.0
+            return batch
+        monkeypatch.setattr(exporter, "single_example_batch", padded)
+        with pytest.raises(UnsupportedModule, match="padded mask"):
+            export_pipeline(pipe)
+        assert ops.trace_hook is None
+
+    def test_reshape_beyond_the_batch_axis_is_refused(self, tmp_path, monkeypatch):
+        pipe = make_pipe(tmp_path)
+        forward = MLPDecoder.forward
+
+        def transposed(self, rep):
+            # [1, f] -> [f, 1] -> [1, f]: the same values, but the first
+            # reshape moves more than a batch axis of one
+            return forward(self, ops.reshape(ops.reshape(rep, rep.shape[::-1]), rep.shape))
+        monkeypatch.setattr(MLPDecoder, "forward", transposed)
+        assert pipe.predict(pipe.featurizer.featurize("wake me")) is not None
+        with pytest.raises(UnsupportedModule, match="more than the batch axis"):
+            export_pipeline(pipe)
+
+    def test_value_made_outside_ops_is_refused(self, tmp_path, monkeypatch):
+        pipe = make_pipe(tmp_path)
+        forward = MLPDecoder.forward
+        monkeypatch.setattr(MLPDecoder, "forward",
+                            lambda self, rep: forward(self, Tensor(rep.data)))
+        with pytest.raises(UnsupportedModule, match="no traced op made"):
+            export_pipeline(pipe)
 
 
 class TestParameterLayout:
@@ -274,3 +346,70 @@ class TestEquivalence:
         assert not good.within(1e-6)
         bad = EquivalenceReport(max_abs_dev=0.0, argmax_agree=False, n_samples=3)
         assert not bad.argmax_agree and not bad.within(1.0)
+
+
+# --- every config the schema admits traces to a graph that matches eager ---
+
+def _widths():
+    return st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def model_configs(draw):
+    """A task kind and its model section, over every embedding style,
+    representation and decoder depth at small sizes."""
+    kind = draw(st.sampled_from(["doc", "word", "joint"]))
+    dims = {style: draw(st.sampled_from([0, 0, 2, 3]))
+            for style in ("word_dim", "char_dim", "gaz_dim", "cap_dim")}
+    if not any(dims.values()):
+        dims["word_dim"] = 2
+    embedding = {"token": dict(dims, char_filter_widths=draw(_widths()),
+                               char_num_filters=draw(st.integers(1, 3)),
+                               char_highway_layers=draw(st.integers(0, 2)))}
+    hidden = draw(st.integers(1, 3))
+    attn = {"bilstm_attn": {"hidden_dim": hidden, "attention_dim": draw(st.integers(1, 3))}}
+    decoders = [{"mlp": {"hidden_dims": draw(st.lists(st.integers(1, 4), max_size=2))}}
+                for _ in range(2)]
+    if kind == "joint":
+        return kind, {"joint": {
+            "embedding": embedding, "doc_representation": attn,
+            "word_representation": {"bilstm_tagger": {"hidden_dim": hidden}},
+            "doc_decoder": decoders[0], "word_decoder": decoders[1]}}
+    if kind == "word":
+        rep, output = {"bilstm_tagger": {"hidden_dim": hidden}}, {"word_tagging": {}}
+    else:
+        rep = draw(st.sampled_from([attn, {"docnn": {"filter_widths": draw(_widths()),
+                                                     "num_filters": draw(st.integers(1, 3))}}]))
+        output = {"doc_classification": {}}
+    return kind, {"single": {"embedding": embedding, "representation": rep,
+                             "decoder": decoders[0], "output": output}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=model_configs(), lowercase=st.booleans(), max_chars=st.integers(1, 25),
+       seed=st.integers(0, 2 ** 16), texts=st.lists(st.text(max_size=24), min_size=1,
+                                                     max_size=3))
+def test_every_config_traces_to_an_equivalent_graph(model, lowercase, max_chars, seed, texts):
+    kind, model_section = model
+    build = {"doc": corpora.doc_config, "word": corpora.word_config,
+             "joint": corpora.joint_config}[kind]
+    with tempfile.TemporaryDirectory() as root:
+        cfg = build(root, n_train=30, n_eval=4, seed=seed, epochs=1)
+        (task,) = cfg["task"].values()
+        task["model"] = model_section
+        task["featurizer"] = {"basic": {"lowercase": lowercase, "max_chars": max_chars}}
+        pipe = instantiate_task(parse_task_config(json.dumps(cfg)))
+        train(pipe)
+    graphs = export_pipeline(pipe)
+    heads = graphs if kind == "joint" else {None: graphs}
+    for head, graph in heads.items():
+        assert verify_equivalence(pipe, graph, n_samples=2, seed=seed, head=head).within(0.0)
+        model = pipe.model.tasks[head] if head else pipe.model
+        ex = Executor(graph)
+        for text in texts:
+            batch = single_example_batch(pipe.featurizer.featurize(text), pipe.vocabs,
+                                         pipe.char_width)
+            eager = model.forward(batch, compute_loss=False)
+            res = run(ex, text)
+            assert eager.scores[0].tobytes() == res["scores"].tobytes(), (head, text)
+            assert np.array_equal(eager.preds[0], res["pred"]), (head, text)

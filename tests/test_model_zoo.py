@@ -10,12 +10,12 @@ from textforge import components, kernels, metrics, ops
 from textforge.data_handler import Batch, VocabBundle, make_batches, single_example_batch
 from textforge.errors import (DimMismatch, IncompatibleShare, MalformedLine,
                               MultiTaskArity, NoStyleSelected, NotUtf8,
-                              ShapeMismatch)
+                              SchemaViolation, ShapeMismatch)
 from textforge.featurizer import CAP_CLASSES, GAZ_NONE
 from textforge.model_zoo import (BiLSTMAttnRepresentation, BiLSTMModule,
                                  BiLSTMTaggerRepresentation,
                                  DocClassificationOutput, DocNNRepresentation,
-                                 MLPDecoder, MultiTaskModel, SingleTaskModel,
+                                 LayerModule, MLPDecoder, MultiTaskModel, SingleTaskModel,
                                  TokenEmbedding, WordTaggingOutput,
                                  load_pretrained_embeddings)
 from textforge.pipeline import Pipeline, instantiate_task, prediction_json
@@ -108,9 +108,21 @@ class TestTokenEmbedding:
             assert np.array_equal(pa.data, b.named_parameters()[name].data), name
 
     def test_char_widths_must_be_positive(self):
-        with pytest.raises(ShapeMismatch):
-            TokenEmbedding("e", emb_config(word=0, char=2, widths=(0,)), make_vocabs(),
-                           np.random.default_rng(0))
+        # the config schema checks the widths before any module is built
+        model = {"embedding": {"token": {"char_dim": 2, "char_filter_widths": [0]}},
+                 "representation": {"docnn": {}}, "output": {"doc_classification": {}}}
+        doc = {"task": {"doc_classification": {
+            "data": {"tsv": {"train_path": "train.tsv", "eval_path": "eval.tsv"}},
+            "model": {"single": model}}}}
+        with pytest.raises(SchemaViolation, match=r"token\.char_filter_widths: must be >= 1"):
+            parse_task_config(json.dumps(doc))
+
+    def test_a_parameter_name_is_held_once(self):
+        module = LayerModule("m")
+        module.add_param("conv2", np.zeros((2, 1, 1), dtype=F32))
+        with pytest.raises(ValueError, match="m already holds a parameter named 'conv2'"):
+            module.add_param("conv2", np.ones((2, 1, 1), dtype=F32))
+        assert not module.named_parameters()["conv2"].data.any()
 
 
 class TestPretrainedEmbeddings:

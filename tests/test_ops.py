@@ -247,21 +247,74 @@ class TestFiniteDifferences:
         run_checks(build)
 
     def test_highway_composition(self):
-        """The gated relu block used by the char CNN, as built in eager mode."""
+        """The gated relu block of the char CNN, composed of elementwise ops."""
         def build(rng):
             x = t((3, 4), rng)
             wt, bt = t((4, 4), rng, 0.5), t((4,), rng, 0.2)
             wg, bg = t((4, 4), rng, 0.5), t((4,), rng, 0.2)
             target = [x, wt, wg][int(rng.integers(0, 3))]
             def f(_):
-                hidden = ops.relu(ops.linear(x, wt, bt))
-                gate = ops.sigmoid(ops.linear(x, wg, bg))
-                one = Tensor(np.ones_like(gate.data))
-                out = ops.add(ops.mul(gate, hidden),
-                              ops.mul(ops.sub(one, gate), x))
-                return scalarize(out, np.random.default_rng(12))
+                return scalarize(ref_highway(x, wt, bt, wg, bg), np.random.default_rng(12))
             return f, target
         run_checks(build)
+
+    def test_highway(self):
+        def build(rng):
+            x = t((3, 4), rng)
+            wt, bt = t((4, 4), rng, 0.5), t((4,), rng, 0.2)
+            wg, bg = t((4, 4), rng, 0.5), t((4,), rng, 0.2)
+            target = [x, wt, bt, wg, bg][int(rng.integers(0, 5))]
+            def f(_):
+                return scalarize(ops.highway(x, wt, bt, wg, bg), np.random.default_rng(13))
+            return f, target
+        run_checks(build)
+
+
+def ref_highway(x, wt, bt, wg, bg):
+    """One highway layer as the char CNN first built it, from relu, sigmoid,
+    add, mul and sub on the tape: the oracle for ops.highway."""
+    hidden = ops.relu(ops.linear(x, wt, bt))
+    gate = ops.sigmoid(ops.linear(x, wg, bg))
+    one = Tensor(np.ones_like(gate.data))
+    return ops.add(ops.mul(gate, hidden), ops.mul(ops.sub(one, gate), x))
+
+
+class TestHighwayOracle:
+    """ops.highway against the elementwise composition it replaced: the same
+    output and the same five gradients, bit for bit, so training a char model
+    gives the same checkpoints."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_to_the_composition(self, n_layers, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        x0 = rng.standard_normal((n, d)).astype(F32)
+        weights = [(rng.standard_normal(shape) * 0.6).astype(F32)
+                   for _ in range(n_layers) for shape in ((d, d), (d,), (d, d), (d,))]
+        head = (rng.standard_normal((d, 3)) * 0.5).astype(F32)
+        targets = rng.integers(0, 3, size=n)
+        runs = []
+        for layer in (ref_highway, ops.highway):
+            x, params = Tensor(x0), [Parameter(w) for w in weights]
+            out = x
+            for i in range(n_layers):
+                out = layer(out, *params[4 * i:4 * i + 4])
+            logits = ops.linear(out, Parameter(head), Parameter(np.zeros(3, dtype=F32)))
+            ops.softmax_cross_entropy(logits, targets).backward()
+            runs.append([out.data, x.grad] + [p.grad for p in params])
+        ref, got = runs
+        assert len(got) == 2 + 4 * n_layers
+        for i, (a, b) in enumerate(zip(ref, got)):
+            assert a.dtype == b.dtype == F32 and a.tobytes() == b.tobytes(), i
+
+    def test_graph_kernel_matches_the_op(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4, 5)).astype(F32)
+        weights = [rng.standard_normal(s).astype(F32) for s in ((5, 5), (5,), (5, 5), (5,))]
+        out, cache = kernels.highway(x, *weights)
+        assert cache is None
+        assert out.tobytes() == ops.highway(Tensor(x), *map(Tensor, weights)).data.tobytes()
 
 
 # --- the per-step LSTM kernel as first written: the oracle for the kernel ---

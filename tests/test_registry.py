@@ -105,6 +105,34 @@ class TestValidation:
         with pytest.raises(SchemaViolation, match=r"toy\.layers: must be >= 1, got 0"):
             demo_parse({"optimizer": {"toy": {"steps": 1, "layers": [2, 0]}}})
 
+    @pytest.mark.parametrize("params,error", [
+        ({"rate": 0}, r"toy\.rate: must be > 0, got 0\.0"),
+        ({"rate": 1}, r"toy\.rate: must be < 1, got 1\.0"),
+        ({"rate": float("nan")}, r"toy\.rate: must be finite, got nan"),
+        ({"weight": -0.5}, r"toy\.weight: must be >= 0, got -0\.5"),
+        ({"weight": float("inf")}, r"toy\.weight: must be finite, got inf"),
+        ({"weight": 10 ** 400}, r"toy\.weight: must be finite, got inf"),
+        ({"widths": [2, 3, 2]}, r"toy\.widths: items must differ, got \[2, 3, 2\]"),
+    ], ids=["rate=0", "rate=1", "rate=nan", "weight=-0.5", "weight=inf", "weight=10**400",
+            "widths=[2, 3, 2]"])
+    def test_float_bounds_and_distinct_items(self, params, error):
+        reg = Registry()
+        reg.register("optimizer", "toy", (
+            Field("rate", FLOAT, default=0.5, above=0, below=1),
+            Field("weight", FLOAT, default=1.0, minimum=0),
+            Field("widths", LIST_INT, default=[1], distinct=True),
+        ))
+        reg.register("task", "demo", (
+            Field("optimizer", COMPONENT, default={"toy": {}}, child_kind="optimizer"),))
+
+        def parse(**fields):
+            doc = {"task": {"demo": {"optimizer": {"toy": fields}}}}
+            return parse_task_config(json.dumps(doc), reg)
+        edge = parse(rate=0.999, weight=0, widths=[3, 1]).root.child("optimizer").params
+        assert edge == {"rate": 0.999, "weight": 0.0, "widths": [3, 1]}
+        with pytest.raises(SchemaViolation, match=error):
+            parse(**params)
+
     def test_list_int_rejects_bools_and_strings(self):
         with pytest.raises(SchemaViolation):
             demo_parse({"optimizer": {"toy": {"steps": 1, "layers": [1, True]}}})
