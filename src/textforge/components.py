@@ -44,7 +44,8 @@ def _register_builtins():
         Field("word_dim", INT, default=64, minimum=0),
         Field("pretrained_path", STRING, default=""),
         Field("char_dim", INT, default=0, minimum=0),
-        Field("char_filter_widths", LIST_INT, default=[3], minimum=1, distinct=True),
+        Field("char_filter_widths", LIST_INT, default=[3], minimum=1, distinct=True,
+              nonempty=True),
         Field("char_num_filters", INT, default=16, minimum=1),
         Field("char_highway_layers", INT, default=1, minimum=0),
         Field("gaz_dim", INT, default=0, minimum=0),
@@ -52,7 +53,8 @@ def _register_builtins():
     ))
 
     register_component("representation", "docnn", (
-        Field("filter_widths", LIST_INT, default=[3, 4, 5], minimum=1, distinct=True),
+        Field("filter_widths", LIST_INT, default=[3, 4, 5], minimum=1, distinct=True,
+              nonempty=True),
         Field("num_filters", INT, default=100, minimum=1),
     ))
     register_component("representation", "bilstm_attn", (

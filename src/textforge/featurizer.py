@@ -19,7 +19,7 @@ import string
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import OverlappingEntries
+from .errors import NotUtf8, OverlappingEntries
 from .vocab import Vocabulary
 
 # one ASCII punctuation char, or a run of chars that are neither that nor space
@@ -121,10 +121,16 @@ def featurize(text: str, entries=(), *, lowercase=True) -> FeaturizedExample:
     """Run the full per-example feature pipeline.
 
     Capitalization is computed on the original token text, then the stored
-    token text reflects the lowercase flag.
+    token text reflects the lowercase flag. A text UTF-8 cannot encode (one
+    holding a lone surrogate) raises NotUtf8.
     """
     tokens, cap_labels = [], []
     utf8 = not text.isascii()
+    if utf8:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise NotUtf8("text is not UTF-8 encodable: %s" % exc.reason)
     char_pos = byte_pos = 0
     for match in _TOKEN.finditer(text):
         raw = match.group()

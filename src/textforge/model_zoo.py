@@ -167,8 +167,6 @@ class TokenEmbedding(LayerModule):
             self.word_table = self.add_param("word.table", table)
         self.char_out = 0
         if self.char_dim:
-            if not self.char_widths:
-                raise ShapeMismatch("char path needs at least one filter width")
             self.char_table = self.add_param(
                 "char.table", _embedding_table(rng, vocabs.char, self.char_dim))
             self.char_conv = []
@@ -209,7 +207,6 @@ class TokenEmbedding(LayerModule):
         return ops.reshape(out, (b, t, self.char_out))
 
     def forward(self, batch: Batch) -> Tensor:
-        b, t = batch.token_ids.shape
         parts = []
         if self.word_dim:
             parts.append(ops.embedding_lookup(self.word_table, batch.token_ids))
@@ -219,11 +216,7 @@ class TokenEmbedding(LayerModule):
             parts.append(ops.embedding_lookup(self.gaz_table, batch.dense_feats["gaz"]))
         if self.cap_dim:
             parts.append(ops.embedding_lookup(self.cap_table, batch.dense_feats["cap"]))
-        out = ops.concat(parts)
-        if out.shape != (b, t, self.out_dim):
-            raise ShapeMismatch("embedding produced %s, contract (%d, %d, %d)"
-                                % (out.shape, b, t, self.out_dim))
-        return out
+        return ops.concat(parts)
 
 
 class BiLSTMModule(LayerModule):
@@ -254,27 +247,17 @@ class BiLSTMModule(LayerModule):
 class Representation(LayerModule):
     """Base for the representations: a trunk, then a pooling.
 
-    trunk checks the input width (errors name the subclass by its label) and
-    runs the subclass's encode; pool is the identity unless a subclass pools
-    the states. The joint heads pool one trunk's states. A zero-length
-    sequence runs the same path: the kernels give zeros, [b, out] when pooled
-    and [b, 0, out] per token (sequence_output).
+    A subclass's trunk encodes the embedded tokens; pool is the identity
+    unless a subclass pools the states. The joint heads pool one trunk's
+    states. The kernels check the input width. A zero-length sequence runs
+    the same path: the kernels give zeros, [b, out] when pooled and
+    [b, 0, out] per token (sequence_output).
     """
 
     sequence_output = False
 
-    def __init__(self, name, in_dim):
-        super().__init__(name)
-        self.in_dim = in_dim
-
     def forward(self, emb: Tensor, mask) -> Tensor:
         return self.pool(self.trunk(emb, mask), mask)
-
-    def trunk(self, emb: Tensor, mask) -> Tensor:
-        if emb.shape[-1] != self.in_dim:
-            raise ShapeMismatch("%s expected input dim %d, got %d"
-                                % (self.label, self.in_dim, emb.shape[-1]))
-        return self.encode(emb, mask)
 
     def pool(self, states: Tensor, mask) -> Tensor:
         return states
@@ -283,14 +266,10 @@ class Representation(LayerModule):
 class DocNNRepresentation(Representation):
     """Parallel word-level convolutions, max pooled over time, concatenated."""
 
-    label = "docnn"
-
     def __init__(self, name, config, in_dim, rng):
-        super().__init__(name, in_dim)
+        super().__init__(name)
         self.widths = list(config["filter_widths"])
         self.num_filters = config["num_filters"]
-        if not self.widths:
-            raise ShapeMismatch("docnn needs at least one filter width")
         self.filters = []
         for w in self.widths:
             scale = float(np.sqrt(1.0 / (w * in_dim)))
@@ -298,7 +277,7 @@ class DocNNRepresentation(Representation):
                 "conv%d" % w, _uniform(rng, (w, in_dim, self.num_filters), scale)))
         self.out_dim = self.num_filters * len(self.widths)
 
-    def encode(self, emb: Tensor, mask) -> Tensor:
+    def trunk(self, emb: Tensor, mask) -> Tensor:
         pooled = [ops.conv1d_maxpool(emb, filt, mask) for filt in self.filters]
         return ops.concat(pooled)
 
@@ -306,18 +285,17 @@ class DocNNRepresentation(Representation):
 class BiLSTMTaggerRepresentation(Representation):
     """BiLSTM trunk kept per-token for word tagging."""
 
-    label = "bilstm_tagger"
     sequence_output = True
 
     def __init__(self, name, config, in_dim, rng):
-        super().__init__(name, in_dim)
+        super().__init__(name)
         self.bilstm = BiLSTMModule("bilstm", {"hidden_dim": config["hidden_dim"]}, in_dim, rng)
         self.out_dim = self.bilstm.out_dim
 
     def children(self):
         return {"bilstm": self.bilstm}
 
-    def encode(self, emb: Tensor, mask) -> Tensor:
+    def trunk(self, emb: Tensor, mask) -> Tensor:
         return self.bilstm.forward(emb, mask)
 
 
@@ -325,7 +303,6 @@ class BiLSTMAttnRepresentation(BiLSTMTaggerRepresentation):
     """The tagger's BiLSTM trunk pooled by additive self attention over valid
     positions."""
 
-    label = "bilstm_attn"
     sequence_output = False
 
     def __init__(self, name, config, in_dim, rng):
@@ -344,7 +321,6 @@ class MLPDecoder(LayerModule):
 
     def __init__(self, name, config, in_dim, n_classes, rng):
         super().__init__(name)
-        self.in_dim = in_dim
         self.n_classes = n_classes
         dims = [in_dim] + list(config["hidden_dims"]) + [n_classes]
         self.n_layers = len(dims) - 1
@@ -354,9 +330,6 @@ class MLPDecoder(LayerModule):
             self.add_param("b%d" % i, b)
 
     def forward(self, rep: Tensor) -> Tensor:
-        if rep.shape[-1] != self.in_dim:
-            raise ShapeMismatch("decoder expected input dim %d, got %d"
-                                % (self.in_dim, rep.shape[-1]))
         out = rep
         for i in range(self.n_layers):
             out = ops.linear(out, self._params["w%d" % i], self._params["b%d" % i])

@@ -1,7 +1,8 @@
 """Wires a validated task config into a runnable pipeline.
 
 A Pipeline owns the featurizer, vocabularies, datasets, model and optimizer,
-and knows how to produce training batches, evaluate, and predict eagerly.
+and knows how to produce training batches, predict eagerly, and evaluate
+from confusion counts that add up over the eval batches.
 It is built from a config plus data files (instantiate_task, for training)
 or from a checkpoint alone (restore_pipeline, for prediction and export).
 Both differ only in where the vocabularies, labels and seed come from, and
@@ -109,30 +110,27 @@ class Pipeline:
         """
         batches = [make_batches(full, self.settings.batch_size)
                    for full in self._vectorized("eval")]
+        n_labels, n_tags = len(self.doc_labels), len(self.word_tags)
         if self.task == components.DOC_TASK:
-            rep = metrics.classification_report(
-                *_doc_golds_preds(_outputs(self.model, batches[0])), len(self.doc_labels))
-            return rep.accuracy, {"accuracy": rep.accuracy, "macro_f1": rep.macro_f1}
+            acc, f1 = metrics.scores(_doc_counts(_outputs(self.model, batches[0]), n_labels))
+            return acc, {"accuracy": acc, "macro_f1": f1}
         if self.task == components.WORD_TASK:
-            rep = metrics.tagging_report(
-                *_word_golds_preds(_outputs(self.model, batches[0])), len(self.word_tags))
-            return rep.macro_f1, {"token_accuracy": rep.token_accuracy,
-                                  "macro_f1": rep.macro_f1}
+            acc, f1 = metrics.scores(_tag_counts(_outputs(self.model, batches[0]), n_tags))
+            return f1, {"token_accuracy": acc, "macro_f1": f1}
 
         # the first source carries both label kinds: one trunk pass per batch
         # gives the doc predictions and the tags for frame accuracy
         both = [(batch, self.model.forward_all(batch)) for batch in batches[0]]
-        golds, preds = _doc_golds_preds((batch, outs["doc"]) for batch, outs in both)
-        doc_rep = metrics.classification_report(golds, preds, len(self.doc_labels))
-        tg, tp = _word_golds_preds((batch, outs["word"]) for batch, outs in both)
-        frame = metrics.frame_accuracy(golds, preds, tg, tp)
-        word_rep = metrics.tagging_report(
-            *_word_golds_preds(_outputs(self.model.tasks["word"], batches[1])),
-            len(self.word_tags))
+        doc_acc, _ = metrics.scores(
+            _doc_counts(((batch, outs["doc"]) for batch, outs in both), n_labels))
+        hits = sum(metrics.frame_hits(batch.doc_labels, outs["doc"].preds, batch.word_labels,
+                                      outs["word"].preds, batch.mask) for batch, outs in both)
+        frame = hits / sum(batch.size for batch, _ in both)
+        _, word_f1 = metrics.scores(
+            _tag_counts(_outputs(self.model.tasks["word"], batches[1]), n_tags))
 
-        score = (doc_rep.accuracy + word_rep.macro_f1) / 2.0
-        return score, {"doc_accuracy": doc_rep.accuracy,
-                       "word_macro_f1": word_rep.macro_f1,
+        score = (doc_acc + word_f1) / 2.0
+        return score, {"doc_accuracy": doc_acc, "word_macro_f1": word_f1,
                        "frame_accuracy": frame}
 
     # -- prediction -----------------------------------------------------------
@@ -195,25 +193,18 @@ def _outputs(model, batches):
     return ((batch, model.forward(batch, compute_loss=False)) for batch in batches)
 
 
-def _doc_golds_preds(outputs):
-    """Gold and predicted label ids over (batch, head output) pairs."""
-    golds, preds = [], []
-    for batch, out in outputs:
-        golds.extend(int(g) for g in batch.doc_labels)
-        preds.extend(int(p) for p in out.preds)
-    return golds, preds
+def _doc_counts(outputs, n_classes):
+    """The confusion counts of doc labels over (batch, head output) pairs."""
+    return sum(metrics.confusion(batch.doc_labels, out.preds, n_classes)
+               for batch, out in outputs)
 
 
-def _word_golds_preds(outputs):
-    """Gold and predicted tag ids per example, cut to its length, over
-    (batch, head output) pairs."""
-    golds, preds = [], []
-    for batch, out in outputs:
-        for i in range(batch.size):
-            n = int(batch.lengths[i])
-            golds.append([int(x) for x in batch.word_labels[i, :n]])
-            preds.append([int(x) for x in out.preds[i, :n]])
-    return golds, preds
+def _tag_counts(outputs, n_classes):
+    """The confusion counts of the tags at unmasked positions over (batch,
+    head output) pairs."""
+    return sum(metrics.confusion(batch.word_labels[batch.mask > 0],
+                                 out.preds[batch.mask > 0], n_classes)
+               for batch, out in outputs)
 
 
 def _build_featurizer(cfg) -> Featurizer:

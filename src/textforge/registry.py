@@ -51,6 +51,7 @@ class Field:
     above: Optional[float] = None  # FLOAT only: the value must be greater
     below: Optional[float] = None  # FLOAT only: the value must be smaller
     distinct: bool = False   # LIST_INT only: no item may repeat
+    nonempty: bool = False   # LIST_INT only: at least one item
 
     def __post_init__(self):
         if self.ftype not in _FIELD_TYPES:
@@ -165,6 +166,8 @@ def _check_scalar(f: Field, value, path):
         if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, int)
                                               for v in value):
             raise _type_error(path, "list of int", value)
+        if f.nonempty and not value:
+            raise SchemaViolation("%s: needs at least one item, got []" % path)
         _check_minimum(f, value, path)
         if f.distinct and len(set(value)) < len(value):
             raise SchemaViolation("%s: items must differ, got %r" % (path, value))

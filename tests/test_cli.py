@@ -19,6 +19,7 @@ from textforge import cli, model_zoo, trainer
 from textforge.exporter import EquivalenceReport
 from textforge.graph import GraphOp, load_graph, save_graph
 from textforge.pipeline import restore_pipeline
+from textforge.registry import parse_task_config, serialize_task_config
 from textforge.tensor import Tensor
 from textforge.trainer import load_checkpoint
 
@@ -89,6 +90,17 @@ REPEATED_WIDTHS = [
                  id="docnn"),
     pytest.param(_CHARS, ("model", "single", "embedding", "token", "char_filter_widths"),
                  [1, 3, 1], id="chars"),
+]
+
+# an empty width list: the overrides, the field's path under the task; with
+# char_dim 0 no char filter is built, and [] is still refused
+EMPTY_WIDTHS = [
+    pytest.param({}, ("model", "single", "representation", "docnn", "filter_widths"),
+                 id="docnn"),
+    pytest.param(_CHARS, ("model", "single", "embedding", "token", "char_filter_widths"),
+                 id="chars"),
+    pytest.param({}, ("model", "single", "embedding", "token", "char_filter_widths"),
+                 id="chars-off"),
 ]
 
 
@@ -309,19 +321,103 @@ class TestTrain:
     def test_repeated_filter_width_is_a_config_error(self, tmp_path, capsys, overrides, path,
                                                      value):
         # a repeated width would name two filters alike, and one would go untrained
-        cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1,
-                                 **copy.deepcopy(overrides))
-        node = cfg["task"]["doc_classification"]
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-        out_dir = tmp_path / "out"
-        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+        assert train_doc_with(tmp_path, overrides, path, value) == (1, False)
         err = capsys.readouterr().err
         assert "task.doc_classification.%s: items must differ" % ".".join(path) in err
-        assert not (out_dir / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("overrides,path", EMPTY_WIDTHS)
+    def test_empty_width_list_is_a_config_error(self, tmp_path, capsys, overrides, path):
+        assert train_doc_with(tmp_path, overrides, path, []) == (1, False)
+        err = capsys.readouterr().err
+        assert "task.doc_classification.%s: needs at least one item" % ".".join(path) in err
+
+
+def train_doc_with(tmp_path, overrides, path, value):
+    """cli.main train on a small doc config (with overrides) whose field at
+    path under the task is value: (exit code, whether a checkpoint was written)."""
+    cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1,
+                             **copy.deepcopy(overrides))
+    node = cfg["task"]["doc_classification"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+    return code, (out_dir / "model.ckpt").exists()
+
+
+# replacement values for one config leaf: small ints only, since a large size
+# or epoch count would build a big model or train for minutes
+_NAN, _INF = float("nan"), float("inf")
+SAME_KIND = {bool: [], int: [-1, 0, 1, 2, 3], float: [_NAN, _INF, -_INF, -1, 0, 2],
+             str: ["", "missing.tsv"], list: [[], [0], [-1], [2, 3], [1, 1], ["x"]]}
+ANY_KIND = [-1, 0, 1, 2, 3, "x", True, None, [], {}, _NAN, _INF, -_INF]
+
+
+def _leaves(node, path=()):
+    """(path, value) of every value in a config that is not an object."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def _mutations(config, salt):
+    """Labelled copies of a config, each one edit away: every leaf takes a
+    value of its own kind and one of any kind; a section is deleted; an
+    unknown key is added."""
+    deleted = object()
+
+    def edited(path, value):
+        cfg = copy.deepcopy(config)
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        if value is deleted:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        return cfg
+
+    for i, (path, value) in enumerate(_leaves(config)):
+        same = SAME_KIND[type(value)] or [not value]
+        for new in (same[(i + salt) % len(same)], ANY_KIND[(i + salt) % len(ANY_KIND)]):
+            yield "%s=%r" % (".".join(path), new), edited(path, new)
+    (task,) = config["task"]
+    for section in ("data", "featurizer", "model", "optimizer", "trainer"):
+        yield "del %s" % section, edited(("task", task, section), deleted)
+    for path in (("task", task, "zz"), ("task", task, "model", "zz")):
+        yield "add %s" % ".".join(path), edited(path, 1)
+
+
+class TestConfigMutations:
+    """Every config one edit away from a valid one trains, or fails as a
+    config or input error: exit 0 or 1, never 2. A run that trains exports."""
+
+    @pytest.mark.parametrize("salt,build", enumerate(
+        [corpora.doc_config, corpora.word_config, corpora.joint_config]),
+        ids=["doc", "word", "joint"])
+    def test_one_edit_never_exits_2(self, tmp_path, monkeypatch, capsys, salt, build):
+        monkeypatch.delenv("TEXTFORGE_SEED", raising=False)
+        cfg = build(str(tmp_path), n_train=8, n_eval=4, epochs=1)
+        # every field written out, defaults included, so each is a leaf
+        full = json.loads(serialize_task_config(parse_task_config(json.dumps(cfg))))
+        cfg_path, out_dir = tmp_path / "config.json", tmp_path / "out"
+        codes = {}
+        for label, mutated in _mutations(full, salt):
+            cfg_path.write_text(json.dumps(mutated), encoding="utf-8")
+            code = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+            if code == 0:
+                code = cli.main(["export", "--model", str(out_dir / "model.ckpt"),
+                                 "--out", str(tmp_path / "model.graph")])
+            codes[label] = (code, capsys.readouterr().err)
+        assert len(codes) >= 50
+        assert {label: c for label, c in codes.items() if c[0] not in (0, 1)} == {}
+        # the edits reach both outcomes
+        assert {code for code, _ in codes.values()} == {0, 1}
 
 
 class TestPredict:

@@ -13,7 +13,7 @@ import corpora
 from textforge import exporter, ops
 from textforge.components import DOC_TASK, WORD_TASK
 from textforge.data_handler import single_example_batch
-from textforge.errors import EmptySampleSet, UnsupportedModule
+from textforge.errors import EmptySampleSet, NotUtf8, UnsupportedModule
 from textforge.exporter import (EquivalenceReport, export_model,
                                 export_pipeline, verify_equivalence)
 from textforge.featurizer import featurize
@@ -233,6 +233,21 @@ class TestParameterLayout:
             (tmp_path / kind).mkdir()
             digests[kind] = self.digests(make_pipe(tmp_path / kind, kind=kind, **extra).model)
         assert digests == self.GOLDEN
+
+
+def test_a_lone_surrogate_is_not_utf8(tmp_path):
+    """A str that UTF-8 cannot encode is an input error at every entry point
+    that featurizes: no decoded input holds one, but a caller's str can."""
+    pipe = make_pipe(tmp_path)
+    executor = Executor(export_pipeline(pipe))
+    text = "wake me caf\u00e9 a\ud800b"
+    entry_points = {"featurize": featurize,
+                    "graph.run": lambda t: run(executor, t),
+                    "Pipeline.predict": lambda t: pipe.predict(pipe.featurizer.featurize(t))}
+    for name, call in entry_points.items():
+        with pytest.raises(NotUtf8, match="surrogates not allowed"):
+            call(text)
+        assert call(text.replace("\ud800", "")), name
 
 
 class TestEquivalence:

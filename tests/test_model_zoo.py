@@ -481,26 +481,23 @@ def per_head_evaluate(pipe):
     source 0 runs through both heads, source 1 through the word head."""
     batches = [make_batches(full, pipe.settings.batch_size) for full in pipe._vectorized("eval")]
     doc, word = pipe.model.tasks["doc"], pipe.model.tasks["word"]
-    golds, preds = [], []
+    n_labels, n_tags = len(pipe.doc_labels), len(pipe.word_tags)
+    doc_counts = hits = 0
     for batch in batches[0]:
-        golds += batch.doc_labels.tolist()
-        preds += doc.forward(batch, compute_loss=False).preds.tolist()
-
-    def tags(source):
-        gold, pred = [], []
-        for batch in batches[source]:
-            out = word.forward(batch, compute_loss=False)
-            for i, n in enumerate(batch.lengths.tolist()):
-                gold.append(batch.word_labels[i, :n].tolist())
-                pred.append(out.preds[i, :n].tolist())
-        return gold, pred
-
-    tg, tp = tags(0)
-    doc_rep = metrics.classification_report(golds, preds, len(pipe.doc_labels))
-    word_rep = metrics.tagging_report(*tags(1), len(pipe.word_tags))
-    return ((doc_rep.accuracy + word_rep.macro_f1) / 2.0,
-            {"doc_accuracy": doc_rep.accuracy, "word_macro_f1": word_rep.macro_f1,
-             "frame_accuracy": metrics.frame_accuracy(golds, preds, tg, tp)})
+        preds = doc.forward(batch, compute_loss=False).preds
+        doc_counts = doc_counts + metrics.confusion(batch.doc_labels, preds, n_labels)
+        tags = word.forward(batch, compute_loss=False).preds
+        hits += metrics.frame_hits(batch.doc_labels, preds, batch.word_labels, tags, batch.mask)
+    tag_counts = 0
+    for batch in batches[1]:
+        keep = batch.mask > 0
+        tags = word.forward(batch, compute_loss=False).preds
+        tag_counts = tag_counts + metrics.confusion(batch.word_labels[keep], tags[keep], n_tags)
+    doc_accuracy, _ = metrics.scores(doc_counts)
+    _, word_macro_f1 = metrics.scores(tag_counts)
+    return ((doc_accuracy + word_macro_f1) / 2.0,
+            {"doc_accuracy": doc_accuracy, "word_macro_f1": word_macro_f1,
+             "frame_accuracy": hits / sum(batch.size for batch in batches[0])})
 
 
 class TestJointOneTrunk:
