@@ -17,11 +17,12 @@ F32 = np.float32
 NEG_INF = np.float32(-np.inf)
 
 
-def sigmoid(x):
-    # two-sided form: exp only sees -|x|, so it never overflows
-    e = np.exp(-np.abs(x))
-    d = 1 + e
-    return np.where(x >= 0, 1 / d, e / d)
+def sigmoid(x, out=None):
+    # The two-sided formula without a branch: for x >= 0 the numerator is
+    # exp(0) = 1, giving 1 / (1 + exp(-x)); for x < 0 it is exp(x), the same
+    # call on the same value as exp(-|x|), giving exp(x) / (1 + exp(x)).
+    # Neither exp sees a positive argument, so neither overflows.
+    return np.divide(np.exp(np.minimum(x, F32(0.0))), 1 + np.exp(-np.abs(x)), out=out)
 
 
 def softmax(x, axis=-1):
@@ -142,6 +143,13 @@ def lstm_seq(x, w_ih, w_hh, bias, mask, reverse=False, want_cache=False):
     The input projection x @ w_ih + bias is hoisted out of the recurrence
     into one GEMM over all timesteps, so each step adds only h_prev @ w_hh.
     The masked blend runs only when some row is padded.
+
+    A call reuses a buffer across its steps only where no cache keeps it:
+    the pre-activation z always; without want_cache also the gates, and an
+    unpadded run writes each hidden state straight into hs. A cache holds
+    fresh arrays per step, none a view of hs: the backward pass reads them
+    all, and a strided h_prev would change the BLAS path of h_prev.T @ dz
+    (and its bits) when h == 1.
     """
     b, t, d = x.shape
     if w_ih.shape[0] != d:
@@ -162,26 +170,39 @@ def lstm_seq(x, w_ih, w_hh, bias, mask, reverse=False, want_cache=False):
     hs = np.zeros((b, t, h), dtype=F32)
     h_prev = np.zeros((b, h), dtype=F32)
     c_prev = np.zeros((b, h), dtype=F32)
+    z = np.empty((b, four_h), dtype=F32)
+    z_cell = z[:, 2 * h:3 * h]
+    gates = None if want_cache else np.empty((b, four_h), dtype=F32)
+    views = None if want_cache else _gate_views(gates, h)
+    direct = full and not want_cache
     order = range(t - 1, -1, -1) if reverse else range(t)
     steps = [] if want_cache else None
     for ti in order:
-        z = zx[:, ti] + h_prev @ w_hh
-        s = sigmoid(z)  # the cell block's sigmoid goes unused
-        gi, gf, go = s[:, :h], s[:, h:2 * h], s[:, 3 * h:]
-        gg = np.tanh(z[:, 2 * h:3 * h])
+        np.matmul(h_prev, w_hh, out=z)
+        z += zx[:, ti]
+        s = sigmoid(z, out=gates)  # the cell block's sigmoid goes unused
+        gi, gf, go = _gate_views(s, h) if want_cache else views
+        gg = np.tanh(z_cell)
         c_cur = gf * c_prev + gi * gg
         tanh_c = np.tanh(c_cur)
-        h_cur = go * tanh_c
+        h_cur = np.multiply(go, tanh_c, out=hs[:, ti] if direct else None)
         m = None if full else mask[:, ti][:, None]
         if m is not None:
-            h_cur = m * h_cur + (1 - m) * h_prev
-            c_cur = m * c_cur + (1 - m) * c_prev
-        hs[:, ti] = h_cur
+            keep = 1 - m
+            h_cur = m * h_cur + keep * h_prev
+            c_cur = m * c_cur + keep * c_prev
+        if not direct:
+            hs[:, ti] = h_cur
         if want_cache:
             steps.append((ti, m, gi, gf, gg, go, tanh_c, h_prev, c_prev))
         h_prev, c_prev = h_cur, c_cur
     cache = (x, w_ih, w_hh, steps, h) if want_cache else None
     return hs, cache
+
+
+def _gate_views(s, h):
+    """The input, forget and output gates of a [b, 4h] sigmoid, as views."""
+    return s[:, :h], s[:, h:2 * h], s[:, 3 * h:]
 
 
 def lstm_seq_backward(cache, dhs):

@@ -225,7 +225,6 @@ class BiLSTMModule(LayerModule):
     def __init__(self, name, config, in_dim, rng):
         super().__init__(name)
         hidden = config["hidden_dim"]
-        self.in_dim = in_dim
         self.hidden_dim = hidden
         self.out_dim = 2 * hidden
         for direction in ("fwd", "bwd"):
@@ -321,7 +320,6 @@ class MLPDecoder(LayerModule):
 
     def __init__(self, name, config, in_dim, n_classes, rng):
         super().__init__(name)
-        self.n_classes = n_classes
         dims = [in_dim] + list(config["hidden_dims"]) + [n_classes]
         self.n_layers = len(dims) - 1
         for i in range(self.n_layers):

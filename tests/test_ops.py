@@ -522,14 +522,53 @@ class TestKernelOracle:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6, err_msg=name)
 
     def test_sigmoid_pinned_to_two_sided_formula(self):
-        edges = [0.0, 1e-8, 20.0, 88.7, 104.0, np.inf]
-        x = np.array(edges + [-v for v in edges], dtype=F32)
+        # the where-free kernel is the two-sided formula because float32 exp(+-0) is exactly 1
+        assert np.exp(np.array([0.0, -0.0], dtype=F32)).tolist() == [1.0, 1.0]
+        edges = [0.0, 1e-8, 20.0, 88.7, 104.0, 1e38, np.inf]
+        patterns = np.arange(0, 2 ** 32, 4099, dtype=np.uint64).astype(np.uint32).view(F32)
+        rng = np.random.default_rng(0)
+        x = np.concatenate([np.array(edges + [-v for v in edges], dtype=F32),
+                            patterns[~np.isnan(patterns)],
+                            rng.standard_normal(100_000).astype(F32),
+                            (rng.standard_normal(100_000) * 30).astype(F32)])
         assert np.signbit(x[len(edges)])  # -0.0 is in the probe
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = kernels.sigmoid(x)
+            want = ref_sigmoid(x)
         assert got.dtype == F32
-        assert got.tobytes() == ref_sigmoid(x).tobytes()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("padded", [False, True], ids=["all_ones", "padded"])
+    def test_lstm_seq_buffers_are_not_shared(self, padded):
+        rng = np.random.default_rng(11)
+        b, tlen, d, h = 3, 6, 5, 4
+        x = rng.standard_normal((b, tlen, d)).astype(F32)
+        w_ih = (rng.standard_normal((d, 4 * h)) * 0.5).astype(F32)
+        w_hh = (rng.standard_normal((h, 4 * h)) * 0.5).astype(F32)
+        bias = (rng.standard_normal(4 * h) * 0.2).astype(F32)
+        lengths = np.array([tlen, 3, 1]) if padded else np.full(b, tlen)
+        mask = (np.arange(tlen)[None, :] < lengths[:, None]).astype(F32)
+        dhs = rng.standard_normal((b, tlen, h)).astype(F32)
+        for reverse in (False, True):
+            for want_cache in (False, True):
+                first, _ = kernels.lstm_seq(x, w_ih, w_hh, bias, mask, reverse, want_cache)
+                kept = first.copy()
+                kernels.lstm_seq(x * 2, w_ih, w_hh, bias, mask, reverse, want_cache)
+                assert first.tobytes() == kept.tobytes()
+
+            hs, cache = kernels.lstm_seq(x, w_ih, w_hh, bias, mask, reverse, want_cache=True)
+            # gi, gf, go, tanh_c, h_prev and c_prev of every step
+            kept = [a for step in cache[3] for a in step[2:4] + step[5:]]
+            assert len(kept) == 6 * tlen
+            for i, a in enumerate(kept):
+                assert not np.shares_memory(a, hs)
+                assert not any(np.shares_memory(a, other) for other in kept[i + 1:])
+            grads = kernels.lstm_seq_backward(cache, dhs)
+            _, steps = ref_lstm_seq(x, w_ih, w_hh, bias, mask, reverse)
+            ref_grads = ref_lstm_seq_backward(x, w_ih, w_hh, steps, dhs)
+            for name, got, want in zip(("dx", "dw_ih", "dw_hh", "db"), grads, ref_grads):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-6, err_msg=name)
 
 
 class TestEmptySequence:
