@@ -5,8 +5,9 @@ and knows how to produce training batches, predict eagerly, and evaluate
 from confusion counts that add up over the eval batches.
 It is built from a config plus data files (instantiate_task, for training)
 or from a checkpoint alone (restore_pipeline, for prediction and export).
-Both differ only in where the vocabularies, labels and seed come from, and
-then go through one assembler that builds the model, settings and optimizer.
+Both differ only in where the vocabularies and labels come from, and then
+go through one assembler that builds the model, settings and optimizer from
+the config, the seed included.
 
 Every task reads its data as per-split lists of sources: one TSV per split
 for doc classification and word tagging, two for the joint task, whose
@@ -165,7 +166,6 @@ class Pipeline:
 
     def snapshot_meta(self):
         return {
-            "task": self.task,
             "config": self.config_text,
             "vocabs": {name: list(getattr(self.vocabs, name).entries)
                        for name in VOCAB_NAMES},
@@ -254,21 +254,21 @@ def _load_data(config: TaskConfig):
     return vocabs, doc_labels, word_tags, datasets
 
 
-def _assemble(config: TaskConfig, vocabs: VocabBundle, doc_labels, word_tags, seed: int,
+def _assemble(config: TaskConfig, vocabs: VocabBundle, doc_labels, word_tags,
               datasets=None) -> Pipeline:
     """The pipeline for a config and its vocabularies and labels.
 
-    Builds the featurizer, the model (initialized from the seed), the
-    settings and the optimizer; both instantiate_task and restore_pipeline
-    end here.
+    Builds the featurizer, the model (initialized from the config's seed),
+    the settings and the optimizer; both instantiate_task and
+    restore_pipeline end here.
     """
     root = config.root
+    tparams = root.child("trainer").params
     fz = _build_featurizer(root.child("featurizer"))
     model = components.build_model(root.child("model"), config.task_kind, vocabs,
-                                   doc_labels, word_tags, derive_rng(seed, 0))
-    tparams = root.child("trainer").params
+                                   doc_labels, word_tags, derive_rng(tparams["seed"], 0))
     settings = Settings(epochs=tparams["epochs"], patience=tparams["patience"],
-                        seed=seed, batch_size=root.child("data").params["batch_size"])
+                        seed=tparams["seed"], batch_size=root.child("data").params["batch_size"])
     optimizer = components.build_optimizer(root.child("optimizer"), model.named_parameters())
     return Pipeline(config, fz, vocabs, doc_labels, word_tags, model, optimizer,
                     settings, datasets)
@@ -277,11 +277,10 @@ def _assemble(config: TaskConfig, vocabs: VocabBundle, doc_labels, word_tags, se
 def instantiate_task(config: TaskConfig, seed_override: Optional[int] = None) -> Pipeline:
     """Construct the full pipeline for a config, loading and featurizing data;
     ids are looked up when training first asks for batches."""
-    tparams = config.root.child("trainer").params
     if seed_override is not None:
-        tparams["seed"] = int(seed_override)
+        config.root.child("trainer").params["seed"] = int(seed_override)
     vocabs, doc_labels, word_tags, datasets = _load_data(config)
-    return _assemble(config, vocabs, doc_labels, word_tags, tparams["seed"], datasets)
+    return _assemble(config, vocabs, doc_labels, word_tags, datasets)
 
 
 def restore_pipeline(payload: Checkpoint, use_best: bool = True) -> Pipeline:
@@ -292,7 +291,6 @@ def restore_pipeline(payload: Checkpoint, use_best: bool = True) -> Pipeline:
     """
     config = parse_task_config(payload["config"])
     pipe = _assemble(config, payload.vocabs, payload["labels"]["doc"],
-                     payload["labels"]["word"], payload["seed"])
-    use_best = use_best and payload["best_epoch"] >= 0
+                     payload["labels"]["word"])
     load_params(pipe.model, payload["best_params" if use_best else "params"])
     return pipe

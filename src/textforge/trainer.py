@@ -4,8 +4,15 @@ One root seed drives everything through fixed spawn keys: (0,) for parameter
 init, (1, epoch[, source]) for batch shuffling. Shuffle streams are derived
 per epoch rather than advanced across epochs, so a resumed run replays the
 exact schedule of an uninterrupted one.
+
+A checkpoint stores each fact once: the config snapshot, the history (one
+record per epoch run), the vocabularies and labels, the last and the best
+parameters, and the Adam moments. The rest is read from those: the seed and
+the optimizer settings from the config, the last epoch from the history's
+length, and the best epoch as the first with the highest score.
 """
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -20,7 +27,7 @@ from .vocab import Vocabulary, all_str
 F32 = np.float32
 
 CKPT_MAGIC = b"TXFG"
-CKPT_VERSION = 4
+CKPT_VERSION = 5
 
 
 def seed_sequence(seed: int, *key):
@@ -33,9 +40,7 @@ def derive_rng(seed: int, *key) -> np.random.Generator:
 
 class SGD:
     """Plain gradient descent over a name -> Parameter mapping, as a model's
-    named_parameters() gives it."""
-
-    kind = "sgd"
+    named_parameters() gives it. It keeps no state between steps."""
 
     def __init__(self, params, lr=0.1):
         self.params = dict(params)
@@ -56,17 +61,16 @@ class SGD:
             p.grad = None
 
     def state_payload(self):
-        return {"kind": self.kind, "lr": self.lr, "state": {}}
+        return {}
 
     def load_state(self, payload):
-        (self.lr,) = _saved_numbers(payload, ("lr",))
+        if payload:
+            raise CorruptFile("checkpoint optimizer state holds moments, but SGD keeps none")
 
 
 class Adam:
     """Adam over a name -> Parameter mapping; its moments are kept and saved
-    under the same names."""
-
-    kind = "adam"
+    under the same names. Its settings are the config's, never the file's."""
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = dict(params)
@@ -101,18 +105,12 @@ class Adam:
             p.grad = None
 
     def state_payload(self):
-        state = {name: {"m": st[0], "v": st[1], "t": st[2]}
-                 for name, st in self._moments.items()}
-        return {"kind": self.kind, "lr": self.lr, "beta1": self.beta1,
-                "beta2": self.beta2, "eps": self.eps, "state": state}
+        return {name: {"m": st[0], "v": st[1], "t": st[2]}
+                for name, st in self._moments.items()}
 
     def load_state(self, payload):
-        numbers = _saved_numbers(payload, ("lr", "beta1", "beta2", "eps"))
-        state = payload.get("state")
-        if not isinstance(state, dict):
-            raise CorruptFile("checkpoint optimizer 'state' is not a mapping")
         moments = {}
-        for name, st in state.items():
+        for name, st in payload.items():
             if name not in self.params:
                 raise CorruptFile("checkpoint optimizer state names unknown parameter %r" % (name,))
             shape = self.params[name].data.shape
@@ -123,16 +121,7 @@ class Adam:
                 raise CorruptFile("checkpoint optimizer state for %r needs float32 m and v of "
                                   "shape %s and a positive int t" % (name, shape))
             moments[name] = [st["m"], st["v"], st["t"]]
-        self.lr, self.beta1, self.beta2, self.eps = numbers
         self._moments = moments
-
-
-def _saved_numbers(payload, names):
-    """The named hyperparameters of a saved optimizer state, as floats."""
-    for name in names:
-        if not _typed((int, float))(payload.get(name)):
-            raise CorruptFile("checkpoint optimizer %r is missing or not a number" % name)
-    return [float(payload[name]) for name in names]
 
 
 @dataclass
@@ -179,30 +168,29 @@ def train(pipe, ckpt_path: str = "", resume: Optional[dict] = None, echo=None) -
     best_epoch = -1
     best_score = float("-inf")
     best_params = _snapshot_params(model)
-    start_epoch = 0
     stopped_early = False
 
     def out_of_patience(epoch):
         return cfg.patience > 0 and (epoch - best_epoch) >= cfg.patience
 
     if resume is not None:
-        start_epoch = resume["epoch"] + 1
-        best_epoch = resume["best_epoch"]
-        best_score = resume["best_score"]
         history = [EpochRecord(**rec) for rec in resume["history"]]
+        # the loop keeps the first epoch of the highest score, as max picks it
+        best_epoch = max(range(len(history)), key=lambda i: history[i].score)
+        best_score = history[best_epoch].score
         # best_params too is checked now, not after the last epoch
         load_params(model, resume["best_params"])
         load_params(model, resume["params"])
         best_params = dict(resume["best_params"])
         opt.load_state(resume["optimizer"])
         # a run that had stopped early stays stopped, as it did uninterrupted
-        stopped_early = out_of_patience(resume["epoch"])
+        stopped_early = out_of_patience(len(history) - 1)
 
+    start_epoch = len(history)
     epochs = range(start_epoch, start_epoch if stopped_early else cfg.epochs)
     if resume is not None and not epochs and ckpt_path:
         # nothing is left to train: the resumed state is the checkpoint
-        save_checkpoint(ckpt_path, checkpoint_payload(
-            pipe, opt, resume["epoch"], best_epoch, best_score, history, best_params))
+        save_checkpoint(ckpt_path, checkpoint_payload(pipe, history, best_params))
 
     for epoch in epochs:
         batches = pipe.train_batches(epoch)
@@ -230,8 +218,7 @@ def train(pipe, ckpt_path: str = "", resume: Optional[dict] = None, echo=None) -
             best_epoch = epoch
             best_params = _snapshot_params(model)
         if ckpt_path:
-            save_checkpoint(ckpt_path, checkpoint_payload(
-                pipe, opt, epoch, best_epoch, best_score, history, best_params))
+            save_checkpoint(ckpt_path, checkpoint_payload(pipe, history, best_params))
         if out_of_patience(epoch):
             stopped_early = True
             break
@@ -241,22 +228,16 @@ def train(pipe, ckpt_path: str = "", resume: Optional[dict] = None, echo=None) -
     return TrainResult(history, best_epoch, best_score, stopped_early)
 
 
-def checkpoint_payload(pipe, opt, epoch, best_epoch, best_score, history, best_params) -> dict:
+def checkpoint_payload(pipe, history, best_params) -> dict:
     meta = pipe.snapshot_meta()
     return {
-        "container": "checkpoint",
-        "task": meta["task"],
         "config": meta["config"],
-        "seed": pipe.settings.seed,
-        "epoch": epoch,
-        "best_epoch": best_epoch,
-        "best_score": best_score,
         "history": [asdict(rec) for rec in history],
         "vocabs": meta["vocabs"],
         "labels": meta["labels"],
         "params": _snapshot_params(pipe.model),
         "best_params": best_params,
-        "optimizer": opt.state_payload(),
+        "optimizer": pipe.optimizer.state_payload(),
     }
 
 
@@ -270,20 +251,23 @@ def _typed(kind):
 
 _number = _typed((int, float))
 
-# EpochRecord field -> whether a loaded value is well formed
+# EpochRecord field -> whether a loaded value is well formed; a score is
+# finite, as the loop never keeps a NaN as its best
 _RECORD_FIELDS = {
-    "epoch": _typed(int), "train_loss": _number, "score": _number,
+    "epoch": _typed(int), "train_loss": _number,
+    "score": lambda v: _number(v) and abs(v) < math.inf,
     "metrics": lambda v: isinstance(v, dict) and all(map(_number, v.values())),
 }
 
 # checkpoint field -> whether a loaded value is well formed; parameter names
-# and shapes are checked when they are loaded into a model (load_params)
+# and shapes are checked when they are loaded into a model (load_params).
+# The history holds record i of epoch i for each epoch run, at least one.
 _CKPT_FIELDS = {
-    "config": _typed(str), "seed": _typed(int), "epoch": _typed(int), "best_epoch": _typed(int),
-    "best_score": _number,
-    "history": lambda v: isinstance(v, list) and all(
+    "config": _typed(str),
+    "history": lambda v: isinstance(v, list) and len(v) > 0 and all(
         isinstance(rec, dict) and set(rec) == set(_RECORD_FIELDS)
-        and all(ok(rec[name]) for name, ok in _RECORD_FIELDS.items()) for rec in v),
+        and all(ok(rec[name]) for name, ok in _RECORD_FIELDS.items())
+        and rec["epoch"] == i for i, rec in enumerate(v)),
     "vocabs": _typed(dict),
     "labels": lambda v: isinstance(v, dict) and all(
         isinstance(v.get(k), list) and all_str(v[k]) for k in ("doc", "word")),
@@ -292,9 +276,9 @@ _CKPT_FIELDS = {
 
 
 class Checkpoint(dict):
-    """A checked checkpoint payload. vocabs is the VocabBundle whose
-    Vocabularies checked its vocab tables, so restoring a pipeline from it
-    hashes no table again."""
+    """A checked checkpoint payload: exactly the fields of _CKPT_FIELDS.
+    vocabs is the VocabBundle whose Vocabularies checked its vocab tables, so
+    restoring a pipeline from it hashes no table again."""
 
     vocabs: VocabBundle
 
@@ -302,11 +286,14 @@ class Checkpoint(dict):
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; CorruptFile unless every field is well formed."""
     payload = binio.read_container(path, CKPT_MAGIC, CKPT_VERSION)
-    if not isinstance(payload, dict) or payload.get("container") != "checkpoint":
+    if not isinstance(payload, dict):
         raise CorruptFile("%s: not a checkpoint file" % path)
     for name, well_formed in _CKPT_FIELDS.items():
         if name not in payload or not well_formed(payload[name]):
             raise CorruptFile("%s: checkpoint field %r is missing or malformed" % (path, name))
+    stray = sorted(set(payload) - set(_CKPT_FIELDS))
+    if stray:
+        raise CorruptFile("%s: checkpoint has unknown fields %s" % (path, stray))
     vocabs = {name: Vocabulary.from_table(payload["vocabs"].get(name)) for name in VOCAB_NAMES}
     if None in vocabs.values():
         raise CorruptFile("%s: checkpoint field 'vocabs' is missing or malformed" % path)

@@ -160,10 +160,11 @@ class TestTrain:
                        env_extra={"TEXTFORGE_SEED": "123"})
         assert proc.returncode == 0, proc.stderr
         payload = load_checkpoint(str(tmp_path / "out" / "model.ckpt"))
-        assert payload["seed"] == 123
+        # the checkpoint keeps the seed in its config snapshot alone
         snapshot = json.loads(payload["config"])
         task_params = snapshot["task"]["doc_classification"]
         assert task_params["trainer"]["standard"]["seed"] == 123
+        assert restore_pipeline(payload).settings.seed == 123
 
     def test_seed_env_must_be_integer(self, tmp_path):
         cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1)
@@ -555,11 +556,11 @@ class TestExportAndBench:
                 assert json.dumps(eager(text)) == json.dumps(exported(text)), (head, text)
 
     def test_older_checkpoint_format_is_refused(self, doc_run, tmp_path):
-        # format 3 joint checkpoints name the shared trunk under both heads,
-        # which format 4 dropped
+        # format 4 checkpoints repeat the seed, the optimizer settings and
+        # the last and best epochs, which format 5 derives
         blob = bytearray(open(doc_run.ckpt, "rb").read())
-        blob[4:8] = struct.pack("<I", 3)
-        old = tmp_path / "v3.ckpt"
+        blob[4:8] = struct.pack("<I", 4)
+        old = tmp_path / "v4.ckpt"
         old.write_bytes(bytes(blob))
         for args in (("export", "--model", str(old), "--out", str(tmp_path / "m.graph")),
                      ("predict", "--ckpt", str(old)),
@@ -567,7 +568,7 @@ class TestExportAndBench:
                       "--out-dir", str(tmp_path / "out"), "--resume", str(old))):
             proc = run_cli(*args, stdin="hello\n")
             assert proc.returncode == 1, (args, proc.stderr)
-            assert "format version 3, expected 4" in proc.stderr, args
+            assert "format version 4, expected 5" in proc.stderr, args
 
     def test_older_graph_format_is_refused(self, doc_graph, tmp_path):
         # format 3 ops list their outputs and carry a Concat axis and a

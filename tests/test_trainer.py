@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import zlib
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,7 @@ from textforge import binio, cli, ops
 from textforge.data_handler import VOCAB_NAMES
 from textforge.errors import (CorruptFile, EmptySplit, IncompatibleShare, NoGradient,
                               NonFiniteLoss, VersionMismatch)
-from textforge.pipeline import instantiate_task
+from textforge.pipeline import instantiate_task, restore_pipeline
 from textforge.registry import parse_task_config
 from textforge.tensor import Parameter
 from textforge.trainer import (CKPT_MAGIC, CKPT_VERSION, SGD, Adam, derive_rng,
@@ -57,6 +58,14 @@ class TestSGD:
         with pytest.raises(NoGradient):
             SGD({"p": p}, lr=0.1).step()
 
+    def test_keeps_no_state(self):
+        opt = SGD({"p": make_param([1.0])}, lr=0.1)
+        assert opt.state_payload() == {}
+        opt.load_state({})
+        moments = {"p": {"m": np.zeros(1, F32), "v": np.zeros(1, F32), "t": 1}}
+        with pytest.raises(CorruptFile, match="SGD keeps none"):
+            opt.load_state(moments)
+
 
 class TestAdam:
     def test_first_step_moves_by_about_lr(self):
@@ -83,13 +92,24 @@ class TestAdam:
         oa = Adam({"p": pa}, lr=0.01)
         run_steps(oa, pa, [1.0, -0.5])
         state = binio.decode(binio.encode(oa.state_payload()))
+        # the state is the moments alone; the settings are the config's
+        assert set(state) == {"p"} and set(state["p"]) == {"m", "v", "t"}
 
         pb = make_param([float(pa.data[0])])
-        ob = Adam({"p": pb}, lr=0.5)  # wrong hyperparams, must be overwritten
+        ob = Adam({"p": pb}, lr=0.01)
         ob.load_state(state)
         run_steps(oa, pa, [0.25])
         run_steps(ob, pb, [0.25])
         assert pa.data[0] == pb.data[0]
+
+    def test_loaded_state_keeps_the_constructed_settings(self):
+        p = make_param([1.0])
+        donor = Adam({"p": p}, lr=0.01)
+        p.grad = np.array([1.0], dtype=F32)
+        donor.step()
+        opt = Adam({"p": make_param([1.0])}, lr=0.5, beta1=0.8, beta2=0.99, eps=1e-6)
+        opt.load_state(donor.state_payload())
+        assert (opt.lr, opt.beta1, opt.beta2, opt.eps) == (0.5, 0.8, 0.99, 1e-6)
 
     def test_no_gradient_anywhere(self):
         with pytest.raises(NoGradient):
@@ -260,7 +280,7 @@ class TestResume:
         with pytest.raises(KeyboardInterrupt):
             train(interrupted, ckpt_path=cut)
         payload = load_checkpoint(cut)
-        assert payload["epoch"] == 0
+        assert len(payload["history"]) == 1
         # the shared trunk is stored once, under the doc head
         for field in ("params", "best_params"):
             assert not [n for n in payload[field]
@@ -268,6 +288,75 @@ class TestResume:
             assert "doc.representation.bilstm.fwd.w_ih" in payload[field]
         train(joint_pipe(), ckpt_path=cut, resume=payload)
         assert open(cut, "rb").read() == open(straight, "rb").read()
+
+
+def assert_reproduces(result, ckpt_path, seed):
+    """The checkpoint at ckpt_path holds result's run: its history, and from
+    that history the best epoch and score the loop chose, and the seed in its
+    config snapshot."""
+    payload = load_checkpoint(ckpt_path)
+    assert payload["history"] == [asdict(rec) for rec in result.history]
+    scores = [rec["score"] for rec in payload["history"]]
+    assert result.best_epoch == scores.index(max(scores))
+    assert result.best_score == max(scores)
+    (task,) = json.loads(payload["config"])["task"].values()
+    assert task["trainer"]["standard"]["seed"] == seed
+    assert restore_pipeline(payload).settings.seed == seed
+
+
+class TestCheckpointReproducesItsRun:
+    def test_a_doc_run_that_stops_early(self, tmp_path):
+        # an lr far below every weight's float32 spacing keeps every epoch's
+        # score, so patience 1 stops after epoch 1 with epoch 0 the best
+        cfg = corpora.doc_config(str(tmp_path), n_train=24, n_eval=8, seed=3, epochs=4,
+                                 lr=1e-30, batch_size=8)
+        cfg["task"]["doc_classification"]["trainer"]["standard"]["patience"] = 1
+        ckpt = str(tmp_path / "model.ckpt")
+        result = train(instantiate_task(parse_task_config(json.dumps(cfg))), ckpt_path=ckpt)
+        assert result.stopped_early and len(result.history) == 2
+        assert result.best_epoch == 0
+        assert_reproduces(result, ckpt, seed=3)
+
+    def test_an_interrupted_joint_run_resumed_to_the_end(self, tmp_path):
+        def joint_pipe():
+            cfg = corpora.joint_config(str(tmp_path), n_train=24, n_eval=8, seed=2, epochs=3)
+            return instantiate_task(parse_task_config(json.dumps(cfg)))
+
+        ckpt = str(tmp_path / "model.ckpt")
+        interrupted = joint_pipe()
+        evaluate, calls = interrupted.evaluate, []
+
+        def evaluate_twice():
+            calls.append(1)
+            if len(calls) > 2:
+                raise KeyboardInterrupt  # the run is cut in its last epoch
+            return evaluate()
+        interrupted.evaluate = evaluate_twice
+        with pytest.raises(KeyboardInterrupt):
+            train(interrupted, ckpt_path=ckpt)
+        result = train(joint_pipe(), ckpt_path=ckpt, resume=load_checkpoint(ckpt))
+        assert [rec.epoch for rec in result.history] == [0, 1, 2]
+        assert_reproduces(result, ckpt, seed=2)
+
+    def test_a_finished_run_resumed_with_nothing_left(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TEXTFORGE_SEED", "7")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(corpora.doc_config(
+            str(tmp_path), n_train=24, n_eval=8, epochs=2, batch_size=8)), encoding="utf-8")
+        results = []
+
+        def recording_train(*args, **kwargs):
+            results.append(train(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(cli, "train", recording_train)
+        first_ckpt = str(tmp_path / "run1" / "model.ckpt")
+        for out, extra in (("run1", []), ("run2", ["--resume", first_ckpt])):
+            assert cli.main(["train", "--config", str(cfg_path),
+                             "--out-dir", str(tmp_path / out)] + extra) == 0
+        first, resumed = results
+        assert resumed.history == first.history
+        for out, result in (("run1", first), ("run2", resumed)):
+            assert_reproduces(result, str(tmp_path / out / "model.ckpt"), seed=7)
 
 
 class TestCheckpointFiles:
@@ -322,6 +411,9 @@ class TestCheckpointFiles:
                                                     {"container": "module"}))
         with pytest.raises(CorruptFile):
             load_checkpoint(path)
+        binio.write_file(path, binio.pack_container(CKPT_MAGIC, CKPT_VERSION, [1, 2]))
+        with pytest.raises(CorruptFile, match="not a checkpoint file"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()])
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch, failure):
@@ -329,7 +421,7 @@ class TestCheckpointFiles:
         with open(ckpt, "rb") as handle:
             before = handle.read()
         payload = load_checkpoint(ckpt)
-        payload["epoch"] = 99
+        payload["history"].append(dict(payload["history"][0], epoch=1))
 
         def fail(fd):
             raise failure
@@ -339,7 +431,7 @@ class TestCheckpointFiles:
         monkeypatch.undo()
         with open(ckpt, "rb") as handle:
             assert handle.read() == before
-        assert load_checkpoint(ckpt)["epoch"] == 0
+        assert len(load_checkpoint(ckpt)["history"]) == 1
         assert not [name for name in os.listdir(os.path.dirname(ckpt))
                     if name.endswith(".tmp")]
 
@@ -362,12 +454,12 @@ class TestCheckpointFiles:
     def test_payload_contents(self, tmp_path):
         ckpt = self._checkpoint(tmp_path)
         payload = load_checkpoint(ckpt)
-        assert payload["task"] == "doc_classification"
-        assert payload["epoch"] == 0
-        assert payload["seed"] == 0
+        assert list(payload) == ["config", "history", "vocabs", "labels", "params",
+                                 "best_params", "optimizer"]
+        assert len(payload["history"]) == 1
         assert set(payload["params"]) == set(payload["best_params"])
-        assert payload["optimizer"]["kind"] == "adam"
-        assert "config" in payload and "vocabs" in payload and "labels" in payload
+        # Adam's state is its moments, one entry per parameter
+        assert set(payload["optimizer"]) == set(payload["params"])
 
 
 class TestSeedStreams:
@@ -402,10 +494,14 @@ def _first_record(mutate):
 # CRC-valid checkpoints with one malformed field, and the error text each gives
 MALFORMED_CHECKPOINTS = {
     "no_vocabs": (lambda p: p.pop("vocabs"), "'vocabs'"),
-    "no_best_epoch": (lambda p: p.pop("best_epoch"), "'best_epoch'"),
-    "seed_a_string": (lambda p: p.update(seed="7"), "'seed'"),
-    "epoch_a_bool": (lambda p: p.update(epoch=True), "'epoch'"),
+    "stray_seed": (lambda p: p.update(seed=0), "'seed'"),
     "history_entry_not_a_record": (lambda p: p["history"].append(1), "'history'"),
+    "history_empty": (lambda p: p.update(history=[]), "'history'"),
+    "history_epochs_reversed": (lambda p: p["history"].reverse(), "'history'"),
+    "history_starts_at_epoch_1": (lambda p: [rec.update(epoch=rec["epoch"] + 1)
+                                             for rec in p["history"]], "'history'"),
+    "history_score_nan": (_first_record(lambda r: r.update(score=float("nan"))), "'history'"),
+    "history_score_inf": (_first_record(lambda r: r.update(score=float("inf"))), "'history'"),
     "history_epoch_a_float": (_first_record(lambda r: r.update(epoch=0.0)), "'history'"),
     "history_train_loss_a_string": (_first_record(lambda r: r.update(train_loss="oops")),
                                     "'history'"),
@@ -432,21 +528,16 @@ def _optimizer(mutate):
 
 
 def _first_moment(mutate):
-    return _optimizer(lambda opt: mutate(next(iter(opt["state"].values()))))
+    return _optimizer(lambda opt: mutate(next(iter(opt.values()))))
 
 
-# CRC-valid checkpoints whose optimizer state alone is malformed; only a resume
-# reads it
+# CRC-valid checkpoints whose optimizer moments alone are malformed; only a
+# resume reads them
 MALFORMED_OPTIMIZER_STATES = {
-    "no_lr": (_optimizer(lambda o: o.pop("lr")), "'lr'"),
-    "beta1_a_string": (_optimizer(lambda o: o.update(beta1="0.9")), "'beta1'"),
-    "eps_a_bool": (_optimizer(lambda o: o.update(eps=True)), "'eps'"),
-    "no_beta2": (_optimizer(lambda o: o.pop("beta2")), "'beta2'"),
-    "state_a_list": (_optimizer(lambda o: o.update(state=[])), "'state'"),
-    "unknown_param": (_optimizer(lambda o: o["state"].update(
-        ghost=next(iter(o["state"].values())))), "'ghost'"),
-    "moments_not_a_mapping": (_optimizer(lambda o: o["state"].update(
-        {next(iter(o["state"])): [1, 2, 3]})), "positive int t"),
+    "unknown_param": (_optimizer(lambda o: o.update(ghost=next(iter(o.values())))),
+                      "'ghost'"),
+    "moments_not_a_mapping": (_optimizer(lambda o: o.update({next(iter(o)): [1, 2, 3]})),
+                              "positive int t"),
     "m_an_int": (_first_moment(lambda st: st.update(m=3)), "positive int t"),
     "v_int64": (_first_moment(lambda st: st.update(v=st["v"].astype(np.int64))),
                   "positive int t"),
@@ -515,7 +606,7 @@ class TestMalformedCheckpoints:
         payload["best_params"].pop(next(iter(payload["best_params"])))
         pipe = instantiate_task(parse_task_config(
             open(trained_doc.cfg_path, encoding="utf-8").read()))
-        pipe.settings.epochs = payload["epoch"] + 3
+        pipe.settings.epochs = len(payload["history"]) + 2
 
         def no_training(epoch):
             raise AssertionError("epoch %d started before best_params were checked" % epoch)
