@@ -5,10 +5,10 @@ example, while every op that has a graph opcode reports itself through
 ops.trace_hook; a model stage is described once, by its forward. The tracer
 turns the reports into graph ops: each parameter becomes the const named by
 its path in the model, and the batch's id arrays become lookup ops over the
-raw string inputs with their vocab tables attached, so the artifact consumes
-raw text with no training code in sight. The interpreter reuses the eager
-kernels, which is what makes exported predictions match eager ones bit for
-bit; verify_equivalence checks that.
+raw string inputs with the pipeline's own Vocabularies attached, so the
+artifact consumes raw text with no training code in sight. The interpreter
+reuses the eager kernels, which is what makes exported predictions match
+eager ones bit for bit; verify_equivalence checks that.
 """
 
 from dataclasses import dataclass
@@ -51,7 +51,7 @@ class _Tracer:
             return self.slots[key][1]
         if key in self.lookups:
             opcode, raw, table = self.lookups[key]
-            self.graph.vocab_tables[table] = list(getattr(self.vocabs, table).entries)
+            self.graph.vocabs[table] = getattr(self.vocabs, table)
             if raw not in self.graph.inputs:
                 self.graph.inputs.append(raw)
             return self.emit(opcode, value, (raw,), {"vocab": table})
@@ -90,7 +90,7 @@ def export_model(model: SingleTaskModel, featurizer_settings, labels, task,
         "lowercase": bool(featurizer_settings.lowercase),
         "max_chars": int(featurizer_settings.max_chars),
     }
-    graph = StaticGraph(attrs, consts={}, vocab_tables={}, ops=[], inputs=[],
+    graph = StaticGraph(attrs, consts={}, vocabs={}, ops=[], inputs=[],
                         outputs=["pred", "scores"])
     feats = featurize(TRACE_TEXT, lowercase=attrs["lowercase"])
     batch = single_example_batch(feats, vocabs, attrs["max_chars"])

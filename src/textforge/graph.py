@@ -6,12 +6,12 @@ same forward kernels as eager mode, minus tape bookkeeping, lifted to a
 batch of one, so exported outputs match eager outputs bit for bit.
 
 Each op reads named slots and writes the one slot named by its output. One
-opcode table, OPS, gives each op's arity, attrs and run function;
-validate_graph and Executor both read it, so a new op is one row here plus
-the ops function that reports it to the exporter's tracer.
+opcode table, OPS, gives each op's arity, attrs, weight ranks and run
+function; validate_graph and Executor both read it, so a new op is one row
+here plus the ops function that reports it to the exporter's tracer.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Optional
@@ -42,12 +42,10 @@ class GraphOp:
 class StaticGraph:
     attrs: dict            # graph-level: featurizer settings, task, label names
     consts: dict           # slot name -> ndarray payload
-    vocab_tables: dict     # vocab name -> entry list (token/char/gaz/cap)
+    vocabs: dict           # vocab name (token/char/gaz/cap) -> Vocabulary
     ops: list
     inputs: list
     outputs: list
-    # vocab name -> the Vocabulary over its table, kept by validate_graph
-    vocabs: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 # --- the opcode table: what each op reads, which attrs it needs, how it runs ---
@@ -96,28 +94,33 @@ class OpSpec:
 
     arity is the exact input count, or None for one or more inputs. attrs maps
     each op attr to its type; an op carries exactly these attrs. graph_attrs
-    names the graph attrs the op also runs with. run takes the op attr
-    values, then the graph attr values, in table order, then the input
-    values, and returns the op's one output. It looks kernels up on the
-    kernels module at call time.
+    names the graph attrs the op also runs with. weights gives, per input
+    position, the rank of the const that may fill it, or None where the op
+    reads a computed value; a const fills only a weight position. run takes
+    the op attr values, then the graph attr values, in table order, then the
+    input values, and returns the op's one output. It looks kernels up on
+    the kernels module at call time.
     """
     arity: Optional[int]
     run: Callable
     attrs: dict = field(default_factory=dict)
     graph_attrs: tuple = ()
+    weights: tuple = ()
 
 
 OPS = {
     "LookupTokens": OpSpec(1, _lookup_tokens, {"vocab": str}),
     "LookupChars": OpSpec(1, _lookup_chars, {"vocab": str}, ("max_chars",)),
-    "EmbedGather": OpSpec(2, lambda ids, table: kernels.embed_gather(ids, table)),
-    "MatMulAdd": OpSpec(3, _matmul_add),
+    "EmbedGather": OpSpec(2, lambda ids, table: kernels.embed_gather(ids, table),
+                          weights=(None, 2)),
+    "MatMulAdd": OpSpec(3, _matmul_add, weights=(None, 2, 1)),
     "Relu": OpSpec(1, lambda x: kernels.relu(x)),
-    "Conv1DMaxPool": OpSpec(2, _conv_maxpool),
-    "LSTMSeq": OpSpec(4, _lstm_seq, {"reverse": bool}),
+    "Conv1DMaxPool": OpSpec(2, _conv_maxpool, weights=(None, 3)),
+    "LSTMSeq": OpSpec(4, _lstm_seq, {"reverse": bool}, weights=(None, 2, 2, 1)),
     "Concat": OpSpec(None, lambda *parts: np.concatenate(parts, axis=-1)),
-    "SelfAttention": OpSpec(3, _self_attention),
-    "Highway": OpSpec(5, lambda *args: kernels.highway(*args)[0]),
+    "SelfAttention": OpSpec(3, _self_attention, weights=(None, 2, 1)),
+    "Highway": OpSpec(5, lambda *args: kernels.highway(*args)[0],
+                      weights=(None, 2, 1, 2, 1)),
     "Softmax": OpSpec(1, lambda x: kernels.softmax(x, axis=-1)),
     "ArgMax": OpSpec(1, lambda x: kernels.argmax_last(x)),
 }
@@ -152,31 +155,36 @@ def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
         if not isinstance(op.attrs[name], kind):
             raise CorruptGraph("op %s needs attr %r of type %s"
                                % (op.opcode, name, kind.__name__))
-    if "vocab" in op.attrs and op.attrs["vocab"] not in graph.vocab_tables:
+    if "vocab" in op.attrs and op.attrs["vocab"] not in graph.vocabs:
         raise CorruptGraph("op %s needs vocab table %r" % (op.opcode, op.attrs["vocab"]))
+    for slot, rank in zip(op.inputs, spec.weights or (None,) * n):
+        if slot in graph.consts and graph.consts[slot].ndim != rank:
+            raise CorruptGraph("op %s reads const %r of rank %d where it takes %s"
+                               % (op.opcode, slot, graph.consts[slot].ndim,
+                                  "a computed value" if rank is None else "rank %d" % rank))
+
+
+def _reject_unknown(what, mapping, known) -> None:
+    stray = sorted(set(mapping) - set(known))
+    if stray:
+        raise CorruptGraph("%s: unknown keys %s" % (what, stray))
 
 
 def validate_graph(graph: StaticGraph) -> None:
-    """Topology, naming, per-op and output checks; raises CorruptGraph on any
-    violation. The Vocabularies that check the tables are kept in graph.vocabs
-    for the Executor."""
-    for what in ("attrs", "consts", "vocab_tables"):
+    """Topology, naming, per-op, const-rank and output checks; raises
+    CorruptGraph on any violation and changes nothing. Vocabulary tables are
+    checked where deserialize reads them, by Vocabulary.from_table."""
+    for what in ("attrs", "consts", "vocabs"):
         if not isinstance(getattr(graph, what), dict):
             raise CorruptGraph("graph %s are not a mapping" % what)
     for name, well_formed in GRAPH_ATTRS.items():
         if name not in graph.attrs or not well_formed(graph.attrs[name]):
             raise CorruptGraph("graph attr %r is missing or malformed" % name)
+    _reject_unknown("graph attrs", graph.attrs, GRAPH_ATTRS)
     for what in ("inputs", "outputs"):
         names = getattr(graph, what)
         if not (isinstance(names, list) and all_str(names)):
             raise CorruptGraph("graph %s are not a list of slot names" % what)
-    vocabs = {name: Vocabulary.from_table(entries)
-              for name, entries in graph.vocab_tables.items()}
-    for name, vocab in vocabs.items():
-        if vocab is None:
-            raise CorruptGraph("vocab table %r is not a list of unique strings starting "
-                               "with %s, %s" % (name, Vocabulary.PAD, Vocabulary.UNK))
-    graph.vocabs = vocabs
     for name, value in graph.consts.items():
         # the exporter writes every weight as a float32 array
         if not (isinstance(value, np.ndarray) and value.dtype == F32):
@@ -215,7 +223,7 @@ def serialize(graph: StaticGraph) -> bytes:
     payload = {
         "attrs": graph.attrs,
         "consts": graph.consts,
-        "vocabs": graph.vocab_tables,
+        "vocabs": {name: vocab.entries for name, vocab in graph.vocabs.items()},
         "ops": [{"opcode": op.opcode, "inputs": list(op.inputs),
                  "output": op.output, "attrs": op.attrs}
                 for op in graph.ops],
@@ -223,6 +231,18 @@ def serialize(graph: StaticGraph) -> bytes:
         "outputs": list(graph.outputs),
     }
     return binio.pack_container(GRAPH_MAGIC, GRAPH_VERSION, payload)
+
+
+def _read_vocabs(tables) -> dict:
+    """The Vocabulary over each stored table, which from_table checks."""
+    if not isinstance(tables, dict):
+        raise CorruptGraph("graph vocabs are not a mapping")
+    vocabs = {name: Vocabulary.from_table(entries) for name, entries in tables.items()}
+    for name, vocab in vocabs.items():
+        if vocab is None:
+            raise CorruptGraph("vocab table %r is not a list of unique strings starting "
+                               "with %s, %s" % (name, Vocabulary.PAD, Vocabulary.UNK))
+    return vocabs
 
 
 def deserialize(data: bytes) -> StaticGraph:
@@ -236,13 +256,19 @@ def deserialize(data: bytes) -> StaticGraph:
         graph = StaticGraph(
             attrs=payload["attrs"],
             consts=payload["consts"],
-            vocab_tables=payload["vocabs"],
+            vocabs=_read_vocabs(payload["vocabs"]),
             ops=ops,
             inputs=payload["inputs"],
             outputs=payload["outputs"],
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise CorruptGraph("malformed graph payload: %s" % exc)
+    # the payload and each op read above are mappings, keyed as the fields of
+    # StaticGraph and GraphOp; a key nothing reads is rejected, not dropped
+    _reject_unknown("graph payload", payload, [f.name for f in fields(StaticGraph)])
+    op_keys = [f.name for f in fields(GraphOp)]
+    for o in payload["ops"]:
+        _reject_unknown("op %s" % (o["opcode"],), o, op_keys)
     validate_graph(graph)
     return graph
 
@@ -260,9 +286,10 @@ class Executor:
     """Precompiled interpreter for one graph; safe for repeated run calls.
 
     Each op becomes a step with its run function, attrs and input fetcher
-    bound at compile time. A run seeds a dict of live values with the feed
-    and the consts, which validate_graph keeps apart, and loops over the
-    steps. No tape, no gradient buffers; scratch values die with the call.
+    bound at compile time; a lookup binds the graph's own Vocabulary. A run
+    seeds a dict of live values with the feed and graph.consts, which
+    validate_graph keeps apart, and loops over the steps. No tape, no
+    gradient buffers; scratch values die with the call.
 
     The graph must already be valid. Executor does not validate it again:
     deserialize and export_model validate every graph the program reads or
@@ -271,17 +298,11 @@ class Executor:
 
     def __init__(self, graph: StaticGraph):
         self.graph = graph
-        self._consts = dict(graph.consts)
-        # the Vocabularies validation built, unless a table was replaced since
-        kept = graph.vocabs
-        self._vocabs = {name: kept[name] if name in kept and kept[name].entries is entries
-                        else Vocabulary(entries)
-                        for name, entries in graph.vocab_tables.items()}
         self._steps = [self._compile(op) for op in graph.ops]
 
     def _compile(self, op: GraphOp):
         spec = OPS[op.opcode]
-        args = [self._vocabs[op.attrs[name]] if name == "vocab" else op.attrs[name]
+        args = [self.graph.vocabs[op.attrs[name]] if name == "vocab" else op.attrs[name]
                 for name in spec.attrs]
         args += [self.graph.attrs[name] for name in spec.graph_attrs]
         fn = partial(spec.run, *args) if args else spec.run
@@ -307,7 +328,7 @@ class Executor:
         return step
 
     def run_feed(self, feed: dict) -> dict:
-        env = {**feed, **self._consts}
+        env = {**feed, **self.graph.consts}
         for step in self._steps:
             step(env)
         return {name: env[name] for name in self.graph.outputs}

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ShapeMismatch
-from .tensor import TapeNode, Tensor
+from .tensor import Tensor
 
 F32 = np.float32
 
@@ -35,7 +35,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         x2 = x.data.reshape(-1, k)
         return (g2 @ w.data.T).reshape(x.data.shape), x2.T @ g2, g2.sum(axis=0)
 
-    return _report("MatMulAdd", Tensor(out_data, TapeNode((x, w, b), backward)), (x, w, b))
+    return _report("MatMulAdd", Tensor(out_data, (x, w, b), backward), (x, w, b))
 
 
 def _binary(a, b, fwd, da, db):
@@ -46,7 +46,7 @@ def _binary(a, b, fwd, da, db):
     def backward(g):
         return da(g, a.data, b.data), db(g, a.data, b.data)
 
-    return Tensor(out_data, TapeNode((a, b), backward))
+    return Tensor(out_data, (a, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -67,7 +67,7 @@ def tanh(x: Tensor) -> Tensor:
     def backward(g):
         return (g * (1 - out_data * out_data),)
 
-    return Tensor(out_data, TapeNode((x,), backward))
+    return Tensor(out_data, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -76,7 +76,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def backward(g):
         return (g * out_data * (1 - out_data),)
 
-    return Tensor(out_data, TapeNode((x,), backward))
+    return Tensor(out_data, (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -85,7 +85,7 @@ def relu(x: Tensor) -> Tensor:
     def backward(g):
         return (g * (x.data > 0),)
 
-    return _report("Relu", Tensor(out_data, TapeNode((x,), backward)), (x,))
+    return _report("Relu", Tensor(out_data, (x,), backward), (x,))
 
 
 def mul_scalar(x: Tensor, s: float) -> Tensor:
@@ -95,7 +95,7 @@ def mul_scalar(x: Tensor, s: float) -> Tensor:
     def backward(g):
         return (g * s,)
 
-    return Tensor(out_data, TapeNode((x,), backward))
+    return Tensor(out_data, (x,), backward)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -104,7 +104,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     def backward(g):
         return (g.reshape(x.data.shape),)
 
-    return _report("Reshape", Tensor(out_data, TapeNode((x,), backward)), (x,))
+    return _report("Reshape", Tensor(out_data, (x,), backward), (x,))
 
 
 def concat(tensors) -> Tensor:
@@ -121,7 +121,7 @@ def concat(tensors) -> Tensor:
         splits = np.cumsum(sizes)[:-1]
         return tuple(np.split(g, splits, axis=-1))
 
-    return _report("Concat", Tensor(out_data, TapeNode(tuple(tensors), backward)), tensors)
+    return _report("Concat", Tensor(out_data, tuple(tensors), backward), tensors)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -134,7 +134,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         np.add.at(dtable, ids.reshape(-1), g.reshape(-1, table.shape[1]))
         return (dtable,)
 
-    return _report("EmbedGather", Tensor(out_data, TapeNode((table,), backward)), (ids, table))
+    return _report("EmbedGather", Tensor(out_data, (table,), backward), (ids, table))
 
 
 def conv1d_maxpool(x: Tensor, filters: Tensor, mask) -> Tensor:
@@ -144,7 +144,7 @@ def conv1d_maxpool(x: Tensor, filters: Tensor, mask) -> Tensor:
     def backward(g):
         return kernels.conv_maxpool_backward(cache, g)
 
-    return _report("Conv1DMaxPool", Tensor(out_data, TapeNode((x, filters), backward)),
+    return _report("Conv1DMaxPool", Tensor(out_data, (x, filters), backward),
                    (x, filters), mask)
 
 
@@ -156,7 +156,7 @@ def lstm_seq(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor, mask, reverse=
     def backward(g):
         return kernels.lstm_seq_backward(cache, g)
 
-    return _report("LSTMSeq", Tensor(out_data, TapeNode((x, w_ih, w_hh, bias), backward)),
+    return _report("LSTMSeq", Tensor(out_data, (x, w_ih, w_hh, bias), backward),
                    (x, w_ih, w_hh, bias), mask, reverse=reverse)
 
 
@@ -167,7 +167,7 @@ def self_attention(h: Tensor, w1: Tensor, w2: Tensor, mask) -> Tensor:
     def backward(g):
         return kernels.self_attention_backward(cache, g)
 
-    return _report("SelfAttention", Tensor(out_data, TapeNode((h, w1, w2), backward)),
+    return _report("SelfAttention", Tensor(out_data, (h, w1, w2), backward),
                    (h, w1, w2), mask)
 
 
@@ -179,7 +179,7 @@ def highway(x: Tensor, w_t: Tensor, b_t: Tensor, w_g: Tensor, b_g: Tensor) -> Te
     def backward(g):
         return kernels.highway_backward(cache, g)
 
-    return _report("Highway", Tensor(out_data, TapeNode(parents, backward)), parents)
+    return _report("Highway", Tensor(out_data, parents, backward), parents)
 
 
 def softmax(x: Tensor) -> np.ndarray:
@@ -200,7 +200,7 @@ def softmax_cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     def backward(g):
         return (kernels.softmax_cross_entropy_backward(cache, g),)
 
-    return Tensor(loss, TapeNode((logits,), backward))
+    return Tensor(loss, (logits,), backward)
 
 
 def finite_diff_check(f, x: Tensor, eps: float = 1e-3) -> float:

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import components, data_handler, metrics, ops
-from .data_handler import (FORMAT_DOC, FORMAT_JOINT, FORMAT_WORD, VOCAB_NAMES, Dataset,
-                           VocabBundle, batch_examples, interleave_multitask, make_batches,
+from .data_handler import (FORMAT_DOC, FORMAT_JOINT, FORMAT_WORD, Dataset, VocabBundle,
+                           batch_examples, interleave_multitask, make_batches,
                            single_example_batch)
 from .errors import EmptySplit, SchemaViolation
 from .featurizer import Featurizer, FeaturizerSettings
 from .model_zoo import load_params
-from .registry import TaskConfig, parse_task_config, serialize_task_config
+from .registry import ComponentConfig, parse_task_config, serialize_task_config
 from .trainer import Checkpoint, derive_rng, seed_sequence
 
 
@@ -37,11 +37,11 @@ class Settings:
 
 
 class Pipeline:
-    def __init__(self, config: TaskConfig, featurizer: Featurizer, vocabs: VocabBundle,
+    def __init__(self, config: ComponentConfig, featurizer: Featurizer, vocabs: VocabBundle,
                  doc_labels, word_tags, model, optimizer, settings: Settings, datasets=None):
         self.config = config
         self.config_text = serialize_task_config(config)
-        self.task = config.task_kind
+        self.task = config.name
         self.featurizer = featurizer
         self.vocabs = vocabs
         self.doc_labels = doc_labels or []
@@ -54,7 +54,7 @@ class Pipeline:
         self.datasets = datasets
         self._vectors = None  # "train"/"eval" -> one padded Batch per source
         # width of the char-id block in its batches; 0 when the model embeds no chars
-        embeds_chars = config.root.child("model").child("embedding").params["char_dim"]
+        embeds_chars = config.child("model").child("embedding").params["char_dim"]
         self.char_width = self.max_chars if embeds_chars else 0
 
     @property
@@ -162,16 +162,6 @@ class Pipeline:
     def _json(self, task, out) -> dict:
         return prediction_json(task, self.labels(task), out.preds[0], out.scores[0])
 
-    # -- persistence ------------------------------------------------------------
-
-    def snapshot_meta(self):
-        return {
-            "config": self.config_text,
-            "vocabs": {name: list(getattr(self.vocabs, name).entries)
-                       for name in VOCAB_NAMES},
-            "labels": {"doc": list(self.doc_labels), "word": list(self.word_tags)},
-        }
-
 
 def prediction_json(task, labels, pred, scores) -> dict:
     """The prediction JSON for one example from a head's pred and scores.
@@ -213,15 +203,15 @@ def _build_featurizer(cfg) -> Featurizer:
     return Featurizer(settings)
 
 
-def _load_data(config: TaskConfig):
+def _load_data(config: ComponentConfig):
     """Load every split as a list of sources: two for joint, one otherwise.
 
     Vocabularies and labels come from the union of the train sources (for a
     single task, the train set itself). Returns (vocabs, doc_labels,
     word_tags, datasets); a task has no labels of the kind it does not use.
     """
-    task = config.task_kind
-    data_cfg = config.root.child("data")
+    task = config.name
+    data_cfg = config.child("data")
     p = data_cfg.params
     if task == components.JOINT_TASK:
         if data_cfg.name != "tsv_pair":
@@ -239,7 +229,7 @@ def _load_data(config: TaskConfig):
         paths = {"train": [p["train_path"]], "eval": [p["eval_path"]],
                  "test": [p["test_path"]] if p["test_path"] else []}
 
-    fz = _build_featurizer(config.root.child("featurizer"))
+    fz = _build_featurizer(config.child("featurizer"))
     datasets = {split: [data_handler.load_tsv(path, fmt, fz, split) for path in sources]
                 for split, sources in paths.items()}
     union = Dataset([ex for ds in datasets["train"] for ex in ds.examples], "train")
@@ -254,7 +244,7 @@ def _load_data(config: TaskConfig):
     return vocabs, doc_labels, word_tags, datasets
 
 
-def _assemble(config: TaskConfig, vocabs: VocabBundle, doc_labels, word_tags,
+def _assemble(config: ComponentConfig, vocabs: VocabBundle, doc_labels, word_tags,
               datasets=None) -> Pipeline:
     """The pipeline for a config and its vocabularies and labels.
 
@@ -262,23 +252,22 @@ def _assemble(config: TaskConfig, vocabs: VocabBundle, doc_labels, word_tags,
     the settings and the optimizer; both instantiate_task and
     restore_pipeline end here.
     """
-    root = config.root
-    tparams = root.child("trainer").params
-    fz = _build_featurizer(root.child("featurizer"))
-    model = components.build_model(root.child("model"), config.task_kind, vocabs,
+    tparams = config.child("trainer").params
+    fz = _build_featurizer(config.child("featurizer"))
+    model = components.build_model(config.child("model"), config.name, vocabs,
                                    doc_labels, word_tags, derive_rng(tparams["seed"], 0))
     settings = Settings(epochs=tparams["epochs"], patience=tparams["patience"],
-                        seed=tparams["seed"], batch_size=root.child("data").params["batch_size"])
-    optimizer = components.build_optimizer(root.child("optimizer"), model.named_parameters())
+                        seed=tparams["seed"], batch_size=config.child("data").params["batch_size"])
+    optimizer = components.build_optimizer(config.child("optimizer"), model.named_parameters())
     return Pipeline(config, fz, vocabs, doc_labels, word_tags, model, optimizer,
                     settings, datasets)
 
 
-def instantiate_task(config: TaskConfig, seed_override: Optional[int] = None) -> Pipeline:
+def instantiate_task(config: ComponentConfig, seed_override: Optional[int] = None) -> Pipeline:
     """Construct the full pipeline for a config, loading and featurizing data;
     ids are looked up when training first asks for batches."""
     if seed_override is not None:
-        config.root.child("trainer").params["seed"] = int(seed_override)
+        config.child("trainer").params["seed"] = int(seed_override)
     vocabs, doc_labels, word_tags, datasets = _load_data(config)
     return _assemble(config, vocabs, doc_labels, word_tags, datasets)
 

@@ -111,15 +111,6 @@ class ComponentConfig:
         return self.params[field_name]
 
 
-@dataclass
-class TaskConfig:
-    root: ComponentConfig
-
-    @property
-    def task_kind(self):
-        return self.root.name
-
-
 def _type_error(path, expected, value):
     return SchemaViolation("%s: expected %s, got %r" % (path, expected, value))
 
@@ -210,8 +201,9 @@ def _resolve_component(registry, kind, raw, path):
     return ComponentConfig(kind, name, resolved)
 
 
-def parse_task_config(text: str, registry: Registry = None) -> TaskConfig:
-    """Parse and validate a JSON task config document."""
+def parse_task_config(text: str, registry: Registry = None) -> ComponentConfig:
+    """Parse and validate a JSON task config document into the task's
+    ComponentConfig, whose name is the task kind."""
     registry = registry or GLOBAL
     if not text or not text.strip():
         raise MalformedDocument("empty config document")
@@ -221,8 +213,7 @@ def parse_task_config(text: str, registry: Registry = None) -> TaskConfig:
         raise MalformedDocument("config is not valid JSON: %s" % exc)
     if not isinstance(doc, dict) or set(doc) != {"task"}:
         raise MalformedDocument("config root must be an object with the single key \"task\"")
-    root = _resolve_component(registry, "task", doc["task"], "task")
-    return TaskConfig(root)
+    return _resolve_component(registry, "task", doc["task"], "task")
 
 
 def _component_to_raw(cfg: ComponentConfig):
@@ -232,7 +223,7 @@ def _component_to_raw(cfg: ComponentConfig):
     return {cfg.name: params}
 
 
-def serialize_task_config(config: TaskConfig) -> str:
-    """Canonical JSON for a TaskConfig; parse(serialize(c)) == c."""
-    doc = {"task": _component_to_raw(config.root)}
+def serialize_task_config(config: ComponentConfig) -> str:
+    """Canonical JSON for a task's ComponentConfig; parse(serialize(c)) == c."""
+    doc = {"task": _component_to_raw(config)}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation over dense float32 arrays.
 
-Every operation records a tape node holding its parents and a backward
-closure. backward() on a scalar walks the tape in reverse topological order,
-computes this pass's gradients in a scratch map, then adds them into each
-tensor's .grad. Gradients therefore accumulate across backward calls until
-the caller zeroes them; tensors that never appear on the tape keep their
-.grad untouched.
+Every operation's output Tensor holds its parents and a backward closure;
+a leaf holds no parents and no closure. backward() on a scalar walks the
+tape in reverse topological order, computes this pass's gradients in a
+scratch map, then adds them into each tensor's .grad. Gradients therefore
+accumulate across backward calls until the caller zeroes them; tensors
+that never appear on the tape keep their .grad untouched.
 """
 
 import numpy as np
@@ -13,21 +13,14 @@ import numpy as np
 from .errors import NotScalar
 
 
-class TapeNode:
-    __slots__ = ("parents", "backward_fn")
-
-    def __init__(self, parents, backward_fn):
-        self.parents = parents
-        self.backward_fn = backward_fn
-
-
 class Tensor:
-    __slots__ = ("data", "grad", "tape_node")
+    __slots__ = ("data", "grad", "parents", "backward_fn")
 
-    def __init__(self, data, tape_node=None):
+    def __init__(self, data, parents=(), backward_fn=None):
         self.data = np.asarray(data, dtype=np.float32)
         self.grad = None
-        self.tape_node = tape_node
+        self.parents = parents
+        self.backward_fn = backward_fn
 
     @property
     def shape(self):
@@ -48,19 +41,18 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            if node.tape_node is not None:
-                for parent in node.tape_node.parents:
-                    if id(parent) not in seen:
-                        stack.append((parent, False))
+            for parent in node.parents:
+                if id(parent) not in seen:
+                    stack.append((parent, False))
 
         local = {id(self): np.ones_like(self.data)}
         by_id = {id(self): self}
         for node in reversed(topo):
             grad = local.get(id(node))
-            if grad is None or node.tape_node is None:
+            if grad is None or node.backward_fn is None:
                 continue
-            parent_grads = node.tape_node.backward_fn(grad)
-            for parent, pgrad in zip(node.tape_node.parents, parent_grads):
+            parent_grads = node.backward_fn(grad)
+            for parent, pgrad in zip(node.parents, parent_grads):
                 if pgrad is None:
                     continue
                 pid = id(parent)

@@ -229,12 +229,11 @@ def train(pipe, ckpt_path: str = "", resume: Optional[dict] = None, echo=None) -
 
 
 def checkpoint_payload(pipe, history, best_params) -> dict:
-    meta = pipe.snapshot_meta()
     return {
-        "config": meta["config"],
+        "config": pipe.config_text,
         "history": [asdict(rec) for rec in history],
-        "vocabs": meta["vocabs"],
-        "labels": meta["labels"],
+        "vocabs": {name: getattr(pipe.vocabs, name).entries for name in VOCAB_NAMES},
+        "labels": {"doc": pipe.doc_labels, "word": pipe.word_tags},
         "params": _snapshot_params(pipe.model),
         "best_params": best_params,
         "optimizer": pipe.optimizer.state_payload(),

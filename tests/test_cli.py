@@ -22,6 +22,7 @@ from textforge.pipeline import restore_pipeline
 from textforge.registry import parse_task_config, serialize_task_config
 from textforge.tensor import Tensor
 from textforge.trainer import load_checkpoint
+from textforge.vocab import Vocabulary
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(textforge.__file__)))
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -474,13 +475,28 @@ class TestPredict:
         assert proc.returncode == 1, proc.stderr
         assert "is also a const" in proc.stderr
 
+    @pytest.mark.parametrize("name,rank", [
+        ("embedding.word.table", 1), ("representation.conv1", 1),
+        ("representation.conv2", 0), ("decoder.w0", 0),
+    ])
+    def test_const_of_the_wrong_rank_is_an_input_error(self, doc_graph, tmp_path, name, rank):
+        # the graph is refused at load; its first request would fail in a kernel
+        g = load_graph(doc_graph)
+        flat = g.consts[name].reshape(-1)
+        g.consts[name] = flat if rank == 1 else flat[:1].reshape(())
+        bad = str(tmp_path / "misranked.graph")
+        save_graph(g, bad)
+        proc = run_cli("predict", "--graph", bad, stdin="hello\n")
+        assert proc.returncode == 1, proc.stderr
+        assert "reads const %r of rank %d" % (name, rank) in proc.stderr
+
     def test_unbaked_graph_rejects_text(self, doc_run, doc_graph, tmp_path):
         # an integer-id-input graph, as older exports could write: no lookups
         g = load_graph(doc_graph)
         lookups = [op for op in g.ops if op.opcode.startswith("Lookup")]
         g.ops = [op for op in g.ops if op not in lookups]
         g.inputs = [op.output for op in lookups]
-        g.vocab_tables = {}
+        g.vocabs = {}
         path = str(tmp_path / "ids.graph")
         save_graph(g, path)
         for cmd in (("predict", "--graph", path),
@@ -498,7 +514,7 @@ class TestPredict:
         g = load_graph(doc_graph)
         if opcode == "LookupChars":
             # the doc model reads no chars; this lookup runs but nothing reads it
-            g.vocab_tables["char"] = ["<pad>", "<unk>", "a"]
+            g.vocabs["char"] = Vocabulary(["a"])
             g.ops.insert(0, GraphOp("LookupChars", ("tokens",), "char_ids", attrs))
         else:
             (op,) = [op for op in g.ops if op.opcode == opcode]

@@ -58,7 +58,7 @@ class TestLoweringShape:
         graph = export_pipeline(pipe)
         assert graph.inputs == ["tokens"]
         assert graph.ops[0].opcode == "LookupTokens"
-        assert graph.vocab_tables["token"][:2] == ["<pad>", "<unk>"]
+        assert graph.vocabs["token"] is pipe.vocabs.token
 
     def test_attrs_carry_task_and_labels(self, tmp_path):
         pipe = make_pipe(tmp_path)
@@ -348,6 +348,16 @@ class TestEquivalence:
         out = model.forward(batch, compute_loss=False)
         assert np.array_equal(out.scores[0], res["scores"])
         assert np.array_equal(out.preds[0], res["pred"])
+
+    def test_a_graph_of_another_label_count_disagrees(self, tmp_path):
+        pipe = make_pipe(tmp_path)
+        (tmp_path / "few").mkdir()
+        few = instantiate_task(parse_task_config(json.dumps(
+            corpora.doc_config(str(tmp_path / "few"), n_train=2, n_eval=2))))
+        assert len(few.doc_labels) < len(pipe.doc_labels)
+        report = verify_equivalence(pipe, export_pipeline(few), n_samples=3)
+        assert not report.argmax_agree
+        assert report.max_abs_dev == float("inf")
 
     def test_sample_count_required(self, tmp_path):
         pipe = make_pipe(tmp_path)

@@ -334,7 +334,7 @@ def test_char_ids_agree_in_training_eager_and_graph(tmp_path, monkeypatch):
     pipe.evaluate()
     graph = export_pipeline(pipe)
     (op,) = [op for op in graph.ops if op.opcode == "LookupChars"]
-    vocab = Vocabulary(graph.vocab_tables[op.attrs["vocab"]])
+    vocab = graph.vocabs[op.attrs["vocab"]]
 
     def graph_rows(text):
         tokens = graph_module.prepare_feed(graph, text)["tokens"]

@@ -32,7 +32,7 @@ def linear_graph():
     return StaticGraph(
         attrs=dict(ATTRS),
         consts={"w": w, "b": b},
-        vocab_tables={},
+        vocabs={},
         ops=[
             GraphOp("MatMulAdd", ("x", "w", "b"), "logits"),
             GraphOp("Softmax", ("logits",), "scores"),
@@ -41,6 +41,9 @@ def linear_graph():
         inputs=["x"],
         outputs=["pred", "scores"],
     )
+
+
+TOKEN_TABLE = ["<pad>", "<unk>", "go", "home"]
 
 
 def baked_graph():
@@ -54,7 +57,7 @@ def baked_graph():
     return StaticGraph(
         attrs=dict(ATTRS),
         consts={"table": table, "filt": filt, "w": w, "b": b},
-        vocab_tables={"token": ["<pad>", "<unk>", "go", "home"]},
+        vocabs={"token": Vocabulary(TOKEN_TABLE)},
         ops=[
             GraphOp("LookupTokens", ("tokens",), "token_ids", {"vocab": "token"}),
             GraphOp("EmbedGather", ("token_ids", "table"), "emb"),
@@ -81,7 +84,7 @@ def malformed_lstm_without_reverse():
               "bias": np.zeros(8, dtype=F32)}
     return StaticGraph(
         attrs=dict(ATTRS),
-        consts=consts, vocab_tables={},
+        consts=consts, vocabs={},
         ops=[GraphOp("LSTMSeq", ("x", "w_ih", "w_hh", "bias"), "h")],
         inputs=["x"], outputs=["h"],
     )
@@ -90,7 +93,7 @@ def malformed_lstm_without_reverse():
 def with_spare_char_lookup(**stray_attrs):
     """baked_graph() plus a char lookup whose output nothing reads."""
     g = baked_graph()
-    g.vocab_tables["char"] = ["<pad>", "<unk>", "g", "o"]
+    g.vocabs["char"] = Vocabulary(["g", "o"])
     g.ops.insert(1, GraphOp("LookupChars", ("tokens",), "char_ids",
                             {"vocab": "char", **stray_attrs}))
     return g
@@ -217,35 +220,6 @@ def malformed_consts_a_list():
     return g
 
 
-def malformed_vocabs_a_list():
-    g = baked_graph()
-    g.vocab_tables = [g.vocab_tables["token"]]
-    return g
-
-
-def malformed_vocab_duplicate_entry():
-    g = baked_graph()
-    g.vocab_tables["token"] = ["<pad>", "<unk>", "go", "home", "go"]
-    return g
-
-
-def malformed_vocab_not_a_list():
-    g = baked_graph()
-    g.vocab_tables["token"] = "<pad> <unk> go home"
-    return g
-
-
-def malformed_vocab_non_string_entry():
-    g = baked_graph()
-    g.vocab_tables["token"] = ["<pad>", "<unk>", "go", 3]
-    return g
-
-
-def malformed_vocab_without_specials_first():
-    # a Vocabulary would put <pad>, <unk> in front and then see <pad> twice
-    g = baked_graph()
-    g.vocab_tables["token"] = ["go", "home", "<pad>"]
-    return g
 
 
 def malformed_const_an_int():
@@ -273,14 +247,46 @@ def malformed_input_is_a_const():
     return g
 
 
+def malformed_graph_attr_unknown():
+    g = linear_graph()
+    g.attrs["stray"] = 1
+    return g
+
+
+def reshaped_const(make, name, shape):
+    """make()'s graph with const name reshaped to shape."""
+    g = make()
+    g.consts[name] = g.consts[name].reshape(shape)
+    return g
+
+
+def malformed_embedding_table_rank_1():
+    return reshaped_const(baked_graph, "table", -1)
+
+
+def malformed_conv_filters_rank_2():
+    return reshaped_const(baked_graph, "filt", (2, -1))
+
+
+def malformed_matmul_weight_rank_1():
+    return reshaped_const(linear_graph, "w", -1)
+
+
+def malformed_const_read_as_a_computed_value():
+    g = linear_graph()
+    g.ops.append(GraphOp("Relu", ("b",), "t"))
+    return g
+
+
 def graph_blob(body: bytes) -> bytes:
     """A graph blob with a valid header and checksum around any body."""
     return GRAPH_MAGIC + struct.pack("<II", GRAPH_VERSION, zlib.crc32(body)) + body
 
 
-def payload_with(field, value):
-    """The payload of linear_graph() with one field replaced, re-encoded."""
-    payload = binio.decode(serialize(linear_graph())[12:])
+def payload_with(field, value, graph=None):
+    """The payload of graph (by default linear_graph()) with one field
+    replaced, re-encoded."""
+    payload = binio.decode(serialize(graph or linear_graph())[12:])
     payload[field] = value
     return graph_blob(binio.encode(payload))
 
@@ -304,6 +310,35 @@ def malformed_op_with_two_outputs():
 def malformed_op_in_the_format_3_shape():
     # format 3 listed each op's outputs; format 4 names its one output
     return with_relu_payload(outputs=["t1"])
+
+
+def malformed_op_with_an_unknown_key():
+    return with_relu_payload(output="t1", stray=1)
+
+
+def malformed_payload_with_an_unknown_key():
+    return payload_with("stray", 1)
+
+
+def malformed_vocabs_a_list():
+    return payload_with("vocabs", [TOKEN_TABLE], baked_graph())
+
+
+def malformed_vocab_duplicate_entry():
+    return payload_with("vocabs", {"token": TOKEN_TABLE + ["go"]}, baked_graph())
+
+
+def malformed_vocab_not_a_list():
+    return payload_with("vocabs", {"token": " ".join(TOKEN_TABLE)}, baked_graph())
+
+
+def malformed_vocab_non_string_entry():
+    return payload_with("vocabs", {"token": ["<pad>", "<unk>", "go", 3]}, baked_graph())
+
+
+def malformed_vocab_without_specials_first():
+    # a Vocabulary would put <pad>, <unk> in front and then see <pad> twice
+    return payload_with("vocabs", {"token": ["go", "home", "<pad>"]}, baked_graph())
 
 
 class TestSerialization:
@@ -397,7 +432,7 @@ class TestValidation:
 
     def test_lookup_requires_vocab_table(self):
         g = baked_graph()
-        g.vocab_tables = {}
+        g.vocabs = {}
         with pytest.raises(CorruptGraph):
             validate_graph(g)
 
@@ -409,6 +444,8 @@ class TestValidation:
         malformed_op_without_outputs,
         malformed_op_with_two_outputs,
         malformed_op_in_the_format_3_shape,
+        malformed_op_with_an_unknown_key,
+        malformed_payload_with_an_unknown_key,
         malformed_op_input_is_a_list,
         malformed_op_output_is_an_int,
         malformed_opcode_is_a_list,
@@ -435,6 +472,11 @@ class TestValidation:
         malformed_const_a_string,
         malformed_const_int64_array,
         malformed_input_is_a_const,
+        malformed_graph_attr_unknown,
+        malformed_embedding_table_rank_1,
+        malformed_conv_filters_rank_2,
+        malformed_matmul_weight_rank_1,
+        malformed_const_read_as_a_computed_value,
     ])
     def test_malformed_op_rejected_on_load(self, make):
         made = make()  # a graph, or the blob of a payload no graph can express
@@ -475,12 +517,14 @@ class TestValidation:
         monkeypatch.setattr(Vocabulary, "__init__",
                             lambda self, entries: indexed.append(entries) or init(self, entries))
         Executor(load_graph(path))
-        assert sorted(map(tuple, indexed)) == sorted(map(tuple, g.vocab_tables.values()))
+        assert sorted(map(tuple, indexed)) == sorted(tuple(vocab.entries)
+                                                     for vocab in g.vocabs.values())
 
     def test_executor_indexes_a_table_replaced_after_validation(self):
+        # the Executor runs the graph's own Vocabulary, whichever it holds
         g = baked_graph()
         validate_graph(g)
-        g.vocab_tables["token"] = ["<pad>", "<unk>", "home", "go"]
+        g.vocabs["token"] = Vocabulary(["home", "go"])
         swapped = run(Executor(g), "go home")
         assert swapped["scores"].tobytes() == run(Executor(baked_graph()),
                                                   "home go")["scores"].tobytes()
@@ -522,7 +566,7 @@ class TestExecutor:
         g = StaticGraph(
             attrs={},
             consts={"table": np.eye(3, dtype=F32)},
-            vocab_tables={},
+            vocabs={},
             ops=[GraphOp("EmbedGather", ("ids", "table"), "emb")],
             inputs=["ids"], outputs=["emb"],
         )
@@ -563,13 +607,11 @@ class TestExecutor:
 
 
 def cap_probe_graph():
-    entries = ["<pad>", "<unk>"] + list(CAP_CLASSES)
     return StaticGraph(
         attrs={"lowercase": True, "max_chars": 4},
         consts={},
-        vocab_tables={"token": ["<pad>", "<unk>", "go"],
-                      "cap": entries,
-                      "gaz": ["<pad>", "<unk>", GAZ_NONE]},
+        vocabs={"token": Vocabulary(["go"]), "cap": Vocabulary(CAP_CLASSES),
+                "gaz": Vocabulary([GAZ_NONE])},
         ops=[
             GraphOp("LookupTokens", ("tokens",), "tok_ids", {"vocab": "token"}),
             GraphOp("LookupTokens", ("cap_labels",), "cap_ids", {"vocab": "cap"}),

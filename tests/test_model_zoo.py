@@ -393,7 +393,7 @@ def build_joint(vocabs, seed=0, word_hidden=3):
             "word_representation": {"bilstm_tagger": {"hidden_dim": word_hidden}},
         }},
     }}})
-    model_cfg = parse_task_config(text).root.child("model")
+    model_cfg = parse_task_config(text).child("model")
     return components.build_model(model_cfg, components.JOINT_TASK, vocabs,
                                   ["a", "b", "c"], ["O", "S"], np.random.default_rng(seed))
 

@@ -610,7 +610,7 @@ class TestParameter:
         p = Parameter(src)
         src[0] = 5.0
         assert isinstance(p, Tensor)
-        assert p.tape_node is None and p.grad is None
+        assert p.parents == () and p.backward_fn is None and p.grad is None
         assert p.data.dtype == F32 and p.data.tolist() == [3.0]
         assert Parameter(np.array([1.5, 2.0])).data.dtype == F32
         assert not any(isinstance(v, property) for v in vars(Parameter).values())

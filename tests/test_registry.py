@@ -10,7 +10,7 @@ from textforge.errors import (DuplicateRegistration, MalformedDocument,
                               SchemaViolation, UnknownComponent)
 from textforge.pipeline import instantiate_task
 from textforge.registry import (BOOL, COMPONENT, FLOAT, INT, LIST_INT,
-                                STRING, Field, Registry, TaskConfig,
+                                STRING, ComponentConfig, Field, Registry,
                                 parse_task_config, serialize_task_config)
 
 
@@ -71,7 +71,7 @@ def demo_parse(params):
 class TestValidation:
     def test_defaults_resolve_recursively(self):
         cfg = demo_parse({})
-        opt = cfg.root.child("optimizer")
+        opt = cfg.child("optimizer")
         assert opt.name == "toy"
         assert opt.params == {"lr": 0.5, "steps": 3, "layers": [1, 2], "tag": "",
                               "verbose": False}
@@ -96,7 +96,7 @@ class TestValidation:
 
     def test_int_widens_to_float(self):
         cfg = demo_parse({"optimizer": {"toy": {"steps": 1, "lr": 1}}})
-        assert cfg.root.child("optimizer").params["lr"] == 1.0
+        assert cfg.child("optimizer").params["lr"] == 1.0
 
     def test_minimum_checked_per_item(self):
         assert demo_parse({"optimizer": {"toy": {"steps": 0}}}) is not None
@@ -128,7 +128,7 @@ class TestValidation:
         def parse(**fields):
             doc = {"task": {"demo": {"optimizer": {"toy": fields}}}}
             return parse_task_config(json.dumps(doc), reg)
-        edge = parse(rate=0.999, weight=0, widths=[3, 1]).root.child("optimizer").params
+        edge = parse(rate=0.999, weight=0, widths=[3, 1]).child("optimizer").params
         assert edge == {"rate": 0.999, "weight": 0.0, "widths": [3, 1]}
         with pytest.raises(SchemaViolation, match=error):
             parse(**params)
@@ -193,8 +193,8 @@ class TestRoundTrip:
 
     def test_task_kind_property(self):
         cfg = demo_parse({})
-        assert isinstance(cfg, TaskConfig)
-        assert cfg.task_kind == "demo"
+        assert isinstance(cfg, ComponentConfig)
+        assert cfg.name == "demo"
 
 
 class TestInstantiation:

@@ -3,18 +3,24 @@
 import json
 import os
 import struct
+import tempfile
 import zlib
 from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpora
+from test_exporter import model_configs
 from textforge import binio, cli, ops
 from textforge.data_handler import VOCAB_NAMES
 from textforge.errors import (CorruptFile, EmptySplit, IncompatibleShare, NoGradient,
                               NonFiniteLoss, VersionMismatch)
+from textforge.exporter import export_pipeline
+from textforge.graph import serialize
 from textforge.pipeline import instantiate_task, restore_pipeline
 from textforge.registry import parse_task_config
 from textforge.tensor import Parameter
@@ -613,3 +619,55 @@ class TestMalformedCheckpoints:
         pipe.train_batches = no_training
         with pytest.raises(IncompatibleShare):
             train(pipe, resume=payload)
+
+
+# --- a resumed run reproduces the uninterrupted run, over drawn configs ---
+
+def _interrupted_after(pipe, n_epochs):
+    """pipe, whose training is cut in the evaluation after n_epochs epochs."""
+    evaluate, calls = pipe.evaluate, []
+
+    def cut():
+        calls.append(1)
+        if len(calls) > n_epochs:
+            raise KeyboardInterrupt
+        return evaluate()
+    pipe.evaluate = cut
+    return pipe
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=model_configs(), optimizer=st.sampled_from(["sgd", "adam"]),
+       patience=st.integers(0, 2), epochs=st.integers(2, 3), seed=st.integers(0, 2 ** 16),
+       data=st.data())
+def test_a_resumed_run_reproduces_the_uninterrupted_run(model, optimizer, patience, epochs,
+                                                        seed, data):
+    kept = data.draw(st.integers(1, epochs - 1), label="epochs before the cut")
+    kind, model_section = model
+    build = {"doc": corpora.doc_config, "word": corpora.word_config,
+             "joint": corpora.joint_config}[kind]
+    with tempfile.TemporaryDirectory() as root:
+        cfg = build(root, n_train=12, n_eval=4, seed=seed, epochs=epochs, batch_size=4)
+        (task,) = cfg["task"].values()
+        task["model"] = model_section
+        task["optimizer"] = {optimizer: {"lr": 0.05}}
+        task["trainer"]["standard"]["patience"] = patience
+        text = json.dumps(cfg)
+        paths = {run: os.path.join(root, run + ".ckpt") for run in ("straight", "cut")}
+
+        straight = instantiate_task(parse_task_config(text))
+        want = train(straight, ckpt_path=paths["straight"])
+        try:
+            train(_interrupted_after(instantiate_task(parse_task_config(text)), kept),
+                  ckpt_path=paths["cut"])
+        except KeyboardInterrupt:
+            pass  # unless patience stopped the run first
+        resumed = instantiate_task(parse_task_config(text))
+        got = train(resumed, ckpt_path=paths["cut"], resume=load_checkpoint(paths["cut"]))
+        files = {run: open(path, "rb").read() for run, path in paths.items()}
+    assert got == want
+    assert files["cut"] == files["straight"]
+    graphs = [export_pipeline(pipe) for pipe in (straight, resumed)]
+    blobs = [{head: serialize(g) for head, g in (gs.items() if kind == "joint" else [("", gs)])}
+             for gs in graphs]
+    assert blobs[0] == blobs[1]
