@@ -39,14 +39,17 @@ _NESTED = "values nested more than %d deep" % MAX_DEPTH
 
 
 def _check_tree(value, depth=0):
-    """Raise TypeError on a dict key that is not a str or is the marker key,
-    RecursionError on lists and dicts nested more than MAX_DEPTH deep."""
+    """Raise TypeError on a dict key that is not a str or is the marker key
+    and on a tuple (it would decode as a list), RecursionError on lists and
+    dicts nested more than MAX_DEPTH deep."""
     if isinstance(value, dict):
         if not all_str(value) or _MARKER in value:
             raise TypeError("dict keys must be str other than %r" % _MARKER)
         items = value.values()
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, list):
         items = value
+    elif isinstance(value, tuple):
+        raise TypeError("cannot encode a tuple; it would decode as a list")
     else:
         return
     if depth == MAX_DEPTH:

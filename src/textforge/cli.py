@@ -12,7 +12,7 @@ import sys
 from . import bench
 from .data_handler import read_lines, text_lines
 from .errors import ExportMismatch, SchemaViolation, TextForgeError
-from .exporter import export_pipeline, verify_equivalence
+from .exporter import export_pipeline, sample_texts, verify_equivalence
 from .graph import Executor, load_graph, run, save_graph
 from .pipeline import instantiate_task, prediction_json, restore_pipeline
 from .registry import parse_task_config
@@ -182,21 +182,10 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _bench_texts(n: int) -> list:
-    rng = derive_rng(0, 3)
-    texts = []
-    for _ in range(n):
-        words = ["".join(chr(ord("a") + int(c))
-                         for c in rng.integers(0, 26, size=int(rng.integers(2, 9))))
-                 for _ in range(int(rng.integers(3, 10)))]
-        texts.append(" ".join(words))
-    return texts
-
-
 def cmd_bench(args) -> int:
     pipe = restore_pipeline(load_checkpoint(args.ckpt), use_best=True)
     graph = load_graph(args.graph)
-    texts = _bench_texts(args.requests)
+    texts = sample_texts(pipe.vocabs.token, args.requests, derive_rng(0, 3))
     reports = bench.latency_reports({"eager": _eager_predictor(pipe, graph),
                                      "exported": _graph_predictor(graph)},
                                     texts, warmup=args.warmup)

@@ -8,7 +8,9 @@ its path in the model, and the batch's id arrays become lookup ops over the
 raw string inputs with the pipeline's own Vocabularies attached, so the
 artifact consumes raw text with no training code in sight. The interpreter
 reuses the eager kernels, which is what makes exported predictions match
-eager ones bit for bit; verify_equivalence checks that.
+eager ones bit for bit; verify_equivalence checks that on texts sample_texts
+draws from the pipeline's own token vocabulary, the one stream that
+`textforge bench` times too.
 """
 
 from dataclasses import dataclass
@@ -125,46 +127,40 @@ class EquivalenceReport:
         return self.argmax_agree and self.max_abs_dev <= tol
 
 
-def _synthetic_texts(n: int, rng) -> list:
-    """Random letter soup, including an empty text and shape variety."""
-    texts = []
-    for i in range(n):
-        if i == 0:
-            texts.append("")
-            continue
+def sample_texts(vocab, n: int, rng) -> list:
+    """n texts for equivalence checks and latency runs: the empty text, then
+    texts of 1-12 words. Each word is an entry of the Vocabulary vocab past
+    <pad> and <unk>, or letter soup (out of vocabulary); a quarter of words
+    are capitalized. Where vocab holds nothing past the two specials every
+    word is soup."""
+    known = vocab.entries[2:]
+    texts = [""]
+    for _ in range(1, n):
         words = []
         for _ in range(int(rng.integers(1, 13))):
-            length = int(rng.integers(1, 11))
-            chars = [chr(ord("a") + int(c)) for c in rng.integers(0, 26, size=length)]
+            if known and rng.integers(0, 2):
+                word = known[int(rng.integers(0, len(known)))]
+            else:
+                word = "".join(chr(ord("a") + int(c))
+                               for c in rng.integers(0, 26, size=int(rng.integers(1, 11))))
             if rng.integers(0, 4) == 0:
-                chars[0] = chars[0].upper()
-            words.append("".join(chars))
+                word = word[:1].upper() + word[1:]
+            words.append(word)
         texts.append(" ".join(words))
     return texts
 
 
-def _split_texts(pipe, n: int, head) -> list:
-    """Up to n texts of the test split, else the eval split; the joint word
-    head reads the second source."""
-    if not pipe.datasets or n <= 0:
-        return []
-    sources = pipe.datasets["test"] or pipe.datasets["eval"]
-    ds = sources[1] if head == "word" else sources[0]
-    return [ex.raw_text for ex in ds.examples[:n]]
-
-
 def verify_equivalence(pipe, graph: StaticGraph, n_samples: int = 20,
                        seed: int = 0, head=None) -> EquivalenceReport:
-    """Run eager and exported inference side by side on real and random text.
-
-    Uses up to n_samples held-out texts plus n_samples synthetic ones and
-    reports the largest probability deviation and whether every prediction
-    matched exactly.
+    """Run eager and exported inference side by side on n_samples texts that
+    sample_texts draws from the pipeline's token vocabulary, so in-vocabulary
+    words read trained rows. head selects the joint model's head the graph
+    was exported from. Reports the largest probability deviation and whether
+    every prediction matched exactly.
     """
     if n_samples <= 0:
         raise EmptySampleSet("need at least one sample to compare")
-    texts = _split_texts(pipe, n_samples, head)
-    texts += _synthetic_texts(n_samples, derive_rng(seed, 2))
+    texts = sample_texts(pipe.vocabs.token, n_samples, derive_rng(seed, 2))
 
     model = pipe.model.tasks[head] if head is not None else pipe.model
     ex = Executor(graph)

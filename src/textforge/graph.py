@@ -88,6 +88,16 @@ def _self_attention(x, w1, w2):
     return _one_sequence(kernels.self_attention, x, w1, w2)
 
 
+# graph input name -> how a FeaturizedExample gives it; only read inputs are
+# built, and only a lookup reads one
+_FEEDS = {
+    "tokens": FeaturizedExample.token_texts,
+    "gaz_labels": lambda ex: list(ex.gaz_labels),
+    "cap_labels": lambda ex: list(ex.cap_labels),
+}
+TEXT = "a raw text feed"  # the OpSpec.weights entry of a position that reads one
+
+
 @dataclass(frozen=True)
 class OpSpec:
     """One opcode: its input arity, its attrs, and the function that runs it.
@@ -95,8 +105,9 @@ class OpSpec:
     arity is the exact input count, or None for one or more inputs. attrs maps
     each op attr to its type; an op carries exactly these attrs. graph_attrs
     names the graph attrs the op also runs with. weights gives, per input
-    position, the rank of the const that may fill it, or None where the op
-    reads a computed value; a const fills only a weight position. run takes
+    position, the rank of the const that may fill it, TEXT where the op reads
+    a graph input named in _FEEDS, or None where it reads a computed value; a
+    const fills only a weight position, a text feed only a TEXT one. run takes
     the op attr values, then the graph attr values, in table order, then the
     input values, and returns the op's one output. It looks kernels up on
     the kernels module at call time.
@@ -109,8 +120,8 @@ class OpSpec:
 
 
 OPS = {
-    "LookupTokens": OpSpec(1, _lookup_tokens, {"vocab": str}),
-    "LookupChars": OpSpec(1, _lookup_chars, {"vocab": str}, ("max_chars",)),
+    "LookupTokens": OpSpec(1, _lookup_tokens, {"vocab": str}, weights=(TEXT,)),
+    "LookupChars": OpSpec(1, _lookup_chars, {"vocab": str}, ("max_chars",), (TEXT,)),
     "EmbedGather": OpSpec(2, lambda ids, table: kernels.embed_gather(ids, table),
                           weights=(None, 2)),
     "MatMulAdd": OpSpec(3, _matmul_add, weights=(None, 2, 1)),
@@ -157,11 +168,17 @@ def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
                                % (op.opcode, name, kind.__name__))
     if "vocab" in op.attrs and op.attrs["vocab"] not in graph.vocabs:
         raise CorruptGraph("op %s needs vocab table %r" % (op.opcode, op.attrs["vocab"]))
-    for slot, rank in zip(op.inputs, spec.weights or (None,) * n):
-        if slot in graph.consts and graph.consts[slot].ndim != rank:
+    for slot, kind in zip(op.inputs, spec.weights or (None,) * n):
+        if slot in graph.consts and graph.consts[slot].ndim != kind:
             raise CorruptGraph("op %s reads const %r of rank %d where it takes %s"
-                               % (op.opcode, slot, graph.consts[slot].ndim,
-                                  "a computed value" if rank is None else "rank %d" % rank))
+                               % (op.opcode, slot, graph.consts[slot].ndim, _takes(kind)))
+        if (kind == TEXT) != (slot in _FEEDS and slot in graph.inputs):
+            raise CorruptGraph("op %s reads %r where it takes %s"
+                               % (op.opcode, slot, _takes(kind)))
+
+
+def _takes(kind) -> str:
+    return {None: "a computed value", TEXT: TEXT}.get(kind) or "rank %d" % kind
 
 
 def _reject_unknown(what, mapping, known) -> None:
@@ -332,14 +349,6 @@ class Executor:
         for step in self._steps:
             step(env)
         return {name: env[name] for name in self.graph.outputs}
-
-
-# graph input name -> how a FeaturizedExample gives it; only read inputs are built
-_FEEDS = {
-    "tokens": FeaturizedExample.token_texts,
-    "gaz_labels": lambda ex: list(ex.gaz_labels),
-    "cap_labels": lambda ex: list(ex.cap_labels),
-}
 
 
 def prepare_feed(graph: StaticGraph, inp) -> dict:

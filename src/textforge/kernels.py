@@ -1,8 +1,10 @@
 """Pure numpy forward kernels shared by the eager engine and the graph runtime.
 
-The eager ops call these with want_cache=True and keep the cache for their
-hand-written backward passes; the exported-graph interpreter calls the same
-functions without caches. Sharing the arithmetic is what keeps eager and
+A kernel with a backward returns its output and the cache that the backward
+reads, and the eager ops keep that cache for their hand-written backward
+passes. conv_maxpool and lstm_seq build it only with want_cache=True, where
+it changes the work; the exported-graph interpreter calls the same functions
+and drops the caches. Sharing the arithmetic is what keeps eager and
 exported outputs bit-for-bit identical.
 
 All float work is float32; masks are float32 arrays of {0, 1} where position
@@ -239,7 +241,7 @@ def lstm_seq_backward(cache, dhs):
 
 # --- additive self-attention pooling ---
 
-def self_attention(h, w1, w2, mask, want_cache=False):
+def self_attention(h, w1, w2, mask):
     """Scores tanh(h @ w1) @ w2, softmax over unmasked positions, weighted sum.
 
     h [b, t, H], w1 [H, a], w2 [a] -> out [b, H]. An empty sequence (t == 0)
@@ -259,8 +261,7 @@ def self_attention(h, w1, w2, mask, want_cache=False):
     scores = np.where(mask > 0, scores, NEG_INF)
     alpha = softmax(scores, axis=1)         # zeros at masked positions
     out = (alpha[:, :, None] * h).sum(axis=1)
-    cache = (h, w1, w2, u, alpha) if want_cache else None
-    return out, cache
+    return out, (h, w1, w2, u, alpha)
 
 
 def self_attention_backward(cache, dout):
@@ -279,7 +280,7 @@ def self_attention_backward(cache, dout):
 
 # --- softmax cross entropy ---
 
-def softmax_cross_entropy(logits, targets, mask=None, want_cache=False):
+def softmax_cross_entropy(logits, targets, mask=None):
     """Mean negative log softmax probability of the target over unmasked rows.
 
     logits [n, c] float32, targets [n] int64, mask [n] optional.
@@ -308,8 +309,7 @@ def softmax_cross_entropy(logits, targets, mask=None, want_cache=False):
     log_probs = shifted - np.log(denom)
     nll = -log_probs[np.arange(n), np.clip(targets, 0, c - 1)]
     loss = np.float32((nll * valid).sum() / np.float32(n_valid))
-    cache = (ex / denom, targets, valid, n_valid, c) if want_cache else None
-    return np.asarray(loss, dtype=F32), cache
+    return np.asarray(loss, dtype=F32), (ex / denom, targets, valid, n_valid, c)
 
 
 def softmax_cross_entropy_backward(cache, dloss):
@@ -324,15 +324,14 @@ def softmax_cross_entropy_backward(cache, dloss):
 
 # --- highway combination used by the char-CNN embedding ---
 
-def highway(x, w_t, b_t, w_g, b_g, want_cache=False):
+def highway(x, w_t, b_t, w_g, b_g):
     """One layer over x [n, d]: relu transform gated against the carried
     input; keeps the feature dim."""
     pre_t = linear(x, w_t, b_t)
     hidden = relu(pre_t)
     gate = sigmoid(linear(x, w_g, b_g))
     carry = np.float32(1.0) - gate
-    cache = (x, w_t, w_g, pre_t, hidden, gate, carry) if want_cache else None
-    return gate * hidden + carry * x, cache
+    return gate * hidden + carry * x, (x, w_t, w_g, pre_t, hidden, gate, carry)
 
 
 def highway_backward(cache, dout):

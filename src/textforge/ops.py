@@ -7,6 +7,8 @@ a forward pass, each op that has a graph opcode, and reshape, also reports
 its opcode, output and inputs to trace_hook.
 """
 
+from functools import partial
+
 import numpy as np
 
 from . import kernels
@@ -137,49 +139,41 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _report("EmbedGather", Tensor(out_data, (table,), backward), (ids, table))
 
 
+def _kernel_op(opcode, kernel, backward, parents, mask=None, **attrs) -> Tensor:
+    """An op whose forward and backward are kernels: kernel(*data, [mask,]
+    **attrs) gives the output and the cache that backward(cache, g) reads.
+    The mask becomes float32 once; the op reports itself to trace_hook.
+    Callers look both kernels up on the kernels module as they run, and x
+    and the weights go positionally, so a profiler that wraps a kernel sees
+    every call and its arrays."""
+    args = [p.data for p in parents]
+    if mask is not None:
+        mask = np.asarray(mask, dtype=F32)
+        args.append(mask)
+    out_data, cache = kernel(*args, **attrs)
+    return _report(opcode, Tensor(out_data, parents, partial(backward, cache)), parents, mask,
+                   **attrs)
+
+
 def conv1d_maxpool(x: Tensor, filters: Tensor, mask) -> Tensor:
-    mask = np.asarray(mask, dtype=F32)
-    out_data, cache = kernels.conv_maxpool(x.data, filters.data, mask, want_cache=True)
-
-    def backward(g):
-        return kernels.conv_maxpool_backward(cache, g)
-
-    return _report("Conv1DMaxPool", Tensor(out_data, (x, filters), backward),
-                   (x, filters), mask)
+    return _kernel_op("Conv1DMaxPool", partial(kernels.conv_maxpool, want_cache=True),
+                      kernels.conv_maxpool_backward, (x, filters), mask)
 
 
 def lstm_seq(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor, mask, reverse=False) -> Tensor:
-    mask = np.asarray(mask, dtype=F32)
-    out_data, cache = kernels.lstm_seq(x.data, w_ih.data, w_hh.data, bias.data, mask,
-                                       reverse=reverse, want_cache=True)
-
-    def backward(g):
-        return kernels.lstm_seq_backward(cache, g)
-
-    return _report("LSTMSeq", Tensor(out_data, (x, w_ih, w_hh, bias), backward),
-                   (x, w_ih, w_hh, bias), mask, reverse=reverse)
+    return _kernel_op("LSTMSeq", partial(kernels.lstm_seq, want_cache=True),
+                      kernels.lstm_seq_backward, (x, w_ih, w_hh, bias), mask, reverse=reverse)
 
 
 def self_attention(h: Tensor, w1: Tensor, w2: Tensor, mask) -> Tensor:
-    mask = np.asarray(mask, dtype=F32)
-    out_data, cache = kernels.self_attention(h.data, w1.data, w2.data, mask, want_cache=True)
-
-    def backward(g):
-        return kernels.self_attention_backward(cache, g)
-
-    return _report("SelfAttention", Tensor(out_data, (h, w1, w2), backward),
-                   (h, w1, w2), mask)
+    return _kernel_op("SelfAttention", kernels.self_attention, kernels.self_attention_backward,
+                      (h, w1, w2), mask)
 
 
 def highway(x: Tensor, w_t: Tensor, b_t: Tensor, w_g: Tensor, b_g: Tensor) -> Tensor:
     """One highway layer over x [n, d] (kernels.highway)."""
-    parents = (x, w_t, b_t, w_g, b_g)
-    out_data, cache = kernels.highway(*(p.data for p in parents), want_cache=True)
-
-    def backward(g):
-        return kernels.highway_backward(cache, g)
-
-    return _report("Highway", Tensor(out_data, parents, backward), parents)
+    return _kernel_op("Highway", kernels.highway, kernels.highway_backward,
+                      (x, w_t, b_t, w_g, b_g))
 
 
 def softmax(x: Tensor) -> np.ndarray:
@@ -195,7 +189,7 @@ def argmax(x: Tensor) -> np.ndarray:
 def softmax_cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     targets = np.asarray(targets, dtype=np.int64)
     mask = None if mask is None else np.asarray(mask, dtype=F32)
-    loss, cache = kernels.softmax_cross_entropy(logits.data, targets, mask, want_cache=True)
+    loss, cache = kernels.softmax_cross_entropy(logits.data, targets, mask)
 
     def backward(g):
         return (kernels.softmax_cross_entropy_backward(cache, g),)

@@ -143,7 +143,7 @@ class TrainResult:
         return {
             "epochs_run": len(self.history),
             "best_epoch": self.best_epoch,
-            "best_score": self.best_score if self.best_epoch >= 0 else None,
+            "best_score": self.best_score,
             "stopped_early": self.stopped_early,
             "history": [asdict(r) for r in self.history],
         }
@@ -167,7 +167,7 @@ def train(pipe, ckpt_path: str = "", resume: Optional[dict] = None, echo=None) -
     history = []
     best_epoch = -1
     best_score = float("-inf")
-    best_params = _snapshot_params(model)
+    best_params = None  # every run sets it: from resume, or at its first epoch
     stopped_early = False
 
     def out_of_patience(epoch):
@@ -223,8 +223,7 @@ def train(pipe, ckpt_path: str = "", resume: Optional[dict] = None, echo=None) -
             stopped_early = True
             break
 
-    if best_epoch >= 0:
-        load_params(model, best_params)
+    load_params(model, best_params)
     return TrainResult(history, best_epoch, best_score, stopped_early)
 
 

@@ -114,6 +114,8 @@ class TestEncodeRefuses:
         np.zeros(2, dtype=np.int32),
         np.float32(1.0),
         {"set": {1, 2}},
+        {"a": (1, 2)},  # would decode as a list
+        [("x", "y")],
         b"bytes",
         "\ud800",
     ])

@@ -490,6 +490,27 @@ class TestPredict:
         assert proc.returncode == 1, proc.stderr
         assert "reads const %r of rank %d" % (name, rank) in proc.stderr
 
+    @pytest.mark.parametrize("case", ["gather_reads_tokens", "relu_reads_tokens",
+                                      "lookup_reads_floats"])
+    def test_raw_text_read_by_a_non_lookup_is_an_input_error(self, doc_graph, tmp_path, case):
+        # only a lookup reads a raw text input, and it reads nothing else; the
+        # first two failed in a kernel at the first request, the third ran
+        g = load_graph(doc_graph)
+        gather = next(op for op in g.ops if op.opcode == "EmbedGather")
+        if case == "gather_reads_tokens":
+            opcode, gather.inputs = "EmbedGather", ("tokens",) + gather.inputs[1:]
+        elif case == "relu_reads_tokens":
+            opcode = "Relu"
+            g.ops.append(GraphOp(opcode, ("tokens",), "stray"))
+        else:
+            opcode = "LookupTokens"
+            g.ops.append(GraphOp(opcode, (gather.output,), "stray", {"vocab": "token"}))
+        bad = str(tmp_path / "misread.graph")
+        save_graph(g, bad)
+        proc = run_cli("predict", "--graph", bad, stdin="hello\n")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("textforge: error: op %s reads" % opcode), proc.stderr
+
     def test_unbaked_graph_rejects_text(self, doc_run, doc_graph, tmp_path):
         # an integer-id-input graph, as older exports could write: no lookups
         g = load_graph(doc_graph)

@@ -19,10 +19,11 @@ from textforge.exporter import (EquivalenceReport, export_model,
 from textforge.featurizer import featurize
 from textforge.graph import Executor, run, serialize
 from textforge.model_zoo import MLPDecoder
-from textforge.pipeline import instantiate_task
+from textforge.pipeline import instantiate_task, restore_pipeline
 from textforge.registry import parse_task_config
 from textforge.tensor import Tensor
-from textforge.trainer import train
+from textforge.trainer import derive_rng, load_checkpoint, train
+from textforge.vocab import Vocabulary
 
 
 def make_pipe(tmp_path, kind="doc", **overrides):
@@ -30,6 +31,25 @@ def make_pipe(tmp_path, kind="doc", **overrides):
              "joint": corpora.joint_config}[kind]
     cfg = build(str(tmp_path), n_train=16, n_eval=8, **overrides)
     return instantiate_task(parse_task_config(json.dumps(cfg)))
+
+
+def first_drawn_word_row(pipe, seed, n=20):
+    """The word-table row of the first in-vocabulary word among the n texts
+    verify_equivalence checks with this seed, and how many texts reach it."""
+    texts = exporter.sample_texts(pipe.vocabs.token, n, derive_rng(seed, 2))
+    for i, text in enumerate(texts):
+        for token in pipe.featurizer.featurize(text).token_texts():
+            row = pipe.vocabs.token.lookup(token)
+            if row != Vocabulary.UNK_ID:
+                return row, i + 1
+    raise AssertionError("no checked text holds an in-vocabulary word")
+
+
+def with_nan_row(graph, name, row):
+    tampered = graph.consts[name].copy()  # the const is the model's own array
+    tampered[row] = np.nan
+    graph.consts[name] = tampered
+    return graph
 
 
 RICH_EMBEDDING = {"token": {"word_dim": 8, "char_dim": 4,
@@ -263,7 +283,7 @@ class TestEquivalence:
             body = [op.opcode for op in graph.ops if not op.opcode.startswith("Lookup")]
             assert body == rep_trace
         report = verify_equivalence(pipe, graph, n_samples=10, seed=1)
-        assert report.n_samples >= 10
+        assert report.n_samples == 10
         assert report.argmax_agree
         assert report.max_abs_dev == 0.0
 
@@ -317,17 +337,26 @@ class TestEquivalence:
         pipe = make_pipe(tmp_path)
         graph = export_pipeline(pipe)
         if tamper == "head_bias":
-            name, row = "decoder.b0", slice(None)
+            name, row, n = "decoder.b0", slice(None), 1
         else:
-            # only the first held-out text reads this row; the empty synthetic
-            # text checked after it still scores finite
-            sources = pipe.datasets["test"] or pipe.datasets["eval"]
-            feats = pipe.featurizer.featurize(sources[0].examples[0].raw_text)
-            name, row = "embedding.word.table", pipe.vocabs.token.lookup(feats.token_texts()[0])
-        tampered = graph.consts[name].copy()  # the const is the model's own array
-        tampered[row] = np.nan
-        graph.consts[name] = tampered
-        report = verify_equivalence(pipe, graph, n_samples=1, seed=7)
+            # only the last of the n texts checked reads this row; the ones
+            # before it, the empty text first, still score finite
+            row, n = first_drawn_word_row(pipe, seed=7)
+            name = "embedding.word.table"
+        report = verify_equivalence(pipe, with_nan_row(graph, name, row), n_samples=n, seed=7)
+        assert np.isnan(report.max_abs_dev)
+        assert not report.within(0.0)
+
+    def test_a_restored_pipeline_checks_trained_word_rows(self, tmp_path):
+        # textforge export verifies a pipeline restored from its checkpoint,
+        # which holds no dataset; the texts checked still read trained rows
+        train(make_pipe(tmp_path, epochs=1), ckpt_path=str(tmp_path / "model.ckpt"))
+        pipe = restore_pipeline(load_checkpoint(str(tmp_path / "model.ckpt")), use_best=True)
+        seed = pipe.settings.seed
+        row, _ = first_drawn_word_row(pipe, seed)
+        graph = with_nan_row(export_pipeline(pipe), "embedding.word.table", row)
+        report = verify_equivalence(pipe, graph, n_samples=20, seed=seed)
+        assert report.n_samples == 20
         assert np.isnan(report.max_abs_dev)
         assert not report.within(0.0)
 
@@ -364,6 +393,24 @@ class TestEquivalence:
         graph = export_pipeline(pipe)
         with pytest.raises(EmptySampleSet):
             verify_equivalence(pipe, graph, n_samples=0)
+
+    def test_sample_texts_mix_vocabulary_entries_and_letter_soup(self):
+        entries = ["play", "wake", "jazz"]
+        texts = exporter.sample_texts(Vocabulary(entries), 40, derive_rng(0, 2))
+        assert len(texts) == 40 and texts[0] == "" and all(texts[1:])
+        assert texts == exporter.sample_texts(Vocabulary(entries), 40, derive_rng(0, 2))
+        words = [word for text in texts for word in text.split()]
+        assert {w.lower() for w in words} & set(entries) == set(entries)
+        assert [w for w in words if w.lower() not in entries]
+        assert not any("<" in w for w in words)  # never <pad> or <unk>
+
+    def test_sample_texts_are_letter_soup_over_an_empty_vocabulary(self):
+        texts = exporter.sample_texts(Vocabulary([]), 40, derive_rng(0, 2))
+        assert len(texts) == 40 and texts[0] == ""
+        words = [word for text in texts[1:] for word in text.split()]
+        assert all(1 <= len(t.split()) <= 12 for t in texts[1:])
+        assert all(w.isascii() and w.isalpha() and w[1:] == w[1:].lower() for w in words)
+        assert any(w[0].isupper() for w in words) and any(w[0].islower() for w in words)
 
     def test_report_semantics(self):
         good = EquivalenceReport(max_abs_dev=5e-6, argmax_agree=True, n_samples=3)

@@ -278,6 +278,25 @@ def malformed_const_read_as_a_computed_value():
     return g
 
 
+def malformed_gather_reads_the_raw_tokens():
+    # a gather takes the ids a lookup makes, not the strings it reads
+    g = baked_graph()
+    g.ops[1] = GraphOp("EmbedGather", ("tokens", "table"), "emb")
+    return g
+
+
+def malformed_relu_reads_the_raw_tokens():
+    g = baked_graph()
+    g.ops.append(GraphOp("Relu", ("tokens",), "t"))
+    return g
+
+
+def malformed_lookup_reads_a_computed_value():
+    g = baked_graph()
+    g.ops.append(GraphOp("LookupTokens", ("logits",), "t", {"vocab": "token"}))
+    return g
+
+
 def graph_blob(body: bytes) -> bytes:
     """A graph blob with a valid header and checksum around any body."""
     return GRAPH_MAGIC + struct.pack("<II", GRAPH_VERSION, zlib.crc32(body)) + body
@@ -477,6 +496,9 @@ class TestValidation:
         malformed_conv_filters_rank_2,
         malformed_matmul_weight_rank_1,
         malformed_const_read_as_a_computed_value,
+        malformed_gather_reads_the_raw_tokens,
+        malformed_relu_reads_the_raw_tokens,
+        malformed_lookup_reads_a_computed_value,
     ])
     def test_malformed_op_rejected_on_load(self, make):
         made = make()  # a graph, or the blob of a payload no graph can express

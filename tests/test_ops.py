@@ -5,14 +5,20 @@ so instances stay deliberately tiny. Tolerances follow the harness contract:
 max relative error below 1e-3 at eps 1e-3.
 """
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+import corpora
 from textforge import kernels, ops
 from textforge.errors import (EmptySequence, IdOutOfRange, NotScalar,
                               ShapeMismatch, TargetOutOfRange)
+from textforge.exporter import export_pipeline
+from textforge.graph import Executor, run
+from textforge.pipeline import instantiate_task
+from textforge.registry import parse_task_config
 from textforge.tensor import Parameter, Tensor
 
 F32 = np.float32
@@ -312,8 +318,7 @@ class TestHighwayOracle:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 5)).astype(F32)
         weights = [rng.standard_normal(s).astype(F32) for s in ((5, 5), (5,), (5, 5), (5,))]
-        out, cache = kernels.highway(x, *weights)
-        assert cache is None
+        out, _ = kernels.highway(x, *weights)
         assert out.tobytes() == ops.highway(Tensor(x), *map(Tensor, weights)).data.tobytes()
 
 
@@ -479,7 +484,7 @@ class TestKernelOracle:
         mask = np.ones((b, tlen), dtype=F32)
         if tlen > 1:
             mask[0, tlen - 1] = 0.0
-        out, cache = kernels.self_attention(h, w1, w2, mask, want_cache=True)
+        out, cache = kernels.self_attention(h, w1, w2, mask)
         dout = rng.standard_normal(out.shape).astype(F32)
         _, dw1, _ = kernels.self_attention_backward(cache, dout)
         # dw1 as first written: the einsum over the un-reshaped operands
@@ -617,3 +622,38 @@ class TestParameter:
         # ops take it as a tensor, and backward leaves the gradient on it
         ops.reshape(ops.mul(p, p), ()).backward()
         assert p.grad.tolist() == [6.0]
+
+
+# --- kernels are looked up when they run, so a profiler can wrap them ---
+
+PROFILED_KERNELS = ("conv_maxpool", "lstm_seq", "self_attention", "highway", "sigmoid",
+                    "lstm_seq_backward", "conv_maxpool_backward")
+
+
+def test_eager_and_graph_paths_look_kernels_up_at_call_time(tmp_path, monkeypatch):
+    def pipe(kind, config, **overrides):
+        (tmp_path / kind).mkdir()
+        cfg = config(str(tmp_path / kind), n_train=8, n_eval=4, epochs=1, **overrides)
+        return instantiate_task(parse_task_config(json.dumps(cfg)))
+
+    pipes = [pipe("tagger", corpora.word_config, embedding={"token": {
+                 "word_dim": 4, "char_dim": 3, "char_filter_widths": [2],
+                 "char_num_filters": 4, "char_highway_layers": 1}}),
+             pipe("doc", corpora.doc_config, representation={
+                 "bilstm_attn": {"hidden_dim": 4, "attention_dim": 3}})]
+    executors = [Executor(export_pipeline(p)) for p in pipes]
+    called = set()
+    for name in PROFILED_KERNELS:
+        def counted(*args, _name=name, _kernel=getattr(kernels, name), **kwargs):
+            called.add(_name)
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(kernels, name, counted)
+
+    for p in pipes:
+        p.train_loss(p.train_batches(0)[0]).backward()
+        p.optimizer.step()
+    assert called == set(PROFILED_KERNELS)
+    called.clear()
+    for ex in executors:
+        run(ex, "Wake me at seven")
+    assert called == set(PROFILED_KERNELS[:5])  # the forwards
