@@ -94,6 +94,11 @@ def cmd_train(args) -> int:
         if resume["config"] != pipe.config_text:
             raise SchemaViolation(
                 "resume checkpoint was trained with a different configuration")
+        # changed data files give other tables or labels than the trained rows
+        if resume.vocabs != pipe.vocabs:
+            raise SchemaViolation("resume checkpoint has other vocabularies than the data")
+        if resume["labels"] != {"doc": pipe.doc_labels, "word": pipe.word_tags}:
+            raise SchemaViolation("resume checkpoint has other labels than the data")
 
     os.makedirs(args.out_dir, exist_ok=True)
     ckpt_path = os.path.join(args.out_dir, "model.ckpt")

@@ -28,14 +28,12 @@ def _register_builtins():
     register_component("data_handler", "tsv", (
         Field("train_path", STRING),
         Field("eval_path", STRING),
-        Field("test_path", STRING, default=""),
         Field("batch_size", INT, default=16, minimum=1),
         Field("min_freq", INT, default=1),
     ))
     register_component("data_handler", "tsv_pair", (
         Field("train_paths", LIST_STRING),
         Field("eval_paths", LIST_STRING),
-        Field("test_paths", LIST_STRING, default=[]),
         Field("batch_size", INT, default=16, minimum=1),
         Field("min_freq", INT, default=1),
     ))

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import binio, kernels
 from .components import DOC_TASK, WORD_TASK
+from .data_handler import VOCAB_NAMES
 from .errors import CorruptGraph, CorruptFile, InputTypeMismatch
 from .featurizer import FeaturizedExample, char_ids, featurize
 from .vocab import Vocabulary, all_str
@@ -141,7 +142,7 @@ OPS = {
 # four, and a joint model exports one single-task graph per head
 GRAPH_ATTRS = {
     "task": lambda v: isinstance(v, str) and v in (DOC_TASK, WORD_TASK),
-    "labels": lambda v: isinstance(v, list) and len(v) > 0 and all_str(v),
+    "labels": lambda v: isinstance(v, list) and all_str(v) and 0 < len(set(v)) == len(v),
     "lowercase": lambda v: isinstance(v, bool),
     "max_chars": lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0,
 }
@@ -198,6 +199,7 @@ def validate_graph(graph: StaticGraph) -> None:
         if name not in graph.attrs or not well_formed(graph.attrs[name]):
             raise CorruptGraph("graph attr %r is missing or malformed" % name)
     _reject_unknown("graph attrs", graph.attrs, GRAPH_ATTRS)
+    _reject_unknown("graph vocabs", graph.vocabs, VOCAB_NAMES)
     for what in ("inputs", "outputs"):
         names = getattr(graph, what)
         if not (isinstance(names, list) and all_str(names)):
@@ -371,6 +373,11 @@ def prepare_feed(graph: StaticGraph, inp) -> dict:
 
 
 def run(executor: Executor, inp) -> dict:
-    """Single-example inference: raw input in, prediction and scores out."""
-    feed = prepare_feed(executor.graph, inp)
-    return executor.run_feed(feed)
+    """Single-example inference: raw input in, prediction and scores out.
+    A word tagger's pred is one tag per token, any other graph's one label."""
+    out = executor.run_feed(prepare_feed(executor.graph, inp))
+    task = executor.graph.attrs["task"]
+    if out["pred"].ndim != (task == WORD_TASK):
+        raise CorruptGraph("graph attr 'task' is %r, but the graph predicts a pred of rank %d"
+                           % (task, out["pred"].ndim))
+    return out

@@ -3,14 +3,12 @@
 A Pipeline owns the featurizer, vocabularies, datasets, model and optimizer,
 and knows how to produce training batches, predict eagerly, and evaluate
 from confusion counts that add up over the eval batches.
-It is built from a config plus data files (instantiate_task, for training)
-or from a checkpoint alone (restore_pipeline, for prediction and export).
-Both differ only in where the vocabularies and labels come from, and then
-go through one assembler that builds the model, settings and optimizer from
-the config, the seed included.
+One constructor builds it from a config, its vocabularies and its labels:
+instantiate_task reads those from the config's data files (for training),
+restore_pipeline from a checkpoint alone (for prediction and export).
 
-Every task reads its data as per-split lists of sources: one TSV per split
-for doc classification and word tagging, two for the joint task, whose
+Every task reads its train and eval splits as lists of sources: one TSV per
+split for doc classification and word tagging, two for the joint task, whose
 heads train on one source each.
 """
 
@@ -37,20 +35,30 @@ class Settings:
 
 
 class Pipeline:
-    def __init__(self, config: ComponentConfig, featurizer: Featurizer, vocabs: VocabBundle,
-                 doc_labels, word_tags, model, optimizer, settings: Settings, datasets=None):
+    """A task's featurizer, vocabularies, labels, model, optimizer and
+    settings. The constructor builds every part but the vocabularies and
+    labels from the config; the model's initial weights come from the
+    config's seed."""
+
+    def __init__(self, config: ComponentConfig, vocabs: VocabBundle, doc_labels, word_tags,
+                 datasets=None):
+        tparams = config.child("trainer").params
         self.config = config
         self.config_text = serialize_task_config(config)
         self.task = config.name
-        self.featurizer = featurizer
+        self.featurizer = _build_featurizer(config)
         self.vocabs = vocabs
         self.doc_labels = doc_labels or []
         self.word_tags = word_tags or []
-        self.model = model
-        self.optimizer = optimizer
-        self.settings = settings
-        # split -> list of Datasets, one per source ("test" may be empty);
-        # None when restored from a checkpoint
+        self.model = components.build_model(config.child("model"), self.task, vocabs,
+                                            doc_labels, word_tags, derive_rng(tparams["seed"], 0))
+        self.optimizer = components.build_optimizer(config.child("optimizer"),
+                                                    self.model.named_parameters())
+        self.settings = Settings(epochs=tparams["epochs"], patience=tparams["patience"],
+                                 seed=tparams["seed"],
+                                 batch_size=config.child("data").params["batch_size"])
+        # "train"/"eval" -> list of Datasets, one per source; None when
+        # restored from a checkpoint
         self.datasets = datasets
         self._vectors = None  # "train"/"eval" -> one padded Batch per source
         # width of the char-id block in its batches; 0 when the model embeds no chars
@@ -197,14 +205,15 @@ def _tag_counts(outputs, n_classes):
                for batch, out in outputs)
 
 
-def _build_featurizer(cfg) -> Featurizer:
-    settings = FeaturizerSettings(lowercase=cfg.params["lowercase"],
-                                  max_chars=cfg.params["max_chars"])
-    return Featurizer(settings)
+def _build_featurizer(config: ComponentConfig) -> Featurizer:
+    params = config.child("featurizer").params
+    return Featurizer(FeaturizerSettings(lowercase=params["lowercase"],
+                                         max_chars=params["max_chars"]))
 
 
 def _load_data(config: ComponentConfig):
-    """Load every split as a list of sources: two for joint, one otherwise.
+    """Load the train and eval splits as lists of sources: two for joint, one
+    otherwise.
 
     Vocabularies and labels come from the union of the train sources (for a
     single task, the train set itself). Returns (vocabs, doc_labels,
@@ -218,18 +227,15 @@ def _load_data(config: ComponentConfig):
             raise SchemaViolation("joint task needs the tsv_pair data handler")
         if len(p["train_paths"]) != 2 or len(p["eval_paths"]) != 2:
             raise SchemaViolation("joint task declares exactly two data sources")
-        if p["test_paths"] and len(p["test_paths"]) != 2:
-            raise SchemaViolation("joint test_paths must list two files when present")
         fmt = FORMAT_JOINT
-        paths = {"train": p["train_paths"], "eval": p["eval_paths"], "test": p["test_paths"]}
+        paths = {"train": p["train_paths"], "eval": p["eval_paths"]}
     else:
         if data_cfg.name != "tsv":
             raise SchemaViolation("task %s needs the tsv data handler" % task)
         fmt = FORMAT_DOC if task == components.DOC_TASK else FORMAT_WORD
-        paths = {"train": [p["train_path"]], "eval": [p["eval_path"]],
-                 "test": [p["test_path"]] if p["test_path"] else []}
+        paths = {"train": [p["train_path"]], "eval": [p["eval_path"]]}
 
-    fz = _build_featurizer(config.child("featurizer"))
+    fz = _build_featurizer(config)
     datasets = {split: [data_handler.load_tsv(path, fmt, fz, split) for path in sources]
                 for split, sources in paths.items()}
     union = Dataset([ex for ds in datasets["train"] for ex in ds.examples], "train")
@@ -244,32 +250,12 @@ def _load_data(config: ComponentConfig):
     return vocabs, doc_labels, word_tags, datasets
 
 
-def _assemble(config: ComponentConfig, vocabs: VocabBundle, doc_labels, word_tags,
-              datasets=None) -> Pipeline:
-    """The pipeline for a config and its vocabularies and labels.
-
-    Builds the featurizer, the model (initialized from the config's seed),
-    the settings and the optimizer; both instantiate_task and
-    restore_pipeline end here.
-    """
-    tparams = config.child("trainer").params
-    fz = _build_featurizer(config.child("featurizer"))
-    model = components.build_model(config.child("model"), config.name, vocabs,
-                                   doc_labels, word_tags, derive_rng(tparams["seed"], 0))
-    settings = Settings(epochs=tparams["epochs"], patience=tparams["patience"],
-                        seed=tparams["seed"], batch_size=config.child("data").params["batch_size"])
-    optimizer = components.build_optimizer(config.child("optimizer"), model.named_parameters())
-    return Pipeline(config, fz, vocabs, doc_labels, word_tags, model, optimizer,
-                    settings, datasets)
-
-
 def instantiate_task(config: ComponentConfig, seed_override: Optional[int] = None) -> Pipeline:
     """Construct the full pipeline for a config, loading and featurizing data;
     ids are looked up when training first asks for batches."""
     if seed_override is not None:
         config.child("trainer").params["seed"] = int(seed_override)
-    vocabs, doc_labels, word_tags, datasets = _load_data(config)
-    return _assemble(config, vocabs, doc_labels, word_tags, datasets)
+    return Pipeline(config, *_load_data(config))
 
 
 def restore_pipeline(payload: Checkpoint, use_best: bool = True) -> Pipeline:
@@ -278,8 +264,7 @@ def restore_pipeline(payload: Checkpoint, use_best: bool = True) -> Pipeline:
     use_best selects the best-epoch parameters (for prediction and export);
     pass False to get the last-epoch state instead.
     """
-    config = parse_task_config(payload["config"])
-    pipe = _assemble(config, payload.vocabs, payload["labels"]["doc"],
-                     payload["labels"]["word"])
+    pipe = Pipeline(parse_task_config(payload["config"]), payload.vocabs,
+                    payload["labels"]["doc"], payload["labels"]["word"])
     load_params(pipe.model, payload["best_params" if use_best else "params"])
     return pipe

@@ -247,14 +247,15 @@ def _typed(kind):
     return lambda value: isinstance(value, kind) and not isinstance(value, bool)
 
 
-_number = _typed((int, float))
+def _finite(value) -> bool:
+    return _typed((int, float))(value) and abs(value) < math.inf
 
-# EpochRecord field -> whether a loaded value is well formed; a score is
-# finite, as the loop never keeps a NaN as its best
+
+# EpochRecord field -> whether a loaded value is well formed; every number is
+# finite, as a run stops at a non-finite loss and a metric is a ratio of counts
 _RECORD_FIELDS = {
-    "epoch": _typed(int), "train_loss": _number,
-    "score": lambda v: _number(v) and abs(v) < math.inf,
-    "metrics": lambda v: isinstance(v, dict) and all(map(_number, v.values())),
+    "epoch": _typed(int), "train_loss": _finite, "score": _finite,
+    "metrics": lambda v: isinstance(v, dict) and all(map(_finite, v.values())),
 }
 
 # checkpoint field -> whether a loaded value is well formed; parameter names
@@ -266,9 +267,10 @@ _CKPT_FIELDS = {
         isinstance(rec, dict) and set(rec) == set(_RECORD_FIELDS)
         and all(ok(rec[name]) for name, ok in _RECORD_FIELDS.items())
         and rec["epoch"] == i for i, rec in enumerate(v)),
-    "vocabs": _typed(dict),
-    "labels": lambda v: isinstance(v, dict) and all(
-        isinstance(v.get(k), list) and all_str(v[k]) for k in ("doc", "word")),
+    "vocabs": lambda v: isinstance(v, dict) and set(v) == set(VOCAB_NAMES),
+    "labels": lambda v: isinstance(v, dict) and set(v) == {"doc", "word"} and all(
+        isinstance(names, list) and all_str(names) and len(set(names)) == len(names)
+        for names in v.values()),
     "params": _typed(dict), "best_params": _typed(dict), "optimizer": _typed(dict),
 }
 
@@ -292,7 +294,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     stray = sorted(set(payload) - set(_CKPT_FIELDS))
     if stray:
         raise CorruptFile("%s: checkpoint has unknown fields %s" % (path, stray))
-    vocabs = {name: Vocabulary.from_table(payload["vocabs"].get(name)) for name in VOCAB_NAMES}
+    vocabs = {name: Vocabulary.from_table(payload["vocabs"][name]) for name in VOCAB_NAMES}
     if None in vocabs.values():
         raise CorruptFile("%s: checkpoint field 'vocabs' is missing or malformed" % path)
     ckpt = Checkpoint(payload)

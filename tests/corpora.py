@@ -96,14 +96,10 @@ def write_joint_tsv(path, n, seed):
 
 
 def doc_config(dirpath, n_train=100, n_eval=40, seed=0, epochs=3, lr=0.01,
-               representation=None, embedding=None, decoder=None, batch_size=16,
-               with_test=False):
+               representation=None, embedding=None, decoder=None, batch_size=16):
     train = write_doc_tsv(os.path.join(dirpath, "train.tsv"), n_train, seed + 1)
     eval_ = write_doc_tsv(os.path.join(dirpath, "eval.tsv"), n_eval, seed + 2)
     data = {"train_path": train, "eval_path": eval_, "batch_size": batch_size}
-    if with_test:
-        data["test_path"] = write_doc_tsv(os.path.join(dirpath, "test.tsv"),
-                                          n_eval, seed + 3)
     model = {
         "embedding": embedding or {"token": {"word_dim": 24}},
         "representation": representation or
@@ -121,13 +117,10 @@ def doc_config(dirpath, n_train=100, n_eval=40, seed=0, epochs=3, lr=0.01,
 
 
 def word_config(dirpath, n_train=100, n_eval=40, seed=0, epochs=3, lr=0.01,
-                hidden_dim=24, embedding=None, batch_size=16, with_test=False):
+                hidden_dim=24, embedding=None, batch_size=16):
     train = write_word_tsv(os.path.join(dirpath, "train.tsv"), n_train, seed + 1)
     eval_ = write_word_tsv(os.path.join(dirpath, "eval.tsv"), n_eval, seed + 2)
     data = {"train_path": train, "eval_path": eval_, "batch_size": batch_size}
-    if with_test:
-        data["test_path"] = write_word_tsv(os.path.join(dirpath, "test.tsv"),
-                                           n_eval, seed + 3)
     return {"task": {"word_tagging": {
         "data": {"tsv": data},
         "model": {"single": {

@@ -18,7 +18,7 @@ import textforge
 from textforge import cli, model_zoo, trainer
 from textforge.exporter import EquivalenceReport
 from textforge.graph import GraphOp, load_graph, save_graph
-from textforge.pipeline import restore_pipeline
+from textforge.pipeline import instantiate_task, restore_pipeline
 from textforge.registry import parse_task_config, serialize_task_config
 from textforge.tensor import Tensor
 from textforge.trainer import load_checkpoint
@@ -117,6 +117,29 @@ def doc_run(tmp_path_factory):
     assert proc.returncode == 0, proc.stderr
     return SimpleNamespace(base=base, cfg_path=cfg_path, out_dir=out_dir,
                            ckpt=str(out_dir / "model.ckpt"), stdout=proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def joint_graphs(tmp_path_factory):
+    """A trained joint checkpoint and the graph path of each of its heads."""
+    base = tmp_path_factory.mktemp("jointrun")
+    cfg_path = base / "config.json"
+    cfg_path.write_text(json.dumps(corpora.joint_config(str(base), n_train=12, n_eval=6,
+                                                        epochs=1)), encoding="utf-8")
+    assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(base)]) == 0
+    assert cli.main(["export", "--model", str(base / "model.ckpt"),
+                     "--out", str(base / "model.graph")]) == 0
+    return SimpleNamespace(ckpt=str(base / "model.ckpt"),
+                           graphs={head: str(base / ("model.%s.graph" % head))
+                                   for head in ("doc", "word")})
+
+
+def rewrite_tsv(path, edit):
+    """Rewrite a TSV file, each (label column, text) row through edit."""
+    with open(path, encoding="utf-8") as handle:
+        rows = [line.rstrip("\n").split("\t") for line in handle]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines("%s\t%s\n" % edit(label, text) for label, text in rows)
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +249,60 @@ class TestTrain:
                        "--resume", doc_run.ckpt)
         assert proc.returncode == 1
         assert "different configuration" in proc.stderr
+
+    @pytest.mark.parametrize("change", ["token_order", "label_name"])
+    def test_resume_on_changed_data_exits_1(self, tmp_path, capsys, change):
+        # the config text is the same; the data files give the same table
+        # and label sizes in another order, so every parameter shape fits
+        cfg = corpora.doc_config(str(tmp_path), n_train=24, n_eval=8, epochs=1)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        first, resumed = tmp_path / "run1", tmp_path / "run2"
+        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(first)]) == 0
+        data = cfg["task"]["doc_classification"]["data"]["tsv"]
+        if change == "token_order":
+            # swap the most and the least frequent filler of the train split
+            with open(data["train_path"], encoding="utf-8") as handle:
+                words = handle.read().split()
+            present = [w for w in corpora.FILLERS if w in words]
+            common, rare = max(present, key=words.count), min(present, key=words.count)
+            swap = {common: rare, rare: common}
+            rewrite_tsv(data["train_path"], lambda label, text: (
+                label, " ".join(swap.get(w, w) for w in text.split(" "))))
+        else:
+            for split in ("train_path", "eval_path"):
+                rewrite_tsv(data[split], lambda label, text: (
+                    "zz" + label if label == "alarm" else label, text))
+        ckpt = str(first / "model.ckpt")
+        old, new = load_checkpoint(ckpt), instantiate_task(parse_task_config(
+            cfg_path.read_text(encoding="utf-8")))
+        assert len(old.vocabs.token) == len(new.vocabs.token)
+        assert len(old["labels"]["doc"]) == len(new.doc_labels)
+        assert (old.vocabs.token != new.vocabs.token) == (change == "token_order")
+        assert (old["labels"]["doc"] != new.doc_labels) == (change == "label_name")
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(resumed),
+                         "--resume", ckpt]) == 1
+        why = "other vocabularies" if change == "token_order" else "other labels"
+        assert "resume checkpoint has %s than the data" % why in capsys.readouterr().err
+        assert not (resumed / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("build,field", [
+        (corpora.doc_config, "test_path"), (corpora.word_config, "test_path"),
+        (corpora.joint_config, "test_paths")], ids=["doc", "word", "joint"])
+    def test_a_test_split_is_an_unknown_key(self, tmp_path, capsys, build, field):
+        # training reads the train and eval splits only; a third file that
+        # nothing would read is refused, not loaded and ignored
+        cfg = build(str(tmp_path), n_train=8, n_eval=4, epochs=1)
+        (task,) = cfg["task"]
+        (data,) = cfg["task"][task]["data"].values()
+        data[field] = data[field.replace("test", "eval")]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+        assert "unknown keys ['%s']" % field in capsys.readouterr().err
+        assert not (out_dir / "model.ckpt").exists()
 
     def test_resume_of_a_finished_run_writes_its_checkpoint(self, doc_run, tmp_path,
                                                             monkeypatch, capsys):
@@ -545,6 +622,22 @@ class TestPredict:
         proc = run_cli("predict", "--graph", bad, stdin="hello\n")
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("textforge: error: op %s" % opcode), proc.stderr
+
+    @pytest.mark.parametrize("head,task", [("doc", "word_tagging"),
+                                           ("word", "doc_classification")])
+    def test_task_attr_that_disagrees_with_the_head_exits_1(self, joint_graphs, tmp_path,
+                                                            capsys, head, task):
+        g = load_graph(joint_graphs.graphs[head])
+        g.attrs["task"] = task
+        bad = str(tmp_path / "flipped.graph")
+        save_graph(g, bad)
+        texts = tmp_path / "texts.txt"
+        texts.write_text("set an alarm\n", encoding="utf-8")
+        capsys.readouterr()
+        for cmd in (["predict", "--graph", bad, "--input", str(texts)],
+                    ["bench", "--ckpt", joint_graphs.ckpt, "--graph", bad, "--requests", "2"]):
+            assert cli.main(cmd) == 1, cmd
+            assert "graph attr 'task' is %r" % task in capsys.readouterr().err, cmd
 
     def test_graph_and_ckpt_are_exclusive(self, doc_run, doc_graph):
         proc = run_cli("predict", "--graph", doc_graph, "--ckpt", doc_run.ckpt,

@@ -287,11 +287,11 @@ def test_featurize_matches_the_per_character_oracle(case, lowercase):
 def test_pipeline_features_match_featurize(tmp_path):
     # datasets are featurized while they load; the result must equal
     # featurizing each text again with the pipeline's featurizer
-    cfg = corpora.word_config(str(tmp_path), n_train=30, n_eval=10, with_test=True,
+    cfg = corpora.word_config(str(tmp_path), n_train=30, n_eval=10,
                               embedding={"token": {"word_dim": 8, "char_dim": 4,
                                                    "gaz_dim": 3}})
     data = cfg["task"]["word_tagging"]["data"]["tsv"]
-    for split in ("train_path", "eval_path", "test_path"):
+    for split in ("train_path", "eval_path"):
         rows = []
         with open(data[split], encoding="utf-8") as handle:
             for line in handle:
@@ -304,7 +304,7 @@ def test_pipeline_features_match_featurize(tmp_path):
     pipe = instantiate_task(parse_task_config(corpora.as_text(cfg)))
     examples = [ex for sources in pipe.datasets.values() for ds in sources
                 for ex in ds.examples]
-    assert len(examples) == 30 + 10 + 10
+    assert len(examples) == 30 + 10
     assert any(ex.feats.gaz_labels[0] == "city" for ex in examples)
     for ex in examples:
         assert ex.feats == pipe.featurizer.featurize(ex.raw_text, ex.entries)

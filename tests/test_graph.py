@@ -190,6 +190,13 @@ def malformed_task_joint():
     return g
 
 
+def malformed_labels_repeated():
+    # two classes under one name would print the wrong label
+    g = linear_graph()
+    g.attrs["labels"] = ["pos", "pos"]
+    return g
+
+
 def malformed_lowercase_an_int():
     g = linear_graph()
     g.attrs["lowercase"] = 1
@@ -220,6 +227,13 @@ def malformed_consts_a_list():
     return g
 
 
+
+
+def malformed_vocab_table_unknown():
+    # a graph holds only the token, char, gaz and cap tables
+    g = baked_graph()
+    g.vocabs["ghost"] = Vocabulary(["go"])
+    return g
 
 
 def malformed_const_an_int():
@@ -474,6 +488,7 @@ class TestValidation:
         malformed_labels_not_strings,
         malformed_labels_too_few,
         malformed_labels_too_many,
+        malformed_labels_repeated,
         malformed_outputs_without_pred,
         malformed_task_an_int,
         malformed_task_joint,
@@ -487,6 +502,7 @@ class TestValidation:
         malformed_vocab_not_a_list,
         malformed_vocab_non_string_entry,
         malformed_vocab_without_specials_first,
+        malformed_vocab_table_unknown,
         malformed_const_an_int,
         malformed_const_a_string,
         malformed_const_int64_array,
@@ -618,8 +634,16 @@ class TestExecutor:
         g = with_spare_char_lookup()
         g.attrs["max_chars"] = 3
         g.outputs = ["char_ids"]
-        out = run(Executor(g), "go ogg goooo")
+        # a probe graph outputs no pred, which run checks; feed it directly
+        out = Executor(g).run_feed(prepare_feed(g, "go ogg goooo"))
         assert out["char_ids"].tolist() == [[2, 3, 0], [3, 2, 2], [2, 3, 3]]
+
+    def test_pred_that_disagrees_with_the_task_attr_is_refused(self):
+        # the doc graph predicts one label; a word tagger predicts one per token
+        g = baked_graph()
+        g.attrs["task"] = "word_tagging"
+        with pytest.raises(CorruptGraph, match="graph attr 'task' is 'word_tagging'"):
+            run(Executor(g), "go home")
 
     def test_rerun_does_not_mutate_state(self):
         ex = Executor(baked_graph())
@@ -629,6 +653,7 @@ class TestExecutor:
 
 
 def cap_probe_graph():
+    # no task attr and no pred: tests feed it through run_feed, not run
     return StaticGraph(
         attrs={"lowercase": True, "max_chars": 4},
         consts={},
@@ -669,7 +694,7 @@ class TestPrepareFeed:
         # refused; the text keeps its given casing for the caps feature only
         with pytest.raises(InputTypeMismatch):
             prepare_feed(cap_probe_graph(), ["Go", "x"])
-        out = run(ex, "Go x")
+        out = ex.run_feed(prepare_feed(ex.graph, "Go x"))
         cap_entries = ["<pad>", "<unk>"] + list(CAP_CLASSES)
         assert [cap_entries[i] for i in out["cap_ids"]] == ["init_cap", "all_lower"]
         assert out["tok_ids"].tolist() == [2, 1]
@@ -687,7 +712,7 @@ class TestPrepareFeed:
 
     def test_text_input_computes_caps_before_lowercasing(self):
         ex = Executor(cap_probe_graph())
-        out = run(ex, "Go HOME x")
+        out = ex.run_feed(prepare_feed(ex.graph, "Go HOME x"))
         cap_entries = ["<pad>", "<unk>"] + list(CAP_CLASSES)
         got = [cap_entries[i] for i in out["cap_ids"]]
         assert got == ["init_cap", "all_caps", "all_lower"]

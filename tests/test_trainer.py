@@ -515,9 +515,23 @@ MALFORMED_CHECKPOINTS = {
     "history_metrics_a_list": (_first_record(lambda r: r.update(metrics=[])), "'history'"),
     "history_metric_a_string": (_first_record(lambda r: r["metrics"].update(
         {next(iter(r["metrics"])): "0.5"})), "'history'"),
+    "history_train_loss_nan": (_first_record(lambda r: r.update(train_loss=float("nan"))),
+                               "'history'"),
+    "history_train_loss_inf": (_first_record(lambda r: r.update(train_loss=float("inf"))),
+                               "'history'"),
+    "history_metric_nan": (_first_record(lambda r: r["metrics"].update(
+        {next(iter(r["metrics"])): float("nan")})), "'history'"),
+    "history_metric_minus_inf": (_first_record(lambda r: r["metrics"].update(
+        {next(iter(r["metrics"])): float("-inf")})), "'history'"),
     "duplicate_vocab_entry": (lambda p: p["vocabs"]["token"].append(p["vocabs"]["token"][2]),
                               "'vocabs'"),
+    "vocab_table_unknown": (lambda p: p["vocabs"].update(ghost=["<pad>", "<unk>"]),
+                            "'vocabs'"),
     "doc_labels_a_string": (lambda p: p["labels"].update(doc="abc"), "'labels'"),
+    "labels_kind_unknown": (lambda p: p["labels"].update(intent=[]), "'labels'"),
+    # as many labels as classes, one named twice
+    "doc_label_repeated": (lambda p: p["labels"].update(
+        doc=p["labels"]["doc"][:1] * 2 + p["labels"]["doc"][2:]), "'labels'"),
     "optimizer_a_list": (lambda p: p.update(optimizer=[]), "'optimizer'"),
     "missing_param": (_both_param_maps(lambda d: d.pop(next(iter(d)))), "parameter names"),
     "extra_param": (_both_param_maps(lambda d: d.update(ghost=np.zeros(2, dtype=F32))),
