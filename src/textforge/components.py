@@ -1,124 +1,18 @@
-"""Builtin component registrations and the builders that instantiate them.
+"""The builders that turn resolved ComponentConfigs into models and optimizers.
 
-The registry is populated here by explicit calls at import time; nothing is
-discovered by scanning. Builders receive resolved ComponentConfigs plus the
-build-time context they need (vocabularies, inferred dims, the init rng);
-build_model builds every task's model, one head at a time, and for the joint
-task hands the word head the doc head's embedding and BiLSTM.
+Builders receive resolved ComponentConfigs plus the build-time context they
+need (vocabularies, inferred dims, the init rng); build_model builds every
+task's model, one head at a time, and for the joint task hands the word head
+the doc head's embedding and BiLSTM. The fields each component takes are
+declared once, in registry.SCHEMAS.
 """
 
 from . import model_zoo, trainer
 from .errors import IncompatibleShare, SchemaViolation
-from .registry import (BOOL, COMPONENT, FLOAT, INT, LIST_INT, LIST_STRING, STRING,
-                       ComponentConfig, Field, register_component)
+from .registry import DOC_TASK, JOINT_TASK, WORD_TASK, ComponentConfig
 
-DOC_TASK = "doc_classification"
-WORD_TASK = "word_tagging"
-JOINT_TASK = "joint_doc_word"
 # the joint model's head for each task it predicts
 JOINT_HEADS = {DOC_TASK: "doc", WORD_TASK: "word"}
-
-
-def _register_builtins():
-    register_component("featurizer", "basic", (
-        Field("lowercase", BOOL, default=True),
-        Field("max_chars", INT, default=20, minimum=1),
-    ))
-
-    register_component("data_handler", "tsv", (
-        Field("train_path", STRING),
-        Field("eval_path", STRING),
-        Field("batch_size", INT, default=16, minimum=1),
-        Field("min_freq", INT, default=1),
-    ))
-    register_component("data_handler", "tsv_pair", (
-        Field("train_paths", LIST_STRING),
-        Field("eval_paths", LIST_STRING),
-        Field("batch_size", INT, default=16, minimum=1),
-        Field("min_freq", INT, default=1),
-    ))
-
-    register_component("embedding", "token", (
-        Field("word_dim", INT, default=64, minimum=0),
-        Field("pretrained_path", STRING, default=""),
-        Field("char_dim", INT, default=0, minimum=0),
-        Field("char_filter_widths", LIST_INT, default=[3], minimum=1, distinct=True,
-              nonempty=True),
-        Field("char_num_filters", INT, default=16, minimum=1),
-        Field("char_highway_layers", INT, default=1, minimum=0),
-        Field("gaz_dim", INT, default=0, minimum=0),
-        Field("cap_dim", INT, default=0, minimum=0),
-    ))
-
-    register_component("representation", "docnn", (
-        Field("filter_widths", LIST_INT, default=[3, 4, 5], minimum=1, distinct=True,
-              nonempty=True),
-        Field("num_filters", INT, default=100, minimum=1),
-    ))
-    register_component("representation", "bilstm_attn", (
-        Field("hidden_dim", INT, default=64, minimum=1),
-        Field("attention_dim", INT, default=64, minimum=1),
-    ))
-    register_component("representation", "bilstm_tagger", (
-        Field("hidden_dim", INT, default=64, minimum=1),
-    ))
-
-    register_component("decoder", "mlp", (
-        Field("hidden_dims", LIST_INT, default=[], minimum=1),
-    ))
-
-    register_component("output", "doc_classification", ())
-    register_component("output", "word_tagging", ())
-
-    register_component("optimizer", "sgd", (
-        Field("lr", FLOAT, default=0.1, above=0),
-    ))
-    register_component("optimizer", "adam", (
-        Field("lr", FLOAT, default=0.001, above=0),
-        Field("beta1", FLOAT, default=0.9, minimum=0, below=1),
-        Field("beta2", FLOAT, default=0.999, minimum=0, below=1),
-        Field("eps", FLOAT, default=1e-8, above=0),
-    ))
-
-    register_component("trainer", "standard", (
-        Field("epochs", INT, default=10, minimum=1),
-        Field("patience", INT, default=0),
-        Field("seed", INT, default=0, minimum=0),
-    ))
-
-    register_component("model", "single", (
-        Field("embedding", COMPONENT, default={"token": {}}, child_kind="embedding"),
-        Field("representation", COMPONENT, child_kind="representation"),
-        Field("decoder", COMPONENT, default={"mlp": {}}, child_kind="decoder"),
-        Field("output", COMPONENT, child_kind="output"),
-    ))
-    register_component("model", "joint", (
-        Field("embedding", COMPONENT, default={"token": {}}, child_kind="embedding"),
-        Field("doc_representation", COMPONENT, default={"bilstm_attn": {}},
-              child_kind="representation"),
-        Field("word_representation", COMPONENT, default={"bilstm_tagger": {}},
-              child_kind="representation"),
-        Field("doc_decoder", COMPONENT, default={"mlp": {}}, child_kind="decoder"),
-        Field("word_decoder", COMPONENT, default={"mlp": {}}, child_kind="decoder"),
-        Field("doc_loss_weight", FLOAT, default=1.0, minimum=0),
-        Field("word_loss_weight", FLOAT, default=1.0, minimum=0),
-    ))
-
-    def task_fields():
-        return (
-            Field("featurizer", COMPONENT, default={"basic": {}}, child_kind="featurizer"),
-            Field("data", COMPONENT, child_kind="data_handler"),
-            Field("model", COMPONENT, child_kind="model"),
-            Field("optimizer", COMPONENT, default={"adam": {}}, child_kind="optimizer"),
-            Field("trainer", COMPONENT, default={"standard": {}}, child_kind="trainer"),
-        )
-
-    register_component("task", DOC_TASK, task_fields())
-    register_component("task", WORD_TASK, task_fields())
-    register_component("task", JOINT_TASK, task_fields())
-
-
-_register_builtins()
 
 
 _REP_CLASSES = {

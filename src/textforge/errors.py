@@ -11,10 +11,6 @@ class TextForgeError(Exception):
 
 # --- registry / config ---
 
-class DuplicateRegistration(TextForgeError):
-    pass
-
-
 class UnknownComponent(TextForgeError):
     pass
 

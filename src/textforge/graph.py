@@ -19,10 +19,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import binio, kernels
-from .components import DOC_TASK, WORD_TASK
 from .data_handler import VOCAB_NAMES
 from .errors import CorruptGraph, CorruptFile, InputTypeMismatch
 from .featurizer import FeaturizedExample, char_ids, featurize
+from .registry import DOC_TASK, WORD_TASK
 from .vocab import Vocabulary, all_str
 
 F32 = np.float32

@@ -22,7 +22,7 @@ from .data_handler import (FORMAT_DOC, FORMAT_JOINT, FORMAT_WORD, Dataset, Vocab
 from .errors import EmptySplit, SchemaViolation
 from .featurizer import Featurizer, FeaturizerSettings
 from .model_zoo import load_params
-from .registry import ComponentConfig, parse_task_config, serialize_task_config
+from .registry import ComponentConfig, serialize_task_config
 from .trainer import Checkpoint, derive_rng, seed_sequence
 
 
@@ -264,7 +264,7 @@ def restore_pipeline(payload: Checkpoint, use_best: bool = True) -> Pipeline:
     use_best selects the best-epoch parameters (for prediction and export);
     pass False to get the last-epoch state instead.
     """
-    pipe = Pipeline(parse_task_config(payload["config"]), payload.vocabs,
-                    payload["labels"]["doc"], payload["labels"]["word"])
+    pipe = Pipeline(payload.config, payload.vocabs, payload["labels"]["doc"],
+                    payload["labels"]["word"])
     load_params(pipe.model, payload["best_params" if use_best else "params"])
     return pipe

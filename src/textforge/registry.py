@@ -1,6 +1,6 @@
-"""Component registry and the declarative task config parser.
+"""The component schema table and the declarative task config parser.
 
-Components register under a (kind, name) pair with a typed field schema;
+SCHEMAS maps each component kind to its components' typed field schemas;
 configs select components with single-key objects {"name": {params}} so the
 chosen variant is always explicit. Defaults live on the schema, which makes
 every default introspectable and keeps parsing code free of magic values.
@@ -11,21 +11,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (DuplicateRegistration, MalformedDocument, SchemaViolation,
-                     UnknownComponent)
+from .errors import MalformedDocument, SchemaViolation, UnknownComponent
 
-KINDS = (
-    "task",
-    "featurizer",
-    "data_handler",
-    "model",
-    "embedding",
-    "representation",
-    "decoder",
-    "output",
-    "optimizer",
-    "trainer",
-)
+DOC_TASK = "doc_classification"
+WORD_TASK = "word_tagging"
+JOINT_TASK = "joint_doc_word"
 
 INT = "int"
 FLOAT = "float"
@@ -46,7 +36,7 @@ class Field:
     name: str
     ftype: str
     default: object = REQUIRED
-    child_kind: str = ""     # COMPONENT only: the registry kind to pick from
+    child_kind: str = ""     # COMPONENT only: the SCHEMAS kind to pick from
     minimum: Optional[int] = None  # INT, FLOAT and LIST_INT (each item): smallest allowed value
     above: Optional[float] = None  # FLOAT only: the value must be greater
     below: Optional[float] = None  # FLOAT only: the value must be smaller
@@ -60,44 +50,102 @@ class Field:
             raise ValueError("component field %r needs child_kind" % self.name)
 
 
-@dataclass(frozen=True)
-class Registration:
-    kind: str
-    name: str
-    schema: tuple
+_TASK_FIELDS = (
+    Field("featurizer", COMPONENT, default={"basic": {}}, child_kind="featurizer"),
+    Field("data", COMPONENT, child_kind="data_handler"),
+    Field("model", COMPONENT, child_kind="model"),
+    Field("optimizer", COMPONENT, default={"adam": {}}, child_kind="optimizer"),
+    Field("trainer", COMPONENT, default={"standard": {}}, child_kind="trainer"),
+)
 
-    def field_map(self):
-        return {f.name: f for f in self.schema}
-
-
-class Registry:
-    """Immutable-after-startup catalog of (kind, name) -> Registration."""
-
-    def __init__(self):
-        self._table = {}
-
-    def register(self, kind: str, name: str, schema) -> Registration:
-        if kind not in KINDS:
-            raise ValueError("unknown component kind %r" % kind)
-        key = (kind, name)
-        if key in self._table:
-            raise DuplicateRegistration("component (%s, %s) already registered" % key)
-        reg = Registration(kind, name, tuple(schema))
-        self._table[key] = reg
-        return reg
-
-    def get(self, kind: str, name: str) -> Registration:
-        try:
-            return self._table[(kind, name)]
-        except KeyError:
-            raise UnknownComponent("no %s component named %r" % (kind, name))
-
-
-GLOBAL = Registry()
-
-
-def register_component(kind, name, schema):
-    return GLOBAL.register(kind, name, schema)
+# kind -> component name -> the component's fields, in resolution order
+SCHEMAS = {
+    "task": {DOC_TASK: _TASK_FIELDS, WORD_TASK: _TASK_FIELDS, JOINT_TASK: _TASK_FIELDS},
+    "featurizer": {
+        "basic": (
+            Field("lowercase", BOOL, default=True),
+            Field("max_chars", INT, default=20, minimum=1),
+        ),
+    },
+    "data_handler": {
+        "tsv": (
+            Field("train_path", STRING),
+            Field("eval_path", STRING),
+            Field("batch_size", INT, default=16, minimum=1),
+            Field("min_freq", INT, default=1, minimum=1),
+        ),
+        "tsv_pair": (
+            Field("train_paths", LIST_STRING),
+            Field("eval_paths", LIST_STRING),
+            Field("batch_size", INT, default=16, minimum=1),
+            Field("min_freq", INT, default=1, minimum=1),
+        ),
+    },
+    "model": {
+        "single": (
+            Field("embedding", COMPONENT, default={"token": {}}, child_kind="embedding"),
+            Field("representation", COMPONENT, child_kind="representation"),
+            Field("decoder", COMPONENT, default={"mlp": {}}, child_kind="decoder"),
+            Field("output", COMPONENT, child_kind="output"),
+        ),
+        "joint": (
+            Field("embedding", COMPONENT, default={"token": {}}, child_kind="embedding"),
+            Field("doc_representation", COMPONENT, default={"bilstm_attn": {}},
+                  child_kind="representation"),
+            Field("word_representation", COMPONENT, default={"bilstm_tagger": {}},
+                  child_kind="representation"),
+            Field("doc_decoder", COMPONENT, default={"mlp": {}}, child_kind="decoder"),
+            Field("word_decoder", COMPONENT, default={"mlp": {}}, child_kind="decoder"),
+            Field("doc_loss_weight", FLOAT, default=1.0, minimum=0),
+            Field("word_loss_weight", FLOAT, default=1.0, minimum=0),
+        ),
+    },
+    "embedding": {
+        "token": (
+            Field("word_dim", INT, default=64, minimum=0),
+            Field("pretrained_path", STRING, default=""),
+            Field("char_dim", INT, default=0, minimum=0),
+            Field("char_filter_widths", LIST_INT, default=[3], minimum=1, distinct=True,
+                  nonempty=True),
+            Field("char_num_filters", INT, default=16, minimum=1),
+            Field("char_highway_layers", INT, default=1, minimum=0),
+            Field("gaz_dim", INT, default=0, minimum=0),
+            Field("cap_dim", INT, default=0, minimum=0),
+        ),
+    },
+    "representation": {
+        "docnn": (
+            Field("filter_widths", LIST_INT, default=[3, 4, 5], minimum=1, distinct=True,
+                  nonempty=True),
+            Field("num_filters", INT, default=100, minimum=1),
+        ),
+        "bilstm_attn": (
+            Field("hidden_dim", INT, default=64, minimum=1),
+            Field("attention_dim", INT, default=64, minimum=1),
+        ),
+        "bilstm_tagger": (Field("hidden_dim", INT, default=64, minimum=1),),
+    },
+    "decoder": {
+        "mlp": (Field("hidden_dims", LIST_INT, default=[], minimum=1),),
+    },
+    "output": {DOC_TASK: (), WORD_TASK: ()},
+    "optimizer": {
+        "sgd": (Field("lr", FLOAT, default=0.1, above=0),),
+        "adam": (
+            Field("lr", FLOAT, default=0.001, above=0),
+            Field("beta1", FLOAT, default=0.9, minimum=0, below=1),
+            Field("beta2", FLOAT, default=0.999, minimum=0, below=1),
+            Field("eps", FLOAT, default=1e-8, above=0),
+        ),
+    },
+    "trainer": {
+        "standard": (
+            Field("epochs", INT, default=10, minimum=1),
+            Field("patience", INT, default=0, minimum=0),
+            Field("seed", INT, default=0, minimum=0),
+        ),
+    },
+}
 
 
 @dataclass
@@ -170,23 +218,24 @@ def _check_scalar(f: Field, value, path):
     raise AssertionError(f.ftype)
 
 
-def _resolve_component(registry, kind, raw, path):
+def _resolve_component(schemas, kind, raw, path):
     """raw must be a single-key {"name": {params}} object."""
     if not isinstance(raw, dict) or len(raw) != 1:
         raise SchemaViolation("%s: component selection must be a single-key object" % path)
     (name, params), = raw.items()
     if not isinstance(params, dict):
         raise SchemaViolation("%s.%s: component params must be an object" % (path, name))
-    reg = registry.get(kind, name)
-    fields = reg.field_map()
+    fields = schemas[kind].get(name)
+    if fields is None:
+        raise UnknownComponent("no %s component named %r" % (kind, name))
     here = "%s.%s" % (path, name) if path else name
 
-    unknown = set(params) - set(fields)
+    unknown = set(params) - {f.name for f in fields}
     if unknown:
         raise SchemaViolation("%s: unknown keys %s" % (here, sorted(unknown)))
 
     resolved = {}
-    for f in reg.schema:
+    for f in fields:
         if f.name in params:
             value = params[f.name]
         elif f.default is not REQUIRED:
@@ -194,17 +243,16 @@ def _resolve_component(registry, kind, raw, path):
         else:
             raise SchemaViolation("%s: missing required field %r" % (here, f.name))
         if f.ftype == COMPONENT:
-            resolved[f.name] = _resolve_component(registry, f.child_kind, value,
+            resolved[f.name] = _resolve_component(schemas, f.child_kind, value,
                                                   "%s.%s" % (here, f.name))
         else:
             resolved[f.name] = _check_scalar(f, value, "%s.%s" % (here, f.name))
     return ComponentConfig(kind, name, resolved)
 
 
-def parse_task_config(text: str, registry: Registry = None) -> ComponentConfig:
+def parse_task_config(text: str, schemas=SCHEMAS) -> ComponentConfig:
     """Parse and validate a JSON task config document into the task's
     ComponentConfig, whose name is the task kind."""
-    registry = registry or GLOBAL
     if not text or not text.strip():
         raise MalformedDocument("empty config document")
     try:
@@ -213,7 +261,7 @@ def parse_task_config(text: str, registry: Registry = None) -> ComponentConfig:
         raise MalformedDocument("config is not valid JSON: %s" % exc)
     if not isinstance(doc, dict) or set(doc) != {"task"}:
         raise MalformedDocument("config root must be an object with the single key \"task\"")
-    return _resolve_component(registry, "task", doc["task"], "task")
+    return _resolve_component(schemas, "task", doc["task"], "task")
 
 
 def _component_to_raw(cfg: ComponentConfig):

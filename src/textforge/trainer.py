@@ -20,8 +20,10 @@ import numpy as np
 
 from . import binio
 from .data_handler import VOCAB_NAMES, VocabBundle
-from .errors import CorruptFile, EmptySplit, NoGradient, NonFiniteLoss
+from .errors import (CorruptFile, EmptySplit, NoGradient, NonFiniteLoss, SchemaViolation,
+                     TextForgeError)
 from .model_zoo import load_params
+from .registry import ComponentConfig, parse_task_config
 from .vocab import Vocabulary, all_str
 
 F32 = np.float32
@@ -277,14 +279,17 @@ _CKPT_FIELDS = {
 
 class Checkpoint(dict):
     """A checked checkpoint payload: exactly the fields of _CKPT_FIELDS.
-    vocabs is the VocabBundle whose Vocabularies checked its vocab tables, so
-    restoring a pipeline from it hashes no table again."""
+    config is its parsed config snapshot, and vocabs the VocabBundle whose
+    Vocabularies checked its vocab tables, so restoring a pipeline from it
+    parses and hashes nothing again."""
 
+    config: ComponentConfig
     vocabs: VocabBundle
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint; CorruptFile unless every field is well formed."""
+    """Read a checkpoint; CorruptFile unless every field is well formed, and
+    SchemaViolation if its config snapshot does not parse."""
     payload = binio.read_container(path, CKPT_MAGIC, CKPT_VERSION)
     if not isinstance(payload, dict):
         raise CorruptFile("%s: not a checkpoint file" % path)
@@ -297,6 +302,12 @@ def load_checkpoint(path: str) -> Checkpoint:
     vocabs = {name: Vocabulary.from_table(payload["vocabs"][name]) for name in VOCAB_NAMES}
     if None in vocabs.values():
         raise CorruptFile("%s: checkpoint field 'vocabs' is missing or malformed" % path)
+    try:
+        config = parse_task_config(payload["config"])
+    except TextForgeError as exc:
+        raise SchemaViolation("%s: the checkpoint's config snapshot is refused (%s); retrain "
+                              "the model" % (path, exc)) from exc
     ckpt = Checkpoint(payload)
+    ckpt.config = config
     ckpt.vocabs = VocabBundle(**vocabs)
     return ckpt

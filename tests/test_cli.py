@@ -15,7 +15,7 @@ import pytest
 
 import corpora
 import textforge
-from textforge import cli, model_zoo, trainer
+from textforge import binio, cli, model_zoo, trainer
 from textforge.exporter import EquivalenceReport
 from textforge.graph import GraphOp, load_graph, save_graph
 from textforge.pipeline import instantiate_task, restore_pipeline
@@ -62,6 +62,8 @@ SIZE_PROBES = [
     ({}, ("model", "single", "embedding", "token", "cap_dim"), -3),
     ({}, ("trainer", "standard", "seed"), -1),
     ({}, ("trainer", "standard", "epochs"), 0),
+    ({}, ("trainer", "standard", "patience"), -1),
+    ({}, ("data", "tsv", "min_freq"), 0),
     ({}, ("model", "single", "representation", "docnn", "filter_widths"), [0]),
     (_CHARS, ("model", "single", "embedding", "token", "char_filter_widths"), [2, 0]),
 ]
@@ -699,6 +701,29 @@ class TestExportAndBench:
             proc = run_cli(*args, stdin="hello\n")
             assert proc.returncode == 1, (args, proc.stderr)
             assert "format version 4, expected 5" in proc.stderr, args
+
+    def test_refused_config_snapshot_names_the_checkpoint(self, doc_run, doc_graph, tmp_path,
+                                                          capsys):
+        # a snapshot written by an older version, with a field since removed
+        payload = binio.read_container(doc_run.ckpt, trainer.CKPT_MAGIC, trainer.CKPT_VERSION)
+        doc = json.loads(payload["config"])
+        doc["task"]["doc_classification"]["data"]["tsv"]["test_path"] = ""
+        payload["config"] = json.dumps(doc)
+        old = str(tmp_path / "old.ckpt")
+        trainer.save_checkpoint(old, payload)
+        texts = tmp_path / "texts.txt"
+        texts.write_text("set an alarm\n", encoding="utf-8")
+        for args in (["predict", "--ckpt", old, "--input", str(texts)],
+                     ["export", "--model", old, "--out", str(tmp_path / "m.graph")],
+                     ["bench", "--ckpt", old, "--graph", doc_graph, "--requests", "1"],
+                     ["train", "--config", str(doc_run.cfg_path),
+                      "--out-dir", str(tmp_path / "out"), "--resume", old]):
+            assert cli.main(args) == 1, args
+            err = capsys.readouterr().err
+            assert "%s: the checkpoint's config snapshot is refused" % old in err, args
+            assert "unknown keys ['test_path']" in err and "retrain" in err, args
+        assert not (tmp_path / "m.graph").exists()
+        assert not (tmp_path / "out" / "model.ckpt").exists()
 
     def test_older_graph_format_is_refused(self, doc_graph, tmp_path):
         # format 3 ops list their outputs and carry a Concat axis and a

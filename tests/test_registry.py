@@ -1,4 +1,4 @@
-"""Config schema semantics: registration, validation, defaults, round trips."""
+"""Config schema semantics: the schema table, validation, defaults, round trips."""
 
 import json
 
@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import corpora
-from textforge.errors import (DuplicateRegistration, MalformedDocument,
-                              SchemaViolation, UnknownComponent)
+from textforge import components, registry, trainer
+from textforge.errors import MalformedDocument, SchemaViolation, UnknownComponent
 from textforge.pipeline import instantiate_task
-from textforge.registry import (BOOL, COMPONENT, FLOAT, INT, LIST_INT,
-                                STRING, ComponentConfig, Field, Registry,
-                                parse_task_config, serialize_task_config)
+from textforge.registry import (BOOL, COMPONENT, FLOAT, INT, LIST_INT, SCHEMAS,
+                                STRING, ComponentConfig, Field, parse_task_config,
+                                serialize_task_config)
 
 
 class TestField:
@@ -25,47 +25,51 @@ class TestField:
 
 
 class TestRegistry:
-    def test_register_get_names(self):
-        reg = Registry()
-        reg.register("optimizer", "sgd", (Field("lr", FLOAT, default=0.1),))
-        reg.register("optimizer", "adam", ())
-        assert reg.get("optimizer", "sgd").name == "sgd"
-        assert reg.get("optimizer", "adam").name == "adam"
-
-    def test_duplicate_rejected(self):
-        reg = Registry()
-        reg.register("optimizer", "sgd", ())
-        with pytest.raises(DuplicateRegistration):
-            reg.register("optimizer", "sgd", ())
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Registry().register("scheduler", "cosine", ())
-
     def test_unknown_component(self):
-        with pytest.raises(UnknownComponent):
-            Registry().get("optimizer", "lamb")
+        doc = {"task": {"doc_classification": {
+            "data": {"tsv": {"train_path": "train.tsv", "eval_path": "eval.tsv"}},
+            "model": {"single": {"representation": {"docnn": {}},
+                                 "output": {"doc_classification": {}}}},
+            "optimizer": {"lamb": {}}}}}
+        with pytest.raises(UnknownComponent, match="no optimizer component named 'lamb'"):
+            parse_task_config(json.dumps(doc))
+
+    def test_every_child_kind_is_a_kind(self):
+        for kind, entries in SCHEMAS.items():
+            for name, fields in entries.items():
+                for f in fields:
+                    if f.ftype == COMPONENT:
+                        assert f.child_kind in SCHEMAS, (kind, name, f.name)
+
+    def test_builders_and_the_table_name_the_same_components(self):
+        assert set(components._REP_CLASSES) == set(SCHEMAS["representation"])
+        assert set(components._OUTPUT_CLASSES) == set(SCHEMAS["output"])
+        assert set(components.JOINT_HEADS) <= set(SCHEMAS["task"])
+        built = {name: type(components.build_optimizer(
+            registry._resolve_component(SCHEMAS, "optimizer", {name: {}}, "optimizer"), {}))
+            for name in SCHEMAS["optimizer"]}
+        assert built == {"sgd": trainer.SGD, "adam": trainer.Adam}
 
 
-def demo_registry():
-    reg = Registry()
-    reg.register("optimizer", "toy", (
-        Field("lr", FLOAT, default=0.5),
-        Field("steps", INT, minimum=0),
-        Field("layers", LIST_INT, default=[1, 2], minimum=1),
-        Field("tag", STRING, default=""),
-        Field("verbose", BOOL, default=False),
-    ))
-    reg.register("task", "demo", (
-        Field("optimizer", COMPONENT, default={"toy": {"steps": 3}},
-              child_kind="optimizer"),
-    ))
-    return reg
+def demo_schemas():
+    return {
+        "optimizer": {"toy": (
+            Field("lr", FLOAT, default=0.5),
+            Field("steps", INT, minimum=0),
+            Field("layers", LIST_INT, default=[1, 2], minimum=1),
+            Field("tag", STRING, default=""),
+            Field("verbose", BOOL, default=False),
+        )},
+        "task": {"demo": (
+            Field("optimizer", COMPONENT, default={"toy": {"steps": 3}},
+                  child_kind="optimizer"),
+        )},
+    }
 
 
 def demo_parse(params):
     text = json.dumps({"task": {"demo": params}})
-    return parse_task_config(text, demo_registry())
+    return parse_task_config(text, demo_schemas())
 
 
 class TestValidation:
@@ -116,18 +120,19 @@ class TestValidation:
     ], ids=["rate=0", "rate=1", "rate=nan", "weight=-0.5", "weight=inf", "weight=10**400",
             "widths=[2, 3, 2]"])
     def test_float_bounds_and_distinct_items(self, params, error):
-        reg = Registry()
-        reg.register("optimizer", "toy", (
-            Field("rate", FLOAT, default=0.5, above=0, below=1),
-            Field("weight", FLOAT, default=1.0, minimum=0),
-            Field("widths", LIST_INT, default=[1], distinct=True),
-        ))
-        reg.register("task", "demo", (
-            Field("optimizer", COMPONENT, default={"toy": {}}, child_kind="optimizer"),))
+        schemas = {
+            "optimizer": {"toy": (
+                Field("rate", FLOAT, default=0.5, above=0, below=1),
+                Field("weight", FLOAT, default=1.0, minimum=0),
+                Field("widths", LIST_INT, default=[1], distinct=True),
+            )},
+            "task": {"demo": (
+                Field("optimizer", COMPONENT, default={"toy": {}}, child_kind="optimizer"),)},
+        }
 
         def parse(**fields):
             doc = {"task": {"demo": {"optimizer": {"toy": fields}}}}
-            return parse_task_config(json.dumps(doc), reg)
+            return parse_task_config(json.dumps(doc), schemas)
         edge = parse(rate=0.999, weight=0, widths=[3, 1]).child("optimizer").params
         assert edge == {"rate": 0.999, "weight": 0.0, "widths": [3, 1]}
         with pytest.raises(SchemaViolation, match=error):
@@ -153,19 +158,19 @@ class TestValidation:
 class TestDocumentShape:
     def test_bad_json(self):
         with pytest.raises(MalformedDocument):
-            parse_task_config("{not json", demo_registry())
+            parse_task_config("{not json", demo_schemas())
 
     def test_empty_document(self):
         with pytest.raises(MalformedDocument):
-            parse_task_config("   \n", demo_registry())
+            parse_task_config("   \n", demo_schemas())
 
     def test_root_must_be_single_task_key(self):
         with pytest.raises(MalformedDocument):
-            parse_task_config(json.dumps({"job": {}}), demo_registry())
+            parse_task_config(json.dumps({"job": {}}), demo_schemas())
         with pytest.raises(MalformedDocument):
-            parse_task_config(json.dumps([1, 2]), demo_registry())
+            parse_task_config(json.dumps([1, 2]), demo_schemas())
         with pytest.raises(MalformedDocument):
-            parse_task_config(json.dumps({"task": {}, "extra": 1}), demo_registry())
+            parse_task_config(json.dumps({"task": {}, "extra": 1}), demo_schemas())
 
     def test_unknown_task_name(self):
         with pytest.raises(UnknownComponent):

@@ -56,3 +56,25 @@ def test_unread_private_names_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_name_is_read(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def repeated_dict_keys(source: str) -> list:
+    """Keys, constants or names, that a dict literal gives twice: the later
+    entry silently replaces the earlier one."""
+    repeated = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Dict):
+            keys = [ast.unparse(k) for k in node.keys if isinstance(k, (ast.Constant, ast.Name))]
+            repeated.update(k for k in keys if keys.count(k) > 1)
+    return sorted(repeated)
+
+
+def test_repeated_dict_keys_are_found():
+    source = ("A = {'x': 1, 'y': {'z': 1, 'z': 2}, 'x': 3}\n"
+              "B = {K: 1, **A, 'w': {K: 2}, K: 3, 1: 0, 2: 0}\n")
+    assert repeated_dict_keys(source) == ["'x'", "'z'", "K"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dict_literal_repeats_a_key(path):
+    assert repeated_dict_keys(path.read_text(encoding="utf-8")) == []
