@@ -9,7 +9,7 @@ import json
 import os
 import sys
 
-from . import bench
+from . import bench, binio
 from .data_handler import read_lines, text_lines
 from .errors import ExportMismatch, SchemaViolation, TextForgeError
 from .exporter import export_pipeline, sample_texts, verify_equivalence
@@ -97,7 +97,7 @@ def cmd_train(args) -> int:
         # changed data files give other tables or labels than the trained rows
         if resume.vocabs != pipe.vocabs:
             raise SchemaViolation("resume checkpoint has other vocabularies than the data")
-        if resume["labels"] != {"doc": pipe.doc_labels, "word": pipe.word_tags}:
+        if resume["labels"] != pipe.labels:
             raise SchemaViolation("resume checkpoint has other labels than the data")
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -106,9 +106,8 @@ def cmd_train(args) -> int:
 
     report = {"task": pipe.task, "checkpoint": ckpt_path}
     report.update(result.payload())
-    with open(os.path.join(args.out_dir, "train_report.json"), "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    binio.write_file(os.path.join(args.out_dir, "train_report.json"),
+                     (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
     lines = ["task: %s" % pipe.task]
     for rec in result.history:
         lines.append("epoch %d: train_loss=%.6f score=%.4f" %
@@ -116,8 +115,8 @@ def cmd_train(args) -> int:
     lines.append("best epoch %d score %.4f%s" %
                  (result.best_epoch, result.best_score,
                   " (stopped early)" if result.stopped_early else ""))
-    with open(os.path.join(args.out_dir, "train_report.txt"), "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    binio.write_file(os.path.join(args.out_dir, "train_report.txt"),
+                     ("\n".join(lines) + "\n").encode())
     print(lines[-1])
     print("checkpoint: %s" % ckpt_path)
     return 0
@@ -135,11 +134,9 @@ def _graph_predictor(graph):
     return predict
 
 
-def _eager_predictor(pipe, graph):
-    """Text -> the eager prediction JSON that graph's predictor gives: a
-    joint checkpoint predicts only the head the graph was exported from."""
-    task = graph.attrs["task"]
-
+def _eager_predictor(pipe, task=None):
+    """Text -> eager prediction JSON; given a task, a joint checkpoint
+    predicts only that task's head, as the head's exported graph does."""
     def predict(text):
         return pipe.predict(pipe.featurizer.featurize(text), task)
     return predict
@@ -148,14 +145,10 @@ def _eager_predictor(pipe, graph):
 def cmd_predict(args) -> int:
     lines = (read_lines(args.input) if args.input
              else text_lines(sys.stdin.buffer.read(), "stdin"))
-    if args.graph:
-        predict = _graph_predictor(load_graph(args.graph))
-        for line in lines:
-            print(json.dumps(predict(line)))
-        return 0
-    pipe = restore_pipeline(load_checkpoint(args.ckpt), use_best=True)
+    predict = (_graph_predictor(load_graph(args.graph)) if args.graph
+               else _eager_predictor(restore_pipeline(load_checkpoint(args.ckpt), use_best=True)))
     for line in lines:
-        print(json.dumps(pipe.predict(pipe.featurizer.featurize(line))))
+        print(json.dumps(predict(line)))
     return 0
 
 
@@ -191,14 +184,13 @@ def cmd_bench(args) -> int:
     pipe = restore_pipeline(load_checkpoint(args.ckpt), use_best=True)
     graph = load_graph(args.graph)
     texts = sample_texts(pipe.vocabs.token, args.requests, derive_rng(0, 3))
-    reports = bench.latency_reports({"eager": _eager_predictor(pipe, graph),
+    reports = bench.latency_reports({"eager": _eager_predictor(pipe, graph.attrs["task"]),
                                      "exported": _graph_predictor(graph)},
                                     texts, warmup=args.warmup)
     print(bench.format_reports(reports))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump([r.payload() for r in reports], handle, indent=2)
-            handle.write("\n")
+        binio.write_file(args.out,
+                         (json.dumps([r.payload() for r in reports], indent=2) + "\n").encode())
     return 0
 
 

@@ -34,10 +34,10 @@ def build_optimizer(cfg: ComponentConfig, params):
                         beta2=cfg.params["beta2"], eps=cfg.params["eps"])
 
 
-def build_model(model_cfg: ComponentConfig, task_kind: str, vocabs, doc_labels, word_tags,
-                rng):
+def build_model(model_cfg: ComponentConfig, task_kind: str, vocabs, labels, rng):
     """The model for a task: one head, or for the joint task two heads whose
-    embedding + BiLSTM trunk is shared by reference.
+    embedding + BiLSTM trunk is shared by reference. labels maps "doc" and
+    "word" to their names; each head has one class per name of its kind.
 
     Every head is embedding -> representation -> decoder -> output, built by
     _build_head in head order from one rng. The joint doc head owns the
@@ -69,9 +69,8 @@ def build_model(model_cfg: ComponentConfig, task_kind: str, vocabs, doc_labels, 
         heads = {task_kind: (task_kind, model_cfg.child("representation"),
                              model_cfg.child("decoder"))}
 
-    n_classes = {DOC_TASK: len(doc_labels or ()), WORD_TASK: len(word_tags or ())}
     models = {head: _build_head(model_cfg.child("embedding"), rep_cfg, dec_cfg, kind,
-                                vocabs, n_classes[kind], rng)
+                                vocabs, len(labels[JOINT_HEADS[kind]]), rng)
               for head, (kind, rep_cfg, dec_cfg) in heads.items()}
     if task_kind == JOINT_TASK:
         # the word head draws its own trunk first, then drops it, so the

@@ -109,10 +109,11 @@ def export_pipeline(pipe):
     """Graph(s) for a trained pipeline: one, or a per-head dict for joint."""
     settings, vocabs = pipe.featurizer.settings, pipe.vocabs
     if pipe.task == components.JOINT_TASK:
-        return {head: export_model(pipe.model.tasks[head], settings, pipe.labels(task), task,
+        return {head: export_model(pipe.model.tasks[head], settings, pipe.labels[head], task,
                                    vocabs)
                 for task, head in components.JOINT_HEADS.items()}
-    return export_model(pipe.model, settings, pipe.labels(pipe.task), pipe.task, vocabs)
+    return export_model(pipe.model, settings, pipe.labels[components.JOINT_HEADS[pipe.task]],
+                        pipe.task, vocabs)
 
 
 # --- equivalence checking between eager and exported inference ---

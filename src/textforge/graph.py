@@ -22,7 +22,7 @@ from . import binio, kernels
 from .data_handler import VOCAB_NAMES
 from .errors import CorruptGraph, CorruptFile, InputTypeMismatch
 from .featurizer import FeaturizedExample, char_ids, featurize
-from .registry import DOC_TASK, WORD_TASK
+from .registry import DOC_TASK, MAX_CHARS, WORD_TASK
 from .vocab import Vocabulary, all_str
 
 F32 = np.float32
@@ -144,7 +144,7 @@ GRAPH_ATTRS = {
     "task": lambda v: isinstance(v, str) and v in (DOC_TASK, WORD_TASK),
     "labels": lambda v: isinstance(v, list) and all_str(v) and 0 < len(set(v)) == len(v),
     "lowercase": lambda v: isinstance(v, bool),
-    "max_chars": lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0,
+    "max_chars": lambda v: isinstance(v, int) and not isinstance(v, bool) and 0 < v < MAX_CHARS,
 }
 
 

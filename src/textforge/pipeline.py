@@ -40,18 +40,16 @@ class Pipeline:
     labels from the config; the model's initial weights come from the
     config's seed."""
 
-    def __init__(self, config: ComponentConfig, vocabs: VocabBundle, doc_labels, word_tags,
-                 datasets=None):
+    def __init__(self, config: ComponentConfig, vocabs: VocabBundle, labels, datasets=None):
         tparams = config.child("trainer").params
         self.config = config
         self.config_text = serialize_task_config(config)
         self.task = config.name
         self.featurizer = _build_featurizer(config)
         self.vocabs = vocabs
-        self.doc_labels = doc_labels or []
-        self.word_tags = word_tags or []
-        self.model = components.build_model(config.child("model"), self.task, vocabs,
-                                            doc_labels, word_tags, derive_rng(tparams["seed"], 0))
+        self.labels = labels  # "doc"/"word" -> names, [] for a kind the task does not use
+        self.model = components.build_model(config.child("model"), self.task, vocabs, labels,
+                                            derive_rng(tparams["seed"], 0))
         self.optimizer = components.build_optimizer(config.child("optimizer"),
                                                     self.model.named_parameters())
         self.settings = Settings(epochs=tparams["epochs"], patience=tparams["patience"],
@@ -81,10 +79,8 @@ class Pipeline:
             for ds in self.datasets["eval"]:
                 if not ds.examples:
                     raise EmptySplit("%s split is empty" % ds.split)
-            doc_index = (None if self.task == components.WORD_TASK
-                         else {label: i for i, label in enumerate(self.doc_labels)})
-            tag_index = (None if self.task == components.DOC_TASK
-                         else {tag: i for i, tag in enumerate(self.word_tags)})
+            doc_index, tag_index = ({name: i for i, name in enumerate(self.labels[kind])}
+                                    if self.labels[kind] else None for kind in ("doc", "word"))
             self._vectors = {
                 name: [batch_examples(ds.examples, self.vocabs, self.char_width,
                                       doc_index, tag_index) for ds in self.datasets[name]]
@@ -119,7 +115,7 @@ class Pipeline:
         """
         batches = [make_batches(full, self.settings.batch_size)
                    for full in self._vectorized("eval")]
-        n_labels, n_tags = len(self.doc_labels), len(self.word_tags)
+        n_labels, n_tags = len(self.labels["doc"]), len(self.labels["word"])
         if self.task == components.DOC_TASK:
             acc, f1 = metrics.scores(_doc_counts(_outputs(self.model, batches[0]), n_labels))
             return acc, {"accuracy": acc, "macro_f1": f1}
@@ -144,10 +140,6 @@ class Pipeline:
 
     # -- prediction -----------------------------------------------------------
 
-    def labels(self, task) -> list:
-        """The label names of a doc or word head."""
-        return self.doc_labels if task == components.DOC_TASK else self.word_tags
-
     def predict(self, feats, task=None) -> dict:
         """Eager single-example prediction from a FeaturizedExample.
 
@@ -168,7 +160,8 @@ class Pipeline:
         return result
 
     def _json(self, task, out) -> dict:
-        return prediction_json(task, self.labels(task), out.preds[0], out.scores[0])
+        return prediction_json(task, self.labels[components.JOINT_HEADS[task]], out.preds[0],
+                               out.scores[0])
 
 
 def prediction_json(task, labels, pred, scores) -> dict:
@@ -216,8 +209,8 @@ def _load_data(config: ComponentConfig):
     otherwise.
 
     Vocabularies and labels come from the union of the train sources (for a
-    single task, the train set itself). Returns (vocabs, doc_labels,
-    word_tags, datasets); a task has no labels of the kind it does not use.
+    single task, the train set itself). Returns (vocabs, labels, datasets),
+    labels as Pipeline takes them.
     """
     task = config.name
     data_cfg = config.child("data")
@@ -245,9 +238,9 @@ def _load_data(config: ComponentConfig):
         gaz=data_handler.build_gaz_vocab(union),
         cap=data_handler.cap_vocabulary(),
     )
-    doc_labels = data_handler.doc_label_list(union) if task != components.WORD_TASK else None
-    word_tags = data_handler.word_tag_list(union) if task != components.DOC_TASK else None
-    return vocabs, doc_labels, word_tags, datasets
+    labels = {"doc": data_handler.doc_label_list(union) if task != components.WORD_TASK else [],
+              "word": data_handler.word_tag_list(union) if task != components.DOC_TASK else []}
+    return vocabs, labels, datasets
 
 
 def instantiate_task(config: ComponentConfig, seed_override: Optional[int] = None) -> Pipeline:
@@ -264,7 +257,6 @@ def restore_pipeline(payload: Checkpoint, use_best: bool = True) -> Pipeline:
     use_best selects the best-epoch parameters (for prediction and export);
     pass False to get the last-epoch state instead.
     """
-    pipe = Pipeline(payload.config, payload.vocabs, payload["labels"]["doc"],
-                    payload["labels"]["word"])
+    pipe = Pipeline(payload.config, payload.vocabs, payload["labels"])
     load_params(pipe.model, payload["best_params" if use_best else "params"])
     return pipe

@@ -30,6 +30,10 @@ _FIELD_TYPES = (INT, FLOAT, BOOL, STRING, LIST_INT, LIST_STRING, COMPONENT)
 # sentinel: the field has no default and must appear in the config
 REQUIRED = object()
 
+# max_chars must be below it: each batch and graph request holds max_chars char
+# ids per token, so an unbounded width can ask for terabytes of memory
+MAX_CHARS = 1024
+
 
 @dataclass(frozen=True)
 class Field:
@@ -39,7 +43,7 @@ class Field:
     child_kind: str = ""     # COMPONENT only: the SCHEMAS kind to pick from
     minimum: Optional[int] = None  # INT, FLOAT and LIST_INT (each item): smallest allowed value
     above: Optional[float] = None  # FLOAT only: the value must be greater
-    below: Optional[float] = None  # FLOAT only: the value must be smaller
+    below: Optional[float] = None  # INT, FLOAT and LIST_INT (each item): must be smaller
     distinct: bool = False   # LIST_INT only: no item may repeat
     nonempty: bool = False   # LIST_INT only: at least one item
 
@@ -64,7 +68,7 @@ SCHEMAS = {
     "featurizer": {
         "basic": (
             Field("lowercase", BOOL, default=True),
-            Field("max_chars", INT, default=20, minimum=1),
+            Field("max_chars", INT, default=20, minimum=1, below=MAX_CHARS),
         ),
     },
     "data_handler": {
@@ -163,9 +167,11 @@ def _type_error(path, expected, value):
     return SchemaViolation("%s: expected %s, got %r" % (path, expected, value))
 
 
-def _check_minimum(f: Field, values, path):
+def _check_range(f: Field, values, path):
     if f.minimum is not None and any(v < f.minimum for v in values):
         raise SchemaViolation("%s: must be >= %d, got %r" % (path, f.minimum, min(values)))
+    if f.below is not None and not all(v < f.below for v in values):
+        raise SchemaViolation("%s: must be < %g, got %r" % (path, f.below, max(values)))
 
 
 def _check_float(f: Field, value, path):
@@ -175,11 +181,9 @@ def _check_float(f: Field, value, path):
         value = math.inf
     if not math.isfinite(value):
         raise SchemaViolation("%s: must be finite, got %r" % (path, value))
-    _check_minimum(f, (value,), path)
+    _check_range(f, (value,), path)
     if f.above is not None and not value > f.above:
         raise SchemaViolation("%s: must be > %g, got %r" % (path, f.above, value))
-    if f.below is not None and not value < f.below:
-        raise SchemaViolation("%s: must be < %g, got %r" % (path, f.below, value))
     return value
 
 
@@ -187,7 +191,7 @@ def _check_scalar(f: Field, value, path):
     if f.ftype == INT:
         if isinstance(value, bool) or not isinstance(value, int):
             raise _type_error(path, "int", value)
-        _check_minimum(f, (value,), path)
+        _check_range(f, (value,), path)
         return value
     if f.ftype == FLOAT:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -207,7 +211,7 @@ def _check_scalar(f: Field, value, path):
             raise _type_error(path, "list of int", value)
         if f.nonempty and not value:
             raise SchemaViolation("%s: needs at least one item, got []" % path)
-        _check_minimum(f, value, path)
+        _check_range(f, value, path)
         if f.distinct and len(set(value)) < len(value):
             raise SchemaViolation("%s: items must differ, got %r" % (path, value))
         return list(value)

@@ -1,15 +1,20 @@
 """Optimizers, the training loop with holdout selection, and checkpoints.
 
-One root seed drives everything through fixed spawn keys: (0,) for parameter
-init, (1, epoch[, source]) for batch shuffling. Shuffle streams are derived
-per epoch rather than advanced across epochs, so a resumed run replays the
-exact schedule of an uninterrupted one.
+Every random draw comes from a root seed and a fixed spawn key:
+- (0,) parameter init, under the config seed
+- (1, epoch[, source]) batch shuffling, under the config seed
+- (2,) the texts verify_equivalence checks, under the seed it is given (the
+  config seed in `textforge export`)
+- (3,) the texts `textforge bench` times, under seed 0
+Shuffle streams are derived per epoch rather than advanced across epochs, so
+a resumed run replays the exact schedule of an uninterrupted one.
 
 A checkpoint stores each fact once: the config snapshot, the history (one
 record per epoch run), the vocabularies and labels, the last and the best
 parameters, and the Adam moments. The rest is read from those: the seed and
 the optimizer settings from the config, the last epoch from the history's
-length, and the best epoch as the first with the highest score.
+length, and the best epoch and the early stop by best_epoch and
+out_of_patience, the one statement of each rule.
 """
 
 import math
@@ -155,6 +160,17 @@ def _snapshot_params(model):
     return {name: p.data.copy() for name, p in model.named_parameters().items()}
 
 
+def best_epoch(history) -> int:
+    """The selected epoch: the first of the highest score in a non-empty history."""
+    return max(range(len(history)), key=lambda i: history[i].score)
+
+
+def out_of_patience(history, patience: int) -> bool:
+    """Whether a run stops after the epochs in history: more than patience
+    epochs since the best one, counting it. Patience 0 never stops a run."""
+    return bool(history) and 0 < patience < len(history) - best_epoch(history)
+
+
 def train(pipe, ckpt_path: str = "", resume: Optional[dict] = None, echo=None) -> TrainResult:
     """Run the training loop; the pipeline supplies batches and evaluation.
 
@@ -167,34 +183,24 @@ def train(pipe, ckpt_path: str = "", resume: Optional[dict] = None, echo=None) -
     cfg = pipe.settings
 
     history = []
-    best_epoch = -1
-    best_score = float("-inf")
     best_params = None  # every run sets it: from resume, or at its first epoch
-    stopped_early = False
-
-    def out_of_patience(epoch):
-        return cfg.patience > 0 and (epoch - best_epoch) >= cfg.patience
-
     if resume is not None:
         history = [EpochRecord(**rec) for rec in resume["history"]]
-        # the loop keeps the first epoch of the highest score, as max picks it
-        best_epoch = max(range(len(history)), key=lambda i: history[i].score)
-        best_score = history[best_epoch].score
         # best_params too is checked now, not after the last epoch
         load_params(model, resume["best_params"])
         load_params(model, resume["params"])
         best_params = dict(resume["best_params"])
         opt.load_state(resume["optimizer"])
-        # a run that had stopped early stays stopped, as it did uninterrupted
-        stopped_early = out_of_patience(len(history) - 1)
 
-    start_epoch = len(history)
-    epochs = range(start_epoch, start_epoch if stopped_early else cfg.epochs)
-    if resume is not None and not epochs and ckpt_path:
+    def running():  # a resumed run that had stopped early stays stopped
+        return len(history) < cfg.epochs and not out_of_patience(history, cfg.patience)
+
+    if resume is not None and ckpt_path and not running():
         # nothing is left to train: the resumed state is the checkpoint
         save_checkpoint(ckpt_path, checkpoint_payload(pipe, history, best_params))
 
-    for epoch in epochs:
+    while running():
+        epoch = len(history)
         batches = pipe.train_batches(epoch)
         if not batches:
             raise EmptySplit("no training batches")
@@ -215,18 +221,14 @@ def train(pipe, ckpt_path: str = "", resume: Optional[dict] = None, echo=None) -
         if echo:
             shown = " ".join("%s=%.4f" % (k, v) for k, v in metrics.items())
             echo("epoch %d: train_loss=%.6f score=%.4f %s" % (epoch, record.train_loss, score, shown))
-        if score > best_score:
-            best_score = score
-            best_epoch = epoch
+        if best_epoch(history) == epoch:
             best_params = _snapshot_params(model)
         if ckpt_path:
             save_checkpoint(ckpt_path, checkpoint_payload(pipe, history, best_params))
-        if out_of_patience(epoch):
-            stopped_early = True
-            break
 
     load_params(model, best_params)
-    return TrainResult(history, best_epoch, best_score, stopped_early)
+    best = best_epoch(history)
+    return TrainResult(history, best, history[best].score, out_of_patience(history, cfg.patience))
 
 
 def checkpoint_payload(pipe, history, best_params) -> dict:
@@ -234,7 +236,7 @@ def checkpoint_payload(pipe, history, best_params) -> dict:
         "config": pipe.config_text,
         "history": [asdict(rec) for rec in history],
         "vocabs": {name: getattr(pipe.vocabs, name).entries for name in VOCAB_NAMES},
-        "labels": {"doc": pipe.doc_labels, "word": pipe.word_tags},
+        "labels": pipe.labels,
         "params": _snapshot_params(pipe.model),
         "best_params": best_params,
         "optimizer": pipe.optimizer.state_payload(),

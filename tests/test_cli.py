@@ -1,7 +1,9 @@
 """End to end command line checks, run through subprocesses like a user would."""
 
 import argparse
+import builtins
 import copy
+import errno
 import json
 import os
 import re
@@ -19,7 +21,7 @@ from textforge import binio, cli, model_zoo, trainer
 from textforge.exporter import EquivalenceReport
 from textforge.graph import GraphOp, load_graph, save_graph
 from textforge.pipeline import instantiate_task, restore_pipeline
-from textforge.registry import parse_task_config, serialize_task_config
+from textforge.registry import MAX_CHARS, parse_task_config, serialize_task_config
 from textforge.tensor import Tensor
 from textforge.trainer import load_checkpoint
 from textforge.vocab import Vocabulary
@@ -50,6 +52,7 @@ SIZE_PROBES = [
     ({}, ("data", "tsv", "batch_size"), -3),
     ({}, ("featurizer", "basic", "max_chars"), -1),
     ({}, ("featurizer", "basic", "max_chars"), 0),
+    ({}, ("featurizer", "basic", "max_chars"), MAX_CHARS),
     ({}, ("model", "single", "representation", "docnn", "num_filters"), 0),
     ({}, ("model", "single", "decoder", "mlp", "hidden_dims"), [0]),
     (_ATTN, ("model", "single", "representation", "bilstm_attn", "attention_dim"), 0),
@@ -279,9 +282,9 @@ class TestTrain:
         old, new = load_checkpoint(ckpt), instantiate_task(parse_task_config(
             cfg_path.read_text(encoding="utf-8")))
         assert len(old.vocabs.token) == len(new.vocabs.token)
-        assert len(old["labels"]["doc"]) == len(new.doc_labels)
+        assert len(old["labels"]["doc"]) == len(new.labels["doc"])
         assert (old.vocabs.token != new.vocabs.token) == (change == "token_order")
-        assert (old["labels"]["doc"] != new.doc_labels) == (change == "label_name")
+        assert (old["labels"]["doc"] != new.labels["doc"]) == (change == "label_name")
         capsys.readouterr()
         assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(resumed),
                          "--resume", ckpt]) == 1
@@ -343,6 +346,51 @@ class TestTrain:
         assert (resumed / "model.ckpt").read_bytes() == (first / "model.ckpt").read_bytes()
         report = json.loads((resumed / "train_report.json").read_text())
         assert report["epochs_run"] == 2 and report["stopped_early"] is True
+
+    def test_failed_report_write_keeps_the_previous_report(self, tmp_path, monkeypatch,
+                                                           capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(corpora.doc_config(str(tmp_path), n_train=8, n_eval=4,
+                                                          epochs=1)), encoding="utf-8")
+        args = ["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
+        assert cli.main(args) == 0
+        report = tmp_path / "out" / "train_report.json"
+        before = report.read_bytes()
+        real_open = builtins.open
+
+        class FullDisk:
+            """A file whose first write stores half its data, then finds the
+            disk full."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def write(self, data):
+                self.handle.write(data[:len(data) // 2])
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def opening(path, mode="r", *rest, **kwargs):
+            handle = real_open(path, mode, *rest, **kwargs)
+            if "train_report.json" in str(path) and "r" not in mode:
+                return FullDisk(handle)
+            return handle
+        monkeypatch.setattr(builtins, "open", opening)
+        capsys.readouterr()
+        assert cli.main(args) == 1
+        monkeypatch.undo()
+        assert "No space left on device" in capsys.readouterr().err
+        assert report.read_bytes() == before
+        assert not [name for name in os.listdir(tmp_path / "out") if name.endswith(".tmp")]
 
     def test_eval_label_missing_from_train(self, tmp_path, monkeypatch, capsys):
         cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1)
@@ -641,6 +689,16 @@ class TestPredict:
             assert cli.main(cmd) == 1, cmd
             assert "graph attr 'task' is %r" % task in capsys.readouterr().err, cmd
 
+    def test_max_chars_at_the_bound_is_refused(self, doc_graph, tmp_path):
+        # each token's char row is max_chars wide, so a wide one exhausts memory
+        g = load_graph(doc_graph)
+        g.attrs["max_chars"] = MAX_CHARS
+        bad = str(tmp_path / "wide.graph")
+        save_graph(g, bad)
+        proc = run_cli("predict", "--graph", bad, stdin="hello\n")
+        assert proc.returncode == 1, proc.stderr
+        assert "graph attr 'max_chars' is missing or malformed" in proc.stderr
+
     def test_graph_and_ckpt_are_exclusive(self, doc_run, doc_graph):
         proc = run_cli("predict", "--graph", doc_graph, "--ckpt", doc_run.ckpt,
                        stdin="")
@@ -683,7 +741,8 @@ class TestExportAndBench:
         texts = ["set an alarm", "Play THE song now", "zzqx", ""]
         for head in ("doc", "word"):
             graph = load_graph(str(tmp_path / ("model.%s.graph" % head)))
-            eager, exported = cli._eager_predictor(pipe, graph), cli._graph_predictor(graph)
+            eager = cli._eager_predictor(pipe, graph.attrs["task"])
+            exported = cli._graph_predictor(graph)
             for text in texts:
                 assert json.dumps(eager(text)) == json.dumps(exported(text)), (head, text)
 

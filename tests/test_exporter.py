@@ -61,7 +61,7 @@ class TestLoweringShape:
     def test_docnn_opcode_trace(self, tmp_path):
         pipe = make_pipe(tmp_path)
         graph = export_model(pipe.model, pipe.featurizer.settings,
-                             pipe.doc_labels, DOC_TASK, pipe.vocabs)
+                             pipe.labels["doc"], DOC_TASK, pipe.vocabs)
         assert [op.opcode for op in graph.ops] == [
             "LookupTokens", "EmbedGather",
             "Conv1DMaxPool", "Conv1DMaxPool", "Concat",
@@ -84,14 +84,14 @@ class TestLoweringShape:
         pipe = make_pipe(tmp_path)
         graph = export_pipeline(pipe)
         assert graph.attrs["task"] == DOC_TASK
-        assert graph.attrs["labels"] == pipe.doc_labels
+        assert graph.attrs["labels"] == pipe.labels["doc"]
         assert graph.attrs["lowercase"] is True
         assert graph.attrs["max_chars"] == pipe.max_chars
 
     def test_multi_style_inputs(self, tmp_path):
         pipe = make_pipe(tmp_path, embedding=RICH_EMBEDDING)
         graph = export_model(pipe.model, pipe.featurizer.settings,
-                             pipe.doc_labels, DOC_TASK, pipe.vocabs)
+                             pipe.labels["doc"], DOC_TASK, pipe.vocabs)
         assert graph.inputs == ["tokens", "cap_labels"]
         # each lookup is traced where its style's forward first reads the ids;
         # a traced op's slot is its index in the op list
@@ -111,7 +111,7 @@ class TestLoweringShape:
     def test_non_single_task_model_rejected(self, tmp_path):
         pipe = make_pipe(tmp_path, kind="joint")
         with pytest.raises(UnsupportedModule):
-            export_model(pipe.model, pipe.featurizer.settings, pipe.doc_labels,
+            export_model(pipe.model, pipe.featurizer.settings, pipe.labels["doc"],
                          DOC_TASK, pipe.vocabs)
 
 
@@ -383,7 +383,7 @@ class TestEquivalence:
         (tmp_path / "few").mkdir()
         few = instantiate_task(parse_task_config(json.dumps(
             corpora.doc_config(str(tmp_path / "few"), n_train=2, n_eval=2))))
-        assert len(few.doc_labels) < len(pipe.doc_labels)
+        assert len(few.labels["doc"]) < len(pipe.labels["doc"])
         report = verify_equivalence(pipe, export_pipeline(few), n_samples=3)
         assert not report.argmax_agree
         assert report.max_abs_dev == float("inf")

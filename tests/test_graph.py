@@ -12,6 +12,7 @@ from textforge import graph as graph_module
 from textforge.errors import (CorruptGraph, IdOutOfRange, InputTypeMismatch,
                               VersionMismatch)
 from textforge.featurizer import CAP_CLASSES, GAZ_NONE, featurize
+from textforge.registry import MAX_CHARS
 from textforge.vocab import Vocabulary
 from textforge.graph import (GRAPH_MAGIC, GRAPH_VERSION, Executor, GraphOp,
                              StaticGraph, deserialize, load_graph,
@@ -218,6 +219,12 @@ def malformed_max_chars_a_bool():
 def malformed_max_chars_zero():
     g = linear_graph()
     g.attrs["max_chars"] = 0
+    return g
+
+
+def malformed_max_chars_at_the_bound():
+    g = linear_graph()
+    g.attrs["max_chars"] = MAX_CHARS
     return g
 
 
@@ -496,6 +503,7 @@ class TestValidation:
         malformed_max_chars_a_string,
         malformed_max_chars_a_bool,
         malformed_max_chars_zero,
+        malformed_max_chars_at_the_bound,
         malformed_consts_a_list,
         malformed_vocabs_a_list,
         malformed_vocab_duplicate_entry,

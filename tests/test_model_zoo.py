@@ -395,7 +395,8 @@ def build_joint(vocabs, seed=0, word_hidden=3):
     }}})
     model_cfg = parse_task_config(text).child("model")
     return components.build_model(model_cfg, components.JOINT_TASK, vocabs,
-                                  ["a", "b", "c"], ["O", "S"], np.random.default_rng(seed))
+                                  {"doc": ["a", "b", "c"], "word": ["O", "S"]},
+                                  np.random.default_rng(seed))
 
 
 class TestMultiTask:
@@ -470,8 +471,8 @@ def per_head_predict(pipe, text):
     batch = single_example_batch(pipe.featurizer.featurize(text), pipe.vocabs, pipe.char_width)
     doc = pipe.model.tasks["doc"].forward(batch, compute_loss=False)
     word = pipe.model.tasks["word"].forward(batch, compute_loss=False)
-    result = prediction_json(components.DOC_TASK, pipe.doc_labels, doc.preds[0], doc.scores[0])
-    result["tags"] = prediction_json(components.WORD_TASK, pipe.word_tags,
+    result = prediction_json(components.DOC_TASK, pipe.labels["doc"], doc.preds[0], doc.scores[0])
+    result["tags"] = prediction_json(components.WORD_TASK, pipe.labels["word"],
                                      word.preds[0], word.scores[0])["tags"]
     return result
 
@@ -481,7 +482,7 @@ def per_head_evaluate(pipe):
     source 0 runs through both heads, source 1 through the word head."""
     batches = [make_batches(full, pipe.settings.batch_size) for full in pipe._vectorized("eval")]
     doc, word = pipe.model.tasks["doc"], pipe.model.tasks["word"]
-    n_labels, n_tags = len(pipe.doc_labels), len(pipe.word_tags)
+    n_labels, n_tags = len(pipe.labels["doc"]), len(pipe.labels["word"])
     doc_counts = hits = 0
     for batch in batches[0]:
         preds = doc.forward(batch, compute_loss=False).preds

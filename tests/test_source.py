@@ -78,3 +78,33 @@ def test_repeated_dict_keys_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dict_literal_repeats_a_key(path):
     assert repeated_dict_keys(path.read_text(encoding="utf-8")) == []
+
+
+def writing_opens(source: str) -> list:
+    """Lines of open() calls whose mode may write, append or create a file,
+    or is not a constant that can be read."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"):
+            continue
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        if any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+               or set(m.value) & set("wax+") for m in modes):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_writing_opens_are_found():
+    source = ("open(p)\nopen(p, 'rb')\nopen(p, 'w', encoding='utf-8')\n"
+              "open(p, mode='ab')\nio.open(p, 'x')\nopen(p, 'r+b')\nopen(p, mode)\n"
+              "os.open(p, os.O_RDONLY)\n")
+    assert writing_opens(source) == [3, 4, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "binio.py"],
+                         ids=lambda p: p.name)
+def test_only_binio_opens_a_file_to_write(path):
+    # binio.write_file replaces a file all at once; an open for writing
+    # truncates the old file first, and a failed write loses it
+    assert writing_opens(path.read_text(encoding="utf-8")) == []

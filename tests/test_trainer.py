@@ -205,6 +205,42 @@ class TestTrainLoop:
         assert "score=0.5000" in lines[0]
 
 
+def ruled(scores, epochs, patience):
+    """(epochs run, best epoch, stopped early) of a run whose epochs score
+    scores: the best epoch is the first of the highest score, and a run with
+    patience above 0 stops once that many epochs follow its best."""
+    for n in range(1, epochs + 1):
+        best = scores.index(max(scores[:n]))
+        stopped = 0 < patience <= n - 1 - best
+        if stopped or n == epochs:
+            return n, best, stopped
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=st.lists(st.sampled_from([0.25, 0.5, 0.75]), min_size=6, max_size=6),
+       epochs=st.integers(1, 6), patience=st.integers(0, 3), data=st.data())
+def test_a_run_and_its_resume_follow_the_two_rules(scores, epochs, patience, data):
+    straight = StubPipe(scores, epochs, patience)
+    params, evaluate = [], straight.evaluate
+    straight.evaluate = lambda: params.append(straight.param.data.copy()) or evaluate()
+    want = train(straight)
+    n, best, stopped = ruled(scores, epochs, patience)
+    assert [rec.epoch for rec in want.history] == list(range(n))
+    assert (want.best_epoch, want.best_score, want.stopped_early) == (best, scores[best], stopped)
+    assert np.array_equal(straight.param.data, params[best])
+
+    # cut after k epochs, or where the run stopped or finished before that
+    k = min(data.draw(st.integers(1, epochs), label="epochs before the cut"), n)
+    kept = scores.index(max(scores[:k]))
+    payload = {"history": [asdict(rec) for rec in want.history[:k]],
+               "params": {"p": params[k - 1]}, "best_params": {"p": params[kept]},
+               "optimizer": {}}
+    resumed = StubPipe(scores, epochs, patience)
+    resumed.calls = k
+    assert train(resumed, resume=payload) == want
+    assert np.array_equal(resumed.param.data, params[best])
+
+
 def build_pipe(tmp_path, epochs, subdir, seed=0):
     d = tmp_path / subdir
     d.mkdir(exist_ok=True)
