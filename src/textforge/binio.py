@@ -121,6 +121,39 @@ def decode(data: bytes):
     return value
 
 
+def check_fields(value, table, what: str, error) -> bool:
+    """Raise error unless value is a dict with exactly the keys of table, each
+    value passing its field's predicate (a type stands for isinstance); return
+    True. A predicate may raise error itself, checking a nested table, to
+    name a field inside its value."""
+    if not isinstance(value, dict):
+        raise error("%s is not a mapping" % what)
+    for name, well_formed in table.items():
+        try:
+            ok = name in value and (isinstance(value[name], well_formed)
+                                    if isinstance(well_formed, type) else well_formed(value[name]))
+        except error as exc:  # a nested table named a field inside this one
+            raise error("%s field %r: %s" % (what, name, exc)) from None
+        if not ok:
+            raise error("%s field %r is missing or malformed" % (what, name))
+    if len(value) > len(table):  # value holds every field of table, and more
+        raise error("%s has unknown fields %s" % (what, sorted(set(value) - set(table))))
+    return True
+
+
+def finite_number(value) -> bool:  # a bool is no number here
+    return type(value) in (int, float) and abs(value) < math.inf
+
+
+def finite_array(value) -> bool:
+    return (isinstance(value, np.ndarray) and value.dtype == np.float32
+            and bool(np.isfinite(value).all()))
+
+
+def finite_arrays(value) -> bool:  # a dict of finite arrays, as model weights are stored
+    return isinstance(value, dict) and all(map(finite_array, value.values()))
+
+
 def write_file(path: str, data: bytes) -> None:
     """Replace the file at path with data, all at once or not at all.
 

@@ -11,7 +11,7 @@ import sys
 
 from . import bench, binio
 from .data_handler import read_lines, text_lines
-from .errors import ExportMismatch, SchemaViolation, TextForgeError
+from .errors import ExportMismatch, NonFiniteScores, SchemaViolation, TextForgeError
 from .exporter import export_pipeline, sample_texts, verify_equivalence
 from .graph import Executor, load_graph, run, save_graph
 from .pipeline import instantiate_task, prediction_json, restore_pipeline
@@ -147,8 +147,14 @@ def cmd_predict(args) -> int:
              else text_lines(sys.stdin.buffer.read(), "stdin"))
     predict = (_graph_predictor(load_graph(args.graph)) if args.graph
                else _eager_predictor(restore_pipeline(load_checkpoint(args.ckpt), use_best=True)))
-    for line in lines:
-        print(json.dumps(predict(line)))
+    for number, line in enumerate(lines, 1):
+        result = predict(line)
+        try:
+            text = json.dumps(result, allow_nan=False)
+        except ValueError:  # NaN and Infinity are not JSON
+            raise NonFiniteScores("input line %d: the model gives a score that is not finite"
+                                  % number) from None
+        print(text)
     return 0
 
 

@@ -9,10 +9,7 @@ declared once, in registry.SCHEMAS.
 
 from . import model_zoo, trainer
 from .errors import IncompatibleShare, SchemaViolation
-from .registry import DOC_TASK, JOINT_TASK, WORD_TASK, ComponentConfig
-
-# the joint model's head for each task it predicts
-JOINT_HEADS = {DOC_TASK: "doc", WORD_TASK: "word"}
+from .registry import DOC_TASK, JOINT_HEADS, JOINT_TASK, WORD_TASK, ComponentConfig
 
 
 _REP_CLASSES = {

@@ -109,6 +109,10 @@ class NonFiniteLoss(TextForgeError):
     pass
 
 
+class NonFiniteScores(TextForgeError):
+    pass
+
+
 class VersionMismatch(TextForgeError):
     pass
 

@@ -95,7 +95,9 @@ def export_model(model: SingleTaskModel, featurizer_settings, labels, task,
     graph = StaticGraph(attrs, consts={}, vocabs={}, ops=[], inputs=[],
                         outputs=["pred", "scores"])
     feats = featurize(TRACE_TEXT, lowercase=attrs["lowercase"])
-    batch = single_example_batch(feats, vocabs, attrs["max_chars"])
+    # a model that embeds no chars reads no char block, so it traces none
+    batch = single_example_batch(feats, vocabs,
+                                 attrs["max_chars"] if model.embedding.char_dim else 0)
     ops.trace_hook = _Tracer(graph, model, batch, vocabs)
     try:
         model.forward(batch, compute_loss=False)

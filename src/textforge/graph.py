@@ -11,7 +11,7 @@ function; validate_graph and Executor both read it, so a new op is one row
 here plus the ops function that reports it to the exporter's tracer.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Optional
@@ -143,30 +143,37 @@ OPS = {
 GRAPH_ATTRS = {
     "task": lambda v: isinstance(v, str) and v in (DOC_TASK, WORD_TASK),
     "labels": lambda v: isinstance(v, list) and all_str(v) and 0 < len(set(v)) == len(v),
-    "lowercase": lambda v: isinstance(v, bool),
-    "max_chars": lambda v: isinstance(v, int) and not isinstance(v, bool) and 0 < v < MAX_CHARS,
+    "lowercase": bool,
+    "max_chars": lambda v: type(v) is int and 0 < v < MAX_CHARS,
+}
+
+
+def _slot_names(value) -> bool:
+    return isinstance(value, list) and all_str(value)
+
+
+# op and payload field -> whether a loaded value is well formed; which ops
+# are valid is validate_graph's to check, from OPS. Every const is a finite
+# float32 array; Vocabulary.from_table checks each vocab table as it is read.
+_OP_FIELDS = {"opcode": str, "inputs": _slot_names, "output": str, "attrs": dict}
+_PAYLOAD_FIELDS = {
+    "attrs": dict,
+    "consts": binio.finite_arrays,
+    "vocabs": lambda v: isinstance(v, dict) and set(v) <= set(VOCAB_NAMES),
+    "ops": lambda v: isinstance(v, list) and all(
+        binio.check_fields(op, _OP_FIELDS, "op %d" % i, CorruptGraph) for i, op in enumerate(v)),
+    "inputs": _slot_names, "outputs": _slot_names,
 }
 
 
 def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
-    spec = OPS.get(op.opcode) if isinstance(op.opcode, str) else None
+    spec = OPS.get(op.opcode)
     if spec is None:
         raise CorruptGraph("unknown opcode %r" % (op.opcode,))
     n = len(op.inputs)
     if n == 0 or spec.arity not in (None, n):
         raise CorruptGraph("op %s cannot take %d inputs" % (op.opcode, n))
-    if not (all_str(op.inputs) and isinstance(op.output, str)):
-        raise CorruptGraph("op %s reads or writes a slot name that is not a string"
-                           % op.opcode)
-    if not isinstance(op.attrs, dict):
-        raise CorruptGraph("op %s attrs are not a mapping" % op.opcode)
-    if set(op.attrs) != set(spec.attrs):
-        raise CorruptGraph("op %s has attrs %s, expected %s"
-                           % (op.opcode, sorted(op.attrs), sorted(spec.attrs)))
-    for name, kind in spec.attrs.items():
-        if not isinstance(op.attrs[name], kind):
-            raise CorruptGraph("op %s needs attr %r of type %s"
-                               % (op.opcode, name, kind.__name__))
+    binio.check_fields(op.attrs, spec.attrs, "op %s attrs" % op.opcode, CorruptGraph)
     if "vocab" in op.attrs and op.attrs["vocab"] not in graph.vocabs:
         raise CorruptGraph("op %s needs vocab table %r" % (op.opcode, op.attrs["vocab"]))
     for slot, kind in zip(op.inputs, spec.weights or (None,) * n):
@@ -182,33 +189,11 @@ def _takes(kind) -> str:
     return {None: "a computed value", TEXT: TEXT}.get(kind) or "rank %d" % kind
 
 
-def _reject_unknown(what, mapping, known) -> None:
-    stray = sorted(set(mapping) - set(known))
-    if stray:
-        raise CorruptGraph("%s: unknown keys %s" % (what, stray))
-
-
 def validate_graph(graph: StaticGraph) -> None:
-    """Topology, naming, per-op, const-rank and output checks; raises
-    CorruptGraph on any violation and changes nothing. Vocabulary tables are
-    checked where deserialize reads them, by Vocabulary.from_table."""
-    for what in ("attrs", "consts", "vocabs"):
-        if not isinstance(getattr(graph, what), dict):
-            raise CorruptGraph("graph %s are not a mapping" % what)
-    for name, well_formed in GRAPH_ATTRS.items():
-        if name not in graph.attrs or not well_formed(graph.attrs[name]):
-            raise CorruptGraph("graph attr %r is missing or malformed" % name)
-    _reject_unknown("graph attrs", graph.attrs, GRAPH_ATTRS)
-    _reject_unknown("graph vocabs", graph.vocabs, VOCAB_NAMES)
-    for what in ("inputs", "outputs"):
-        names = getattr(graph, what)
-        if not (isinstance(names, list) and all_str(names)):
-            raise CorruptGraph("graph %s are not a list of slot names" % what)
-    for name, value in graph.consts.items():
-        # the exporter writes every weight as a float32 array
-        if not (isinstance(value, np.ndarray) and value.dtype == F32):
-            raise CorruptGraph("const %r is not a float32 array" % name)
-
+    """What a graph of well-formed parts, as deserialize checks them and the
+    exporter makes them, can still get wrong: topology, opcodes, arity, op
+    attrs, vocab presence, const ranks, text feeds, outputs and the label
+    count. Raises CorruptGraph on any violation and changes nothing."""
     fed_consts = set(graph.consts) & set(graph.inputs)
     if fed_consts:
         raise CorruptGraph("graph input %r is also a const" % sorted(fed_consts)[0])
@@ -254,8 +239,6 @@ def serialize(graph: StaticGraph) -> bytes:
 
 def _read_vocabs(tables) -> dict:
     """The Vocabulary over each stored table, which from_table checks."""
-    if not isinstance(tables, dict):
-        raise CorruptGraph("graph vocabs are not a mapping")
     vocabs = {name: Vocabulary.from_table(entries) for name, entries in tables.items()}
     for name, vocab in vocabs.items():
         if vocab is None:
@@ -269,25 +252,11 @@ def deserialize(data: bytes) -> StaticGraph:
         payload = binio.unpack_container(data, GRAPH_MAGIC, GRAPH_VERSION, "graph")
     except CorruptFile as exc:
         raise CorruptGraph(str(exc))
-    try:
-        ops = [GraphOp(o["opcode"], tuple(o["inputs"]), o["output"], o["attrs"])
-               for o in payload["ops"]]
-        graph = StaticGraph(
-            attrs=payload["attrs"],
-            consts=payload["consts"],
-            vocabs=_read_vocabs(payload["vocabs"]),
-            ops=ops,
-            inputs=payload["inputs"],
-            outputs=payload["outputs"],
-        )
-    except (KeyError, TypeError, IndexError) as exc:
-        raise CorruptGraph("malformed graph payload: %s" % exc)
-    # the payload and each op read above are mappings, keyed as the fields of
-    # StaticGraph and GraphOp; a key nothing reads is rejected, not dropped
-    _reject_unknown("graph payload", payload, [f.name for f in fields(StaticGraph)])
-    op_keys = [f.name for f in fields(GraphOp)]
-    for o in payload["ops"]:
-        _reject_unknown("op %s" % (o["opcode"],), o, op_keys)
+    binio.check_fields(payload, _PAYLOAD_FIELDS, "graph", CorruptGraph)
+    binio.check_fields(payload["attrs"], GRAPH_ATTRS, "graph attrs", CorruptGraph)
+    # the payload's fields are StaticGraph's, and each op's are GraphOp's
+    ops = [GraphOp(**dict(o, inputs=tuple(o["inputs"]))) for o in payload["ops"]]
+    graph = StaticGraph(**dict(payload, vocabs=_read_vocabs(payload["vocabs"]), ops=ops))
     validate_graph(graph)
     return graph
 

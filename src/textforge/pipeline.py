@@ -15,11 +15,13 @@ heads train on one source each.
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import components, data_handler, metrics, ops
 from .data_handler import (FORMAT_DOC, FORMAT_JOINT, FORMAT_WORD, Dataset, VocabBundle,
                            batch_examples, interleave_multitask, make_batches,
                            single_example_batch)
-from .errors import EmptySplit, SchemaViolation
+from .errors import EmptySplit, NonFiniteScores, SchemaViolation
 from .featurizer import Featurizer, FeaturizerSettings
 from .model_zoo import load_params
 from .registry import ComponentConfig, serialize_task_config
@@ -112,6 +114,7 @@ class Pipeline:
 
         Returns (selection score, metric dict). Doc tasks select on accuracy,
         word tasks on macro F1 of token labels, the joint task on their mean.
+        Raises NonFiniteScores if a head gives a score that is not finite.
         """
         batches = [make_batches(full, self.settings.batch_size)
                    for full in self._vectorized("eval")]
@@ -125,7 +128,9 @@ class Pipeline:
 
         # the first source carries both label kinds: one trunk pass per batch
         # gives the doc predictions and the tags for frame accuracy
-        both = [(batch, self.model.forward_all(batch)) for batch in batches[0]]
+        both = [(batch, {head: _finite_scores(out)
+                         for head, out in self.model.forward_all(batch).items()})
+                for batch in batches[0]]
         doc_acc, _ = metrics.scores(
             _doc_counts(((batch, outs["doc"]) for batch, outs in both), n_labels))
         hits = sum(metrics.frame_hits(batch.doc_labels, outs["doc"].preds, batch.word_labels,
@@ -179,9 +184,17 @@ def prediction_json(task, labels, pred, scores) -> dict:
     return {"label": labels[pred], "score": float(scores[pred])}
 
 
+def _finite_scores(out):
+    """A head's output, unless one of its scores is not finite."""
+    if not np.isfinite(out.scores).all():
+        raise NonFiniteScores("evaluation gives scores that are not finite: the model's "
+                              "weights overflow its forward pass")
+    return out
+
+
 def _outputs(model, batches):
     """(batch, output) pairs of a single-task model over batches."""
-    return ((batch, model.forward(batch, compute_loss=False)) for batch in batches)
+    return ((batch, _finite_scores(model.forward(batch, compute_loss=False))) for batch in batches)
 
 
 def _doc_counts(outputs, n_classes):

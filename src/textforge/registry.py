@@ -17,6 +17,10 @@ DOC_TASK = "doc_classification"
 WORD_TASK = "word_tagging"
 JOINT_TASK = "joint_doc_word"
 
+# the joint model's head for each task it predicts, which is also the kind
+# of labels that task predicts
+JOINT_HEADS = {DOC_TASK: "doc", WORD_TASK: "word"}
+
 INT = "int"
 FLOAT = "float"
 BOOL = "bool"

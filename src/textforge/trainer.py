@@ -17,7 +17,6 @@ length, and the best epoch and the early stop by best_epoch and
 out_of_patience, the one statement of each rule.
 """
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -28,7 +27,7 @@ from .data_handler import VOCAB_NAMES, VocabBundle
 from .errors import (CorruptFile, EmptySplit, NoGradient, NonFiniteLoss, SchemaViolation,
                      TextForgeError)
 from .model_zoo import load_params
-from .registry import ComponentConfig, parse_task_config
+from .registry import JOINT_HEADS, JOINT_TASK, ComponentConfig, parse_task_config
 from .vocab import Vocabulary, all_str
 
 F32 = np.float32
@@ -120,15 +119,17 @@ class Adam:
         for name, st in payload.items():
             if name not in self.params:
                 raise CorruptFile("checkpoint optimizer state names unknown parameter %r" % (name,))
-            shape = self.params[name].data.shape
-            if not (isinstance(st, dict) and all(
-                    isinstance(st.get(k), np.ndarray) and st[k].dtype == F32
-                    and st[k].shape == shape for k in ("m", "v"))
-                    and _typed(int)(st.get("t")) and st["t"] > 0):
-                raise CorruptFile("checkpoint optimizer state for %r needs float32 m and v of "
-                                  "shape %s and a positive int t" % (name, shape))
+            what = "checkpoint optimizer state for %r" % (name,)
+            binio.check_fields(st, _MOMENT_FIELDS, what, CorruptFile)
+            if not st["m"].shape == st["v"].shape == self.params[name].data.shape:
+                raise CorruptFile("%s: m and v do not have the parameter's shape" % what)
             moments[name] = [st["m"], st["v"], st["t"]]
         self._moments = moments
+
+
+# Adam.state_payload's fields for a parameter -> whether a loaded value is well formed
+_MOMENT_FIELDS = {"m": binio.finite_array, "v": binio.finite_array,
+                  "t": lambda v: type(v) is int and v > 0}
 
 
 @dataclass
@@ -247,35 +248,27 @@ def save_checkpoint(path: str, payload: dict) -> None:
     binio.write_file(path, binio.pack_container(CKPT_MAGIC, CKPT_VERSION, payload))
 
 
-def _typed(kind):
-    return lambda value: isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _finite(value) -> bool:
-    return _typed((int, float))(value) and abs(value) < math.inf
-
-
 # EpochRecord field -> whether a loaded value is well formed; every number is
 # finite, as a run stops at a non-finite loss and a metric is a ratio of counts
 _RECORD_FIELDS = {
-    "epoch": _typed(int), "train_loss": _finite, "score": _finite,
-    "metrics": lambda v: isinstance(v, dict) and all(map(_finite, v.values())),
+    "epoch": lambda v: type(v) is int,
+    "train_loss": binio.finite_number, "score": binio.finite_number,
+    "metrics": lambda v: isinstance(v, dict) and all(map(binio.finite_number, v.values())),
 }
 
 # checkpoint field -> whether a loaded value is well formed; parameter names
 # and shapes are checked when they are loaded into a model (load_params).
 # The history holds record i of epoch i for each epoch run, at least one.
 _CKPT_FIELDS = {
-    "config": _typed(str),
+    "config": str,
     "history": lambda v: isinstance(v, list) and len(v) > 0 and all(
-        isinstance(rec, dict) and set(rec) == set(_RECORD_FIELDS)
-        and all(ok(rec[name]) for name, ok in _RECORD_FIELDS.items())
+        binio.check_fields(rec, _RECORD_FIELDS, "record %d" % i, CorruptFile)
         and rec["epoch"] == i for i, rec in enumerate(v)),
     "vocabs": lambda v: isinstance(v, dict) and set(v) == set(VOCAB_NAMES),
     "labels": lambda v: isinstance(v, dict) and set(v) == {"doc", "word"} and all(
         isinstance(names, list) and all_str(names) and len(set(names)) == len(names)
         for names in v.values()),
-    "params": _typed(dict), "best_params": _typed(dict), "optimizer": _typed(dict),
+    "params": binio.finite_arrays, "best_params": binio.finite_arrays, "optimizer": dict,
 }
 
 
@@ -290,25 +283,27 @@ class Checkpoint(dict):
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint; CorruptFile unless every field is well formed, and
+    """Read a checkpoint; CorruptFile unless every field is well formed and
+    it holds labels of exactly the kinds its task predicts, and
     SchemaViolation if its config snapshot does not parse."""
     payload = binio.read_container(path, CKPT_MAGIC, CKPT_VERSION)
-    if not isinstance(payload, dict):
-        raise CorruptFile("%s: not a checkpoint file" % path)
-    for name, well_formed in _CKPT_FIELDS.items():
-        if name not in payload or not well_formed(payload[name]):
-            raise CorruptFile("%s: checkpoint field %r is missing or malformed" % (path, name))
-    stray = sorted(set(payload) - set(_CKPT_FIELDS))
-    if stray:
-        raise CorruptFile("%s: checkpoint has unknown fields %s" % (path, stray))
+    what = "%s: checkpoint" % path
+    binio.check_fields(payload, _CKPT_FIELDS, what, CorruptFile)
     vocabs = {name: Vocabulary.from_table(payload["vocabs"][name]) for name in VOCAB_NAMES}
     if None in vocabs.values():
-        raise CorruptFile("%s: checkpoint field 'vocabs' is missing or malformed" % path)
+        raise CorruptFile("%s field 'vocabs' is missing or malformed" % what)
     try:
         config = parse_task_config(payload["config"])
     except TextForgeError as exc:
         raise SchemaViolation("%s: the checkpoint's config snapshot is refused (%s); retrain "
                               "the model" % (path, exc)) from exc
+    # a task has labels of the kind it predicts, the joint task of both, and
+    # [] for a kind it does not
+    task = config.name
+    kinds = sorted(JOINT_HEADS.values()) if task == JOINT_TASK else [JOINT_HEADS[task]]
+    if sorted(kind for kind, names in payload["labels"].items() if names) != kinds:
+        raise CorruptFile("%s field 'labels' must name labels of the kinds %s alone, those "
+                          "task %s predicts" % (what, kinds, task))
     ckpt = Checkpoint(payload)
     ckpt.config = config
     ckpt.vocabs = VocabBundle(**vocabs)

@@ -169,6 +169,23 @@ class TestTrain:
         text = (doc_run.out_dir / "train_report.txt").read_text()
         assert "epoch 1:" in text and "best epoch" in text
 
+    def test_scores_that_are_not_finite_stop_the_run_before_its_checkpoint(self, tmp_path):
+        # an lr of 1e30 leaves every weight finite, but the next forward
+        # overflows: the epoch's evaluation meets NaN scores
+        cfg = corpora.doc_config(str(tmp_path), n_train=16, n_eval=8, epochs=1, batch_size=16)
+        good, huge_lr = tmp_path / "good.json", tmp_path / "huge_lr.json"
+        good.write_text(json.dumps(cfg), encoding="utf-8")
+        cfg["task"]["doc_classification"]["optimizer"] = {"sgd": {"lr": 1e30}}
+        huge_lr.write_text(json.dumps(cfg), encoding="utf-8")
+        out_dir = str(tmp_path / "out")
+        assert run_cli("train", "--config", str(good), "--out-dir", out_dir).returncode == 0
+        ckpt = os.path.join(out_dir, "model.ckpt")
+        before = open(ckpt, "rb").read()
+        proc = run_cli("train", "--config", str(huge_lr), "--out-dir", out_dir)
+        assert proc.returncode == 1, proc.stderr
+        assert "evaluation gives scores that are not finite" in proc.stderr
+        assert open(ckpt, "rb").read() == before
+
     def test_missing_data_file(self, tmp_path):
         cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1)
         missing = str(tmp_path / "gone.tsv")
@@ -697,7 +714,28 @@ class TestPredict:
         save_graph(g, bad)
         proc = run_cli("predict", "--graph", bad, stdin="hello\n")
         assert proc.returncode == 1, proc.stderr
-        assert "graph attr 'max_chars' is missing or malformed" in proc.stderr
+        assert "graph attrs field 'max_chars' is missing or malformed" in proc.stderr
+
+    def test_a_score_that_is_not_finite_exits_1_naming_the_line(self, doc_run, doc_graph,
+                                                               tmp_path):
+        # word rows and decoder weights 1e37 times their trained size are
+        # finite, but the forward overflows and every score is NaN
+        def huge(arrays):
+            return {name: a * np.float32(1e37) if name.startswith(("embedding.", "decoder.w"))
+                    else a for name, a in arrays.items()}
+        payload = binio.read_container(doc_run.ckpt, trainer.CKPT_MAGIC, trainer.CKPT_VERSION)
+        payload["best_params"] = huge(payload["best_params"])
+        ckpt = str(tmp_path / "huge.ckpt")
+        trainer.save_checkpoint(ckpt, payload)
+        g = load_graph(doc_graph)
+        g.consts = huge(g.consts)
+        graph = str(tmp_path / "huge.graph")
+        save_graph(g, graph)
+        for source in (["--ckpt", ckpt], ["--graph", graph]):
+            proc = run_cli("predict", *source, stdin="wake me now\nplay it again\n")
+            assert proc.returncode == 1, proc.stderr
+            assert "input line 1: the model gives a score that is not finite" in proc.stderr
+            assert proc.stdout == ""
 
     def test_graph_and_ckpt_are_exclusive(self, doc_run, doc_graph):
         proc = run_cli("predict", "--graph", doc_graph, "--ckpt", doc_run.ckpt,

@@ -176,6 +176,20 @@ class TestTrace:
         assert len(blobs[0]) == 5
         assert blobs[0] == blobs[1] == blobs[2]
 
+    @pytest.mark.parametrize("char_dim", [0, 3])
+    def test_only_a_model_that_embeds_chars_traces_a_char_block(self, tmp_path, monkeypatch,
+                                                                 char_dim):
+        pipe = make_pipe(tmp_path, embedding={"token": {"word_dim": 8, "char_dim": char_dim}})
+        widths = []
+
+        def spy(feats, vocabs, char_width):
+            widths.append(char_width)
+            return single_example_batch(feats, vocabs, char_width)
+        monkeypatch.setattr(exporter, "single_example_batch", spy)
+        graph = export_pipeline(pipe)
+        assert widths == [pipe.max_chars if char_dim else 0]
+        assert graph.attrs["max_chars"] == pipe.max_chars
+
     @pytest.mark.parametrize("kind,overrides", [
         ("doc", {}),
         ("word", {}),

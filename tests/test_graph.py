@@ -3,6 +3,7 @@
 import os
 import struct
 import zlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -261,6 +262,13 @@ def malformed_const_int64_array():
     return g
 
 
+def malformed_const_nan():
+    # a weight that is not finite makes every score NaN
+    g = linear_graph()
+    g.consts["b"] = np.array([0.1, np.nan], dtype=F32)
+    return g
+
+
 def malformed_input_is_a_const():
     # a fed x would be shadowed by the const of the same name
     g = linear_graph()
@@ -437,6 +445,15 @@ class TestSerialization:
         assert load_graph(str(path)).ops[0].opcode == "MatMulAdd"
         assert os.listdir(str(tmp_path)) == ["model.graph"]
 
+    def test_reader_tables_name_exactly_the_keys_serialize_writes(self):
+        payload = binio.decode(serialize(baked_graph())[12:])
+        assert set(graph_module._PAYLOAD_FIELDS) == set(payload)
+        assert set(graph_module.GRAPH_ATTRS) == set(payload["attrs"])
+        assert set(graph_module._PAYLOAD_FIELDS) == {f.name for f in fields(StaticGraph)}
+        assert set(graph_module._OP_FIELDS) == {f.name for f in fields(GraphOp)}
+        for op in payload["ops"]:
+            assert set(graph_module._OP_FIELDS) == set(op)
+
     def test_unknown_opcode_in_payload(self):
         g = linear_graph()
         g.ops[0] = GraphOp("FusedMegaOp", ("x", "w", "b"), "logits")
@@ -514,6 +531,7 @@ class TestValidation:
         malformed_const_an_int,
         malformed_const_a_string,
         malformed_const_int64_array,
+        malformed_const_nan,
         malformed_input_is_a_const,
         malformed_graph_attr_unknown,
         malformed_embedding_table_rank_1,
@@ -536,7 +554,7 @@ class TestValidation:
         ("inputs", "x"),
     ])
     def test_inputs_and_outputs_must_be_lists(self, field, value):
-        with pytest.raises(CorruptGraph, match="not a list of slot names"):
+        with pytest.raises(CorruptGraph, match="graph field '%s' is missing or malformed" % field):
             deserialize(payload_with(field, value))
 
     def test_load_and_executor_validate_once(self, tmp_path, monkeypatch):
@@ -575,14 +593,21 @@ class TestValidation:
         assert swapped["scores"].tobytes() == run(Executor(baked_graph()),
                                                   "home go")["scores"].tobytes()
 
-    @pytest.mark.parametrize("payload", [
-        np.zeros(3, dtype=F32),
-        {"ops": [np.zeros(3, dtype=F32)]},
-        ["ops"],
+    @pytest.mark.parametrize("payload,message", [
+        (np.zeros(3, dtype=F32), "graph is not a mapping"),
+        ({"ops": [np.zeros(3, dtype=F32)]}, "graph field 'attrs' is missing or malformed"),
+        (["ops"], "graph is not a mapping"),
     ], ids=["array", "op an array", "list"])
-    def test_payload_of_the_wrong_shape_rejected_on_load(self, payload):
-        with pytest.raises(CorruptGraph, match="malformed graph payload"):
+    def test_payload_of_the_wrong_shape_rejected_on_load(self, payload, message):
+        with pytest.raises(CorruptGraph, match=message):
             deserialize(graph_blob(binio.encode(payload)))
+
+    def test_the_innermost_field_at_fault_is_named(self):
+        with pytest.raises(CorruptGraph, match="graph field 'ops': op 0 is not a mapping"):
+            deserialize(payload_with("ops", [np.zeros(3, dtype=F32)]))
+        with pytest.raises(CorruptGraph,
+                           match="graph field 'ops': op 1 field 'output' is missing or malformed"):
+            deserialize(serialize(malformed_op_output_is_an_int()))
 
     def test_deep_nesting_rejected_on_load(self):
         header = b"[" * 5000 + b"null" + b"]" * 5000

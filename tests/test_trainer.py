@@ -5,7 +5,7 @@ import os
 import struct
 import tempfile
 import zlib
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,16 +16,17 @@ from hypothesis import strategies as st
 import corpora
 from test_exporter import model_configs
 from textforge import binio, cli, ops
+from textforge import trainer as trainer_module
 from textforge.data_handler import VOCAB_NAMES
 from textforge.errors import (CorruptFile, EmptySplit, IncompatibleShare, NoGradient,
-                              NonFiniteLoss, VersionMismatch)
+                              NonFiniteLoss, NonFiniteScores, VersionMismatch)
 from textforge.exporter import export_pipeline
 from textforge.graph import serialize
 from textforge.pipeline import instantiate_task, restore_pipeline
 from textforge.registry import parse_task_config
 from textforge.tensor import Parameter
-from textforge.trainer import (CKPT_MAGIC, CKPT_VERSION, SGD, Adam, derive_rng,
-                               load_checkpoint, save_checkpoint, train)
+from textforge.trainer import (CKPT_MAGIC, CKPT_VERSION, SGD, Adam, EpochRecord,
+                               derive_rng, load_checkpoint, save_checkpoint, train)
 from textforge.vocab import Vocabulary
 
 F32 = np.float32
@@ -280,6 +281,18 @@ class TestNonFiniteLoss:
             assert np.array_equal(st[0], seen["moments"][name]), name
 
 
+@pytest.mark.parametrize("build", [corpora.doc_config, corpora.word_config,
+                                   corpora.joint_config])
+def test_evaluation_refuses_scores_that_are_not_finite(tmp_path, build):
+    cfg = build(str(tmp_path), n_train=8, n_eval=4)
+    pipe = instantiate_task(parse_task_config(json.dumps(cfg)))
+    for name, p in pipe.model.named_parameters().items():
+        if name.endswith("decoder.b0"):  # every head's
+            p.data = np.full_like(p.data, np.nan)
+    with pytest.raises(NonFiniteScores, match="not finite"):
+        pipe.evaluate()
+
+
 class TestResume:
     def test_resume_matches_uninterrupted(self, tmp_path):
         straight = build_pipe(tmp_path, epochs=4, subdir="a")
@@ -454,7 +467,7 @@ class TestCheckpointFiles:
         with pytest.raises(CorruptFile):
             load_checkpoint(path)
         binio.write_file(path, binio.pack_container(CKPT_MAGIC, CKPT_VERSION, [1, 2]))
-        with pytest.raises(CorruptFile, match="not a checkpoint file"):
+        with pytest.raises(CorruptFile, match="checkpoint is not a mapping"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()])
@@ -529,6 +542,15 @@ def _replace_first(make):
     return mutate
 
 
+def _with_first(value):
+    """A copy of an array with its first entry set to value."""
+    def make(a):
+        a = a.copy()
+        a.flat[0] = value
+        return a
+    return make
+
+
 def _first_record(mutate):
     return lambda payload: mutate(payload["history"][0])
 
@@ -565,6 +587,9 @@ MALFORMED_CHECKPOINTS = {
                             "'vocabs'"),
     "doc_labels_a_string": (lambda p: p["labels"].update(doc="abc"), "'labels'"),
     "labels_kind_unknown": (lambda p: p["labels"].update(intent=[]), "'labels'"),
+    # a doc task predicts doc labels alone
+    "word_labels_in_a_doc_task": (lambda p: p["labels"].update(word=["ghost"]), "'labels'"),
+    "doc_labels_empty": (lambda p: p["labels"].update(doc=[]), "'labels'"),
     # as many labels as classes, one named twice
     "doc_label_repeated": (lambda p: p["labels"].update(
         doc=p["labels"]["doc"][:1] * 2 + p["labels"]["doc"][2:]), "'labels'"),
@@ -572,10 +597,13 @@ MALFORMED_CHECKPOINTS = {
     "missing_param": (_both_param_maps(lambda d: d.pop(next(iter(d)))), "parameter names"),
     "extra_param": (_both_param_maps(lambda d: d.update(ghost=np.zeros(2, dtype=F32))),
                     "parameter names"),
-    "param_not_an_array": (_both_param_maps(_replace_first(lambda a: 3)), "float32 array"),
+    "param_not_an_array": (_both_param_maps(_replace_first(lambda a: 3)), "'params'"),
     "param_int64": (_both_param_maps(_replace_first(lambda a: a.astype(np.int64))),
-                    "float32 array"),
+                    "'params'"),
     "param_wrong_shape": (_both_param_maps(_replace_first(lambda a: a[1:])), "file shape"),
+    "best_param_inf": (lambda p: _replace_first(_with_first(np.inf))(p["best_params"]),
+                       "'best_params'"),
+    "param_nan": (lambda p: _replace_first(_with_first(np.nan))(p["params"]), "'params'"),
 }
 
 
@@ -593,15 +621,22 @@ MALFORMED_OPTIMIZER_STATES = {
     "unknown_param": (_optimizer(lambda o: o.update(ghost=next(iter(o.values())))),
                       "'ghost'"),
     "moments_not_a_mapping": (_optimizer(lambda o: o.update({next(iter(o)): [1, 2, 3]})),
-                              "positive int t"),
-    "m_an_int": (_first_moment(lambda st: st.update(m=3)), "positive int t"),
+                              "is not a mapping"),
+    "m_an_int": (_first_moment(lambda st: st.update(m=3)), "field 'm' is missing or malformed"),
     "v_int64": (_first_moment(lambda st: st.update(v=st["v"].astype(np.int64))),
-                  "positive int t"),
-    "m_wrong_shape": (_first_moment(lambda st: st.update(m=st["m"][1:])), "positive int t"),
-    "no_v": (_first_moment(lambda st: st.pop("v")), "positive int t"),
-    "t_zero": (_first_moment(lambda st: st.update(t=0)), "positive int t"),
-    "t_a_float": (_first_moment(lambda st: st.update(t=2.0)), "positive int t"),
-    "t_a_bool": (_first_moment(lambda st: st.update(t=True)), "positive int t"),
+                "field 'v' is missing or malformed"),
+    "m_nan": (_first_moment(lambda st: st.update(m=_with_first(np.nan)(st["m"]))),
+              "field 'm' is missing or malformed"),
+    "v_inf": (_first_moment(lambda st: st.update(v=_with_first(np.inf)(st["v"]))),
+              "field 'v' is missing or malformed"),
+    "m_wrong_shape": (_first_moment(lambda st: st.update(m=st["m"][1:])),
+                      "m and v do not have the parameter's shape"),
+    "no_v": (_first_moment(lambda st: st.pop("v")), "field 'v' is missing or malformed"),
+    "t_zero": (_first_moment(lambda st: st.update(t=0)), "field 't' is missing or malformed"),
+    "t_a_float": (_first_moment(lambda st: st.update(t=2.0)),
+                  "field 't' is missing or malformed"),
+    "t_a_bool": (_first_moment(lambda st: st.update(t=True)),
+                 "field 't' is missing or malformed"),
 }
 
 
@@ -617,6 +652,16 @@ def trained_doc(tmp_path_factory):
     texts = base / "texts.txt"
     texts.write_text("wake me now\nplay it again\n", encoding="utf-8")
     return SimpleNamespace(cfg_path=str(cfg_path), ckpt=ckpt, texts=str(texts))
+
+
+def test_reader_tables_name_exactly_the_keys_the_writers_write(trained_doc):
+    payload = binio.read_container(trained_doc.ckpt, CKPT_MAGIC, CKPT_VERSION)
+    assert set(trainer_module._CKPT_FIELDS) == set(payload)  # checkpoint_payload's keys
+    assert set(trainer_module._RECORD_FIELDS) == {f.name for f in fields(EpochRecord)}
+    for record in payload["history"]:
+        assert set(trainer_module._RECORD_FIELDS) == set(record)
+    for moments in payload["optimizer"].values():  # Adam.state_payload's
+        assert set(trainer_module._MOMENT_FIELDS) == set(moments)
 
 
 def test_a_loaded_checkpoint_keeps_the_vocabularies_that_checked_it(trained_doc):
