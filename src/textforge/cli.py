@@ -9,6 +9,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import bench, binio
 from .data_handler import read_lines, text_lines
 from .errors import ExportMismatch, NonFiniteScores, SchemaViolation, TextForgeError
@@ -173,6 +175,10 @@ def cmd_export(args) -> int:
     for head, graph in graphs.items():
         report = verify_equivalence(pipe, graph, n_samples=20,
                                     seed=pipe.settings.seed, head=head or None)
+        if not report.finite:
+            raise NonFiniteScores("%s: eager inference gives scores that are not finite: the "
+                                  "model's weights overflow its forward pass; no graph written"
+                                  % (head or pipe.task))
         if not report.within(0.0):
             raise ExportMismatch("exported %s graph differs from eager inference (max score "
                                  "dev %.3g, predictions agree: %s); no graph written"
@@ -212,7 +218,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        # numpy's overflow warnings would only repeat what the checks report:
+        # the loss check, NonFiniteScores, allow_nan=False and the readers
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print("textforge: %s" % exc, file=sys.stderr)
         return 1

@@ -100,7 +100,8 @@ def export_model(model: SingleTaskModel, featurizer_settings, labels, task,
                                  attrs["max_chars"] if model.embedding.char_dim else 0)
     ops.trace_hook = _Tracer(graph, model, batch, vocabs)
     try:
-        model.forward(batch, compute_loss=False)
+        with ops.inference():
+            model.forward(batch, compute_loss=False)
     finally:
         ops.trace_hook = None
     validate_graph(graph)
@@ -125,6 +126,7 @@ class EquivalenceReport:
     max_abs_dev: float
     argmax_agree: bool
     n_samples: int
+    finite: bool = True  # every eager score was finite
 
     def within(self, tol: float) -> bool:
         return self.argmax_agree and self.max_abs_dev <= tol
@@ -158,8 +160,9 @@ def verify_equivalence(pipe, graph: StaticGraph, n_samples: int = 20,
     """Run eager and exported inference side by side on n_samples texts that
     sample_texts draws from the pipeline's token vocabulary, so in-vocabulary
     words read trained rows. head selects the joint model's head the graph
-    was exported from. Reports the largest probability deviation and whether
-    every prediction matched exactly.
+    was exported from. Reports the largest probability deviation (0 when
+    every score has the same bits), whether every prediction matched
+    exactly, and whether every eager score was finite.
     """
     if n_samples <= 0:
         raise EmptySampleSet("need at least one sample to compare")
@@ -168,21 +171,24 @@ def verify_equivalence(pipe, graph: StaticGraph, n_samples: int = 20,
     model = pipe.model.tasks[head] if head is not None else pipe.model
     ex = Executor(graph)
     max_dev = 0.0
-    agree = True
+    agree = finite = True
     for text in texts:
         feats = pipe.featurizer.featurize(text)
         batch = single_example_batch(feats, pipe.vocabs, pipe.char_width)
-        out = model.forward(batch, compute_loss=False)
+        with ops.inference():
+            out = model.forward(batch, compute_loss=False)
         res = run(ex, feats)
         e_scores = out.scores[0]
         g_scores = res["scores"]
+        finite = finite and bool(np.isfinite(e_scores).all())
         if e_scores.shape != g_scores.shape:
             agree = False
             max_dev = float("inf")
             continue
-        if g_scores.size:
-            # np.maximum keeps a NaN deviation where max() would drop it
+        # equal bits match, equal NaNs included; where the bits differ,
+        # np.maximum keeps a NaN deviation where max() would drop it
+        if not np.array_equal(e_scores.view(np.uint32), g_scores.view(np.uint32)):
             max_dev = float(np.maximum(max_dev, np.abs(e_scores - g_scores).max()))
         if not np.array_equal(out.preds[0], res["pred"]):
             agree = False
-    return EquivalenceReport(max_dev, agree, len(texts))
+    return EquivalenceReport(max_dev, agree, len(texts), finite)

@@ -2,9 +2,10 @@
 
 A kernel with a backward returns its output and the cache that the backward
 reads, and the eager ops keep that cache for their hand-written backward
-passes. conv_maxpool and lstm_seq build it only with want_cache=True, where
-it changes the work; the exported-graph interpreter calls the same functions
-and drops the caches. Sharing the arithmetic is what keeps eager and
+passes only while they record a tape. conv_maxpool and lstm_seq build it
+only with want_cache=True, where it changes the work; the exported-graph
+interpreter, and eager inference under ops.inference(), make the same calls
+without it and drop the caches. Sharing the arithmetic is what keeps eager and
 exported outputs bit-for-bit identical.
 
 All float work is float32; masks are float32 arrays of {0, 1} where position

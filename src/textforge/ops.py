@@ -5,8 +5,13 @@ computes identical values. Backward closures return one gradient per parent
 (None for inputs that do not need one). While exporter.export_model traces
 a forward pass, each op that has a graph opcode, and reshape, also reports
 its opcode, output and inputs to trace_hook.
+
+The kernel-backed ops keep their kernel's cache and a tape node only while
+recording; inside inference() they make the graph runtime's own kernel call
+and return parentless tensors.
 """
 
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -18,6 +23,18 @@ from .tensor import Tensor
 F32 = np.float32
 
 trace_hook = None  # called as trace_hook(opcode, out, inputs, mask, attrs)
+recording = True  # False inside inference(): kernel ops build no tape
+
+
+@contextmanager
+def inference():
+    """Turn recording off for the block, and back to what it was on exit."""
+    global recording
+    was, recording = recording, False
+    try:
+        yield
+    finally:
+        recording = was
 
 
 def _report(opcode, out, inputs, mask=None, **attrs):
@@ -139,30 +156,35 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _report("EmbedGather", Tensor(out_data, (table,), backward), (ids, table))
 
 
-def _kernel_op(opcode, kernel, backward, parents, mask=None, **attrs) -> Tensor:
+def _kernel_op(opcode, kernel, backward, parents, mask=None, cached=False, **attrs) -> Tensor:
     """An op whose forward and backward are kernels: kernel(*data, [mask,]
     **attrs) gives the output and the cache that backward(cache, g) reads.
-    The mask becomes float32 once; the op reports itself to trace_hook.
-    Callers look both kernels up on the kernels module as they run, and x
-    and the weights go positionally, so a profiler that wraps a kernel sees
-    every call and its arrays."""
+    A cached kernel gets want_cache=True while recording; off recording the
+    op makes the graph runtime's call and records no tape. The mask becomes
+    float32 once; the op reports itself to trace_hook. Callers look both
+    kernels up on the kernels module as they run, and x and the weights go
+    positionally, so a profiler that wraps a kernel sees every call and its
+    arrays."""
     args = [p.data for p in parents]
     if mask is not None:
         mask = np.asarray(mask, dtype=F32)
         args.append(mask)
-    out_data, cache = kernel(*args, **attrs)
-    return _report(opcode, Tensor(out_data, parents, partial(backward, cache)), parents, mask,
-                   **attrs)
+    if not recording:
+        out = Tensor(kernel(*args, **attrs)[0])
+    else:
+        out_data, cache = kernel(*args, **attrs, **({"want_cache": True} if cached else {}))
+        out = Tensor(out_data, parents, partial(backward, cache))
+    return _report(opcode, out, parents, mask, **attrs)
 
 
 def conv1d_maxpool(x: Tensor, filters: Tensor, mask) -> Tensor:
-    return _kernel_op("Conv1DMaxPool", partial(kernels.conv_maxpool, want_cache=True),
-                      kernels.conv_maxpool_backward, (x, filters), mask)
+    return _kernel_op("Conv1DMaxPool", kernels.conv_maxpool, kernels.conv_maxpool_backward,
+                      (x, filters), mask, cached=True)
 
 
 def lstm_seq(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor, mask, reverse=False) -> Tensor:
-    return _kernel_op("LSTMSeq", partial(kernels.lstm_seq, want_cache=True),
-                      kernels.lstm_seq_backward, (x, w_ih, w_hh, bias), mask, reverse=reverse)
+    return _kernel_op("LSTMSeq", kernels.lstm_seq, kernels.lstm_seq_backward,
+                      (x, w_ih, w_hh, bias), mask, cached=True, reverse=reverse)
 
 
 def self_attention(h: Tensor, w1: Tensor, w2: Tensor, mask) -> Tensor:

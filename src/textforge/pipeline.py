@@ -102,6 +102,9 @@ class Pipeline:
         return interleave_multitask(lists) if len(lists) > 1 else lists[0]
 
     def train_loss(self, batch):
+        if not ops.recording:
+            # off the tape, only the layers above the first kernel op would train
+            raise RuntimeError("train_loss needs the tape, which ops.inference() turns off")
         if self.task == components.JOINT_TASK:
             name, out = self.model.forward(batch, compute_loss=True)
             return ops.mul_scalar(out.loss, self.model.loss_weights[name])
@@ -109,6 +112,7 @@ class Pipeline:
 
     # -- evaluation ----------------------------------------------------------
 
+    @ops.inference()
     def evaluate(self):
         """Score the current model on the eval split(s).
 
@@ -145,6 +149,7 @@ class Pipeline:
 
     # -- prediction -----------------------------------------------------------
 
+    @ops.inference()
     def predict(self, feats, task=None) -> dict:
         """Eager single-example prediction from a FeaturizedExample.
 

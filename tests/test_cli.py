@@ -110,6 +110,21 @@ EMPTY_WIDTHS = [
 ]
 
 
+def huge(arrays):
+    """Word rows and decoder weights 1e37 times their trained size: finite,
+    but the forward overflows and every score is NaN."""
+    return {name: a * np.float32(1e37) if name.startswith(("embedding.", "decoder.w"))
+            else a for name, a in arrays.items()}
+
+
+def overflowing_checkpoint(ckpt, path):
+    """A copy of checkpoint ckpt at path whose best_params are huge()."""
+    payload = binio.read_container(ckpt, trainer.CKPT_MAGIC, trainer.CKPT_VERSION)
+    payload["best_params"] = huge(payload["best_params"])
+    trainer.save_checkpoint(path, payload)
+    return path
+
+
 @pytest.fixture(scope="module")
 def doc_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("docrun")
@@ -185,6 +200,21 @@ class TestTrain:
         assert proc.returncode == 1, proc.stderr
         assert "evaluation gives scores that are not finite" in proc.stderr
         assert open(ckpt, "rb").read() == before
+
+    def test_an_overflowing_run_reports_only_its_checks_in_process(self, tmp_path, capsys):
+        # pytest turns RuntimeWarning into an error; the commands run with
+        # numpy's overflow warnings off, so the program's own check reports
+        cfg = corpora.doc_config(str(tmp_path), n_train=16, n_eval=8, epochs=1, batch_size=16)
+        cfg["task"]["doc_classification"]["optimizer"] = {"sgd": {"lr": 1e30}}
+        path = tmp_path / "huge_lr.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "textforge: error: evaluation gives scores that are not finite" in err
+        assert "RuntimeWarning" not in err
+        assert not (tmp_path / "out" / "model.ckpt").exists()
 
     def test_missing_data_file(self, tmp_path):
         cfg = corpora.doc_config(str(tmp_path), n_train=8, n_eval=4, epochs=1)
@@ -718,15 +748,7 @@ class TestPredict:
 
     def test_a_score_that_is_not_finite_exits_1_naming_the_line(self, doc_run, doc_graph,
                                                                tmp_path):
-        # word rows and decoder weights 1e37 times their trained size are
-        # finite, but the forward overflows and every score is NaN
-        def huge(arrays):
-            return {name: a * np.float32(1e37) if name.startswith(("embedding.", "decoder.w"))
-                    else a for name, a in arrays.items()}
-        payload = binio.read_container(doc_run.ckpt, trainer.CKPT_MAGIC, trainer.CKPT_VERSION)
-        payload["best_params"] = huge(payload["best_params"])
-        ckpt = str(tmp_path / "huge.ckpt")
-        trainer.save_checkpoint(ckpt, payload)
+        ckpt = overflowing_checkpoint(doc_run.ckpt, str(tmp_path / "huge.ckpt"))
         g = load_graph(doc_graph)
         g.consts = huge(g.consts)
         graph = str(tmp_path / "huge.graph")
@@ -856,6 +878,19 @@ class TestExportAndBench:
         assert "no graph written" in capsys.readouterr().err
         assert checked == (["doc", "word"] if kind == "joint" else [None])
         assert not [name for name in os.listdir(str(tmp_path)) if name.endswith(".graph")]
+
+    def test_export_of_an_overflowing_model_names_the_cause(self, doc_run, tmp_path, capsys):
+        # eager and graph scores are the same NaNs, so the graphs match bit for
+        # bit: the fault is the model's weights, not the export
+        ckpt = overflowing_checkpoint(doc_run.ckpt, str(tmp_path / "huge.ckpt"))
+        out = tmp_path / "model.graph"
+        capsys.readouterr()
+        assert cli.main(["export", "--model", ckpt, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert ("doc_classification: eager inference gives scores that are not finite: the "
+                "model's weights overflow its forward pass; no graph written") in err
+        assert "differs" not in err
+        assert not out.exists()
 
     def test_export_of_a_value_made_outside_ops_fails(self, doc_run, tmp_path, monkeypatch,
                                                       capsys):

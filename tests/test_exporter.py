@@ -361,6 +361,20 @@ class TestEquivalence:
         assert np.isnan(report.max_abs_dev)
         assert not report.within(0.0)
 
+    def test_equal_nan_scores_match_and_are_reported_not_finite(self, tmp_path):
+        # weights 1e37 times their size overflow both forwards to the same
+        # NaN bits: the graph matches, and the report names the overflow
+        pipe = make_pipe(tmp_path)
+        for name, p in pipe.model.named_parameters().items():
+            if name.startswith(("embedding.", "decoder.w")):
+                p.data = p.data * np.float32(1e37)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = verify_equivalence(pipe, export_pipeline(pipe), n_samples=5, seed=1)
+        assert report.argmax_agree and report.max_abs_dev == 0.0 and report.within(0.0)
+        assert not report.finite
+        fresh = make_pipe(tmp_path)
+        assert verify_equivalence(fresh, export_pipeline(fresh), n_samples=5, seed=1).finite
+
     def test_a_restored_pipeline_checks_trained_word_rows(self, tmp_path):
         # textforge export verifies a pipeline restored from its checkpoint,
         # which holds no dataset; the texts checked still read trained rows

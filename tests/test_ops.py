@@ -5,6 +5,7 @@ so instances stay deliberately tiny. Tolerances follow the harness contract:
 max relative error below 1e-3 at eps 1e-3.
 """
 
+import contextlib
 import json
 import warnings
 
@@ -12,14 +13,16 @@ import numpy as np
 import pytest
 
 import corpora
-from textforge import kernels, ops
+from textforge import components, exporter, kernels, ops
 from textforge.errors import (EmptySequence, IdOutOfRange, NotScalar,
                               ShapeMismatch, TargetOutOfRange)
-from textforge.exporter import export_pipeline
+from textforge.data_handler import make_batches, single_example_batch
+from textforge.exporter import export_pipeline, verify_equivalence
 from textforge.graph import Executor, run
 from textforge.pipeline import instantiate_task
 from textforge.registry import parse_task_config
 from textforge.tensor import Parameter, Tensor
+from textforge.trainer import train
 
 F32 = np.float32
 TOL = 1e-3
@@ -657,3 +660,149 @@ def test_eager_and_graph_paths_look_kernels_up_at_call_time(tmp_path, monkeypatc
     for ex in executors:
         run(ex, "Wake me at seven")
     assert called == set(PROFILED_KERNELS[:5])  # the forwards
+
+
+# --- eager inference off the tape ---
+
+_CHAR_EMBEDDING = {"token": {"word_dim": 4, "char_dim": 3, "char_filter_widths": [2],
+                             "char_num_filters": 4, "char_highway_layers": 1}}
+_INFERENCE_CONFIGS = {
+    "doc": (corpora.doc_config, {}),
+    "doc_attn": (corpora.doc_config, {"representation": {
+        "bilstm_attn": {"hidden_dim": 4, "attention_dim": 3}}}),
+    "word": (corpora.word_config, {"embedding": _CHAR_EMBEDDING}),
+    "joint": (corpora.joint_config, {}),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_INFERENCE_CONFIGS))
+def trained_pipe(request, tmp_path_factory):
+    """A pipeline after a few training steps: one epoch of 3 batches."""
+    build, overrides = _INFERENCE_CONFIGS[request.param]
+    cfg = build(str(tmp_path_factory.mktemp(request.param)), n_train=18, n_eval=7, epochs=1,
+                batch_size=6, **overrides)
+    pipe = instantiate_task(parse_task_config(json.dumps(cfg)))
+    train(pipe)
+    return pipe
+
+
+def _head_outputs(pipe, batch, source):
+    """head -> (preds, scores) of every head that reads a batch of source."""
+    if pipe.task != components.JOINT_TASK:
+        outs = {"": pipe.model.forward(batch, compute_loss=False)}
+    elif source == 0:
+        outs = pipe.model.forward_all(batch)
+    else:
+        outs = {"word": pipe.model.tasks["word"].forward(batch, compute_loss=False)}
+    return {head: (out.preds, out.scores) for head, out in outs.items()}
+
+
+def _assert_same_bits(got, want):
+    assert got.keys() == want.keys()
+    for head, (preds, scores) in got.items():
+        assert preds.tobytes() == want[head][0].tobytes(), head
+        assert scores.dtype == want[head][1].dtype == F32, head
+        assert scores.tobytes() == want[head][1].tobytes(), head
+
+
+def test_inference_gives_the_bits_of_the_recording_path(trained_pipe):
+    pipe = trained_pipe
+    # padded eval batches, every source
+    for source, full in enumerate(pipe._vectorized("eval")):
+        batches = make_batches(full, 3)
+        assert any((b.mask == 0).any() for b in batches), "no padded batch"
+        for batch in batches:
+            want = _head_outputs(pipe, batch, source)
+            with ops.inference():
+                got = _head_outputs(pipe, batch, source)
+            _assert_same_bits(got, want)
+    # single examples, the empty text included
+    for text in ("", "wake", "Play it again in Paris tonight", "zqxv blorft"):
+        batch = single_example_batch(pipe.featurizer.featurize(text), pipe.vocabs,
+                                     pipe.char_width)
+        want = _head_outputs(pipe, batch, 0)
+        with ops.inference():
+            got = _head_outputs(pipe, batch, 0)
+        _assert_same_bits(got, want)
+
+
+def test_train_loss_refuses_to_run_off_the_tape(trained_pipe):
+    batch = trained_pipe.train_batches(0)[0]
+    with ops.inference():
+        with pytest.raises(RuntimeError, match="needs the tape"):
+            trained_pipe.train_loss(batch)
+    assert ops.recording
+    assert trained_pipe.train_loss(batch).parents
+
+
+def test_recording_is_restored_after_an_exception_and_in_nested_blocks():
+    assert ops.recording
+    with pytest.raises(ValueError):
+        with ops.inference():
+            assert not ops.recording
+            raise ValueError("inside")
+    assert ops.recording
+    with ops.inference():
+        with ops.inference():
+            assert not ops.recording
+        assert not ops.recording
+    assert ops.recording
+
+
+@pytest.mark.parametrize("recording", [True, False])
+def test_kernel_ops_off_the_tape_record_no_parents_and_ask_no_cache(monkeypatch, recording):
+    calls = []
+    for name in ("conv_maxpool", "lstm_seq", "self_attention", "highway"):
+        def spied(*args, _name=name, _kernel=getattr(kernels, name), **kwargs):
+            calls.append((_name, sorted(kwargs)))
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(kernels, name, spied)
+    rng = np.random.default_rng(0)
+    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=F32)
+    x = t((2, 4, 3), rng)
+    cases = [  # (op, its kernel's name, its inputs, whether it keeps a cache)
+        (ops.conv1d_maxpool, "conv_maxpool", (x, t((2, 3, 5), rng), mask), True),
+        (ops.lstm_seq, "lstm_seq", (x, t((3, 8), rng), t((2, 8), rng), t((8,), rng), mask),
+         True),
+        (ops.self_attention, "self_attention", (x, t((3, 2), rng), t((2,), rng), mask), False),
+        (ops.highway, "highway", (t((4, 3), rng), t((3, 3), rng), t((3,), rng),
+                                  t((3, 3), rng), t((3,), rng)), False),
+    ]
+    for op, name, args, cached in cases:
+        calls.clear()
+        with contextlib.nullcontext() if recording else ops.inference():
+            out = op(*args)
+        assert [c[0] for c in calls] == [name]
+        assert ("want_cache" in calls[0][1]) == (recording and cached), name
+        if recording:
+            assert out.parents and out.backward_fn is not None, name
+        else:
+            assert out.parents == () and out.backward_fn is None, name
+
+
+def test_prediction_evaluation_and_export_run_off_the_tape(trained_pipe, monkeypatch):
+    # (recording, want_cache given) of each eager conv and LSTM kernel call;
+    # the graph runtime's own calls, which verify_equivalence makes, are skipped
+    modes, in_graph = [], []
+    for name in ("conv_maxpool", "lstm_seq"):
+        def spied(*args, _kernel=getattr(kernels, name), **kwargs):
+            if not in_graph:
+                modes.append((ops.recording, "want_cache" in kwargs))
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(kernels, name, spied)
+
+    def graph_run(ex, feats):
+        in_graph.append(True)
+        try:
+            return run(ex, feats)
+        finally:
+            in_graph.pop()
+    monkeypatch.setattr(exporter, "run", graph_run)
+    pipe = trained_pipe
+    pipe.predict(pipe.featurizer.featurize("wake me in Paris"))
+    pipe.evaluate()
+    graphs = export_pipeline(pipe)
+    for head, graph in (graphs.items() if isinstance(graphs, dict) else [(None, graphs)]):
+        assert verify_equivalence(pipe, graph, n_samples=3, head=head).within(0.0)
+    assert modes and set(modes) == {(False, False)}
+    assert ops.recording

@@ -108,3 +108,50 @@ def test_only_binio_opens_a_file_to_write(path):
     # binio.write_file replaces a file all at once; an open for writing
     # truncates the old file first, and a failed write loses it
     assert writing_opens(path.read_text(encoding="utf-8")) == []
+
+
+def recording_switches(source: str, allowed: str = "") -> list:
+    """Lines that switch a module's `recording` flag: an assignment to a
+    `recording` attribute (ops.recording = ..., setattr(ops, "recording",
+    ...)), a `global recording` outside the function named allowed, or a
+    module-level rebinding of `recording` after its first assignment."""
+    lines, bound = [], []
+
+    def visit(node, func):
+        if isinstance(node, ast.Global) and "recording" in node.names and func != allowed:
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "recording"
+              and isinstance(node.ctx, ast.Store)):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value == "recording"):
+            lines.append(node.lineno)
+        elif (func is None and isinstance(node, ast.Name) and node.id == "recording"
+              and isinstance(node.ctx, ast.Store)):
+            bound.append(node.lineno)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            func = getattr(node, "name", "<lambda>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+    visit(ast.parse(source), None)
+    return sorted(lines + bound[1:])
+
+
+def test_recording_switches_are_found():
+    source = ("recording = True\n"
+              "def inference():\n    global recording\n    recording = False\n"
+              "def other():\n    global recording\n    recording = True\n"
+              "def local():\n    recording = False\n"
+              "ops.recording = False\nops.recording += 1\nsetattr(ops, 'recording', 0)\n"
+              "x = ops.recording\nrecording = False\n")
+    assert recording_switches(source, "inference") == [6, 10, 11, 12, 14]
+    assert recording_switches(source) == [3, 6, 10, 11, 12, 14]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_ops_inference_switches_recording(path):
+    # a training forward with recording off would train only the layers
+    # above its first kernel op; ops.inference restores the flag on exit
+    allowed = "inference" if path.name == "ops.py" else ""
+    assert recording_switches(path.read_text(encoding="utf-8"), allowed) == []
