@@ -247,6 +247,13 @@ def batch_examples(examples, vocabs: VocabBundle, max_chars: int,
     mask = (np.arange(t) < lengths[:, None]).astype(np.float32)
     doc_labels = np.zeros((b,), dtype=np.int64) if doc_label_index is not None else None
     word_labels = np.zeros((b, t), dtype=np.int64) if tag_index is not None else None
+    chars_of = {}  # token text -> its char ids, looked up once per call
+
+    def token_chars(tok):
+        ids = chars_of.get(tok)
+        if ids is None:
+            ids = chars_of[tok] = char_ids(tok, vocabs.char, max_chars)
+        return ids
 
     for i, ex in enumerate(examples):
         feats = ex.feats
@@ -254,7 +261,7 @@ def batch_examples(examples, vocabs: VocabBundle, max_chars: int,
         n = len(texts)
         token_ids[i, :n] = [vocabs.token.lookup(tok) for tok in texts]
         if n and max_chars:
-            char_rows[i, :n] = [char_ids(tok, vocabs.char, max_chars) for tok in texts]
+            char_rows[i, :n] = [token_chars(tok) for tok in texts]
         gaz_ids[i, :n] = [vocabs.gaz.lookup(lbl) for lbl in feats.gaz_labels]
         cap_ids[i, :n] = [vocabs.cap.lookup(lbl) for lbl in feats.cap_labels]
         if doc_labels is not None:

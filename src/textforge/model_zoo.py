@@ -138,6 +138,15 @@ def load_pretrained_embeddings(path: str, vocab: Vocabulary, dim: int, rng) -> n
     return table
 
 
+def _distinct_rows(rows):
+    """The distinct rows of a 2-D int array, and for each row the index of
+    its distinct row. Each row is compared as one opaque bytes key, which
+    np.unique sorts faster than it sorts rows with axis=0."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return rows[first], inverse
+
+
 class TokenEmbedding(LayerModule):
     """Concatenation of the selected per-token feature embeddings.
 
@@ -146,6 +155,14 @@ class TokenEmbedding(LayerModule):
     embeddings. A dim of 0 disables a style; at least one must be active.
     Draw order at init is word, char table, char filters by width, highway
     layers, gazetteer, capitalization.
+
+    The char CNN runs once per distinct token of a padded batch (one whose
+    mask holds a zero): the char table, convs and highway see the distinct
+    char-id rows, all padding tokens sharing one all-PAD row, and a row
+    gather puts each result back at its positions. The forward values are
+    those of the dense pass, bit for bit; only the char.* gradients are
+    summed in another order. An unpadded batch (single-example prediction,
+    the export trace) runs every token row densely, as the graph does.
     """
 
     def __init__(self, name, config, vocabs: VocabBundle, rng):
@@ -195,23 +212,33 @@ class TokenEmbedding(LayerModule):
 
         self.out_dim = self.word_dim + self.char_out + self.gaz_dim + self.cap_dim
 
-    def _char_forward(self, char_ids):
-        # one row of characters per token: [b, t, c] ids -> [b*t, c, cd]
+    def _char_forward(self, char_ids, mask):
         b, t, c = char_ids.shape
-        emb = ops.reshape(ops.embedding_lookup(self.char_table, char_ids),
-                          (b * t, c, self.char_dim))
-        full = np.ones((b * t, c), dtype=F32)
+        if mask.all():
+            # one row of characters per token: [b, t, c] ids -> [b*t, c, cd]
+            emb = ops.reshape(ops.embedding_lookup(self.char_table, char_ids),
+                              (b * t, c, self.char_dim))
+            return ops.reshape(self._char_rows(emb), (b, t, self.char_out))
+        # padded: the distinct rows only, every padding token being one
+        # all-PAD row, then each row gathered back to its positions
+        rows, at = _distinct_rows(char_ids.reshape(b * t, c))
+        out = self._char_rows(ops.embedding_lookup(self.char_table, rows))
+        return ops.embedding_lookup(out, at.reshape(b, t))
+
+    def _char_rows(self, emb):
+        """The conv, max pool and highway stack over char embeddings [n, c, cd]."""
+        full = np.ones(emb.shape[:2], dtype=F32)
         out = ops.concat([ops.conv1d_maxpool(emb, filt, full) for filt in self.char_conv])
         for layer in self.highway:
             out = ops.highway(out, *layer)
-        return ops.reshape(out, (b, t, self.char_out))
+        return out
 
     def forward(self, batch: Batch) -> Tensor:
         parts = []
         if self.word_dim:
             parts.append(ops.embedding_lookup(self.word_table, batch.token_ids))
         if self.char_dim:
-            parts.append(self._char_forward(batch.char_ids))
+            parts.append(self._char_forward(batch.char_ids, batch.mask))
         if self.gaz_dim:
             parts.append(ops.embedding_lookup(self.gaz_table, batch.dense_feats["gaz"]))
         if self.cap_dim:

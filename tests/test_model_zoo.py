@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import corpora
-from textforge import components, kernels, metrics, ops
-from textforge.data_handler import Batch, VocabBundle, make_batches, single_example_batch
+from textforge import cli, components, kernels, metrics, ops
+from textforge.data_handler import (Batch, Example, VocabBundle, batch_examples, make_batches,
+                                    single_example_batch)
 from textforge.errors import (DimMismatch, IncompatibleShare, MalformedLine,
                               MultiTaskArity, NoStyleSelected, NotUtf8,
                               SchemaViolation, ShapeMismatch)
-from textforge.featurizer import CAP_CLASSES, GAZ_NONE
+from textforge.featurizer import CAP_CLASSES, GAZ_NONE, featurize
 from textforge.model_zoo import (BiLSTMAttnRepresentation, BiLSTMModule,
                                  BiLSTMTaggerRepresentation,
                                  DocClassificationOutput, DocNNRepresentation,
@@ -64,6 +65,69 @@ def make_batch(vocabs, b=2, t=3, max_chars=4, rng=None, pad_last=0,
                  dense_feats={"gaz": gaz, "cap": cap},
                  lengths=lengths, mask=mask,
                  doc_labels=doc_labels, word_labels=word_labels)
+
+
+def dense_char_forward(self, char_ids, mask):
+    """TokenEmbedding._char_forward as it ran every token row of a batch,
+    padding included: the reference for the distinct-row path."""
+    # one row of characters per token: [b, t, c] ids -> [b*t, c, cd]
+    b, t, c = char_ids.shape
+    emb = ops.reshape(ops.embedding_lookup(self.char_table, char_ids),
+                      (b * t, c, self.char_dim))
+    full = np.ones((b * t, c), dtype=F32)
+    out = ops.concat([ops.conv1d_maxpool(emb, filt, full) for filt in self.char_conv])
+    for layer in self.highway:
+        out = ops.highway(out, *layer)
+    return ops.reshape(out, (b, t, self.char_out))
+
+
+# words of make_vocabs' chars, and one ("zoo") of chars it lacks
+CHAR_WORDS = ["set", "the", "alarm", "play", "mystery", "tea", "zoo"]
+
+
+def text_batch(vocabs, texts, max_chars=5, n_tags=3, rng=None):
+    """The vectorizer's padded Batch of texts, with seeded word labels."""
+    examples = [Example(text, (), None, None, featurize(text)) for text in texts]
+    batch = batch_examples(examples, vocabs, max_chars)
+    rng = rng or np.random.default_rng(0)
+    batch.word_labels = rng.integers(0, n_tags, size=batch.mask.shape) * (batch.mask > 0)
+    return batch
+
+
+def padded_char_batches(vocabs, seed):
+    """Seeded padded batches: repeated tokens, one with a zero-length example,
+    and one whose valid tokens are all one word."""
+    rng = np.random.default_rng(seed)
+
+    def text(n):
+        return " ".join(CHAR_WORDS[i] for i in rng.integers(0, len(CHAR_WORDS), size=n))
+    word = CHAR_WORDS[int(rng.integers(0, len(CHAR_WORDS)))]
+    texts = {
+        "repeated": [text(int(n)) for n in rng.integers(1, 7, size=4)] + [text(7)],
+        "zero_length": [text(int(rng.integers(1, 5))), "", text(3)],
+        "one_word": [" ".join([word] * n) for n in (3, 1, 2)],
+    }
+    return {case: text_batch(vocabs, rows, rng=rng) for case, rows in texts.items()}
+
+
+def char_tagger(vocabs, widths, highway, seed=0):
+    rng = np.random.default_rng(seed)
+    emb = TokenEmbedding("embedding", emb_config(word=3, char=3, cap=2, widths=widths,
+                                                 filters=4, highway=highway), vocabs, rng)
+    rep = BiLSTMTaggerRepresentation("representation", {"hidden_dim": 3}, emb.out_dim, rng)
+    dec = MLPDecoder("decoder", {"hidden_dims": []}, rep.out_dim, 3, rng)
+    return SingleTaskModel(emb, rep, dec, WordTaggingOutput())
+
+
+def embedding_loss_grads(model, batch):
+    """The embedding, the loss and every parameter's gradient of one batch."""
+    params = model.named_parameters()
+    for param in params.values():
+        param.grad = None
+    emb = model.embedding.forward(batch)
+    loss = model.forward(batch).loss
+    loss.backward()
+    return emb.data, loss.data, {name: p.grad for name, p in params.items()}
 
 
 class TestTokenEmbedding:
@@ -123,6 +187,104 @@ class TestTokenEmbedding:
         with pytest.raises(ValueError, match="m already holds a parameter named 'conv2'"):
             module.add_param("conv2", np.ones((2, 1, 1), dtype=F32))
         assert not module.named_parameters()["conv2"].data.any()
+
+    @pytest.mark.parametrize("highway", [0, 1, 2], ids=["hw0", "hw1", "hw2"])
+    @pytest.mark.parametrize("widths", [(2,), (2, 3)], ids=["w2", "w2_3"])
+    def test_padded_char_cnn_is_the_dense_reference(self, monkeypatch, widths, highway):
+        # the embedding at every position and the loss keep their bits; only
+        # the char.* gradients are summed in another order
+        vocabs = make_vocabs()
+        model = char_tagger(vocabs, widths, highway)
+        worst = 0.0
+        for seed in range(3):
+            for case, batch in padded_char_batches(vocabs, seed).items():
+                assert not batch.mask.all(), case
+                with monkeypatch.context() as patch:
+                    patch.setattr(TokenEmbedding, "_char_forward", dense_char_forward)
+                    want = embedding_loss_grads(model, batch)
+                got = embedding_loss_grads(model, batch)
+                for i in (0, 1):
+                    assert got[i].dtype == want[i].dtype == F32, case
+                    assert got[i].tobytes() == want[i].tobytes(), case
+                for name, ref in want[2].items():
+                    dev = np.abs(got[2][name] - ref).max() / max(np.abs(ref).max(), 1e-30)
+                    if not name.startswith("embedding.char."):
+                        assert dev == 0.0, (case, name)
+                    assert dev <= 1e-6, (case, name, dev)
+                    worst = max(worst, dev)
+        print("largest relative char.* gradient deviation: %.3g" % worst)
+
+    def test_unpadded_batches_run_every_token_row(self, tmp_path, monkeypatch, capsys):
+        # single-example predict runs the dense char CNN, as the graph does;
+        # a padded batch runs its distinct rows and the all-PAD row
+        cfg = corpora.word_config(str(tmp_path), n_train=24, n_eval=8, epochs=1,
+                                  batch_size=8, embedding={"token": {
+                                      "word_dim": 4, "char_dim": 3, "char_filter_widths": [2],
+                                      "char_num_filters": 4}})
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        ckpt, graph = str(tmp_path / "model.ckpt"), str(tmp_path / "model.graph")
+        assert cli.main(["export", "--model", ckpt, "--out", graph]) == 0
+        pipe = instantiate_task(parse_task_config(json.dumps(cfg)))
+        rows = []
+        conv_maxpool = kernels.conv_maxpool
+
+        def spied(*args, **kwargs):
+            rows.append(args[0].shape[0])
+            return conv_maxpool(*args, **kwargs)
+        monkeypatch.setattr(kernels, "conv_maxpool", spied)
+        feats = pipe.featurizer.featurize("no no no")
+        pipe.model.forward(single_example_batch(feats, pipe.vocabs, pipe.char_width))
+        assert rows == [3]
+        rows.clear()
+        examples = [Example(text, (), None, None, pipe.featurizer.featurize(text))
+                    for text in ("no no no", "paris")]
+        batch = batch_examples(examples, pipe.vocabs, pipe.char_width)
+        pipe.model.forward(batch, compute_loss=False)
+        distinct = {row.tobytes() for row in batch.char_ids[batch.mask > 0]}
+        assert rows == [len(distinct) + 1] == [3]
+
+        text_path = tmp_path / "texts.txt"
+        text_path.write_text("no no no\n", encoding="utf-8")
+        capsys.readouterr()
+        printed = []
+        for source in (["--graph", graph], ["--ckpt", ckpt]):
+            assert cli.main(["predict", *source, "--input", str(text_path)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and len(printed[0].splitlines()) == 1
+
+
+def test_rows_the_char_conv_sees_in_one_epoch(tmp_path, monkeypatch):
+    # a count, not a timing: a padded batch gives the char conv its distinct
+    # valid rows and one all-PAD row, an unpadded batch every b*t token row
+    cfg = corpora.word_config(str(tmp_path), n_train=41, n_eval=12, epochs=1, batch_size=8,
+                              embedding={"token": {"word_dim": 4, "char_dim": 3,
+                                                   "char_filter_widths": [2, 3],
+                                                   "char_num_filters": 4}})
+    pipe = instantiate_task(parse_task_config(json.dumps(cfg)))
+    batches = pipe.train_batches(0)  # the tail batch, of one row, is unpadded
+    seen = []
+    conv_maxpool = kernels.conv_maxpool
+
+    def spied(*args, **kwargs):
+        seen.append(args[0].shape[0])
+        return conv_maxpool(*args, **kwargs)
+    monkeypatch.setattr(kernels, "conv_maxpool", spied)
+    for batch in batches:
+        pipe.train_loss(batch).backward()
+        pipe.optimizer.step()
+    want = 0
+    for batch in batches:
+        b, t, _ = batch.char_ids.shape
+        if batch.mask.all():
+            want += b * t
+        else:
+            want += len({row.tobytes() for row in batch.char_ids[batch.mask > 0]}) + 1
+    assert {batch.mask.all() for batch in batches} == {False, True}
+    # each filter width is one conv call over the same rows
+    assert sum(seen) == 2 * want
+    assert want < sum(batch.mask.size for batch in batches)
 
 
 class TestPretrainedEmbeddings:

@@ -16,13 +16,15 @@ import corpora
 from textforge import components, exporter, kernels, ops
 from textforge.errors import (EmptySequence, IdOutOfRange, NotScalar,
                               ShapeMismatch, TargetOutOfRange)
-from textforge.data_handler import make_batches, single_example_batch
+from textforge.data_handler import Batch, VocabBundle, make_batches, single_example_batch
 from textforge.exporter import export_pipeline, verify_equivalence
 from textforge.graph import Executor, run
+from textforge.model_zoo import TokenEmbedding
 from textforge.pipeline import instantiate_task
 from textforge.registry import parse_task_config
 from textforge.tensor import Parameter, Tensor
 from textforge.trainer import train
+from textforge.vocab import Vocabulary
 
 F32 = np.float32
 TOL = 1e-3
@@ -265,6 +267,34 @@ class TestFiniteDifferences:
             def f(_):
                 return scalarize(ref_highway(x, wt, bt, wg, bg), np.random.default_rng(12))
             return f, target
+        run_checks(build)
+
+    def test_char_cnn_of_a_padded_batch(self):
+        """The char CNN's distinct-row path, w.r.t. the char table and a
+        filter, on a padded batch that repeats a token."""
+        vocabs = VocabBundle(Vocabulary(["ab"]), Vocabulary(list("abcdef")),
+                             Vocabulary(["x"]), Vocabulary(["x"]))
+        config = {"word_dim": 0, "char_dim": 2, "gaz_dim": 0, "cap_dim": 0,
+                  "char_filter_widths": [2], "char_num_filters": 2, "char_highway_layers": 1}
+
+        def build(rng):
+            emb = TokenEmbedding("embedding", config, vocabs, rng)
+            # drawn afresh: at init the PAD row and the biases are zero, which
+            # puts the padding token's highway relu on its kink
+            for param in emb.parameters():
+                param.data = (rng.standard_normal(param.shape) * 0.5).astype(F32)
+            # two tokens of three chars, no char twice, so no two windows are alike
+            tokens = rng.permutation(np.arange(2, 8)).reshape(2, 3)
+            char_ids = np.zeros((2, 3, 3), dtype=np.int64)
+            char_ids[0] = tokens[[0, 1, 0]]
+            char_ids[1, 0] = tokens[1]
+            mask = np.array([[1, 1, 1], [1, 0, 0]], dtype=F32)
+            zeros = np.zeros((2, 3), dtype=np.int64)
+            batch = Batch(zeros, char_ids, {"gaz": zeros, "cap": zeros},
+                          np.array([3, 1]), mask)
+            params = emb.named_parameters()
+            target = params["char.table" if rng.integers(0, 2) else "char.conv2"]
+            return (lambda _: scalarize(emb.forward(batch), np.random.default_rng(14))), target
         run_checks(build)
 
     def test_highway(self):

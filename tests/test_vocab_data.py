@@ -282,3 +282,23 @@ def test_batch_ids_match_per_token_lookup(tokens):
     batch = single_example_batch(feats, vocabs, 4)
     expected = [vocab.lookup(t) for t in tokens]
     assert batch.token_ids[0].tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["ab", "ba", "abcde", "zz", "a"]), max_size=5),
+                min_size=1, max_size=5))
+def test_char_block_is_each_tokens_char_ids(texts):
+    """Char ids looked up once per distinct token text land where a
+    per-token lookup puts them, with zeros at padded positions."""
+    fz = Featurizer(FeaturizerSettings(max_chars=3))
+    vocabs = VocabBundle(Vocabulary(["ab"]), Vocabulary(["a", "b"]),
+                         Vocabulary(["<none>"]), cap_vocabulary())
+    examples = [dh.Example(" ".join(toks), (), None, None, fz.featurize(" ".join(toks)))
+                for toks in texts]
+    batch = batch_examples(examples, vocabs, 3)
+    expected = np.zeros_like(batch.char_ids)
+    for i, toks in enumerate(texts):
+        for j, tok in enumerate(toks):
+            expected[i, j] = dh.char_ids(tok, vocabs.char, 3)
+    assert batch.char_ids.dtype == np.int64
+    assert batch.char_ids.tobytes() == expected.tobytes()
