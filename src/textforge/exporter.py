@@ -5,12 +5,13 @@ example, while every op that has a graph opcode reports itself through
 ops.trace_hook; a model stage is described once, by its forward. The tracer
 turns the reports into graph ops: each parameter becomes the const named by
 its path in the model, and the batch's id arrays become lookup ops over the
-raw string inputs with the pipeline's own Vocabularies attached, so the
-artifact consumes raw text with no training code in sight. The interpreter
-reuses the eager kernels, which is what makes exported predictions match
-eager ones bit for bit; verify_equivalence checks that on texts sample_texts
-draws from the pipeline's own token vocabulary, the one stream that
-`textforge bench` times too.
+graph's raw text feeds with the pipeline's own Vocabularies attached, so the
+artifact consumes raw text with no training code in sight. ArgMax and
+Softmax write pred and scores, the two values every graph ends in. The
+interpreter reuses the eager kernels, which is what makes exported
+predictions match eager ones bit for bit; verify_equivalence checks that on
+texts sample_texts draws from the pipeline's own token vocabulary, the one
+stream that `textforge bench` times too.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ from . import components, ops
 from .data_handler import VocabBundle, single_example_batch
 from .errors import EmptySampleSet, UnsupportedModule
 from .featurizer import featurize
-from .graph import Executor, GraphOp, StaticGraph, run, validate_graph
+from .graph import (CAP_LABELS, GAZ_LABELS, TOKENS, Executor, GraphOp, StaticGraph, run,
+                    validate_graph)
 from .model_zoo import SingleTaskModel
 from .trainer import derive_rng
 
@@ -32,16 +34,16 @@ class _Tracer:
     """The graph ops of one forward pass over a batch of one, from the reports
     of ops.trace_hook. A value that is no model parameter, id array of the
     batch or reported op's output raises UnsupportedModule: nothing unseen is
-    baked into the graph. ArgMax and Softmax write the graph outputs."""
+    baked into the graph. ArgMax and Softmax write pred and scores."""
 
     def __init__(self, graph: StaticGraph, model, batch, vocabs: VocabBundle):
         self.graph, self.vocabs = graph, vocabs
         self.paths = {id(p): path for path, p in model.named_parameters().items()}
         self.lookups = {id(ids): spec for ids, spec in (
-            (batch.token_ids, ("LookupTokens", "tokens", "token")),
-            (batch.char_ids, ("LookupChars", "tokens", "char")),
-            (batch.dense_feats["gaz"], ("LookupTokens", "gaz_labels", "gaz")),
-            (batch.dense_feats["cap"], ("LookupTokens", "cap_labels", "cap")))}
+            (batch.token_ids, ("LookupTokens", TOKENS, "token")),
+            (batch.char_ids, ("LookupChars", TOKENS, "char")),
+            (batch.dense_feats["gaz"], ("LookupTokens", GAZ_LABELS, "gaz")),
+            (batch.dense_feats["cap"], ("LookupTokens", CAP_LABELS, "cap")))}
         self.slots = {}  # id(value) -> (value, slot); holding the value keeps its id unique
 
     def slot(self, value) -> str:
@@ -52,11 +54,9 @@ class _Tracer:
         if key in self.slots:
             return self.slots[key][1]
         if key in self.lookups:
-            opcode, raw, table = self.lookups[key]
+            opcode, feed, table = self.lookups[key]
             self.graph.vocabs[table] = getattr(self.vocabs, table)
-            if raw not in self.graph.inputs:
-                self.graph.inputs.append(raw)
-            return self.emit(opcode, value, (raw,), {"vocab": table})
+            return self.emit(opcode, value, (feed,), {"vocab": table})
         raise UnsupportedModule("the traced forward reads a %s that no traced op made"
                                 % type(value).__name__)
 
@@ -81,7 +81,7 @@ class _Tracer:
 
 def export_model(model: SingleTaskModel, featurizer_settings, labels, task,
                  vocabs: VocabBundle) -> StaticGraph:
-    """Trace one trained model into a graph over raw string inputs, with the
+    """Trace one trained model into a graph over the raw text feeds, with the
     vocabularies baked in."""
     if not isinstance(model, SingleTaskModel):
         raise UnsupportedModule("can only export single-task models; "
@@ -92,8 +92,7 @@ def export_model(model: SingleTaskModel, featurizer_settings, labels, task,
         "lowercase": bool(featurizer_settings.lowercase),
         "max_chars": int(featurizer_settings.max_chars),
     }
-    graph = StaticGraph(attrs, consts={}, vocabs={}, ops=[], inputs=[],
-                        outputs=["pred", "scores"])
+    graph = StaticGraph(attrs, consts={}, vocabs={}, ops=[])
     feats = featurize(TRACE_TEXT, lowercase=attrs["lowercase"])
     # a model that embeds no chars reads no char block, so it traces none
     batch = single_example_batch(feats, vocabs,

@@ -1,7 +1,9 @@
 """Static inference graphs: the format, validation, and the interpreter.
 
 A graph is a topologically ordered op list over named value slots with the
-trained weights embedded as constants. The interpreter executes exactly the
+trained weights embedded as constants. Every graph is of one kind: it reads
+the raw text feeds that _FEEDS names and writes pred and scores, so the
+format stores no input or output list. The interpreter executes exactly the
 same forward kernels as eager mode, minus tape bookkeeping, lifted to a
 batch of one, so exported outputs match eager outputs bit for bit.
 
@@ -28,7 +30,7 @@ from .vocab import Vocabulary, all_str
 F32 = np.float32
 
 GRAPH_MAGIC = b"TXGR"
-GRAPH_VERSION = 4
+GRAPH_VERSION = 5
 
 
 @dataclass
@@ -45,8 +47,6 @@ class StaticGraph:
     consts: dict           # slot name -> ndarray payload
     vocabs: dict           # vocab name (token/char/gaz/cap) -> Vocabulary
     ops: list
-    inputs: list
-    outputs: list
 
 
 # --- the opcode table: what each op reads, which attrs it needs, how it runs ---
@@ -89,12 +89,13 @@ def _self_attention(x, w1, w2):
     return _one_sequence(kernels.self_attention, x, w1, w2)
 
 
-# graph input name -> how a FeaturizedExample gives it; only read inputs are
-# built, and only a lookup reads one
+# raw text feed name -> how a FeaturizedExample gives it, as a list of its
+# own; every graph may read every feed, and only a lookup reads one
+TOKENS, GAZ_LABELS, CAP_LABELS = "tokens", "gaz_labels", "cap_labels"
 _FEEDS = {
-    "tokens": FeaturizedExample.token_texts,
-    "gaz_labels": lambda ex: list(ex.gaz_labels),
-    "cap_labels": lambda ex: list(ex.cap_labels),
+    TOKENS: FeaturizedExample.token_texts,
+    GAZ_LABELS: lambda ex: list(ex.gaz_labels),
+    CAP_LABELS: lambda ex: list(ex.cap_labels),
 }
 TEXT = "a raw text feed"  # the OpSpec.weights entry of a position that reads one
 
@@ -107,7 +108,7 @@ class OpSpec:
     each op attr to its type; an op carries exactly these attrs. graph_attrs
     names the graph attrs the op also runs with. weights gives, per input
     position, the rank of the const that may fill it, TEXT where the op reads
-    a graph input named in _FEEDS, or None where it reads a computed value; a
+    a raw text feed named in _FEEDS, or None where it reads a computed value; a
     const fills only a weight position, a text feed only a TEXT one. run takes
     the op attr values, then the graph attr values, in table order, then the
     input values, and returns the op's one output. It looks kernels up on
@@ -148,21 +149,17 @@ GRAPH_ATTRS = {
 }
 
 
-def _slot_names(value) -> bool:
-    return isinstance(value, list) and all_str(value)
-
-
 # op and payload field -> whether a loaded value is well formed; which ops
 # are valid is validate_graph's to check, from OPS. Every const is a finite
 # float32 array; Vocabulary.from_table checks each vocab table as it is read.
-_OP_FIELDS = {"opcode": str, "inputs": _slot_names, "output": str, "attrs": dict}
+_OP_FIELDS = {"opcode": str, "inputs": lambda v: isinstance(v, list) and all_str(v),
+              "output": str, "attrs": dict}
 _PAYLOAD_FIELDS = {
     "attrs": dict,
     "consts": binio.finite_arrays,
     "vocabs": lambda v: isinstance(v, dict) and set(v) <= set(VOCAB_NAMES),
     "ops": lambda v: isinstance(v, list) and all(
         binio.check_fields(op, _OP_FIELDS, "op %d" % i, CorruptGraph) for i, op in enumerate(v)),
-    "inputs": _slot_names, "outputs": _slot_names,
 }
 
 
@@ -180,7 +177,7 @@ def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
         if slot in graph.consts and graph.consts[slot].ndim != kind:
             raise CorruptGraph("op %s reads const %r of rank %d where it takes %s"
                                % (op.opcode, slot, graph.consts[slot].ndim, _takes(kind)))
-        if (kind == TEXT) != (slot in _FEEDS and slot in graph.inputs):
+        if (kind == TEXT) != (slot in _FEEDS):
             raise CorruptGraph("op %s reads %r where it takes %s"
                                % (op.opcode, slot, _takes(kind)))
 
@@ -192,30 +189,31 @@ def _takes(kind) -> str:
 def validate_graph(graph: StaticGraph) -> None:
     """What a graph of well-formed parts, as deserialize checks them and the
     exporter makes them, can still get wrong: topology, opcodes, arity, op
-    attrs, vocab presence, const ranks, text feeds, outputs and the label
-    count. Raises CorruptGraph on any violation and changes nothing."""
-    fed_consts = set(graph.consts) & set(graph.inputs)
+    attrs, vocab presence, const ranks, text feeds, pred and scores, and the
+    label count. Raises CorruptGraph on any violation and changes nothing."""
+    fed_consts = set(graph.consts) & set(_FEEDS)
     if fed_consts:
-        raise CorruptGraph("graph input %r is also a const" % sorted(fed_consts)[0])
-    produced = set(graph.consts) | set(graph.inputs)
+        raise CorruptGraph("const %r is named like a raw text feed" % sorted(fed_consts)[0])
+    produced = set(graph.consts) | set(_FEEDS)
     for op in graph.ops:
         _validate_op(graph, op)
         for slot in op.inputs:
             if slot not in produced:
-                raise CorruptGraph("op %s reads %r before it is produced"
+                raise CorruptGraph("op %s reads %r, which is no feed, const or earlier output"
                                    % (op.opcode, slot))
         if op.output in produced:
-            raise CorruptGraph("slot %r has more than one producer" % op.output)
+            raise CorruptGraph("op %s writes %r, which a feed, const or earlier op holds"
+                               % (op.opcode, op.output))
         produced.add(op.output)
-    for name in graph.outputs:
-        if name not in produced:
-            raise CorruptGraph("graph output %r is never produced" % name)
-    if sorted(graph.outputs) != ["pred", "scores"]:
-        raise CorruptGraph("graph outputs are %s, not pred and scores" % (graph.outputs,))
-    # one label per class: per entry of the bias of the MatMulAdd under the scores
+    # pred and scores are the ArgMax and the Softmax of one value, and there
+    # is one label per class: per entry of the bias of the MatMulAdd under them
     producer = {op.output: op for op in graph.ops}
-    softmax = producer.get("scores")
-    head = producer.get(softmax.inputs[0]) if softmax and softmax.opcode == "Softmax" else None
+    softmax, argmax = producer.get("scores"), producer.get("pred")
+    if not (softmax and argmax and (softmax.opcode, argmax.opcode) == ("Softmax", "ArgMax")
+            and argmax.inputs == softmax.inputs):
+        raise CorruptGraph("graph does not end in scores and pred, the Softmax and the "
+                           "ArgMax of one value")
+    head = producer.get(softmax.inputs[0])
     bias = graph.consts.get(head.inputs[2]) if head and head.opcode == "MatMulAdd" else None
     n_labels = len(graph.attrs["labels"])
     if bias is None or bias.shape != (n_labels,):
@@ -231,8 +229,6 @@ def serialize(graph: StaticGraph) -> bytes:
         "ops": [{"opcode": op.opcode, "inputs": list(op.inputs),
                  "output": op.output, "attrs": op.attrs}
                 for op in graph.ops],
-        "inputs": list(graph.inputs),
-        "outputs": list(graph.outputs),
     }
     return binio.pack_container(GRAPH_MAGIC, GRAPH_VERSION, payload)
 
@@ -319,11 +315,11 @@ class Executor:
         env = {**feed, **self.graph.consts}
         for step in self._steps:
             step(env)
-        return {name: env[name] for name in self.graph.outputs}
+        return {"pred": env["pred"], "scores": env["scores"]}
 
 
 def prepare_feed(graph: StaticGraph, inp) -> dict:
-    """Turn raw text or a FeaturizedExample into the graph's string inputs.
+    """Turn raw text or a FeaturizedExample into every raw text feed.
 
     Text is featurized with the graph's own settings and no gazetteer. Any
     other input raises InputTypeMismatch.
@@ -333,12 +329,7 @@ def prepare_feed(graph: StaticGraph, inp) -> dict:
     if not isinstance(inp, FeaturizedExample):
         raise InputTypeMismatch("a graph consumes text or a featurized example, not %s"
                                 % type(inp).__name__)
-    feed = {}
-    for name in graph.inputs:
-        if name not in _FEEDS:
-            raise InputTypeMismatch("graph expects unknown input %r" % name)
-        feed[name] = _FEEDS[name](inp)
-    return feed
+    return {name: give(inp) for name, give in _FEEDS.items()}
 
 
 def run(executor: Executor, inp) -> dict:

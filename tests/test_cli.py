@@ -642,12 +642,34 @@ class TestPredict:
 
     def test_graph_input_that_is_a_const(self, doc_graph, tmp_path):
         g = load_graph(doc_graph)
-        g.consts[g.inputs[0]] = np.zeros(2, dtype=np.float32)
+        g.consts["tokens"] = np.zeros(2, dtype=np.float32)
         bad = str(tmp_path / "shadowed.graph")
         save_graph(g, bad)
         proc = run_cli("predict", "--graph", bad, stdin="hello\n")
         assert proc.returncode == 1, proc.stderr
-        assert "is also a const" in proc.stderr
+        assert "const 'tokens' is named like a raw text feed" in proc.stderr
+
+    @pytest.mark.parametrize("case", ["matmul_reads_x", "argmax_reads_the_lstm"])
+    def test_graph_that_no_request_can_run_is_refused(self, doc_graph, joint_graphs, tmp_path,
+                                                      case):
+        # no request can run either graph: nothing gives x, and the ArgMax of
+        # the LSTM states names a label the graph has not
+        if case == "matmul_reads_x":
+            g = load_graph(doc_graph)
+            (op,) = [op for op in g.ops if op.opcode == "MatMulAdd"]
+            op.inputs = ("x",) + op.inputs[1:]
+            message = "op MatMulAdd reads 'x', which is no feed, const or earlier output"
+        else:
+            g = load_graph(joint_graphs.graphs["word"])
+            lstm = next(op for op in g.ops if op.opcode == "LSTMSeq")
+            (op,) = [op for op in g.ops if op.opcode == "ArgMax"]
+            op.inputs = (lstm.output,)
+            message = "does not end in scores and pred, the Softmax and the ArgMax of one value"
+        bad = str(tmp_path / "unrunnable.graph")
+        save_graph(g, bad)
+        proc = run_cli("predict", "--graph", bad, stdin="set an alarm\n")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("textforge: error: ") and message in proc.stderr
 
     @pytest.mark.parametrize("name,rank", [
         ("embedding.word.table", 1), ("representation.conv1", 1),
@@ -686,11 +708,10 @@ class TestPredict:
         assert proc.stderr.startswith("textforge: error: op %s reads" % opcode), proc.stderr
 
     def test_unbaked_graph_rejects_text(self, doc_run, doc_graph, tmp_path):
-        # an integer-id-input graph, as older exports could write: no lookups
+        # an integer-id-input graph, as older exports could write: no lookups,
+        # so nothing gives the ids the gather reads, and it is refused at load
         g = load_graph(doc_graph)
-        lookups = [op for op in g.ops if op.opcode.startswith("Lookup")]
-        g.ops = [op for op in g.ops if op not in lookups]
-        g.inputs = [op.output for op in lookups]
+        g.ops = [op for op in g.ops if not op.opcode.startswith("Lookup")]
         g.vocabs = {}
         path = str(tmp_path / "ids.graph")
         save_graph(g, path)
@@ -699,7 +720,8 @@ class TestPredict:
             proc = run_cli(*cmd, stdin="hello\n")
             assert proc.returncode == 1, (cmd, proc.stderr)
             # the token lookup is the first traced op, so its slot is named 0
-            assert "textforge: error: graph expects unknown input '0'" in proc.stderr
+            assert ("textforge: error: op EmbedGather reads '0', which is no feed, const or "
+                    "earlier output") in proc.stderr
 
     @pytest.mark.parametrize("opcode,attrs", [
         ("Concat", {"axis": 0}),
@@ -845,15 +867,15 @@ class TestExportAndBench:
         assert not (tmp_path / "out" / "model.ckpt").exists()
 
     def test_older_graph_format_is_refused(self, doc_graph, tmp_path):
-        # format 3 ops list their outputs and carry a Concat axis and a
-        # LookupChars max_chars, which format 4 dropped
+        # format 4 graphs list their inputs and outputs; every format 5 graph
+        # reads the raw text feeds and writes pred and scores
         blob = bytearray(open(doc_graph, "rb").read())
-        blob[4:8] = struct.pack("<I", 3)
-        old = tmp_path / "v3.graph"
+        blob[4:8] = struct.pack("<I", 4)
+        old = tmp_path / "v4.graph"
         old.write_bytes(bytes(blob))
         proc = run_cli("predict", "--graph", str(old), stdin="hello\n")
         assert proc.returncode == 1, proc.stderr
-        assert "format version 3, expected 4" in proc.stderr
+        assert "format version 4, expected 5" in proc.stderr
 
     @pytest.mark.parametrize("kind,bad_head,report", [
         ("doc", None, EquivalenceReport(1e-7, True, 40)),

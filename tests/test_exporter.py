@@ -70,14 +70,15 @@ class TestLoweringShape:
         ]
         assert [op.output for op in graph.ops] == ["0", "1", "2", "3", "4", "5",
                                                    "scores", "pred"]
-        assert graph.inputs == ["tokens"]
-        assert graph.outputs == ["pred", "scores"]
+        assert graph.ops[0].inputs == ("tokens",)
+        # pred and scores are the ArgMax and the Softmax of the logits
+        assert graph.ops[-2].inputs == graph.ops[-1].inputs == ("5",)
 
     def test_baked_trace_prepends_lookups(self, tmp_path):
         pipe = make_pipe(tmp_path)
         graph = export_pipeline(pipe)
-        assert graph.inputs == ["tokens"]
         assert graph.ops[0].opcode == "LookupTokens"
+        assert graph.ops[0].inputs == ("tokens",)
         assert graph.vocabs["token"] is pipe.vocabs.token
 
     def test_attrs_carry_task_and_labels(self, tmp_path):
@@ -92,13 +93,13 @@ class TestLoweringShape:
         pipe = make_pipe(tmp_path, embedding=RICH_EMBEDDING)
         graph = export_model(pipe.model, pipe.featurizer.settings,
                              pipe.labels["doc"], DOC_TASK, pipe.vocabs)
-        assert graph.inputs == ["tokens", "cap_labels"]
         # each lookup is traced where its style's forward first reads the ids;
         # a traced op's slot is its index in the op list
-        lookups = [(i, op.opcode, op.output) for i, op in enumerate(graph.ops)
+        lookups = [(i, op.opcode, op.inputs, op.output) for i, op in enumerate(graph.ops)
                    if op.opcode.startswith("Lookup")]
-        assert lookups == [(0, "LookupTokens", "0"), (2, "LookupChars", "2"),
-                           (6, "LookupTokens", "6")]
+        assert lookups == [(0, "LookupTokens", ("tokens",), "0"),
+                           (2, "LookupChars", ("tokens",), "2"),
+                           (6, "LookupTokens", ("cap_labels",), "6")]
 
     def test_const_names_are_parameter_paths(self, tmp_path):
         pipe = make_pipe(tmp_path)
@@ -133,11 +134,11 @@ class TestGoldenBytes:
     }
 
     GOLDEN = {
-        "doc": "9017afd36968945117ea9386debd8272abc5e73718741ae22a246ab00369715e",
-        "word": "f9f03afc7c49a8b5cae525be477c04957dac7c30d6cedb096fdf1f8107578ce5",
-        "joint.doc": "72f0eef6872817440a4135ddbcc1936cf3611fe60d62bdfa8af5b62bbad9de8b",
-        "joint.word": "064dd14d4ec69ee30f864533e269728605103f49d9607816d4268bcde446827a",
-        "doc.all_stages": "ef70039fb36658dd53771a92164a5ce7e687b2e60009dd45f33ab8df2a5c8a98",
+        "doc": "8920dde18729e037b7afb1201433a270b58e3caa3118b7c57c539df2c739a149",
+        "word": "808d3cfb303e0949dc5c096ed32fd3ebff10f79172e4e3ea2387d3e1228387c1",
+        "joint.doc": "9246c3b2677e7c4de9fbac5bcc3094e72c2a10f4a15136ed14dfa60ce7b2df76",
+        "joint.word": "c7b30a0c6ca153bbe1b28a8bfcc1bb9df9be837bc49fd6e90bef69761f5eee34",
+        "doc.all_stages": "ba16aab28ce4b06d9351913a55d59bcc26a21faac97b48bde11a709a14d48708",
     }
 
     @classmethod

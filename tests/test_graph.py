@@ -3,7 +3,7 @@
 import os
 import struct
 import zlib
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,24 +25,6 @@ F32 = np.float32
 # the graph-level attrs every loaded graph must carry
 ATTRS = {"task": "doc_classification", "labels": ["neg", "pos"], "lowercase": True,
          "max_chars": 4}
-
-
-def linear_graph():
-    """x -> logits -> softmax/argmax, weights as consts."""
-    w = np.array([[1.0, -1.0], [0.5, 0.5], [0.0, 2.0]], dtype=F32)
-    b = np.array([0.1, -0.1], dtype=F32)
-    return StaticGraph(
-        attrs=dict(ATTRS),
-        consts={"w": w, "b": b},
-        vocabs={},
-        ops=[
-            GraphOp("MatMulAdd", ("x", "w", "b"), "logits"),
-            GraphOp("Softmax", ("logits",), "scores"),
-            GraphOp("ArgMax", ("logits",), "pred"),
-        ],
-        inputs=["x"],
-        outputs=["pred", "scores"],
-    )
 
 
 TOKEN_TABLE = ["<pad>", "<unk>", "go", "home"]
@@ -68,28 +50,39 @@ def baked_graph():
             GraphOp("Softmax", ("logits",), "scores"),
             GraphOp("ArgMax", ("logits",), "pred"),
         ],
-        inputs=["tokens"],
-        outputs=["pred", "scores"],
     )
 
 
+# where baked_graph() holds its MatMulAdd, Softmax and ArgMax ops
+MATMUL, SOFTMAX, ARGMAX = 3, 4, 5
+
+
+def set_op_input(g, index, position, slot):
+    """g with input position of op index reading slot instead."""
+    op = g.ops[index]
+    op.inputs = op.inputs[:position] + (slot,) + op.inputs[position + 1:]
+    return g
+
+
 def malformed_matmul_two_inputs():
-    g = linear_graph()
-    g.ops[0] = GraphOp("MatMulAdd", ("x", "w"), "logits")
+    g = baked_graph()
+    g.ops[MATMUL] = GraphOp("MatMulAdd", ("rep", "w"), "logits")
+    return g
+
+
+def with_spare_lstm(**attrs):
+    """baked_graph() plus an LSTM over the embeddings whose output nothing reads."""
+    rng = np.random.default_rng(0)
+    g = baked_graph()
+    g.consts.update({"w_ih": rng.normal(size=(3, 8)).astype(F32),
+                     "w_hh": rng.normal(size=(2, 8)).astype(F32),
+                     "bias": np.zeros(8, dtype=F32)})
+    g.ops.insert(2, GraphOp("LSTMSeq", ("emb", "w_ih", "w_hh", "bias"), "h", attrs))
     return g
 
 
 def malformed_lstm_without_reverse():
-    rng = np.random.default_rng(0)
-    consts = {"w_ih": rng.normal(size=(3, 8)).astype(F32),
-              "w_hh": rng.normal(size=(2, 8)).astype(F32),
-              "bias": np.zeros(8, dtype=F32)}
-    return StaticGraph(
-        attrs=dict(ATTRS),
-        consts=consts, vocabs={},
-        ops=[GraphOp("LSTMSeq", ("x", "w_ih", "w_hh", "bias"), "h")],
-        inputs=["x"], outputs=["h"],
-    )
+    return with_spare_lstm()
 
 
 def with_spare_char_lookup(**stray_attrs):
@@ -102,8 +95,8 @@ def with_spare_char_lookup(**stray_attrs):
 
 
 def with_logits_concat(**stray_attrs):
-    """linear_graph() plus a Concat of the logits with themselves."""
-    g = linear_graph()
+    """baked_graph() plus a Concat of the logits with themselves."""
+    g = baked_graph()
     g.ops.append(GraphOp("Concat", ("logits", "logits"), "twice", stray_attrs))
     return g
 
@@ -119,20 +112,20 @@ def malformed_concat_axis_zero():
 
 
 def malformed_op_input_is_a_list():
-    g = linear_graph()
-    g.ops[1] = GraphOp("Softmax", (["logits"],), "scores")
+    g = baked_graph()
+    g.ops[SOFTMAX] = GraphOp("Softmax", (["logits"],), "scores")
     return g
 
 
 def malformed_op_output_is_an_int():
-    g = linear_graph()
-    g.ops[1] = GraphOp("Softmax", ("logits",), 7)
+    g = baked_graph()
+    g.ops[SOFTMAX] = GraphOp("Softmax", ("logits",), 7)
     return g
 
 
 def malformed_opcode_is_a_list():
-    g = linear_graph()
-    g.ops[1] = GraphOp(["Softmax"], ("logits",), "scores")
+    g = baked_graph()
+    g.ops[SOFTMAX] = GraphOp(["Softmax"], ("logits",), "scores")
     return g
 
 
@@ -143,94 +136,106 @@ def malformed_attrs_a_list():
 
 
 def malformed_attrs_without_labels():
-    g = linear_graph()
+    g = baked_graph()
     del g.attrs["labels"]
     return g
 
 
 def malformed_labels_empty():
-    g = linear_graph()
+    g = baked_graph()
     g.attrs["labels"] = []
     return g
 
 
 def malformed_labels_not_strings():
-    g = linear_graph()
+    g = baked_graph()
     g.attrs["labels"] = [0, 1]
     return g
 
 
 def malformed_labels_too_few():
     # the bias of the MatMulAdd feeding scores is 2 wide
-    g = linear_graph()
+    g = baked_graph()
     g.attrs["labels"] = ["a"]
     return g
 
 
 def malformed_labels_too_many():
-    g = linear_graph()
+    g = baked_graph()
     g.attrs["labels"] = ["a", "b", "c"]
     return g
 
 
 def malformed_outputs_without_pred():
-    g = linear_graph()
-    g.outputs = ["scores"]
+    # every graph writes pred and scores; a request reads both
+    g = baked_graph()
+    del g.ops[ARGMAX]
     return g
 
 
+def malformed_pred_not_an_argmax():
+    g = baked_graph()
+    g.ops[ARGMAX] = GraphOp("Relu", ("logits",), "pred")
+    return g
+
+
+def malformed_pred_of_other_than_the_logits():
+    # the ArgMax of the 4 pooled features names labels the graph has not
+    return set_op_input(baked_graph(), ARGMAX, 0, "rep")
+
+
 def malformed_task_an_int():
-    g = linear_graph()
+    g = baked_graph()
     g.attrs["task"] = 5
     return g
 
 
 def malformed_task_joint():
     # a joint model exports one single-task graph per head
-    g = linear_graph()
+    g = baked_graph()
     g.attrs["task"] = "joint_doc_word"
     return g
 
 
 def malformed_labels_repeated():
     # two classes under one name would print the wrong label
-    g = linear_graph()
+    g = baked_graph()
     g.attrs["labels"] = ["pos", "pos"]
     return g
 
 
 def malformed_lowercase_an_int():
-    g = linear_graph()
+    g = baked_graph()
     g.attrs["lowercase"] = 1
     return g
 
 
 def malformed_max_chars_a_string():
-    g = linear_graph()
+    g = baked_graph()
     g.attrs["max_chars"] = "x"
     return g
 
 
 def malformed_max_chars_a_bool():
-    g = linear_graph()
+    g = baked_graph()
     g.attrs["max_chars"] = True
     return g
 
 
 def malformed_max_chars_zero():
-    g = linear_graph()
+    g = baked_graph()
     g.attrs["max_chars"] = 0
     return g
 
 
 def malformed_max_chars_at_the_bound():
-    g = linear_graph()
+    g = baked_graph()
     g.attrs["max_chars"] = MAX_CHARS
     return g
 
 
 def malformed_consts_a_list():
-    g = linear_graph()
+    g = baked_graph()
     g.consts = list(g.consts.values())
     return g
 
@@ -245,39 +250,56 @@ def malformed_vocab_table_unknown():
 
 
 def malformed_const_an_int():
-    g = linear_graph()
+    g = baked_graph()
     g.consts["w"] = 5
     return g
 
 
 def malformed_const_a_string():
-    g = linear_graph()
+    g = baked_graph()
     g.consts["w"] = "w"
     return g
 
 
 def malformed_const_int64_array():
-    g = linear_graph()
+    g = baked_graph()
     g.consts["w"] = g.consts["w"].astype(np.int64)
     return g
 
 
 def malformed_const_nan():
     # a weight that is not finite makes every score NaN
-    g = linear_graph()
+    g = baked_graph()
     g.consts["b"] = np.array([0.1, np.nan], dtype=F32)
     return g
 
 
 def malformed_input_is_a_const():
-    # a fed x would be shadowed by the const of the same name
-    g = linear_graph()
-    g.consts["x"] = np.ones(3, dtype=F32)
+    # the feed would be shadowed by the const of the same name
+    g = baked_graph()
+    g.consts["tokens"] = np.ones(3, dtype=F32)
+    return g
+
+
+def malformed_const_named_like_a_feed_no_op_reads():
+    g = baked_graph()
+    g.consts["gaz_labels"] = np.ones(3, dtype=F32)
+    return g
+
+
+def malformed_op_reads_an_unknown_name():
+    # no feed, const or op gives x, so every request would fail
+    return set_op_input(baked_graph(), MATMUL, 0, "x")
+
+
+def malformed_op_writes_a_feed():
+    g = baked_graph()
+    g.ops.insert(1, GraphOp("LookupTokens", ("tokens",), "cap_labels", {"vocab": "token"}))
     return g
 
 
 def malformed_graph_attr_unknown():
-    g = linear_graph()
+    g = baked_graph()
     g.attrs["stray"] = 1
     return g
 
@@ -298,11 +320,11 @@ def malformed_conv_filters_rank_2():
 
 
 def malformed_matmul_weight_rank_1():
-    return reshaped_const(linear_graph, "w", -1)
+    return reshaped_const(baked_graph, "w", -1)
 
 
 def malformed_const_read_as_a_computed_value():
-    g = linear_graph()
+    g = baked_graph()
     g.ops.append(GraphOp("Relu", ("b",), "t"))
     return g
 
@@ -331,18 +353,17 @@ def graph_blob(body: bytes) -> bytes:
     return GRAPH_MAGIC + struct.pack("<II", GRAPH_VERSION, zlib.crc32(body)) + body
 
 
-def payload_with(field, value, graph=None):
-    """The payload of graph (by default linear_graph()) with one field
-    replaced, re-encoded."""
-    payload = binio.decode(serialize(graph or linear_graph())[12:])
+def payload_with(field, value):
+    """The payload of baked_graph() with one field replaced, re-encoded."""
+    payload = binio.decode(serialize(baked_graph())[12:])
     payload[field] = value
     return graph_blob(binio.encode(payload))
 
 
 def with_relu_payload(**fields):
-    """The payload of linear_graph() plus a Relu op over the logits with the
+    """The payload of baked_graph() plus a Relu op over the logits with the
     given fields, re-encoded: ops the in-memory GraphOp cannot express."""
-    payload = binio.decode(serialize(linear_graph())[12:])
+    payload = binio.decode(serialize(baked_graph())[12:])
     payload["ops"].append({"opcode": "Relu", "inputs": ["logits"], "attrs": {}, **fields})
     return graph_blob(binio.encode(payload))
 
@@ -369,36 +390,36 @@ def malformed_payload_with_an_unknown_key():
 
 
 def malformed_vocabs_a_list():
-    return payload_with("vocabs", [TOKEN_TABLE], baked_graph())
+    return payload_with("vocabs", [TOKEN_TABLE])
 
 
 def malformed_vocab_duplicate_entry():
-    return payload_with("vocabs", {"token": TOKEN_TABLE + ["go"]}, baked_graph())
+    return payload_with("vocabs", {"token": TOKEN_TABLE + ["go"]})
 
 
 def malformed_vocab_not_a_list():
-    return payload_with("vocabs", {"token": " ".join(TOKEN_TABLE)}, baked_graph())
+    return payload_with("vocabs", {"token": " ".join(TOKEN_TABLE)})
 
 
 def malformed_vocab_non_string_entry():
-    return payload_with("vocabs", {"token": ["<pad>", "<unk>", "go", 3]}, baked_graph())
+    return payload_with("vocabs", {"token": ["<pad>", "<unk>", "go", 3]})
 
 
 def malformed_vocab_without_specials_first():
     # a Vocabulary would put <pad>, <unk> in front and then see <pad> twice
-    return payload_with("vocabs", {"token": ["go", "home", "<pad>"]}, baked_graph())
+    return payload_with("vocabs", {"token": ["go", "home", "<pad>"]})
 
 
 class TestSerialization:
     def test_round_trip_values(self):
-        g = linear_graph()
+        g = baked_graph()
         g2 = deserialize(serialize(g))
-        assert g2.inputs == g.inputs and g2.outputs == g.outputs
+        assert g2.attrs == g.attrs and g2.vocabs["token"].entries == TOKEN_TABLE
         assert [o.opcode for o in g2.ops] == [o.opcode for o in g.ops]
         assert np.array_equal(g2.consts["w"], g.consts["w"])
 
     def test_round_trip_bytes_fixed_point(self):
-        blob = serialize(linear_graph())
+        blob = serialize(baked_graph())
         assert serialize(deserialize(blob)) == blob
 
     def test_save_load_save_byte_identical(self, tmp_path):
@@ -408,45 +429,54 @@ class TestSerialization:
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_flipped_byte_fails_checksum(self):
-        blob = bytearray(serialize(linear_graph()))
+        blob = bytearray(serialize(baked_graph()))
         blob[len(blob) // 2] ^= 0x01
         with pytest.raises(CorruptGraph):
             deserialize(bytes(blob))
 
     def test_truncation_rejected(self):
-        blob = serialize(linear_graph())
+        blob = serialize(baked_graph())
         with pytest.raises(CorruptGraph):
             deserialize(blob[:-5])
         with pytest.raises(CorruptGraph):
             deserialize(blob[:8])
 
     def test_wrong_magic_rejected(self):
-        blob = serialize(linear_graph())
+        blob = serialize(baked_graph())
         with pytest.raises(CorruptGraph):
             deserialize(b"XXXX" + blob[4:])
 
     def test_future_version_rejected(self):
-        blob = bytearray(serialize(linear_graph()))
+        blob = bytearray(serialize(baked_graph()))
         blob[4:8] = struct.pack("<I", GRAPH_VERSION + 1)
         with pytest.raises(VersionMismatch):
             deserialize(bytes(blob))
 
+    def test_format_4_rejected(self):
+        # format 4 stored input and output lists, which format 5 derives
+        blob = bytearray(serialize(baked_graph()))
+        blob[4:8] = struct.pack("<I", 4)
+        with pytest.raises(VersionMismatch, match="format version 4, expected 5"):
+            deserialize(bytes(blob))
+
     def test_failed_save_keeps_previous_graph(self, tmp_path, monkeypatch):
         path = tmp_path / "model.graph"
-        save_graph(linear_graph(), str(path))
+        save_graph(baked_graph(), str(path))
         before = path.read_bytes()
 
         def fail(fd):
             raise OSError("disk full")
         monkeypatch.setattr(os, "fsync", fail)
         with pytest.raises(OSError, match="disk full"):
-            save_graph(baked_graph(), str(path))
+            save_graph(with_logits_concat(), str(path))
         assert path.read_bytes() == before
-        assert load_graph(str(path)).ops[0].opcode == "MatMulAdd"
+        assert load_graph(str(path)).ops[-1].opcode == "ArgMax"
         assert os.listdir(str(tmp_path)) == ["model.graph"]
 
     def test_reader_tables_name_exactly_the_keys_serialize_writes(self):
         payload = binio.decode(serialize(baked_graph())[12:])
+        # every graph reads the raw text feeds and writes pred and scores
+        assert set(payload) == {"attrs", "consts", "vocabs", "ops"}
         assert set(graph_module._PAYLOAD_FIELDS) == set(payload)
         assert set(graph_module.GRAPH_ATTRS) == set(payload["attrs"])
         assert set(graph_module._PAYLOAD_FIELDS) == {f.name for f in fields(StaticGraph)}
@@ -455,8 +485,8 @@ class TestSerialization:
             assert set(graph_module._OP_FIELDS) == set(op)
 
     def test_unknown_opcode_in_payload(self):
-        g = linear_graph()
-        g.ops[0] = GraphOp("FusedMegaOp", ("x", "w", "b"), "logits")
+        g = baked_graph()
+        g.ops[MATMUL] = GraphOp("FusedMegaOp", ("rep", "w", "b"), "logits")
         blob = serialize(g)  # serialization is format-only, no validation
         with pytest.raises(CorruptGraph):
             deserialize(blob)
@@ -464,28 +494,43 @@ class TestSerialization:
 
 class TestValidation:
     def test_valid_graphs_pass(self):
-        validate_graph(linear_graph())
         validate_graph(baked_graph())
         validate_graph(with_spare_char_lookup())
         validate_graph(with_logits_concat())
+        validate_graph(with_spare_lstm(reverse=False))
 
     def test_read_before_produce(self):
-        g = linear_graph()
-        g.ops = [g.ops[1], g.ops[0], g.ops[2]]
+        g = baked_graph()
+        g.ops[MATMUL], g.ops[SOFTMAX] = g.ops[SOFTMAX], g.ops[MATMUL]
         with pytest.raises(CorruptGraph):
             validate_graph(g)
 
     def test_two_producers(self):
-        g = linear_graph()
+        g = baked_graph()
         g.ops.append(GraphOp("Relu", ("logits",), "scores"))
         with pytest.raises(CorruptGraph):
             validate_graph(g)
 
     def test_output_must_be_produced(self):
-        g = linear_graph()
-        g.outputs = ["pred", "nothing"]
-        with pytest.raises(CorruptGraph):
+        g = baked_graph()
+        g.ops[ARGMAX].output = "nothing"
+        with pytest.raises(CorruptGraph, match="does not end in scores and pred"):
             validate_graph(g)
+
+    @pytest.mark.parametrize("make,message", [
+        (malformed_op_reads_an_unknown_name,
+         "op MatMulAdd reads 'x', which is no feed, const or earlier output"),
+        (malformed_input_is_a_const, "const 'tokens' is named like a raw text feed"),
+        (malformed_const_named_like_a_feed_no_op_reads,
+         "const 'gaz_labels' is named like a raw text feed"),
+        (malformed_op_writes_a_feed,
+         "op LookupTokens writes 'cap_labels', which a feed, const or earlier op holds"),
+        (malformed_pred_of_other_than_the_logits,
+         "does not end in scores and pred, the Softmax and the ArgMax of one value"),
+    ], ids=["reads_x", "const_tokens", "const_gaz_labels", "writes_a_feed", "pred_of_rep"])
+    def test_each_graph_reads_the_feeds_and_writes_pred_and_scores(self, make, message):
+        with pytest.raises(CorruptGraph, match=message):
+            validate_graph(make())
 
     def test_lookup_requires_vocab_table(self):
         g = baked_graph()
@@ -514,6 +559,8 @@ class TestValidation:
         malformed_labels_too_many,
         malformed_labels_repeated,
         malformed_outputs_without_pred,
+        malformed_pred_not_an_argmax,
+        malformed_pred_of_other_than_the_logits,
         malformed_task_an_int,
         malformed_task_joint,
         malformed_lowercase_an_int,
@@ -533,6 +580,9 @@ class TestValidation:
         malformed_const_int64_array,
         malformed_const_nan,
         malformed_input_is_a_const,
+        malformed_const_named_like_a_feed_no_op_reads,
+        malformed_op_reads_an_unknown_name,
+        malformed_op_writes_a_feed,
         malformed_graph_attr_unknown,
         malformed_embedding_table_rank_1,
         malformed_conv_filters_rank_2,
@@ -554,7 +604,10 @@ class TestValidation:
         ("inputs", "x"),
     ])
     def test_inputs_and_outputs_must_be_lists(self, field, value):
-        with pytest.raises(CorruptGraph, match="graph field '%s' is missing or malformed" % field):
+        # format 4 required both fields as lists; format 5 has neither (every
+        # graph reads the raw text feeds and writes pred and scores), so a
+        # payload carrying either is refused whatever its value
+        with pytest.raises(CorruptGraph, match=r"graph has unknown fields \['%s'\]" % field):
             deserialize(payload_with(field, value))
 
     def test_load_and_executor_validate_once(self, tmp_path, monkeypatch):
@@ -606,7 +659,7 @@ class TestValidation:
         with pytest.raises(CorruptGraph, match="graph field 'ops': op 0 is not a mapping"):
             deserialize(payload_with("ops", [np.zeros(3, dtype=F32)]))
         with pytest.raises(CorruptGraph,
-                           match="graph field 'ops': op 1 field 'output' is missing or malformed"):
+                           match="graph field 'ops': op 4 field 'output' is missing or malformed"):
             deserialize(serialize(malformed_op_output_is_an_int()))
 
     def test_deep_nesting_rejected_on_load(self):
@@ -618,34 +671,30 @@ class TestValidation:
 
 class TestExecutor:
     def test_linear_softmax_argmax_by_hand(self):
-        ex = Executor(linear_graph())
-        x = np.array([1.0, 2.0, 3.0], dtype=F32)
-        out = ex.run_feed({"x": x})
-        g = linear_graph()
-        logits = x @ g.consts["w"] + g.consts["b"]
+        g = baked_graph()
+        out = Executor(g).run_feed(prepare_feed(g, "go home go"))
+        emb = g.consts["table"][[2, 3, 2]]
+        filt = g.consts["filt"]
+        # the two windows of width 2 over three tokens, max-pooled
+        rep = np.maximum(emb[0] @ filt[0] + emb[1] @ filt[1], emb[1] @ filt[0] + emb[2] @ filt[1])
+        logits = rep @ g.consts["w"] + g.consts["b"]
         e = np.exp(logits - logits.max())
         np.testing.assert_allclose(out["scores"], e / e.sum(), rtol=1e-6)
         assert out["pred"] == int(np.argmax(logits))
 
     def test_consts_win_over_feed_values(self):
-        x = np.array([1.0, 2.0, 3.0], dtype=F32)
-        want = Executor(linear_graph()).run_feed({"x": x})
-        got = Executor(linear_graph()).run_feed({"x": x, "w": np.zeros((3, 2), dtype=F32)})
+        g = baked_graph()
+        feed = prepare_feed(g, "go home")
+        want = Executor(g).run_feed(feed)
+        got = Executor(g).run_feed(dict(feed, w=np.zeros((4, 2), dtype=F32)))
         assert np.array_equal(got["scores"], want["scores"])
 
     def test_embed_gather_bounds(self):
-        g = StaticGraph(
-            attrs={},
-            consts={"table": np.eye(3, dtype=F32)},
-            vocabs={},
-            ops=[GraphOp("EmbedGather", ("ids", "table"), "emb")],
-            inputs=["ids"], outputs=["emb"],
-        )
-        ex = Executor(g)
-        out = ex.run_feed({"ids": np.array([2, 0], dtype=np.int64)})
-        assert out["emb"].tolist() == [[0, 0, 1], [1, 0, 0]]
+        gather = graph_module.OPS["EmbedGather"].run
+        table = np.eye(3, dtype=F32)
+        assert gather(np.array([2, 0], dtype=np.int64), table).tolist() == [[0, 0, 1], [1, 0, 0]]
         with pytest.raises(IdOutOfRange):
-            ex.run_feed({"ids": np.array([3], dtype=np.int64)})
+            gather(np.array([3], dtype=np.int64), table)
 
     def test_baked_tokens_and_oov(self):
         # lowercased to go, home and two OOV tokens that both look up <unk>
@@ -663,13 +712,15 @@ class TestExecutor:
         assert float(out["scores"].sum()) == pytest.approx(1.0, abs=1e-6)
         assert out["pred"] in (0, 1)
 
-    def test_char_rows_are_cut_at_the_graphs_max_chars(self):
+    def test_char_rows_are_cut_at_the_graphs_max_chars(self, monkeypatch):
         g = with_spare_char_lookup()
         g.attrs["max_chars"] = 3
-        g.outputs = ["char_ids"]
-        # a probe graph outputs no pred, which run checks; feed it directly
-        out = Executor(g).run_feed(prepare_feed(g, "go ogg goooo"))
-        assert out["char_ids"].tolist() == [[2, 3, 0], [3, 2, 2], [2, 3, 3]]
+        rows = []
+        spec = graph_module.OPS["LookupChars"]
+        monkeypatch.setitem(graph_module.OPS, "LookupChars", replace(
+            spec, run=lambda *args: rows.append(spec.run(*args)) or rows[-1]))
+        run(Executor(g), "go ogg goooo")
+        assert [r.tolist() for r in rows] == [[[2, 3, 0], [3, 2, 2], [2, 3, 3]]]
 
     def test_pred_that_disagrees_with_the_task_attr_is_refused(self):
         # the doc graph predicts one label; a word tagger predicts one per token
@@ -685,35 +736,23 @@ class TestExecutor:
         assert np.array_equal(a["scores"], b["scores"])
 
 
-def cap_probe_graph():
-    # no task attr and no pred: tests feed it through run_feed, not run
-    return StaticGraph(
-        attrs={"lowercase": True, "max_chars": 4},
-        consts={},
-        vocabs={"token": Vocabulary(["go"]), "cap": Vocabulary(CAP_CLASSES),
-                "gaz": Vocabulary([GAZ_NONE])},
-        ops=[
-            GraphOp("LookupTokens", ("tokens",), "tok_ids", {"vocab": "token"}),
-            GraphOp("LookupTokens", ("cap_labels",), "cap_ids", {"vocab": "cap"}),
-            GraphOp("LookupTokens", ("gaz_labels",), "gaz_ids", {"vocab": "gaz"}),
-        ],
-        inputs=["tokens", "cap_labels", "gaz_labels"],
-        outputs=["tok_ids", "cap_ids", "gaz_ids"],
-    )
+PROBE_TABLES = {"tokens": Vocabulary(["go"]), "cap_labels": Vocabulary(CAP_CLASSES),
+                "gaz_labels": Vocabulary([GAZ_NONE])}
+CAP_ENTRIES = ["<pad>", "<unk>"] + list(CAP_CLASSES)
+
+
+def probe_ids(inp) -> dict:
+    """Per raw text feed of inp, as a lowercasing graph feeds it, the ids a
+    LookupTokens over that feed's probe table gives."""
+    feed = prepare_feed(baked_graph(), inp)
+    lookup = graph_module.OPS["LookupTokens"].run
+    return {name: lookup(table, feed[name]).tolist() for name, table in PROBE_TABLES.items()}
 
 
 class TestPrepareFeed:
     def test_baked_rejects_id_dicts(self):
         with pytest.raises(InputTypeMismatch):
             prepare_feed(baked_graph(), {"token_ids": [1, 2]})
-
-    def test_unbaked_rejects_raw_text(self):
-        with pytest.raises(InputTypeMismatch):
-            prepare_feed(linear_graph(), "set an alarm")
-
-    def test_unbaked_missing_key(self):
-        with pytest.raises(InputTypeMismatch):
-            prepare_feed(linear_graph(), {"y": [1.0]})
 
     def test_unsupported_types(self):
         # a token list would skip the featurizer's lowercasing, so it is refused
@@ -722,34 +761,29 @@ class TestPrepareFeed:
                 prepare_feed(baked_graph(), inp)
 
     def test_token_list_input_keeps_given_casing(self):
-        ex = Executor(cap_probe_graph())
         # a token list would be looked up verbatim ("Go" -> <unk>), so it is
         # refused; the text keeps its given casing for the caps feature only
         with pytest.raises(InputTypeMismatch):
-            prepare_feed(cap_probe_graph(), ["Go", "x"])
-        out = ex.run_feed(prepare_feed(ex.graph, "Go x"))
-        cap_entries = ["<pad>", "<unk>"] + list(CAP_CLASSES)
-        assert [cap_entries[i] for i in out["cap_ids"]] == ["init_cap", "all_lower"]
-        assert out["tok_ids"].tolist() == [2, 1]
+            prepare_feed(baked_graph(), ["Go", "x"])
+        ids = probe_ids("Go x")
+        assert [CAP_ENTRIES[i] for i in ids["cap_labels"]] == ["init_cap", "all_lower"]
+        assert ids["tokens"] == [2, 1]
 
-    def test_feed_holds_exactly_the_inputs_the_graph_reads(self):
+    def test_feed_holds_every_raw_text_feed(self):
+        # every graph may read every feed, whichever its lookups read
         feats = featurize("Go HOME x")
-        assert prepare_feed(baked_graph(), feats) == {"tokens": ["go", "home", "x"]}
-        feed = prepare_feed(cap_probe_graph(), feats)
-        assert list(feed) == cap_probe_graph().inputs
-        assert feed == {"tokens": feats.token_texts(), "gaz_labels": feats.gaz_labels,
+        feed = prepare_feed(baked_graph(), feats)
+        assert list(feed) == list(graph_module._FEEDS)
+        assert feed == {"tokens": ["go", "home", "x"], "gaz_labels": feats.gaz_labels,
                         "cap_labels": feats.cap_labels}
         # the feed's lists are its own: a graph run cannot reach the example
         assert feed["gaz_labels"] is not feats.gaz_labels
         assert feed["cap_labels"] is not feats.cap_labels
 
     def test_text_input_computes_caps_before_lowercasing(self):
-        ex = Executor(cap_probe_graph())
-        out = ex.run_feed(prepare_feed(ex.graph, "Go HOME x"))
-        cap_entries = ["<pad>", "<unk>"] + list(CAP_CLASSES)
-        got = [cap_entries[i] for i in out["cap_ids"]]
-        assert got == ["init_cap", "all_caps", "all_lower"]
+        ids = probe_ids("Go HOME x")
+        assert [CAP_ENTRIES[i] for i in ids["cap_labels"]] == ["init_cap", "all_caps", "all_lower"]
         # tokens were lowercased for the token vocab
-        assert out["tok_ids"].tolist() == [2, 1, 1]
+        assert ids["tokens"] == [2, 1, 1]
         # no gazetteer spans given: every token maps to the none label
-        assert out["gaz_ids"].tolist() == [2, 2, 2]
+        assert ids["gaz_labels"] == [2, 2, 2]

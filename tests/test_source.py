@@ -5,6 +5,8 @@ import pathlib
 
 import pytest
 
+from textforge import graph
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "textforge"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -155,3 +157,28 @@ def test_only_ops_inference_switches_recording(path):
     # above its first kernel op; ops.inference restores the flag on exit
     allowed = "inference" if path.name == "ops.py" else ""
     assert recording_switches(path.read_text(encoding="utf-8"), allowed) == []
+
+
+FEED_NAMES = ("tokens", "gaz_labels", "cap_labels")
+
+
+def feed_name_literals(source: str) -> list:
+    """Lines of string constants that spell a raw text feed's name."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value in FEED_NAMES)
+
+
+def test_feed_name_literals_are_found():
+    source = ("x = 'tokens'\ny = {'gaz_labels': tokens}\nz = 'the tokens'\n"
+              "f(cap_labels, b'tokens')\nw = ('a', 'cap_labels')\n")
+    assert feed_name_literals(source) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "graph.py"],
+                         ids=lambda p: p.name)
+def test_only_graph_spells_the_feed_names(path):
+    # graph._FEEDS states the feeds every graph reads; a second spelling
+    # elsewhere can drift from it
+    assert set(FEED_NAMES) == set(graph._FEEDS)
+    assert feed_name_literals(path.read_text(encoding="utf-8")) == []
