@@ -98,6 +98,7 @@ _FEEDS = {
     CAP_LABELS: lambda ex: list(ex.cap_labels),
 }
 TEXT = "a raw text feed"  # the OpSpec.weights entry of a position that reads one
+IDS = "integer ids"  # the OpSpec.weights entry of a position that reads a lookup's ids
 
 
 @dataclass(frozen=True)
@@ -108,24 +109,29 @@ class OpSpec:
     each op attr to its type; an op carries exactly these attrs. graph_attrs
     names the graph attrs the op also runs with. weights gives, per input
     position, the rank of the const that may fill it, TEXT where the op reads
-    a raw text feed named in _FEEDS, or None where it reads a computed value; a
-    const fills only a weight position, a text feed only a TEXT one. run takes
+    a raw text feed named in _FEEDS, IDS where it reads the ids an op gives,
+    or None where it reads the float values an op gives; a const fills only
+    a weight position, a text feed only a TEXT one. run takes
     the op attr values, then the graph attr values, in table order, then the
     input values, and returns the op's one output. It looks kernels up on
-    the kernels module at call time.
+    the kernels module at call time. gives_ids says the output is integer
+    ids; every other op's is float32 values.
     """
     arity: Optional[int]
     run: Callable
     attrs: dict = field(default_factory=dict)
     graph_attrs: tuple = ()
     weights: tuple = ()
+    gives_ids: bool = False
 
 
 OPS = {
-    "LookupTokens": OpSpec(1, _lookup_tokens, {"vocab": str}, weights=(TEXT,)),
-    "LookupChars": OpSpec(1, _lookup_chars, {"vocab": str}, ("max_chars",), (TEXT,)),
+    "LookupTokens": OpSpec(1, _lookup_tokens, {"vocab": str}, weights=(TEXT,),
+                           gives_ids=True),
+    "LookupChars": OpSpec(1, _lookup_chars, {"vocab": str}, ("max_chars",), (TEXT,),
+                          gives_ids=True),
     "EmbedGather": OpSpec(2, lambda ids, table: kernels.embed_gather(ids, table),
-                          weights=(None, 2)),
+                          weights=(IDS, 2)),
     "MatMulAdd": OpSpec(3, _matmul_add, weights=(None, 2, 1)),
     "Relu": OpSpec(1, lambda x: kernels.relu(x)),
     "Conv1DMaxPool": OpSpec(2, _conv_maxpool, weights=(None, 3)),
@@ -135,7 +141,7 @@ OPS = {
     "Highway": OpSpec(5, lambda *args: kernels.highway(*args)[0],
                       weights=(None, 2, 1, 2, 1)),
     "Softmax": OpSpec(1, lambda x: kernels.softmax(x, axis=-1)),
-    "ArgMax": OpSpec(1, lambda x: kernels.argmax_last(x)),
+    "ArgMax": OpSpec(1, lambda x: kernels.argmax_last(x), gives_ids=True),
 }
 
 
@@ -163,7 +169,9 @@ _PAYLOAD_FIELDS = {
 }
 
 
-def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
+def _validate_op(graph: StaticGraph, op: GraphOp, produced: set, ids: set) -> None:
+    """One op against the table, given the names the feeds, consts and
+    earlier ops give, and which of the computed ones hold integer ids."""
     spec = OPS.get(op.opcode)
     if spec is None:
         raise CorruptGraph("unknown opcode %r" % (op.opcode,))
@@ -174,37 +182,48 @@ def _validate_op(graph: StaticGraph, op: GraphOp) -> None:
     if "vocab" in op.attrs and op.attrs["vocab"] not in graph.vocabs:
         raise CorruptGraph("op %s needs vocab table %r" % (op.opcode, op.attrs["vocab"]))
     for slot, kind in zip(op.inputs, spec.weights or (None,) * n):
-        if slot in graph.consts and graph.consts[slot].ndim != kind:
-            raise CorruptGraph("op %s reads const %r of rank %d where it takes %s"
-                               % (op.opcode, slot, graph.consts[slot].ndim, _takes(kind)))
-        if (kind == TEXT) != (slot in _FEEDS):
+        if slot not in produced:
+            raise CorruptGraph("op %s reads %r, which is no feed, const or earlier output"
+                               % (op.opcode, slot))
+        if slot in graph.consts:
+            if graph.consts[slot].ndim != kind:
+                raise CorruptGraph("op %s reads const %r of rank %d where it takes %s"
+                                   % (op.opcode, slot, graph.consts[slot].ndim, _takes(kind)))
+        elif (kind == TEXT) != (slot in _FEEDS):
             raise CorruptGraph("op %s reads %r where it takes %s"
                                % (op.opcode, slot, _takes(kind)))
+        elif slot not in _FEEDS:
+            # a computed value: integer ids if an op that gives them wrote it;
+            # a weight position takes a computed float as well as a const
+            held, wanted = (IDS if slot in ids else None), (IDS if kind == IDS else None)
+            if held != wanted:
+                raise CorruptGraph("op %s reads %r, %s, where it takes %s"
+                                   % (op.opcode, slot, _takes(held), _takes(wanted)))
 
 
 def _takes(kind) -> str:
-    return {None: "a computed value", TEXT: TEXT}.get(kind) or "rank %d" % kind
+    return {None: "float values", TEXT: TEXT, IDS: IDS}.get(kind) or "rank %d" % kind
 
 
 def validate_graph(graph: StaticGraph) -> None:
     """What a graph of well-formed parts, as deserialize checks them and the
     exporter makes them, can still get wrong: topology, opcodes, arity, op
-    attrs, vocab presence, const ranks, text feeds, pred and scores, and the
-    label count. Raises CorruptGraph on any violation and changes nothing."""
+    attrs, vocab presence, const ranks, text feeds, which computed values
+    are integer ids and which floats, pred and scores, and the label count.
+    Raises CorruptGraph on any violation and changes nothing."""
     fed_consts = set(graph.consts) & set(_FEEDS)
     if fed_consts:
         raise CorruptGraph("const %r is named like a raw text feed" % sorted(fed_consts)[0])
     produced = set(graph.consts) | set(_FEEDS)
+    ids = set()
     for op in graph.ops:
-        _validate_op(graph, op)
-        for slot in op.inputs:
-            if slot not in produced:
-                raise CorruptGraph("op %s reads %r, which is no feed, const or earlier output"
-                                   % (op.opcode, slot))
+        _validate_op(graph, op, produced, ids)
         if op.output in produced:
             raise CorruptGraph("op %s writes %r, which a feed, const or earlier op holds"
                                % (op.opcode, op.output))
         produced.add(op.output)
+        if OPS[op.opcode].gives_ids:
+            ids.add(op.output)
     # pred and scores are the ArgMax and the Softmax of one value, and there
     # is one label per class: per entry of the bias of the MatMulAdd under them
     producer = {op.output: op for op in graph.ops}

@@ -12,6 +12,8 @@ All float work is float32; masks are float32 arrays of {0, 1} where position
 j of row i is 1 iff j < length_i (right padding).
 """
 
+from itertools import groupby
+
 import numpy as np
 
 from .errors import EmptyLoss, EmptySequence, IdOutOfRange, ShapeMismatch, TargetOutOfRange
@@ -141,18 +143,28 @@ def lstm_seq(x, w_ih, w_hh, bias, mask, reverse=False, want_cache=False):
 
     x [b, t, d], w_ih [d, 4h], w_hh [h, 4h], bias [4h], mask [b, t] ->
     hs [b, t, h]. Gate order is input, forget, cell, output. Initial states
-    are zero; masked steps copy the previous hidden and cell state.
+    are zero.
 
     The input projection x @ w_ih + bias is hoisted out of the recurrence
     into one GEMM over all timesteps, so each step adds only h_prev @ w_hh.
-    The masked blend runs only when some row is padded.
+
+    A padded batch runs packed. Its mask must be right padding (row i is
+    ones at j < length_i, then zeros), or ShapeMismatch is raised. The rows
+    are sorted by length (stable, longest first) once and each step runs
+    only the leading rows still inside their sequence; the reverse
+    direction starts a row from zero state at its last position. When
+    b >= 2 a step runs at least 2 rows, computing one spare row and
+    dropping it, because a 1-row h_prev @ w_hh takes another BLAS path
+    than the b-row GEMM and rounds differently. So every state is bitwise
+    what a step over all b rows gives. A padded position holds the row's
+    last state in the forward direction and zeros in the reverse one.
 
     A call reuses a buffer across its steps only where no cache keeps it:
-    the pre-activation z always; without want_cache also the gates, and an
-    unpadded run writes each hidden state straight into hs. A cache holds
-    fresh arrays per step, none a view of hs: the backward pass reads them
-    all, and a strided h_prev would change the BLAS path of h_prev.T @ dz
-    (and its bits) when h == 1.
+    the pre-activation z always; without want_cache also the gates, and
+    each hidden state is written straight into hs. A cache holds fresh
+    arrays per step, none a view of hs: the backward pass reads them all,
+    and a strided h_prev would change the BLAS path of h_prev.T @ dz (and
+    its bits) when h == 1.
     """
     b, t, d = x.shape
     if w_ih.shape[0] != d:
@@ -169,38 +181,77 @@ def lstm_seq(x, w_ih, w_hh, bias, mask, reverse=False, want_cache=False):
         raise ShapeMismatch("lstm: mask shape %s vs (%d, %d)" % (mask.shape, b, t))
 
     zx = (x.reshape(b * t, d) @ w_ih + bias).reshape(b, t, four_h)
-    full = bool(mask.all())
+    order = range(t - 1, -1, -1) if reverse else range(t)
+    perm = active = None
+    # (rows inside their sequence, rows a step runs, the steps that run them)
+    runs = [(b, b, order)]
+    if not mask.all():
+        lengths = _right_padded_lengths(mask)
+        perm = np.argsort(-lengths, kind="stable")
+        zx = zx[perm]
+        active = (lengths[:, None] > np.arange(t)).sum(axis=0).tolist()
+        runs = [(n, max(n, min(b, 2)), list(tis))
+                for n, tis in groupby(order, active.__getitem__) if n]
     hs = np.zeros((b, t, h), dtype=F32)
     h_prev = np.zeros((b, h), dtype=F32)
     c_prev = np.zeros((b, h), dtype=F32)
-    z = np.empty((b, four_h), dtype=F32)
-    z_cell = z[:, 2 * h:3 * h]
-    gates = None if want_cache else np.empty((b, four_h), dtype=F32)
-    views = None if want_cache else _gate_views(gates, h)
-    direct = full and not want_cache
-    order = range(t - 1, -1, -1) if reverse else range(t)
+    z = z_all = np.empty((b, four_h), dtype=F32)
+    gates = gates_all = None if want_cache else np.empty((b, four_h), dtype=F32)
+    zx_r, hs_r = zx, hs
     steps = [] if want_cache else None
-    for ti in order:
-        np.matmul(h_prev, w_hh, out=z)
-        z += zx[:, ti]
-        s = sigmoid(z, out=gates)  # the cell block's sigmoid goes unused
-        gi, gf, go = _gate_views(s, h) if want_cache else views
-        gg = np.tanh(z_cell)
-        c_cur = gf * c_prev + gi * gg
-        tanh_c = np.tanh(c_cur)
-        h_cur = np.multiply(go, tanh_c, out=hs[:, ti] if direct else None)
-        m = None if full else mask[:, ti][:, None]
-        if m is not None:
-            keep = 1 - m
-            h_cur = m * h_cur + keep * h_prev
-            c_cur = m * c_cur + keep * c_prev
-        if not direct:
-            hs[:, ti] = h_cur
-        if want_cache:
-            steps.append((ti, m, gi, gf, gg, go, tanh_c, h_prev, c_prev))
-        h_prev, c_prev = h_cur, c_cur
-    cache = (x, w_ih, w_hh, steps, h) if want_cache else None
+    n_prev = 0
+    for n, r, times in runs:
+        if n_prev and n > n_prev:  # the reverse direction's rows join from zero state
+            h_prev, c_prev = _grown(h_prev, n_prev, r), _grown(c_prev, n_prev, r)
+        elif r < len(h_prev):
+            h_prev, c_prev = h_prev[:r], c_prev[:r]
+        n_prev = n
+        if r != len(z):  # so an unpadded call slices nothing
+            z, zx_r, hs_r = z_all[:r], zx[:r], hs[:r]
+            gates = None if want_cache else gates_all[:r]
+        z_cell = z[:, 2 * h:3 * h]
+        views = None if want_cache else _gate_views(gates, h)
+        for ti in times:
+            np.matmul(h_prev, w_hh, out=z)
+            z += zx_r[:, ti]
+            s = sigmoid(z, out=gates)  # the cell block's sigmoid goes unused
+            gi, gf, go = _gate_views(s, h) if want_cache else views
+            gg = np.tanh(z_cell)
+            c_cur = gf * c_prev + gi * gg
+            tanh_c = np.tanh(c_cur)
+            h_cur = np.multiply(go, tanh_c, out=None if want_cache else hs_r[:, ti])
+            if want_cache:
+                hs_r[:, ti] = h_cur
+                steps.append((ti, n, s, gg, tanh_c, h_prev, c_prev))
+            h_prev, c_prev = h_cur, c_cur
+    cache = (x, w_ih, w_hh, steps, reverse, perm, active) if want_cache else None
+    if perm is None:
+        return hs, cache
+    hs = hs[np.argsort(perm)]
+    # a padded position holds its row's last state (zeros for an empty row)
+    # or, in reverse, zeros; a spare row's states landed on some
+    padded = mask == 0
+    if reverse:
+        hs[padded] = F32(0)
+    else:  # padded picks each row's t - length positions, row by row
+        last = np.where((lengths > 0)[:, None], hs[np.arange(b), lengths - 1], F32(0))
+        hs[padded] = np.repeat(last, t - lengths, axis=0)
     return hs, cache
+
+
+def _right_padded_lengths(mask):
+    """Each row's length, for a mask that is ones then zeros in every row."""
+    lengths = (mask != 0).sum(axis=1)
+    if not np.array_equal(mask, np.arange(mask.shape[1]) < lengths[:, None]):
+        raise ShapeMismatch("lstm: mask is not right padding (ones, then zeros) in every row")
+    return lengths
+
+
+def _grown(a, n, r):
+    """The first n rows of a over r rows, the rest zero: the state rows joining at a step."""
+    out = np.zeros((r, a.shape[1]), dtype=F32)
+    out[:n] = a[:n]
+    return out
 
 
 def _gate_views(s, h):
@@ -209,35 +260,68 @@ def _gate_views(s, h):
 
 
 def lstm_seq_backward(cache, dhs):
-    x, w_ih, w_hh, steps, h = cache
+    x, w_ih, w_hh, steps, reverse, perm, active = cache
     b, t, d = x.shape
-    four_h = w_ih.shape[1]
+    h, four_h = w_hh.shape
+    if perm is not None:
+        dhs = dhs[perm]
+    # the forward direction holds a row's last state over its padded tail,
+    # so the tail's gradients reach that state; the reverse one starts from
+    # zeros there, and they reach nothing
+    tails = None if reverse or perm is None else _tail_sums(dhs, active)
     dzs = np.zeros((b, t, four_h), dtype=F32)
     dw_hh = np.zeros_like(w_hh)
-    dh_rec = np.zeros((b, h), dtype=F32)
-    dc_rec = np.zeros((b, h), dtype=F32)
-    for ti, m, gi, gf, gg, go, tanh_c, h_prev, c_prev in reversed(steps):
-        dh = dhs[:, ti] + dh_rec
-        dc = dc_rec
-        if m is not None:  # a masked step passes both gradients to the step before
-            dh_skip, dc_skip = (1 - m) * dh, (1 - m) * dc
-            dh, dc = m * dh, m * dc
-        dc = dc + dh * go * (1 - tanh_c * tanh_c)
-        dzs[:, ti] = dz = np.concatenate([
-            dc * gg * gi * (1 - gi),
-            dc * c_prev * gf * (1 - gf),
-            dc * gi * (1 - gg * gg),
-            dh * tanh_c * go * (1 - go),
-        ], axis=1)
+    # with OpenBLAS 0.3.31's Haswell kernels, dz @ w_hh.T of 19 rows or more
+    # ran 2x slower on the transposed view than on a contiguous copy
+    w_hh_t = np.ascontiguousarray(w_hh.T)
+    dh_rec = dc_rec = np.zeros((0, h), dtype=F32)
+    n_prev = 0
+    for ti, n, s, gg, tanh_c, h_prev, c_prev in reversed(steps):
+        if n > n_prev:  # rows join: the forward direction's at their last position
+            dh_rec, dc_rec = _grown(dh_rec, n_prev, n), _grown(dc_rec, n_prev, n)
+            if tails is not None:
+                dh_rec[n_prev:n] = tails[n_prev:n]
+        elif n < n_prev:  # the reverse direction's rows end
+            dh_rec, dc_rec = dh_rec[:n], dc_rec[:n]
+        n_prev = n
+        r = len(h_prev)
+        if n < r:  # a spare row ran: its dz stays zero, and h_prev.T @ dz keeps
+            # K >= 2 (a K = 1 product took a path 7x slower)
+            s, gg, tanh_c, c_prev = s[:n], gg[:n], tanh_c[:n], c_prev[:n]
+        gi, gf, go = _gate_views(s, h)
+        dh = dhs[:n, ti] + dh_rec
+        dc = dc_rec + dh * go * (1 - tanh_c * tanh_c)
+        # dz, in place in dzs: what each gate scales, times the gate's derivative
+        dz = dzs[:r, ti]
+        np.multiply(dc, gg, out=dz[:n, :h])
+        np.multiply(dc, c_prev, out=dz[:n, h:2 * h])
+        np.multiply(dc, gi, out=dz[:n, 2 * h:3 * h])
+        np.multiply(dh, tanh_c, out=dz[:n, 3 * h:])
+        deriv = s * (1 - s)  # the sigmoid's; the cell block's is the tanh's
+        deriv[:, 2 * h:3 * h] = 1 - gg * gg
+        dz[:n] *= deriv
         dw_hh += h_prev.T @ dz
-        dh_rec = dz @ w_hh.T
+        dh_rec = (dz @ w_hh_t)[:n]
         dc_rec = dc * gf
-        if m is not None:
-            dh_rec += dh_skip
-            dc_rec += dc_skip
+    if perm is not None:
+        dzs = dzs[np.argsort(perm)]
     flat = dzs.reshape(b * t, four_h)
     dx = (flat @ w_ih.T).reshape(b, t, d)
     return dx, x.reshape(b * t, d).T @ flat, dw_hh, flat.sum(axis=0)
+
+
+def _tail_sums(dhs, active):
+    """Each row's dhs summed over its padded tail, last position first
+    (tail = dhs + tail): the gradient of the last state, which the forward
+    direction holds over the tail. dhs and active are in sorted row order."""
+    b, t, h = dhs.shape
+    tails = np.zeros((b, h), dtype=F32)
+    for ti in range(t - 1, -1, -1):
+        n = active[ti]  # rows n: are padded at ti
+        if n == b:
+            break
+        tails[n:] = dhs[n:, ti] + tails[n:]
+    return tails
 
 
 # --- additive self-attention pooling ---

@@ -707,6 +707,23 @@ class TestPredict:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("textforge: error: op %s reads" % opcode), proc.stderr
 
+    @pytest.mark.parametrize("opcode", ["Concat", "LSTMSeq"])
+    def test_lookup_ids_read_as_floats_is_an_input_error(self, joint_graphs, tmp_path, opcode):
+        # unchecked, each graph loads and its first request fails in numpy (exit 2)
+        g = load_graph(joint_graphs.graphs["word"])
+        lookup = next(op for op in g.ops if op.opcode == "LookupTokens")
+        gather = next(op for op in g.ops if op.opcode == "EmbedGather")
+        op = next(op for op in g.ops if op.opcode == opcode)
+        op.inputs = ((lookup.output, gather.output) if opcode == "Concat"
+                     else (lookup.output,) + op.inputs[1:])
+        bad = str(tmp_path / "ids_as_floats.graph")
+        save_graph(g, bad)
+        proc = run_cli("predict", "--graph", bad, stdin="set an alarm\n")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(
+            "textforge: error: op %s reads %r, integer ids, where it takes float values"
+            % (opcode, lookup.output)), proc.stderr
+
     def test_unbaked_graph_rejects_text(self, doc_run, doc_graph, tmp_path):
         # an integer-id-input graph, as older exports could write: no lookups,
         # so nothing gives the ids the gather reads, and it is refused at load

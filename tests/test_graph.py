@@ -348,6 +348,31 @@ def malformed_lookup_reads_a_computed_value():
     return g
 
 
+def malformed_concat_reads_the_token_ids():
+    # the ids a lookup gives are integers, and only a gather reads them
+    g = baked_graph()
+    g.ops.append(GraphOp("Concat", ("token_ids", "emb"), "t"))
+    return g
+
+
+def malformed_lstm_reads_the_token_ids():
+    g = with_spare_lstm(reverse=False)
+    return set_op_input(g, 2, 0, "token_ids")
+
+
+def malformed_gather_reads_floats():
+    g = baked_graph()
+    g.ops.insert(2, GraphOp("EmbedGather", ("emb", "table"), "t"))
+    return g
+
+
+def malformed_relu_reads_the_pred():
+    # an ArgMax gives ids too
+    g = baked_graph()
+    g.ops.append(GraphOp("Relu", ("pred",), "t"))
+    return g
+
+
 def graph_blob(body: bytes) -> bytes:
     """A graph blob with a valid header and checksum around any body."""
     return GRAPH_MAGIC + struct.pack("<II", GRAPH_VERSION, zlib.crc32(body)) + body
@@ -532,6 +557,20 @@ class TestValidation:
         with pytest.raises(CorruptGraph, match=message):
             validate_graph(make())
 
+    @pytest.mark.parametrize("make,message", [
+        (malformed_concat_reads_the_token_ids,
+         "op Concat reads 'token_ids', integer ids, where it takes float values"),
+        (malformed_lstm_reads_the_token_ids,
+         "op LSTMSeq reads 'token_ids', integer ids, where it takes float values"),
+        (malformed_gather_reads_floats,
+         "op EmbedGather reads 'emb', float values, where it takes integer ids"),
+        (malformed_relu_reads_the_pred,
+         "op Relu reads 'pred', integer ids, where it takes float values"),
+    ], ids=["concat", "lstm", "gather", "relu_reads_pred"])
+    def test_each_computed_value_is_read_as_the_kind_it_is(self, make, message):
+        with pytest.raises(CorruptGraph, match=message):
+            validate_graph(make())
+
     def test_lookup_requires_vocab_table(self):
         g = baked_graph()
         g.vocabs = {}
@@ -591,6 +630,9 @@ class TestValidation:
         malformed_gather_reads_the_raw_tokens,
         malformed_relu_reads_the_raw_tokens,
         malformed_lookup_reads_a_computed_value,
+        malformed_concat_reads_the_token_ids,
+        malformed_lstm_reads_the_token_ids,
+        malformed_gather_reads_floats,
     ])
     def test_malformed_op_rejected_on_load(self, make):
         made = make()  # a graph, or the blob of a payload no graph can express

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import corpora
-from textforge import components, exporter, kernels, ops
+from textforge import cli, components, exporter, kernels, ops
 from textforge.errors import (EmptySequence, IdOutOfRange, NotScalar,
                               ShapeMismatch, TargetOutOfRange)
 from textforge.data_handler import Batch, VocabBundle, make_batches, single_example_batch
@@ -214,14 +214,17 @@ class TestFiniteDifferences:
         def build(rng):
             tlen = int(rng.integers(1, 4))
             h = 2
-            x = t((2, tlen, 3), rng)
+            x = t((3, tlen, 3), rng)
             w_ih = t((3, 4 * h), rng, scale=0.5)
             w_hh = t((h, 4 * h), rng, scale=0.5)
             bias = t((4 * h,), rng, scale=0.2)
-            mask = np.ones((2, tlen), dtype=F32)
-            # padded or all ones: the kernel skips the blend when nothing is padded
+            mask = np.ones((3, tlen), dtype=F32)
+            # padded or all ones: only a padded batch runs packed. Padded
+            # lengths are unsorted (row 0 is shorter than row 1), and row 2
+            # may be empty
             if tlen > 1 and rng.integers(0, 2):
-                mask[0, tlen - 1] = 0.0
+                lengths = np.array([tlen - 1, tlen, rng.integers(0, tlen + 1)])
+                mask = (np.arange(tlen) < lengths[:, None]).astype(F32)
             reverse = bool(rng.integers(0, 2))
             target = [x, w_ih, w_hh, bias][int(rng.integers(0, 4))]
             def f(_):
@@ -427,6 +430,85 @@ def ref_lstm_seq_backward(x, w_ih, w_hh, steps, dhs):
     return dx, dw_ih, dw_hh, db
 
 
+# --- the LSTM kernel before packing: each step ran all b rows, and a masked
+# step blended the old states back. The oracle for the packed kernel, whose
+# states it must give bit for bit ---
+
+def blend_lstm_seq(x, w_ih, w_hh, bias, mask, reverse=False, want_cache=False):
+    b, t, d = x.shape
+    four_h = w_ih.shape[1]
+    h = four_h // 4
+    zx = (x.reshape(b * t, d) @ w_ih + bias).reshape(b, t, four_h)
+    full = bool(mask.all())
+    hs = np.zeros((b, t, h), dtype=F32)
+    h_prev = np.zeros((b, h), dtype=F32)
+    c_prev = np.zeros((b, h), dtype=F32)
+    z = np.empty((b, four_h), dtype=F32)
+    z_cell = z[:, 2 * h:3 * h]
+    gates = None if want_cache else np.empty((b, four_h), dtype=F32)
+    views = None if want_cache else _blend_gate_views(gates, h)
+    direct = full and not want_cache
+    order = range(t - 1, -1, -1) if reverse else range(t)
+    steps = [] if want_cache else None
+    for ti in order:
+        np.matmul(h_prev, w_hh, out=z)
+        z += zx[:, ti]
+        s = kernels.sigmoid(z, out=gates)
+        gi, gf, go = _blend_gate_views(s, h) if want_cache else views
+        gg = np.tanh(z_cell)
+        c_cur = gf * c_prev + gi * gg
+        tanh_c = np.tanh(c_cur)
+        h_cur = np.multiply(go, tanh_c, out=hs[:, ti] if direct else None)
+        m = None if full else mask[:, ti][:, None]
+        if m is not None:
+            keep = 1 - m
+            h_cur = m * h_cur + keep * h_prev
+            c_cur = m * c_cur + keep * c_prev
+        if not direct:
+            hs[:, ti] = h_cur
+        if want_cache:
+            steps.append((ti, m, gi, gf, gg, go, tanh_c, h_prev, c_prev))
+        h_prev, c_prev = h_cur, c_cur
+    cache = (x, w_ih, w_hh, steps, h) if want_cache else None
+    return hs, cache
+
+
+def _blend_gate_views(s, h):
+    return s[:, :h], s[:, h:2 * h], s[:, 3 * h:]
+
+
+def blend_lstm_seq_backward(cache, dhs):
+    x, w_ih, w_hh, steps, h = cache
+    b, t, d = x.shape
+    four_h = w_ih.shape[1]
+    dzs = np.zeros((b, t, four_h), dtype=F32)
+    dw_hh = np.zeros_like(w_hh)
+    dh_rec = np.zeros((b, h), dtype=F32)
+    dc_rec = np.zeros((b, h), dtype=F32)
+    for ti, m, gi, gf, gg, go, tanh_c, h_prev, c_prev in reversed(steps):
+        dh = dhs[:, ti] + dh_rec
+        dc = dc_rec
+        if m is not None:
+            dh_skip, dc_skip = (1 - m) * dh, (1 - m) * dc
+            dh, dc = m * dh, m * dc
+        dc = dc + dh * go * (1 - tanh_c * tanh_c)
+        dzs[:, ti] = dz = np.concatenate([
+            dc * gg * gi * (1 - gi),
+            dc * c_prev * gf * (1 - gf),
+            dc * gi * (1 - gg * gg),
+            dh * tanh_c * go * (1 - go),
+        ], axis=1)
+        dw_hh += h_prev.T @ dz
+        dh_rec = dz @ w_hh.T
+        dc_rec = dc * gf
+        if m is not None:
+            dh_rec += dh_skip
+            dc_rec += dc_skip
+    flat = dzs.reshape(b * t, four_h)
+    dx = (flat @ w_ih.T).reshape(b, t, d)
+    return dx, x.reshape(b * t, d).T @ flat, dw_hh, flat.sum(axis=0)
+
+
 # --- the conv kernel before its strided gather, unmasked fast path and
 # GEMM gradients, and the attention weight gradient as an einsum ---
 
@@ -559,6 +641,61 @@ class TestKernelOracle:
             assert got.shape == want.shape and got.dtype == F32, name
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6, err_msg=name)
 
+    # padded batches that the packed kernel must run as the blend kernel did:
+    # b, t, h and the lengths, or None to draw them
+    PACKED = {
+        "unsorted": (5, 7, 48, [3, 7, 1, 6, 5]),
+        "tied": (6, 5, 64, [4, 2, 4, 5, 2, 4]),
+        "zero_length_rows": (4, 6, 48, [6, 0, 3, 0]),
+        "one_valid_row_of_three": (3, 9, 64, [9, 2, 1]),
+        "one_valid_row_of_two": (2, 6, 64, [1, 6]),
+        "b32_h64": (32, 24, 64, None),
+        "b32_h48": (32, 16, 48, None),
+    }
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("case", sorted(PACKED))
+    def test_packed_lstm_seq_gives_the_blend_kernels_states(self, case, reverse):
+        b, tlen, h, lengths = self.PACKED[case]
+        rng = np.random.default_rng(sorted(self.PACKED).index(case))
+        if lengths is None:
+            lengths = rng.integers(0, tlen + 1, size=b)
+            lengths[-1] = tlen - 1
+        mask = (np.arange(tlen) < np.asarray(lengths)[:, None]).astype(F32)
+        d = 20
+        x = rng.standard_normal((b, tlen, d)).astype(F32)
+        w_ih = (rng.standard_normal((d, 4 * h)) * 0.3).astype(F32)
+        w_hh = (rng.standard_normal((h, 4 * h)) * 0.3).astype(F32)
+        bias = (rng.standard_normal(4 * h) * 0.2).astype(F32)
+        dhs = rng.standard_normal((b, tlen, h)).astype(F32)  # padded positions' too
+
+        want, ref_cache = blend_lstm_seq(x, w_ih, w_hh, bias, mask, reverse, want_cache=True)
+        assert blend_lstm_seq(x, w_ih, w_hh, bias, mask, reverse)[0].tobytes() == want.tobytes()
+        for want_cache in (False, True):
+            hs, cache = kernels.lstm_seq(x, w_ih, w_hh, bias, mask, reverse, want_cache)
+            assert hs.dtype == F32 and hs.shape == want.shape
+            assert hs.tobytes() == want.tobytes(), "want_cache=%s" % want_cache
+        grads = kernels.lstm_seq_backward(cache, dhs)
+        ref_grads = blend_lstm_seq_backward(ref_cache, dhs)
+        for name, got, ref in zip(("dx", "dw_ih", "dw_hh", "db"), grads, ref_grads):
+            assert_close_relative(got, ref, 1e-6, name)
+
+    @pytest.mark.parametrize("row", [[1, 0, 1], [0, 1, 1], [1, 0.5, 0], [1, 2, 0],
+                                     [1, np.nan, 0]],
+                             ids=["hole", "left_padded", "half", "two", "nan"])
+    def test_lstm_seq_refuses_a_mask_that_is_not_right_padding(self, row):
+        rng = np.random.default_rng(5)
+        x = t((2, 3, 4), rng)
+        weights = (t((4, 8), rng), t((2, 8), rng), t((8,), rng))
+        mask = np.array([[1, 1, 1], row], dtype=F32)
+        for want_cache in (False, True):
+            with pytest.raises(ShapeMismatch, match="right padding"):
+                kernels.lstm_seq(x.data, *(w.data for w in weights), mask,
+                                 want_cache=want_cache)
+        for reverse in (False, True):
+            with pytest.raises(ShapeMismatch, match="right padding"):
+                ops.lstm_seq(x, *weights, mask, reverse)
+
     def test_sigmoid_pinned_to_two_sided_formula(self):
         # the where-free kernel is the two-sided formula because float32 exp(+-0) is exactly 1
         assert np.exp(np.array([0.0, -0.0], dtype=F32)).tolist() == [1.0, 1.0]
@@ -585,7 +722,8 @@ class TestKernelOracle:
         w_ih = (rng.standard_normal((d, 4 * h)) * 0.5).astype(F32)
         w_hh = (rng.standard_normal((h, 4 * h)) * 0.5).astype(F32)
         bias = (rng.standard_normal(4 * h) * 0.2).astype(F32)
-        lengths = np.array([tlen, 3, 1]) if padded else np.full(b, tlen)
+        # unsorted, and from step 3 on one valid row runs with a spare one
+        lengths = np.array([3, tlen, 1]) if padded else np.full(b, tlen)
         mask = (np.arange(tlen)[None, :] < lengths[:, None]).astype(F32)
         dhs = rng.standard_normal((b, tlen, h)).astype(F32)
         for reverse in (False, True):
@@ -596,9 +734,9 @@ class TestKernelOracle:
                 assert first.tobytes() == kept.tobytes()
 
             hs, cache = kernels.lstm_seq(x, w_ih, w_hh, bias, mask, reverse, want_cache=True)
-            # gi, gf, go, tanh_c, h_prev and c_prev of every step
-            kept = [a for step in cache[3] for a in step[2:4] + step[5:]]
-            assert len(kept) == 6 * tlen
+            # the gates, gg, tanh_c, h_prev and c_prev of every step
+            kept = [a for step in cache[3] for a in step[2:]]
+            assert len(kept) == 5 * tlen
             for i, a in enumerate(kept):
                 assert not np.shares_memory(a, hs)
                 assert not any(np.shares_memory(a, other) for other in kept[i + 1:])
@@ -836,3 +974,69 @@ def test_prediction_evaluation_and_export_run_off_the_tape(trained_pipe, monkeyp
         assert verify_equivalence(pipe, graph, n_samples=3, head=head).within(0.0)
     assert modes and set(modes) == {(False, False)}
     assert ops.recording
+
+
+# --- the packed LSTM in whole models: what the blend kernel gave, it gives ---
+
+def _epoch0_losses_and_grads(pipe):
+    """Each epoch-0 batch's loss bytes and gradients, from the same parameters:
+    no optimizer step runs between batches."""
+    params = dict(pipe.model.named_parameters())
+    out = []
+    for batch in pipe.train_batches(0):
+        for p in params.values():
+            p.grad = None
+        loss = pipe.train_loss(batch)
+        loss.backward()
+        out.append((loss.data.tobytes(),
+                    {name: p.grad.copy() for name, p in params.items() if p.grad is not None}))
+    return out
+
+
+def _patch_blend_lstm(monkeypatch):
+    monkeypatch.setattr(kernels, "lstm_seq", blend_lstm_seq)
+    monkeypatch.setattr(kernels, "lstm_seq_backward", blend_lstm_seq_backward)
+
+
+@pytest.mark.parametrize("kind", ["joint", "word"])
+def test_packed_lstm_keeps_each_training_loss_bit_for_bit(kind, tmp_path, monkeypatch):
+    cfg = getattr(corpora, kind + "_config")(str(tmp_path), n_train=40, n_eval=8, epochs=1,
+                                             batch_size=8)
+    pipe = instantiate_task(parse_task_config(json.dumps(cfg)))
+    assert any((batch.mask == 0).any() for batch in pipe.train_batches(0)), "no padded batch"
+    got = _epoch0_losses_and_grads(pipe)
+    _patch_blend_lstm(monkeypatch)
+    want = _epoch0_losses_and_grads(pipe)
+    assert len(got) == len(want) > 1
+    for i, ((loss, grads), (ref_loss, ref_grads)) in enumerate(zip(got, want)):
+        assert loss == ref_loss, "batch %d" % i
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            assert_close_relative(grad, ref_grads[name], 1e-6, "batch %d %s" % (i, name))
+
+
+@pytest.mark.parametrize("kind", ["joint", "word"])
+def test_packed_lstm_keeps_predictions_and_graphs_byte_for_byte(kind, tmp_path, monkeypatch,
+                                                                capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(getattr(corpora, kind + "_config")(
+        str(tmp_path), n_train=16, n_eval=6, epochs=1, batch_size=8)), encoding="utf-8")
+    assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+    ckpt = str(tmp_path / "model.ckpt")
+    texts = tmp_path / "texts.txt"
+    texts.write_text("set an alarm for nine\n\nplay some jazz zzz-unseen\n", encoding="utf-8")
+    outputs = []
+    for blend in (False, True):
+        if blend:
+            _patch_blend_lstm(monkeypatch)
+        capsys.readouterr()
+        assert cli.main(["predict", "--ckpt", ckpt, "--input", str(texts)]) == 0
+        predictions = capsys.readouterr().out
+        out_dir = tmp_path / ("graphs_%s" % blend)
+        out_dir.mkdir()
+        assert cli.main(["export", "--model", ckpt, "--out", str(out_dir / "model.graph")]) == 0
+        graphs = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+        outputs.append((predictions, graphs))
+    assert len(outputs[0][0].splitlines()) == 3
+    assert len(outputs[0][1]) == (2 if kind == "joint" else 1)
+    assert outputs[0] == outputs[1]
