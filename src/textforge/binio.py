@@ -158,8 +158,9 @@ def write_file(path: str, data: bytes) -> None:
     """Replace the file at path with data, all at once or not at all.
 
     The data goes to a temp file in the same directory, which is flushed,
-    fsynced and renamed over path; if any step fails the temp file is
-    removed and the previous file at path is left as it was.
+    fsynced and renamed over path, then the directory is fsynced so the
+    rename outlives a power loss. A failure before the rename removes the
+    temp file and leaves the previous file at path as it was.
     """
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
@@ -168,6 +169,11 @@ def write_file(path: str, data: bytes) -> None:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
+        dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)

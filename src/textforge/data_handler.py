@@ -76,6 +76,11 @@ class Batch:
     def size(self):
         return self.token_ids.shape[0]
 
+    @property
+    def padded_lengths(self):
+        """lengths when some row is shorter than the batch, else None."""
+        return self.lengths if (self.lengths < self.token_ids.shape[1]).any() else None
+
     def take(self, rows) -> "Batch":
         """The Batch of the given rows, cut to their longest length."""
         t = int(self.lengths[rows].max())

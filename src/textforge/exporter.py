@@ -66,9 +66,9 @@ class _Tracer:
         self.slots[id(out)] = (out, name)
         return name
 
-    def __call__(self, opcode: str, out, inputs, mask, attrs):
-        if mask is not None and not np.all(mask == 1):
-            raise UnsupportedModule("%s ran under a padded mask" % opcode)
+    def __call__(self, opcode: str, out, inputs, lengths, attrs):
+        if lengths is not None:
+            raise UnsupportedModule("%s ran on a padded batch" % opcode)
         names = [self.slot(x) for x in inputs]
         if opcode != "Reshape":
             self.emit(opcode, out, names, attrs)

@@ -66,17 +66,18 @@ def _matmul_add(x, w, b):
 
 
 def _one_sequence(kernel, x, *weights, **kwargs):
-    """Run a masked sequence kernel on one unpadded sequence x [t, d].
+    """Run a sequence kernel on one unpadded sequence x [t, d].
 
-    x is lifted to a batch of one under an all-ones mask so the shapes match
+    x is lifted to a batch of one, with lengths None, so the shapes match
     training exactly; the kernels give an empty sequence (t == 0) zeros.
     """
-    return kernel(x[None], *weights, np.ones((1, x.shape[0]), dtype=F32), **kwargs)[0][0]
+    return kernel(x[None], *weights, None, **kwargs)[0][0]
 
 
 def _conv_maxpool(x, filters):
+    # kernels.conv_maxpool still takes a float mask: all ones, as nothing is padded
     if x.ndim == 2:
-        return _one_sequence(kernels.conv_maxpool, x, filters)
+        return kernels.conv_maxpool(x[None], filters, np.ones((1, len(x)), dtype=F32))[0][0]
     # char path: one row of characters per token, already a batch
     return kernels.conv_maxpool(x, filters, np.ones(x.shape[:2], dtype=F32))[0]
 

@@ -8,8 +8,10 @@ interpreter, and eager inference under ops.inference(), make the same calls
 without it and drop the caches. Sharing the arithmetic is what keeps eager and
 exported outputs bit-for-bit identical.
 
-All float work is float32; masks are float32 arrays of {0, 1} where position
-j of row i is 1 iff j < length_i (right padding).
+All float work is float32. lstm_seq and self_attention take lengths, int64
+[b], where row i holds positions j < length_i (right padding), or None for no
+padding; conv_maxpool still takes the float32 mask that is 1 at exactly those
+positions and 0 elsewhere.
 """
 
 from itertools import groupby
@@ -138,26 +140,26 @@ def conv_maxpool_backward(cache, dout):
 
 # --- LSTM over a whole sequence ---
 
-def lstm_seq(x, w_ih, w_hh, bias, mask, reverse=False, want_cache=False):
+def lstm_seq(x, w_ih, w_hh, bias, lengths, reverse=False, want_cache=False):
     """Unidirectional LSTM returning all hidden states.
 
-    x [b, t, d], w_ih [d, 4h], w_hh [h, 4h], bias [4h], mask [b, t] ->
-    hs [b, t, h]. Gate order is input, forget, cell, output. Initial states
+    x [b, t, d], w_ih [d, 4h], w_hh [h, 4h], bias [4h], lengths [b] or None
+    -> hs [b, t, h]. Gate order is input, forget, cell, output. Initial states
     are zero.
 
     The input projection x @ w_ih + bias is hoisted out of the recurrence
     into one GEMM over all timesteps, so each step adds only h_prev @ w_hh.
 
-    A padded batch runs packed. Its mask must be right padding (row i is
-    ones at j < length_i, then zeros), or ShapeMismatch is raised. The rows
-    are sorted by length (stable, longest first) once and each step runs
-    only the leading rows still inside their sequence; the reverse
-    direction starts a row from zero state at its last position. When
-    b >= 2 a step runs at least 2 rows, computing one spare row and
-    dropping it, because a 1-row h_prev @ w_hh takes another BLAS path
-    than the b-row GEMM and rounds differently. So every state is bitwise
-    what a step over all b rows gives. A padded position holds the row's
-    last state in the forward direction and zeros in the reverse one.
+    A batch given lengths runs packed. The rows are sorted by length
+    (stable, longest first) once and each step runs only the leading rows
+    still inside their sequence; the reverse direction starts a row from
+    zero state at its last position. When b >= 2 a step runs at least 2
+    rows, computing one spare row and dropping it, because a 1-row
+    h_prev @ w_hh takes another BLAS path than the b-row GEMM and rounds
+    differently. So every state is bitwise what a step over all b rows
+    gives, and lengths that cut no row give the states of None. A padded
+    position holds the row's last state in the forward direction and zeros
+    in the reverse one.
 
     A call reuses a buffer across its steps only where no cache keeps it:
     the pre-activation z always; without want_cache also the gates, and
@@ -177,16 +179,13 @@ def lstm_seq(x, w_ih, w_hh, bias, mask, reverse=False, want_cache=False):
         raise ShapeMismatch("lstm: w_hh shape %s vs (%d, %d)" % (w_hh.shape, h, four_h))
     if bias.shape != (four_h,):
         raise ShapeMismatch("lstm: bias shape %s vs (%d,)" % (bias.shape, four_h))
-    if mask.shape != (b, t):
-        raise ShapeMismatch("lstm: mask shape %s vs (%d, %d)" % (mask.shape, b, t))
 
     zx = (x.reshape(b * t, d) @ w_ih + bias).reshape(b, t, four_h)
     order = range(t - 1, -1, -1) if reverse else range(t)
     perm = active = None
     # (rows inside their sequence, rows a step runs, the steps that run them)
     runs = [(b, b, order)]
-    if not mask.all():
-        lengths = _right_padded_lengths(mask)
+    if lengths is not None and t:  # at t == 0 no position is padded
         perm = np.argsort(-lengths, kind="stable")
         zx = zx[perm]
         active = (lengths[:, None] > np.arange(t)).sum(axis=0).tolist()
@@ -230,21 +229,13 @@ def lstm_seq(x, w_ih, w_hh, bias, mask, reverse=False, want_cache=False):
     hs = hs[np.argsort(perm)]
     # a padded position holds its row's last state (zeros for an empty row)
     # or, in reverse, zeros; a spare row's states landed on some
-    padded = mask == 0
+    padded = np.arange(t) >= lengths[:, None]
     if reverse:
         hs[padded] = F32(0)
     else:  # padded picks each row's t - length positions, row by row
         last = np.where((lengths > 0)[:, None], hs[np.arange(b), lengths - 1], F32(0))
         hs[padded] = np.repeat(last, t - lengths, axis=0)
     return hs, cache
-
-
-def _right_padded_lengths(mask):
-    """Each row's length, for a mask that is ones then zeros in every row."""
-    lengths = (mask != 0).sum(axis=1)
-    if not np.array_equal(mask, np.arange(mask.shape[1]) < lengths[:, None]):
-        raise ShapeMismatch("lstm: mask is not right padding (ones, then zeros) in every row")
-    return lengths
 
 
 def _grown(a, n, r):
@@ -326,25 +317,25 @@ def _tail_sums(dhs, active):
 
 # --- additive self-attention pooling ---
 
-def self_attention(h, w1, w2, mask):
-    """Scores tanh(h @ w1) @ w2, softmax over unmasked positions, weighted sum.
+def self_attention(h, w1, w2, lengths):
+    """Scores tanh(h @ w1) @ w2, softmax over valid positions, weighted sum.
 
-    h [b, t, H], w1 [H, a], w2 [a] -> out [b, H]. An empty sequence (t == 0)
-    gives zeros; a fully masked row of t > 0 is an error.
+    h [b, t, H], w1 [H, a], w2 [a], lengths [b] or None -> out [b, H]. An
+    empty sequence (t == 0) gives zeros; a row of length 0 in a batch of
+    t > 0 is an error.
     """
-    b, t, hd = h.shape
+    t, hd = h.shape[1:]
     if w1.shape[0] != hd:
         raise ShapeMismatch("attention: input dim %d vs w1 rows %d" % (hd, w1.shape[0]))
     if w2.shape != (w1.shape[1],):
         raise ShapeMismatch("attention: w2 shape %s vs (%d,)" % (w2.shape, w1.shape[1]))
-    if mask.shape != (b, t):
-        raise ShapeMismatch("attention: mask shape %s vs (%d, %d)" % (mask.shape, b, t))
-    if t and (mask.sum(axis=1) == 0).any():
-        raise EmptySequence("attention input has a fully masked row")
+    if t and lengths is not None and (lengths == 0).any():
+        raise EmptySequence("attention input has a row of length 0")
     u = np.tanh(h @ w1)                     # [b, t, a]
     scores = u @ w2                         # [b, t]
-    scores = np.where(mask > 0, scores, NEG_INF)
-    alpha = softmax(scores, axis=1)         # zeros at masked positions
+    if lengths is not None:
+        scores = np.where(np.arange(t) < lengths[:, None], scores, NEG_INF)
+    alpha = softmax(scores, axis=1)         # zeros at padded positions
     out = (alpha[:, :, None] * h).sum(axis=1)
     return out, (h, w1, w2, u, alpha)
 

@@ -157,10 +157,10 @@ class TokenEmbedding(LayerModule):
     layers, gazetteer, capitalization.
 
     The char CNN runs once per distinct token of a padded batch (one whose
-    mask holds a zero): the char table, convs and highway see the distinct
-    char-id rows, all padding tokens sharing one all-PAD row, and a row
-    gather puts each result back at its positions. The forward values are
-    those of the dense pass, bit for bit; only the char.* gradients are
+    padded_lengths are not None): the char table, convs and highway see the
+    distinct char-id rows, all padding tokens sharing one all-PAD row, and a
+    row gather puts each result back at its positions. The forward values
+    are those of the dense pass, bit for bit; only the char.* gradients are
     summed in another order. An unpadded batch (single-example prediction,
     the export trace) runs every token row densely, as the graph does.
     """
@@ -212,9 +212,9 @@ class TokenEmbedding(LayerModule):
 
         self.out_dim = self.word_dim + self.char_out + self.gaz_dim + self.cap_dim
 
-    def _char_forward(self, char_ids, mask):
+    def _char_forward(self, char_ids, lengths):
         b, t, c = char_ids.shape
-        if mask.all():
+        if lengths is None:
             # one row of characters per token: [b, t, c] ids -> [b*t, c, cd]
             emb = ops.reshape(ops.embedding_lookup(self.char_table, char_ids),
                               (b * t, c, self.char_dim))
@@ -226,9 +226,8 @@ class TokenEmbedding(LayerModule):
         return ops.embedding_lookup(out, at.reshape(b, t))
 
     def _char_rows(self, emb):
-        """The conv, max pool and highway stack over char embeddings [n, c, cd]."""
-        full = np.ones(emb.shape[:2], dtype=F32)
-        out = ops.concat([ops.conv1d_maxpool(emb, filt, full) for filt in self.char_conv])
+        """The conv, max pool and highway stack over unpadded char embeddings [n, c, cd]."""
+        out = ops.concat([ops.conv1d_maxpool(emb, filt, None) for filt in self.char_conv])
         for layer in self.highway:
             out = ops.highway(out, *layer)
         return out
@@ -238,7 +237,7 @@ class TokenEmbedding(LayerModule):
         if self.word_dim:
             parts.append(ops.embedding_lookup(self.word_table, batch.token_ids))
         if self.char_dim:
-            parts.append(self._char_forward(batch.char_ids, batch.mask))
+            parts.append(self._char_forward(batch.char_ids, batch.padded_lengths))
         if self.gaz_dim:
             parts.append(ops.embedding_lookup(self.gaz_table, batch.dense_feats["gaz"]))
         if self.cap_dim:
@@ -263,10 +262,11 @@ class BiLSTMModule(LayerModule):
             bias[hidden:2 * hidden] = 1.0
             self.add_param("%s.bias" % direction, bias)
 
-    def forward(self, emb: Tensor, mask) -> Tensor:
+    def forward(self, emb: Tensor, lengths) -> Tensor:
         p = self._params
-        fwd = ops.lstm_seq(emb, p["fwd.w_ih"], p["fwd.w_hh"], p["fwd.bias"], mask)
-        bwd = ops.lstm_seq(emb, p["bwd.w_ih"], p["bwd.w_hh"], p["bwd.bias"], mask, reverse=True)
+        fwd = ops.lstm_seq(emb, p["fwd.w_ih"], p["fwd.w_hh"], p["fwd.bias"], lengths)
+        bwd = ops.lstm_seq(emb, p["bwd.w_ih"], p["bwd.w_hh"], p["bwd.bias"], lengths,
+                           reverse=True)
         return ops.concat([fwd, bwd])
 
 
@@ -275,17 +275,17 @@ class Representation(LayerModule):
 
     A subclass's trunk encodes the embedded tokens; pool is the identity
     unless a subclass pools the states. The joint heads pool one trunk's
-    states. The kernels check the input width. A zero-length sequence runs
-    the same path: the kernels give zeros, [b, out] when pooled and
-    [b, 0, out] per token (sequence_output).
+    states. Both take the batch's padded_lengths. The kernels check the
+    input width. A zero-length sequence runs the same path: the kernels give
+    zeros, [b, out] when pooled and [b, 0, out] per token (sequence_output).
     """
 
     sequence_output = False
 
-    def forward(self, emb: Tensor, mask) -> Tensor:
-        return self.pool(self.trunk(emb, mask), mask)
+    def forward(self, emb: Tensor, lengths) -> Tensor:
+        return self.pool(self.trunk(emb, lengths), lengths)
 
-    def pool(self, states: Tensor, mask) -> Tensor:
+    def pool(self, states: Tensor, lengths) -> Tensor:
         return states
 
 
@@ -303,8 +303,8 @@ class DocNNRepresentation(Representation):
                 "conv%d" % w, _uniform(rng, (w, in_dim, self.num_filters), scale)))
         self.out_dim = self.num_filters * len(self.widths)
 
-    def trunk(self, emb: Tensor, mask) -> Tensor:
-        pooled = [ops.conv1d_maxpool(emb, filt, mask) for filt in self.filters]
+    def trunk(self, emb: Tensor, lengths) -> Tensor:
+        pooled = [ops.conv1d_maxpool(emb, filt, lengths) for filt in self.filters]
         return ops.concat(pooled)
 
 
@@ -321,8 +321,8 @@ class BiLSTMTaggerRepresentation(Representation):
     def children(self):
         return {"bilstm": self.bilstm}
 
-    def trunk(self, emb: Tensor, mask) -> Tensor:
-        return self.bilstm.forward(emb, mask)
+    def trunk(self, emb: Tensor, lengths) -> Tensor:
+        return self.bilstm.forward(emb, lengths)
 
 
 class BiLSTMAttnRepresentation(BiLSTMTaggerRepresentation):
@@ -338,8 +338,9 @@ class BiLSTMAttnRepresentation(BiLSTMTaggerRepresentation):
         self.add_param("attn.w1", _uniform(rng, (self.out_dim, attn), scale))
         self.add_param("attn.w2", _uniform(rng, (attn,), float(np.sqrt(1.0 / attn))))
 
-    def pool(self, states: Tensor, mask) -> Tensor:
-        return ops.self_attention(states, self._params["attn.w1"], self._params["attn.w2"], mask)
+    def pool(self, states: Tensor, lengths) -> Tensor:
+        p = self._params
+        return ops.self_attention(states, p["attn.w1"], p["attn.w2"], lengths)
 
 
 class MLPDecoder(LayerModule):
@@ -428,12 +429,12 @@ class SingleTaskModel(LayerModule):
     def trunk(self, batch: Batch) -> Tensor:
         """The embedding and the representation's trunk: the states that
         the joint heads share."""
-        return self.representation.trunk(self.embedding.forward(batch), batch.mask)
+        return self.representation.trunk(self.embedding.forward(batch), batch.padded_lengths)
 
     def head(self, batch: Batch, states: Tensor, compute_loss=True) -> ModelOutput:
         """The representation's pooling, the decoder and the output over a
         trunk's states."""
-        logits = self.decoder.forward(self.representation.pool(states, batch.mask))
+        logits = self.decoder.forward(self.representation.pool(states, batch.padded_lengths))
         labels = None
         if compute_loss:
             labels = batch.word_labels if self.output.sequence_output else batch.doc_labels

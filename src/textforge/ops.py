@@ -22,7 +22,7 @@ from .tensor import Tensor
 
 F32 = np.float32
 
-trace_hook = None  # called as trace_hook(opcode, out, inputs, mask, attrs)
+trace_hook = None  # called as trace_hook(opcode, out, inputs, lengths or None, attrs)
 recording = True  # False inside inference(): kernel ops build no tape
 
 
@@ -37,9 +37,9 @@ def inference():
         recording = was
 
 
-def _report(opcode, out, inputs, mask=None, **attrs):
+def _report(opcode, out, inputs, lengths=None, **attrs):
     if trace_hook is not None:
-        trace_hook(opcode, out, inputs, mask, attrs)
+        trace_hook(opcode, out, inputs, lengths, attrs)
     return out
 
 
@@ -156,40 +156,47 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _report("EmbedGather", Tensor(out_data, (table,), backward), (ids, table))
 
 
-def _kernel_op(opcode, kernel, backward, parents, mask=None, cached=False, **attrs) -> Tensor:
-    """An op whose forward and backward are kernels: kernel(*data, [mask,]
-    **attrs) gives the output and the cache that backward(cache, g) reads.
-    A cached kernel gets want_cache=True while recording; off recording the
-    op makes the graph runtime's call and records no tape. The mask becomes
-    float32 once; the op reports itself to trace_hook. Callers look both
-    kernels up on the kernels module as they run, and x and the weights go
-    positionally, so a profiler that wraps a kernel sees every call and its
-    arrays."""
-    args = [p.data for p in parents]
-    if mask is not None:
-        mask = np.asarray(mask, dtype=F32)
-        args.append(mask)
+def _kernel_op(opcode, kernel, backward, parents, *lengths, cached=False, **attrs) -> Tensor:
+    """An op whose forward and backward are kernels: kernel(*data,
+    *lengths, **attrs) gives the output and the cache that backward(cache,
+    g) reads; a sequence op passes its lengths (or None) as the one extra
+    argument. A cached kernel gets want_cache=True while recording; off
+    recording the op makes the graph runtime's call and records no tape.
+    The op reports itself to trace_hook. Callers look both kernels up on
+    the kernels module as they run, and x and the weights go positionally,
+    so a profiler that wraps a kernel sees every call and its arrays."""
+    args = [p.data for p in parents] + list(lengths)
     if not recording:
         out = Tensor(kernel(*args, **attrs)[0])
     else:
         out_data, cache = kernel(*args, **attrs, **({"want_cache": True} if cached else {}))
         out = Tensor(out_data, parents, partial(backward, cache))
-    return _report(opcode, out, parents, mask, **attrs)
+    return _report(opcode, out, parents, *lengths, **attrs)
 
 
-def conv1d_maxpool(x: Tensor, filters: Tensor, mask) -> Tensor:
-    return _kernel_op("Conv1DMaxPool", kernels.conv_maxpool, kernels.conv_maxpool_backward,
-                      (x, filters), mask, cached=True)
+def conv1d_maxpool(x: Tensor, filters: Tensor, lengths) -> Tensor:
+    return _kernel_op("Conv1DMaxPool", _conv_maxpool, kernels.conv_maxpool_backward,
+                      (x, filters), lengths, cached=True)
 
 
-def lstm_seq(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor, mask, reverse=False) -> Tensor:
+def _conv_maxpool(x, filters, lengths, **kwargs):
+    # kernels.conv_maxpool still takes a float mask: the one the lengths give
+    if lengths is None:
+        mask = np.ones(x.shape[:2], dtype=F32)
+    else:
+        mask = (np.arange(x.shape[1]) < lengths[:, None]).astype(F32)
+    return kernels.conv_maxpool(x, filters, mask, **kwargs)
+
+
+def lstm_seq(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor, lengths,
+             reverse=False) -> Tensor:
     return _kernel_op("LSTMSeq", kernels.lstm_seq, kernels.lstm_seq_backward,
-                      (x, w_ih, w_hh, bias), mask, cached=True, reverse=reverse)
+                      (x, w_ih, w_hh, bias), lengths, cached=True, reverse=reverse)
 
 
-def self_attention(h: Tensor, w1: Tensor, w2: Tensor, mask) -> Tensor:
+def self_attention(h: Tensor, w1: Tensor, w2: Tensor, lengths) -> Tensor:
     return _kernel_op("SelfAttention", kernels.self_attention, kernels.self_attention_backward,
-                      (h, w1, w2), mask)
+                      (h, w1, w2), lengths)
 
 
 def highway(x: Tensor, w_t: Tensor, b_t: Tensor, w_g: Tensor, b_g: Tensor) -> Tensor:

@@ -38,6 +38,10 @@ REQUIRED = object()
 # ids per token, so an unbounded width can ask for terabytes of memory
 MAX_CHARS = 1024
 
+# model sizes (dims, filter counts and widths, layer counts) must be below it:
+# parameters are drawn at these sizes, and it is far above what small models use
+MAX_SIZE = 1 << 14
+
 
 @dataclass(frozen=True)
 class Field:
@@ -110,31 +114,31 @@ SCHEMAS = {
     },
     "embedding": {
         "token": (
-            Field("word_dim", INT, default=64, minimum=0),
+            Field("word_dim", INT, default=64, minimum=0, below=MAX_SIZE),
             Field("pretrained_path", STRING, default=""),
-            Field("char_dim", INT, default=0, minimum=0),
-            Field("char_filter_widths", LIST_INT, default=[3], minimum=1, distinct=True,
-                  nonempty=True),
-            Field("char_num_filters", INT, default=16, minimum=1),
-            Field("char_highway_layers", INT, default=1, minimum=0),
-            Field("gaz_dim", INT, default=0, minimum=0),
-            Field("cap_dim", INT, default=0, minimum=0),
+            Field("char_dim", INT, default=0, minimum=0, below=MAX_SIZE),
+            Field("char_filter_widths", LIST_INT, default=[3], minimum=1, below=MAX_SIZE,
+                  distinct=True, nonempty=True),
+            Field("char_num_filters", INT, default=16, minimum=1, below=MAX_SIZE),
+            Field("char_highway_layers", INT, default=1, minimum=0, below=MAX_SIZE),
+            Field("gaz_dim", INT, default=0, minimum=0, below=MAX_SIZE),
+            Field("cap_dim", INT, default=0, minimum=0, below=MAX_SIZE),
         ),
     },
     "representation": {
         "docnn": (
-            Field("filter_widths", LIST_INT, default=[3, 4, 5], minimum=1, distinct=True,
-                  nonempty=True),
-            Field("num_filters", INT, default=100, minimum=1),
+            Field("filter_widths", LIST_INT, default=[3, 4, 5], minimum=1, below=MAX_SIZE,
+                  distinct=True, nonempty=True),
+            Field("num_filters", INT, default=100, minimum=1, below=MAX_SIZE),
         ),
         "bilstm_attn": (
-            Field("hidden_dim", INT, default=64, minimum=1),
-            Field("attention_dim", INT, default=64, minimum=1),
+            Field("hidden_dim", INT, default=64, minimum=1, below=MAX_SIZE),
+            Field("attention_dim", INT, default=64, minimum=1, below=MAX_SIZE),
         ),
-        "bilstm_tagger": (Field("hidden_dim", INT, default=64, minimum=1),),
+        "bilstm_tagger": (Field("hidden_dim", INT, default=64, minimum=1, below=MAX_SIZE),),
     },
     "decoder": {
-        "mlp": (Field("hidden_dims", LIST_INT, default=[], minimum=1),),
+        "mlp": (Field("hidden_dims", LIST_INT, default=[], minimum=1, below=MAX_SIZE),),
     },
     "output": {DOC_TASK: (), WORD_TASK: ()},
     "optimizer": {

@@ -122,11 +122,9 @@ def build_conv(rng):
     width = int(rng.integers(1, 4))
     x = tensor_of((2, tlen, 3), rng)
     filt = tensor_of((width, 3, 2), rng, scale=0.7)
-    mask = np.ones((2, tlen), dtype=F32)
-    if tlen > 1:
-        mask[1, tlen - 1] = 0.0
+    lengths = np.array([tlen, tlen - 1]) if tlen > 1 else None
     target = x if rng.integers(0, 2) else filt
-    return (lambda _: scalarize(ops.conv1d_maxpool(x, filt, mask),
+    return (lambda _: scalarize(ops.conv1d_maxpool(x, filt, lengths),
                                 np.random.default_rng(9))), target
 
 
@@ -137,12 +135,10 @@ def build_lstm(rng):
     w_ih = tensor_of((3, 4 * h), rng, scale=0.5)
     w_hh = tensor_of((h, 4 * h), rng, scale=0.5)
     bias = tensor_of((4 * h,), rng, scale=0.2)
-    mask = np.ones((2, tlen), dtype=F32)
-    if tlen > 1:
-        mask[0, tlen - 1] = 0.0
+    lengths = np.array([tlen - 1, tlen]) if tlen > 1 else None
     reverse = bool(rng.integers(0, 2))
     target = [x, w_ih, w_hh, bias][int(rng.integers(0, 4))]
-    return (lambda _: scalarize(ops.lstm_seq(x, w_ih, w_hh, bias, mask, reverse),
+    return (lambda _: scalarize(ops.lstm_seq(x, w_ih, w_hh, bias, lengths, reverse),
                                 np.random.default_rng(10))), target
 
 
@@ -151,11 +147,9 @@ def build_attention(rng):
     x = tensor_of((2, tlen, 4), rng)
     w1 = tensor_of((4, 3), rng, scale=0.6)
     w2 = tensor_of((3,), rng, scale=0.6)
-    mask = np.ones((2, tlen), dtype=F32)
-    if tlen > 1:
-        mask[1, tlen - 1] = 0.0
+    lengths = np.array([tlen, tlen - 1]) if tlen > 1 else None
     target = [x, w1, w2][int(rng.integers(0, 3))]
-    return (lambda _: scalarize(ops.self_attention(x, w1, w2, mask),
+    return (lambda _: scalarize(ops.self_attention(x, w1, w2, lengths),
                                 np.random.default_rng(11))), target
 
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 import struct
 import tracemalloc
 import zlib
@@ -198,3 +200,35 @@ def test_byte_flips_decode_or_raise_corrupt_file(graph_body):
             except CorruptFile:
                 outcomes["rejected"] += 1
     assert outcomes["decoded"] and outcomes["rejected"]
+
+
+def test_write_file_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def synced(fd):
+        mode = os.fstat(fd).st_mode
+        events.append(("fsync", "dir" if stat.S_ISDIR(mode) else "file"))
+        fsync(fd)
+
+    def replaced(src, dst):
+        events.append(("replace", dst))
+        replace(src, dst)
+    monkeypatch.setattr(os, "fsync", synced)
+    monkeypatch.setattr(os, "replace", replaced)
+    path = str(tmp_path / "out.bin")
+    binio.write_file(path, b"new")
+    assert events == [("fsync", "file"), ("replace", path), ("fsync", "dir")]
+    assert os.listdir(tmp_path) == ["out.bin"]
+    with open(path, "rb") as handle:
+        assert handle.read() == b"new"
+
+    # a failed directory sync is raised and leaves no temp file behind
+    def dir_fails(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError("directory sync failed")
+        fsync(fd)
+    monkeypatch.setattr(os, "fsync", dir_fails)
+    with pytest.raises(OSError, match="directory sync failed"):
+        binio.write_file(path, b"newer")
+    assert os.listdir(tmp_path) == ["out.bin"]

@@ -69,6 +69,20 @@ SIZE_PROBES = [
     ({}, ("data", "tsv", "min_freq"), 0),
     ({}, ("model", "single", "representation", "docnn", "filter_widths"), [0]),
     (_CHARS, ("model", "single", "embedding", "token", "char_filter_widths"), [2, 0]),
+    # past registry.MAX_SIZE: unchecked, numpy refuses to allocate most of
+    # these (an internal error), and char_highway_layers builds layers for ever
+    ({}, ("model", "single", "embedding", "token", "word_dim"), 10 ** 13),
+    (_CHARS, ("model", "single", "embedding", "token", "char_dim"), 10 ** 13),
+    ({}, ("model", "single", "embedding", "token", "gaz_dim"), 10 ** 13),
+    ({}, ("model", "single", "embedding", "token", "cap_dim"), 10 ** 13),
+    (_CHARS, ("model", "single", "embedding", "token", "char_num_filters"), 10 ** 13),
+    (_CHARS, ("model", "single", "embedding", "token", "char_highway_layers"), 10 ** 13),
+    (_CHARS, ("model", "single", "embedding", "token", "char_filter_widths"), [10 ** 13]),
+    ({}, ("model", "single", "representation", "docnn", "num_filters"), 10 ** 13),
+    ({}, ("model", "single", "representation", "docnn", "filter_widths"), [10 ** 13]),
+    (_ATTN, ("model", "single", "representation", "bilstm_attn", "hidden_dim"), 10 ** 13),
+    (_ATTN, ("model", "single", "representation", "bilstm_attn", "attention_dim"), 10 ** 13),
+    ({}, ("model", "single", "decoder", "mlp", "hidden_dims"), [10 ** 13]),
 ]
 
 # float fields out of range, non-finite included: the config builder, the

@@ -201,10 +201,10 @@ class TestTrace:
 
         def padded(*args):
             batch = single_example_batch(*args)
-            batch.mask[0, -1] = 0.0
+            batch.lengths[0] -= 1
             return batch
         monkeypatch.setattr(exporter, "single_example_batch", padded)
-        with pytest.raises(UnsupportedModule, match="padded mask"):
+        with pytest.raises(UnsupportedModule, match="padded batch"):
             export_pipeline(pipe)
         assert ops.trace_hook is None
 

@@ -67,15 +67,14 @@ def make_batch(vocabs, b=2, t=3, max_chars=4, rng=None, pad_last=0,
                  doc_labels=doc_labels, word_labels=word_labels)
 
 
-def dense_char_forward(self, char_ids, mask):
+def dense_char_forward(self, char_ids, lengths):
     """TokenEmbedding._char_forward as it ran every token row of a batch,
     padding included: the reference for the distinct-row path."""
     # one row of characters per token: [b, t, c] ids -> [b*t, c, cd]
     b, t, c = char_ids.shape
     emb = ops.reshape(ops.embedding_lookup(self.char_table, char_ids),
                       (b * t, c, self.char_dim))
-    full = np.ones((b * t, c), dtype=F32)
-    out = ops.concat([ops.conv1d_maxpool(emb, filt, full) for filt in self.char_conv])
+    out = ops.concat([ops.conv1d_maxpool(emb, filt, None) for filt in self.char_conv])
     for layer in self.highway:
         out = ops.highway(out, *layer)
     return ops.reshape(out, (b, t, self.char_out))
@@ -391,16 +390,15 @@ class TestRepresentations:
         rep = DocNNRepresentation("rep", {"filter_widths": [2, 3], "num_filters": 4}, 5, rng)
         assert rep.out_dim == 8
         emb = _emb_tensor(rng, 1, 3, 5)
-        out = rep.forward(emb, np.ones((1, 3), dtype=F32))
+        out = rep.forward(emb, None)
         padded = Tensor(np.concatenate([emb.data, np.zeros((1, 2, 5), dtype=F32)], axis=1))
-        mask = np.array([[1, 1, 1, 0, 0]], dtype=F32)
-        out_p = rep.forward(padded, mask)
+        out_p = rep.forward(padded, np.array([3]))
         assert np.array_equal(out.data, out_p.data)
 
     def test_docnn_empty_sequence_is_zero(self):
         rep = DocNNRepresentation("rep", {"filter_widths": [2], "num_filters": 4}, 5,
                                   np.random.default_rng(4))
-        out = rep.forward(Tensor(np.zeros((2, 0, 5), dtype=F32)), np.zeros((2, 0), dtype=F32))
+        out = rep.forward(Tensor(np.zeros((2, 0, 5), dtype=F32)), None)
         assert out.shape == (2, 4)
         assert not out.data.any()
 
@@ -409,10 +407,9 @@ class TestRepresentations:
         rep = BiLSTMAttnRepresentation("rep", {"hidden_dim": 3, "attention_dim": 2}, 4, rng)
         assert rep.out_dim == 6
         emb = _emb_tensor(rng, 1, 4, 4)
-        out = rep.forward(emb, np.ones((1, 4), dtype=F32))
+        out = rep.forward(emb, None)
         padded = Tensor(np.concatenate([emb.data, np.zeros((1, 3, 4), dtype=F32)], axis=1))
-        mask = np.array([[1, 1, 1, 1, 0, 0, 0]], dtype=F32)
-        out_p = rep.forward(padded, mask)
+        out_p = rep.forward(padded, np.array([4]))
         assert out.shape == (1, 6)
         assert np.array_equal(out.data, out_p.data)
 
@@ -420,30 +417,28 @@ class TestRepresentations:
         rng = np.random.default_rng(6)
         rep = BiLSTMTaggerRepresentation("rep", {"hidden_dim": 3}, 4, rng)
         emb = _emb_tensor(rng, 2, 5, 4)
-        mask = np.ones((2, 5), dtype=F32)
-        mask[1, 3:] = 0.0
-        out = rep.forward(emb, mask)
+        out = rep.forward(emb, np.array([5, 3]))
         assert out.shape == (2, 5, 6)
-        # masked steps hold state: fwd half repeats the last valid hidden,
+        # padded steps hold state: fwd half repeats the last valid hidden,
         # bwd half never left its zero init
         assert np.array_equal(out.data[1, 3, :3], out.data[1, 2, :3])
         assert not out.data[1, 3:, 3:].any()
         # padding invariance at fixed batch shape: the valid prefix is bitwise
-        # unaffected by extra masked steps
-        short = rep.forward(Tensor(emb.data[:, :3]), np.ones((2, 3), dtype=F32))
+        # unaffected by extra padded steps
+        short = rep.forward(Tensor(emb.data[:, :3]), None)
         assert np.array_equal(out.data[1, :3], short.data[1])
 
     def test_tagger_empty_sequence(self):
         rep = BiLSTMTaggerRepresentation("rep", {"hidden_dim": 3}, 4,
                                          np.random.default_rng(6))
-        out = rep.forward(Tensor(np.zeros((2, 0, 4), dtype=F32)), np.zeros((2, 0), dtype=F32))
+        out = rep.forward(Tensor(np.zeros((2, 0, 4), dtype=F32)), None)
         assert out.shape == (2, 0, 6)
 
     def test_input_dim_checked(self):
         rep = DocNNRepresentation("rep", {"filter_widths": [2], "num_filters": 4}, 5,
                                   np.random.default_rng(4))
         with pytest.raises(ShapeMismatch):
-            rep.forward(Tensor(np.zeros((1, 3, 7), dtype=F32)), np.ones((1, 3), dtype=F32))
+            rep.forward(Tensor(np.zeros((1, 3, 7), dtype=F32)), None)
 
     def test_forget_gate_bias_starts_at_one(self):
         mod = BiLSTMModule("bilstm", {"hidden_dim": 4}, 3, np.random.default_rng(0))

@@ -120,11 +120,15 @@ class TestErrors:
 
     @pytest.mark.parametrize("kernel", ["conv_maxpool", "self_attention"])
     def test_conv_rejects_fully_masked_row(self, kernel):
-        x = np.zeros((1, 2, 3), dtype=F32)
-        weights = {"conv_maxpool": (np.zeros((2, 3, 4), dtype=F32),),
-                   "self_attention": (np.zeros((3, 4), dtype=F32), np.zeros(4, dtype=F32))}
+        # a padded batch whose second row has length 0: conv_maxpool takes
+        # its mask, self_attention its lengths
+        x = np.zeros((2, 2, 3), dtype=F32)
+        args = {"conv_maxpool": (np.zeros((2, 3, 4), dtype=F32),
+                                 np.array([[1, 1], [0, 0]], dtype=F32)),
+                "self_attention": (np.zeros((3, 4), dtype=F32), np.zeros(4, dtype=F32),
+                                   np.array([2, 0]))}
         with pytest.raises(EmptySequence):
-            getattr(kernels, kernel)(x, *weights[kernel], np.zeros((1, 2), dtype=F32))
+            getattr(kernels, kernel)(x, *args[kernel])
 
     def test_cross_entropy_target_out_of_range(self):
         logits = Tensor(np.zeros((1, 2), dtype=F32))
@@ -200,12 +204,12 @@ class TestFiniteDifferences:
             width = int(rng.integers(1, 4))
             x = t((2, tlen, 3), rng)
             filt = t((width, 3, 2), rng, scale=0.7)
-            mask = np.ones((2, tlen), dtype=F32)
-            # padded or all ones: the kernel skips the mask when nothing is padded
+            lengths = None
+            # padded or not: an unpadded batch passes no lengths
             if tlen > 1 and rng.integers(0, 2):
-                mask[1, tlen - 1] = 0.0
+                lengths = np.array([tlen, tlen - 1])
             def f(_):
-                return scalarize(ops.conv1d_maxpool(x, filt, mask),
+                return scalarize(ops.conv1d_maxpool(x, filt, lengths),
                                  np.random.default_rng(9))
             return f, x if rng.integers(0, 2) else filt
         run_checks(build)
@@ -218,17 +222,16 @@ class TestFiniteDifferences:
             w_ih = t((3, 4 * h), rng, scale=0.5)
             w_hh = t((h, 4 * h), rng, scale=0.5)
             bias = t((4 * h,), rng, scale=0.2)
-            mask = np.ones((3, tlen), dtype=F32)
-            # padded or all ones: only a padded batch runs packed. Padded
+            lengths = None
+            # padded or not: only a padded batch runs packed. Padded
             # lengths are unsorted (row 0 is shorter than row 1), and row 2
             # may be empty
             if tlen > 1 and rng.integers(0, 2):
                 lengths = np.array([tlen - 1, tlen, rng.integers(0, tlen + 1)])
-                mask = (np.arange(tlen) < lengths[:, None]).astype(F32)
             reverse = bool(rng.integers(0, 2))
             target = [x, w_ih, w_hh, bias][int(rng.integers(0, 4))]
             def f(_):
-                return scalarize(ops.lstm_seq(x, w_ih, w_hh, bias, mask, reverse),
+                return scalarize(ops.lstm_seq(x, w_ih, w_hh, bias, lengths, reverse),
                                  np.random.default_rng(10))
             return f, target
         run_checks(build)
@@ -239,12 +242,10 @@ class TestFiniteDifferences:
             x = t((2, tlen, 4), rng)
             w1 = t((4, 3), rng, scale=0.6)
             w2 = t((3,), rng, scale=0.6)
-            mask = np.ones((2, tlen), dtype=F32)
-            if tlen > 1:
-                mask[1, tlen - 1] = 0.0
+            lengths = np.array([tlen, tlen - 1]) if tlen > 1 else None
             target = [x, w1, w2][int(rng.integers(0, 3))]
             def f(_):
-                return scalarize(ops.self_attention(x, w1, w2, mask),
+                return scalarize(ops.self_attention(x, w1, w2, lengths),
                                  np.random.default_rng(11))
             return f, target
         run_checks(build)
@@ -356,6 +357,13 @@ class TestHighwayOracle:
         weights = [rng.standard_normal(s).astype(F32) for s in ((5, 5), (5,), (5, 5), (5,))]
         out, _ = kernels.highway(x, *weights)
         assert out.tobytes() == ops.highway(Tensor(x), *map(Tensor, weights)).data.tobytes()
+
+
+def mask_of(lengths, b, t):
+    """The float32 mask [b, t] the oracles below take for a kernel's lengths."""
+    if lengths is None:
+        return np.ones((b, t), dtype=F32)
+    return (np.arange(t) < lengths[:, None]).astype(F32)
 
 
 # --- the per-step LSTM kernel as first written: the oracle for the kernel ---
@@ -596,10 +604,11 @@ class TestKernelOracle:
         h = rng.standard_normal((b, tlen, hd)).astype(F32)
         w1 = (rng.standard_normal((hd, a)) * 0.5).astype(F32)
         w2 = (rng.standard_normal(a) * 0.5).astype(F32)
-        mask = np.ones((b, tlen), dtype=F32)
+        lengths = None
         if tlen > 1:
-            mask[0, tlen - 1] = 0.0
-        out, cache = kernels.self_attention(h, w1, w2, mask)
+            lengths = np.full(b, tlen)
+            lengths[0] = tlen - 1
+        out, cache = kernels.self_attention(h, w1, w2, lengths)
         dout = rng.standard_normal(out.shape).astype(F32)
         _, dw1, _ = kernels.self_attention_backward(cache, dout)
         # dw1 as first written: the einsum over the un-reshaped operands
@@ -620,19 +629,18 @@ class TestKernelOracle:
         w_ih = (rng.standard_normal((d, 4 * h)) * 0.5).astype(F32)
         w_hh = (rng.standard_normal((h, 4 * h)) * 0.5).astype(F32)
         bias = (rng.standard_normal(4 * h) * 0.2).astype(F32)
-        mask = np.ones((b, tlen), dtype=F32)
+        lengths = None
         if padded:
             # right padding; the last row always is, and at t == 1 is empty
             lengths = rng.integers(1, tlen + 1, size=b)
             lengths[-1] = tlen - 1
-            mask = (np.arange(tlen)[None, :] < lengths[:, None]).astype(F32)
         dhs = rng.standard_normal((b, tlen, h)).astype(F32)
 
-        hs, cache = kernels.lstm_seq(x, w_ih, w_hh, bias, mask, reverse, want_cache=True)
-        ref_hs, steps = ref_lstm_seq(x, w_ih, w_hh, bias, mask, reverse)
+        hs, cache = kernels.lstm_seq(x, w_ih, w_hh, bias, lengths, reverse, want_cache=True)
+        ref_hs, steps = ref_lstm_seq(x, w_ih, w_hh, bias, mask_of(lengths, b, tlen), reverse)
         np.testing.assert_allclose(hs, ref_hs, rtol=0, atol=1e-6)
         assert hs.dtype == F32
-        uncached, _ = kernels.lstm_seq(x, w_ih, w_hh, bias, mask, reverse)
+        uncached, _ = kernels.lstm_seq(x, w_ih, w_hh, bias, lengths, reverse)
         assert uncached.tobytes() == hs.tobytes()
 
         grads = kernels.lstm_seq_backward(cache, dhs)
@@ -661,7 +669,8 @@ class TestKernelOracle:
         if lengths is None:
             lengths = rng.integers(0, tlen + 1, size=b)
             lengths[-1] = tlen - 1
-        mask = (np.arange(tlen) < np.asarray(lengths)[:, None]).astype(F32)
+        lengths = np.asarray(lengths)
+        mask = mask_of(lengths, b, tlen)
         d = 20
         x = rng.standard_normal((b, tlen, d)).astype(F32)
         w_ih = (rng.standard_normal((d, 4 * h)) * 0.3).astype(F32)
@@ -672,29 +681,13 @@ class TestKernelOracle:
         want, ref_cache = blend_lstm_seq(x, w_ih, w_hh, bias, mask, reverse, want_cache=True)
         assert blend_lstm_seq(x, w_ih, w_hh, bias, mask, reverse)[0].tobytes() == want.tobytes()
         for want_cache in (False, True):
-            hs, cache = kernels.lstm_seq(x, w_ih, w_hh, bias, mask, reverse, want_cache)
+            hs, cache = kernels.lstm_seq(x, w_ih, w_hh, bias, lengths, reverse, want_cache)
             assert hs.dtype == F32 and hs.shape == want.shape
             assert hs.tobytes() == want.tobytes(), "want_cache=%s" % want_cache
         grads = kernels.lstm_seq_backward(cache, dhs)
         ref_grads = blend_lstm_seq_backward(ref_cache, dhs)
         for name, got, ref in zip(("dx", "dw_ih", "dw_hh", "db"), grads, ref_grads):
             assert_close_relative(got, ref, 1e-6, name)
-
-    @pytest.mark.parametrize("row", [[1, 0, 1], [0, 1, 1], [1, 0.5, 0], [1, 2, 0],
-                                     [1, np.nan, 0]],
-                             ids=["hole", "left_padded", "half", "two", "nan"])
-    def test_lstm_seq_refuses_a_mask_that_is_not_right_padding(self, row):
-        rng = np.random.default_rng(5)
-        x = t((2, 3, 4), rng)
-        weights = (t((4, 8), rng), t((2, 8), rng), t((8,), rng))
-        mask = np.array([[1, 1, 1], row], dtype=F32)
-        for want_cache in (False, True):
-            with pytest.raises(ShapeMismatch, match="right padding"):
-                kernels.lstm_seq(x.data, *(w.data for w in weights), mask,
-                                 want_cache=want_cache)
-        for reverse in (False, True):
-            with pytest.raises(ShapeMismatch, match="right padding"):
-                ops.lstm_seq(x, *weights, mask, reverse)
 
     def test_sigmoid_pinned_to_two_sided_formula(self):
         # the where-free kernel is the two-sided formula because float32 exp(+-0) is exactly 1
@@ -723,17 +716,16 @@ class TestKernelOracle:
         w_hh = (rng.standard_normal((h, 4 * h)) * 0.5).astype(F32)
         bias = (rng.standard_normal(4 * h) * 0.2).astype(F32)
         # unsorted, and from step 3 on one valid row runs with a spare one
-        lengths = np.array([3, tlen, 1]) if padded else np.full(b, tlen)
-        mask = (np.arange(tlen)[None, :] < lengths[:, None]).astype(F32)
+        lengths = np.array([3, tlen, 1]) if padded else None
         dhs = rng.standard_normal((b, tlen, h)).astype(F32)
         for reverse in (False, True):
             for want_cache in (False, True):
-                first, _ = kernels.lstm_seq(x, w_ih, w_hh, bias, mask, reverse, want_cache)
+                first, _ = kernels.lstm_seq(x, w_ih, w_hh, bias, lengths, reverse, want_cache)
                 kept = first.copy()
-                kernels.lstm_seq(x * 2, w_ih, w_hh, bias, mask, reverse, want_cache)
+                kernels.lstm_seq(x * 2, w_ih, w_hh, bias, lengths, reverse, want_cache)
                 assert first.tobytes() == kept.tobytes()
 
-            hs, cache = kernels.lstm_seq(x, w_ih, w_hh, bias, mask, reverse, want_cache=True)
+            hs, cache = kernels.lstm_seq(x, w_ih, w_hh, bias, lengths, reverse, want_cache=True)
             # the gates, gg, tanh_c, h_prev and c_prev of every step
             kept = [a for step in cache[3] for a in step[2:]]
             assert len(kept) == 5 * tlen
@@ -741,7 +733,7 @@ class TestKernelOracle:
                 assert not np.shares_memory(a, hs)
                 assert not any(np.shares_memory(a, other) for other in kept[i + 1:])
             grads = kernels.lstm_seq_backward(cache, dhs)
-            _, steps = ref_lstm_seq(x, w_ih, w_hh, bias, mask, reverse)
+            _, steps = ref_lstm_seq(x, w_ih, w_hh, bias, mask_of(lengths, b, tlen), reverse)
             ref_grads = ref_lstm_seq_backward(x, w_ih, w_hh, steps, dhs)
             for name, got, want in zip(("dx", "dw_ih", "dw_hh", "db"), grads, ref_grads):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-6, err_msg=name)
@@ -765,7 +757,7 @@ class TestEmptySequence:
     def test_self_attention_gives_zeros(self, b):
         h = np.zeros((b, 0, 5), dtype=F32)
         w1, w2 = np.ones((5, 2), dtype=F32), np.ones(2, dtype=F32)
-        out, _ = kernels.self_attention(h, w1, w2, np.zeros((b, 0), dtype=F32))
+        out, _ = kernels.self_attention(h, w1, w2, None)
         assert out.dtype == F32
         assert out.tobytes() == np.zeros((b, 5), dtype=F32).tobytes()
 
@@ -774,10 +766,89 @@ class TestEmptySequence:
     def test_lstm_seq_gives_no_states(self, b, reverse):
         x = np.zeros((b, 0, 3), dtype=F32)
         w_ih, w_hh = np.ones((3, 8), dtype=F32), np.ones((2, 8), dtype=F32)
-        hs, _ = kernels.lstm_seq(x, w_ih, w_hh, np.ones(8, dtype=F32),
-                                 np.zeros((b, 0), dtype=F32), reverse=reverse)
+        hs, _ = kernels.lstm_seq(x, w_ih, w_hh, np.ones(8, dtype=F32), None, reverse=reverse)
         assert hs.dtype == F32
         assert hs.shape == (b, 0, 2)
+
+
+def assert_same_bytes(got, want, name):
+    """Arrays equal in dtype, shape and bytes, through tuples and lists."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), name
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    elif isinstance(want, (tuple, list)):
+        assert type(got) is type(want) and len(got) == len(want), name
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_bytes(g, w, "%s[%d]" % (name, i))
+    else:
+        assert got == want, name
+
+
+class TestNoLengths:
+    """None, an unpadded batch's lengths, gives the bits of lengths that cut
+    no row: the output, and the cache and gradients where there are some."""
+
+    @pytest.mark.parametrize("recording", [False, True])
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("f", [1, 4])
+    @pytest.mark.parametrize("tlen, w", [(0, 2), (1, 3), (2, 3), (4, 1), (5, 2), (9, 3)])
+    def test_conv1d_maxpool(self, tlen, w, f, b, recording):
+        # through the op, which gives the conv kernel the mask of its lengths
+        rng = np.random.default_rng(tlen * 100 + w * 10 + f + b)
+        x = t((b, tlen, 6), rng)
+        filters = t((w, 6, f), rng, scale=0.5)
+        outs, grads = [], []
+        for lengths in (None, np.full(b, tlen)):
+            for p in (x, filters):
+                p.grad = None
+            with contextlib.nullcontext() if recording else ops.inference():
+                out = ops.conv1d_maxpool(x, filters, lengths)
+            outs.append(out.data)
+            if recording and tlen:  # t == 0 keeps no cache to run backward on
+                scalarize(out, np.random.default_rng(1)).backward()
+                grads.append((x.grad, filters.grad))
+        assert_same_bytes(outs[0], outs[1], "out")
+        assert_same_bytes(grads[:1], grads[1:], "grads")
+
+    @pytest.mark.parametrize("want_cache", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("tlen", [0, 1, 6])
+    def test_lstm_seq(self, tlen, b, reverse, want_cache):
+        rng = np.random.default_rng(tlen * 10 + b)
+        d, h = 5, 4
+        x = rng.standard_normal((b, tlen, d)).astype(F32)
+        w_ih = (rng.standard_normal((d, 4 * h)) * 0.5).astype(F32)
+        w_hh = (rng.standard_normal((h, 4 * h)) * 0.5).astype(F32)
+        bias = (rng.standard_normal(4 * h) * 0.2).astype(F32)
+        hs, cache = kernels.lstm_seq(x, w_ih, w_hh, bias, None, reverse, want_cache)
+        want, want_cache_ = kernels.lstm_seq(x, w_ih, w_hh, bias, np.full(b, tlen), reverse,
+                                             want_cache)
+        assert_same_bytes(hs, want, "hs")
+        if not want_cache:
+            assert cache is want_cache_ is None
+            return
+        # x, the weights and every step's arrays; the row order is bookkeeping
+        assert_same_bytes(cache[:5], want_cache_[:5], "cache")
+        dhs = rng.standard_normal(hs.shape).astype(F32)
+        assert_same_bytes(kernels.lstm_seq_backward(cache, dhs),
+                          kernels.lstm_seq_backward(want_cache_, dhs), "grads")
+
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("tlen", [0, 1, 6])
+    def test_self_attention(self, tlen, b):
+        rng = np.random.default_rng(tlen * 10 + b)
+        h = rng.standard_normal((b, tlen, 6)).astype(F32)
+        w1 = (rng.standard_normal((6, 3)) * 0.5).astype(F32)
+        w2 = (rng.standard_normal(3) * 0.5).astype(F32)
+        out, cache = kernels.self_attention(h, w1, w2, None)
+        want, want_cache = kernels.self_attention(h, w1, w2, np.full(b, tlen))
+        assert_same_bytes(out, want, "out")
+        assert_same_bytes(cache, want_cache, "cache")
+        dout = rng.standard_normal(out.shape).astype(F32)
+        assert_same_bytes(kernels.self_attention_backward(cache, dout),
+                          kernels.self_attention_backward(want_cache, dout), "grads")
 
 
 class TestParameter:
@@ -926,13 +997,14 @@ def test_kernel_ops_off_the_tape_record_no_parents_and_ask_no_cache(monkeypatch,
             return _kernel(*args, **kwargs)
         monkeypatch.setattr(kernels, name, spied)
     rng = np.random.default_rng(0)
-    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=F32)
+    lengths = np.array([4, 2])
     x = t((2, 4, 3), rng)
     cases = [  # (op, its kernel's name, its inputs, whether it keeps a cache)
-        (ops.conv1d_maxpool, "conv_maxpool", (x, t((2, 3, 5), rng), mask), True),
-        (ops.lstm_seq, "lstm_seq", (x, t((3, 8), rng), t((2, 8), rng), t((8,), rng), mask),
+        (ops.conv1d_maxpool, "conv_maxpool", (x, t((2, 3, 5), rng), lengths), True),
+        (ops.lstm_seq, "lstm_seq", (x, t((3, 8), rng), t((2, 8), rng), t((8,), rng), lengths),
          True),
-        (ops.self_attention, "self_attention", (x, t((3, 2), rng), t((2,), rng), mask), False),
+        (ops.self_attention, "self_attention", (x, t((3, 2), rng), t((2,), rng), lengths),
+         False),
         (ops.highway, "highway", (t((4, 3), rng), t((3, 3), rng), t((3,), rng),
                                   t((3, 3), rng), t((3,), rng)), False),
     ]
@@ -994,7 +1066,9 @@ def _epoch0_losses_and_grads(pipe):
 
 
 def _patch_blend_lstm(monkeypatch):
-    monkeypatch.setattr(kernels, "lstm_seq", blend_lstm_seq)
+    def blend(x, w_ih, w_hh, bias, lengths, **kwargs):
+        return blend_lstm_seq(x, w_ih, w_hh, bias, mask_of(lengths, *x.shape[:2]), **kwargs)
+    monkeypatch.setattr(kernels, "lstm_seq", blend)
     monkeypatch.setattr(kernels, "lstm_seq_backward", blend_lstm_seq_backward)
 
 

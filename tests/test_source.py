@@ -182,3 +182,21 @@ def test_only_graph_spells_the_feed_names(path):
     # elsewhere can drift from it
     assert set(FEED_NAMES) == set(graph._FEEDS)
     assert feed_name_literals(path.read_text(encoding="utf-8")) == []
+
+
+def leading_params(source: str, name: str, n: int) -> list:
+    """The first n positional parameter names of the module-level function name."""
+    (func,) = [node for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    return [arg.arg for arg in (func.args.posonlyargs + func.args.args)[:n]]
+
+
+@pytest.mark.parametrize("kernel,params", [("conv_maxpool", ["x", "filters"]),
+                                           ("lstm_seq", ["x", "w_ih", "w_hh"])])
+def test_the_kernel_arguments_perfbench_reads_stay_in_place(kernel, params):
+    # perfbench/spans.py's _conv_flops and _lstm_flops count each call's
+    # flops from its positional args[0..2]: x and filters, x and w_hh. A
+    # refactor that moved them would silently miscount the flops, and the
+    # traced perfbench smoke run would still pass
+    source = (SRC / "kernels.py").read_text(encoding="utf-8")
+    assert leading_params(source, kernel, len(params)) == params
