@@ -157,12 +157,14 @@ def finite_arrays(value) -> bool:  # a dict of finite arrays, as model weights a
 def write_file(path: str, data: bytes) -> None:
     """Replace the file at path with data, all at once or not at all.
 
-    The data goes to a temp file in the same directory, which is flushed,
-    fsynced and renamed over path, then the directory is fsynced so the
-    rename outlives a power loss. A failure before the rename removes the
-    temp file and leaves the previous file at path as it was.
+    The data goes to the temp file path + ".tmp", which is flushed, fsynced
+    and renamed over path, then the directory is fsynced so the rename
+    outlives a power loss. A failure before the rename removes the temp file
+    and leaves the previous file at path as it was. A path has one writer at
+    a time, so the temp name is fixed: the next save overwrites what a killed
+    one left there and renames it away.
     """
-    tmp = "%s.%d.tmp" % (path, os.getpid())
+    tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as handle:
             handle.write(data)

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import bench, binio
 from .data_handler import read_lines, text_lines
-from .errors import ExportMismatch, NonFiniteScores, SchemaViolation, TextForgeError
+from .errors import (ExportMismatch, NonFiniteScores, SchemaViolation, TextForgeError,
+                     TextTooLong)
 from .exporter import export_pipeline, sample_texts, verify_equivalence
 from .graph import Executor, load_graph, run, save_graph
 from .pipeline import instantiate_task, prediction_json, restore_pipeline
@@ -150,7 +151,10 @@ def cmd_predict(args) -> int:
     predict = (_graph_predictor(load_graph(args.graph)) if args.graph
                else _eager_predictor(restore_pipeline(load_checkpoint(args.ckpt), use_best=True)))
     for number, line in enumerate(lines, 1):
-        result = predict(line)
+        try:
+            result = predict(line)
+        except TextTooLong as exc:
+            raise TextTooLong("input line %d: %s" % (number, exc)) from None
         try:
             text = json.dumps(result, allow_nan=False)
         except ValueError:  # NaN and Infinity are not JSON

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DatasetError, EmptyCorpus, EmptySplit, MultiTaskArity, NotUtf8,
-                     OverlappingEntries)
+                     OverlappingEntries, TextTooLong)
 from .featurizer import (CAP_CLASSES, GAZ_NONE, Featurizer, FeaturizedExample,
                          GazetteerEntry, char_ids)
 from .vocab import Vocabulary
@@ -168,7 +168,7 @@ def load_tsv(path: str, fmt: str, featurizer: Featurizer, split: str = "train") 
 
         try:
             feats = featurizer.featurize(text, entries)
-        except OverlappingEntries as exc:
+        except (OverlappingEntries, TextTooLong) as exc:
             raise DatasetError("%s: %s" % (where, exc))
         if not feats.tokens:
             raise DatasetError("%s: text produced no tokens" % where)

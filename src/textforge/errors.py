@@ -29,6 +29,10 @@ class OverlappingEntries(TextForgeError):
     pass
 
 
+class TextTooLong(TextForgeError):
+    pass
+
+
 # --- data handling ---
 
 class EmptyCorpus(TextForgeError):

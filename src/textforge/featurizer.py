@@ -19,7 +19,7 @@ import string
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import NotUtf8, OverlappingEntries
+from .errors import NotUtf8, OverlappingEntries, TextTooLong
 from .vocab import Vocabulary
 
 # one ASCII punctuation char, or a run of chars that are neither that nor space
@@ -35,6 +35,9 @@ CAP_OTHER = "other"
 CAP_CLASSES = (CAP_ALL_LOWER, CAP_INIT_CAP, CAP_ALL_CAPS, CAP_OTHER)
 
 GAZ_NONE = "<none>"
+
+# a text holds no more tokens than characters, so this bounds the tokens too
+MAX_TEXT_CHARS = 1 << 16
 
 
 class TokenSpan(NamedTuple):
@@ -122,8 +125,12 @@ def featurize(text: str, entries=(), *, lowercase=True) -> FeaturizedExample:
 
     Capitalization is computed on the original token text, then the stored
     token text reflects the lowercase flag. A text UTF-8 cannot encode (one
-    holding a lone surrogate) raises NotUtf8.
+    holding a lone surrogate) raises NotUtf8, and one longer than
+    MAX_TEXT_CHARS characters raises TextTooLong.
     """
+    if len(text) > MAX_TEXT_CHARS:
+        raise TextTooLong("text of %d characters is longer than the %d allowed"
+                          % (len(text), MAX_TEXT_CHARS))
     tokens, cap_labels = [], []
     utf8 = not text.isascii()
     if utf8:

@@ -10,8 +10,8 @@ exported outputs bit-for-bit identical.
 
 All float work is float32. lstm_seq and self_attention take lengths, int64
 [b], where row i holds positions j < length_i (right padding), or None for no
-padding; conv_maxpool still takes the float32 mask that is 1 at exactly those
-positions and 0 elsewhere.
+padding; lstm_seq gives zeros at the padded positions. conv_maxpool still
+takes the float32 mask that is 1 at exactly those positions and 0 elsewhere.
 """
 
 from itertools import groupby
@@ -158,8 +158,8 @@ def lstm_seq(x, w_ih, w_hh, bias, lengths, reverse=False, want_cache=False):
     h_prev @ w_hh takes another BLAS path than the b-row GEMM and rounds
     differently. So every state is bitwise what a step over all b rows
     gives, and lengths that cut no row give the states of None. A padded
-    position holds the row's last state in the forward direction and zeros
-    in the reverse one.
+    position holds float32 zeros in both directions, and the backward pass
+    reads no gradient there.
 
     A call reuses a buffer across its steps only where no cache keeps it:
     the pre-activation z always; without want_cache also the gates, and
@@ -182,7 +182,7 @@ def lstm_seq(x, w_ih, w_hh, bias, lengths, reverse=False, want_cache=False):
 
     zx = (x.reshape(b * t, d) @ w_ih + bias).reshape(b, t, four_h)
     order = range(t - 1, -1, -1) if reverse else range(t)
-    perm = active = None
+    perm = None
     # (rows inside their sequence, rows a step runs, the steps that run them)
     runs = [(b, b, order)]
     if lengths is not None and t:  # at t == 0 no position is padded
@@ -223,18 +223,11 @@ def lstm_seq(x, w_ih, w_hh, bias, lengths, reverse=False, want_cache=False):
                 hs_r[:, ti] = h_cur
                 steps.append((ti, n, s, gg, tanh_c, h_prev, c_prev))
             h_prev, c_prev = h_cur, c_cur
-    cache = (x, w_ih, w_hh, steps, reverse, perm, active) if want_cache else None
+    cache = (x, w_ih, w_hh, steps, perm) if want_cache else None
     if perm is None:
         return hs, cache
     hs = hs[np.argsort(perm)]
-    # a padded position holds its row's last state (zeros for an empty row)
-    # or, in reverse, zeros; a spare row's states landed on some
-    padded = np.arange(t) >= lengths[:, None]
-    if reverse:
-        hs[padded] = F32(0)
-    else:  # padded picks each row's t - length positions, row by row
-        last = np.where((lengths > 0)[:, None], hs[np.arange(b), lengths - 1], F32(0))
-        hs[padded] = np.repeat(last, t - lengths, axis=0)
+    hs[np.arange(t) >= lengths[:, None]] = F32(0)  # also clears a spare row's states
     return hs, cache
 
 
@@ -251,15 +244,11 @@ def _gate_views(s, h):
 
 
 def lstm_seq_backward(cache, dhs):
-    x, w_ih, w_hh, steps, reverse, perm, active = cache
+    x, w_ih, w_hh, steps, perm = cache
     b, t, d = x.shape
     h, four_h = w_hh.shape
     if perm is not None:
         dhs = dhs[perm]
-    # the forward direction holds a row's last state over its padded tail,
-    # so the tail's gradients reach that state; the reverse one starts from
-    # zeros there, and they reach nothing
-    tails = None if reverse or perm is None else _tail_sums(dhs, active)
     dzs = np.zeros((b, t, four_h), dtype=F32)
     dw_hh = np.zeros_like(w_hh)
     # with OpenBLAS 0.3.31's Haswell kernels, dz @ w_hh.T of 19 rows or more
@@ -268,10 +257,8 @@ def lstm_seq_backward(cache, dhs):
     dh_rec = dc_rec = np.zeros((0, h), dtype=F32)
     n_prev = 0
     for ti, n, s, gg, tanh_c, h_prev, c_prev in reversed(steps):
-        if n > n_prev:  # rows join: the forward direction's at their last position
+        if n > n_prev:  # rows join from zero: the forward direction's at their last position
             dh_rec, dc_rec = _grown(dh_rec, n_prev, n), _grown(dc_rec, n_prev, n)
-            if tails is not None:
-                dh_rec[n_prev:n] = tails[n_prev:n]
         elif n < n_prev:  # the reverse direction's rows end
             dh_rec, dc_rec = dh_rec[:n], dc_rec[:n]
         n_prev = n
@@ -299,20 +286,6 @@ def lstm_seq_backward(cache, dhs):
     flat = dzs.reshape(b * t, four_h)
     dx = (flat @ w_ih.T).reshape(b, t, d)
     return dx, x.reshape(b * t, d).T @ flat, dw_hh, flat.sum(axis=0)
-
-
-def _tail_sums(dhs, active):
-    """Each row's dhs summed over its padded tail, last position first
-    (tail = dhs + tail): the gradient of the last state, which the forward
-    direction holds over the tail. dhs and active are in sorted row order."""
-    b, t, h = dhs.shape
-    tails = np.zeros((b, h), dtype=F32)
-    for ti in range(t - 1, -1, -1):
-        n = active[ti]  # rows n: are padded at ti
-        if n == b:
-            break
-        tails[n:] = dhs[n:, ti] + tails[n:]
-    return tails
 
 
 # --- additive self-attention pooling ---

@@ -202,6 +202,17 @@ def test_byte_flips_decode_or_raise_corrupt_file(graph_body):
     assert outcomes["decoded"] and outcomes["rejected"]
 
 
+def test_write_file_takes_over_the_temp_file_a_killed_save_left(tmp_path):
+    path = str(tmp_path / "model.ckpt")
+    binio.write_file(path, b"old")
+    with open(path + ".tmp", "wb") as handle:
+        handle.write(b"junk from a save killed before its rename" * 100)
+    binio.write_file(path, b"new")
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+    with open(path, "rb") as handle:
+        assert handle.read() == b"new"
+
+
 def test_write_file_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
     events = []
     fsync, replace = os.fsync, os.replace

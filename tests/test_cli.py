@@ -19,6 +19,7 @@ import corpora
 import textforge
 from textforge import binio, cli, model_zoo, trainer
 from textforge.exporter import EquivalenceReport
+from textforge.featurizer import MAX_TEXT_CHARS
 from textforge.graph import GraphOp, load_graph, save_graph
 from textforge.pipeline import instantiate_task, restore_pipeline
 from textforge.registry import MAX_CHARS, parse_task_config, serialize_task_config
@@ -811,6 +812,18 @@ class TestPredict:
             assert proc.returncode == 1, proc.stderr
             assert "input line 1: the model gives a score that is not finite" in proc.stderr
             assert proc.stdout == ""
+
+    def test_a_line_past_the_text_bound_exits_1_naming_the_line(self, doc_run, doc_graph):
+        at_bound = "a " * (MAX_TEXT_CHARS // 2)
+        for source in (["--ckpt", doc_run.ckpt], ["--graph", doc_graph]):
+            proc = run_cli("predict", *source, stdin=at_bound + "\n")
+            assert proc.returncode == 0, proc.stderr
+            assert len(proc.stdout.splitlines()) == 1
+            proc = run_cli("predict", *source, stdin="wake me\n" + at_bound + "a\n")
+            assert proc.returncode == 1, proc.stderr
+            assert ("input line 2: text of %d characters is longer than the %d allowed"
+                    % (MAX_TEXT_CHARS + 1, MAX_TEXT_CHARS)) in proc.stderr
+            assert len(proc.stdout.splitlines()) == 1
 
     def test_graph_and_ckpt_are_exclusive(self, doc_run, doc_graph):
         proc = run_cli("predict", "--graph", doc_graph, "--ckpt", doc_run.ckpt,

@@ -12,10 +12,10 @@ import corpora
 from textforge import data_handler, pipeline
 from textforge import graph as graph_module
 from textforge.data_handler import single_example_batch
-from textforge.errors import OverlappingEntries
+from textforge.errors import OverlappingEntries, TextTooLong
 from textforge.exporter import export_pipeline
 from textforge.featurizer import (CAP_ALL_CAPS, CAP_ALL_LOWER, CAP_INIT_CAP,
-                                  CAP_OTHER, GAZ_NONE, FeaturizedExample,
+                                  CAP_OTHER, GAZ_NONE, MAX_TEXT_CHARS, FeaturizedExample,
                                   FeaturizerSettings, GazetteerEntry, TokenSpan,
                                   capitalization, char_ids, featurize)
 from textforge.pipeline import instantiate_task
@@ -144,10 +144,19 @@ class TestTokenize:
         assert spans("\u0130x") == [("i\u0307x", 0, 3)]
 
     def test_separators_are_exactly_the_isspace_chars(self):
-        # every non-space char lands in a token, in order, and no space char does
-        got = tokens(ALL_CHARS, lowercase=False)
+        # every non-space char lands in a token, in order, and no space char
+        # does; the chars are tokenized in texts of the longest length allowed
+        got = chain.from_iterable(tokens(ALL_CHARS[i:i + MAX_TEXT_CHARS], lowercase=False)
+                                  for i in range(0, len(ALL_CHARS), MAX_TEXT_CHARS))
         assert "".join(t.text for t in got) == "".join(
             ch for ch in ALL_CHARS if not ch.isspace())
+
+    def test_a_text_past_the_bound_is_refused(self):
+        assert len(tokens("a " * (MAX_TEXT_CHARS // 2))) == MAX_TEXT_CHARS // 2
+        with pytest.raises(TextTooLong, match="text of 65537 characters"):
+            featurize("a" * (MAX_TEXT_CHARS + 1))
+        with pytest.raises(TextTooLong):  # the bound counts characters, not bytes
+            featurize("\u00e9" * (MAX_TEXT_CHARS + 1))
 
 
 class TestTokenSpan:

@@ -366,6 +366,13 @@ def mask_of(lengths, b, t):
     return (np.arange(t) < lengths[:, None]).astype(F32)
 
 
+def padded_zeros(a, mask):
+    """a [b, t, ...] with float32 +0 where mask [b, t] is 0. lstm_seq gives
+    zeros at padded positions, where the oracles carry states, and reads no
+    gradient there."""
+    return np.where(mask.reshape(mask.shape + (1,) * (a.ndim - 2)) > 0, a, F32(0))
+
+
 # --- the per-step LSTM kernel as first written: the oracle for the kernel ---
 
 def ref_sigmoid(x):
@@ -635,16 +642,17 @@ class TestKernelOracle:
             lengths = rng.integers(1, tlen + 1, size=b)
             lengths[-1] = tlen - 1
         dhs = rng.standard_normal((b, tlen, h)).astype(F32)
+        mask = mask_of(lengths, b, tlen)
 
         hs, cache = kernels.lstm_seq(x, w_ih, w_hh, bias, lengths, reverse, want_cache=True)
-        ref_hs, steps = ref_lstm_seq(x, w_ih, w_hh, bias, mask_of(lengths, b, tlen), reverse)
-        np.testing.assert_allclose(hs, ref_hs, rtol=0, atol=1e-6)
+        ref_hs, steps = ref_lstm_seq(x, w_ih, w_hh, bias, mask, reverse)
+        np.testing.assert_allclose(hs, padded_zeros(ref_hs, mask), rtol=0, atol=1e-6)
         assert hs.dtype == F32
         uncached, _ = kernels.lstm_seq(x, w_ih, w_hh, bias, lengths, reverse)
         assert uncached.tobytes() == hs.tobytes()
 
         grads = kernels.lstm_seq_backward(cache, dhs)
-        ref_grads = ref_lstm_seq_backward(x, w_ih, w_hh, steps, dhs)
+        ref_grads = ref_lstm_seq_backward(x, w_ih, w_hh, steps, padded_zeros(dhs, mask))
         for name, got, want in zip(("dx", "dw_ih", "dw_hh", "db"), grads, ref_grads):
             assert got.shape == want.shape and got.dtype == F32, name
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6, err_msg=name)
@@ -683,9 +691,10 @@ class TestKernelOracle:
         for want_cache in (False, True):
             hs, cache = kernels.lstm_seq(x, w_ih, w_hh, bias, lengths, reverse, want_cache)
             assert hs.dtype == F32 and hs.shape == want.shape
-            assert hs.tobytes() == want.tobytes(), "want_cache=%s" % want_cache
+            assert hs.tobytes() == padded_zeros(want, mask).tobytes(), \
+                "want_cache=%s" % want_cache
         grads = kernels.lstm_seq_backward(cache, dhs)
-        ref_grads = blend_lstm_seq_backward(ref_cache, dhs)
+        ref_grads = blend_lstm_seq_backward(ref_cache, padded_zeros(dhs, mask))
         for name, got, ref in zip(("dx", "dw_ih", "dw_hh", "db"), grads, ref_grads):
             assert_close_relative(got, ref, 1e-6, name)
 
@@ -733,10 +742,35 @@ class TestKernelOracle:
                 assert not np.shares_memory(a, hs)
                 assert not any(np.shares_memory(a, other) for other in kept[i + 1:])
             grads = kernels.lstm_seq_backward(cache, dhs)
-            _, steps = ref_lstm_seq(x, w_ih, w_hh, bias, mask_of(lengths, b, tlen), reverse)
-            ref_grads = ref_lstm_seq_backward(x, w_ih, w_hh, steps, dhs)
+            mask = mask_of(lengths, b, tlen)
+            _, steps = ref_lstm_seq(x, w_ih, w_hh, bias, mask, reverse)
+            ref_grads = ref_lstm_seq_backward(x, w_ih, w_hh, steps, padded_zeros(dhs, mask))
             for name, got, want in zip(("dx", "dw_ih", "dw_hh", "db"), grads, ref_grads):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-6, err_msg=name)
+
+    @pytest.mark.parametrize("want_cache", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("lengths", [[3, 6, 1], [6, 0, 3, 0]],
+                             ids=["spare_row", "zero_length_rows"])
+    def test_lstm_seq_gives_zeros_at_padded_positions(self, lengths, reverse, want_cache):
+        rng = np.random.default_rng(len(lengths))
+        lengths = np.array(lengths)
+        b, tlen, d, h = len(lengths), 6, 5, 4
+        x = rng.standard_normal((b, tlen, d)).astype(F32)
+        w_ih = (rng.standard_normal((d, 4 * h)) * 0.5).astype(F32)
+        w_hh = (rng.standard_normal((h, 4 * h)) * 0.5).astype(F32)
+        bias = (rng.standard_normal(4 * h) * 0.2).astype(F32)
+        hs, cache = kernels.lstm_seq(x, w_ih, w_hh, bias, lengths, reverse, want_cache)
+        padded = np.arange(tlen) >= lengths[:, None]
+        assert padded.any() and hs.dtype == F32
+        assert hs[padded].tobytes() == np.zeros((padded.sum(), h), dtype=F32).tobytes()
+        if not want_cache:
+            return
+        # the gradients of a padded position never reach the weights or x
+        dhs = rng.standard_normal(hs.shape).astype(F32)
+        assert_same_bytes(kernels.lstm_seq_backward(cache, dhs),
+                          kernels.lstm_seq_backward(cache, padded_zeros(dhs, ~padded)),
+                          "grads")
 
 
 class TestEmptySequence:
@@ -830,7 +864,7 @@ class TestNoLengths:
             assert cache is want_cache_ is None
             return
         # x, the weights and every step's arrays; the row order is bookkeeping
-        assert_same_bytes(cache[:5], want_cache_[:5], "cache")
+        assert_same_bytes(cache[:4], want_cache_[:4], "cache")
         dhs = rng.standard_normal(hs.shape).astype(F32)
         assert_same_bytes(kernels.lstm_seq_backward(cache, dhs),
                           kernels.lstm_seq_backward(want_cache_, dhs), "grads")

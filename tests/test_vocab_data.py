@@ -18,7 +18,7 @@ from textforge.data_handler import (FORMAT_DOC, FORMAT_JOINT, FORMAT_WORD,
                                     word_tag_list)
 from textforge.errors import (DatasetError, EmptyCorpus, EmptySplit,
                               MultiTaskArity)
-from textforge.featurizer import CAP_CLASSES, Featurizer, FeaturizerSettings
+from textforge.featurizer import CAP_CLASSES, MAX_TEXT_CHARS, Featurizer, FeaturizerSettings
 from textforge.vocab import Vocabulary
 
 
@@ -121,6 +121,11 @@ class TestLoadTsv:
     def test_blank_lines_skipped(self, tmp_path):
         path = _write(tmp_path, "d.tsv", ["pos\ta", "", "neg\tb"])
         assert len(load_tsv(path, FORMAT_DOC, _fz()).examples) == 2
+
+    def test_text_past_the_bound_names_file_and_line(self, tmp_path):
+        path = _write(tmp_path, "b.tsv", ["pos\ta", "neg\t" + "a" * (MAX_TEXT_CHARS + 1)])
+        with pytest.raises(DatasetError, match=r"b\.tsv line 2: text of 65537 characters"):
+            load_tsv(path, FORMAT_DOC, _fz())
 
     def test_malformed_gazetteer(self, tmp_path):
         path = _write(tmp_path, "b.tsv", ["pos\tgo paris\tnot-a-span"])
