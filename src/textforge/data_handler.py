@@ -138,8 +138,6 @@ def load_tsv(path: str, fmt: str, featurizer: Featurizer, split: str = "train") 
     Lines with no tokens, misaligned tags or malformed columns are hard
     errors: silently dropping data would make runs non-reproducible.
     """
-    if fmt not in (FORMAT_DOC, FORMAT_WORD, FORMAT_JOINT):
-        raise ValueError("unknown dataset format %r" % fmt)
     examples = []
     for line_no, line in enumerate(read_lines(path), start=1):
         if not line:
@@ -192,10 +190,7 @@ def build_vocab(train_split: Dataset, min_freq: int = 1) -> Vocabulary:
 
 def build_char_vocab(train_split: Dataset) -> Vocabulary:
     # one Counter over all the split's characters, counted in C
-    counts = Counter("".join(_token_texts(train_split)))
-    if not counts:
-        raise EmptyCorpus("no characters in training split")
-    return Vocabulary.build(counts, min_freq=1)
+    return Vocabulary.build(Counter("".join(_token_texts(train_split))), min_freq=1)
 
 
 def build_gaz_vocab(train_split: Dataset) -> Vocabulary:
@@ -211,10 +206,7 @@ def cap_vocabulary() -> Vocabulary:
 
 
 def doc_label_list(train_split: Dataset):
-    labels = sorted({ex.doc_label for ex in train_split if ex.doc_label is not None})
-    if not labels:
-        raise EmptyCorpus("no document labels in training split")
-    return labels
+    return sorted({ex.doc_label for ex in train_split if ex.doc_label is not None})
 
 
 def word_tag_list(train_split: Dataset):
@@ -222,8 +214,6 @@ def word_tag_list(train_split: Dataset):
     for ex in train_split:
         if ex.word_tags:
             tags.update(ex.word_tags)
-    if not tags:
-        raise EmptyCorpus("no word tags in training split")
     return sorted(tags)
 
 
@@ -270,12 +260,8 @@ def batch_examples(examples, vocabs: VocabBundle, max_chars: int,
         gaz_ids[i, :n] = [vocabs.gaz.lookup(lbl) for lbl in feats.gaz_labels]
         cap_ids[i, :n] = [vocabs.cap.lookup(lbl) for lbl in feats.cap_labels]
         if doc_labels is not None:
-            if ex.doc_label is None:
-                raise DatasetError("example lacks a document label")
             doc_labels[i] = _label_id(doc_label_index, ex.doc_label, "document", ex)
         if word_labels is not None:
-            if ex.word_tags is None:
-                raise DatasetError("example lacks word tags")
             word_labels[i, :n] = [_label_id(tag_index, tag, "word", ex) for tag in ex.word_tags]
 
     return Batch(token_ids, char_rows, {"gaz": gaz_ids, "cap": cap_ids},
@@ -288,8 +274,6 @@ def make_batches(full: Batch, batch_size: int, shuffle_seed=None):
 
     Every row appears in exactly one batch; the tail batch may be short.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     order = np.arange(full.size)
     if shuffle_seed is not None:
         order = np.random.Generator(np.random.PCG64(shuffle_seed)).permutation(len(order))

@@ -69,10 +69,6 @@ class TargetOutOfRange(TextForgeError):
     pass
 
 
-class EmptyLoss(TextForgeError):
-    pass
-
-
 class NotScalar(TextForgeError):
     pass
 

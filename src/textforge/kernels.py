@@ -18,7 +18,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import EmptyLoss, EmptySequence, IdOutOfRange, ShapeMismatch, TargetOutOfRange
+from .errors import EmptySequence, IdOutOfRange, ShapeMismatch, TargetOutOfRange
 
 F32 = np.float32
 NEG_INF = np.float32(-np.inf)
@@ -83,8 +83,6 @@ def conv_maxpool(x, filters, mask, want_cache=False):
     w, d2, f = filters.shape
     if d2 != d:
         raise ShapeMismatch("conv: input dim %d vs filter dim %d" % (d, d2))
-    if mask.shape != (b, t):
-        raise ShapeMismatch("conv: mask shape %s vs (%d, %d)" % (mask.shape, b, t))
     if t == 0:
         return np.zeros((b, f), dtype=F32), None
     lengths = mask.sum(axis=1).astype(np.int64)
@@ -332,22 +330,12 @@ def self_attention_backward(cache, dout):
 def softmax_cross_entropy(logits, targets, mask=None):
     """Mean negative log softmax probability of the target over unmasked rows.
 
-    logits [n, c] float32, targets [n] int64, mask [n] optional.
+    logits [n, c] float32, targets [n] int64, mask [n] optional; at least
+    one row is unmasked.
     """
-    if logits.ndim != 2:
-        raise ShapeMismatch("cross entropy expects [n, c] logits, got %s" % (logits.shape,))
     n, c = logits.shape
-    if targets.shape != (n,):
-        raise ShapeMismatch("cross entropy: %d logit rows vs targets %s" % (n, targets.shape))
-    if mask is None:
-        valid = np.ones(n, dtype=bool)
-    else:
-        if mask.shape != (n,):
-            raise ShapeMismatch("cross entropy: mask shape %s vs (%d,)" % (mask.shape, n))
-        valid = mask > 0
+    valid = np.ones(n, dtype=bool) if mask is None else mask > 0
     n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise EmptyLoss("cross entropy over zero unmasked rows")
     tv = targets[valid]
     if tv.size and (tv.min() < 0 or tv.max() >= c):
         raise TargetOutOfRange("target id outside [0, %d)" % c)
@@ -375,7 +363,11 @@ def softmax_cross_entropy_backward(cache, dloss):
 
 def highway(x, w_t, b_t, w_g, b_g):
     """One layer over x [n, d]: relu transform gated against the carried
-    input; keeps the feature dim."""
+    input; keeps the feature dim, so w_t and w_g are [d, d]."""
+    d = x.shape[-1]
+    if w_t.shape != (d, d) or w_g.shape != (d, d):
+        raise ShapeMismatch("highway: weights %s and %s vs (%d, %d)"
+                            % (w_t.shape, w_g.shape, d, d))
     pre_t = linear(x, w_t, b_t)
     hidden = relu(pre_t)
     gate = sigmoid(linear(x, w_g, b_g))

@@ -78,21 +78,18 @@ class LayerModule:
 def load_params(model, saved):
     """Set a model's parameters from a saved name -> array mapping.
 
-    The mapping must hold exactly the model's parameter names, each a float32
-    array of its parameter's shape; otherwise nothing is assigned.
+    The mapping must hold exactly the model's parameter names, each an
+    array of its parameter's shape; otherwise nothing is assigned. The
+    checkpoint reader (binio.finite_arrays) checks each file's dtype.
     Checkpoints and resumed runs load parameters here.
     """
     params = model.named_parameters()
     if not isinstance(saved, dict) or set(saved) != set(params):
         raise IncompatibleShare("parameter names differ between file and module")
     for name, param in params.items():
-        value = saved[name]
-        if not (isinstance(value, np.ndarray) and value.dtype == F32):
-            raise ShapeMismatch("param %s: file holds %s, not a float32 array"
-                                % (name, getattr(value, "dtype", type(value).__name__)))
-        if value.shape != param.data.shape:
+        if saved[name].shape != param.data.shape:
             raise ShapeMismatch("param %s: file shape %s vs module %s"
-                                % (name, value.shape, param.data.shape))
+                                % (name, saved[name].shape, param.data.shape))
     for name, param in params.items():
         param.data = saved[name]
     return model
@@ -251,7 +248,6 @@ class BiLSTMModule(LayerModule):
     def __init__(self, name, config, in_dim, rng):
         super().__init__(name)
         hidden = config["hidden_dim"]
-        self.hidden_dim = hidden
         self.out_dim = 2 * hidden
         for direction in ("fwd", "bwd"):
             ih_scale = float(np.sqrt(1.0 / in_dim))

@@ -223,11 +223,10 @@ def _check_scalar(f: Field, value, path):
         if f.distinct and len(set(value)) < len(value):
             raise SchemaViolation("%s: items must differ, got %r" % (path, value))
         return list(value)
-    if f.ftype == LIST_STRING:
-        if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-            raise _type_error(path, "list of string", value)
-        return list(value)
-    raise AssertionError(f.ftype)
+    # LIST_STRING, the last type Field allows besides COMPONENT, which is not a scalar
+    if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
+        raise _type_error(path, "list of string", value)
+    return list(value)
 
 
 def _resolve_component(schemas, kind, raw, path):

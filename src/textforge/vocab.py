@@ -24,8 +24,6 @@ class Vocabulary:
             entries = [self.PAD, self.UNK] + entries
         self.entries = entries
         self.index = dict(zip(entries, range(len(entries))))
-        if len(self.index) != len(self.entries):
-            raise ValueError("duplicate vocabulary entries")
 
     @classmethod
     def from_table(cls, entries) -> Optional["Vocabulary"]:

@@ -125,6 +125,108 @@ EMPTY_WIDTHS = [
 ]
 
 
+def _append(path, line):
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line)
+
+
+def _empty(task, key):
+    """Empty the single task's TSV at data.tsv.key."""
+    open(task["data"]["tsv"][key], "w").close()
+
+
+def _pair_to_tsv(task):
+    """Give a joint task's first train and eval sources to the single-source handler."""
+    pair = task["data"]["tsv_pair"]
+    task["data"] = {"tsv": {"train_path": pair["train_paths"][0],
+                            "eval_path": pair["eval_paths"][0]}}
+
+
+def _tsv_to_pair(task):
+    """Give a single task's train and eval files, each twice, to the pair handler."""
+    tsv = task["data"]["tsv"]
+    task["data"] = {"tsv_pair": {"train_paths": [tsv["train_path"]] * 2,
+                                 "eval_paths": [tsv["eval_path"]] * 2}}
+
+
+def _train_edited(build, edit):
+    """The argv of a train run on build's small config after edit, which
+    changes the task's params (and may change its files)."""
+    def argv(tmp_path):
+        cfg = build(str(tmp_path), n_train=8, n_eval=4, epochs=1)
+        (task,) = cfg["task"].values()
+        edit(task)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        return ["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]
+    return argv
+
+
+# inputs a user can give that the program refuses: the argv of a run on
+# them (given a tmp_path), a fragment of the message
+INPUT_REFUSALS = [
+    pytest.param(_train_edited(corpora.joint_config, lambda task: task.update(model={"single": {
+        "representation": {"bilstm_tagger": {}}, "output": {"word_tagging": {}}}})),
+        "joint task needs the joint model, got 'single'", id="joint-task-single-model"),
+    pytest.param(_train_edited(corpora.joint_config, lambda task: task["model"]["joint"].update(
+        doc_representation={"docnn": {}})),
+        "joint doc head needs bilstm_attn, got 'docnn'", id="joint-head-representation"),
+    pytest.param(_train_edited(corpora.doc_config, lambda task: task.update(model={"joint": {}})),
+        "task doc_classification needs the single-head model, got 'joint'",
+        id="single-task-joint-model"),
+    pytest.param(_train_edited(corpora.doc_config, lambda task: task["model"]["single"].update(
+        output={"word_tagging": {}})),
+        "task doc_classification configured with output layer 'word_tagging'",
+        id="output-of-the-other-task"),
+    pytest.param(_train_edited(corpora.joint_config, _pair_to_tsv),
+                 "joint task needs the tsv_pair data handler", id="joint-task-tsv"),
+    pytest.param(_train_edited(corpora.doc_config, _tsv_to_pair),
+                 "task doc_classification needs the tsv data handler", id="doc-task-tsv-pair"),
+    pytest.param(_train_edited(corpora.doc_config, lambda task: _empty(task, "train_path")),
+                 "training split is empty", id="empty-train-tsv"),
+    pytest.param(_train_edited(corpora.doc_config, lambda task: _empty(task, "eval_path")),
+                 "eval split is empty", id="empty-eval-tsv"),
+    pytest.param(_train_edited(corpora.doc_config, lambda task: _append(
+        task["data"]["tsv"]["train_path"], "alarm\twake me at nine\tfive:7:city\n")),
+        "line 9: gazetteer offsets must be ints in 'five:7:city'", id="gazetteer-offsets"),
+    pytest.param(_train_edited(corpora.joint_config, lambda task: _append(
+        task["data"]["tsv_pair"]["train_paths"][0], "\tset an alarm\n")),
+        "line 9: empty label column", id="joint-empty-label-column"),
+    pytest.param(_train_edited(corpora.doc_config,
+                               lambda task: task.update(optimizer={"adam": 5})),
+                 "task.doc_classification.optimizer.adam: component params must be an object",
+                 id="params-not-an-object"),
+    # the count is parsed before either file is read
+    pytest.param(lambda tmp_path: ["bench", "--ckpt", str(tmp_path / "model.ckpt"),
+                                   "--graph", str(tmp_path / "model.graph"), "--requests", "abc"],
+                 "argument --requests: invalid int value: 'abc'", id="bench-requests-abc"),
+]
+
+
+# weight consts whose dims their kernel refuses, in a real graph: the graph,
+# the opcode of the first op reading them, its input position -> the new
+# shape, the message; char: word tagger of char_graph, attn: joint doc head
+WEIGHT_DIM_PROBES = [
+    pytest.param("char", "MatMulAdd", {1: (48, 3)}, "linear: weight cols 3 vs bias 2",
+                 id="linear-bias"),
+    pytest.param("char", "LSTMSeq", {1: (25, 96)}, "lstm: input dim 24 vs w_ih rows 25",
+                 id="lstm-w_ih-rows"),
+    pytest.param("char", "LSTMSeq", {1: (24, 98)}, "lstm: gate dim 98 not divisible by 4",
+                 id="lstm-gate-dim"),
+    pytest.param("char", "LSTMSeq", {2: (25, 96)}, "lstm: w_hh shape (25, 96) vs (24, 96)",
+                 id="lstm-w_hh"),
+    pytest.param("char", "LSTMSeq", {3: (100,)}, "lstm: bias shape (100,) vs (96,)",
+                 id="lstm-bias"),
+    # each bias as wide as its weight: a graph that once exited 2 in numpy's broadcast
+    pytest.param("char", "Highway", {1: (16, 17), 2: (17,), 3: (16, 17), 4: (17,)},
+                 "highway: weights (16, 17) and (16, 17) vs (16, 16)", id="highway-not-square"),
+    pytest.param("attn", "SelfAttention", {1: (33, 12)}, "attention: input dim 32 vs w1 rows 33",
+                 id="attention-w1-rows"),
+    pytest.param("attn", "SelfAttention", {2: (13,)}, "attention: w2 shape (13,) vs (12,)",
+                 id="attention-w2"),
+]
+
+
 def huge(arrays):
     """Word rows and decoder weights 1e37 times their trained size: finite,
     but the forward overflows and every score is NaN."""
@@ -167,6 +269,21 @@ def joint_graphs(tmp_path_factory):
     return SimpleNamespace(ckpt=str(base / "model.ckpt"),
                            graphs={head: str(base / ("model.%s.graph" % head))
                                    for head in ("doc", "word")})
+
+
+@pytest.fixture(scope="module")
+def char_graph(tmp_path_factory):
+    """The graph of a trained word tagger whose tokens also embed their chars
+    (a char CNN and one highway layer, 16 wide) under a 24-wide BiLSTM."""
+    base = tmp_path_factory.mktemp("charrun")
+    cfg_path = base / "config.json"
+    cfg_path.write_text(json.dumps(corpora.word_config(
+        str(base), n_train=12, n_eval=6, epochs=1,
+        embedding={"token": {"word_dim": 8, "char_dim": 3}})), encoding="utf-8")
+    assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(base)]) == 0
+    path = str(base / "model.graph")
+    assert cli.main(["export", "--model", str(base / "model.ckpt"), "--out", path]) == 0
+    return path
 
 
 def rewrite_tsv(path, edit):
@@ -739,6 +856,23 @@ class TestPredict:
             "textforge: error: op %s reads %r, integer ids, where it takes float values"
             % (opcode, lookup.output)), proc.stderr
 
+    @pytest.mark.parametrize("graph,opcode,shapes,message", WEIGHT_DIM_PROBES)
+    def test_weight_of_the_wrong_dims_is_an_input_error(self, char_graph, joint_graphs, tmp_path,
+                                                        capsys, graph, opcode, shapes, message):
+        # the graph loads, since its const ranks are right; its kernel refuses the dims
+        g = load_graph(char_graph if graph == "char" else joint_graphs.graphs["doc"])
+        op = next(op for op in g.ops if op.opcode == opcode)
+        for at, shape in shapes.items():
+            g.consts[op.inputs[at]] = np.zeros(shape, dtype=np.float32)
+        bad = str(tmp_path / "dims.graph")
+        save_graph(g, bad)
+        texts = tmp_path / "texts.txt"
+        texts.write_text("set an alarm\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["predict", "--graph", bad, "--input", str(texts)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("textforge: error: %s" % message), err
+
     def test_unbaked_graph_rejects_text(self, doc_run, doc_graph, tmp_path):
         # an integer-id-input graph, as older exports could write: no lookups,
         # so nothing gives the ids the gather reads, and it is refused at load
@@ -993,6 +1127,18 @@ class TestExportAndBench:
                          "--requests", "2", flag, value, "--out", str(out)]) == 1
         assert "argument %s: %s" % (flag, why) in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv,message", INPUT_REFUSALS)
+    def test_refused_input_exits_1(self, tmp_path, capsys, argv, message):
+        args = argv(tmp_path)
+        capsys.readouterr()
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("textforge: ") and message in err, err
+        assert "internal error" not in err
+        assert not (tmp_path / "out" / "model.ckpt").exists()
 
 
 class TestUsage:
